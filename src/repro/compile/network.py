@@ -1,11 +1,13 @@
-"""The compiled transport: a fused send→schedule→dispatch fast path.
+"""The compiled transport: a message-free send→schedule→dispatch path.
 
-:class:`CompiledNetwork` is a drop-in :class:`~repro.net.network.Network`
-whose hot path fuses, into one frame, what the interpreted pipeline does
-in five (``send`` → ``stats.record`` → ``latency.one_way`` →
-``_schedule_delivery`` → ``post_at``), and whose delivery dispatches
-through the per-class tables of :mod:`repro.compile.tables` instead of
-the per-event ``getattr`` chain.
+:class:`CompiledNetwork` is a drop-in :class:`~repro.net.network.Network`.
+Its ``send`` *is* the base class's (fused when the network is plain, see
+:mod:`repro.net.network`); what it adds is the **ultra send**
+(:meth:`CompiledNetwork.fast_send`, used by the promoted peer classes of
+:mod:`repro.compile.peers`), which skips the :class:`Message` allocation
+entirely: the table handler is resolved at send time and the scheduled
+event *is* the dispatch — its callback is the single-frame
+``_fast_on_<kind>`` handler with ``(peer, src, payload)`` as arguments.
 
 Equivalence is structural, not statistical: every inlined step
 reproduces the interpreted code **exactly** — same statistics counters,
@@ -16,26 +18,10 @@ so a compiled run's :class:`~repro.verify.digest.RunDigest` is
 bit-identical to the interpreted run's.  The golden matrix in
 ``tests/properties`` gates this.
 
-Two tiers of fast path:
-
-* the **fused send** handles any traffic on a fault-free, FIFO-off,
-  untapped network; it still allocates the :class:`Message` so opaque
-  handlers (coordinator wrappers, recovery fences, test hooks) keep
-  working, but delivery resolves the handler once and dispatches via
-  the class table when the receiver is a pristine
-  ``MutexPeer._on_message``;
-* the **ultra send** (:meth:`CompiledNetwork.fast_send`, used by the
-  promoted peer classes of :mod:`repro.compile.peers`) skips the
-  Message allocation entirely: the table handler is resolved at send
-  time and the scheduled event *is* the dispatch — its callback is the
-  single-frame ``_fast_on_<kind>`` handler with ``(peer, src,
-  payload)`` as arguments.
-
-Anything the fast paths cannot reproduce exactly — crash controllers,
-fault injectors, per-flow FIFO, send taps, ``deliver`` subscribers,
-batched jitter, latency models with overridden ``one_way`` — falls back
-to the inherited interpreted code, which is equivalence by construction
-(it *is* the interpreted code).
+Anything the ultra path cannot reproduce exactly — crash controllers,
+fault injectors, per-flow FIFO, interception, send taps, ``deliver``
+subscribers, a receiver that is not table-dispatchable — goes through
+the inherited ``send``, which is equivalence by construction.
 """
 
 from __future__ import annotations
@@ -44,14 +30,12 @@ import logging
 from heapq import heappush
 from typing import Dict, Optional, Tuple
 
-from ..errors import NetworkError, ProtocolError
 from ..mutex.base import MutexPeer
-from ..net.latency import LOCAL_DELIVERY_MS, MatrixLatency, TwoTierLatency
-from ..net.message import DEFAULT_MESSAGE_SIZE, Message
+from ..net.latency import LOCAL_DELIVERY_MS
 from ..net.network import Network
 from ..sim.event import Event
 from ..sim.kernel import _mix64
-from .tables import dispatch_table, fast_table
+from .tables import fast_table
 
 __all__ = ["CompiledNetwork"]
 
@@ -101,24 +85,7 @@ class CompiledNetwork(Network):
             self._ev_cal = heap_obj
         self._salt = self.sim._tie_salt
         self._saved_queues = None  # set while a horizon window is open
-        #: static for the network's lifetime: crash/fault/FIFO traffic
-        #: must run the interpreted pipeline verbatim.
-        self._slow = (
-            self.crashes is not None
-            or self.faults is not None
-            or self.fifo
-        )
         latency = self.latency
-        # The latency inline is only exact for the stock table-backed
-        # models; a subclass overriding one_way() keeps its own code.
-        # Two inline tiers: the dense node-pair table below the 512-node
-        # cap, or the O(N + C^2) cluster block table above it (same
-        # float64 values, one extra index hop) — large grids no longer
-        # fall off the compiled fast path.
-        one_way = type(latency).one_way
-        self._inline_latency = one_way in (
-            TwoTierLatency.one_way, MatrixLatency.one_way
-        )
         if not self._inline_latency:
             logger.info(
                 "latency model %s falls off the compiled inline fast "
@@ -126,35 +93,29 @@ class CompiledNetwork(Network):
                 "interpreted one_way() per call",
                 type(latency).__name__,
             )
-        self._n_nodes = self.topology.n_nodes
         self._routes: Dict[Tuple[int, str], _Route] = {}
+        self._zero_jitter = latency._sigma <= 0.0
+
+    def _resolve(self) -> None:
+        super()._resolve()
+        #: crash/fault/FIFO/partitioned/intercepted traffic must run the
+        #: inherited pipeline verbatim (batching alone is not slow: the
+        #: ultra path coalesces into the same batch events itself).
+        self._slow = (
+            self.fifo
+            or self._faults is not None
+            or self._crashes is not None
+            or self._intercept is not None
+            or self._partition_owned is not None
+        )
         # Ultra-path gate flags, snapshotted per tracer version so the
         # hot send pays one integer compare instead of re-testing the
-        # subscriber sets and the tap tuple on every call.  A version of
-        # -1 forces a refresh (tap mutations reset it below).
+        # subscriber sets and the tap tuple on every call.  -1 forces a
+        # refresh on the next fast_send, so already-promoted peers see
+        # every feature or tap change.
         self._flags_version = -1
         self._ultra_ok = False
         self._send_active = False
-        # Static latency constants (the jitter sigma is fixed at model
-        # construction; only the batch override is dynamic).
-        if self._inline_latency:
-            self._lat_table = latency._node_table
-            self._lat_cluster_of = latency._cluster_of
-            self._lat_ctab = latency._cluster_table
-            self._zero_jitter = latency._sigma <= 0.0
-        else:
-            self._lat_table = None
-            self._lat_cluster_of = None
-            self._lat_ctab = None
-            self._zero_jitter = True
-
-    def add_send_tap(self, tap) -> None:
-        super().add_send_tap(tap)
-        self._flags_version = -1
-
-    def remove_send_tap(self, tap) -> None:
-        super().remove_send_tap(tap)
-        self._flags_version = -1
 
     # ------------------------------------------------------------------ #
     # horizon windows
@@ -163,8 +124,9 @@ class CompiledNetwork(Network):
     # sanctioned exception: the horizon scheduler swaps a window façade
     # into the kernel for the duration of one conservative window.  The
     # façade speaks the calendar push protocol, so re-aiming `_ev_cal`
-    # at it routes both fused and ultra sends through the window's
-    # intra/deferred split without a per-send branch.
+    # at it routes ultra sends through the window's intra/deferred
+    # split without a per-send branch (the inherited ``send`` pushes
+    # through the kernel's own pair and needs no re-aiming).
     def enter_window(self, window_queue) -> None:
         self._saved_queues = (self._ev_heap, self._ev_cal)
         self._ev_heap = None
@@ -173,20 +135,6 @@ class CompiledNetwork(Network):
     def exit_window(self) -> None:
         self._ev_heap, self._ev_cal = self._saved_queues
         self._saved_queues = None
-
-    def set_cluster_partition(self, owned, outbox) -> None:
-        super().set_cluster_partition(owned, outbox)
-        # Partitioned traffic must take the interpreted `_schedule_delivery`
-        # (where the partition check lives); `_slow` diverts both fused
-        # and ultra sends there, and the version reset makes already-
-        # promoted peers re-evaluate `_ultra_ok` on their next send.
-        self._slow = (
-            owned is not None
-            or self.crashes is not None
-            or self.faults is not None
-            or self.fifo
-        )
-        self._flags_version = -1
 
     # ------------------------------------------------------------------ #
     # deferred statistics
@@ -271,147 +219,6 @@ class CompiledNetwork(Network):
         return route
 
     # ------------------------------------------------------------------ #
-    # fused send (general traffic)
-    # ------------------------------------------------------------------ #
-    def send(
-        self,
-        src: int,
-        dst: int,
-        port: str,
-        kind: str,
-        payload: Optional[dict] = None,
-        size: int = DEFAULT_MESSAGE_SIZE,
-    ) -> Message:
-        if self._slow or self._send_taps:
-            return Network.send(self, src, dst, port, kind, payload, size)
-        if (dst, port) not in self._handlers:
-            raise NetworkError(f"no handler registered at ({dst}, {port!r})")
-        if not 0 <= src < self._n_nodes:
-            raise NetworkError(f"unknown source node {src}")
-        msg = Message(src, dst, port, kind, payload, size)
-        sim = self.sim
-        now = sim._now
-        msg.sent_at = now
-        self._record_inline(src, dst, port, kind, size)
-        trace = sim.trace
-        if "send" in trace.active_kinds:
-            trace.emit(
-                "send", time=now, src=src, dst=dst, port=port,
-                kind=kind, payload=msg.payload,
-            )
-        due = now + self._delay_inline(src, dst)
-        msg.seq = self._seq
-        self._seq += 1
-        if self._batching:
-            # Same coalescing contract as the interpreted path (see
-            # Network._schedule_delivery); items are generic
-            # ``(callback, args)`` pairs so fused, ultra and interpreted
-            # deliveries can share one batch event.
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not trace.event_active
-            ):
-                if ev.callback is self._run_batch:
-                    ev.args[0].append((self._fast_deliver, (msg,)))
-                else:
-                    ev.args = ([(ev.callback, ev.args),
-                                (self._fast_deliver, (msg,))],)
-                    ev.callback = self._run_batch
-                sim._seq += 1  # burn the unbatched event's seq
-                self._bat_seq = sim._seq
-                return msg
-        seq = sim._seq
-        event = Event(due, seq, self._fast_deliver, (msg,))
-        salt = sim._tie_salt
-        if salt is not None:
-            seq = _mix64(seq ^ salt)
-        heap = self._ev_heap
-        if heap is not None:
-            heappush(heap, (due, seq, event))
-        else:
-            self._ev_cal.push((due, seq, event))
-        sim._seq += 1
-        if self._batching:
-            self._bat_event = event
-            self._bat_due = due
-            self._bat_seq = sim._seq
-        return msg
-
-    def _record_inline(
-        self, src: int, dst: int, port: str, kind: str, size: int
-    ) -> None:
-        """``MessageStats.record`` without the Message or the frame."""
-        st = self.stats
-        st.total += 1
-        st.bytes_total += size
-        st.by_port[port] += 1
-        st.by_kind[kind] += 1
-        if src == dst:
-            st.local += 1
-            return
-        cluster_of = st._cluster_of
-        ci = cluster_of[src]
-        cj = cluster_of[dst]
-        st._matrix[ci][cj] += 1
-        if ci == cj:
-            st.intra_cluster += 1
-        else:
-            st.inter_cluster += 1
-            st.bytes_inter_cluster += size
-            st.inter_by_port[port] += 1
-
-    def _delay_inline(self, src: int, dst: int) -> float:
-        """``latency.one_way`` with the table lookup and jitter constants
-        inlined — identical values *and* identical RNG consumption."""
-        latency = self.latency
-        if not self._inline_latency or latency._batch is not None:
-            return latency.one_way(src, dst, self._rng)
-        if src == dst:
-            return LOCAL_DELIVERY_MS  # no jitter draw, as in one_way
-        table = self._lat_table
-        if table is not None:
-            base = table[src][dst]
-        else:  # large grid: O(N + C^2) cluster block table
-            cluster_of = self._lat_cluster_of
-            base = self._lat_ctab[cluster_of[src]][cluster_of[dst]]
-        sigma = latency._sigma
-        if sigma <= 0.0:
-            return base
-        return base * float(
-            self._rng.lognormal(mean=latency._lognorm_mean, sigma=sigma)
-        )
-
-    # ------------------------------------------------------------------ #
-    # delivery
-    # ------------------------------------------------------------------ #
-    def _fast_deliver(self, msg: Message) -> None:
-        # No crash check: _slow traffic never schedules this callback.
-        handler = self._handlers.get((msg.dst, msg.port))
-        if handler is None:
-            return  # deregistered in flight: drop like a closed socket
-        sim = self.sim
-        msg.delivered_at = sim._now
-        if "deliver" in sim.trace.active_kinds:
-            sim.trace.emit(
-                "deliver", time=sim._now, src=msg.src, dst=msg.dst,
-                port=msg.port, kind=msg.kind, payload=msg.payload,
-            )
-        if getattr(handler, "__func__", None) is MutexPeer._on_message:
-            peer = handler.__self__
-            fn = dispatch_table(type(peer)).get(msg.kind)
-            if fn is None:
-                raise ProtocolError(
-                    f"{peer.name}: unexpected message kind {msg.kind!r}"
-                )
-            fn(peer, msg)
-        else:
-            handler(msg)
-
-    # ------------------------------------------------------------------ #
     # ultra send (promoted peers only)
     # ------------------------------------------------------------------ #
     def fast_send(
@@ -430,9 +237,9 @@ class CompiledNetwork(Network):
         receiver that is not table-dispatchable, or a kind outside the
         receiver's table (the Message path raises the interpreted
         ``ProtocolError`` at delivery time, as the dynamic dispatch
-        would).  The stats/emit/latency steps below are the bodies of
-        ``_record_inline`` / ``_delay_inline`` fused into this frame —
-        same counters, same trace records, same RNG consumption.
+        would).  The stats/emit/latency steps below are those of the
+        base class's fused ``send``, with the counters deferred — same
+        counters, same trace records, same RNG consumption.
 
         The table handler is scheduled *directly* (no dispatch-time
         re-check of the registration): only promoted peers call this
@@ -514,12 +321,12 @@ class CompiledNetwork(Network):
                 and not ev.cancelled
                 and not trace.event_active
             ):
-                if ev.callback is self._run_batch:
+                if ev.callback is self._run_batch_cb:
                     ev.args[0].append((fn, (route.peer, src, payload)))
                 else:
                     ev.args = ([(ev.callback, ev.args),
                                 (fn, (route.peer, src, payload))],)
-                    ev.callback = self._run_batch
+                    ev.callback = self._run_batch_cb
                 sim._seq += 1  # burn the unbatched event's seq
                 self._bat_seq = sim._seq
                 return

@@ -272,10 +272,7 @@ class MutexPeer(Process):
     def _broadcast(self, kind: str, payload: Optional[dict] = None,
                    size: int = DEFAULT_MESSAGE_SIZE) -> None:
         """Send ``kind`` to every other peer (N-1 messages)."""
-        for dst in self.peers:
-            if dst != self.node:
-                self.net.send(self.node, dst, self.port, kind,
-                              dict(payload) if payload else {}, size)
+        self.net.multicast(self.node, self.peers, self.port, kind, payload, size)
 
     def _on_message(self, msg: Message) -> None:
         """Dispatch an incoming message to ``_on_<kind>``."""

@@ -17,6 +17,8 @@ __all__ = ["Message", "DEFAULT_MESSAGE_SIZE"]
 #: specify one.  Chosen to approximate a small UDP control datagram.
 DEFAULT_MESSAGE_SIZE = 64
 
+_UNSTAMPED = float("nan")  # one shared NaN: parsing it per message adds up
+
 
 class Message:
     """An in-flight (or delivered) message.
@@ -70,8 +72,8 @@ class Message:
         self.kind = kind
         self.payload = payload if payload is not None else {}
         self.size = size
-        self.sent_at: float = float("nan")
-        self.delivered_at: float = float("nan")
+        self.sent_at: float = _UNSTAMPED
+        self.delivered_at: float = _UNSTAMPED
         self.seq: int = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

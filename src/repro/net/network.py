@@ -14,6 +14,20 @@ is enabled.  ``fifo=True`` enforces per-``(src, dst, port)`` FIFO by
 never delivering a message earlier than its predecessor on the same
 flow — useful for isolating reordering effects in the ablation bench.
 
+Send paths
+----------
+A network with no feature attached — no crash controller, fault
+injector, FIFO, delivery intercept, cluster partition or delivery
+batching — is *plain* (:attr:`Network.fused`), and ``send`` runs fused:
+statistics, the table-latency lookup and the queue push happen in its
+own frame.  Attaching any feature (at construction or mid-run)
+re-resolves the flag and sends take the general path below it.  Both
+paths make the same stamps, counter updates, RNG draws and kernel
+events in the same order, so which one ran is invisible to a
+:class:`~repro.verify.digest.RunDigest`.  :meth:`Network.multicast` is
+the broadcast primitive on top: one call, per-destination messages, the
+per-broadcast work hoisted out of the loop.
+
 Delivery batching (scale-out path)
 ----------------------------------
 A broadcast on a jitter-free grid schedules many deliveries for the same
@@ -33,12 +47,13 @@ salt, or an ``"event"`` trace subscriber.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import NetworkError
-from ..sim.kernel import Simulator
+from ..errors import NetworkError, SimulationError
+from ..sim.event import Event
+from ..sim.kernel import Simulator, _mix64
 from .faults import CrashController, FaultInjector
-from .latency import LatencyModel
+from .latency import LOCAL_DELIVERY_MS, LatencyModel, _TableLatency
 from .message import DEFAULT_MESSAGE_SIZE, Message
 from .stats import MessageStats
 from .topology import LARGE_GRID_NODES, GridTopology
@@ -89,21 +104,11 @@ class Network:
         self.topology = topology
         self.latency = latency
         self.fifo = fifo
-        self.faults = faults
-        self.crashes = crashes
+        self._faults = faults
+        self._crashes = crashes
         if batch is None:
             batch = topology.n_nodes >= LARGE_GRID_NODES
-        #: Whether delivery coalescing is armed.  Any feature that makes
-        #: per-message scheduling observable vetoes it (the ``"event"``
-        #: trace kind is checked per coalesce, as subscribers can attach
-        #: mid-run).
-        self._batching = (
-            bool(batch)
-            and not fifo
-            and faults is None
-            and crashes is None
-            and sim._tie_salt is None
-        )
+        self._batch_asked = bool(batch)
         # The open batch: the youngest delivery event, its due time, and
         # the kernel sequence counter expected if nothing else scheduled.
         self._bat_event = None
@@ -130,6 +135,76 @@ class Network:
         self._partition_owned = None
         self._partition_outbox = None
         self._partition_cluster_of = None
+        # Fused-send constants.  The latency inline is only exact for the
+        # stock table models: a subclass overriding one_way() keeps its
+        # own code.  Dense node-pair table below the 512-node cap, the
+        # O(N + C^2) cluster block table above it.
+        self._n_nodes = topology.n_nodes
+        self._lat_table: Optional[List[List[float]]] = None
+        self._lat_cluster_of: List[int] = []
+        self._lat_ctab: List[List[float]] = []
+        self._inline_latency = False
+        if (
+            isinstance(latency, _TableLatency)
+            and type(latency).one_way is _TableLatency.one_way
+            and type(latency)._jittered is LatencyModel._jittered
+        ):
+            self._inline_latency = True
+            self._lat_table = latency._node_table
+            self._lat_cluster_of = latency._cluster_of
+            self._lat_ctab = latency._cluster_table
+        # Bound once: one method object per message otherwise, and the
+        # batch coalescer recognises its own event by identity.
+        self._deliver_cb = self._deliver
+        self._run_batch_cb = self._run_batch
+        self._resolve()
+
+    # ------------------------------------------------------------------ #
+    # path resolution
+    # ------------------------------------------------------------------ #
+    def _resolve(self) -> None:
+        """Re-derive which send path runs; every feature mutator calls it.
+
+        Batching is vetoed by anything that makes per-message scheduling
+        observable (the ``"event"`` trace kind is checked per coalesce,
+        as subscribers can attach mid-run)."""
+        slow = (
+            self.fifo or self._faults is not None or self._crashes is not None
+        )
+        self._batching = (
+            self._batch_asked and not slow and self.sim._tie_salt is None
+        )
+        self._plain = not (
+            slow
+            or self._batching
+            or self._intercept is not None
+            or self._partition_owned is not None
+        )
+
+    @property
+    def fused(self) -> bool:
+        """Whether :meth:`send` currently runs the fused plain path."""
+        return self._plain
+
+    @property
+    def faults(self) -> Optional[FaultInjector]:
+        """The fault injector; assignable mid-run (``None`` heals)."""
+        return self._faults
+
+    @faults.setter
+    def faults(self, value: Optional[FaultInjector]) -> None:
+        self._faults = value
+        self._resolve()
+
+    @property
+    def crashes(self) -> Optional[CrashController]:
+        """The crash controller; assignable mid-run."""
+        return self._crashes
+
+    @crashes.setter
+    def crashes(self, value: Optional[CrashController]) -> None:
+        self._crashes = value
+        self._resolve()
 
     # ------------------------------------------------------------------ #
     # registration
@@ -189,6 +264,7 @@ class Network:
         :meth:`wrap_handler`: together they let an observability layer
         see every hop without touching any algorithm."""
         self._send_taps = (*self._send_taps, tap)
+        self._resolve()
 
     def remove_send_tap(self, tap: Callable[[Message], None]) -> None:
         """Detach a tap added with :meth:`add_send_tap`."""
@@ -197,6 +273,7 @@ class Network:
         # Equality, not identity: bound methods are re-created on each
         # attribute access, so ``is`` would never match one.
         self._send_taps = tuple(t for t in self._send_taps if t != tap)
+        self._resolve()
 
     def add_register_hook(self, hook: Callable[[int, str], None]) -> None:
         """Call ``hook(node, port)`` after every future :meth:`register`.
@@ -236,11 +313,12 @@ class Network:
         ownership of the delivery order: it holds captured messages in
         per-flow queues and feeds chosen ones back through
         :meth:`deliver_intercepted`.  Pass ``None`` to restore normal
-        scheduling.  When no interceptor is set this feature costs one
-        ``None`` check per send and is otherwise invisible (digests are
+        scheduling.  When no interceptor is set this feature costs
+        nothing per send and is otherwise invisible (digests are
         unaffected).
         """
         self._intercept = intercept
+        self._resolve()
 
     def deliver_intercepted(self, msg: Message) -> None:
         """Deliver a previously captured message to its handler, now.
@@ -272,10 +350,11 @@ class Network:
             self._partition_owned = None
             self._partition_outbox = None
             self._partition_cluster_of = None
-            return
-        self._partition_owned = frozenset(owned)
-        self._partition_outbox = outbox
-        self._partition_cluster_of = self.topology._cluster_of
+        else:
+            self._partition_owned = frozenset(owned)
+            self._partition_outbox = outbox
+            self._partition_cluster_of = self.topology._cluster_of
+        self._resolve()
 
     def inject_delivery(self, msg: Message, due: float) -> None:
         """Schedule a delivery captured by another worker's outbox.
@@ -286,7 +365,7 @@ class Network:
         """
         msg.seq = self._seq
         self._seq += 1
-        self.sim.post_at(due, self._deliver, (msg,))
+        self.sim.post_at(due, self._deliver_cb, (msg,))
 
     @property
     def seq_watermark(self) -> int:
@@ -318,12 +397,75 @@ class Network:
         """
         if (dst, port) not in self._handlers:
             raise NetworkError(f"no handler registered at ({dst}, {port!r})")
-        if not 0 <= src < self.topology.n_nodes:
+        if not 0 <= src < self._n_nodes:
             raise NetworkError(f"unknown source node {src}")
         msg = Message(src, dst, port, kind, payload, size)
         sim = self.sim
-        msg.sent_at = sim._now
-        if self.crashes is not None and self.crashes.is_down(src):
+        now = msg.sent_at = sim._now
+        if self._plain:
+            # Fused path: MessageStats.record, the table-latency lookup
+            # and Simulator.post_at, inlined step for step.
+            st = self.stats
+            st.total += 1
+            st.bytes_total += size
+            st.by_port[port] += 1
+            st.by_kind[kind] += 1
+            if src == dst:
+                st.local += 1
+            else:
+                cluster_of = st._cluster_of
+                ci = cluster_of[src]
+                cj = cluster_of[dst]
+                st._matrix[ci][cj] += 1
+                if ci == cj:
+                    st.intra_cluster += 1
+                else:
+                    st.inter_cluster += 1
+                    st.bytes_inter_cluster += size
+                    st.inter_by_port[port] += 1
+            if "send" in sim.trace.active_kinds:
+                sim.trace.emit(
+                    "send", time=now, src=src, dst=dst, port=port,
+                    kind=kind, payload=msg.payload,
+                )
+            latency = self.latency
+            if not self._inline_latency or latency._batch is not None:
+                delay = latency.one_way(src, dst, self._rng)
+            elif src == dst:
+                delay = LOCAL_DELIVERY_MS  # no jitter draw, as in one_way
+            else:
+                table = self._lat_table
+                if table is not None:
+                    delay = table[src][dst]
+                else:  # large grid: O(N + C^2) cluster block table
+                    cluster_of = self._lat_cluster_of
+                    delay = self._lat_ctab[cluster_of[src]][cluster_of[dst]]
+                sigma = latency._sigma
+                if sigma > 0.0:
+                    delay *= float(self._rng.lognormal(
+                        mean=latency._lognorm_mean, sigma=sigma
+                    ))
+            due = now + delay
+            msg.seq = self._seq
+            self._seq += 1
+            if due < now:
+                raise SimulationError(
+                    f"cannot schedule into the past (t={due} < now={now})"
+                )
+            seq = sim._seq
+            event = Event(due, seq, self._deliver_cb, (msg,))
+            if sim._tie_salt is not None:
+                seq = _mix64(seq ^ sim._tie_salt)
+            # Through the kernel's own push pair, never an aliased heap:
+            # the horizon façade swaps both mid-run.
+            sim._pushf(sim._heap, (due, seq, event))
+            sim._seq += 1
+            if self._send_taps:
+                for tap in self._send_taps:
+                    tap(msg)
+            return msg
+        crashes = self._crashes
+        if crashes is not None and crashes.is_down(src):
             # A crashed node emits nothing: not even a *sent* statistic
             # (its processes are halted; this path only triggers when an
             # unbound caller keeps driving a peer on a dead node).
@@ -331,18 +473,17 @@ class Network:
         self.stats.record(msg)
         if "send" in sim.trace.active_kinds:
             sim.trace.emit(
-                "send", time=sim._now, src=src, dst=dst, port=port,
+                "send", time=now, src=src, dst=dst, port=port,
                 kind=kind, payload=msg.payload,
             )
-        if self.faults is not None and self.faults.should_drop(
-            self._fault_rng, kind
-        ):
+        faults = self._faults
+        if faults is not None and faults.should_drop(self._fault_rng, kind):
             if self._send_taps:
                 for tap in self._send_taps:
                     tap(msg)  # seq stays -1: sent but never scheduled
             return msg
         self._schedule_delivery(msg, extra_factor=1.0)
-        if self.faults is not None and self.faults.should_duplicate(
+        if faults is not None and faults.should_duplicate(
             self._fault_rng, kind
         ):
             copy = Message(src, dst, port, kind, dict(msg.payload), size)
@@ -353,13 +494,102 @@ class Network:
             # every subsequent genuine message on the flow.
             self._schedule_delivery(
                 copy,
-                extra_factor=self.faults.delay_factor,
+                extra_factor=faults.delay_factor,
                 advance_flow=False,
             )
         if self._send_taps:
             for tap in self._send_taps:
                 tap(msg)
         return msg
+
+    def multicast(
+        self,
+        src: int,
+        dsts: Iterable[int],
+        port: str,
+        kind: str,
+        payload: Optional[dict] = None,
+        size: int = DEFAULT_MESSAGE_SIZE,
+    ) -> None:
+        """Send ``kind`` to every node of ``dsts`` other than ``src``.
+
+        Exactly the loop of :meth:`send` calls it replaces — one message
+        and one kernel event per destination, each with its own copy of
+        ``payload``, the same partial state if a destination has no
+        handler — with the per-broadcast work (source check, clock,
+        latency row, statistics row, queue push, scalar counters) done
+        once.  Whenever something could observe a message boundary (a
+        tap, a ``send`` subscriber, jitter, a tie salt, any feature that
+        takes :meth:`send` off the fused path) it *is* that loop.
+        """
+        sim = self.sim
+        latency = self.latency
+        if (
+            not self._plain
+            or self._send_taps
+            or not self._inline_latency
+            or latency._sigma > 0.0
+            or sim._tie_salt is not None
+            or "send" in sim.trace.active_kinds
+            or not 0 <= src < self._n_nodes
+        ):
+            for dst in dsts:
+                if dst != src:
+                    self.send(src, dst, port, kind,
+                              dict(payload) if payload else {}, size)
+            return
+        st = self.stats
+        cluster_of = st._cluster_of
+        ci = cluster_of[src]
+        matrix_row = st._matrix[ci]
+        index: Optional[List[int]] = None
+        table = self._lat_table
+        if table is not None:
+            delays = table[src]
+        else:  # large grid: the row of the cluster block table
+            index = self._lat_cluster_of
+            delays = self._lat_ctab[index[src]]
+        handlers = self._handlers
+        deliver = self._deliver_cb
+        push, heap = sim._pushf, sim._heap
+        now = sim._now
+        seq = sim._seq
+        sent = inter = 0
+        try:
+            for dst in dsts:
+                if dst == src:
+                    continue
+                if (dst, port) not in handlers:
+                    raise NetworkError(
+                        f"no handler registered at ({dst}, {port!r})"
+                    )
+                msg = Message(src, dst, port, kind,
+                              dict(payload) if payload else {}, size)
+                msg.sent_at = now
+                msg.seq = self._seq + sent
+                cj = cluster_of[dst]
+                matrix_row[cj] += 1
+                if cj != ci:
+                    inter += 1
+                due = now + delays[dst if index is None else index[dst]]
+                push(heap, (due, seq, Event(due, seq, deliver, (msg,))))
+                seq += 1
+                sent += 1
+        finally:
+            # Scalar counters once, with the count — also on the way out
+            # of a NetworkError, which leaves the loop's partial state.
+            self._seq += sent
+            sim._seq = seq
+            if sent:
+                st.total += sent
+                st.bytes_total += size * sent
+                st.by_port[port] += sent
+                st.by_kind[kind] += sent
+                st.intra_cluster += sent - inter
+                if inter:
+                    st.inter_cluster += inter
+                    st.bytes_inter_cluster += size * inter
+                    st.inter_by_port[port] += inter
 
     # ------------------------------------------------------------------ #
     # delivery
@@ -419,34 +649,35 @@ class Network:
                 and not ev.cancelled
                 and not sim.trace.event_active
             ):
-                if ev.callback is self._run_batch:
-                    ev.args[0].append((self._deliver, (msg,)))
+                if ev.callback is self._run_batch_cb:
+                    ev.args[0].append((self._deliver_cb, (msg,)))
                 else:  # promote the single delivery to a batch in place
                     ev.args = ([(ev.callback, ev.args),
-                                (self._deliver, (msg,))],)
-                    ev.callback = self._run_batch
+                                (self._deliver_cb, (msg,))],)
+                    ev.callback = self._run_batch_cb
                 sim._seq += 1  # burn the seq the unbatched event would take
                 self._bat_seq = sim._seq
                 return
-            self._bat_event = sim.post_at(due, self._deliver, (msg,))
+            self._bat_event = sim.post_at(due, self._deliver_cb, (msg,))
             self._bat_due = due
             self._bat_seq = sim._seq
             return
         # Handle-free scheduling: deliveries are never cancelled, and one
         # is created per message — the dominant event source by far.
-        sim.post_at(due, self._deliver, (msg,))
+        sim.post_at(due, self._deliver_cb, (msg,))
 
     def _run_batch(self, items: list) -> None:
         """Unpack one coalesced delivery event in arrival order.
 
         Items are generic ``(callback, args)`` pairs rather than bare
-        messages so the compiled transport can coalesce its fused and
+        messages so the compiled transport can coalesce its
         table-dispatched deliveries into the same batch."""
         for callback, args in items:
             callback(*args)
 
     def _deliver(self, msg: Message) -> None:
-        if self.crashes is not None and self.crashes.lost_in_flight(
+        crashes = self._crashes
+        if crashes is not None and crashes.lost_in_flight(
             msg.dst, msg.sent_at
         ):
             # Destination node crashed: in-flight messages die with it

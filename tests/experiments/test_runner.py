@@ -96,6 +96,23 @@ def test_lazy_top_level_reexport():
         repro.does_not_exist
 
 
+def test_importing_experiments_leaves_scipy_unloaded():
+    # scipy's only user is the multilevel zone builder; importing it with
+    # the package cost more start-up time and memory than everything else.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_two_tier_and_random_platforms():
     for platform in ("two-tier", "random-wan"):
         cfg = ExperimentConfig(platform=platform, rho=6.0, **QUICK)

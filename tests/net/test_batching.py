@@ -99,3 +99,19 @@ class TestFifoPreservation:
             return sim.events_fired
 
         assert run(batch=True) < run(batch=False)
+
+    def test_a_large_batch_stays_one_flat_event(self):
+        # A broadcast that coalesces more deliveries than the interpreter's
+        # recursion limit: the batch must grow as one flat list (it nested
+        # one level per message while the coalescer compared a freshly
+        # bound ``_run_batch`` by identity, and blew the stack on firing).
+        sim, topo, net = _net(batch=True, n_clusters=1, nodes=1500)
+        got = []
+        for node in topo.nodes:
+            net.register(node, "app", got.append)
+        for dst in range(1, topo.n_nodes):
+            net.send(0, dst, "app", "m")
+        assert len(net._bat_event.args[0]) == topo.n_nodes - 1
+        sim.run()
+        assert [m.dst for m in got] == list(range(1, topo.n_nodes))
+        assert sim.events_fired == 1

@@ -1,0 +1,434 @@
+"""The fused default ``Network.send`` and the ``multicast`` primitive.
+
+Three claims, each pinned against the general path (today's code, which a
+``_plain = False`` network runs verbatim):
+
+(a) ``multicast`` is the loop of ``send`` calls it replaces — same
+    statistics, same messages, same sequence consumption, same partial
+    state on an error;
+(b) default-knob runs really take the fused path (non-vacuity) and every
+    feature takes the network off it, also when attached mid-run;
+(c) which path ran is invisible: digests and results are equal across
+    queues, horizon execution, a tie seed, trace subscribers, observers
+    and latency models the fused path must not inline.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.errors import NetworkError, SimulationError
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import runner as runner_mod
+from repro.net import (
+    ConstantLatency,
+    CrashController,
+    FaultInjector,
+    Network,
+    TwoTierLatency,
+    uniform_topology,
+)
+from repro.sim import Simulator
+from repro.verify import RunDigest
+
+from ..properties import digest_scenarios
+from ..properties.digest_scenarios import ALGOS, FAULTS, SYSTEMS
+
+
+class GeneralNetwork(Network):
+    """The reference: never fused, whatever is or is not attached."""
+
+    def _resolve(self) -> None:
+        super()._resolve()
+        self._plain = False
+
+
+class DeliverDigest:
+    """A run digest that leaves ``send`` unobserved, so ``multicast``
+    keeps its hoisted loop: hashes every delivery and CS transition."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self._hash = hashlib.sha256()
+        for kind in ("deliver", "cs_enter", "cs_exit"):
+            sim.trace.subscribe(kind, self._feed)
+
+    def _feed(self, rec) -> None:
+        self._hash.update(repr((rec.kind, sorted(rec.fields.items()))).encode())
+
+    @property
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+# --------------------------------------------------------------------- #
+# (a) multicast == the loop of sends
+# --------------------------------------------------------------------- #
+def _twin(cls=Network, n_clusters=3, nodes=4, skip=(), **sim_kw):
+    sim = Simulator(seed=3, **sim_kw)
+    topo = uniform_topology(n_clusters, nodes)
+    net = cls(sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0))
+    got = []
+    for node in topo.nodes:
+        if node not in skip:
+            net.register(node, "p", got.append)
+    return sim, net, got
+
+
+def _loop(net, src, dsts, port, kind, payload=None, size=64):
+    """``MutexPeer._broadcast`` as it was before ``multicast``."""
+    for dst in dsts:
+        if dst != src:
+            net.send(src, dst, port, kind, dict(payload) if payload else {}, size)
+
+
+def _state(sim, net, got):
+    st = net.stats
+    return {
+        "snapshot": st.snapshot(),
+        "by_port": dict(st.by_port),
+        "by_kind": dict(st.by_kind),
+        "inter_by_port": dict(st.inter_by_port),
+        "matrix": st.cluster_matrix.tolist(),
+        "net_seq": net._seq,
+        "kernel_seq": sim._seq,
+        "pending": sim.pending,
+        "msgs": [
+            (m.src, m.dst, m.kind, m.payload, m.seq, m.sent_at, m.delivered_at)
+            for m in got
+        ],
+    }
+
+
+@pytest.mark.parametrize("payload", [None, {}, {"ts": 4, "origin": 1}])
+@pytest.mark.parametrize("shape", [(3, 4), (6, 100)])  # dense / block tables
+def test_multicast_equals_the_loop_of_sends(payload, shape):
+    states = []
+    for fan_out in (Network.multicast, _loop):
+        sim, net, got = _twin(n_clusters=shape[0], nodes=shape[1])
+        assert net.fused
+        dsts = list(net.topology.nodes) + [2, 2]  # src included, a repeat
+        fan_out(net, 1, dsts, "p", "request", payload, 80)
+        sim.schedule(3.0, fan_out, net, 5, dsts[::-1], "p", "release", payload)
+        before = _state(sim, net, [])
+        sim.run()
+        states.append((before, _state(sim, net, got)))
+        assert len({id(m.payload) for m in got}) == len(got)  # own copy each
+        assert all(m.payload is not payload for m in got)
+    assert states[0] == states[1]
+    assert states[0][1]["snapshot"]["total"] == 2 * (len(dsts) - 1)
+
+
+@pytest.mark.parametrize("src", [1, 99, -1])
+def test_multicast_partial_state_on_error_matches_the_loop(src):
+    # Node 7 has no handler: the broadcast dies there, after 1..6 went out
+    # (or, from an unknown source, on the first destination).
+    states = []
+    for fan_out in (Network.multicast, _loop):
+        sim, net, got = _twin(skip=(7,))
+        with pytest.raises(NetworkError) as err:
+            fan_out(net, src, net.topology.nodes, "p", "request", {"n": 1})
+        sim.run()
+        states.append((str(err.value), _state(sim, net, got)))
+    assert states[0] == states[1]
+    assert states[0][1]["snapshot"]["total"] == (6 if src == 1 else 0)
+
+
+def test_multicast_to_nobody_leaves_no_trace():
+    sim, net, _got = _twin()
+    net.multicast(1, [1], "p", "request")
+    net.multicast(99, [], "p", "request")  # the loop never looks at src
+    assert net.stats.total == 0 and not net.stats.by_port and sim.pending == 0
+
+
+# --------------------------------------------------------------------- #
+# exactness rules of the fused send
+# --------------------------------------------------------------------- #
+def test_handler_is_looked_up_at_delivery_time():
+    sim, net, got = _twin()
+    wrapped = []
+    net.send(0, 5, "p", "a")
+    net.multicast(0, [5, 6], "p", "b")
+    net.wrap_handler(5, "p", lambda inner: wrapped.append)
+    net.unregister(6, "p")
+    sim.run()
+    assert [m.kind for m in wrapped] == ["a", "b"] and got == []
+
+
+def test_fused_send_errors_are_the_general_ones():
+    for cls in (Network, GeneralNetwork):
+        sim, net, _got = _twin(cls)
+        with pytest.raises(NetworkError, match="no handler registered"):
+            net.send(0, 1, "nobody", "x")
+        with pytest.raises(NetworkError, match="unknown source node 99"):
+            net.send(99, 1, "p", "x")
+        assert net.stats.total == 0 and net._seq == 0 and sim._seq == 0
+
+
+class _Backwards(ConstantLatency):
+    def one_way(self, src, dst, rng):
+        return -1.0
+
+
+class _Doubling(TwoTierLatency):
+    """Overrides ``one_way``: must be called, never inlined from tables."""
+
+    calls = 0
+
+    def one_way(self, src, dst, rng):
+        type(self).calls += 1
+        return 2.0 * super().one_way(src, dst, rng)
+
+
+def test_past_dated_delivery_still_raises():
+    for cls in (Network, GeneralNetwork):
+        sim = Simulator(seed=0)
+        topo = uniform_topology(1, 2)
+        net = cls(sim, topo, _Backwards(1.0))
+        net.register(1, "p", lambda m: None)
+        sim.schedule(5.0, net.send, 0, 1, "p", "x")
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.run()
+        # The statistic and the message seq were consumed, the kernel's not.
+        assert (net.stats.total, net._seq, sim.pending) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("observer", ["subscriber", "tap", "handler"])
+def test_stats_are_identical_wherever_an_observer_can_read_them(observer):
+    samples = []
+    for cls in (Network, GeneralNetwork):
+        sim, net, _got = _twin(cls)
+        seen = []
+
+        def sample(_x, net=net, seen=seen):
+            seen.append((net.stats.snapshot(), dict(net.stats.by_kind), net._seq))
+
+        if observer == "subscriber":
+            sim.trace.subscribe("send", sample)
+        elif observer == "tap":
+            net.add_send_tap(sample)
+        else:
+            net.unregister(4, "p")
+            net.register(4, "p", sample)
+        net.multicast(0, net.topology.nodes, "p", "request", {"k": 1})
+        net.send(4, 4, "p", "self")
+        sim.run()
+        samples.append(seen)
+    assert samples[0] == samples[1]
+    assert len(samples[0]) == (2 if observer == "handler" else 12)
+    if observer != "handler":  # one reading per message, each one further on
+        assert [s[0]["total"] for s in samples[0]] == list(range(1, 13))
+
+
+# --------------------------------------------------------------------- #
+# (b) which path runs
+# --------------------------------------------------------------------- #
+class _Capture:
+    """Stands in for the ``Network`` name in a module under test."""
+
+    def __init__(self, cls=Network, digest=None):
+        self.cls, self.digest_cls = cls, digest
+        self.net = self.digest = None
+
+    def __call__(self, sim, topology, latency, **kw):
+        self.net = self.cls(sim, topology, latency, **kw)
+        if self.digest_cls is not None:
+            self.digest = self.digest_cls(sim)
+        return self.net
+
+
+@pytest.mark.parametrize(
+    "algo,system,fault",
+    [(a, s, f) for a in ALGOS for s in SYSTEMS for f in FAULTS],
+)
+def test_golden_scenarios_run_fused_unless_they_crash(
+    monkeypatch, algo, system, fault
+):
+    capture = _Capture()
+    monkeypatch.setattr(digest_scenarios, "Network", capture)
+    digest_scenarios.run_cell(algo, system, fault)
+    assert capture.net.fused is (fault == "fault-free")
+    if fault == "fault-free":  # ... and so does the runner on default knobs
+        runner = _Capture()
+        monkeypatch.setattr(runner_mod, "Network", runner)
+        run_experiment(digest_scenarios.fault_free_config(algo, system))
+        assert runner.net.fused is True
+
+
+def _bare(**kw):
+    sim = Simulator(seed=1, tie_seed=kw.pop("tie_seed", None))
+    topo = uniform_topology(2, 3)
+    if kw.get("crashes") == "attach":
+        kw["crashes"] = CrashController(sim)
+    return sim, Network(sim, topo, TwoTierLatency(topo), **kw)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"fifo": True}, {"faults": FaultInjector(drop=0.1)},
+     {"crashes": "attach"}, {"batch": True}],
+    ids=lambda kw: next(iter(kw)),
+)
+def test_constructor_features_leave_the_fused_path(kw):
+    assert _bare()[1].fused is True
+    assert _bare(**kw)[1].fused is False
+
+
+def test_a_vetoed_batch_request_stays_fused():
+    # batch=True under a tie salt is a no-op, so nothing is in the way.
+    assert _bare(batch=True, tie_seed=3)[1].fused is True
+
+
+def test_fused_is_read_only():
+    with pytest.raises(AttributeError):
+        _bare()[1].fused = False
+
+
+def _drive_flip(cls, feature):
+    """Suzuki-style broadcast traffic with ``feature`` attached at t=20
+    and removed at t=60; returns what a run leaves behind."""
+    sim = Simulator(seed=9)
+    topo = uniform_topology(2, 3)
+    net = cls(sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.1))
+    digest = RunDigest(sim)
+    got = []
+    for node in topo.nodes:
+        net.register(node, "p", got.append)
+    crashes = CrashController(sim)
+    captured = []
+    flips = []
+    attach, remove = {
+        "faults": (lambda: setattr(net, "faults", FaultInjector(drop=0.5)),
+                   lambda: setattr(net, "faults", None)),
+        "crashes": (lambda: setattr(net, "crashes", crashes),
+                    lambda: setattr(net, "crashes", None)),
+        "intercept": (lambda: net.set_delivery_intercept(captured.append),
+                      lambda: net.set_delivery_intercept(None)),
+        "partition": (lambda: net.set_cluster_partition({0}, captured),
+                      lambda: net.set_cluster_partition(None, None)),
+        "tap": (lambda: net.add_send_tap(captured.append),
+                lambda: net.remove_send_tap(captured.append)),
+    }[feature]
+
+    def flip(fn):
+        fn()
+        flips.append(net.fused)
+
+    def tick(i):
+        net.multicast(i % 6, topo.nodes, "p", "request", {"i": i})
+        net.send(i % 6, (i + 1) % 6, "p", "token")
+
+    for i in range(40):
+        sim.schedule(2.0 * i, tick, i)
+    sim.schedule(20.5, flip, attach)
+    sim.schedule(60.5, flip, remove)
+    if feature == "crashes":  # a node dies with fused-sent traffic in flight
+        sim.schedule(21.0, crashes.crash, 4)
+        sim.schedule(40.0, crashes.restart, 4)
+    flips.append(net.fused)
+    sim.run()
+    return flips, (
+        digest.hexdigest, net.stats.snapshot(), net._seq, sim._seq,
+        sim.events_fired, len(captured),
+        [(m.src, m.dst, m.kind, m.seq, m.delivered_at) for m in got],
+    )
+
+
+@pytest.mark.parametrize(
+    "feature", ["faults", "crashes", "intercept", "partition", "tap"]
+)
+def test_features_attached_mid_run_flip_the_path_and_nothing_else(feature):
+    flips, fused_run = _drive_flip(Network, feature)
+    # Taps ride the fused path (one falsy check); everything else leaves it.
+    assert flips == [True, feature == "tap", True]
+    never, general_run = _drive_flip(GeneralNetwork, feature)
+    assert never == [False, False, False]
+    assert fused_run == general_run
+    # The feature really saw traffic: it captured some, or lost some.
+    assert fused_run[5] > 0 or len(fused_run[6]) < fused_run[1]["total"]
+
+
+def test_faults_assigned_after_construction_inject():
+    # tests/mutex/test_suzuki_retry.py does exactly this; with a stale
+    # flag the injector would be silently skipped.
+    sim, net = _bare()
+    got = []
+    net.register(1, "p", got.append)
+    net.faults = FaultInjector(drop=1.0)
+    assert net.fused is False and net.faults is not None
+    net.send(0, 1, "p", "x")
+    net.multicast(0, [1], "p", "y")
+    sim.run()
+    assert got == [] and net.stats.total == 2  # sent, dropped
+    net.faults = None
+    assert net.fused is True
+    net.send(0, 1, "p", "z")
+    sim.run()
+    assert [m.kind for m in got] == ["z"]
+
+
+# --------------------------------------------------------------------- #
+# (c) the path is invisible
+# --------------------------------------------------------------------- #
+SUZUKI = ExperimentConfig(  # broadcasts, no jitter: multicast's own loop
+    system="flat", intra="suzuki", platform="grid5000", n_clusters=3,
+    apps_per_cluster=3, n_cs=4, rho=9.0, seed=5,
+)
+NAIMI = ExperimentConfig(  # point-to-point with jitter: fused send, RNG draws
+    system="composition", intra="naimi", inter="naimi", platform="grid5000",
+    n_clusters=3, apps_per_cluster=3, n_cs=4, rho=9.0, jitter=0.05, seed=5,
+)
+KNOBS = {
+    "heap": {},
+    "calendar": {"queue": "calendar"},
+    "horizon": {"horizon": True},
+    "tie_seed": {"tie_seed": 3},
+    "counters": {"obs": "counters"},
+}
+
+
+def _observed_run(monkeypatch, cls, config, digest):
+    capture = _Capture(cls, digest)
+    monkeypatch.setattr(runner_mod, "Network", capture)
+    result = run_experiment(config)
+    net = capture.net
+    return (
+        capture.digest.hexdigest, result.cs_count, result.total_messages,
+        result.inter_cluster_messages, result.total_bytes, result.sim_time_ms,
+        result.obtaining, result.per_cluster, dict(net.stats.by_kind),
+        net.stats.cluster_matrix.tolist(), net._seq, net.sim._seq,
+        net.sim.events_fired,
+    ), net
+
+
+@pytest.mark.parametrize("digest", [RunDigest, DeliverDigest],
+                         ids=["send-subscriber", "deliver-subscriber"])
+@pytest.mark.parametrize("knob", sorted(KNOBS))
+@pytest.mark.parametrize("base", [SUZUKI, NAIMI], ids=["suzuki", "naimi"])
+def test_fused_and_general_runs_are_indistinguishable(
+    monkeypatch, base, knob, digest
+):
+    config = base.with_(**KNOBS[knob])
+    fused, net = _observed_run(monkeypatch, Network, config, digest)
+    general, ref = _observed_run(monkeypatch, GeneralNetwork, config, digest)
+    assert net.fused is True and ref.fused is False
+    assert fused == general
+
+
+@pytest.mark.parametrize("digest", [RunDigest, DeliverDigest],
+                         ids=["send-subscriber", "deliver-subscriber"])
+def test_overridden_one_way_is_called_not_inlined(monkeypatch, digest):
+    build = runner_mod.build_platform
+
+    def doubled(config):
+        topology, _latency = build(config)
+        return topology, _Doubling(topology, lan_ms=0.5, wan_ms=10.0)
+
+    monkeypatch.setattr(runner_mod, "build_platform", doubled)
+    runs = []
+    for cls in (Network, GeneralNetwork):
+        _Doubling.calls = 0
+        observed, net = _observed_run(monkeypatch, cls, SUZUKI, digest)
+        assert not net._inline_latency
+        assert _Doubling.calls == observed[2] > 0  # once per message
+        runs.append(observed)
+    assert runs[0] == runs[1]
