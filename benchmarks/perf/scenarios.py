@@ -124,7 +124,7 @@ def _build_experiment(config: ExperimentConfig):
     if config.backend == "compiled":
         from repro.compile import compile_system
 
-        compile_system(net, system, apps)
+        compile_system(net, system)
     return sim, net, apps, collector, topology, latency
 
 

@@ -713,10 +713,14 @@ class FastHandlerDriftRule(Rule):
     summary = (
         "compiled-handler drift: every _fast_on_<kind> must pair with an "
         "interpreted _on_<kind> handler (via the compiled class's bases) "
-        "and emit the identical send-kind effect multiset — a fast table "
-        "that drifts from the interpreted protocol silently changes the "
-        "algorithm under the compiled backend"
+        "and emit the identical send-kind effect multiset, and an inlined "
+        "request_cs/release_cs must fire the same self.on_* callback lists "
+        "as MutexPeer's — a twin that drifts from the interpreted protocol "
+        "silently changes the algorithm (or starves a subscriber such as "
+        "the edge-fed safety checker) under the compiled backend"
     )
+    #: public entry points the compiled classes re-write with inlining
+    _ENTRY_POINTS = ("request_cs", "release_cs")
 
     #: mutex-dir path -> interpreted effects keyed by class name,
     #: shared across the linted compile files of one tree
@@ -757,10 +761,38 @@ class FastHandlerDriftRule(Rule):
             self._interp_cache[key] = cached
         return cached
 
+    @staticmethod
+    def _callback_lists(fn: ast.AST) -> Set[str]:
+        """The ``self.on_*`` subscriber lists a method touches."""
+        return {
+            n.attr
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute)
+            and n.attr.startswith("on_")
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "self"
+        }
+
+    def _base_entry_points(self, mod: ModuleInfo) -> Dict[str, Set[str]]:
+        """Callback lists fired by ``MutexPeer``'s own entry points, from
+        the ``mutex/base.py`` next to this compile package (``{}`` when
+        the tree carries none, e.g. a fixture)."""
+        base = mod.path.resolve().parent.parent / "mutex" / "base.py"
+        if not base.is_file():
+            return {}
+        return {
+            fn.name: self._callback_lists(fn)
+            for cls in ast.parse(base.read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name == "MutexPeer"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in self._ENTRY_POINTS
+        }
+
     def check(self, mod: ModuleInfo) -> Iterator[Finding]:
         from .effects import _format_multiset, extract_fast_effects
 
         interp_by_class = self._interp_effects(mod)
+        base_entry_points = self._base_entry_points(mod)
         if not interp_by_class:
             # No interpreted tree next to this compile package — nothing
             # to drift from (and nothing to certify); stay silent rather
@@ -808,6 +840,21 @@ class FastHandlerDriftRule(Rule):
                         f"{interp.class_name}.{interp_handler} emits "  # type: ignore[attr-defined]
                         f"{_format_multiset(want)} — send-kind effect "
                         "multisets must be identical",
+                    )
+            for stmt in node.body:
+                want_lists = base_entry_points.get(getattr(stmt, "name", ""))
+                if want_lists is None:
+                    continue
+                got_lists = self._callback_lists(stmt)
+                if got_lists != want_lists:
+                    yield (
+                        stmt.lineno,
+                        stmt.col_offset,
+                        f"{node.name}.{stmt.name} fires callback lists "
+                        f"{sorted(got_lists)} but interpreted "
+                        f"MutexPeer.{stmt.name} fires {sorted(want_lists)} "
+                        "— an inlined entry point must notify the same "
+                        "subscribers",
                     )
 
     @staticmethod

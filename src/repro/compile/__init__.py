@@ -18,7 +18,6 @@ cache keys — both backends address the same cached result.
 
 from .network import CompiledNetwork
 from .peers import (
-    CompiledApplicationProcess,
     CompiledMartinPeer,
     CompiledNaimiPeer,
     CompiledSuzukiPeer,
@@ -33,7 +32,6 @@ __all__ = [
     "CompiledNaimiPeer",
     "CompiledSuzukiPeer",
     "CompiledMartinPeer",
-    "CompiledApplicationProcess",
     "compile_system",
     "compiled_peer_registry",
     "dispatch_table",

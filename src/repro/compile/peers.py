@@ -32,24 +32,19 @@ by construction.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
 from ..core.coordinator import Coordinator
 from ..core.states import CoordinatorState
-from ..errors import CompositionError, ConfigurationError, ProtocolError
-from ..metrics.records import CSRecord
+from ..errors import CompositionError, ProtocolError
 from ..mutex.base import MutexPeer, PeerState
 from ..mutex.martin import MartinPeer
 from ..mutex.naimi_trehel import NaimiTrehelPeer
 from ..mutex.suzuki_kasami import SuzukiKasamiPeer
 from ..net.message import DEFAULT_MESSAGE_SIZE
-from ..sim.event import Event
-from ..sim.kernel import _mix64
 from ..sim.trace import TraceRecord
-from ..workload.application import ApplicationProcess
 from .network import CompiledNetwork
 from .state import ArrayMap, peer_array
 
@@ -57,7 +52,6 @@ __all__ = [
     "CompiledNaimiPeer",
     "CompiledSuzukiPeer",
     "CompiledMartinPeer",
-    "CompiledApplicationProcess",
     "CompiledCoordinator",
     "compiled_peer_registry",
     "compile_system",
@@ -182,6 +176,8 @@ class CompiledNaimiPeer(_CompiledPeer, NaimiTrehelPeer):
             }
             for fn in fns:
                 fn(record)
+        for fn in self.on_released:
+            fn()
         nxt = self.next
         if nxt is not None:
             self.next = None
@@ -311,6 +307,8 @@ class CompiledSuzukiPeer(_CompiledPeer, SuzukiKasamiPeer):
             }
             for fn in fns:
                 fn(record)
+        for fn in self.on_released:
+            fn()
         rn, ln, queue = self._rn_arr, self._ln_arr, self.queue
         i = self._self_index
         ln[i] = rn[i]
@@ -440,6 +438,8 @@ class CompiledMartinPeer(_CompiledPeer, MartinPeer):
             }
             for fn in fns:
                 fn(record)
+        for fn in self.on_released:
+            fn()
         if self._owe_pred:
             self._fast_pass_token()
 
@@ -484,136 +484,6 @@ class CompiledMartinPeer(_CompiledPeer, MartinPeer):
 
     def _on_token(self, msg) -> None:
         self._fast_on_token(msg.src, msg.payload)
-
-
-# --------------------------------------------------------------------- #
-# workload
-# --------------------------------------------------------------------- #
-class CompiledApplicationProcess(ApplicationProcess):
-    """The α/β cycle with handle-free timers and the clock read directly.
-
-    Timer labels are dropped (``post_at`` carries none), which is only
-    observable through the ``event`` trace kind — promotion is skipped
-    whenever that kind has subscribers.
-
-    Exponential think times are drawn in one vectorised batch at
-    promotion time (``_think_buf``): numpy's ``Generator`` produces the
-    bit-identical sequence for ``exponential(beta, size=n)`` as for
-    ``n`` scalar calls, and the ``"think"`` stream is private to this
-    process, so buffering ahead is unobservable.
-    """
-
-    #: pre-drawn think times (None = fixed/zero-beta, draw per call)
-    _think_buf: Optional[List[float]] = None
-    _think_i: int = 0
-
-    def _bind_workload(self) -> None:
-        # The tie salt is immutable for the run and safe to cache.  The
-        # queue is NOT cached (unlike CompiledNetwork's aliases): the
-        # horizon scheduler swaps a window façade into ``sim._heap``
-        # mid-run, and a stale alias here would push timers past the
-        # open window — the push sites read ``sim._heap`` per call and
-        # branch on its type instead (one extra load per timer).
-        self._ev_salt = self.sim._tie_salt
-        if self.distribution == "exponential" and self.beta > 0.0:
-            n = self.n_cs - self.completed
-            self._think_buf = (
-                self._rng.exponential(self.beta, size=n).tolist()
-                if n > 0 else []
-            )
-            self._think_i = 0
-
-    def _request(self) -> None:
-        sim = self.sim
-        self._requested_at = sim._now
-        if "app_request" in sim.trace.active_kinds:
-            sim.trace.emit(
-                "app_request", time=sim._now, node=self.peer.node,
-                cluster=self.cluster,
-            )
-        self.peer.request_cs()
-
-    def _on_granted(self) -> None:
-        if self._requested_at is None:
-            if self.done:
-                return
-            raise ConfigurationError(
-                f"{self.name}: CS granted without an outstanding request"
-            )
-        sim = self.sim
-        now = sim._now
-        self._granted_at = now
-        # Inlined ``sim.post_at`` with the past-check elided: α and the
-        # think draws are non-negative, so ``due >= now`` by
-        # construction.  Mirrored in _release below.
-        due = now + self.alpha
-        seq = sim._seq
-        event = Event.__new__(Event)
-        event.time = due
-        event.seq = seq
-        event.callback = self._release
-        event.args = ()
-        event.cancelled = False
-        event.label = ""
-        salt = self._ev_salt
-        if salt is not None:
-            seq = _mix64(seq ^ salt)
-        heap = sim._heap
-        if type(heap) is list:
-            heappush(heap, (due, seq, event))
-        else:  # CalendarQueue or the horizon window façade
-            heap.push((due, seq, event))
-        sim._seq += 1
-
-    def _release(self) -> None:
-        assert self._requested_at is not None and self._granted_at is not None
-        sim = self.sim
-        self.peer.release_cs()
-        # The frozen-dataclass constructor costs five object.__setattr__
-        # calls plus a timestamp validation; the invariant it checks
-        # (requested <= granted <= released) holds by construction here
-        # — granted_at was stamped at grant time and α >= 0.
-        record = CSRecord.__new__(CSRecord)
-        record.__dict__.update(
-            node=self.peer.node,
-            cluster=self.cluster,
-            requested_at=self._requested_at,
-            granted_at=self._granted_at,
-            released_at=sim._now,
-        )
-        self.collector.add(record)
-        self._requested_at = None
-        self._granted_at = None
-        self.completed += 1
-        if self.completed < self.n_cs:
-            buf = self._think_buf
-            if buf is not None:
-                i = self._think_i
-                self._think_i = i + 1
-                think = buf[i]
-            else:
-                think = self._draw_think()
-            # Inlined timer post — see _on_granted.
-            due = sim._now + think
-            seq = sim._seq
-            event = Event.__new__(Event)
-            event.time = due
-            event.seq = seq
-            event.callback = self._request
-            event.args = ()
-            event.cancelled = False
-            event.label = ""
-            salt = self._ev_salt
-            if salt is not None:
-                seq = _mix64(seq ^ salt)
-            heap = sim._heap
-            if type(heap) is list:
-                heappush(heap, (due, seq, event))
-            else:  # CalendarQueue or the horizon window façade
-                heap.push((due, seq, event))
-            sim._seq += 1
-        elif self.on_done is not None:
-            self.on_done(self)
 
 
 # --------------------------------------------------------------------- #
@@ -779,18 +649,16 @@ def _rebind_callbacks(callbacks: List[Any], owner: Any) -> None:
             callbacks[i] = getattr(owner, fn.__func__.__name__)
 
 
-def compile_system(
-    net: Any, system: Any = None, apps: Any = ()
-) -> Dict[str, int]:
+def compile_system(net: Any, system: Any = None) -> Dict[str, int]:
     """Promote a built system onto the compiled fast path (in place).
 
     Call after the system and workload are fully constructed.  Returns
-    ``{"peers": n, "apps": m}`` — zeros when the network is not a
-    fast-path-capable :class:`~repro.compile.network.CompiledNetwork`
+    ``{"peers": n, "coordinators": m}`` — zeros when the network is not
+    a fast-path-capable :class:`~repro.compile.network.CompiledNetwork`
     (crash/fault/FIFO runs, tapped networks), in which case everything
     keeps running interpreted on top of it, equivalent by construction.
     """
-    report = {"peers": 0, "coordinators": 0, "apps": 0}
+    report = {"peers": 0, "coordinators": 0}
     if not isinstance(net, CompiledNetwork) or net._slow or net._send_taps:
         return report
     for peer in _system_peers(system):
@@ -809,13 +677,4 @@ def compile_system(
         _rebind_callbacks(coord.upper.on_pending_request, coord)
         _rebind_callbacks(coord.upper.on_granted, coord)
         report["coordinators"] += 1
-    if "event" in net.sim.trace.active_kinds:
-        return report  # timer labels are observable: keep apps as-is
-    for app in apps:
-        if type(app) is not ApplicationProcess:
-            continue
-        app.__class__ = CompiledApplicationProcess
-        app._bind_workload()
-        _rebind_callbacks(app.peer.on_granted, app)
-        report["apps"] += 1
     return report

@@ -1,15 +1,10 @@
-"""Per-kind dispatch tables, resolved once at system build time.
+"""Fast-handler tables and their conformance check.
 
-The interpreted delivery path resolves every message's handler
-dynamically: ``Network._deliver`` looks the ``(node, port)`` handler up,
-``MutexPeer._on_message`` then does ``getattr(self, f"_on_{kind}")`` per
-event.  The compiled backend replaces that per-event chain with tables
-built **once** per peer class:
+The one per-class ``{kind: _on_<kind>}`` dispatch table lives next to
+:class:`~repro.mutex.base.MutexPeer`, which dispatches every message
+through it (:func:`repro.mutex.base.dispatch_table`, re-exported here).
+The compiled backend adds:
 
-* :func:`dispatch_table` — ``{kind: unbound _on_<kind> method}``,
-  mirroring the ``getattr`` protocol exactly (every ``_on_*`` method
-  except the dispatcher itself participates, so a class's table accepts
-  precisely the kinds its interpreted dispatch would);
 * :func:`fast_table` — ``{kind: unbound _fast_on_<kind> method}`` for
   classes that additionally provide single-frame handlers taking
   ``(src, payload)`` instead of a :class:`~repro.net.message.Message`.
@@ -25,39 +20,15 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
+from ..mutex.base import dispatch_table
+
 __all__ = [
     "dispatch_table",
     "fast_table",
     "check_table_conformance",
 ]
 
-#: methods that look like handlers but are dispatch plumbing, not kinds
-_NOT_KINDS = ("message",)
-
-_DISPATCH_CACHE: Dict[type, Dict[str, Callable]] = {}
 _FAST_CACHE: Dict[type, Optional[Dict[str, Callable]]] = {}
-
-
-def dispatch_table(cls: type) -> Dict[str, Callable]:
-    """``{kind: unbound method}`` table of ``cls``'s message handlers.
-
-    Built from every ``_on_<kind>`` attribute reachable on the class
-    (inherited ones included), exactly what
-    ``getattr(self, f"_on_{kind}")`` would resolve — so table dispatch
-    and interpreted dispatch accept the same kinds and call the same
-    code.  Cached per class; classes are immutable after system build.
-    """
-    table = _DISPATCH_CACHE.get(cls)
-    if table is None:
-        table = {
-            name[len("_on_"):]: getattr(cls, name)
-            for name in dir(cls)
-            if name.startswith("_on_")
-            and name[len("_on_"):] not in _NOT_KINDS
-            and callable(getattr(cls, name))
-        }
-        _DISPATCH_CACHE[cls] = table
-    return table
 
 
 def fast_table(cls: type) -> Optional[Dict[str, Callable]]:

@@ -202,7 +202,7 @@ def _worker_main(conn, config: ExperimentConfig, worker_id: int,
     if config.backend == "compiled":
         from ..compile import compile_system
 
-        compile_system(net, system, apps)
+        compile_system(net, system)
     plan = derive_plan(latency, topology)
     scheduler = HorizonScheduler(sim, net, plan)
 

@@ -252,108 +252,136 @@ def _execute_experiment(
             batch=config.batch_delivery,
         )
     system = build_system(sim, net, topology, config)
-
-    # Attach after build_system (every handler registered, so the
-    # causality layer wraps them all) and before the workload deploys.
-    obs: Optional[ObservabilityLayer] = None
-    if config.obs != "off":
-        obs = ObservabilityLayer(
-            sim,
-            net,
-            level=config.obs,
-            app_nodes=system.app_nodes,
-            coordinator_nodes=tuple(
-                c.node for c in getattr(system, "coordinators", ())
-            ),
-        )
-
-    safety: Optional[MutualExclusionChecker] = None
-    if config.check_safety:
-        safety = MutualExclusionChecker(
-            sim.trace, include=_app_cs_filter(system.app_nodes)
-        )
-
-    remaining = {"count": len(system.app_nodes)}
-
-    def app_done(_app) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            sim.stop()
-
-    # Above the scale-out threshold the exact collector's per-CS record
-    # list (n_apps * n_cs entries) dominates peak memory; switch to the
-    # bounded collector, which keeps exact streaming moments plus a
-    # reservoir sample (deterministic per seed, digest-neutral).
-    collector_arg = None
-    if config.n_apps >= LARGE_GRID_NODES:
-        collector_arg = BoundedMetricsCollector(seed=config.seed)
-    apps, collector = deploy_workload(
-        system,
-        alpha_ms=config.alpha_ms,
-        rho=config.rho,
-        n_cs=config.n_cs,
-        collector=collector_arg,
-        distribution=config.distribution,
-        on_done=app_done,
-    )
-    if config.backend == "compiled":
-        # Promote live instances onto the table-driven fast path once
-        # everything (system, observers, workload) is attached.  A no-op
-        # on runs the fast path cannot serve (crash/fault/FIFO): those
-        # execute the interpreted code, equivalent by construction.
-        from ..compile import compile_system
-
-        compile_system(net, system, apps)
-    deadline = (
-        config.deadline_ms
-        if config.deadline_ms is not None
-        else config.default_deadline()
-    )
-    horizon_engaged = False
-    if config.horizon:
-        from ..sim.horizon import HorizonScheduler, derive_plan
-
-        reason = HorizonScheduler.refusal(sim, net)
-        if reason is not None:
-            logger.info(
-                "horizon execution refused (%s): running serial", reason
+    apps: list = []
+    try:
+        # Attach after build_system (every handler registered, so the
+        # causality layer wraps them all) and before the workload deploys.
+        obs: Optional[ObservabilityLayer] = None
+        if config.obs != "off":
+            obs = ObservabilityLayer(
+                sim,
+                net,
+                level=config.obs,
+                app_nodes=system.app_nodes,
+                coordinator_nodes=tuple(
+                    c.node for c in getattr(system, "coordinators", ())
+                ),
             )
-        else:
-            plan = derive_plan(latency, topology)
-            if plan is not None:
-                HorizonScheduler(sim, net, plan).run(until=deadline)
-                horizon_engaged = True
-    if not horizon_engaged:
-        sim.run(until=deadline)
-    unfinished = [a.name for a in apps if not a.done]
-    if unfinished:
-        raise LivenessViolation(
-            f"{config.describe()}: {len(unfinished)} application "
-            f"process(es) unfinished at t={sim.now:.0f}ms "
-            f"(first: {unfinished[:5]})"
+
+        if config.check_safety:
+            # Edge-fed: checked on the grant/release callbacks of exactly
+            # the peers `_app_cs_filter` selects, so no cs_enter/cs_exit
+            # record is built unless something else subscribes to them.
+            MutualExclusionChecker().watch(
+                system.peer_for(node) for node in system.app_nodes
+            )
+
+        remaining = {"count": len(system.app_nodes)}
+
+        def app_done(_app) -> None:
+            remaining["count"] -= 1
+            if remaining["count"] == 0:
+                sim.stop()
+
+        # Above the scale-out threshold the exact collector's per-CS record
+        # list (n_apps * n_cs entries) dominates peak memory; switch to the
+        # bounded collector, which keeps exact streaming moments plus a
+        # reservoir sample (deterministic per seed, digest-neutral).
+        collector_arg = None
+        if config.n_apps >= LARGE_GRID_NODES:
+            collector_arg = BoundedMetricsCollector(seed=config.seed)
+        apps, collector = deploy_workload(
+            system,
+            alpha_ms=config.alpha_ms,
+            rho=config.rho,
+            n_cs=config.n_cs,
+            collector=collector_arg,
+            distribution=config.distribution,
+            on_done=app_done,
         )
-    obs_report: Optional[ObsReport] = None
-    if obs is not None:
-        if obs_hook is not None:
-            obs_hook(obs)
-        obs_report = obs.report()
-        obs.detach()
-    stats = net.stats
-    return ExperimentResult(
-        config=config,
-        name=system.name,
-        obtaining=collector.obtaining_stats(),
-        cs_count=collector.cs_count,
-        total_messages=stats.total,
-        inter_cluster_messages=stats.inter_cluster,
-        intra_cluster_messages=stats.intra_cluster,
-        total_bytes=stats.bytes_total,
-        inter_cluster_bytes=stats.bytes_inter_cluster,
-        sim_time_ms=sim.now,
-        per_cluster=collector.by_cluster(),
-        inter_algorithm_final=getattr(system, "inter_name", ""),
-        obs_report=obs_report,
-    )
+        if config.backend == "compiled":
+            # Promote live instances onto the table-driven fast path once
+            # everything (system, observers, workload) is attached.  A no-op
+            # on runs the fast path cannot serve (crash/fault/FIFO): those
+            # execute the interpreted code, equivalent by construction.
+            from ..compile import compile_system
+
+            compile_system(net, system)
+        deadline = (
+            config.deadline_ms
+            if config.deadline_ms is not None
+            else config.default_deadline()
+        )
+        horizon_engaged = False
+        if config.horizon:
+            from ..sim.horizon import HorizonScheduler, derive_plan
+
+            reason = HorizonScheduler.refusal(sim, net)
+            if reason is not None:
+                logger.info(
+                    "horizon execution refused (%s): running serial", reason
+                )
+            else:
+                plan = derive_plan(latency, topology)
+                if plan is not None:
+                    HorizonScheduler(sim, net, plan).run(until=deadline)
+                    horizon_engaged = True
+        if not horizon_engaged:
+            sim.run(until=deadline)
+        unfinished = [a.name for a in apps if not a.done]
+        if unfinished:
+            raise LivenessViolation(
+                f"{config.describe()}: {len(unfinished)} application "
+                f"process(es) unfinished at t={sim.now:.0f}ms "
+                f"(first: {unfinished[:5]})"
+            )
+        obs_report: Optional[ObsReport] = None
+        if obs is not None:
+            if obs_hook is not None:
+                obs_hook(obs)
+            obs_report = obs.report()
+            obs.detach()
+        stats = net.stats
+        return ExperimentResult(
+            config=config,
+            name=system.name,
+            obtaining=collector.obtaining_stats(),
+            cs_count=collector.cs_count,
+            total_messages=stats.total,
+            inter_cluster_messages=stats.inter_cluster,
+            intra_cluster_messages=stats.intra_cluster,
+            total_bytes=stats.bytes_total,
+            inter_cluster_bytes=stats.bytes_inter_cluster,
+            sim_time_ms=sim.now,
+            per_cluster=collector.by_cluster(),
+            inter_algorithm_final=getattr(system, "inter_name", ""),
+            obs_report=obs_report,
+        )
+    finally:
+        _teardown(sim, net, system, apps)
+
+
+def _teardown(sim: Simulator, net: Network, system: MutexSystem, apps) -> None:
+    """Cut the reference cycles of a finished (or failed) run.
+
+    Handlers, peers, their callback lists, timers and the kernel all
+    point at each other: left alone, every run is tens of thousands of
+    objects of *cyclic* garbage, and peak memory depends on when the
+    next full collection happens.  Each owner lets go of its own edges;
+    the rest is freed by reference count when the caller's frame exits.
+    """
+    coordinators = getattr(system, "coordinators", ())
+    peers = {app.peer for app in apps}
+    for coordinator in coordinators:
+        peers.update((coordinator.lower, coordinator.upper))
+        # adaptive: gate -> controller -> composition -> coordinators
+        coordinator.upper_request_gate = None
+    for process in (*apps, *coordinators):
+        process.cancel_timers()
+    for peer in peers:
+        peer.shutdown()
+    net.close()
+    sim.close()
 
 
 #: ``run_many`` routes through the warm worker pool once a seed batch

@@ -11,8 +11,8 @@ waiting.  Every algorithm here therefore exposes:
 ``request_cs()`` / ``release_cs()``
     The classical entry points (the paper's ``IntraCSRequest`` /
     ``IntraCSRelease`` and ``InterCSRequest`` / ``InterCSRelease``).
-``on_granted``
-    Callbacks fired when this peer enters the CS.
+``on_granted`` / ``on_released``
+    Callbacks fired when this peer enters / has just left the CS.
 ``on_pending_request`` / ``has_pending_request``
     Callbacks fired (and a queryable flag) when this peer, while holding
     the token / being inside the CS, learns another peer wants in.  This
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from abc import abstractmethod
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..net.message import DEFAULT_MESSAGE_SIZE, Message
@@ -36,7 +36,7 @@ from ..net.network import Network
 from ..sim.kernel import Simulator
 from ..sim.process import Process
 
-__all__ = ["PeerState", "MutexPeer"]
+__all__ = ["PeerState", "MutexPeer", "dispatch_table"]
 
 #: Identity memo of already-validated peer tuples: ``id(tuple) ->
 #: tuple``.  The strong reference pins the id for the memo's lifetime,
@@ -66,6 +66,33 @@ def _intern_peers(peers: Sequence[int]) -> Tuple[int, ...]:
         _PEER_TABLES.clear()
     _PEER_TABLES[id(canon)] = canon
     return canon
+
+
+#: ``{concrete peer class: {kind: unbound handler}}``, filled on demand.
+#: Keyed by class, not held per instance: a per-peer dict of bound
+#: methods would be a peer -> dict -> method -> peer reference cycle.
+_DISPATCH: Dict[type, Dict[str, Callable]] = {}
+
+
+def dispatch_table(cls: type) -> Dict[str, Callable]:
+    """``{kind: unbound method}`` table of ``cls``'s message handlers.
+
+    Built once per concrete class from every ``_on_<kind>`` attribute
+    reachable on it (inherited ones included; the dispatcher
+    ``_on_message`` itself is plumbing, not a kind) — exactly what
+    ``getattr(peer, f"_on_{kind}")`` resolves, so a subclass dispatches
+    to its own overrides and accepts precisely the same kinds.
+    """
+    table = _DISPATCH.get(cls)
+    if table is None:
+        table = _DISPATCH[cls] = {
+            name[len("_on_"):]: getattr(cls, name)
+            for name in dir(cls)
+            if name.startswith("_on_")
+            and name != "_on_message"
+            and callable(getattr(cls, name))
+        }
+    return table
 
 
 class PeerState(enum.Enum):
@@ -123,6 +150,9 @@ class MutexPeer(Process):
         self.initial_holder = int(initial_holder)
         self._state = PeerState.NO_REQ
         self.on_granted: List[Callable[[], None]] = []
+        #: mirror of ``on_granted``: fired by :meth:`release_cs` once the
+        #: state is ``NO_REQ`` again, before the algorithm's release logic
+        self.on_released: List[Callable[[], None]] = []
         self.on_pending_request: List[Callable[[], None]] = []
         #: number of times this peer entered the CS
         self.cs_count = 0
@@ -227,6 +257,8 @@ class MutexPeer(Process):
             self.sim.trace.emit(
                 "cs_exit", time=self.now, node=self.node, port=self.port
             )
+        for fn in tuple(self.on_released):
+            fn()
         self._do_release()
 
     # ------------------------------------------------------------------ #
@@ -276,17 +308,24 @@ class MutexPeer(Process):
 
     def _on_message(self, msg: Message) -> None:
         """Dispatch an incoming message to ``_on_<kind>``."""
-        handler = getattr(self, f"_on_{msg.kind}", None)
+        table = _DISPATCH.get(type(self))
+        if table is None:
+            table = dispatch_table(type(self))
+        handler = table.get(msg.kind)
         if handler is None:
             raise ProtocolError(
                 f"{self.name}: unexpected message kind {msg.kind!r}"
             )
-        handler(msg)
+        handler(self, msg)
 
     def shutdown(self) -> None:
-        """Detach from the network and cancel timers (test teardown)."""
+        """Cancel timers, detach from the network and drop every
+        subscriber: nothing reaches, or is reached from, this peer."""
         self.cancel_timers()
         self.net.unregister(self.node, self.port)
+        self.on_granted.clear()
+        self.on_released.clear()
+        self.on_pending_request.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

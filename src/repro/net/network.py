@@ -232,6 +232,14 @@ class Network:
         except KeyError:
             raise NetworkError(f"no handler at {(node, port)}") from None
 
+    def close(self) -> None:
+        """End of a run: drop every handler and the pending batch event,
+        the references that tie the network and its agents into cycles.
+        Nothing can be sent afterwards."""
+        self._handlers.clear()
+        self._bat_event = None
+        self._deliver_cb = self._run_batch_cb = None
+
     def wrap_handler(
         self, node: int, port: str, wrap: Callable[[Handler], Handler]
     ) -> None:

@@ -24,7 +24,8 @@ per-event work minimal (see ``docs/performance.md``):
   out of the loop — a run without bounds executes a tight pop/fire loop;
 * :meth:`Simulator.post_at` schedules without allocating an
   :class:`~repro.sim.event.EventHandle` for internal callers that never
-  cancel (message delivery is the dominant source of events);
+  or rarely cancel (message delivery, the dominant source of events,
+  and the workload's two timers per critical section);
 * cancelled events are removed *lazily* (tombstones popped on
   encounter), but the kernel counts them and compacts the heap in place
   once tombstones outnumber live events — heavy cancellers such as the
@@ -213,22 +214,28 @@ class Simulator:
         return EventHandle(event, self)
 
     def post_at(
-        self, time: float, callback: Callable[..., Any], args: tuple = ()
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        label: str = "",
     ) -> Event:
         """Handle-free scheduling at absolute time ``time`` (hot path).
 
         Identical ordering semantics to :meth:`schedule_at` but skips the
-        :class:`EventHandle` allocation, the label, and the callable check
-        — for internal callers (message delivery, workload stepping) that
-        schedule in bulk and never cancel.  Returns the raw
-        :class:`Event`; treat it as opaque.
+        :class:`EventHandle` allocation and the callable check — for
+        internal callers (message delivery, workload stepping) that
+        schedule in bulk.  ``label`` is what ``event`` trace subscribers
+        see, as with :meth:`schedule_at`.  Returns the raw
+        :class:`Event`; a caller that must cancel it wraps it in an
+        ``EventHandle(event, sim)`` so :attr:`pending` stays exact.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
         seq = self._seq
-        event = Event(time, seq, callback, args)
+        event = Event(time, seq, callback, args, label)
         if self._tie_salt is not None:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
@@ -378,6 +385,16 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def close(self) -> None:
+        """Forget every pending event (end of a run), in place.
+
+        A calendar that still holds events ties the kernel to its agents
+        (event -> callback -> agent -> kernel); emptied, a finished run's
+        object graph can be freed by reference count alone."""
+        for entry in self._heap:
+            entry[2].cancelled = True
+        self._compact()
 
     def drain_current(self) -> int:
         """Fire every event due at exactly the current instant.

@@ -42,7 +42,7 @@ class Process:
     @property
     def now(self) -> float:
         """Current simulated time (ms)."""
-        return self.sim.now
+        return self.sim._now
 
     def set_timer(
         self, delay: float, fn: Callable[..., Any], *args: Any, label: str = ""

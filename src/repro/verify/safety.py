@@ -1,17 +1,22 @@
 """Safety verification: at most one process in the critical section.
 
-The checker is **non-invasive**: it subscribes to the ``cs_enter`` /
-``cs_exit`` trace records that every :class:`~repro.mutex.base.MutexPeer`
-(and the workload's application processes) emit, and raises
-:class:`~repro.errors.SafetyViolation` the instant two tracked processes
-overlap inside the CS.  Because trace records are delivered synchronously
-from the kernel, a violation aborts the run at the exact simulated time
-it happens, with both culprits named.
+The checker is **non-invasive** and has two feeds onto the same state.
+The *trace feed* subscribes to the ``cs_enter`` / ``cs_exit`` trace
+records that every :class:`~repro.mutex.base.MutexPeer` (and the
+workload's application processes) emit; the *edge feed*
+(:meth:`MutualExclusionChecker.watch`) hooks the ``on_granted`` /
+``on_released`` callbacks of a given set of peers, so a checked run
+builds no trace record at all.  Either way
+:class:`~repro.errors.SafetyViolation` is raised the instant two tracked
+processes overlap inside the CS: both feeds are called synchronously
+from the grant / release edge, so a violation aborts the run at the
+exact simulated time it happens, with both culprits named.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Iterable, Optional, Set, Tuple
 
 from ..errors import SafetyViolation
 from ..sim.trace import TraceRecord, Tracer
@@ -27,7 +32,8 @@ class MutualExclusionChecker:
     Parameters
     ----------
     tracer:
-        The simulator's tracer.
+        The simulator's tracer, for the trace feed; ``None`` builds a
+        checker fed only through :meth:`watch`.
     enter_kind, exit_kind:
         Trace kinds to watch (defaults match :class:`MutexPeer`; the
         workload layer emits ``app_cs_enter`` / ``app_cs_exit``).
@@ -43,7 +49,7 @@ class MutualExclusionChecker:
 
     def __init__(
         self,
-        tracer: Tracer,
+        tracer: Optional[Tracer] = None,
         enter_kind: str = "cs_enter",
         exit_kind: str = "cs_exit",
         include: Optional[Callable[[TraceRecord], bool]] = None,
@@ -54,8 +60,9 @@ class MutualExclusionChecker:
         self.inside: Set[Key] = set()
         self.total_entries = 0
         self.max_concurrency = 0
-        tracer.subscribe(enter_kind, self._on_enter)
-        tracer.subscribe(exit_kind, self._on_exit)
+        if tracer is not None:
+            tracer.subscribe(enter_kind, self._on_enter)
+            tracer.subscribe(exit_kind, self._on_exit)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -65,9 +72,48 @@ class MutualExclusionChecker:
             tracer, include=lambda rec: rec.fields["port"] == port
         )
 
+    def watch(self, peers: Iterable) -> "MutualExclusionChecker":
+        """Edge feed: hold the invariant over exactly ``peers``.
+
+        The callbacks go to the *front* of each peer's ``on_granted`` /
+        ``on_released`` lists, so a violation raises before any other
+        subscriber of that edge acts.  They hold the simulator (for the
+        instant a violation is reported at), never the peer.
+        """
+        for peer in peers:
+            key = (peer.node, peer.port)
+            peer.on_granted.insert(0, partial(self._enter, key, peer.sim))
+            peer.on_released.insert(0, partial(self._exit, key, peer.sim))
+        return self
+
     # ------------------------------------------------------------------ #
-    def _key(self, rec: TraceRecord) -> Key:
-        return (rec.fields["node"], rec.fields["port"])
+    # The violations are built in one place, so a run fails with the
+    # same text whichever feed saw it.
+    def _overlap(self, key: Key, time: float) -> SafetyViolation:
+        others = ", ".join(f"{n}@{p}" for n, p in sorted(self.inside))
+        return SafetyViolation(
+            f"t={time:.3f}ms: {key[0]}@{key[1]} entered the CS "
+            f"while [{others}] inside"
+        )
+
+    @staticmethod
+    def _unentered(key: Key, time: float) -> SafetyViolation:
+        return SafetyViolation(
+            f"t={time:.3f}ms: {key[0]}@{key[1]} exited the CS "
+            "without having entered it"
+        )
+
+    def _enter(self, key: Key, sim) -> None:
+        if self.inside:
+            raise self._overlap(key, sim._now)
+        self.inside.add(key)
+        self.total_entries += 1
+        self.max_concurrency = 1
+
+    def _exit(self, key: Key, sim) -> None:
+        if key not in self.inside:
+            raise self._unentered(key, sim._now)
+        self.inside.discard(key)
 
     def _on_enter(self, rec: TraceRecord) -> None:
         # Hot path: this fires on every CS entry of every benchmarked
@@ -86,11 +132,7 @@ class MutualExclusionChecker:
             return
         inside = self.inside
         if inside:
-            others = ", ".join(f"{n}@{p}" for n, p in sorted(inside))
-            raise SafetyViolation(
-                f"t={rec.time:.3f}ms: {key[0]}@{key[1]} entered the CS "
-                f"while [{others}] inside"
-            )
+            raise self._overlap(key, fields["time"])
         inside.add(key)
         self.total_entries += 1
         # The raise above fires before a second concurrent entry could
@@ -110,10 +152,7 @@ class MutualExclusionChecker:
         if not inc:
             return
         if key not in self.inside:
-            raise SafetyViolation(
-                f"t={rec.time:.3f}ms: {key[0]}@{key[1]} exited the CS "
-                "without having entered it"
-            )
+            raise self._unentered(key, fields["time"])
         self.inside.discard(key)
 
     # ------------------------------------------------------------------ #

@@ -15,17 +15,23 @@ drawn (so processes do not all request at t=0 unless asked to).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
 from ..metrics.records import CSRecord
 from ..mutex.base import MutexPeer
+from ..sim.event import Event, EventHandle
 from ..sim.process import Process
 
 __all__ = ["ApplicationProcess"]
 
 _DISTRIBUTIONS = ("exponential", "fixed")
+
+#: Exponential think times are drawn this many at a time.  numpy's
+#: ``Generator.exponential(beta, size=n)`` yields the bit-identical
+#: sequence to ``n`` scalar calls, so only the number of calls changes.
+_THINK_BLOCK = 64
 
 
 class ApplicationProcess(Process):
@@ -47,8 +53,9 @@ class ApplicationProcess(Process):
     distribution:
         ``"exponential"`` (default) or ``"fixed"`` think times.
     first_request_at:
-        Optional absolute time of the first *think phase start*
-        (defaults to 0; the first request happens one think time later).
+        Absolute simulated time at which the first *think phase* starts
+        (``None``, the default: now; the first request happens one think
+        time later).  A time already in the past is rejected.
     """
 
     def __init__(
@@ -60,7 +67,7 @@ class ApplicationProcess(Process):
         n_cs: int,
         collector: MetricsCollector,
         distribution: str = "exponential",
-        first_request_at: float = 0.0,
+        first_request_at: Optional[float] = None,
         on_done=None,
     ) -> None:
         super().__init__(peer.sim, f"app@{peer.node}")
@@ -75,6 +82,15 @@ class ApplicationProcess(Process):
                 f"unknown distribution {distribution!r}; "
                 f"choose from {_DISTRIBUTIONS}"
             )
+        sim = self.sim
+        start = (
+            sim._now if first_request_at is None else float(first_request_at)
+        )
+        if start < sim._now:
+            raise ConfigurationError(
+                f"first_request_at={first_request_at} is before the "
+                f"current simulated time {sim._now}"
+            )
         self.peer = peer
         self.cluster = cluster
         self.alpha = float(alpha_ms)
@@ -88,6 +104,18 @@ class ApplicationProcess(Process):
         self._requested_at: Optional[float] = None
         self._granted_at: Optional[float] = None
         self._rng = self.rng("think")
+        #: the think time when it is not random (β = 0 or ``"fixed"``)
+        self._const_think: Optional[float] = (
+            self.beta if self.beta == 0.0 or distribution == "fixed" else None
+        )
+        #: block-drawn think times, reversed (``pop()`` is the next one)
+        self._thinks: List[float] = []
+        #: Draws this process may still make.  The stream is shared by
+        #: label with any later process of the same name, so it is never
+        #: read past the last CS this process runs.
+        self._undrawn = self.n_cs
+        #: the one outstanding timer (first request, CS end or think end)
+        self._timer: Optional[Event] = None
         # Timer labels hoisted off the per-CS path (2 f-strings per CS).
         self._cs_label = f"{self.name}.cs"
         self._think_label = f"{self.name}.think"
@@ -95,10 +123,9 @@ class ApplicationProcess(Process):
         if self.n_cs == 0 and on_done is not None:
             on_done(self)
         if self.n_cs > 0:
-            self.set_timer(
-                first_request_at + self._draw_think(),
-                self._request,
-                label=f"{self.name}.first",
+            self._timer = sim.post_at(
+                start + self._next_think(), self._request, (),
+                f"{self.name}.first",
             )
 
     # ------------------------------------------------------------------ #
@@ -107,19 +134,34 @@ class ApplicationProcess(Process):
         """Whether all ``n_cs`` critical sections have completed."""
         return self.completed >= self.n_cs
 
-    def _draw_think(self) -> float:
-        if self.beta == 0.0:
-            return 0.0
-        if self.distribution == "fixed":
-            return self.beta
-        return float(self._rng.exponential(self.beta))
+    def _next_think(self) -> float:
+        if self._const_think is not None:
+            return self._const_think
+        thinks = self._thinks
+        if not thinks:
+            n = min(_THINK_BLOCK, self._undrawn)
+            self._undrawn -= n
+            thinks.extend(
+                self._rng.exponential(self.beta, size=n)[::-1].tolist()
+            )
+        return thinks.pop()
+
+    def cancel_timers(self) -> None:
+        """Cancel the outstanding timer (and anything ``set_timer`` armed)."""
+        super().cancel_timers()
+        if self._timer is not None:
+            EventHandle(self._timer, self.sim).cancel()
+            self._timer = None
 
     # ------------------------------------------------------------------ #
+    # The two per-CS timers go through the handle-free ``post_at`` at
+    # absolute times; like ``set_timer``, a halted process arms nothing.
     def _request(self) -> None:
-        self._requested_at = self.now
-        if "app_request" in self.sim.trace.active_kinds:
-            self.sim.trace.emit(
-                "app_request", time=self.now, node=self.peer.node,
+        sim = self.sim
+        self._requested_at = sim._now
+        if "app_request" in sim.trace.active_kinds:
+            sim.trace.emit(
+                "app_request", time=sim._now, node=self.peer.node,
                 cluster=self.cluster,
             )
         self.peer.request_cs()
@@ -134,11 +176,16 @@ class ApplicationProcess(Process):
             raise ConfigurationError(
                 f"{self.name}: CS granted without an outstanding request"
             )
-        self._granted_at = self.now
-        self.set_timer(self.alpha, self._release, label=self._cs_label)
+        sim = self.sim
+        self._granted_at = now = sim._now
+        if not self._halted:
+            self._timer = sim.post_at(
+                now + self.alpha, self._release, (), self._cs_label
+            )
 
     def _release(self) -> None:
         assert self._requested_at is not None and self._granted_at is not None
+        sim = self.sim
         self.peer.release_cs()
         self.collector.add(
             CSRecord(
@@ -146,15 +193,19 @@ class ApplicationProcess(Process):
                 cluster=self.cluster,
                 requested_at=self._requested_at,
                 granted_at=self._granted_at,
-                released_at=self.now,
+                released_at=sim._now,
             )
         )
         self._requested_at = None
         self._granted_at = None
         self.completed += 1
-        if not self.done:
-            self.set_timer(
-                self._draw_think(), self._request, label=self._think_label
-            )
-        elif self.on_done is not None:
-            self.on_done(self)
+        if self.completed < self.n_cs:
+            think = self._next_think()
+            if not self._halted:
+                self._timer = sim.post_at(
+                    sim._now + think, self._request, (), self._think_label
+                )
+        else:
+            self._timer = None  # the fired event points back at us
+            if self.on_done is not None:
+                self.on_done(self)

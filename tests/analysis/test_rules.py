@@ -614,6 +614,26 @@ class TestFastHandlerDrift:
         findings = self._run_on(path)
         assert findings == [], f"shipped fast tables drift: {findings}"
 
+    def test_inlined_release_without_on_released_is_flagged(self):
+        # The compiled release_cs copies must fire on_released where
+        # MutexPeer.release_cs does: the runner's safety checker hangs
+        # off that edge, and a twin that skips it reports a false
+        # SafetyViolation at the next grant.
+        import repro.compile.peers as peers
+
+        path = Path(peers.__file__)
+        fire = "        for fn in self.on_released:\n            fn()\n"
+        source = path.read_text()
+        assert source.count(fire) == 3
+        findings = run_rule(
+            FastHandlerDriftRule, source.replace(fire, "", 1), path=str(path)
+        )
+        assert len(findings) == 1
+        assert "CompiledNaimiPeer.release_cs fires callback lists []" in (
+            findings[0][2]
+        )
+        assert "['on_released']" in findings[0][2]
+
     def test_modules_outside_compile_do_not_apply(self):
         findings = run_rule(
             FastHandlerDriftRule,

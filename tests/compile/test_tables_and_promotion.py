@@ -1,4 +1,16 @@
-"""Unit tests for the compiled backend's tables and promotion gate."""
+"""Unit tests for the compiled backend's tables and promotion gate.
+
+The workload has no compiled twin any more: the one
+``ApplicationProcess`` is handle-free and block-drawn on every backend,
+so ``compile_system`` takes no ``apps`` and reports no ``"apps"`` count
+(the three refusal tests below compare the two-key report).
+``test_event_subscriber_keeps_apps_interpreted`` went with it; that an
+``event`` subscriber still sees the ``app@N.first/.cs/.think`` labels is
+pinned by ``tests/workload/test_application.py::
+test_event_subscriber_sees_the_three_timer_labels``, and that the
+dispatch table the compiled backend imports is the one ``MutexPeer``
+dispatches through by ``tests/mutex/test_dispatch_table.py``.
+"""
 
 import pytest
 
@@ -66,7 +78,7 @@ def _composition(backend_net):
 
 def test_promotion_promotes_peers_coordinators(recwarn):
     sim, net, system = _composition(CompiledNetwork)
-    report = compile_system(net, system, ())
+    report = compile_system(net, system)
     assert report["peers"] > 0
     assert report["coordinators"] == len(system.coordinators)
     for coord in system.coordinators:
@@ -80,8 +92,8 @@ def test_promotion_promotes_peers_coordinators(recwarn):
 
 def test_promotion_refused_on_interpreted_network():
     sim, net, system = _composition(Network)
-    assert compile_system(net, system, ()) == {
-        "peers": 0, "coordinators": 0, "apps": 0,
+    assert compile_system(net, system) == {
+        "peers": 0, "coordinators": 0,
     }
 
 
@@ -96,30 +108,17 @@ def test_promotion_refused_on_crash_network():
         sim, topology, latency, crashes=CrashController(sim)
     )
     system = build_system(sim, net, topology, config)
-    assert compile_system(net, system, ()) == {
-        "peers": 0, "coordinators": 0, "apps": 0,
+    assert compile_system(net, system) == {
+        "peers": 0, "coordinators": 0,
     }
 
 
 def test_promotion_refused_with_send_tap():
     sim, net, system = _composition(CompiledNetwork)
     net.add_send_tap(lambda msg: None)
-    assert compile_system(net, system, ()) == {
-        "peers": 0, "coordinators": 0, "apps": 0,
+    assert compile_system(net, system) == {
+        "peers": 0, "coordinators": 0,
     }
-
-
-def test_event_subscriber_keeps_apps_interpreted():
-    from repro.workload import deploy_workload
-
-    sim, net, system = _composition(CompiledNetwork)
-    apps, _collector = deploy_workload(
-        system, alpha_ms=5.0, rho=4.0, n_cs=1
-    )
-    sim.trace.subscribe("event", lambda rec: None)
-    report = compile_system(net, system, apps)
-    assert report["peers"] > 0  # peers emit no timer labels: still fine
-    assert report["apps"] == 0  # timer labels are observable via "event"
 
 
 def test_exact_type_promotion_skips_subclasses():
@@ -141,7 +140,7 @@ def test_exact_type_promotion_skips_subclasses():
 
     flat = FlatMutex.__new__(FlatMutex)
     flat._app_peers = {p.node: p for p in peers}
-    report = compile_system(net, flat, ())
+    report = compile_system(net, flat)
     assert report["peers"] == 0
     assert all(type(p) is PriorityNaimiPeer for p in peers)
 
@@ -169,7 +168,7 @@ def _run_with_probe(backend: str):
     from repro.workload import deploy_workload
 
     apps, _ = deploy_workload(system, alpha_ms=5.0, rho=4.0, n_cs=3)
-    compile_system(net, system, apps)
+    compile_system(net, system)
     sim.run(until=60_000.0)
     assert all(a.done for a in apps)
     return samples, net.stats

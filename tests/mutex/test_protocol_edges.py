@@ -94,3 +94,18 @@ def test_faulted_run_statistics_still_account_sends():
     # sent total exceeds the delivered total by exactly the drop count.
     assert faults.dropped > 0
     assert d.net.stats.total == len(deliveries) + faults.dropped
+
+
+def test_shutdown_detaches_the_peer_from_everything():
+    driver = PeerDriver("suzuki", n=3)
+    peer = driver.peers[1]
+    peer.on_released.append(lambda: None)
+    peer.on_pending_request.append(lambda: None)
+    assert peer.on_granted  # the driver's own subscriber
+    fired = []
+    peer.set_timer(5.0, fired.append, "late")
+    peer.shutdown()
+    assert (1, "mutex") not in driver.net.addresses()
+    assert peer.on_granted == peer.on_released == peer.on_pending_request == []
+    driver.sim.run()
+    assert fired == []

@@ -54,6 +54,33 @@ def test_send_from_unknown_node_raises():
         net.send(99, 0, "app", "ping")
 
 
+def test_close_forgets_handlers_and_the_self_references():
+    import gc
+    import weakref
+
+    sim, topo, net = make_net()
+    got = []
+    net.register(0, "app", got.append)
+    net.send(1, 0, "app", "ping")
+    net.close()
+    assert net.addresses() == ()
+    with pytest.raises(NetworkError):
+        net.send(1, 0, "app", "ping")  # nothing can be sent afterwards
+    sim.close()  # the in-flight delivery went with the calendar
+    sim.run()
+    assert got == []
+    # A closed network is freed by refcount: no cached bound method or
+    # batch event points back at it.
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_double_registration_rejected():
     sim, topo, net = make_net()
     net.register(0, "app", lambda m: None)

@@ -139,7 +139,7 @@ def _promoted_flat_naimi(n_clusters=2, nodes_per_cluster=2):
 
     flat = FlatMutex.__new__(FlatMutex)
     flat._app_peers = {p.node: p for p in peers}
-    report = compile_system(net, flat, ())
+    report = compile_system(net, flat)
     assert report["peers"] == n  # the probe must exercise the ultra path
     return sim, net, peers
 

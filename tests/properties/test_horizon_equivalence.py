@@ -85,7 +85,7 @@ def _build(config, backend, queue, attach_digest=True):
     if backend == "compiled":
         from repro.compile import compile_system
 
-        compile_system(net, system_obj, apps)
+        compile_system(net, system_obj)
     return sim, net, topology, latency, apps, collector, digest
 
 

@@ -89,7 +89,7 @@ def _digest_run(algo, system, seed, batch, backend="interpreted"):
         distribution=config.distribution,
         on_done=app_done,
     )
-    _promote(net, system_obj, apps, backend)
+    _promote(net, system_obj, backend)
     sim.run(until=config.default_deadline())
     assert all(a.done for a in apps)
     return digest.hexdigest, sim.events_fired

@@ -337,3 +337,64 @@ def test_post_at_rejects_past():
     sim.run()
     with pytest.raises(SimulationError):
         sim.post_at(1.0, lambda: None)
+
+
+@pytest.mark.parametrize("tie_seed", [None, 3])
+def test_post_at_queues_the_same_keys_as_schedule_at(tie_seed):
+    # Same (time, seq) per event and the same tie-salt mixing: a timer
+    # moved from set_timer/schedule onto post_at cannot reorder a run.
+    def keys(post):
+        sim = Simulator(seed=0, tie_seed=tie_seed)
+        sim.schedule(2.0, lambda: None)  # someone else's event in between
+        for i, t in enumerate((5.0, 5.0, 1.5, 5.0)):
+            post(sim, t, f"timer{i}")
+        return sorted(
+            (t, key, ev.seq, ev.label) for t, key, ev in sim._heap
+        )
+
+    via_schedule = keys(
+        lambda sim, t, label: sim.schedule_at(t, print, label=label)
+    )
+    via_post = keys(lambda sim, t, label: sim.post_at(t, print, (), label))
+    assert via_post == via_schedule
+
+
+def test_post_at_label_reaches_event_subscribers():
+    sim = Simulator(seed=0)
+    labels = []
+    sim.trace.subscribe("event", lambda rec: labels.append(rec.label))
+    sim.post_at(1.0, lambda: None, (), "named")
+    sim.post_at(2.0, lambda: None)
+    sim.run()
+    assert labels == ["named", ""]
+
+
+def test_post_at_event_cancelled_through_a_handle_keeps_pending_exact():
+    from repro.sim.event import EventHandle
+
+    sim = Simulator(seed=0)
+    fired = []
+    event = sim.post_at(1.0, fired.append, ("x",))
+    sim.post_at(2.0, fired.append, ("y",))
+    EventHandle(event, sim).cancel()
+    EventHandle(event, sim).cancel()  # idempotent
+    assert (sim.pending, sim.cancelled_pending) == (1, 1)
+    sim.run()
+    assert fired == ["y"]
+    assert (sim.pending, sim.cancelled_pending) == (0, 0)
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+def test_close_forgets_every_pending_event_in_place(queue):
+    sim = Simulator(seed=0, queue=queue)
+    calendar = sim._heap
+    fired = []
+    handles = [sim.schedule(float(t), fired.append, t) for t in range(1, 6)]
+    handles[0].cancel()
+    sim.run(until=2.5)
+    sim.close()
+    assert sim._heap is calendar and len(calendar) == 0
+    assert (sim.pending, sim.cancelled_pending) == (0, 0)
+    assert not any(h.active for h in handles)
+    sim.run()
+    assert fired == [2]

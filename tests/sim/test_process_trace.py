@@ -94,3 +94,13 @@ def test_kernel_emits_event_records_when_traced():
     sim.schedule(1.0, lambda: None, label="hello")
     sim.run()
     assert [r.label for r in sink] == ["hello"]
+
+
+def test_now_reads_the_kernel_clock():
+    sim = Simulator(seed=0)
+    proc = Process(sim, "p")
+    fired = []
+    proc.set_timer(5.0, fired.append, "late")
+    sim.schedule(2.0, lambda: fired.append(proc.now))
+    sim.run(until=3.0)
+    assert fired == [2.0] and proc.now == sim.now == 3.0

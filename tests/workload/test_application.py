@@ -124,3 +124,167 @@ def test_deploy_workload_covers_all_app_nodes():
     sim.run()
     assert collector.cs_count == 9
     assert all(a.done for a in apps)
+
+
+# --------------------------------------------------------------------- #
+# first_request_at is an absolute time
+# --------------------------------------------------------------------- #
+def test_first_request_at_is_absolute_not_a_delay():
+    # Regression: the constructor used to hand first_request_at + think
+    # to set_timer as a *delay*, so a process built at t=100 with a 5 ms
+    # think requested at 205.
+    sim, topo, comp = single_cluster_system(n_apps=3)
+    sim.run(until=100.0)
+    collector = MetricsCollector()
+    kwargs = dict(cluster=0, alpha_ms=1.0, beta_ms=5.0, n_cs=1,
+                  collector=collector, distribution="fixed")
+    ApplicationProcess(comp.peer_for(1), first_request_at=sim.now, **kwargs)
+    ApplicationProcess(comp.peer_for(2), **kwargs)  # None = now
+    ApplicationProcess(comp.peer_for(3), first_request_at=120.0, **kwargs)
+    sim.run()
+    assert sorted(r.requested_at for r in collector.records) == [
+        105.0, 105.0, 125.0,
+    ]
+
+
+def test_first_request_at_in_the_past_is_rejected():
+    sim, topo, comp = single_cluster_system(n_apps=1)
+    sim.run(until=50.0)
+    with pytest.raises(ConfigurationError, match="first_request_at"):
+        ApplicationProcess(
+            comp.peer_for(1), cluster=0, alpha_ms=1.0, beta_ms=1.0, n_cs=1,
+            collector=MetricsCollector(), first_request_at=49.0,
+        )
+
+
+# --------------------------------------------------------------------- #
+# the two handle-free per-CS timers
+# --------------------------------------------------------------------- #
+def _lone_app(n_cs=3, **kw):
+    sim, topo, comp = single_cluster_system(n_apps=1)
+    collector = MetricsCollector()
+    app = ApplicationProcess(
+        comp.peer_for(1), cluster=0, alpha_ms=4.0, beta_ms=10.0, n_cs=n_cs,
+        collector=collector, distribution="fixed", **kw,
+    )
+    return sim, app, collector
+
+
+@pytest.mark.parametrize("halt_at", [5.0, 12.0], ids=["mid-think", "mid-cs"])
+def test_halt_cancels_the_pending_timer_and_pending_stays_exact(halt_at):
+    sim, app, collector = _lone_app()
+    sim.run(until=halt_at)
+    assert app.peer.in_cs == (halt_at > 10.0)
+    assert (sim.pending, sim.cancelled_pending) == (1, 0)
+    app.halt()
+    assert (sim.pending, sim.cancelled_pending) == (0, 1)
+    app.halt()  # idempotent: the one event is not counted twice
+    app.cancel_timers()
+    assert (sim.pending, sim.cancelled_pending) == (0, 1)
+    sim.run(until=1_000.0)
+    assert sim.events_fired == (0 if halt_at < 10.0 else 3)
+    assert collector.cs_count == 0
+    assert (sim.pending, sim.cancelled_pending) == (0, 0)
+
+
+def test_halted_process_arms_nothing_until_resumed():
+    sim, app, collector = _lone_app(n_cs=2)
+    sim.run(until=10.05)  # requested at t=10, the grant is in flight
+    assert app.peer.state.value == "REQ"
+    app.halt()
+    sim.run(until=11.0)
+    # Granted while halted: like set_timer on a halted process, no CS
+    # timer is armed, so the calendar is empty and the peer camps.
+    assert app.peer.in_cs and sim.pending == 0
+    app.resume()
+    app._release()  # what the lost timer would have done
+    assert collector.cs_count == 1
+    assert sim.pending == 1  # resumed: the next think timer is armed
+    sim.run()
+    assert app.done and collector.cs_count == 2
+
+
+def test_event_subscriber_sees_the_three_timer_labels():
+    sim, app, collector = _lone_app(n_cs=2)
+    labels = []
+    sim.trace.subscribe(
+        "event",
+        lambda rec: rec.label.startswith("app@") and labels.append(rec.label),
+    )
+    sim.run()
+    assert labels == ["app@1.first", "app@1.cs", "app@1.think", "app@1.cs"]
+
+
+def test_finished_process_keeps_no_reference_to_its_last_timer():
+    sim, app, collector = _lone_app(n_cs=1)
+    sim.run()
+    assert app.done and app._timer is None
+
+
+# --------------------------------------------------------------------- #
+# block-drawn think times
+# --------------------------------------------------------------------- #
+def _think_times(records):
+    """Think time before each CS, recovered exactly: the timer is armed
+    at ``now + think`` from t=0 / the previous release."""
+    starts = [0.0] + [r.released_at for r in records[:-1]]
+    return starts, [r.requested_at for r in records]
+
+
+def test_block_drawn_think_times_equal_scalar_draws_across_a_refill():
+    from repro.workload.application import _THINK_BLOCK
+
+    n_cs = 2 * _THINK_BLOCK + 5  # two refill boundaries
+    sim, topo, comp = single_cluster_system(n_apps=1, seed=11)
+    collector = MetricsCollector()
+    ApplicationProcess(
+        comp.peer_for(1), cluster=0, alpha_ms=0.5, beta_ms=20.0, n_cs=n_cs,
+        collector=collector,
+    )
+    sim.run()
+    scalar = sim.rng.fresh("app@1/think")
+    draws = [float(scalar.exponential(20.0)) for _ in range(n_cs)]
+    starts, requests = _think_times(collector.records)
+    assert requests == [s + d for s, d in zip(starts, draws)]  # bit for bit
+    # ... and the stream was read exactly n_cs times, not a block ahead.
+    assert sim.rng.stream("app@1/think").exponential(20.0) == (
+        scalar.exponential(20.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "beta,distribution", [(7.0, "fixed"), (0.0, "exponential"), (0.0, "fixed")]
+)
+def test_constant_think_times_leave_the_stream_untouched(beta, distribution):
+    sim, topo, comp = single_cluster_system(n_apps=1, seed=11)
+    collector = MetricsCollector()
+    ApplicationProcess(
+        comp.peer_for(1), cluster=0, alpha_ms=0.5, beta_ms=beta, n_cs=70,
+        collector=collector, distribution=distribution,
+    )
+    sim.run()
+    starts, requests = _think_times(collector.records)
+    assert requests == [s + beta for s in starts]
+    assert sim.rng.stream("app@1/think").exponential(1.0) == (
+        sim.rng.fresh("app@1/think").exponential(1.0)
+    )
+
+
+def test_second_same_named_process_continues_the_shared_stream():
+    # examples/adaptive_grid.py: a later phase drives the same peer with
+    # a fresh process of the same name, hence the same "think" stream.
+    # The first must not have drawn past its own last CS.
+    sim, topo, comp = single_cluster_system(n_apps=1, seed=5)
+    collector = MetricsCollector()
+    kwargs = dict(cluster=0, alpha_ms=0.5, beta_ms=20.0, collector=collector)
+    ApplicationProcess(comp.peer_for(1), n_cs=3, **kwargs)
+    sim.run()
+    phase_two_at = sim.now
+    ApplicationProcess(comp.peer_for(1), n_cs=2, **kwargs)
+    sim.run()
+    scalar = sim.rng.fresh("app@1/think")
+    draws = [float(scalar.exponential(20.0)) for _ in range(5)]
+    recs = collector.records
+    assert len(recs) == 5
+    assert recs[3].requested_at == phase_two_at + draws[3]
+    assert recs[4].requested_at == recs[3].released_at + draws[4]
