@@ -71,20 +71,8 @@ class CompiledNetwork(Network):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._pending_stats = {}
-        # Immutable-for-the-run aliases: the kernel never rebinds its
-        # queue (compaction mutates it in place) and the tie salt is set
-        # once in Simulator.__init__.  A list queue is pushed with the
-        # module-level heappush; a calendar queue through its push method
-        # (`_ev_heap is None` selects the branch in the hot paths).
-        heap_obj = self.sim._heap
-        if type(heap_obj) is list:
-            self._ev_heap = heap_obj
-            self._ev_cal = None
-        else:
-            self._ev_heap = None
-            self._ev_cal = heap_obj
+        # Immutable for the run: set once in Simulator.__init__.
         self._salt = self.sim._tie_salt
-        self._saved_queues = None  # set while a horizon window is open
         latency = self.latency
         if not self._inline_latency:
             logger.info(
@@ -98,16 +86,6 @@ class CompiledNetwork(Network):
 
     def _resolve(self) -> None:
         super()._resolve()
-        #: crash/fault/FIFO/partitioned/intercepted traffic must run the
-        #: inherited pipeline verbatim (batching alone is not slow: the
-        #: ultra path coalesces into the same batch events itself).
-        self._slow = (
-            self.fifo
-            or self._faults is not None
-            or self._crashes is not None
-            or self._intercept is not None
-            or self._partition_owned is not None
-        )
         # Ultra-path gate flags, snapshotted per tracer version so the
         # hot send pays one integer compare instead of re-testing the
         # subscriber sets and the tap tuple on every call.  -1 forces a
@@ -116,25 +94,6 @@ class CompiledNetwork(Network):
         self._flags_version = -1
         self._ultra_ok = False
         self._send_active = False
-
-    # ------------------------------------------------------------------ #
-    # horizon windows
-    # ------------------------------------------------------------------ #
-    # The "immutable-for-the-run" queue aliases above have exactly one
-    # sanctioned exception: the horizon scheduler swaps a window façade
-    # into the kernel for the duration of one conservative window.  The
-    # façade speaks the calendar push protocol, so re-aiming `_ev_cal`
-    # at it routes ultra sends through the window's intra/deferred
-    # split without a per-send branch (the inherited ``send`` pushes
-    # through the kernel's own pair and needs no re-aiming).
-    def enter_window(self, window_queue) -> None:
-        self._saved_queues = (self._ev_heap, self._ev_cal)
-        self._ev_heap = None
-        self._ev_cal = window_queue
-
-    def exit_window(self) -> None:
-        self._ev_heap, self._ev_cal = self._saved_queues
-        self._saved_queues = None
 
     # ------------------------------------------------------------------ #
     # deferred statistics
@@ -253,8 +212,10 @@ class CompiledNetwork(Network):
         if trace.version != self._flags_version:
             self._flags_version = trace.version
             active = trace.active_kinds
-            self._ultra_ok = not (
-                self._slow or self._send_taps or "deliver" in active
+            # crash/fault/FIFO/intercepted traffic must run the
+            # inherited pipeline verbatim.
+            self._ultra_ok = self._plain and not (
+                self._send_taps or "deliver" in active
             )
             self._send_active = "send" in active
         if not self._ultra_ok:
@@ -312,24 +273,6 @@ class CompiledNetwork(Network):
         else:
             due = now + latency.one_way(src, dst, self._rng)
         self._seq += 1  # Message.seq watermark, identically consumed
-        if self._batching:
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not trace.event_active
-            ):
-                if ev.callback is self._run_batch_cb:
-                    ev.args[0].append((fn, (route.peer, src, payload)))
-                else:
-                    ev.args = ([(ev.callback, ev.args),
-                                (fn, (route.peer, src, payload))],)
-                    ev.callback = self._run_batch_cb
-                sim._seq += 1  # burn the unbatched event's seq
-                self._bat_seq = sim._seq
-                return
         seq = sim._seq
         event = Event.__new__(Event)
         event.time = due
@@ -341,13 +284,5 @@ class CompiledNetwork(Network):
         salt = self._salt
         if salt is not None:
             seq = _mix64(seq ^ salt)
-        heap = self._ev_heap
-        if heap is not None:
-            heappush(heap, (due, seq, event))
-        else:
-            self._ev_cal.push((due, seq, event))
+        heappush(sim._heap, (due, seq, event))
         sim._seq += 1
-        if self._batching:
-            self._bat_event = event
-            self._bat_due = due
-            self._bat_seq = sim._seq

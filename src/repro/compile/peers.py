@@ -659,7 +659,7 @@ def compile_system(net: Any, system: Any = None) -> Dict[str, int]:
     keeps running interpreted on top of it, equivalent by construction.
     """
     report = {"peers": 0, "coordinators": 0}
-    if not isinstance(net, CompiledNetwork) or net._slow or net._send_taps:
+    if not isinstance(net, CompiledNetwork) or not net.fused or net._send_taps:
         return report
     for peer in _system_peers(system):
         compiled = _PEER_MAP.get(type(peer))

@@ -111,20 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend: 'compiled' lowers the "
                             "protocol onto table-driven dispatch "
                             "(bit-identical results, faster)")
-    run_p.add_argument("--queue", default="heap",
-                       choices=("heap", "calendar"),
-                       help="kernel event queue (calendar pays off at "
-                            "1k+ nodes; digest-identical)")
-    run_p.add_argument("--horizon", action="store_true",
-                       help="conservative lookahead-parallel execution: "
-                            "drain events in windows of the minimum "
-                            "inter-cluster latency (exact order; "
-                            "self-refusing when unsafe)")
-    run_p.add_argument("--parallel-clusters", type=int, default=0,
-                       metavar="K",
-                       help="farm horizon windows to K worker processes "
-                            "(implies --horizon; exact results, refused "
-                            "under observation/jitter)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of text")
     _add_cache_flags(run_p)
@@ -214,9 +200,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         jitter=args.jitter,
         backend=args.backend,
-        queue=args.queue,
-        horizon=args.horizon or args.parallel_clusters > 1,
-        parallel_clusters=args.parallel_clusters,
         # The multilevel hierarchy is built from the --intra/--inter
         # flags like every other system (this used to hard-code
         # ("naimi", "naimi"), silently ignoring both flags).

@@ -27,11 +27,8 @@ PLATFORMS = ("grid5000", "two-tier", "random-wan")
 #: The two are equivalent by construction — bit-identical RunDigests —
 #: so the backend deliberately does **not** participate in cache keys.
 BACKENDS = ("interpreted", "compiled")
-#: Kernel event-queue implementations (see
-#: :class:`repro.sim.kernel.Simulator`): the tuple binary ``heap`` or the
-#: bucketed ``calendar`` queue for 1k+-node event populations.  Both pop
-#: in the identical ``(time, seq)`` total order — digest-equal — so like
-#: ``backend`` the choice does not participate in cache keys.
+#: Legal values of the retired ``queue`` field (see
+#: :class:`ExperimentConfig`); the kernel has one event queue, a heap.
 QUEUES = ("heap", "calendar")
 #: Observability verbosity (see :mod:`repro.obs`): ``off`` attaches
 #: nothing (the hot path stays bare), ``counters`` adds cheap event
@@ -39,6 +36,10 @@ QUEUES = ("heap", "calendar")
 #: ``trace`` additionally keeps per-CS rows and enables Chrome trace
 #: export.  Mirrored by :data:`repro.obs.OBS_LEVELS`.
 OBS_LEVELS = ("off", "counters", "paths", "trace")
+
+
+_REAL = (int, float)
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -98,33 +99,18 @@ class ExperimentConfig:
     #: matrix gates this), so both must address the same cache entry.
     backend: str = field(default="interpreted",
                          metadata={"cache_key": False})
-    #: Kernel event queue (one of :data:`QUEUES`).  Equivalence-gated
-    #: like ``backend`` (bit-identical pop order), so it is likewise
-    #: excluded from the cache key.
+    # Retired: the execution modes these three selected are deleted (see
+    # docs/performance.md, "Retired execution modes") and nothing reads
+    # the fields; every value runs the one event loop.  They stay,
+    # validated to their old legal values and out of the cache key, only
+    # because ``benchmarks/system/layers.py::TWINS`` builds its twin
+    # configs from ``dataclasses.fields(ExperimentConfig)`` and a missing
+    # field turns a pinned ratio into ``null`` on the traced result line.
+    # They go, with the three twins, at the next benchmark re-anchor.
     queue: str = field(default="heap", metadata={"cache_key": False})
-    #: Same-instant delivery coalescing (see
-    #: :class:`repro.net.network.Network`): ``None`` auto-enables above
-    #: :data:`repro.net.topology.LARGE_GRID_NODES` nodes, ``True``/
-    #: ``False`` force it.  Digest-identical by construction (burned
-    #: kernel seqs), so excluded from the cache key like ``backend``.
     batch_delivery: Optional[bool] = field(default=None,
                                            metadata={"cache_key": False})
-    #: Conservative lookahead-parallel execution (see
-    #: :mod:`repro.sim.horizon`): drain the calendar in windows of the
-    #: minimum inter-cluster latency instead of one global pop per
-    #: event.  Exact-order by construction (bit-identical digests,
-    #: pinned by the horizon equivalence matrix) and self-refusing
-    #: under crashes/faults/FIFO/taps/tie-salt/jitter — so, like
-    #: ``backend``, it is excluded from cache keys.
     horizon: bool = field(default=False, metadata={"cache_key": False})
-    #: Opt-in multi-core horizon execution: farm each conservative
-    #: window's clusters to this many worker processes
-    #: (``0``/``1`` = single-threaded).  Requires ``horizon`` and an
-    #: unobserved run (``obs="off"``, no trace subscribers): results are
-    #: exact (merged CS records) but the event interleaving is not
-    #: serially ordered, so observation refuses and falls back serial.
-    #: Excluded from cache keys like ``backend``.
-    parallel_clusters: int = field(default=0, metadata={"cache_key": False})
     label: str = ""
 
     # ------------------------------------------------------------------ #
@@ -167,9 +153,10 @@ class ExperimentConfig:
         included), keys are sorted so field order can never matter,
         nested ``hierarchy`` tuples render as JSON arrays, and floats
         use their shortest round-trip ``repr``.  Fields tagged with
-        ``metadata={"cache_key": False}`` — ``backend``, ``queue`` and
-        ``batch_delivery``, all equivalence-gated — are excluded so they
-        can never split the key space.  ``tests/cache/test_keys.py`` pins the
+        ``metadata={"cache_key": False}`` — the equivalence-gated
+        ``backend`` and the retired ``queue``, ``batch_delivery`` and
+        ``horizon``, none of which can change a result — are excluded so
+        they can never split the key space.  ``tests/cache/test_keys.py`` pins the
         exact output: any drift between Python versions or refactors
         fails loudly instead of silently splitting (or, worse,
         aliasing) cache keys.
@@ -180,6 +167,51 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
+        """Raise :class:`ConfigurationError`, naming the field, for any
+        value no run could honour — before anything is built.
+
+        Sweeps validate every config on every call, cache hits included,
+        so the passing case is straight-line: no helper calls, and
+        ``0 < v < inf`` is false for NaN and for infinity alike.
+        """
+        for name in ("n_clusters", "apps_per_cluster", "n_cs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+        for name in ("alpha_ms", "rho"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, _REAL)
+                    or not 0 < value < _INF):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        for name in ("jitter", "lan_ms", "wan_ms"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, _REAL)
+                    or not 0 <= value < _INF):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
+        value = self.deadline_ms
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, _REAL)
+            or not 0 < value < _INF
+        ):
+            raise ConfigurationError(
+                f"deadline_ms must be None, or finite and positive, got {value!r}"
+            )
+        if self.batch_delivery is not None and not isinstance(
+            self.batch_delivery, bool
+        ):
+            raise ConfigurationError(
+                f"batch_delivery must be None or a bool, got {self.batch_delivery!r}"
+            )
+        if not isinstance(self.horizon, bool):
+            raise ConfigurationError(
+                f"horizon must be a bool, got {self.horizon!r}"
+            )
         if self.system not in SYSTEMS:
             raise ConfigurationError(
                 f"unknown system {self.system!r}; choose from {SYSTEMS}"
@@ -206,12 +238,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "the Grid'5000 platform has at most 9 sites"
             )
-        if self.n_clusters < 1 or self.apps_per_cluster < 1:
-            raise ConfigurationError("need >= 1 cluster and >= 1 app per cluster")
-        if self.alpha_ms <= 0 or self.rho <= 0:
-            raise ConfigurationError("alpha and rho must be positive")
-        if self.n_cs < 1:
-            raise ConfigurationError("n_cs must be >= 1")
         if self.distribution not in ("exponential", "fixed"):
             raise ConfigurationError(
                 f"unknown distribution {self.distribution!r}"
@@ -227,16 +253,6 @@ class ExperimentConfig:
         if self.queue not in QUEUES:
             raise ConfigurationError(
                 f"unknown queue {self.queue!r}; choose from {QUEUES}"
-            )
-        if self.parallel_clusters < 0:
-            raise ConfigurationError(
-                f"parallel_clusters must be >= 0, got {self.parallel_clusters}"
-            )
-        if self.parallel_clusters > 1 and not self.horizon:
-            raise ConfigurationError(
-                "parallel_clusters requires horizon=True (the conservative "
-                "window machinery is what makes cluster-parallel execution "
-                "sound)"
             )
 
     def describe(self) -> str:

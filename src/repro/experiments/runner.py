@@ -9,7 +9,6 @@ experiment was executed 10 times".
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -42,8 +41,6 @@ __all__ = [
     "build_platform",
     "build_system",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -223,34 +220,16 @@ def _execute_experiment(
     obs_hook: Optional[Callable[[ObservabilityLayer], None]] = None,
 ) -> ExperimentResult:
     """The uncached run: build, simulate, check, aggregate."""
-    if config.parallel_clusters > 1 and obs_hook is None:
-        # Cluster-parallel horizon execution: whole windows farmed to
-        # worker processes.  Returns None (after one info log) when the
-        # run is ineligible — observation, jitter, too few clusters —
-        # in which case the serial path below takes over.
-        from .clusterpool import try_parallel_experiment
-
-        parallel_result = try_parallel_experiment(config)
-        if parallel_result is not None:
-            return parallel_result
-    sim = Simulator(
-        seed=config.seed, tie_seed=config.tie_seed, queue=config.queue
-    )
+    sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
     topology, latency = build_platform(config)
     if config.batch_jitter:
         latency.enable_batched_jitter()
     if config.backend == "compiled":
         from ..compile import CompiledNetwork
 
-        net: Network = CompiledNetwork(
-            sim, topology, latency, fifo=config.fifo,
-            batch=config.batch_delivery,
-        )
+        net: Network = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
     else:
-        net = Network(
-            sim, topology, latency, fifo=config.fifo,
-            batch=config.batch_delivery,
-        )
+        net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
     apps: list = []
     try:
@@ -312,22 +291,7 @@ def _execute_experiment(
             if config.deadline_ms is not None
             else config.default_deadline()
         )
-        horizon_engaged = False
-        if config.horizon:
-            from ..sim.horizon import HorizonScheduler, derive_plan
-
-            reason = HorizonScheduler.refusal(sim, net)
-            if reason is not None:
-                logger.info(
-                    "horizon execution refused (%s): running serial", reason
-                )
-            else:
-                plan = derive_plan(latency, topology)
-                if plan is not None:
-                    HorizonScheduler(sim, net, plan).run(until=deadline)
-                    horizon_engaged = True
-        if not horizon_engaged:
-            sim.run(until=deadline)
+        sim.run(until=deadline)
         unfinished = [a.name for a in apps if not a.done]
         if unfinished:
             raise LivenessViolation(

@@ -14,8 +14,8 @@ bytes for flat vs composed deployments, on the uniform two-tier platform
 Large sweeps route through :func:`repro.experiments.parallel.run_configs_cached`
 — the cache-aware batch entry point (incremental re-sweeps hit the
 experiment cache, misses run in the warm worker pool) — and accept the
-``backend``/``queue`` execution knobs so 1k+-node points can use the
-compiled fast path.
+``backend`` execution knob so 1k+-node points can use the compiled fast
+path.
 """
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ def scalability_study(
     rho_over_n: float = 1.0,
     seed: int = 0,
     backend: str = "interpreted",
-    queue: str = "heap",
     cache: Optional[ExperimentCache] = None,
 ) -> Dict[str, Tuple[ScalabilityPoint, ...]]:
     """Flat ``algorithm`` vs the ``algorithm-algorithm`` composition over
     growing cluster counts.  Returns ``{label: points}``.
 
-    ``backend``/``queue`` select the execution fast paths (equivalence-
-    gated: they change nothing but the wall clock); ``cache`` makes
-    repeated sweeps incremental.
+    ``backend`` selects the execution backend (equivalence-gated: it
+    changes nothing but the wall clock); ``cache`` makes repeated sweeps
+    incremental.
     """
     flat_label = f"{algorithm} (flat)"
     comp_label = f"{algorithm}-{algorithm}"
@@ -79,7 +78,6 @@ def scalability_study(
             rho=rho_over_n * n_apps,
             seed=seed,
             backend=backend,
-            queue=queue,
         )
         labels.append(flat_label)
         configs.append(base.with_(system="flat", intra=algorithm))

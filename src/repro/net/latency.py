@@ -142,13 +142,6 @@ class LatencyModel(ABC):
     def one_way(self, src: int, dst: int, rng: np.random.Generator) -> float:
         """One-way delay in milliseconds for a message ``src -> dst``."""
 
-    # ``min_delay(src_cluster, dst_cluster)`` — a hard lower bound on any
-    # one-way delay between nodes of the two clusters — is deliberately
-    # *not* declared here: only cluster-structured models can promise
-    # one, and the lookahead machinery (:mod:`repro.sim.horizon`) treats
-    # its absence as "no lookahead available" and falls back to serial
-    # execution.  ``_TableLatency`` provides the stock implementation.
-
     def rtt(self, src: int, dst: int, rng: np.random.Generator) -> float:
         """Round-trip estimate (two one-way samples)."""
         return self.one_way(src, dst, rng) + self.one_way(dst, src, rng)
@@ -267,31 +260,6 @@ class _TableLatency(LatencyModel):
         if self._sigma <= 0.0:
             return base
         return self._jittered(base, rng)
-
-    def min_delay(self, src_cluster: int, dst_cluster: int) -> float:
-        """Hard lower bound (ms) on any one-way ``src_cluster ->
-        dst_cluster`` delay this model can produce.
-
-        The conservative-lookahead contract for
-        :class:`~repro.sim.horizon.HorizonScheduler`: no message between
-        nodes of the two clusters may ever be delivered earlier than
-        ``send_time + min_delay``.  Jitter-free models return the exact
-        cluster-pair table entry (every delay *equals* the bound; for
-        ``src_cluster == dst_cluster`` the bound is
-        :data:`LOCAL_DELIVERY_MS`, the self-send floor).  With jitter
-        enabled the multiplicative lognormal factor has infimum 0, so the
-        only honest bound is ``0.0`` — which carries no lookahead and
-        makes the horizon machinery fall back to serial execution.
-        """
-        if self._sigma > 0.0:
-            return 0.0
-        base = self._cluster_table[src_cluster][dst_cluster]
-        if src_cluster == dst_cluster:
-            # A same-cluster message is either a distinct-node send (the
-            # table entry) or a self-send (the local-delivery floor);
-            # the bound must cover both.
-            return min(base, LOCAL_DELIVERY_MS)
-        return base
 
     def base_delays(
         self, src: int, dsts: Sequence[int] | np.ndarray

@@ -17,36 +17,21 @@ flow — useful for isolating reordering effects in the ablation bench.
 Send paths
 ----------
 A network with no feature attached — no crash controller, fault
-injector, FIFO, delivery intercept, cluster partition or delivery
-batching — is *plain* (:attr:`Network.fused`), and ``send`` runs fused:
-statistics, the table-latency lookup and the queue push happen in its
-own frame.  Attaching any feature (at construction or mid-run)
+injector, FIFO or delivery intercept — is *plain*
+(:attr:`Network.fused`), and ``send`` runs fused: statistics, the
+table-latency lookup and the queue push happen in its own frame, at
+any grid size.  Attaching any feature (at construction or mid-run)
 re-resolves the flag and sends take the general path below it.  Both
 paths make the same stamps, counter updates, RNG draws and kernel
 events in the same order, so which one ran is invisible to a
 :class:`~repro.verify.digest.RunDigest`.  :meth:`Network.multicast` is
 the broadcast primitive on top: one call, per-destination messages, the
 per-broadcast work hoisted out of the loop.
-
-Delivery batching (scale-out path)
-----------------------------------
-A broadcast on a jitter-free grid schedules many deliveries for the same
-instant; each becomes its own kernel event.  With ``batch=True`` (or
-automatically above :data:`~repro.net.topology.LARGE_GRID_NODES` nodes)
-consecutive same-instant deliveries coalesce into one kernel event that
-unpacks its messages in arrival order.  Coalescing only happens while
-the kernel sequence counter is *contiguous* with the open batch — i.e.
-no other event was scheduled in between — and the burned sequence
-numbers are re-consumed, so every event in the run keeps exactly the
-``(time, seq)`` key it would have had unbatched: the run is
-bit-identical (digest-pinned by the batching equivalence tests).
-Batching disables itself whenever per-message scheduling is observable:
-``fifo`` flows, fault injection, crash controllers, a tie-seed sanitizer
-salt, or an ``"event"`` trace subscriber.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError, SimulationError
@@ -56,7 +41,7 @@ from .faults import CrashController, FaultInjector
 from .latency import LOCAL_DELIVERY_MS, LatencyModel, _TableLatency
 from .message import DEFAULT_MESSAGE_SIZE, Message
 from .stats import MessageStats
-from .topology import LARGE_GRID_NODES, GridTopology
+from .topology import GridTopology
 
 __all__ = ["Network"]
 
@@ -81,13 +66,6 @@ class Network:
     crashes:
         Optional :class:`~repro.net.faults.CrashController`; without one
         every node is permanently up and the crash checks short-circuit.
-    batch:
-        Coalesce consecutive same-instant deliveries into one kernel
-        event (see the module docstring).  ``None`` (the default) enables
-        it automatically above :data:`~repro.net.topology.LARGE_GRID_NODES`
-        nodes; ``True``/``False`` force it.  Forcing it on is still a
-        no-op when per-message scheduling is observable (``fifo``,
-        faults, crashes, a kernel tie salt).
     """
 
     def __init__(
@@ -98,7 +76,6 @@ class Network:
         fifo: bool = False,
         faults: Optional[FaultInjector] = None,
         crashes: Optional[CrashController] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -106,14 +83,6 @@ class Network:
         self.fifo = fifo
         self._faults = faults
         self._crashes = crashes
-        if batch is None:
-            batch = topology.n_nodes >= LARGE_GRID_NODES
-        self._batch_asked = bool(batch)
-        # The open batch: the youngest delivery event, its due time, and
-        # the kernel sequence counter expected if nothing else scheduled.
-        self._bat_event = None
-        self._bat_due = 0.0
-        self._bat_seq = -1
         self.stats = MessageStats(topology)
         self._handlers: Dict[Tuple[int, str], Handler] = {}
         self._flow_clock: Dict[Tuple[int, int, str], float] = {}
@@ -128,13 +97,6 @@ class Network:
         # Delivery interception (repro.analysis.explore): when set, sends
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None
-        # Cluster partition (repro.experiments.clusterpool): when set,
-        # sends whose destination cluster this process does not own are
-        # captured into the outbox instead of scheduled locally — see
-        # set_cluster_partition.
-        self._partition_owned = None
-        self._partition_outbox = None
-        self._partition_cluster_of = None
         # Fused-send constants.  The latency inline is only exact for the
         # stock table models: a subclass overriding one_way() keeps its
         # own code.  Dense node-pair table below the 512-node cap, the
@@ -153,32 +115,20 @@ class Network:
             self._lat_table = latency._node_table
             self._lat_cluster_of = latency._cluster_of
             self._lat_ctab = latency._cluster_table
-        # Bound once: one method object per message otherwise, and the
-        # batch coalescer recognises its own event by identity.
+        # Bound once: one method object per message otherwise.
         self._deliver_cb = self._deliver
-        self._run_batch_cb = self._run_batch
         self._resolve()
 
     # ------------------------------------------------------------------ #
     # path resolution
     # ------------------------------------------------------------------ #
     def _resolve(self) -> None:
-        """Re-derive which send path runs; every feature mutator calls it.
-
-        Batching is vetoed by anything that makes per-message scheduling
-        observable (the ``"event"`` trace kind is checked per coalesce,
-        as subscribers can attach mid-run)."""
-        slow = (
-            self.fifo or self._faults is not None or self._crashes is not None
-        )
-        self._batching = (
-            self._batch_asked and not slow and self.sim._tie_salt is None
-        )
+        """Re-derive which send path runs; every feature mutator calls it."""
         self._plain = not (
-            slow
-            or self._batching
+            self.fifo
+            or self._faults is not None
+            or self._crashes is not None
             or self._intercept is not None
-            or self._partition_owned is not None
         )
 
     @property
@@ -233,12 +183,11 @@ class Network:
             raise NetworkError(f"no handler at {(node, port)}") from None
 
     def close(self) -> None:
-        """End of a run: drop every handler and the pending batch event,
-        the references that tie the network and its agents into cycles.
-        Nothing can be sent afterwards."""
+        """End of a run: drop every handler and the bound delivery
+        callback, the references that tie the network and its agents into
+        cycles.  Nothing can be sent afterwards."""
         self._handlers.clear()
-        self._bat_event = None
-        self._deliver_cb = self._run_batch_cb = None
+        self._deliver_cb = None
 
     def wrap_handler(
         self, node: int, port: str, wrap: Callable[[Handler], Handler]
@@ -337,44 +286,6 @@ class Network:
         """
         self._deliver(msg)
 
-    # ------------------------------------------------------------------ #
-    # cluster partitioning (repro.experiments.clusterpool)
-    # ------------------------------------------------------------------ #
-    def set_cluster_partition(self, owned, outbox) -> None:
-        """Capture sends leaving the ``owned`` clusters instead of
-        scheduling them.
-
-        The cluster-parallel worker's hook: ``owned`` is the set of
-        cluster ids this process executes, ``outbox`` a list that
-        receives ``(due_ms, msg)`` pairs for every send whose
-        destination cluster belongs to another worker.  The latency is
-        sampled *here*, by the sending worker — the same draw the serial
-        run would make — so the receiving worker schedules the delivery
-        at the exact same absolute time via :meth:`inject_delivery`.
-        Sends inside the owned clusters are unaffected.  Pass
-        ``owned=None`` to clear.
-        """
-        if owned is None:
-            self._partition_owned = None
-            self._partition_outbox = None
-            self._partition_cluster_of = None
-        else:
-            self._partition_owned = frozenset(owned)
-            self._partition_outbox = outbox
-            self._partition_cluster_of = self.topology._cluster_of
-        self._resolve()
-
-    def inject_delivery(self, msg: Message, due: float) -> None:
-        """Schedule a delivery captured by another worker's outbox.
-
-        ``due`` is absolute simulated time (stamped by the sender);
-        conservative lookahead guarantees it lies at or beyond the
-        receiving worker's window barrier, so it is never in the past.
-        """
-        msg.seq = self._seq
-        self._seq += 1
-        self.sim.post_at(due, self._deliver_cb, (msg,))
-
     @property
     def seq_watermark(self) -> int:
         """The sequence number the *next* scheduled delivery will carry.
@@ -464,9 +375,7 @@ class Network:
             event = Event(due, seq, self._deliver_cb, (msg,))
             if sim._tie_salt is not None:
                 seq = _mix64(seq ^ sim._tie_salt)
-            # Through the kernel's own push pair, never an aliased heap:
-            # the horizon façade swaps both mid-run.
-            sim._pushf(sim._heap, (due, seq, event))
+            heappush(sim._heap, (due, seq, event))
             sim._seq += 1
             if self._send_taps:
                 for tap in self._send_taps:
@@ -559,7 +468,7 @@ class Network:
             delays = self._lat_ctab[index[src]]
         handlers = self._handlers
         deliver = self._deliver_cb
-        push, heap = sim._pushf, sim._heap
+        heap = sim._heap
         now = sim._now
         seq = sim._seq
         sent = inter = 0
@@ -580,7 +489,7 @@ class Network:
                 if cj != ci:
                     inter += 1
                 due = now + delays[dst if index is None else index[dst]]
-                push(heap, (due, seq, Event(due, seq, deliver, (msg,))))
+                heappush(heap, (due, seq, Event(due, seq, deliver, (msg,))))
                 seq += 1
                 sent += 1
         finally:
@@ -614,23 +523,6 @@ class Network:
             self._seq += 1
             self._intercept(msg)
             return
-        if (
-            self._partition_owned is not None
-            and self._partition_cluster_of[msg.dst]
-            not in self._partition_owned
-        ):
-            # Cluster-parallel worker: this destination belongs to
-            # another process.  Sample the latency here (the sender's
-            # draw) and hand the absolute due time to the outbox; the
-            # owning worker injects it after the next window barrier.
-            delay = (
-                self.latency.one_way(msg.src, msg.dst, self._rng)
-                * extra_factor
-            )
-            msg.seq = self._seq
-            self._seq += 1
-            self._partition_outbox.append((self.sim._now + delay, msg))
-            return
         sim = self.sim
         delay = self.latency.one_way(msg.src, msg.dst, self._rng) * extra_factor
         due = sim._now + delay
@@ -641,47 +533,9 @@ class Network:
                 self._flow_clock[flow] = due
         msg.seq = self._seq
         self._seq += 1
-        if self._batching:
-            # Coalesce into the open batch when (a) due times match, (b)
-            # the kernel seq counter is contiguous with the batch (no
-            # other event was scheduled since — an interleaver would need
-            # a seq strictly between the batch's consecutive seqs, which
-            # cannot exist), and (c) the batch event has not fired yet
-            # (firing marks it cancelled).  The kernel seq is burned so
-            # every later event keeps its unbatched ``(time, seq)`` key.
-            ev = self._bat_event
-            if (
-                ev is not None
-                and due == self._bat_due
-                and sim._seq == self._bat_seq
-                and not ev.cancelled
-                and not sim.trace.event_active
-            ):
-                if ev.callback is self._run_batch_cb:
-                    ev.args[0].append((self._deliver_cb, (msg,)))
-                else:  # promote the single delivery to a batch in place
-                    ev.args = ([(ev.callback, ev.args),
-                                (self._deliver_cb, (msg,))],)
-                    ev.callback = self._run_batch_cb
-                sim._seq += 1  # burn the seq the unbatched event would take
-                self._bat_seq = sim._seq
-                return
-            self._bat_event = sim.post_at(due, self._deliver_cb, (msg,))
-            self._bat_due = due
-            self._bat_seq = sim._seq
-            return
         # Handle-free scheduling: deliveries are never cancelled, and one
         # is created per message — the dominant event source by far.
         sim.post_at(due, self._deliver_cb, (msg,))
-
-    def _run_batch(self, items: list) -> None:
-        """Unpack one coalesced delivery event in arrival order.
-
-        Items are generic ``(callback, args)`` pairs rather than bare
-        messages so the compiled transport can coalesce its
-        table-dispatched deliveries into the same batch."""
-        for callback, args in items:
-            callback(*args)
 
     def _deliver(self, msg: Message) -> None:
         crashes = self._crashes

@@ -17,10 +17,9 @@ from ..errors import TopologyError
 
 __all__ = ["Cluster", "GridTopology", "uniform_topology", "LARGE_GRID_NODES"]
 
-#: Node count above which the scale-out defaults kick in automatically:
-#: the network coalesces same-instant deliveries (``Network(batch=None)``)
-#: and the experiment runner switches to the bounded metrics collector.
-#: Below it every layer keeps the exact paper-scale accounting.
+#: Application-process count from which the experiment runner switches to
+#: the bounded metrics collector.  Below it every layer keeps the exact
+#: paper-scale accounting.
 LARGE_GRID_NODES = 1024
 
 

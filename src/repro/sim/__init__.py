@@ -13,21 +13,15 @@ Public surface:
 * :class:`~repro.sim.trace.Tracer` — zero-cost-when-idle structured tracing.
 """
 
-from .calqueue import CalendarQueue
 from .event import Event, EventHandle
-from .horizon import HorizonScheduler, LookaheadPlan, derive_plan
 from .kernel import Simulator
 from .process import Process
 from .rng import RngRegistry, stable_hash
 from .trace import Tracer, TraceRecord
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "EventHandle",
-    "HorizonScheduler",
-    "LookaheadPlan",
-    "derive_plan",
     "Simulator",
     "Process",
     "RngRegistry",

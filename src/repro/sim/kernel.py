@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-The kernel is a classic calendar-queue simulator: a binary heap of
+The kernel keeps its pending events in one binary heap of
 ``(time, seq, event)`` entries ordered by ``(time, seq)``.  The
 simulated clock only moves when an event fires, so a run is fully
 deterministic given the same schedule and the same RNG seeds.
@@ -41,11 +41,10 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from ..errors import SimulationError
-from .calqueue import CalendarQueue
 from .event import Event, EventHandle
 from .rng import RngRegistry
 from .trace import Tracer
@@ -96,12 +95,6 @@ class Simulator:
         any ``tie_seed``; the schedule-race sanitizer
         (:mod:`repro.analysis.sanitizer`) exploits this to turn latent
         event-ordering races into digest divergences.
-    queue:
-        ``"heap"`` (the default) keeps the tuple binary heap; ``"calendar"``
-        swaps in the bucketed :class:`~repro.sim.calqueue.CalendarQueue`
-        for large event populations (1k+ node grids).  Both pop in the
-        exact same ``(time, seq)`` total order, so a run is bit-identical
-        under either queue (digest-pinned by the equivalence tests).
     """
 
     def __init__(
@@ -109,34 +102,14 @@ class Simulator:
         seed: Optional[int] = None,
         trace: Optional[Tracer] = None,
         tie_seed: Optional[int] = None,
-        queue: str = "heap",
     ) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if queue == "heap":
-            self._heap: Union[list[Tuple[float, int, Event]], CalendarQueue] = []
-            self._pushf: Callable[[Any, Tuple[float, int, Event]], None] = (
-                heapq.heappush
-            )
-            self._popf: Callable[[Any], Tuple[float, int, Event]] = heapq.heappop
-        elif queue == "calendar":
-            self._heap = CalendarQueue()
-            self._pushf = CalendarQueue.push
-            self._popf = CalendarQueue.pop
-        else:
-            raise SimulationError(
-                f"unknown queue {queue!r}: expected 'heap' or 'calendar'"
-            )
-        self.queue = queue
+        self._heap: list[Tuple[float, int, Event]] = []
         self._running = False
         self._stopped = False
         self._fired = 0
         self._cancelled = 0  # tombstones still physically in the heap
-        #: Set by the horizon scheduler while a window drain has the
-        #: calendar split between the global queue and a window-local
-        #: façade: compaction would only see one half, so it is deferred
-        #: to the window barrier (where the scheduler re-checks it).
-        self._defer_compact = False
         self.tie_seed = tie_seed
         #: precomputed offset so distinct tie seeds yield distinct orders
         self._tie_salt: Optional[int] = (
@@ -209,7 +182,7 @@ class Simulator:
         event = Event(time, seq, callback, args, label=label)
         if self._tie_salt is not None:
             seq = _mix64(seq ^ self._tie_salt)
-        self._pushf(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._seq += 1
         return EventHandle(event, self)
 
@@ -240,7 +213,7 @@ class Simulator:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
             seq = _mix64(seq ^ self._tie_salt)
-        self._pushf(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         self._seq += 1
         return event
 
@@ -254,9 +227,8 @@ class Simulator:
         empty.  Cancelled events are silently discarded.
         """
         heap = self._heap
-        pop = self._popf
         while heap:
-            event = pop(heap)[2]
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -294,7 +266,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        pop = self._popf
         trace = self.trace
         try:
             if until is None and max_events is None:
@@ -307,7 +278,7 @@ class Simulator:
                 fired = self._fired
                 try:
                     while heap and not self._stopped:
-                        event = pop(heap)[2]
+                        event = heappop(heap)[2]
                         if event.cancelled:
                             self._cancelled -= 1
                             continue
@@ -334,14 +305,14 @@ class Simulator:
                         if not heap:
                             exhausted = True
                             break
-                        entry = pop(heap)
+                        entry = heappop(heap)
                         event = entry[2]
                         if event.cancelled:
                             self._cancelled -= 1
                             continue
                         t = entry[0]
                         if t > until:
-                            self._pushf(heap, entry)
+                            heappush(heap, entry)
                             exhausted = True
                             break
                         self._now = t
@@ -368,7 +339,7 @@ class Simulator:
                 if until is not None and event.time > until:
                     exhausted = True
                     break
-                pop(heap)  # the peeked head: live by construction
+                heappop(heap)  # the peeked head: live by construction
                 self._now = event.time
                 event.cancelled = True
                 self._fired += 1
@@ -418,27 +389,14 @@ class Simulator:
     def _peek(self) -> Optional[Event]:
         """Return the next non-cancelled event without firing it."""
         heap = self._heap
-        if type(heap) is list:
-            while heap:
-                event = heap[0][2]
-                if event.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                return event
-            return None
-        # Any non-list queue (CalendarQueue, the horizon window façade)
-        # speaks the head()/pop() protocol.
-        while True:
-            entry = heap.head()
-            if entry is None:
-                return None
-            event = entry[2]
+        while heap:
+            event = heap[0][2]
             if event.cancelled:
-                heap.pop()
+                heappop(heap)
                 self._cancelled -= 1
                 continue
             return event
+        return None
 
     # ------------------------------------------------------------------ #
     # lazy-deletion accounting
@@ -450,7 +408,6 @@ class Simulator:
         if (
             self._cancelled > _COMPACT_MIN_CANCELLED
             and self._cancelled * 2 > len(self._heap)
-            and not self._defer_compact
         ):
             self._compact()
 
@@ -462,12 +419,8 @@ class Simulator:
         ``cancel()``.  Rebuilding preserves firing order exactly because
         ``(time, seq)`` keys are unique."""
         heap = self._heap
-        if type(heap) is list:
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-        else:
-            # CalendarQueue (or any queue façade exposing compact()).
-            heap.compact()
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._cancelled = 0
 
     # ------------------------------------------------------------------ #

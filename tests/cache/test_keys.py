@@ -61,14 +61,12 @@ class TestCanonicalJson:
         )
 
     def test_queue_is_excluded_from_the_key(self):
-        # The calendar queue pops in the identical (time, seq) order —
-        # equivalence-gated like the backend, one cache entry.
+        # Retired field, read by nothing: one cache entry.
         assert "queue" not in TINY.cache_key()
         assert TINY.with_(queue="calendar").cache_key() == TINY.cache_key()
 
     def test_batch_delivery_is_excluded_from_the_key(self):
-        # Delivery batching burns kernel seqs to stay digest-identical,
-        # so forcing it on or off must not split the key space either.
+        # Retired field, read by nothing: must not split the key space.
         assert "batch_delivery" not in TINY.cache_key()
         assert (
             TINY.with_(batch_delivery=True).cache_key() == TINY.cache_key()

@@ -54,6 +54,15 @@ def test_cli_rejects_unknown_figure():
         main(["figure", "fig99"])
 
 
+@pytest.mark.parametrize(
+    "flag", [["--horizon"], ["--queue", "calendar"], ["--parallel-clusters", "2"]]
+)
+def test_cli_run_no_longer_takes_the_retired_execution_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *flag])
+    assert exc.value.code == 2  # argparse: unrecognized arguments
+
+
 def test_scalability_study_shapes():
     study = scalability_study(
         algorithm="suzuki", cluster_counts=(2, 4), apps_per_cluster=2,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, run_experiment
 
 
 def test_defaults_match_paper():
@@ -70,6 +70,25 @@ def test_default_deadline_scales_with_workload():
 def test_validation_rejects(changes):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**changes).validate()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("horizon", "no"),  # each of these used to run, and answer wrongly
+        ("batch_delivery", "yes"),
+        ("n_cs", 1.5),
+        ("jitter", -0.5),
+        ("rho", float("nan")),
+        ("alpha_ms", float("inf")),
+        ("deadline_ms", -1),
+        ("n_clusters", True),
+        ("queue", "no-such-queue"),
+    ],
+)
+def test_invalid_value_is_refused_by_field_name_before_anything_runs(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        run_experiment(ExperimentConfig(**{field: value}))
 
 
 def test_describe():

@@ -127,14 +127,20 @@ def test_fifo_and_jitter_options_run():
 
 
 def test_queue_and_batch_knobs_do_not_change_results():
+    # queue, batch_delivery and horizon are retired: legal to set, read
+    # by nothing.
     cfg = ExperimentConfig(rho=6.0, jitter=0.05, **QUICK)
     base = run_experiment(cfg)
     for changes in (
         {"queue": "calendar"},
         {"batch_delivery": True},
+        {"batch_delivery": False},
+        {"horizon": True},
         {"queue": "calendar", "batch_delivery": True, "backend": "compiled"},
     ):
-        r = run_experiment(cfg.with_(**changes))
+        twin = cfg.with_(**changes)
+        assert twin.cache_key() == cfg.cache_key()
+        r = run_experiment(twin)
         assert r.cs_count == base.cs_count
         assert r.total_messages == base.total_messages
         assert r.obtaining == base.obtaining, changes

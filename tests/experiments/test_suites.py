@@ -1,6 +1,7 @@
 """Unit tests for the reproduce-all suite runner."""
 
 import json
+import os
 
 import pytest
 
@@ -43,3 +44,16 @@ def test_reproduce_all_creates_nested_directories(tmp_path):
     target = tmp_path / "a" / "b"
     reproduce_all(target, scale=TINY, figures=["fig6a"])
     assert (target / "fig6a.csv").exists()
+
+
+def test_repeated_reproduction_rewrites_only_what_changed(tmp_path):
+    reproduce_all(tmp_path, scale=TINY, figures=["fig6a"])
+    artefacts = [tmp_path / f"fig6a.{ext}" for ext in ("txt", "csv", "json")]
+    before = [path.read_bytes() for path in artefacts]
+    for path in (*artefacts, tmp_path / "summary.json"):
+        os.utime(path, ns=(1, 1))  # a sentinel mtime any write would replace
+    artefacts[0].write_bytes(b"tampered\n")
+    reproduce_all(tmp_path, scale=TINY, figures=["fig6a"])
+    assert [path.read_bytes() for path in artefacts] == before
+    assert [path.stat().st_mtime_ns == 1 for path in artefacts] == [False, True, True]
+    assert (tmp_path / "summary.json").stat().st_mtime_ns != 1

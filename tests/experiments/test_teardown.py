@@ -20,8 +20,8 @@ CONFIGS = {
         system="flat", intra="suzuki", platform="grid5000", n_clusters=4,
         apps_per_cluster=4, n_cs=3, rho=16.0, seed=1,
     ),
-    # 16 x (63 + 1) = 1024 nodes: delivery batching and the bounded
-    # collector engage (net._bat_event -> _deliver_cb -> net).
+    # 16 x (63 + 1) = 1024 nodes: past the dense latency table's cap,
+    # so sends read the cluster block tables.
     "two-tier-1024": ExperimentConfig(
         platform="two-tier", n_clusters=16, apps_per_cluster=63, n_cs=1,
         rho=1008.0, seed=1,

@@ -8,9 +8,9 @@ Three claims, each pinned against the general path (today's code, which a
     state on an error;
 (b) default-knob runs really take the fused path (non-vacuity) and every
     feature takes the network off it, also when attached mid-run;
-(c) which path ran is invisible: digests and results are equal across
-    queues, horizon execution, a tie seed, trace subscribers, observers
-    and latency models the fused path must not inline.
+(c) which path ran is invisible: digests and results are equal under a
+    tie seed, trace subscribers, observers and latency models the fused
+    path must not inline.
 """
 
 import hashlib
@@ -255,7 +255,7 @@ def test_golden_scenarios_run_fused_unless_they_crash(
 
 
 def _bare(**kw):
-    sim = Simulator(seed=1, tie_seed=kw.pop("tie_seed", None))
+    sim = Simulator(seed=1)
     topo = uniform_topology(2, 3)
     if kw.get("crashes") == "attach":
         kw["crashes"] = CrashController(sim)
@@ -265,7 +265,7 @@ def _bare(**kw):
 @pytest.mark.parametrize(
     "kw",
     [{"fifo": True}, {"faults": FaultInjector(drop=0.1)},
-     {"crashes": "attach"}, {"batch": True}],
+     {"crashes": "attach"}],
     ids=lambda kw: next(iter(kw)),
 )
 def test_constructor_features_leave_the_fused_path(kw):
@@ -273,9 +273,9 @@ def test_constructor_features_leave_the_fused_path(kw):
     assert _bare(**kw)[1].fused is False
 
 
-def test_a_vetoed_batch_request_stays_fused():
-    # batch=True under a tie salt is a no-op, so nothing is in the way.
-    assert _bare(batch=True, tie_seed=3)[1].fused is True
+def test_a_default_5000_node_network_is_fused():
+    topo = uniform_topology(50, 100)
+    assert Network(Simulator(seed=1), topo, TwoTierLatency(topo)).fused is True
 
 
 def test_fused_is_read_only():
@@ -303,8 +303,6 @@ def _drive_flip(cls, feature):
                     lambda: setattr(net, "crashes", None)),
         "intercept": (lambda: net.set_delivery_intercept(captured.append),
                       lambda: net.set_delivery_intercept(None)),
-        "partition": (lambda: net.set_cluster_partition({0}, captured),
-                      lambda: net.set_cluster_partition(None, None)),
         "tap": (lambda: net.add_send_tap(captured.append),
                 lambda: net.remove_send_tap(captured.append)),
     }[feature]
@@ -334,7 +332,7 @@ def _drive_flip(cls, feature):
 
 
 @pytest.mark.parametrize(
-    "feature", ["faults", "crashes", "intercept", "partition", "tap"]
+    "feature", ["faults", "crashes", "intercept", "tap"]
 )
 def test_features_attached_mid_run_flip_the_path_and_nothing_else(feature):
     flips, fused_run = _drive_flip(Network, feature)
@@ -379,8 +377,6 @@ NAIMI = ExperimentConfig(  # point-to-point with jitter: fused send, RNG draws
 )
 KNOBS = {
     "heap": {},
-    "calendar": {"queue": "calendar"},
-    "horizon": {"horizon": True},
     "tie_seed": {"tie_seed": 3},
     "counters": {"obs": "counters"},
 }

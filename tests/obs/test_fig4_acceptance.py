@@ -20,8 +20,8 @@ from repro.obs import ObservabilityLayer
 
 
 def fig4_config(**overrides) -> ExperimentConfig:
-    """The quick fig4_composition microbench configuration
-    (benchmarks/perf/scenarios.py), with the obs layer on."""
+    """A scaled-down Fig. 4 composition (the ``fig4_single`` workload of
+    benchmarks/system at 9x6 processes, 15 CS), with the obs layer on."""
     base = dict(
         system="composition",
         intra="naimi",

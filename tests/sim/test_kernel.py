@@ -384,9 +384,8 @@ def test_post_at_event_cancelled_through_a_handle_keeps_pending_exact():
     assert (sim.pending, sim.cancelled_pending) == (0, 0)
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_close_forgets_every_pending_event_in_place(queue):
-    sim = Simulator(seed=0, queue=queue)
+def test_close_forgets_every_pending_event_in_place():
+    sim = Simulator(seed=0)
     calendar = sim._heap
     fired = []
     handles = [sim.schedule(float(t), fired.append, t) for t in range(1, 6)]
