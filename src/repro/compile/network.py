@@ -5,9 +5,12 @@ Its ``send`` *is* the base class's (fused when the network is plain, see
 :mod:`repro.net.network`); what it adds is the **ultra send**
 (:meth:`CompiledNetwork.fast_send`, used by the promoted peer classes of
 :mod:`repro.compile.peers`), which skips the :class:`Message` allocation
-entirely: the table handler is resolved at send time and the scheduled
-event *is* the dispatch — its callback is the single-frame
+entirely: the table handler is resolved at send time and the bare
+calendar entry *is* the dispatch — its callback is the single-frame
 ``_fast_on_<kind>`` handler with ``(peer, src, payload)`` as arguments.
+The receiver comes from the base class's one route table (the owner a
+:class:`~repro.mutex.base.MutexPeer` registers itself as), its fast
+table from the owner's class at send time.
 
 Equivalence is structural, not statistical: every inlined step
 reproduces the interpreted code **exactly** — same statistics counters,
@@ -28,32 +31,16 @@ from __future__ import annotations
 
 import logging
 from heapq import heappush
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from ..mutex.base import MutexPeer
 from ..net.latency import LOCAL_DELIVERY_MS
-from ..net.network import Network
-from ..sim.event import Event
-from ..sim.kernel import _mix64
+from ..net.network import _NO_ROUTES, Network
+from ..sim.kernel import HeapEntry, _mix64
 from .tables import fast_table
 
 __all__ = ["CompiledNetwork"]
 
 logger = logging.getLogger(__name__)
-
-
-class _Route:
-    """One resolved ``(dst, port)`` delivery target.
-
-    Dropped from the cache the moment the address is re-registered,
-    unregistered or its handler wrapped, so every send resolves against
-    the current registration."""
-
-    __slots__ = ("peer", "table")
-
-    def __init__(self, peer: MutexPeer, table: dict) -> None:
-        self.peer = peer
-        self.table = table
 
 
 class CompiledNetwork(Network):
@@ -81,19 +68,7 @@ class CompiledNetwork(Network):
                 "interpreted one_way() per call",
                 type(latency).__name__,
             )
-        self._routes: Dict[Tuple[int, str], _Route] = {}
         self._zero_jitter = latency._sigma <= 0.0
-
-    def _resolve(self) -> None:
-        super()._resolve()
-        # Ultra-path gate flags, snapshotted per tracer version so the
-        # hot send pays one integer compare instead of re-testing the
-        # subscriber sets and the tap tuple on every call.  -1 forces a
-        # refresh on the next fast_send, so already-promoted peers see
-        # every feature or tap change.
-        self._flags_version = -1
-        self._ultra_ok = False
-        self._send_active = False
 
     # ------------------------------------------------------------------ #
     # deferred statistics
@@ -139,45 +114,6 @@ class CompiledNetwork(Network):
                 st.inter_by_port[port] += n
 
     # ------------------------------------------------------------------ #
-    # route cache maintenance — every registration mutation invalidates
-    # ------------------------------------------------------------------ #
-    def register(self, node: int, port: str, handler) -> None:
-        super().register(node, port, handler)
-        self._kill_route((node, port))
-
-    def unregister(self, node: int, port: str) -> None:
-        super().unregister(node, port)
-        self._kill_route((node, port))
-
-    def wrap_handler(self, node: int, port: str, wrap) -> None:
-        super().wrap_handler(node, port, wrap)
-        self._kill_route((node, port))
-
-    def _kill_route(self, key: Tuple[int, str]) -> None:
-        self._routes.pop(key, None)
-
-    def _route_for(self, dst: int, port: str) -> Optional[_Route]:
-        """The ultra-path route to ``(dst, port)``, or ``None`` when the
-        registered handler is not a pristine table-dispatchable peer."""
-        key = (dst, port)
-        route = self._routes.get(key)
-        if route is not None:
-            return route
-        handler = self._handlers.get(key)
-        if (
-            handler is None
-            or getattr(handler, "__func__", None) is not MutexPeer._on_message
-        ):
-            return None
-        peer = handler.__self__
-        table = fast_table(type(peer))
-        if table is None:
-            return None
-        route = _Route(peer, table)
-        self._routes[key] = route
-        return route
-
-    # ------------------------------------------------------------------ #
     # ultra send (promoted peers only)
     # ------------------------------------------------------------------ #
     def fast_send(
@@ -192,48 +128,33 @@ class CompiledNetwork(Network):
         """Message-free send for promoted peers (single frame end to end).
 
         Falls back to :meth:`send` whenever an observer could tell the
-        difference: taps, ``deliver`` subscribers, slow-path networks, a
-        receiver that is not table-dispatchable, or a kind outside the
-        receiver's table (the Message path raises the interpreted
-        ``ProtocolError`` at delivery time, as the dynamic dispatch
-        would).  The stats/emit/latency steps below are those of the
-        base class's fused ``send``, with the counters deferred — same
-        counters, same trace records, same RNG consumption.
+        difference: taps, ``deliver`` subscribers, slow-path networks
+        (all of which clear the base class's direct-dispatch gate or the
+        tap tuple), a receiver without a direct route or a fast table,
+        or a kind outside the receiver's table (the Message path raises
+        the interpreted ``ProtocolError`` at delivery time, as the
+        dynamic dispatch would).  The stats/emit/latency steps below are
+        those of the base class's fused ``send``, with the counters
+        deferred — same counters, same trace records, same RNG
+        consumption.
 
         The table handler is scheduled *directly* (no dispatch-time
         re-check of the registration): only promoted peers call this
-        method, promotion is refused on systems that rewire, wrap or
-        unregister handlers mid-run (crash/recovery, adaptive), and the
-        route cache is invalidated on every registration mutation — so
+        method, and promotion is refused on systems that rewire, wrap or
+        unregister handlers mid-run (crash/recovery, adaptive) — so
         between send and delivery the resolved handler cannot change.
         """
         sim = self.sim
-        trace = sim.trace
-        if trace.version != self._flags_version:
-            self._flags_version = trace.version
-            active = trace.active_kinds
-            # crash/fault/FIFO/intercepted traffic must run the
-            # inherited pipeline verbatim.
-            self._ultra_ok = self._plain and not (
-                self._send_taps or "deliver" in active
-            )
-            self._send_active = "send" in active
-        if not self._ultra_ok:
-            self.send(src, dst, port, kind, payload, size)
-            return
-        # EAFP subscripts: the route cache and the dispatch tables hit
-        # on every send after the first per address, so the exception
-        # branches are cold by construction.
-        try:
-            route = self._routes[(dst, port)]
-        except KeyError:
-            route = self._route_for(dst, port)
-            if route is None:
-                self.send(src, dst, port, kind, payload, size)
-                return
-        try:
-            fn = route.table[kind]
-        except KeyError:
+        fn = None
+        if self._direct and not self._send_taps:
+            route = self._routes.get(port, _NO_ROUTES).get(dst)
+            peer = None if route is None else route[1]
+            if peer is not None:
+                # The class is read per send: promotion swaps it.
+                fast = fast_table(type(peer))
+                if fast is not None:
+                    fn = fast.get(kind)
+        if fn is None:
             self.send(src, dst, port, kind, payload, size)
             return
         # No src validation here: the only callers are promoted peers
@@ -246,8 +167,8 @@ class CompiledNetwork(Network):
         except KeyError:
             pending[key] = 1
         now = sim._now
-        if self._send_active:
-            trace.emit(
+        if self._trace_send:
+            sim.trace.emit(
                 "send", time=now, src=src, dst=dst, port=port,
                 kind=kind, payload={} if payload is None else payload,
             )
@@ -274,15 +195,9 @@ class CompiledNetwork(Network):
             due = now + latency.one_way(src, dst, self._rng)
         self._seq += 1  # Message.seq watermark, identically consumed
         seq = sim._seq
-        event = Event.__new__(Event)
-        event.time = due
-        event.seq = seq
-        event.callback = fn
-        event.args = (route.peer, src, payload)
-        event.cancelled = False
-        event.label = ""
         salt = self._salt
         if salt is not None:
             seq = _mix64(seq ^ salt)
-        heappush(sim._heap, (due, seq, event))
+        entry: HeapEntry = (due, seq, fn, (peer, src, payload))
+        heappush(sim._heap, entry)
         sim._seq += 1

@@ -39,7 +39,7 @@ import numpy as np
 from ..core.coordinator import Coordinator
 from ..core.states import CoordinatorState
 from ..errors import CompositionError, ProtocolError
-from ..mutex.base import MutexPeer, PeerState
+from ..mutex.base import MutexPeer, PeerState, dispatch_table
 from ..mutex.martin import MartinPeer
 from ..mutex.naimi_trehel import NaimiTrehelPeer
 from ..mutex.suzuki_kasami import SuzukiKasamiPeer
@@ -78,6 +78,9 @@ class _CompiledPeer:
         """
         self._tr = self.sim.trace
         self._fsend = self.net.fast_send
+        # The route resolved at registration names the interpreted
+        # class's handlers, which must never run on lowered state.
+        self.net.retable(self.node, self.port, dispatch_table(type(self)))
 
     def _refresh_emit(self, tr: Any) -> None:
         """Re-snapshot the cs_enter/cs_exit delivery lists.

@@ -334,6 +334,10 @@ def _teardown(sim: Simulator, net: Network, system: MutexSystem, apps) -> None:
     next full collection happens.  Each owner lets go of its own edges;
     the rest is freed by reference count when the caller's frame exits.
     """
+    # The calendar first: every `unregister` below looks through what is
+    # still in flight, and a run that ends on a LivenessViolation leaves
+    # thousands of entries behind — once per peer would be quadratic.
+    sim.close()
     coordinators = getattr(system, "coordinators", ())
     peers = {app.peer for app in apps}
     for coordinator in coordinators:
@@ -345,7 +349,6 @@ def _teardown(sim: Simulator, net: Network, system: MutexSystem, apps) -> None:
     for peer in peers:
         peer.shutdown()
     net.close()
-    sim.close()
 
 
 #: ``run_many`` routes through the warm worker pool once a seed batch

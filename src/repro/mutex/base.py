@@ -156,7 +156,14 @@ class MutexPeer(Process):
         self.on_pending_request: List[Callable[[], None]] = []
         #: number of times this peer entered the CS
         self.cs_count = 0
-        net.register(node, port, self._on_message)
+        cls = type(self)
+        if cls._on_message is MutexPeer._on_message:
+            # The direct route: a plain network schedules
+            # ``table[kind](self, msg)`` — exactly what _on_message does.
+            net.register(node, port, self._on_message,
+                         owner=self, table=dispatch_table(cls))
+        else:  # a subclass with its own dispatcher keeps every delivery
+            net.register(node, port, self._on_message)
 
     # ------------------------------------------------------------------ #
     # public state

@@ -37,7 +37,12 @@ class Message:
     size:
         Nominal size in bytes, used only by the statistics layer.
     sent_at, delivered_at:
-        Simulated timestamps stamped by the network.
+        Simulated timestamps stamped by the network.  ``delivered_at``
+        is stamped by ``Network._deliver`` only: a message dispatched
+        straight to a peer's ``_on_<kind>`` (see "Send paths" in
+        :mod:`repro.net.network`) keeps NaN there.  Handlers installed
+        through ``wrap_handler`` — how ``repro.obs.causality``, the one
+        reader, observes — and plain-callable handlers always get it.
     seq:
         Network-global monotone delivery sequence number, stamped when
         the delivery is scheduled.  Strictly orders same-instant sends,

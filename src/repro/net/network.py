@@ -3,7 +3,8 @@
 ``Network.send`` stamps the message, records it in the statistics layer,
 samples a one-way latency from the latency model and schedules delivery
 on the kernel.  Delivery dispatches to the handler registered for the
-``(node, port)`` destination address.
+``(node, port)`` destination address — one route table, keyed port
+first so a broadcast resolves its port once.
 
 Ordering semantics
 ------------------
@@ -27,16 +28,45 @@ events in the same order, so which one ran is invisible to a
 :class:`~repro.verify.digest.RunDigest`.  :meth:`Network.multicast` is
 the broadcast primitive on top: one call, per-destination messages, the
 per-broadcast work hoisted out of the loop.
+
+The fused path pushes *bare* calendar entries
+(:data:`~repro.sim.kernel.HeapEntry`): one tuple per message, no
+``Event``.  Normally that is ``(due, seq, _deliver, (msg,))`` and
+:meth:`Network._deliver` looks the handler up when the message arrives.
+**Direct dispatch** skips that hop too: when the destination registered
+an owner and a kind table (``register(..., owner=, table=)``, which is
+what every :class:`~repro.mutex.base.MutexPeer` does) and the kind is in
+the table, the entry is ``(due, seq, table[kind], (owner, msg))`` — the
+kernel calls ``_on_<kind>(peer, msg)`` itself, one heap tuple and one
+Python frame per message.  A delivery is taken off the direct route —
+and goes through ``_deliver``, as every delivery of a non-plain network
+does — by any of:
+
+* a handler registered as a plain callable, or wrapped since
+  (:meth:`Network.wrap_handler`, hence also a wrapping register hook);
+* a kind outside the receiver's table (``_deliver`` →
+  ``_on_message`` raises the ``ProtocolError`` at delivery time);
+* a ``deliver`` trace subscriber (only ``_deliver`` emits the record,
+  and only ``_deliver`` stamps ``Message.delivered_at``);
+* anything that takes the network off the fused path.
+
+All of this may change *while messages are in flight*: the affected
+direct entries are then rewritten in place into ``_deliver`` entries
+(same ``(due, seq)`` key, so the calendar order is untouched) — the
+address's on ``unregister``/``wrap_handler``/``retable``, all of them
+when the network leaves plain mode or a ``deliver`` subscriber appears.  A
+message to an address unregistered in flight is therefore still dropped
+on arrival, a wrapper installed in flight still sees it, and a crash
+controller assigned in flight still loses it.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError, SimulationError
-from ..sim.event import Event
-from ..sim.kernel import Simulator, _mix64
+from ..sim.kernel import HeapEntry, Simulator, _mix64
 from .faults import CrashController, FaultInjector
 from .latency import LOCAL_DELIVERY_MS, LatencyModel, _TableLatency
 from .message import DEFAULT_MESSAGE_SIZE, Message
@@ -46,6 +76,14 @@ from .topology import GridTopology
 __all__ = ["Network"]
 
 Handler = Callable[[Message], None]
+#: ``{kind: function(owner, msg)}`` — a peer class's ``_on_<kind>`` table.
+KindTable = Dict[str, Callable[..., Any]]
+#: What one registered address resolves to: ``(handler, owner, table)``.
+#: ``table[kind](owner, msg)`` is the direct-dispatch equivalent of
+#: ``handler(msg)``; an address without one has ``(handler, None, {})``.
+Route = Tuple[Handler, Any, KindTable]
+_NO_TABLE: KindTable = {}  # shared, never written
+_NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
 
 
 class Network:
@@ -84,7 +122,8 @@ class Network:
         self._faults = faults
         self._crashes = crashes
         self.stats = MessageStats(topology)
-        self._handlers: Dict[Tuple[int, str], Handler] = {}
+        #: the one route table: ``{port: {node: (handler, owner, table)}}``
+        self._routes: Dict[str, Dict[int, Route]] = {}
         self._flow_clock: Dict[Tuple[int, int, str], float] = {}
         self._seq = 0
         self._rng = sim.rng.stream("network/latency")
@@ -117,19 +156,70 @@ class Network:
             self._lat_ctab = latency._cluster_table
         # Bound once: one method object per message otherwise.
         self._deliver_cb = self._deliver
+        # Gates of the fused path, kept as plain attributes: `_resolve`
+        # and the tracer's change hook re-derive them.
+        self._direct = False
+        self._trace_send = False
+        #: `_seq` when `_undirect` last left the calendar free of direct
+        #: entries; every send moves `_seq` on (-1: never scanned)
+        self._clean_seq = -1
+        sim.trace.add_change_hook(self._resolve)
         self._resolve()
 
     # ------------------------------------------------------------------ #
     # path resolution
     # ------------------------------------------------------------------ #
     def _resolve(self) -> None:
-        """Re-derive which send path runs; every feature mutator calls it."""
+        """Re-derive which send path runs; every feature mutator and
+        every trace subscription change calls it."""
         self._plain = not (
             self.fifo
             or self._faults is not None
             or self._crashes is not None
             or self._intercept is not None
         )
+        active = self.sim.trace.active_kinds
+        self._trace_send = "send" in active
+        direct = self._plain and "deliver" not in active
+        if self._direct and not direct:
+            self._undirect()  # what is in flight arrives through _deliver
+        self._direct = direct
+
+    def _undirect(self, owner: Any = None) -> None:
+        """Rewrite this network's in-flight direct entries — only those
+        bound for ``owner`` when given — into ``_deliver`` entries, in
+        place: same key, so the heap invariant holds as it stands.
+
+        A direct entry is ``(due, seq, fn, (peer, msg))``; it is ours
+        when ``peer`` is the owner registered at the message's address
+        (``owner`` comes out of the route table, so it is by definition).
+
+        A scan is O(calendar) and callers come in bulk — promotion
+        retables every peer once the workload's first timers are queued,
+        5050 scans of 4950 entries at 5000 nodes — so a scan that leaves
+        no direct entry behind is remembered until the next send.
+        """
+        if self._seq == self._clean_seq:
+            return
+        heap = self.sim._heap
+        routes = self._routes
+        deliver = self._deliver_cb
+        clean = True
+        for i, entry in enumerate(heap):
+            args = entry[3]
+            if args is None or len(args) != 2 or type(args[1]) is not Message:
+                continue
+            peer, msg = args
+            if owner is None:
+                route = routes.get(msg.port, _NO_ROUTES).get(msg.dst)
+                if route is None or route[1] is not peer:
+                    continue
+            elif peer is not owner:
+                clean = False  # someone else's, possibly: stays direct
+                continue
+            heap[i] = (entry[0], entry[1], deliver, (msg,))
+        if clean:
+            self._clean_seq = self._seq
 
     @property
     def fused(self) -> bool:
@@ -159,34 +249,52 @@ class Network:
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def register(self, node: int, port: str, handler: Handler) -> None:
+    def register(
+        self,
+        node: int,
+        port: str,
+        handler: Handler,
+        owner: Any = None,
+        table: Optional[KindTable] = None,
+    ) -> None:
         """Attach ``handler`` to the address ``(node, port)``.
 
         Exactly one handler per address; re-registering is an error
         (it almost always means two agents were wired to the same port).
+
+        ``owner`` and ``table`` (together or not at all) open the direct
+        route: the registrant promises that ``table[kind](owner, msg)``
+        does exactly what ``handler(msg)`` does for every kind in
+        ``table``, and a plain network may then schedule the former
+        (see the module docstring).
         """
         if not 0 <= node < self.topology.n_nodes:
             raise NetworkError(f"unknown node {node}")
-        key = (node, port)
-        if key in self._handlers:
-            raise NetworkError(f"address {key} already has a handler")
-        self._handlers[key] = handler
+        if (owner is None) != (table is None):
+            raise NetworkError("register() takes owner and table together")
+        nodes = self._routes.setdefault(port, {})
+        if node in nodes:
+            raise NetworkError(f"address {(node, port)} already has a handler")
+        nodes[node] = (handler, owner, _NO_TABLE if table is None else table)
         if self._register_hooks:
             for hook in self._register_hooks:
                 hook(node, port)
 
     def unregister(self, node: int, port: str) -> None:
         """Detach the handler at ``(node, port)``; missing address is an error."""
-        try:
-            del self._handlers[(node, port)]
-        except KeyError:
-            raise NetworkError(f"no handler at {(node, port)}") from None
+        nodes = self._routes.get(port, _NO_ROUTES)
+        if node not in nodes:
+            raise NetworkError(f"no handler at {(node, port)}")
+        owner = nodes.pop(node)[1]
+        if owner is not None:
+            self._undirect(owner)
 
     def close(self) -> None:
-        """End of a run: drop every handler and the bound delivery
-        callback, the references that tie the network and its agents into
-        cycles.  Nothing can be sent afterwards."""
-        self._handlers.clear()
+        """End of a run: drop every handler, the bound delivery callback
+        and the tracer's hook, the references that tie the network and
+        its agents into cycles.  Nothing can be sent afterwards."""
+        self._routes.clear()
+        self.sim.trace.remove_change_hook(self._resolve)
         self._deliver_cb = None
 
     def wrap_handler(
@@ -199,15 +307,32 @@ class Network:
         filters an agent's inbound traffic without the agent — or its
         message handlers — knowing: exactly the non-intrusive contract
         the composition itself follows."""
-        key = (node, port)
-        try:
-            current = self._handlers[key]
-        except KeyError:
-            raise NetworkError(f"no handler at {key}") from None
+        nodes = self._routes.get(port, _NO_ROUTES)
+        if node not in nodes:
+            raise NetworkError(f"no handler at {(node, port)}")
+        current, owner, _ = nodes[node]
         wrapped = wrap(current)
         if not callable(wrapped):
             raise NetworkError(f"wrap() returned non-callable {wrapped!r}")
-        self._handlers[key] = wrapped
+        nodes[node] = (wrapped, None, _NO_TABLE)
+        if owner is not None:
+            self._undirect(owner)  # the wrapper sees what is in flight too
+
+    def retable(self, node: int, port: str, table: KindTable) -> None:
+        """Replace the kind table of the direct route at ``(node, port)``.
+
+        For an owner whose class changed after it registered (the
+        compiled backend's in-place promotion): what is in flight was
+        resolved against the old class and arrives through the handler
+        instead, everything sent from now on resolves against ``table``.
+        A wrapped address has no direct route and stays as it is."""
+        nodes = self._routes.get(port, _NO_ROUTES)
+        if node not in nodes:
+            raise NetworkError(f"no handler at {(node, port)}")
+        handler, owner, _ = nodes[node]
+        if owner is not None:
+            self._undirect(owner)
+            nodes[node] = (handler, owner, table)
 
     # ------------------------------------------------------------------ #
     # observer taps (repro.obs)
@@ -221,7 +346,6 @@ class Network:
         :meth:`wrap_handler`: together they let an observability layer
         see every hop without touching any algorithm."""
         self._send_taps = (*self._send_taps, tap)
-        self._resolve()
 
     def remove_send_tap(self, tap: Callable[[Message], None]) -> None:
         """Detach a tap added with :meth:`add_send_tap`."""
@@ -230,7 +354,6 @@ class Network:
         # Equality, not identity: bound methods are re-created on each
         # attribute access, so ``is`` would never match one.
         self._send_taps = tuple(t for t in self._send_taps if t != tap)
-        self._resolve()
 
     def add_register_hook(self, hook: Callable[[int, str], None]) -> None:
         """Call ``hook(node, port)`` after every future :meth:`register`.
@@ -253,7 +376,10 @@ class Network:
         Interposition layers use this to wrap every existing handler in
         one sweep (and :meth:`add_register_hook` for handlers that appear
         later)."""
-        return tuple(sorted(self._handlers))
+        return tuple(sorted(
+            (node, port)
+            for port, nodes in self._routes.items() for node in nodes
+        ))
 
     # ------------------------------------------------------------------ #
     # delivery interception (repro.analysis.explore)
@@ -314,8 +440,12 @@ class Network:
         registered handler — unlike real UDP, a misdirected message in a
         simulation is always a bug worth failing loudly on.
         """
-        if (dst, port) not in self._handlers:
-            raise NetworkError(f"no handler registered at ({dst}, {port!r})")
+        try:
+            route = self._routes[port][dst]
+        except KeyError:
+            raise NetworkError(
+                f"no handler registered at ({dst}, {port!r})"
+            ) from None
         if not 0 <= src < self._n_nodes:
             raise NetworkError(f"unknown source node {src}")
         msg = Message(src, dst, port, kind, payload, size)
@@ -323,7 +453,7 @@ class Network:
         now = msg.sent_at = sim._now
         if self._plain:
             # Fused path: MessageStats.record, the table-latency lookup
-            # and Simulator.post_at, inlined step for step.
+            # and a bare-entry Simulator.post_at, inlined step for step.
             st = self.stats
             st.total += 1
             st.bytes_total += size
@@ -342,7 +472,7 @@ class Network:
                     st.inter_cluster += 1
                     st.bytes_inter_cluster += size
                     st.inter_by_port[port] += 1
-            if "send" in sim.trace.active_kinds:
+            if self._trace_send:
                 sim.trace.emit(
                     "send", time=now, src=src, dst=dst, port=port,
                     kind=kind, payload=msg.payload,
@@ -372,10 +502,15 @@ class Network:
                     f"cannot schedule into the past (t={due} < now={now})"
                 )
             seq = sim._seq
-            event = Event(due, seq, self._deliver_cb, (msg,))
             if sim._tie_salt is not None:
                 seq = _mix64(seq ^ sim._tie_salt)
-            heappush(sim._heap, (due, seq, event))
+            fn = route[2].get(kind) if self._direct else None
+            entry: HeapEntry
+            if fn is None:
+                entry = (due, seq, self._deliver_cb, (msg,))
+            else:  # direct dispatch: the kernel calls _on_<kind> itself
+                entry = (due, seq, fn, (route[1], msg))
+            heappush(sim._heap, entry)
             sim._seq += 1
             if self._send_taps:
                 for tap in self._send_taps:
@@ -388,7 +523,7 @@ class Network:
             # unbound caller keeps driving a peer on a dead node).
             return msg
         self.stats.record(msg)
-        if "send" in sim.trace.active_kinds:
+        if self._trace_send:
             sim.trace.emit(
                 "send", time=now, src=src, dst=dst, port=port,
                 kind=kind, payload=msg.payload,
@@ -447,7 +582,7 @@ class Network:
             or not self._inline_latency
             or latency._sigma > 0.0
             or sim._tie_salt is not None
-            or "send" in sim.trace.active_kinds
+            or self._trace_send
             or not 0 <= src < self._n_nodes
         ):
             for dst in dsts:
@@ -466,7 +601,8 @@ class Network:
         else:  # large grid: the row of the cluster block table
             index = self._lat_cluster_of
             delays = self._lat_ctab[index[src]]
-        handlers = self._handlers
+        routes = self._routes.get(port, _NO_ROUTES)  # once per broadcast
+        direct = self._direct
         deliver = self._deliver_cb
         heap = sim._heap
         now = sim._now
@@ -476,7 +612,8 @@ class Network:
             for dst in dsts:
                 if dst == src:
                     continue
-                if (dst, port) not in handlers:
+                route = routes.get(dst)
+                if route is None:
                     raise NetworkError(
                         f"no handler registered at ({dst}, {port!r})"
                     )
@@ -489,7 +626,11 @@ class Network:
                 if cj != ci:
                     inter += 1
                 due = now + delays[dst if index is None else index[dst]]
-                heappush(heap, (due, seq, Event(due, seq, deliver, (msg,))))
+                fn = route[2].get(kind) if direct else None
+                if fn is None:
+                    heappush(heap, (due, seq, deliver, (msg,)))
+                else:
+                    heappush(heap, (due, seq, fn, (route[1], msg)))
                 seq += 1
                 sent += 1
         finally:
@@ -545,8 +686,8 @@ class Network:
             # Destination node crashed: in-flight messages die with it
             # (and messages sent before its restart are equally lost).
             return
-        handler = self._handlers.get((msg.dst, msg.port))
-        if handler is None:
+        route = self._routes.get(msg.port, _NO_ROUTES).get(msg.dst)
+        if route is None:
             # The agent deregistered while the message was in flight
             # (e.g. teardown); drop silently like a closed UDP socket.
             return
@@ -557,10 +698,11 @@ class Network:
                 "deliver", time=sim._now, src=msg.src, dst=msg.dst,
                 port=msg.port, kind=msg.kind, payload=msg.payload,
             )
-        handler(msg)
+        route[0](msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Network nodes={self.topology.n_nodes} "
-            f"handlers={len(self._handlers)} fifo={self.fifo}>"
+            f"handlers={sum(map(len, self._routes.values()))} "
+            f"fifo={self.fifo}>"
         )

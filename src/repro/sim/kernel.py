@@ -1,9 +1,9 @@
 """The discrete-event simulation kernel.
 
-The kernel keeps its pending events in one binary heap of
-``(time, seq, event)`` entries ordered by ``(time, seq)``.  The
-simulated clock only moves when an event fires, so a run is fully
-deterministic given the same schedule and the same RNG seeds.
+The kernel keeps its pending events in one binary heap of four-field
+entries (:data:`HeapEntry`) ordered by ``(time, seq)``.  The simulated
+clock only moves when an event fires, so a run is fully deterministic
+given the same schedule and the same RNG seeds.
 
 Time unit
 ---------
@@ -17,15 +17,26 @@ Hot path
 Paper-scale sweeps fire millions of events, so the kernel keeps the
 per-event work minimal (see ``docs/performance.md``):
 
-* heap entries are ``(time, seq, event)`` tuples, so ``heappush``/
+* heap entries are tuples keyed ``(time, seq)``, so ``heappush``/
   ``heappop`` compare keys entirely in C (``seq`` is unique: the
-  comparison never reaches the event object);
+  comparison never reaches the third field);
+* an entry comes in two shapes (:data:`HeapEntry`).  A *bare* entry
+  ``(due, seq, callback, args)`` is the whole event: one tuple, no
+  :class:`~repro.sim.event.Event`, never cancelled, never labelled —
+  what the network pushes for every message delivery, the dominant
+  source of events.  An *event* entry ``(time, seq, event, None)``
+  carries the :class:`~repro.sim.event.Event` that
+  :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
+  its cancellation flag and label.  The loops tell them apart with one
+  ``is None`` test on the fourth field;
 * :meth:`Simulator.run` hoists the ``until``/``max_events`` bound checks
-  out of the loop — a run without bounds executes a tight pop/fire loop;
+  out of the loop — a run without bounds executes a tight pop/fire
+  loop, an ``until``-only run (every experiment) a second one, and
+  anything with ``max_events`` is ``_peek()`` + :meth:`Simulator.step`;
 * :meth:`Simulator.post_at` schedules without allocating an
-  :class:`~repro.sim.event.EventHandle` for internal callers that never
-  or rarely cancel (message delivery, the dominant source of events,
-  and the workload's two timers per critical section);
+  :class:`~repro.sim.event.EventHandle` for internal callers that
+  rarely cancel (the workload's two timers per critical section, the
+  network's crash/fault/FIFO path);
 * cancelled events are removed *lazily* (tombstones popped on
   encounter), but the kernel counts them and compacts the heap in place
   once tombstones outnumber live events — heavy cancellers such as the
@@ -42,14 +53,23 @@ Typical usage::
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .event import Event, EventHandle
 from .rng import RngRegistry
 from .trace import Tracer
 
-__all__ = ["Simulator"]
+__all__ = ["Simulator", "HeapEntry"]
+
+#: One calendar entry, ordered by its first two fields.  Either *bare*,
+#: ``(due, seq, callback, args)`` with ``args`` a tuple — fires
+#: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
+#: cancellable, labelled :class:`~repro.sim.event.Event`.  The modules
+#: that push entries themselves (``net/network.py``,
+#: ``compile/network.py``) push bare ones and must consume ``seq``
+#: exactly as :meth:`Simulator.post_at` does.
+HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
 
 #: Compaction is considered only past this many tombstones (a small heap
 #: is cheap to scan anyway, and recovering a handful of slots is noise).
@@ -105,7 +125,7 @@ class Simulator:
     ) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        self._heap: list[Tuple[float, int, Event]] = []
+        self._heap: List[HeapEntry] = []
         self._running = False
         self._stopped = False
         self._fired = 0
@@ -182,7 +202,7 @@ class Simulator:
         event = Event(time, seq, callback, args, label=label)
         if self._tie_salt is not None:
             seq = _mix64(seq ^ self._tie_salt)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
         self._seq += 1
         return EventHandle(event, self)
 
@@ -213,7 +233,7 @@ class Simulator:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
             seq = _mix64(seq ^ self._tie_salt)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event, None))
         self._seq += 1
         return event
 
@@ -228,16 +248,20 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            event = heappop(heap)[2]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = event.time
-            event.cancelled = True  # a fired event can no longer be cancelled
+            time, _, callback, args = heappop(heap)
+            label = ""
+            if args is None:  # an Event-carrying entry
+                event: Event = callback
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                event.cancelled = True  # a fired event can no longer be cancelled
+                callback, args, label = event.callback, event.args, event.label
+            self._now = time
             self._fired += 1
             if self.trace.event_active:
-                self.trace.emit("event", time=event.time, label=event.label)
-            event.callback(*event.args)
+                self.trace.emit("event", time=time, label=label)
+            callback(*args)
             return True
         return False
 
@@ -274,20 +298,32 @@ class Simulator:
                 # The fired counter accumulates in a local (an attribute
                 # store per event otherwise) and lands in `_fired` on
                 # every exit; nothing reads it mid-run — callbacks only
-                # see `events_fired` after run() returns.
+                # see `events_fired` after run() returns.  Bare entries
+                # come first and repeat the few steps the two shapes
+                # share: folding them into one tail measured ~100 ns
+                # slower per event, here and in the loop below.
                 fired = self._fired
                 try:
                     while heap and not self._stopped:
-                        event = heappop(heap)[2]
+                        entry = heappop(heap)
+                        args = entry[3]
+                        if args is not None:  # bare: the entry is the event
+                            self._now = entry[0]
+                            fired += 1
+                            if trace.event_active:
+                                trace.emit("event", time=entry[0], label="")
+                            entry[2](*args)
+                            continue
+                        event = entry[2]
                         if event.cancelled:
                             self._cancelled -= 1
                             continue
-                        self._now = event.time
+                        self._now = entry[0]
                         event.cancelled = True
                         fired += 1
                         if trace.event_active:
                             trace.emit(
-                                "event", time=event.time, label=event.label
+                                "event", time=entry[0], label=event.label
                             )
                         event.callback(*event.args)
                 finally:
@@ -306,6 +342,19 @@ class Simulator:
                             exhausted = True
                             break
                         entry = heappop(heap)
+                        args = entry[3]
+                        if args is not None:  # bare: the entry is the event
+                            t = entry[0]
+                            if t > until:
+                                heappush(heap, entry)
+                                exhausted = True
+                                break
+                            self._now = t
+                            fired += 1
+                            if trace.event_active:
+                                trace.emit("event", time=t, label="")
+                            entry[2](*args)
+                            continue
                         event = entry[2]
                         if event.cancelled:
                             self._cancelled -= 1
@@ -327,26 +376,16 @@ class Simulator:
                     self._now = until
                 return self._now
 
+            # General loop: anything with `max_events`.
             fired = 0
             exhausted = False  # drained, or next event beyond `until`
-            while not self._stopped:
-                if fired >= max_events:
-                    break
-                event = self._peek()
-                if event is None:
+            while fired < max_events and not self._stopped:
+                due = self._peek()
+                if due is None or (until is not None and due > until):
                     exhausted = True
                     break
-                if until is not None and event.time > until:
-                    exhausted = True
-                    break
-                heappop(heap)  # the peeked head: live by construction
-                self._now = event.time
-                event.cancelled = True
-                self._fired += 1
+                self.step()
                 fired += 1
-                if trace.event_active:
-                    trace.emit("event", time=event.time, label=event.label)
-                event.callback(*event.args)
             if exhausted and until is not None and self._now < until:
                 self._now = until
         finally:
@@ -362,10 +401,14 @@ class Simulator:
 
         A calendar that still holds events ties the kernel to its agents
         (event -> callback -> agent -> kernel); emptied, a finished run's
-        object graph can be freed by reference count alone."""
-        for entry in self._heap:
-            entry[2].cancelled = True
-        self._compact()
+        object graph can be freed by reference count alone.  Handles of
+        the forgotten events read inactive."""
+        heap = self._heap
+        for entry in heap:
+            if entry[3] is None:
+                entry[2].cancelled = True
+        del heap[:]
+        self._cancelled = 0
 
     def drain_current(self) -> int:
         """Fire every event due at exactly the current instant.
@@ -380,22 +423,23 @@ class Simulator:
         """
         fired = 0
         while True:
-            event = self._peek()
-            if event is None or event.time > self._now:
+            due = self._peek()
+            if due is None or due > self._now:
                 return fired
             self.step()
             fired += 1
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without firing it."""
+    def _peek(self) -> Optional[float]:
+        """Due time of the next live entry (``None`` on an empty
+        calendar); tombstones met at the head are discarded."""
         heap = self._heap
         while heap:
-            event = heap[0][2]
-            if event.cancelled:
+            head = heap[0]
+            if head[3] is None and head[2].cancelled:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
-            return event
+            return head[0]
         return None
 
     # ------------------------------------------------------------------ #
@@ -419,7 +463,10 @@ class Simulator:
         ``cancel()``.  Rebuilding preserves firing order exactly because
         ``(time, seq)`` keys are unique."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[3] is not None or not entry[2].cancelled
+        ]
         heapify(heap)
         self._cancelled = 0
 
@@ -427,8 +474,13 @@ class Simulator:
     # introspection helpers (used by tests and the tracer)
     # ------------------------------------------------------------------ #
     def pending_events(self) -> Iterable[Event]:
-        """Yield pending (non-cancelled) events in an unspecified order."""
-        return (entry[2] for entry in self._heap if not entry[2].cancelled)
+        """Yield the pending (non-cancelled) :class:`Event` objects, in
+        an unspecified order.  Bare entries (message deliveries) have no
+        ``Event`` and are not listed; :attr:`pending` counts them."""
+        return (
+            entry[2] for entry in self._heap
+            if entry[3] is None and not entry[2].cancelled
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ just marginally slower.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["Tracer", "TraceRecord"]
 
@@ -88,6 +88,22 @@ class Tracer:
         #: bumped on every subscription change; hot emitters snapshot
         #: their per-kind gates and revalidate with one integer compare
         self.version = 0
+        #: called (no arguments) after every subscription change
+        self._change_hooks: Tuple[Callable[[], None], ...] = ()
+
+    def add_change_hook(self, hook: Callable[[], None]) -> None:
+        """Call ``hook()`` after every future subscription change.
+
+        For emitters that precompute their gates as plain attributes
+        (the network's ``send``/``deliver`` flags) and must act the
+        moment a subscriber appears, not at their next emit."""
+        self._change_hooks = (*self._change_hooks, hook)
+
+    def remove_change_hook(self, hook: Callable[[], None]) -> None:
+        """Detach a hook added with :meth:`add_change_hook` (a missing
+        hook is ignored: owners detach unconditionally when they close)."""
+        # Equality, not identity: bound methods are re-created on access.
+        self._change_hooks = tuple(h for h in self._change_hooks if h != hook)
 
     def _refresh(self) -> None:
         kinds = {k for k, subs in self._subs.items() if subs}
@@ -96,6 +112,8 @@ class Tracer:
         self.event_active = "event" in self.active_kinds
         self._star = tuple(self._subs.get("*", ()))
         self.version += 1
+        for hook in self._change_hooks:
+            hook()
 
     def subscribe(self, kind: str, fn: Callable[[TraceRecord], None]) -> None:
         """Register ``fn`` to receive every record of ``kind`` (or all

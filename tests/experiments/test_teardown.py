@@ -85,6 +85,37 @@ def test_failed_run_dies_by_refcount_too(name, run_sims):
     assert gc.collect() < FEW
 
 
+def test_teardown_of_a_deadline_hit_run_is_linear_in_the_peer_count(monkeypatch):
+    # `Network.unregister` looks through the calendar for what is still
+    # in flight to the address.  A run cut off at its deadline leaves one
+    # pending entry or more per process; scanned once per peer that is
+    # quadratic — so the calendar has to be empty before the first peer
+    # shuts down.  Counted, not timed: every scan must find nothing.
+    config = ExperimentConfig(  # 5 x (99 + 1) = 500 nodes, 505 peers
+        platform="two-tier", n_clusters=5, apps_per_cluster=99, n_cs=2,
+        rho=495.0, seed=1, deadline_ms=12.0,
+    )
+    left_by_the_run = []
+    scanned = []
+    close = Simulator.close
+    unregister = runner.Network.unregister
+
+    def counting_close(sim):
+        left_by_the_run.append(sim.pending)
+        close(sim)
+
+    def counting_unregister(net, node, port):
+        scanned.append(len(net.sim._heap))
+        unregister(net, node, port)
+
+    monkeypatch.setattr(Simulator, "close", counting_close)
+    monkeypatch.setattr(runner.Network, "unregister", counting_unregister)
+    _run_past_its_deadline(config)
+    assert left_by_the_run[0] >= config.n_apps  # thousands at 5000 nodes
+    assert len(scanned) == config.n_apps + 2 * config.n_clusters
+    assert not any(scanned)
+
+
 def test_teardown_runs_on_both_backends_and_with_observers(run_sims):
     # Not part of the refcount guarantee (observers are self-referential
     # by design), but the finally block must cope with them.

@@ -1,18 +1,58 @@
 """Shared test harness: drives a set of mutex peers through scripted
 critical-section cycles on a simulated network, with safety and liveness
-checkers attached."""
+checkers attached — and, for the white-box tests, the one reader of the
+kernel's calendar entry shape."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from heapq import heappush
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mutex import get_algorithm
 from repro.net import ConstantLatency, Network, uniform_topology
 from repro.net.faults import FaultInjector
 from repro.sim import Simulator
+from repro.sim.event import Event
+from repro.sim.kernel import _mix64
 from repro.verify import LivenessChecker, MutualExclusionChecker
 
 PORT = "mutex"
+
+
+class CalendarEntry(NamedTuple):
+    """One pending calendar entry, whichever shape it was pushed in."""
+
+    time: float
+    key: int  #: the heap tie-break (the tie-salted seq under a tie seed)
+    callback: Callable[..., Any]
+    args: Tuple[Any, ...]
+    event: Optional[Event]  #: ``None`` for a bare entry
+
+
+def heap_entries(sim: Simulator) -> List[CalendarEntry]:
+    """The calendar of ``sim`` in firing order, tombstones included, both
+    ``repro.sim.kernel.HeapEntry`` shapes normalised; the heap itself is
+    left untouched.  White-box tests read ``sim._heap`` through this."""
+    entries = []
+    for time, key, third, args in sorted(sim._heap, key=lambda e: e[:2]):
+        if args is None:  # (time, seq, event, None)
+            entries.append(
+                CalendarEntry(time, key, third.callback, third.args, third)
+            )
+        else:  # bare: (due, seq, callback, args)
+            entries.append(CalendarEntry(time, key, third, args, None))
+    return entries
+
+
+def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: Any) -> None:
+    """Push a bare ``(due, seq, callback, args)`` entry exactly as
+    ``Network.send`` does: the kernel's seq consumed and tie-salted the
+    way ``Simulator.post_at`` would."""
+    seq = sim._seq
+    if sim._tie_salt is not None:
+        seq = _mix64(seq ^ sim._tie_salt)
+    heappush(sim._heap, (time, seq, callback, args))
+    sim._seq += 1
 
 
 class PeerDriver:

@@ -1,0 +1,379 @@
+"""Direct dispatch: a plain network schedules ``_on_<kind>(peer, msg)``
+itself — one bare calendar entry, no ``_deliver`` hop, no ``_on_message``.
+
+Two claims:
+
+(a) which route a delivery took is invisible: a bare run and the same
+    run with a no-op ``deliver`` subscriber (which forces every delivery
+    through ``Network._deliver``) leave equal digests and equal results;
+(b) whatever changes *while a message is in flight* — the address
+    unregistered or wrapped, a crash controller assigned, a ``deliver``
+    subscriber attached, the owner's class swapped — that message
+    arrives as it would have on the hop path.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.compile import CompiledNaimiPeer, CompiledNetwork
+from repro.core import AdaptiveComposition
+from repro.errors import ProtocolError
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import runner as runner_mod
+from repro.mutex import get_algorithm
+from repro.net import (
+    CrashController,
+    Network,
+    TwoTierLatency,
+    uniform_topology,
+)
+from repro.sim import Simulator
+from repro.verify import RunDigest
+from repro.workload import deploy_workload
+
+from ..helpers import heap_entries
+from ..properties.digest_scenarios import ALGOS, SYSTEMS, fault_free_config
+from .test_fused_send import _Capture
+
+
+class Counting(Network):
+    """Counts the deliveries that went through the ``_deliver`` hop."""
+
+    hops = 0
+
+    def _deliver(self, msg):
+        self.hops += 1
+        super()._deliver(msg)
+
+
+class CsDigest:
+    """Hashes CS transitions only: ``send`` stays unobserved, so
+    broadcasts keep ``multicast``'s own loop."""
+
+    def __init__(self, sim):
+        self._hash = hashlib.sha256()
+        for kind in ("cs_enter", "cs_exit"):
+            sim.trace.subscribe(kind, self._feed)
+
+    def _feed(self, rec):
+        self._hash.update(repr((rec.kind, sorted(rec.fields.items()))).encode())
+
+    @property
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+def _noop(_rec):
+    pass
+
+
+def hopping(digest_cls):
+    """``digest_cls`` plus the no-op ``deliver`` subscriber."""
+
+    def attach(sim):
+        sim.trace.subscribe("deliver", _noop)
+        return digest_cls(sim)
+
+    return attach
+
+
+# --------------------------------------------------------------------- #
+# (a) the route is invisible
+# --------------------------------------------------------------------- #
+MULTILEVEL = ExperimentConfig(
+    system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+    hierarchy=((0, 1), (2, 3)), n_clusters=4, apps_per_cluster=2,
+    n_cs=3, rho=8.0, jitter=0.05, seed=4,
+)
+CONFIGS = {
+    f"{algo}-{system}": fault_free_config(algo, system)
+    for algo in ALGOS for system in SYSTEMS
+}
+CONFIGS["multilevel"] = MULTILEVEL
+#: jitter-free broadcasts: the hoisted multicast loop pushes the entries
+CONFIGS["suzuki-flat-multicast"] = fault_free_config("suzuki", "flat").with_(
+    jitter=0.0
+)
+
+
+def _observed_run(monkeypatch, config, attach):
+    capture = _Capture(Counting, attach)
+    monkeypatch.setattr(runner_mod, "Network", capture)
+    result = run_experiment(config)
+    net = capture.net
+    return (
+        capture.digest.hexdigest, result.cs_count, result.total_messages,
+        result.inter_cluster_messages, result.intra_cluster_messages,
+        result.total_bytes, result.inter_cluster_bytes, result.sim_time_ms,
+        result.obtaining, result.per_cluster, result.inter_algorithm_final,
+        dict(net.stats.by_kind), net.stats.cluster_matrix.tolist(),
+        net._seq, net.sim._seq, net.sim.events_fired,
+    ), net
+
+
+@pytest.mark.parametrize("digest", [RunDigest, CsDigest],
+                         ids=["send-subscriber", "cs-only"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_direct_and_hop_runs_are_indistinguishable(monkeypatch, name, digest):
+    config = CONFIGS[name]
+    direct, net = _observed_run(monkeypatch, config, digest)
+    hop, ref = _observed_run(monkeypatch, config, hopping(digest))
+    # Non-vacuous both ways: every peer message took the route under test.
+    assert net.hops == 0 and ref.hops == ref.stats.total > 0
+    assert direct == hop
+
+
+@pytest.mark.parametrize("tie_seed", [1, 2, 3])
+def test_tie_seed_orders_direct_entries_as_the_hop_path(monkeypatch, tie_seed):
+    # Martin's ring at zero jitter is full of same-instant deliveries.
+    config = fault_free_config("martin", "composition").with_(
+        jitter=0.0, tie_seed=tie_seed
+    )
+    direct, net = _observed_run(monkeypatch, config, RunDigest)
+    hop, ref = _observed_run(monkeypatch, config, hopping(RunDigest))
+    assert net.hops == 0 < ref.hops
+    assert direct == hop
+
+
+def _adaptive_run(hop):
+    sim = Simulator(seed=2)
+    if hop:
+        sim.trace.subscribe("deliver", _noop)
+    digest = RunDigest(sim)
+    topo = uniform_topology(3, 3)
+    net = Counting(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=5.0))
+    system = AdaptiveComposition(
+        sim, net, topo, intra="naimi", initial_inter="suzuki",
+        sample_every_ms=5.0, decide_every_samples=4, hysteresis=1,
+    )
+    apps, collector = deploy_workload(system, alpha_ms=5.0, rho=1.0, n_cs=30)
+    sim.run(until=4000.0)
+    assert all(app.done for app in apps)
+    return (
+        digest.hexdigest, tuple(system.switches), collector.cs_count,
+        net.stats.snapshot(), dict(net.stats.by_kind), net._seq, sim._seq,
+        sim.events_fired, sim.now,
+    ), net
+
+
+def test_adaptive_switch_shuts_old_inter_peers_down_mid_run():
+    # Every switch unregisters the old inter peers while the run goes on;
+    # what is in flight to them must be dropped on arrival, on both routes.
+    direct, net = _adaptive_run(hop=False)
+    hop, ref = _adaptive_run(hop=True)
+    assert direct[1], "the controller never switched: nothing was shut down"
+    assert net.hops < ref.hops == ref.stats.total
+    assert direct == hop
+
+
+# --------------------------------------------------------------------- #
+# (b) one message in flight, the world changes under it
+# --------------------------------------------------------------------- #
+def _peers(algorithm="naimi", n=3, net_cls=Counting):
+    """``n`` idle peers on one LAN (1 ms one-way); peer 0 holds the token."""
+    sim = Simulator(seed=0)
+    topo = uniform_topology(1, n)
+    net = net_cls(sim, topo, TwoTierLatency(topo, lan_ms=1.0, wan_ms=10.0))
+    cls = get_algorithm(algorithm).peer_class
+    peers = [cls(sim, net, node, range(n), "p") for node in range(n)]
+    return sim, net, peers
+
+
+def _in_flight(sim):
+    """``(callback name, argument count)`` of what the calendar holds."""
+    return [(e.callback.__name__, len(e.args)) for e in heap_entries(sim)]
+
+
+def test_a_peer_message_is_one_bare_entry_calling_the_handler():
+    sim, net, peers = _peers()
+    peers[1].request_cs()  # one request, 1 -> 0
+    assert _in_flight(sim) == [("_on_request", 2)]
+    (entry,) = heap_entries(sim)
+    assert entry.event is None and entry.args[0] is peers[0]
+    sim.run()
+    assert peers[1].in_cs and net.hops == 0
+
+
+def test_plain_callables_keep_the_hop():
+    sim, net, _peers_ = _peers()
+    got = []
+    net.register(2, "app", got.append)
+    net.send(0, 2, "app", "hello")
+    assert _in_flight(sim) == [("_deliver", 1)]
+    sim.run()
+    assert [m.kind for m in got] == ["hello"] and net.hops == 1
+    assert got[0].delivered_at == 1.0  # stamped by _deliver, and only there
+
+
+def test_unregistered_in_flight_is_dropped_not_delivered_to_the_dead_peer():
+    # A stale Suzuki broadcast reaching a shut-down idle holder would
+    # otherwise make it send the token away.
+    sim, net, peers = _peers("suzuki")
+    peers[1].request_cs()  # broadcast to 0 and 2
+    assert sorted(_in_flight(sim)) == [("_on_request", 2)] * 2
+    peers[0].shutdown()
+    assert sorted(_in_flight(sim)) == [("_deliver", 1), ("_on_request", 2)]
+    sim.run()
+    assert peers[0].holds_token and not peers[1].in_cs
+    assert net.stats.by_kind["token"] == 0
+    assert net.hops == 1  # the dropped one; peer 2 got its copy directly
+
+
+def test_reregistered_in_flight_reaches_the_new_handler():
+    sim, net, peers = _peers()
+    peers[1].request_cs()
+    peers[0].shutdown()
+    got = []
+    net.register(0, "p", got.append)
+    sim.run()
+    assert [(m.kind, m.src) for m in got] == [("request", 1)]
+
+
+def test_wrapped_in_flight_is_seen_by_the_wrapper():
+    sim, net, peers = _peers()
+    peers[1].request_cs()
+    seen = []
+
+    def wrap(inner):
+        def observed(msg):
+            seen.append(msg.kind)
+            inner(msg)
+        return observed
+
+    net.wrap_handler(0, "p", wrap)
+    assert _in_flight(sim) == [("_deliver", 1)]
+    sim.run()
+    assert seen == ["request"] and peers[1].in_cs
+    # ... and the address stays off the direct route afterwards.
+    peers[1].release_cs()
+    peers[2].request_cs()
+    sim.run()
+    assert seen == ["request", "request"]
+
+
+def test_crash_controller_assigned_in_flight_still_loses_the_message():
+    sim, net, peers = _peers()
+    peers[1].request_cs()
+    crashes = CrashController(sim)
+    net.crashes = crashes
+    assert net.fused is False and _in_flight(sim) == [("_deliver", 1)]
+    crashes.crash(0)
+    sim.run()
+    assert not peers[1].in_cs and peers[0].holds_token
+
+
+def test_deliver_subscriber_attached_in_flight_sees_that_delivery():
+    sim, net, peers = _peers()
+    peers[1].request_cs()
+    seen = []
+
+    def on_deliver(rec):
+        seen.append((rec.fields["kind"], rec.time))
+
+    sim.trace.subscribe("deliver", on_deliver)
+    sim.run()
+    assert seen == [("request", 1.0), ("token", 2.0)]
+    sim.trace.unsubscribe("deliver", on_deliver)
+    peers[1].release_cs()
+    peers[2].request_cs()  # 2 -> 0 -> 1 -> 2, direct again
+    sim.run()
+    assert len(seen) == 2 and peers[2].in_cs
+
+
+def test_other_peers_direct_entries_survive_a_rewrite():
+    sim, net, peers = _peers("suzuki", n=4)
+    peers[1].request_cs()
+    peers[3].shutdown()
+    assert sorted(_in_flight(sim)) == (
+        [("_deliver", 1)] + [("_on_request", 2)] * 2
+    )
+    sim.run()
+    assert peers[1].in_cs and net.hops == 1
+
+
+def test_unknown_kind_raises_at_delivery_time_not_at_send():
+    sim, net, peers = _peers()
+    net.send(1, 0, "p", "bogus")  # accepted: the address exists
+    assert _in_flight(sim) == [("_deliver", 1)]
+    with pytest.raises(ProtocolError, match="unexpected message kind 'bogus'"):
+        sim.run()
+
+
+def test_class_swapped_in_flight_never_runs_the_old_class_handler():
+    sim, net, peers = _peers(net_cls=CompiledNetwork)
+    peers[1].request_cs()
+    assert _in_flight(sim) == [("_on_request", 2)]
+    for peer in peers:  # what compile_system does to each of them
+        peer.__class__ = CompiledNaimiPeer
+        peer._bind_state()
+    # Resolved against the interpreted class: back through the handler,
+    # which dispatches on the peer's class as it is on arrival.
+    assert _in_flight(sim) == [("_deliver", 1)]
+    sim.run()
+    assert peers[1].in_cs
+    # A Message send from now on resolves against the lowered class.
+    net.send(2, 0, "p", "request", {"origin": 2})
+    (entry,) = heap_entries(sim)
+    assert entry.callback is CompiledNaimiPeer._on_request
+    assert entry.args[0] is peers[0]
+
+
+def test_register_takes_owner_and_table_together():
+    from repro.errors import NetworkError
+
+    sim, net, peers = _peers()
+    with pytest.raises(NetworkError, match="owner and table together"):
+        net.register(1, "q", lambda m: None, owner=peers[1])
+    with pytest.raises(NetworkError, match="owner and table together"):
+        net.register(1, "q", lambda m: None, table={})
+
+
+def test_subclass_with_its_own_dispatcher_keeps_every_delivery():
+    base = get_algorithm("naimi").peer_class
+    seen = []
+
+    class Filtering(base):
+        def _on_message(self, msg):
+            seen.append(msg.kind)
+            super()._on_message(msg)
+
+    sim = Simulator(seed=0)
+    topo = uniform_topology(1, 2)
+    net = Counting(sim, topo, TwoTierLatency(topo))
+    peers = [Filtering(sim, net, node, range(2), "p") for node in range(2)]
+    peers[1].request_cs()
+    sim.run()
+    assert seen == ["request", "token"] and net.hops == 2 and peers[1].in_cs
+
+
+def test_bulk_rewrites_scan_the_calendar_once_between_sends():
+    # compile_system retables every peer after the workload queued its
+    # first timers: one scan per peer is 5050 x 4950 entries at 5000
+    # nodes.  A scan that leaves nothing direct behind holds until the
+    # next send.
+    class Scanned(list):
+        scans = 0
+
+        def __iter__(self):
+            Scanned.scans += 1
+            return super().__iter__()
+
+    sim, net, peers = _peers(n=4, net_cls=CompiledNetwork)
+    sim._heap = Scanned()
+    for peer in peers:
+        sim.schedule(5.0, lambda: None)  # the workload's first timers
+    for peer in peers:
+        peer.__class__ = CompiledNaimiPeer
+        peer._bind_state()
+    assert Scanned.scans == 1
+    net.wrap_handler(3, "p", lambda inner: inner)
+    assert Scanned.scans == 1
+    net.send(1, 0, "p", "request", {"origin": 1})  # direct, in flight
+    net.unregister(2, "p")  # someone else's entry stays: not clean
+    net.unregister(1, "p")
+    assert Scanned.scans == 3
+    net.unregister(0, "p")  # rewritten: clean again
+    net.unregister(3, "p")
+    assert Scanned.scans == 4
+    assert _in_flight(sim)[0] == ("_deliver", 1)

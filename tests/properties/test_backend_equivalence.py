@@ -14,7 +14,6 @@ link dispatch in send order (equal due times fall back to the strictly
 increasing schedule sequence).
 """
 
-import heapq
 import random
 
 import pytest
@@ -25,6 +24,7 @@ from repro.experiments.runner import run_experiment
 from repro.net import TwoTierLatency, uniform_topology
 from repro.sim import Simulator
 
+from ..helpers import heap_entries
 from .digest_scenarios import ALGOS, FAULTS, SYSTEMS, run_cell
 
 MATRIX_CELLS = [
@@ -163,10 +163,8 @@ def test_compiled_dispatch_preserves_per_link_fifo(seed):
         sent[(src, dst)].append(k)
     assert net._pending_stats  # proves the ultra path was taken
     arrivals = {link: [] for link in links}
-    heap = sim._heap[:]  # a copy preserves the heap invariant
-    while heap:
-        _due, _seq, event = heapq.heappop(heap)
-        receiver, src, payload = event.args
+    for entry in heap_entries(sim):  # firing order
+        receiver, src, payload = entry.args
         arrivals[(src, receiver.node)].append(payload["origin"])
     for link in links:
         assert arrivals[link] == sent[link], f"link {link} reordered"

@@ -127,3 +127,68 @@ def test_watchdog_changes_no_outcome_on_healthy_runs(seed):
     dog_digest, dog_mean = run_once(seed, "watchdog")
     assert dog_digest == bare_digest
     assert dog_mean == bare_mean
+
+
+#: every registered algorithm composes under a token-based inter level
+INTRA = ["naimi", "suzuki", "martin", "raymond", "centralized",
+         "ricart-agrawala", "lamport", "maekawa", "priority-naimi"]
+
+
+@given(
+    intra=st.sampled_from(INTRA),
+    inter=st.sampled_from(["naimi", "suzuki", "martin"]),
+    jitter=st.sampled_from([0.0, 0.2]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    window=st.tuples(
+        st.floats(min_value=0.0, max_value=60.0),
+        st.floats(min_value=0.0, max_value=60.0),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_deliver_subscriber_coming_and_going_does_not_change_the_run(
+    intra, inter, jitter, seed, window
+):
+    """A ``deliver`` subscriber takes every delivery off the network's
+    direct-dispatch route, messages already in flight included; one that
+    appears and disappears at arbitrary instants mid-run must leave the
+    digest, the statistics and the kernel's counters untouched."""
+    on_at, off_at = min(window), max(window)
+
+    def run(mode):
+        sim = Simulator(seed=seed)
+        topo = uniform_topology(2, 3)
+        net = Network(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=6.0,
+                                                jitter=jitter))
+        comp = Composition(sim, net, topo, intra=intra, inter=inter)
+        digest = RunDigest(sim)
+        seen = []
+
+        def on_deliver(rec):
+            seen.append((rec.time, rec.src, rec.dst, rec.fields["kind"]))
+
+        def toggle(method):
+            if mode == "window":
+                method("deliver", on_deliver)
+
+        if mode == "always":
+            sim.trace.subscribe("deliver", on_deliver)
+        # Scheduled in every mode, so the calendars hold the same keys —
+        # and ahead of every send, so at a tie the toggle fires first.
+        sim.schedule_at(on_at, toggle, sim.trace.subscribe)
+        sim.schedule_at(off_at, toggle, sim.trace.unsubscribe)
+        apps, collector = deploy_workload(comp, alpha_ms=2.0, rho=4.0, n_cs=3)
+        sim.run(until=1_000_000.0)
+        assert all(a.done for a in apps)
+        return (
+            digest.hexdigest, collector.obtaining_stats().mean,
+            net.stats.snapshot(), dict(net.stats.by_kind), net._seq,
+            sim._seq, sim.events_fired,
+        ), seen
+
+    bare, _ = run("bare")
+    always, every_delivery = run("always")
+    windowed, seen = run("window")
+    assert bare == always == windowed
+    # Exactly what arrived inside the window was seen — also the messages
+    # sent before the subscriber existed.
+    assert seen == [d for d in every_delivery if on_at <= d[0] < off_at]

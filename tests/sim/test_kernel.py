@@ -5,6 +5,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Simulator
 
+from ..helpers import heap_entries, post_bare
+
 
 def test_clock_starts_at_zero():
     sim = Simulator(seed=1)
@@ -348,9 +350,10 @@ def test_post_at_queues_the_same_keys_as_schedule_at(tie_seed):
         sim.schedule(2.0, lambda: None)  # someone else's event in between
         for i, t in enumerate((5.0, 5.0, 1.5, 5.0)):
             post(sim, t, f"timer{i}")
-        return sorted(
-            (t, key, ev.seq, ev.label) for t, key, ev in sim._heap
-        )
+        return [
+            (e.time, e.key, e.event.seq, e.event.label)
+            for e in heap_entries(sim)
+        ]
 
     via_schedule = keys(
         lambda sim, t, label: sim.schedule_at(t, print, label=label)
@@ -397,3 +400,138 @@ def test_close_forgets_every_pending_event_in_place():
     assert not any(h.active for h in handles)
     sim.run()
     assert fired == [2]
+
+
+# --------------------------------------------------------------------- #
+# mixed calendars: bare entries (what the network pushes per message)
+# interleaved with live and cancelled Event entries
+# --------------------------------------------------------------------- #
+def _mixed(tie_seed=None):
+    """t=1 bare, t=2 live Event, t=3 tombstone, t=4 bare, t=5 live Event,
+    t=6 bare, t=7 trailing tombstone."""
+    sim = Simulator(seed=0, tie_seed=tie_seed)
+    fired = []
+    post_bare(sim, 1.0, fired.append, "bare1")
+    sim.schedule_at(2.0, fired.append, "event2", label="two")
+    dead = sim.schedule_at(3.0, fired.append, "dead3")
+    post_bare(sim, 4.0, fired.append, "bare4")
+    sim.post_at(5.0, fired.append, ("event5",), "five")
+    post_bare(sim, 6.0, fired.append, "bare6")
+    tail = sim.schedule_at(7.0, fired.append, "dead7")
+    dead.cancel()
+    tail.cancel()
+    return sim, fired
+
+
+LIVE = ["bare1", "event2", "bare4", "event5", "bare6"]
+
+#: how to fire a whole calendar: the two specialised loops, the general
+#: one, and step() by hand
+DRIVERS = {
+    "run": lambda sim: sim.run(),
+    "until": lambda sim: sim.run(until=6.0),
+    "max_events": lambda sim: sim.run(max_events=100),
+    "until+max_events": lambda sim: sim.run(until=6.0, max_events=100),
+    "step": lambda sim: [None for _ in iter(sim.step, False)],
+}
+
+
+def test_mixed_calendar_counts_bare_entries_as_pending():
+    sim, _ = _mixed()
+    assert (sim.pending, sim.cancelled_pending) == (5, 2)
+    # Bare entries have no Event to hand out; the Event entries still do.
+    assert sorted(e.label for e in sim.pending_events()) == ["five", "two"]
+
+
+@pytest.mark.parametrize("tie_seed", [None, 3])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_mixed_calendar_fires_in_key_order_on_every_loop(driver, tie_seed):
+    sim, fired = _mixed(tie_seed)
+    DRIVERS[driver](sim)
+    assert fired == LIVE
+    assert sim.events_fired == 5  # the two tombstones are not events
+    # The trailing tombstone (t=7) never advances the clock.
+    assert sim.now == 6.0
+    assert sim.pending == 0
+
+
+def test_mixed_calendar_until_leaves_later_bare_entries_queued():
+    sim, fired = _mixed()
+    assert sim.run(until=4.5) == 4.5
+    assert fired == ["bare1", "event2", "bare4"]
+    assert (sim.pending, sim.cancelled_pending) == (2, 1)
+    # A bare head beyond the bound is pushed back intact.
+    assert sim.run(until=5.5) == 5.5
+    assert sim.run(until=5.9) == 5.9
+    assert fired == ["bare1", "event2", "bare4", "event5"]
+    assert sim.run() == 6.0
+    assert fired == LIVE
+
+
+def test_mixed_calendar_max_events_counts_bare_entries():
+    sim, fired = _mixed()
+    assert sim.run(max_events=3) == 4.0  # the tombstone at t=3 is free
+    assert fired == ["bare1", "event2", "bare4"]
+    assert sim.run(until=100.0, max_events=1) == 5.0
+    assert sim.run(until=100.0, max_events=5) == 100.0
+    assert sim.events_fired == 5
+
+
+def test_mixed_calendar_event_records_cover_bare_entries():
+    sim, _ = _mixed()
+    seen = []
+    sim.trace.subscribe("event", lambda rec: seen.append((rec.time, rec.label)))
+    sim.run()
+    assert seen == [(1.0, ""), (2.0, "two"), (4.0, ""), (5.0, "five"), (6.0, "")]
+
+
+def test_stop_from_a_bare_entry_freezes_the_clock():
+    sim, fired = _mixed()
+    post_bare(sim, 4.0, sim.stop)
+    assert sim.run(until=50.0) == 4.0
+    assert fired == ["bare1", "event2", "bare4"]
+    assert sim.run() == 6.0
+
+
+def test_compaction_keeps_bare_entries():
+    sim = Simulator(seed=0)
+    fired = []
+    for i in range(100):
+        post_bare(sim, 10.0 + i, fired.append, i)
+    handles = [
+        sim.schedule_at(10.5 + i, fired.append, ("event", i)) for i in range(150)
+    ]
+    for h in handles:
+        h.cancel()  # 126 tombstones in 250 slots: a compaction on the way
+    assert sim.cancelled_pending < 150
+    assert sim.pending == 100
+    assert len(sim._heap) < 250
+    assert sum(e.event is None for e in heap_entries(sim)) == 100
+    sim.run()
+    assert fired == list(range(100))
+    assert (sim.pending, sim.cancelled_pending) == (0, 0)
+
+
+def test_drain_current_fires_bare_entries_due_now_only():
+    sim = Simulator(seed=0)
+    fired = []
+    sim.schedule_at(2.0, lambda: None)
+    sim.run()
+    post_bare(sim, 2.0, fired.append, "now-bare")
+    dead = sim.schedule_at(2.0, fired.append, "now-dead")
+    sim.schedule_at(2.0, fired.append, "now-event")
+    post_bare(sim, 2.5, fired.append, "later-bare")
+    dead.cancel()
+    assert sim.drain_current() == 2
+    assert fired == ["now-bare", "now-event"]
+    assert (sim.now, sim.pending) == (2.0, 1)
+
+
+def test_close_forgets_bare_entries_too():
+    sim, fired = _mixed()
+    live = sim.schedule_at(8.0, fired.append, "late")
+    sim.close()
+    assert (sim.pending, sim.cancelled_pending, len(sim._heap)) == (0, 0, 0)
+    assert not live.active
+    sim.run()
+    assert fired == []
