@@ -8,10 +8,11 @@ modification**", §3.1) are behavioural properties.  This package enforces
 them *statically*, before a single event fires:
 
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.engine` — an
-  AST-based linter with repro-specific rules (RPR001-RPR008): no
+  AST-based linter with repro-specific rules (RPR001-RPR007): no
   wall-clock reads, no stdlib ``random``, no unordered ``set``/``dict``
   iteration inside message handlers, no kernel re-entry from handlers, no
-  coordinator imports from ``repro.mutex``, no mutable default arguments.
+  coordinator imports from ``repro.mutex``, no mutable default arguments,
+  no sweep that bypasses the experiment cache.
 * :mod:`repro.analysis.effects` — a handler-effect extractor that walks
   each algorithm's AST into a per-message-kind send graph and
   cross-checks worst-case message counts against the paper's analytical

@@ -5,15 +5,12 @@ Modes (combinable; all requested modes run, the exit code is the OR):
 * default / ``--lint`` — run the RPR rules over the given paths
   (default ``src/repro``, falling back to the installed package);
 * ``--conformance`` — static protocol-conformance checks over
-  ``repro.mutex`` *and* the ``repro.compile`` fast tables (send-graph
-  closure, worst-case bounds vs theory, interpreted/compiled handler
-  equivalence);
+  ``repro.mutex`` (send-graph closure, worst-case bounds vs theory);
 * ``--sanitize`` — run the schedule-race sanitizer matrix (executes
   simulations; seconds, not milliseconds);
 * ``--explore`` — exhaustive small-scope model checking: drive the real
   algorithms through every admissible interleaving at small scope and
-  check safety / deadlock-freedom / eventual entry, cross-checking the
-  interpreted and compiled backends state-for-state (see
+  check safety / deadlock-freedom / eventual entry (see
   :mod:`repro.analysis.explore` and ``docs/analysis.md``);
 * ``--replay FILE`` — re-execute a counterexample produced by
   ``--explore`` (optionally rendering it with ``--trace-out``);
@@ -39,7 +36,7 @@ from .engine import Baseline, Engine
 __all__ = ["main"]
 
 #: bumped when the shape of the ``--json`` document changes
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def _default_paths() -> List[Path]:
@@ -65,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--conformance",
         action="store_true",
-        help="run static protocol-conformance checks over repro.mutex "
-        "and the repro.compile fast tables",
+        help="run static protocol-conformance checks over repro.mutex",
     )
     parser.add_argument(
         "--sanitize",
@@ -128,13 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="only run matrix cells whose name contains SUBSTR "
         "(e.g. 'flat:naimi', 'crash')",
-    )
-    explore.add_argument(
-        "--explore-backend",
-        choices=("interpreted", "compiled", "both"),
-        default="both",
-        help="backends to run eligible cells under (default: both, "
-        "cross-checking their explored-state fingerprints)",
     )
     explore.add_argument(
         "--explore-budget",
@@ -210,33 +199,29 @@ def _run_lint(
 
 
 def _run_conformance(json_out: Optional[Dict[str, Any]]) -> int:
-    from .effects import check_compile_conformance, check_conformance
+    from .effects import check_conformance
 
     findings, effects = check_conformance()
-    compile_findings, fast = check_compile_conformance()
-    all_findings = [*findings, *compile_findings]
-    status = 0 if not all_findings else 1
+    status = 0 if not findings else 1
     if json_out is not None:
         json_out["conformance"] = {
             "ok": status == 0,
             "algorithms": sorted(effects),
-            "compiled_classes": sorted(fast),
             "findings": [
                 {
                     "algorithm": f.algorithm,
                     "kind": f.kind,
                     "message": f.message,
                 }
-                for f in all_findings
+                for f in findings
             ],
         }
     else:
-        for finding in all_findings:
+        for finding in findings:
             print(finding.format())
         print(
-            f"conformance: {len(effects)} algorithm(s), "
-            f"{len(fast)} compiled class(es) checked, "
-            f"{len(all_findings)} finding(s)"
+            f"conformance: {len(effects)} algorithm(s) checked, "
+            f"{len(findings)} finding(s)"
         )
     return status
 
@@ -277,66 +262,47 @@ def _run_explore(
                 f"cells: {', '.join(c.describe() for c in default_cells())}"
             )
             return 2
-    backends = (
-        ("interpreted", "compiled")
-        if args.explore_backend == "both"
-        else (args.explore_backend,)
-    )
     report = run_matrix(
         cells,
-        backends=backends,
         reduce=not args.full_expansion,
         wall_budget_s=args.explore_budget,
     )
     written: List[str] = []
     if args.counterexamples is not None:
         args.counterexamples.mkdir(parents=True, exist_ok=True)
-        for cell in report.cells:
-            for run in (cell.interpreted, cell.compiled):
-                if run is None:
-                    continue
-                for i, violation in enumerate(run.violations):
-                    name = (
-                        f"{_cell_slug(run.scope.describe())}"
-                        f"-{violation.property}-{i}.json"
-                    )
-                    path = args.counterexamples / name
-                    write_counterexample(str(path), run.scope, violation)
-                    written.append(str(path))
+        for run in report.cells:
+            for i, violation in enumerate(run.violations):
+                name = (
+                    f"{_cell_slug(run.scope.describe())}"
+                    f"-{violation.property}-{i}.json"
+                )
+                path = args.counterexamples / name
+                write_counterexample(str(path), run.scope, violation)
+                written.append(str(path))
     if json_out is not None:
         doc = report.to_dict()
         doc["counterexamples_written"] = written
         json_out["explore"] = doc
     else:
-        for cell in report.cells:
-            runs = [cell.interpreted]
-            if cell.compiled is not None:
-                runs.append(cell.compiled)
-            for run in runs:
-                flags = "" if run.complete else " INCOMPLETE"
+        for run in report.cells:
+            flags = "" if run.complete else " INCOMPLETE"
+            print(
+                f"explore: {run.scope.describe():44s} "
+                f"states={run.states} transitions={run.transitions} "
+                f"reduction={run.reduction_ratio:.1f}x "
+                f"violations={len(run.violations)}{flags}"
+            )
+            for violation in run.violations:
                 print(
-                    f"explore: {run.scope.describe():44s} "
-                    f"states={run.states} transitions={run.transitions} "
-                    f"reduction={run.reduction_ratio:.1f}x "
-                    f"violations={len(run.violations)}{flags}"
-                )
-                for violation in run.violations:
-                    print(
-                        f"  {violation.property}: {violation.message} "
-                        f"(schedule length {len(violation.schedule)})"
-                    )
-            if cell.backends_agree is not None:
-                verdict = "agree" if cell.backends_agree else "DIVERGE"
-                print(
-                    f"  backends {verdict} on explored-state fingerprint "
-                    f"({cell.scope.describe()})"
+                    f"  {violation.property}: {violation.message} "
+                    f"(schedule length {len(violation.schedule)})"
                 )
         for path in written:
             print(f"  counterexample written: {path}")
-        total_states = sum(c.interpreted.states for c in report.cells)
+        total_states = sum(run.states for run in report.cells)
         print(
             f"explore: {len(report.cells)} cell(s), {total_states} "
-            f"interpreted state(s), {report.violations} violation(s) — "
+            f"state(s), {report.violations} violation(s) — "
             f"{'ok' if report.ok else 'FAIL'}"
         )
     return 0 if report.ok else 1

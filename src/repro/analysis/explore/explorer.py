@@ -86,8 +86,8 @@ class ExploreReport:
     #: False when a state/transition/wall-clock bound stopped the search
     complete: bool
     violations: List[Violation]
-    #: order-insensitive digest of the explored state set; equal across
-    #: backends when interpreted and compiled semantics agree
+    #: order-insensitive digest of the explored state set (stable
+    #: across processes: pinned per default cell by the test suite)
     state_fingerprint: str
     elapsed_s: float = 0.0
 

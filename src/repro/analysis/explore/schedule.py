@@ -24,6 +24,7 @@ can be scrubbed through visually.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
@@ -127,7 +128,22 @@ def load_counterexample(
             "counterexample was produced with a peer_factory override; "
             "replay it in-process via the fixture that generated it"
         )
-    if raw_scope.get("requesters") is not None:
+    # Documents written while the explorer had two backends name one;
+    # an interpreted run replays identically today.
+    backend = raw_scope.pop("backend", "interpreted")
+    if backend != "interpreted":
+        raise ReproError(
+            f"counterexample was produced under backend {backend!r}: "
+            "the compiled backend was removed"
+        )
+    known = {f.name for f in dataclasses.fields(ExploreScope)} - {"peer_factory"}
+    if set(raw_scope) != known:
+        raise ReproError(
+            "counterexample scope does not match ExploreScope "
+            f"(unknown keys: {sorted(set(raw_scope) - known)}; "
+            f"missing keys: {sorted(known - set(raw_scope))})"
+        )
+    if raw_scope["requesters"] is not None:
         raw_scope["requesters"] = tuple(raw_scope["requesters"])
     scope = ExploreScope(**raw_scope)
     violation = Violation(

@@ -2,10 +2,12 @@
 
 A :class:`World` builds one of the repo's real mutex systems — the very
 same :class:`~repro.core.composition.Composition` / ``FlatMutex`` classes
-the simulator runs, unmodified — on top of a :class:`ControlledTransport`
-whose delivery interception hands every sent message to the explorer
-instead of the latency model.  The explorer then owns the schedule: the
-only sources of nondeterminism are the *actions* it chooses to fire,
+the simulator runs, unmodified — on top of a
+:class:`~repro.net.network.Network` whose delivery intercept (installed
+before the system is built, so no message ever reaches the latency
+model) hands every sent message to the explorer.  The explorer then owns
+the schedule: the only sources of nondeterminism are the *actions* it
+chooses to fire,
 
 * ``("request", n)`` — application node ``n`` calls ``request_cs``,
 * ``("release", n)`` — node ``n`` leaves its critical section,
@@ -20,17 +22,13 @@ protocol's reachable interleaving space.
 States are summarised by :meth:`World.fingerprint` — the canonical tuple
 of every peer's :meth:`~repro.mutex.base.MutexPeer.fingerprint`, every
 coordinator automaton state, the pending message queues and the remaining
-CS budgets — and hashed with :meth:`World.digest` for deduplication.  The
-fingerprint is backend-independent by construction (numpy scalars are
-canonicalised), which is what lets the explorer assert that interpreted
-and compiled backends cover the identical state set.
+CS budgets — and hashed with :meth:`World.digest` for deduplication.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import numbers
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -45,7 +43,6 @@ from ...sim.kernel import Simulator
 
 __all__ = [
     "Action",
-    "ControlledTransport",
     "ExplorationError",
     "ExploreScope",
     "World",
@@ -62,7 +59,6 @@ Action = Tuple
 Flow = Tuple[int, int, str]
 
 _SYSTEMS = ("flat", "composition")
-_BACKENDS = ("interpreted", "compiled")
 
 
 class ExplorationError(ReproError):
@@ -89,7 +85,6 @@ class ExploreScope:
     #: (None = every app node requests).  Non-requesters still relay
     #: messages; the knob tunes per-cell interleaving width.
     requesters: Optional[Tuple[int, ...]] = None
-    backend: str = "interpreted"
     #: Deliver flows in per-link FIFO order (one enabled action per
     #: flow).  Switching this off explores reorderings within a link —
     #: outside the simulator's jitter-free semantics, and incompatible
@@ -99,8 +94,8 @@ class ExploreScope:
     #: single ``("recover",)`` action becomes available afterwards.
     crash_node: Optional[int] = None
     #: Override peer construction (mutant fixtures).  Implies ``flat``
-    #: system, interpreted backend, and disables reduction + the static
-    #: send-envelope check (the mutant is invisible to static analysis).
+    #: system, and disables reduction + the static send-envelope check
+    #: (the mutant is invisible to static analysis).
     peer_factory: Optional[Callable] = None
     label: str = ""
 
@@ -108,8 +103,6 @@ class ExploreScope:
     def validate(self) -> None:
         if self.system not in _SYSTEMS:
             raise ExplorationError(f"unknown system {self.system!r}")
-        if self.backend not in _BACKENDS:
-            raise ExplorationError(f"unknown backend {self.backend!r}")
         if self.n_clusters < 1 or self.nodes_per_cluster < 2:
             raise ExplorationError(
                 "need >= 1 cluster of >= 2 nodes (coordinator slot + app)"
@@ -119,8 +112,6 @@ class ExploreScope:
         if self.peer_factory is not None:
             if self.system != "flat":
                 raise ExplorationError("peer_factory requires system='flat'")
-            if self.backend != "interpreted":
-                raise ExplorationError("peer_factory cells run interpreted")
             if self.crash_node is not None:
                 raise ExplorationError("peer_factory cells cannot crash")
         if self.crash_node is not None and self.system != "flat":
@@ -142,7 +133,6 @@ class ExploreScope:
         tag += f":r{self.requests_per_node}"
         if self.requesters is not None:
             tag += f":q{','.join(str(n) for n in self.requesters)}"
-        tag += f":{self.backend}"
         if self.crash_node is not None:
             tag += f":crash{self.crash_node}"
         return tag
@@ -157,21 +147,6 @@ class ExploreScope:
         return d
 
 
-class ControlledTransport(Network):
-    """A :class:`~repro.net.network.Network` whose deliveries are owned
-    by the explorer (the interceptor is installed before the system is
-    built, so no message ever reaches the latency model).
-
-    ``fast_send`` aliases the plain interpreted ``send`` so compiled
-    peers — whose ``_bind_state`` caches ``net.fast_send`` — run their
-    compiled handler bodies on top of the controlled schedule.  That is
-    the whole point of the cross-backend check: same schedule, compiled
-    state transitions, identical fingerprints required.
-    """
-
-    fast_send = Network.send
-
-
 class World:
     """One live instance of a scoped system under explorer control."""
 
@@ -180,7 +155,7 @@ class World:
         self.scope = scope
         self.sim = Simulator(seed=0)
         self.topology = uniform_topology(scope.n_clusters, scope.nodes_per_cluster)
-        self.net = ControlledTransport(self.sim, self.topology, ConstantLatency(0.1))
+        self.net = Network(self.sim, self.topology, ConstantLatency(0.1))
         #: pending[(src, dst, port)] -> FIFO queue of captured messages,
         #: paired with their canonical (kind, payload) form — computed
         #: once at capture so state fingerprinting is O(pending) lookups
@@ -227,8 +202,6 @@ class World:
             n: (scope.requests_per_node if n in requesters else 0)
             for n in self.app_nodes
         }
-        if scope.backend == "compiled":
-            self._promote()
         self._drain()
 
     # ------------------------------------------------------------------ #
@@ -265,40 +238,6 @@ class World:
         self.peers: List[MutexPeer] = sorted(
             peers, key=lambda p: (p.port, p.node)
         )
-
-    def _promote(self) -> None:
-        """Swap every peer (and coordinator) onto the compiled fast path.
-
-        :func:`repro.compile.peers.compile_system` refuses plain networks
-        by design (it wants the fused :class:`CompiledNetwork`); the
-        explorer instead performs the same in-place ``__class__`` swap
-        over the :class:`ControlledTransport`, whose ``fast_send`` alias
-        satisfies the compiled peers' binding contract.
-        """
-        from ...compile.peers import (
-            _PEER_MAP,
-            CompiledCoordinator,
-            _rebind_callbacks,
-        )
-
-        promoted = 0
-        for peer in self.peers:
-            compiled = _PEER_MAP.get(type(peer))
-            if compiled is None:
-                continue
-            peer.__class__ = compiled
-            peer._bind_state()
-            promoted += 1
-        if promoted == 0:
-            raise ExplorationError(
-                f"no compiled peer class for scope {self.scope.describe()!r}"
-            )
-        for coord in self.coordinators:
-            coord.__class__ = CompiledCoordinator
-            _rebind_callbacks(coord.lower.on_pending_request, coord)
-            _rebind_callbacks(coord.lower.on_granted, coord)
-            _rebind_callbacks(coord.upper.on_pending_request, coord)
-            _rebind_callbacks(coord.upper.on_granted, coord)
 
     # ------------------------------------------------------------------ #
     # message capture
@@ -477,8 +416,8 @@ class World:
 
 
 def _canon(value):
-    """Canonicalise a payload/fingerprint value across backends: numpy
-    scalars become Python ints/floats, containers become sorted tuples."""
+    """Canonicalise a payload/fingerprint value into hashable, ordered
+    form: containers become tuples, sorted where unordered."""
     # Exact-type fast paths first: fingerprints are overwhelmingly
     # plain ints/bools/strings/tuples and this function is the hottest
     # spot of the whole exploration.
@@ -493,10 +432,6 @@ def _canon(value):
         return tuple(sorted((_canon(k), _canon(v)) for k, v in value.items()))
     if isinstance(value, (bool, str)):
         return value
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
     if isinstance(value, dict):
         return tuple(sorted((_canon(k), _canon(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple, deque)):

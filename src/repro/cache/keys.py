@@ -5,7 +5,7 @@ A cache entry is addressed by two independent components:
 * the **configuration key** — a canonical JSON rendering of every
   behaviour-determining :class:`~repro.experiments.config.ExperimentConfig`
   field (the seed is a field, so it participates; fields tagged
-  ``metadata={"cache_key": False}``, such as the equivalence-gated
+  ``metadata={"cache_key": False}``, such as the retired
   ``backend``, are excluded).  Canonical means: object keys sorted,
   no whitespace, tuples rendered as JSON arrays, floats rendered by
   ``repr`` (the shortest round-trip form, stable across CPython 3.x).
@@ -88,10 +88,10 @@ def canonical_json(config: Any) -> str:
     form — so the same configuration always produces the same bytes.
 
     Dataclass fields declaring ``metadata={"cache_key": False}`` are
-    skipped: they mark knobs that provably cannot change a run's results
-    (e.g. ``ExperimentConfig.backend``, whose equivalence the golden
-    RunDigest matrix certifies), so including them would split the key
-    space without ever changing a cached value.
+    skipped: they mark fields that cannot change a run's results (e.g.
+    the retired ``ExperimentConfig.backend``, which nothing reads), so
+    including them would split the key space without ever changing a
+    cached value.
     """
     if is_dataclass(config) and not isinstance(config, type):
         payload = {

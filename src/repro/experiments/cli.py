@@ -25,7 +25,7 @@ from ..cache.store import ExperimentCache, cache_from_env
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
 from ..mutex.registry import available_algorithms
-from .config import BACKENDS, ExperimentConfig
+from .config import ExperimentConfig
 from .figures import ALL_FIGURES, PAPER_SCALE, QUICK_SCALE, FigureScale
 from .runner import run_experiment
 from .scalability import scalability_study
@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("grid5000", "two-tier", "random-wan"))
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--jitter", type=float, default=0.0)
-    run_p.add_argument("--backend", default="interpreted",
-                       choices=("interpreted", "compiled"),
-                       help="execution backend: 'compiled' lowers the "
-                            "protocol onto table-driven dispatch "
-                            "(bit-identical results, faster)")
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of text")
     _add_cache_flags(run_p)
@@ -142,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc_p.add_argument("--algorithm", default="suzuki")
     sc_p.add_argument("--clusters", type=int, nargs="+", default=[2, 4, 8])
     sc_p.add_argument("--apps", type=int, default=4)
-    sc_p.add_argument("--backend", choices=BACKENDS, default="interpreted")
     _add_cache_flags(sc_p)
 
     cmp_p = sub.add_parser(
@@ -199,7 +193,6 @@ def _cmd_run(args) -> int:
         platform=args.platform,
         seed=args.seed,
         jitter=args.jitter,
-        backend=args.backend,
         # The multilevel hierarchy is built from the --intra/--inter
         # flags like every other system (this used to hard-code
         # ("naimi", "naimi"), silently ignoring both flags).
@@ -273,7 +266,6 @@ def _cmd_scalability(args) -> int:
         algorithm=args.algorithm,
         cluster_counts=args.clusters,
         apps_per_cluster=args.apps,
-        backend=args.backend,
         cache=cache,
     )
     rows = []

@@ -21,11 +21,9 @@ __all__ = [
 
 SYSTEMS = ("composition", "flat", "adaptive", "multilevel")
 PLATFORMS = ("grid5000", "two-tier", "random-wan")
-#: Execution backends (see :mod:`repro.compile`): ``interpreted`` runs
-#: the algorithms exactly as written; ``compiled`` lowers the message
-#: protocol into table-driven dispatch with a fused network fast path.
-#: The two are equivalent by construction — bit-identical RunDigests —
-#: so the backend deliberately does **not** participate in cache keys.
+#: Legal values of the retired ``backend`` field (see
+#: :class:`ExperimentConfig`); nothing reads the field, and every value
+#: runs the algorithms exactly as written.
 BACKENDS = ("interpreted", "compiled")
 #: Legal values of the retired ``queue`` field (see
 #: :class:`ExperimentConfig`); the kernel has one event queue, a heap.
@@ -93,20 +91,17 @@ class ExperimentConfig:
     #: ``ExperimentResult.obs_report``.  Observation never perturbs the
     #: schedule: digests are bit-identical at every level.
     obs: str = "off"
-    #: Execution backend (one of :data:`BACKENDS`).  Excluded from the
-    #: cache key via field metadata: a compiled run produces the same
-    #: results as an interpreted one (the golden-digest equivalence
-    #: matrix gates this), so both must address the same cache entry.
+    # Retired: the execution modes these four selected are deleted (see
+    # docs/performance.md, "Retired execution modes") and nothing reads
+    # the fields; every value runs the one event loop and the one copy of
+    # every handler.  They stay, validated to their old legal values and
+    # out of the cache key, only because
+    # ``benchmarks/system/layers.py::TWINS`` builds its twin configs from
+    # ``dataclasses.fields(ExperimentConfig)`` and a missing field turns
+    # a pinned ratio into ``null`` on the traced result line.  They go,
+    # with the four twins, at the next benchmark re-anchor.
     backend: str = field(default="interpreted",
                          metadata={"cache_key": False})
-    # Retired: the execution modes these three selected are deleted (see
-    # docs/performance.md, "Retired execution modes") and nothing reads
-    # the fields; every value runs the one event loop.  They stay,
-    # validated to their old legal values and out of the cache key, only
-    # because ``benchmarks/system/layers.py::TWINS`` builds its twin
-    # configs from ``dataclasses.fields(ExperimentConfig)`` and a missing
-    # field turns a pinned ratio into ``null`` on the traced result line.
-    # They go, with the three twins, at the next benchmark re-anchor.
     queue: str = field(default="heap", metadata={"cache_key": False})
     batch_delivery: Optional[bool] = field(default=None,
                                            metadata={"cache_key": False})
@@ -153,13 +148,13 @@ class ExperimentConfig:
         included), keys are sorted so field order can never matter,
         nested ``hierarchy`` tuples render as JSON arrays, and floats
         use their shortest round-trip ``repr``.  Fields tagged with
-        ``metadata={"cache_key": False}`` — the equivalence-gated
-        ``backend`` and the retired ``queue``, ``batch_delivery`` and
-        ``horizon``, none of which can change a result — are excluded so
-        they can never split the key space.  ``tests/cache/test_keys.py`` pins the
-        exact output: any drift between Python versions or refactors
-        fails loudly instead of silently splitting (or, worse,
-        aliasing) cache keys.
+        ``metadata={"cache_key": False}`` — the retired ``backend``,
+        ``queue``, ``batch_delivery`` and ``horizon``, which nothing
+        reads and so cannot change a result — are excluded so they can
+        never split the key space.  ``tests/cache/test_keys.py`` pins
+        the exact output: any drift between Python versions or
+        refactors fails loudly instead of silently splitting (or,
+        worse, aliasing) cache keys.
         """
         from ..cache.keys import canonical_json
 

@@ -224,12 +224,7 @@ def _execute_experiment(
     topology, latency = build_platform(config)
     if config.batch_jitter:
         latency.enable_batched_jitter()
-    if config.backend == "compiled":
-        from ..compile import CompiledNetwork
-
-        net: Network = CompiledNetwork(sim, topology, latency, fifo=config.fifo)
-    else:
-        net = Network(sim, topology, latency, fifo=config.fifo)
+    net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
     apps: list = []
     try:
@@ -278,14 +273,6 @@ def _execute_experiment(
             distribution=config.distribution,
             on_done=app_done,
         )
-        if config.backend == "compiled":
-            # Promote live instances onto the table-driven fast path once
-            # everything (system, observers, workload) is attached.  A no-op
-            # on runs the fast path cannot serve (crash/fault/FIFO): those
-            # execute the interpreted code, equivalent by construction.
-            from ..compile import compile_system
-
-            compile_system(net, system)
         deadline = (
             config.deadline_ms
             if config.deadline_ms is not None

@@ -13,9 +13,7 @@ bytes for flat vs composed deployments, on the uniform two-tier platform
 
 Large sweeps route through :func:`repro.experiments.parallel.run_configs_cached`
 — the cache-aware batch entry point (incremental re-sweeps hit the
-experiment cache, misses run in the warm worker pool) — and accept the
-``backend`` execution knob so 1k+-node points can use the compiled fast
-path.
+experiment cache, misses run in the warm worker pool).
 """
 
 from __future__ import annotations
@@ -54,15 +52,12 @@ def scalability_study(
     n_cs: int = 10,
     rho_over_n: float = 1.0,
     seed: int = 0,
-    backend: str = "interpreted",
     cache: Optional[ExperimentCache] = None,
 ) -> Dict[str, Tuple[ScalabilityPoint, ...]]:
     """Flat ``algorithm`` vs the ``algorithm-algorithm`` composition over
     growing cluster counts.  Returns ``{label: points}``.
 
-    ``backend`` selects the execution backend (equivalence-gated: it
-    changes nothing but the wall clock); ``cache`` makes repeated sweeps
-    incremental.
+    ``cache`` makes repeated sweeps incremental.
     """
     flat_label = f"{algorithm} (flat)"
     comp_label = f"{algorithm}-{algorithm}"
@@ -77,7 +72,6 @@ def scalability_study(
             n_cs=n_cs,
             rho=rho_over_n * n_apps,
             seed=seed,
-            backend=backend,
         )
         labels.append(flat_label)
         configs.append(base.with_(system="flat", intra=algorithm))

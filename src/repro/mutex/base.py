@@ -202,11 +202,9 @@ class MutexPeer(Process):
 
         Used by the bounded model checker (:mod:`repro.analysis.explore`)
         to deduplicate explored global states.  The snapshot must be a
-        pure function of protocol state — backend-independent (the
-        interpreted and compiled implementations of one algorithm must
-        fingerprint identically) and free of kernel/transport artefacts
-        such as timestamps or sequence numbers.  Reading it never mutates
-        anything.
+        pure function of protocol state, free of kernel/transport
+        artefacts such as timestamps or sequence numbers.  Reading it
+        never mutates anything.
         """
         return (
             self.algorithm_name,
@@ -220,9 +218,8 @@ class MutexPeer(Process):
 
         Subclasses return a flat tuple of hashable values covering every
         protocol variable that influences future behaviour (token
-        position, queues, sequence counters ...).  Values must be
-        canonical across backends: e.g. numpy integers normalised with
-        ``int()``, dict contents listed in ``self.peers`` order.
+        position, queues, sequence counters ...), with dict contents
+        listed in ``self.peers`` order.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the state-"

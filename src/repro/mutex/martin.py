@@ -38,12 +38,6 @@ class MartinPeer(MutexPeer):
     #: registry name
     algorithm_name = "martin"
     topology = "ring"
-    #: Hot-state layout consumed by :mod:`repro.compile.state` (ring
-    #: position scalars; no per-peer maps).
-    compiled_state = {
-        "scalars": ("_holds_token", "_owe_pred", "successor", "predecessor"),
-        "peer_arrays": (),
-    }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

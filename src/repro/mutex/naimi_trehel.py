@@ -34,12 +34,6 @@ class NaimiTrehelPeer(MutexPeer):
 
     algorithm_name = "naimi"
     topology = "tree"
-    #: Hot-state layout consumed by :mod:`repro.compile.state` (plain
-    #: data, so the mutex layer never imports the compile package).
-    compiled_state = {
-        "scalars": ("_holds_token", "last", "next"),
-        "peer_arrays": (),
-    }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

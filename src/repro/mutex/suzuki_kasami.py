@@ -43,12 +43,6 @@ class SuzukiKasamiPeer(MutexPeer):
 
     algorithm_name = "suzuki"
     topology = "complete-graph"
-    #: Hot-state layout consumed by :mod:`repro.compile.state`: the
-    #: RN/LN maps lower to per-peer ``int64`` arrays in ``peers`` order.
-    compiled_state = {
-        "scalars": ("_holds_token",),
-        "peer_arrays": ("rn", "ln"),
-    }
 
     def __init__(self, *args: Any, retry_ms: Optional[float] = None, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -86,14 +80,12 @@ class SuzukiKasamiPeer(MutexPeer):
         )
 
     def _fingerprint_state(self) -> tuple:
-        # int() canonicalises across backends: the compiled peer stores
-        # RN/LN as numpy int64 arrays behind dict-like views.
-        rn = tuple(int(self.rn[p]) for p in self.peers)
+        rn = tuple(self.rn[p] for p in self.peers)
         if not self._holds_token:
             return (False, rn, None, None)
         assert self.ln is not None and self.queue is not None
-        ln = tuple(int(self.ln[p]) for p in self.peers)
-        return (True, rn, ln, tuple(int(q) for q in self.queue))
+        ln = tuple(self.ln[p] for p in self.peers)
+        return (True, rn, ln, tuple(self.queue))
 
     # ------------------------------------------------------------------ #
     # requesting

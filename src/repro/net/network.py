@@ -53,8 +53,8 @@ does — by any of:
 All of this may change *while messages are in flight*: the affected
 direct entries are then rewritten in place into ``_deliver`` entries
 (same ``(due, seq)`` key, so the calendar order is untouched) — the
-address's on ``unregister``/``wrap_handler``/``retable``, all of them
-when the network leaves plain mode or a ``deliver`` subscriber appears.  A
+address's on ``unregister``/``wrap_handler``, all of them when the
+network leaves plain mode or a ``deliver`` subscriber appears.  A
 message to an address unregistered in flight is therefore still dropped
 on arrival, a wrapper installed in flight still sees it, and a crash
 controller assigned in flight still loses it.
@@ -160,9 +160,6 @@ class Network:
         # and the tracer's change hook re-derive them.
         self._direct = False
         self._trace_send = False
-        #: `_seq` when `_undirect` last left the calendar free of direct
-        #: entries; every send moves `_seq` on (-1: never scanned)
-        self._clean_seq = -1
         sim.trace.add_change_hook(self._resolve)
         self._resolve()
 
@@ -193,18 +190,10 @@ class Network:
         A direct entry is ``(due, seq, fn, (peer, msg))``; it is ours
         when ``peer`` is the owner registered at the message's address
         (``owner`` comes out of the route table, so it is by definition).
-
-        A scan is O(calendar) and callers come in bulk — promotion
-        retables every peer once the workload's first timers are queued,
-        5050 scans of 4950 entries at 5000 nodes — so a scan that leaves
-        no direct entry behind is remembered until the next send.
         """
-        if self._seq == self._clean_seq:
-            return
         heap = self.sim._heap
         routes = self._routes
         deliver = self._deliver_cb
-        clean = True
         for i, entry in enumerate(heap):
             args = entry[3]
             if args is None or len(args) != 2 or type(args[1]) is not Message:
@@ -215,11 +204,8 @@ class Network:
                 if route is None or route[1] is not peer:
                     continue
             elif peer is not owner:
-                clean = False  # someone else's, possibly: stays direct
-                continue
+                continue  # someone else's: stays direct
             heap[i] = (entry[0], entry[1], deliver, (msg,))
-        if clean:
-            self._clean_seq = self._seq
 
     @property
     def fused(self) -> bool:
@@ -317,22 +303,6 @@ class Network:
         nodes[node] = (wrapped, None, _NO_TABLE)
         if owner is not None:
             self._undirect(owner)  # the wrapper sees what is in flight too
-
-    def retable(self, node: int, port: str, table: KindTable) -> None:
-        """Replace the kind table of the direct route at ``(node, port)``.
-
-        For an owner whose class changed after it registered (the
-        compiled backend's in-place promotion): what is in flight was
-        resolved against the old class and arrives through the handler
-        instead, everything sent from now on resolves against ``table``.
-        A wrapped address has no direct route and stays as it is."""
-        nodes = self._routes.get(port, _NO_ROUTES)
-        if node not in nodes:
-            raise NetworkError(f"no handler at {(node, port)}")
-        handler, owner, _ = nodes[node]
-        if owner is not None:
-            self._undirect(owner)
-            nodes[node] = (handler, owner, table)
 
     # ------------------------------------------------------------------ #
     # observer taps (repro.obs)

@@ -65,10 +65,9 @@ __all__ = ["Simulator", "HeapEntry"]
 #: One calendar entry, ordered by its first two fields.  Either *bare*,
 #: ``(due, seq, callback, args)`` with ``args`` a tuple — fires
 #: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
-#: cancellable, labelled :class:`~repro.sim.event.Event`.  The modules
-#: that push entries themselves (``net/network.py``,
-#: ``compile/network.py``) push bare ones and must consume ``seq``
-#: exactly as :meth:`Simulator.post_at` does.
+#: cancellable, labelled :class:`~repro.sim.event.Event`.  The module
+#: that pushes entries itself (``net/network.py``) pushes bare ones and
+#: must consume ``seq`` exactly as :meth:`Simulator.post_at` does.
 HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
 
 #: Compaction is considered only past this many tombstones (a small heap

@@ -85,9 +85,6 @@ class Tracer:
         self.event_active = False
         #: snapshot of the ``"*"`` subscriber list, hoisted out of emit
         self._star: tuple = ()
-        #: bumped on every subscription change; hot emitters snapshot
-        #: their per-kind gates and revalidate with one integer compare
-        self.version = 0
         #: called (no arguments) after every subscription change
         self._change_hooks: Tuple[Callable[[], None], ...] = ()
 
@@ -111,7 +108,6 @@ class Tracer:
         self.active_kinds = _ALL_KINDS if "*" in kinds else frozenset(kinds)
         self.event_active = "event" in self.active_kinds
         self._star = tuple(self._subs.get("*", ()))
-        self.version += 1
         for hook in self._change_hooks:
             hook()
 

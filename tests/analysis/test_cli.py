@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.cli import main
 
@@ -75,7 +77,7 @@ class TestModes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert out.count("RPR") == 9
+        assert out.count("RPR") == 7
 
     def test_json_format(self, capsys):
         assert main([str(FIXTURES / "bad_tree"), "--format", "json"]) == 1
@@ -91,16 +93,6 @@ class TestModes:
         out = capsys.readouterr().out
         assert "violation(s)" in out
         assert "conformance" in out
-
-    def test_conformance_covers_compiled_fast_tables(self, capsys):
-        assert main(["--conformance"]) == 0
-        assert "compiled class(es)" in capsys.readouterr().out
-
-    def test_rpr009_drift_fixture_fails(self, capsys):
-        assert main([str(FIXTURES / "rpr009_drift")]) == 1
-        out = capsys.readouterr().out
-        assert "RPR009" in out
-        assert "send-kind effect multisets" in out
 
 
 #: the pinned shape of the ``--json`` document — update deliberately,
@@ -118,14 +110,13 @@ class TestJsonOutput:
         assert main([str(REPO_SRC), "--check", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro.analysis"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["ok"] is True
         assert set(doc) == {"schema", "version", "ok", "lint", "conformance"}
         assert doc["lint"]["ok"] is True
         conf = doc["conformance"]
         assert conf["ok"] is True
         assert {"naimi", "suzuki", "martin"} <= set(conf["algorithms"])
-        assert conf["compiled_classes"]
         assert conf["findings"] == []
 
     def test_explore_json_schema(self, capsys):
@@ -136,12 +127,7 @@ class TestJsonOutput:
         explore_doc = doc["explore"]
         assert explore_doc["ok"] is True
         assert explore_doc["counterexamples_written"] == []
-        (cell,) = explore_doc["cells"]
-        assert set(cell) == {
-            "cell", "ok", "backends_agree", "interpreted", "compiled",
-        }
-        assert cell["compiled"] is None  # crash cells are interpreted-only
-        report = cell["interpreted"]
+        (report,) = explore_doc["cells"]
         assert set(report) == EXPLORE_REPORT_KEYS
         assert report["complete"] is True
         assert report["violations"] == []
@@ -158,6 +144,11 @@ class TestExploreCli:
     def test_explore_unknown_cell_is_usage_error(self, capsys):
         assert main(["--explore", "--explore-cells", "nonexistent"]) == 2
         assert "no matrix cell matches" in capsys.readouterr().out
+
+    def test_explore_no_longer_takes_a_backend(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--explore", "--explore-backend", "both"])
+        assert exc.value.code == 2  # argparse: unrecognized arguments
 
     def test_replay_workflow(self, tmp_path, capsys):
         from repro.analysis.explore import (

@@ -3,9 +3,8 @@
 The load-bearing facts:
 
 * the default {naimi, suzuki, martin} x {flat, composition} matrix (plus
-  the crash cell) verifies clean, exhaustively, under BOTH backends,
-  with identical explored-state fingerprints and >= 10x reduction on
-  every fault-free cell;
+  the crash cell) verifies clean, exhaustively, visiting exactly the
+  pinned state sets, with >= 10x reduction on every fault-free cell;
 * the sleep-set reduction visits exactly the state set of a full
   expansion (soundness of the pruning);
 * every seeded mutant yields the expected counterexample — the checker
@@ -27,6 +26,7 @@ from repro.analysis.explore import (
     Violation,
     World,
     chrome_trace,
+    counterexample_to_dict,
     default_cells,
     explore,
     load_counterexample,
@@ -46,6 +46,23 @@ from .fixtures.mutants import (
 # --------------------------------------------------------------------- #
 # the default matrix
 # --------------------------------------------------------------------- #
+#: ``cell -> (states, transitions, state_fingerprint)``, recorded at the
+#: last commit that explored every fault-free cell under two backends
+#: and required them to agree.  The fingerprint hashes sorted state
+#: digests of plain ints/strings/tuples, so it is the same in every
+#: process (checked under PYTHONHASHSEED=1 and =2).  A protocol or
+#: fingerprint change that moves a row must say why.
+EXPLORED = {
+    "flat:naimi:2x3:r2:q1,2,4": (1432, 1876, "32d6182d43be0a51"),
+    "flat:suzuki:2x3:r1:q1,2,4": (3635, 6921, "1c2af706829ead41"),
+    "flat:martin:2x3:r1": (3816, 5495, "6dad9bfc432f0593"),
+    "composition:naimi-naimi:2x3:r2:q1,2,4": (2948, 3756, "45dab3aae1d3f652"),
+    "composition:suzuki-suzuki:2x3:r1:q1,2,4": (3249, 4441, "a5b578080abacf52"),
+    "composition:martin-martin:2x3:r1:q1,2,4": (695, 820, "5fec159e05b375f2"),
+    "flat:naimi:2x2:r1:crash1": (57, 83, "d5832a6a3805968a"),
+}
+
+
 class TestDefaultMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
@@ -64,34 +81,26 @@ class TestDefaultMatrix:
 
     def test_explorations_are_exhaustive(self, matrix):
         for cell in matrix.cells:
-            assert cell.interpreted.complete, cell.scope.describe()
+            assert cell.complete, cell.scope.describe()
 
-    def test_backends_explore_identical_state_sets(self, matrix):
-        compiled_cells = [c for c in matrix.cells if c.compiled is not None]
-        # every fault-free cell runs compiled too; only the crash cell
-        # is interpreted-only
-        assert len(compiled_cells) == len(matrix.cells) - 1
-        for cell in compiled_cells:
-            assert cell.backends_agree, cell.scope.describe()
-            assert (
-                cell.interpreted.state_fingerprint
-                == cell.compiled.state_fingerprint
-            )
-            assert cell.interpreted.states == cell.compiled.states
+    def test_cells_explore_the_pinned_state_sets(self, matrix):
+        assert {
+            cell.scope.describe():
+                (cell.states, cell.transitions, cell.state_fingerprint)
+            for cell in matrix.cells
+        } == EXPLORED
 
     def test_fault_free_cells_reduce_at_least_10x(self, matrix):
         for cell in matrix.cells:
             if cell.scope.crash_node is not None:
                 continue
-            ratio = cell.interpreted.reduction_ratio
+            ratio = cell.reduction_ratio
             assert ratio >= 10.0, (cell.scope.describe(), ratio)
 
     def test_crash_cell_exercises_recovery(self, matrix):
         crash = [c for c in matrix.cells if c.scope.crash_node is not None]
         assert len(crash) == 1
-        report = crash[0].interpreted
-        assert report.ok
-        assert crash[0].compiled is None  # crash cells run interpreted only
+        assert crash[0].ok
 
 
 # --------------------------------------------------------------------- #
@@ -207,7 +216,6 @@ class TestScheduleRoundTrip:
         assert violation2.property == "safety"
 
     def test_document_carries_experiment_mapping(self):
-        from repro.analysis.explore.schedule import counterexample_to_dict
         from repro.experiments import ExperimentConfig
 
         scope = ExploreScope(system="composition", intra="suzuki",
@@ -239,6 +247,41 @@ class TestScheduleRoundTrip:
         with pytest.raises(ReproError, match="peer_factory"):
             load_counterexample(str(path))
 
+    def _document(self, **scope_changes):
+        """A counterexample document with its scope dict edited."""
+        scope = ExploreScope(system="flat", intra="naimi",
+                             nodes_per_cluster=2, requesters=(1,))
+        violation = Violation(
+            property="safety", message="synthetic",
+            schedule=self._valid_schedule(scope),
+        )
+        doc = counterexample_to_dict(scope, violation)
+        doc["scope"].update(scope_changes)
+        return scope, violation, io.StringIO(json.dumps(doc))
+
+    def test_document_written_with_an_interpreted_backend_still_loads(self):
+        # What every pre-removal writer produced: the scope names the
+        # backend, and the cell tag ends in it.
+        scope, violation, buf = self._document(backend="interpreted")
+        scope2, violation2 = load_counterexample(buf)
+        assert scope2 == scope and violation2 == violation
+        assert replay(scope2, violation2.schedule)[-1].enabled == []
+
+    def test_document_from_the_compiled_backend_is_refused_by_name(self):
+        _scope, _violation, buf = self._document(backend="compiled")
+        with pytest.raises(ReproError, match="compiled backend was removed"):
+            load_counterexample(buf)
+
+    def test_unknown_or_missing_scope_keys_are_a_typed_error(self):
+        _scope, _violation, buf = self._document(bogus=1)
+        with pytest.raises(ReproError, match=r"unknown keys: \['bogus'\]"):
+            load_counterexample(buf)
+        _scope, _violation, buf = self._document()
+        doc = json.loads(buf.getvalue())
+        del doc["scope"]["intra"]
+        with pytest.raises(ReproError, match=r"missing keys: \['intra'\]"):
+            load_counterexample(io.StringIO(json.dumps(doc)))
+
     def test_chrome_trace_shape(self):
         scope = ExploreScope(system="flat", intra="naimi",
                              nodes_per_cluster=2, requesters=(1,))
@@ -257,13 +300,6 @@ class TestScheduleRoundTrip:
 # scope validation
 # --------------------------------------------------------------------- #
 class TestScopeValidation:
-    def test_mutants_cannot_run_compiled(self):
-        with pytest.raises(ExplorationError, match="interpreted"):
-            World(ExploreScope(
-                system="flat", intra="naimi", backend="compiled",
-                peer_factory=BrokenNaimiPeer,
-            ))
-
     def test_crash_requires_flat(self):
         with pytest.raises(ExplorationError):
             World(ExploreScope(system="composition", crash_node=1))

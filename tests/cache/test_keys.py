@@ -53,8 +53,7 @@ class TestCanonicalJson:
         )
 
     def test_backend_is_excluded_from_the_key(self):
-        # The compiled backend is equivalence-gated (bit-identical
-        # RunDigests), so both backends must address one cache entry.
+        # Retired field, read by nothing: one cache entry.
         assert "backend" not in TINY.cache_key()
         assert (
             TINY.with_(backend="compiled").cache_key() == TINY.cache_key()

@@ -55,11 +55,18 @@ def test_cli_rejects_unknown_figure():
 
 
 @pytest.mark.parametrize(
-    "flag", [["--horizon"], ["--queue", "calendar"], ["--parallel-clusters", "2"]]
+    "flag",
+    [
+        ["run", "--horizon"],
+        ["run", "--queue", "calendar"],
+        ["run", "--parallel-clusters", "2"],
+        ["run", "--backend", "compiled"],
+        ["scalability", "--backend", "compiled"],
+    ],
 )
 def test_cli_run_no_longer_takes_the_retired_execution_flags(flag):
     with pytest.raises(SystemExit) as exc:
-        main(["run", *flag])
+        main(flag)
     assert exc.value.code == 2  # argparse: unrecognized arguments
 
 

@@ -52,19 +52,6 @@ def test_cli_run_flat_ignores_inter_algorithm(capsys):
     assert code == 0
 
 
-def test_cli_run_backend_flag(capsys):
-    # --backend compiled must produce the same metrics line for line.
-    argv = [
-        "run", "--clusters", "3", "--apps", "2", "--n-cs", "4",
-        "--platform", "two-tier", "--seed", "3",
-    ]
-    assert main(argv) == 0
-    interpreted = capsys.readouterr().out
-    assert main(argv + ["--backend", "compiled"]) == 0
-    compiled = capsys.readouterr().out
-    assert compiled == interpreted
-
-
 def test_cli_run_adaptive(capsys):
     code = main([
         "run", "--system", "adaptive", "--clusters", "3", "--apps", "2",

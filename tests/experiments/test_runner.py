@@ -127,8 +127,8 @@ def test_fifo_and_jitter_options_run():
 
 
 def test_queue_and_batch_knobs_do_not_change_results():
-    # queue, batch_delivery and horizon are retired: legal to set, read
-    # by nothing.
+    # queue, batch_delivery, horizon and backend are retired: legal to
+    # set, read by nothing.
     cfg = ExperimentConfig(rho=6.0, jitter=0.05, **QUICK)
     base = run_experiment(cfg)
     for changes in (

@@ -116,12 +116,11 @@ def test_teardown_of_a_deadline_hit_run_is_linear_in_the_peer_count(monkeypatch)
     assert not any(scanned)
 
 
-def test_teardown_runs_on_both_backends_and_with_observers(run_sims):
+def test_teardown_runs_with_observers_and_on_the_adaptive_system(run_sims):
     # Not part of the refcount guarantee (observers are self-referential
     # by design), but the finally block must cope with them.
     config = CONFIGS["composition"]
     for variant in (
-        config.with_(backend="compiled"),
         config.with_(obs="counters"),
         config.with_(system="adaptive"),
     ):

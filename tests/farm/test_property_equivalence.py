@@ -1,7 +1,7 @@
 """Property: a farm sweep is indistinguishable from a single process.
 
-Random config batches, every fleet width (1, 2, 4) and both execution
-backends: :func:`run_configs_farm` must return results field-for-field
+Random config batches at every fleet width (1, 2, 4):
+:func:`run_configs_farm` must return results field-for-field
 identical to serial :func:`run_configs_cached`, in config order.  The
 fleets here run inline (``spawn=False``) so the property sweep stays
 fast; real subprocess fleets are exercised by the fault-injection and
@@ -49,11 +49,10 @@ def _assert_field_for_field(farm_results, serial_results, configs):
 
 
 @pytest.mark.parametrize("num_workers", [1, 2, 4])
-@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
-def test_farm_equals_single_process(tmp_path, num_workers, backend):
-    rng = random.Random(1000 * num_workers + (backend == "compiled"))
+def test_farm_equals_single_process(tmp_path, num_workers):
+    rng = random.Random(1000 * num_workers)
     for round_no in range(2):
-        batch = [c.with_(backend=backend) for c in _random_batch(rng)]
+        batch = _random_batch(rng)
         serial_cache = ExperimentCache(
             cache_dir=tmp_path / f"serial-{round_no}"
         )

@@ -3,9 +3,9 @@ built the way ``getattr(self, f"_on_{kind}")`` resolves."""
 
 import pytest
 
-from repro.compile import dispatch_table as compile_dispatch_table
+from repro.analysis.effects import check_conformance
 from repro.errors import ProtocolError
-from repro.mutex import get_algorithm
+from repro.mutex import available_algorithms, get_algorithm
 from repro.mutex.base import MutexPeer, dispatch_table
 from repro.mutex.naimi_trehel import NaimiTrehelPeer
 from repro.net import ConstantLatency, Network, uniform_topology
@@ -69,8 +69,17 @@ def test_table_is_per_concrete_class_and_mirrors_getattr():
         assert table and "message" not in table
         for kind, fn in table.items():
             assert fn is getattr(cls, f"_on_{kind}")
-    # one builder: the compiled backend re-exports this very function
-    assert compile_dispatch_table is dispatch_table
+
+
+def test_table_kinds_equal_the_declared_envelope():
+    # The table is what the kernel calls on every default run; the
+    # AST-derived handler set is what --conformance and the explorer's
+    # send-envelope check reason about.  They must be the same kinds.
+    _findings, effects = check_conformance()
+    assert sorted(effects) == sorted(available_algorithms())
+    for name, declared in effects.items():
+        table = dispatch_table(get_algorithm(name).peer_class)
+        assert set(table) == declared.handled_kinds, name
 
 
 def test_no_per_instance_table_or_bound_methods_are_kept():

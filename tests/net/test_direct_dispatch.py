@@ -8,15 +8,15 @@ Two claims:
     through ``Network._deliver``) leave equal digests and equal results;
 (b) whatever changes *while a message is in flight* — the address
     unregistered or wrapped, a crash controller assigned, a ``deliver``
-    subscriber attached, the owner's class swapped — that message
-    arrives as it would have on the hop path.
+    subscriber attached — that message arrives as it would have on the
+    hop path.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from repro.compile import CompiledNaimiPeer, CompiledNetwork
 from repro.core import AdaptiveComposition
 from repro.errors import ProtocolError
 from repro.experiments import ExperimentConfig, run_experiment
@@ -170,13 +170,15 @@ def test_adaptive_switch_shuts_old_inter_peers_down_mid_run():
 # --------------------------------------------------------------------- #
 # (b) one message in flight, the world changes under it
 # --------------------------------------------------------------------- #
-def _peers(algorithm="naimi", n=3, net_cls=Counting):
-    """``n`` idle peers on one LAN (1 ms one-way); peer 0 holds the token."""
+def _peers(algorithm="naimi", n=3, clusters=1):
+    """``clusters`` LANs (1 ms one-way, 10 ms between them) of ``n`` idle
+    peers each; peer 0 holds the token."""
     sim = Simulator(seed=0)
-    topo = uniform_topology(1, n)
-    net = net_cls(sim, topo, TwoTierLatency(topo, lan_ms=1.0, wan_ms=10.0))
+    topo = uniform_topology(clusters, n)
+    net = Counting(sim, topo, TwoTierLatency(topo, lan_ms=1.0, wan_ms=10.0))
     cls = get_algorithm(algorithm).peer_class
-    peers = [cls(sim, net, node, range(n), "p") for node in range(n)]
+    nodes = range(topo.n_nodes)
+    peers = [cls(sim, net, node, nodes, "p") for node in nodes]
     return sim, net, peers
 
 
@@ -300,23 +302,31 @@ def test_unknown_kind_raises_at_delivery_time_not_at_send():
         sim.run()
 
 
-def test_class_swapped_in_flight_never_runs_the_old_class_handler():
-    sim, net, peers = _peers(net_cls=CompiledNetwork)
-    peers[1].request_cs()
-    assert _in_flight(sim) == [("_on_request", 2)]
-    for peer in peers:  # what compile_system does to each of them
-        peer.__class__ = CompiledNaimiPeer
-        peer._bind_state()
-    # Resolved against the interpreted class: back through the handler,
-    # which dispatches on the peer's class as it is on arrival.
-    assert _in_flight(sim) == [("_deliver", 1)]
-    sim.run()
-    assert peers[1].in_cs
-    # A Message send from now on resolves against the lowered class.
-    net.send(2, 0, "p", "request", {"origin": 2})
-    (entry,) = heap_entries(sim)
-    assert entry.callback is CompiledNaimiPeer._on_request
-    assert entry.args[0] is peers[0]
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_dispatch_preserves_per_link_fifo(seed):
+    """Messages on one (src, dst) link dispatch in send order.
+
+    Sends are interleaved randomly across four links (mixing LAN and
+    WAN latencies) from the same instant, so same-link deliveries share
+    a due time and the ordering rests entirely on the schedule sequence
+    tie-break — the invariant the fused send must preserve.
+    """
+    rng = random.Random(seed)
+    sim, net, peers = _peers(n=2, clusters=2)  # LANs {0, 1} and {2, 3}
+    links = [(0, 1), (2, 1), (3, 1), (0, 2)]
+    sent = {link: [] for link in links}
+    for k in range(80):
+        src, dst = rng.choice(links)
+        net.send(src, dst, "p", "request", {"origin": k}, 64)
+        sent[(src, dst)].append(k)
+    # Every one of them a direct entry: the route under test.
+    assert _in_flight(sim) == [("_on_request", 2)] * 80
+    arrivals = {link: [] for link in links}
+    for entry in heap_entries(sim):  # firing order
+        receiver, msg = entry.args
+        arrivals[(msg.src, receiver.node)].append(msg.payload["origin"])
+    for link in links:
+        assert arrivals[link] == sent[link], f"link {link} reordered"
 
 
 def test_register_takes_owner_and_table_together():
@@ -345,35 +355,3 @@ def test_subclass_with_its_own_dispatcher_keeps_every_delivery():
     peers[1].request_cs()
     sim.run()
     assert seen == ["request", "token"] and net.hops == 2 and peers[1].in_cs
-
-
-def test_bulk_rewrites_scan_the_calendar_once_between_sends():
-    # compile_system retables every peer after the workload queued its
-    # first timers: one scan per peer is 5050 x 4950 entries at 5000
-    # nodes.  A scan that leaves nothing direct behind holds until the
-    # next send.
-    class Scanned(list):
-        scans = 0
-
-        def __iter__(self):
-            Scanned.scans += 1
-            return super().__iter__()
-
-    sim, net, peers = _peers(n=4, net_cls=CompiledNetwork)
-    sim._heap = Scanned()
-    for peer in peers:
-        sim.schedule(5.0, lambda: None)  # the workload's first timers
-    for peer in peers:
-        peer.__class__ = CompiledNaimiPeer
-        peer._bind_state()
-    assert Scanned.scans == 1
-    net.wrap_handler(3, "p", lambda inner: inner)
-    assert Scanned.scans == 1
-    net.send(1, 0, "p", "request", {"origin": 1})  # direct, in flight
-    net.unregister(2, "p")  # someone else's entry stays: not clean
-    net.unregister(1, "p")
-    assert Scanned.scans == 3
-    net.unregister(0, "p")  # rewritten: clean again
-    net.unregister(3, "p")
-    assert Scanned.scans == 4
-    assert _in_flight(sim)[0] == ("_deliver", 1)
