@@ -31,6 +31,7 @@ directory behind, not an entry in ``.git/worktrees`` to prune.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -82,8 +83,10 @@ def run_side(root: Path, args: argparse.Namespace, out: Path) -> dict:
     if args.smoke:
         command.append("--smoke")
     # The benchmark imports the library from its own checkout; a
-    # PYTHONPATH pointing at one side must not leak into the other.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # PYTHONPATH pointing at one side must not leak into the other, and
+    # both sides import from the bytecode caches main() filled.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
     done = subprocess.run(command, cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -152,6 +155,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parent_root = scratch / "parent"
         parent_root.mkdir()
         export_parent(args.parent, parent_root)
+        # Like with like: a fresh export has no bytecode cache and the
+        # working tree usually does, which reads as a `setup_s` gain.
+        for root in (parent_root, REPO):
+            compileall.compile_dir(str(root / "src" / "repro"), quiet=1)
         files: List[Path] = []
         reports: List[dict] = []
         for pair in range(args.pairs):

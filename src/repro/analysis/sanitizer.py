@@ -121,8 +121,6 @@ def _run_with_digests(config: ExperimentConfig) -> Tuple[str, str, int]:
     canonical = CanonicalDigest(sim)
     raw = RunDigest(sim)
     topology, latency = build_platform(config)
-    if config.batch_jitter:
-        latency.enable_batched_jitter()
     net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
 

@@ -41,7 +41,7 @@ __all__ = [
 #: Bumped whenever the pickled payload layout changes (e.g. a new field
 #: on ``ExperimentResult``); participates in the fingerprint so stale
 #: payload shapes can never be unpickled into current code.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Packages whose source text determines simulated behaviour — the same
 #: closure the golden-digest equivalence matrix certifies.  The

@@ -31,12 +31,7 @@ from .runner import (
     run_flat,
     run_many,
 )
-from .parallel import (
-    run_configs_cached,
-    run_configs_parallel,
-    run_many_parallel,
-    stream_configs_cached,
-)
+from .parallel import run_configs_cached, stream_configs_cached
 from .scalability import ScalabilityPoint, scalability_study
 from .suites import reproduce_all
 from .theory import (
@@ -74,8 +69,6 @@ __all__ = [
     "figure_to_json",
     "figure_to_csv",
     "reproduce_all",
-    "run_many_parallel",
-    "run_configs_parallel",
     "run_configs_cached",
     "stream_configs_cached",
     "clear_sweep_memo",

@@ -22,6 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..cache.store import ExperimentCache, cache_from_env
+from ..errors import ConfigurationError
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
 from ..mutex.registry import available_algorithms
@@ -160,26 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_algorithms(*names: str) -> None:
-    """Exit with the registered-algorithm list when a name is unknown.
-
-    Without this, an unregistered name only surfaces as a registry
-    ``KeyError`` from deep inside the runner."""
-    known = available_algorithms()
-    for name in names:
-        if name not in known:
-            raise SystemExit(
-                f"unknown algorithm {name!r}; registered algorithms: "
-                + ", ".join(sorted(known))
-            )
+def multilevel_fields(system: str, intra: str, inter: str, clusters: int) -> dict:
+    """``algorithms``/``hierarchy`` of a two-level multilevel system built
+    from the ``--intra``/``--inter`` flags, as every other system is;
+    nothing for the other systems.  Shared with ``python -m repro.obs``."""
+    if system != "multilevel":
+        return {}
+    return {"algorithms": (intra, inter), "hierarchy": tuple(range(clusters))}
 
 
 def _cmd_run(args) -> int:
-    # Flat systems only use --intra; every other system composes both.
-    if args.system == "flat":
-        _require_algorithms(args.intra)
-    else:
-        _require_algorithms(args.intra, args.inter)
     n_apps = args.clusters * args.apps
     config = ExperimentConfig(
         system=args.system,
@@ -193,11 +184,7 @@ def _cmd_run(args) -> int:
         platform=args.platform,
         seed=args.seed,
         jitter=args.jitter,
-        # The multilevel hierarchy is built from the --intra/--inter
-        # flags like every other system (this used to hard-code
-        # ("naimi", "naimi"), silently ignoring both flags).
-        algorithms=(args.intra, args.inter) if args.system == "multilevel" else (),
-        hierarchy=tuple(range(args.clusters)) if args.system == "multilevel" else None,
+        **multilevel_fields(args.system, args.intra, args.inter, args.clusters),
     )
     cache = _cache_from_args(args)
     result = run_experiment(config, cache=cache)
@@ -356,8 +343,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        # A refused config is a usage error: one line, status 2.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -58,12 +58,6 @@ class ExperimentConfig:
     n_clusters: int = 9
     apps_per_cluster: int = 20
     jitter: float = 0.0
-    #: Draw jitter factors in blocks from the same RNG stream (faster for
-    #: jittered paper-scale sweeps).  Off by default: the default mode is
-    #: draw-for-draw identical run to run and digest-pinned; batched mode
-    #: is deterministic but consumes the jitter stream in a different
-    #: pattern (see docs/performance.md).
-    batch_jitter: bool = False
     fifo: bool = False
     #: two-tier platform parameters (ignored elsewhere)
     lan_ms: float = 0.05
@@ -231,7 +225,8 @@ class ExperimentConfig:
                 raise ConfigurationError("multilevel needs a hierarchy spec")
         if self.platform == "grid5000" and self.n_clusters > 9:
             raise ConfigurationError(
-                "the Grid'5000 platform has at most 9 sites"
+                "n_clusters must be <= 9 on the grid5000 platform (it has "
+                f"9 sites), got {self.n_clusters}"
             )
         if self.distribution not in ("exponential", "fixed"):
             raise ConfigurationError(

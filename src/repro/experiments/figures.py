@@ -220,13 +220,7 @@ def _run_sweep(
     ]
     from .parallel import run_configs_cached  # runtime import: no cycle
 
-    parallel_worthwhile = len(configs) >= 4
-    results = run_configs_cached(
-        configs,
-        cache=store,
-        max_workers=None if parallel_worthwhile else 1,
-        reuse_pool=True,
-    )
+    results = run_configs_cached(configs, cache=store, reuse_pool=True)
     out: Sweep = {}
     n_seeds = len(scale.seeds)
     for c, (key, _) in enumerate(cells):

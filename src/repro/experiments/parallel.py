@@ -7,9 +7,10 @@ parallelism: results are bit-identical to serial execution because
 every run depends only on its configuration.
 
 Uses ``concurrent.futures.ProcessPoolExecutor``; configurations and
-results are plain picklable dataclasses.  Falls back to in-process
-execution when ``max_workers`` is 1 (or when the platform cannot spawn
-workers), so callers can use it unconditionally.
+results are plain picklable dataclasses.  Runs in-process when
+``max_workers`` is 1, when the batch is too small to repay a pool round
+trip (:data:`POOL_MIN_BATCH`) or when the platform cannot spawn workers,
+so callers can use it unconditionally.
 
 Performance notes
 -----------------
@@ -17,7 +18,7 @@ Performance notes
   and worker counts (4 chunks per worker balances scheduling overhead
   against tail latency), instead of one ``pool.map`` over the batch.
 * Submission is per-chunk futures, so results stream back as they
-  complete (:func:`stream_configs_parallel`) and a worker dying
+  complete (:func:`stream_configs_cached`) and a worker dying
   mid-sweep (``BrokenProcessPool``) only forces the **missing** chunks
   to be redone serially — completed results are kept.
 * A sweep can reuse one warm executor across many calls
@@ -35,22 +36,23 @@ from dataclasses import replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cache.retry import with_retries
-from ..cache.store import CacheStats, ExperimentCache
+from ..cache.store import CacheSpec, CacheStats, ExperimentCache
 from ..errors import ConfigurationError
-from ..metrics.analysis import pooled
 from .config import ExperimentConfig
-from .runner import AggregateResult, ExperimentResult, run_experiment
+from .runner import ExperimentResult, run_experiment
 
 __all__ = [
-    "run_many_parallel",
-    "run_configs_parallel",
+    "POOL_MIN_BATCH",
     "run_configs_cached",
-    "stream_configs_parallel",
     "stream_configs_cached",
     "warm_pool",
     "shutdown_warm_pool",
     "compute_chunksize",
 ]
+
+#: Batches smaller than this run in-process: a pool round trip costs
+#: more than two or three quick runs.
+POOL_MIN_BATCH = 4
 
 #: Errors meaning "this platform/pool cannot run the batch": fall back.
 _POOL_ERRORS = (OSError, PermissionError, BrokenProcessPool)
@@ -62,7 +64,7 @@ _warm_workers: Optional[int] = None
 def warm_pool(max_workers: Optional[int] = None) -> ProcessPoolExecutor:
     """Return the shared long-lived executor, creating it on first use.
 
-    Reusing one warm pool across a sweep's many ``run_configs_parallel``
+    Reusing one warm pool across a sweep's many ``run_configs_cached``
     calls skips a worker-process spawn (and numpy import) per call.  A
     pool created for a different explicit ``max_workers`` is replaced.
     """
@@ -100,16 +102,12 @@ def compute_chunksize(n_items: int, workers: int) -> int:
     return max(1, n_items // (max(1, workers) * 4))
 
 
-def _run_chunk(configs: List[ExperimentConfig]) -> List[ExperimentResult]:
-    return [run_experiment(c) for c in configs]
-
-
 def _run_chunk_cached(
     configs: List[ExperimentConfig],
-    spec,
+    spec: Optional[CacheSpec],
     put_mask: List[bool],
-) -> Tuple[List[ExperimentResult], CacheStats]:
-    """Worker-side chunk executor for cached sweeps.
+) -> Tuple[List[ExperimentResult], Optional[CacheStats]]:
+    """Worker-side chunk executor.
 
     Opens the shared store from its picklable spec (fingerprint
     included, so the source tree is not re-hashed per chunk), runs each
@@ -117,119 +115,31 @@ def _run_chunk_cached(
     directly from this process — the puts are what makes a farm chunk
     idempotent, and the per-worker :class:`CacheStats` ride back with
     the results so the parent can :meth:`~CacheStats.merge` them into
-    the totals it reports (they used to be silently dropped).
-    Transient store errors retry with backoff rather than failing the
-    whole chunk.
+    the totals it reports.  Transient store errors retry with backoff
+    rather than failing the whole chunk.  An uncached sweep has no spec
+    and an all-false mask.
     """
-    cache = spec.open()
+    cache = spec.open() if spec is not None else None
     results: List[ExperimentResult] = []
     for config, do_put in zip(configs, put_mask):
         result = run_experiment(config)
         results.append(result)
         if do_put:
             with_retries(lambda: cache.put(config, result))
-    return results, cache.stats
-
-
-def _effective_workers(max_workers: Optional[int]) -> int:
-    return max_workers if max_workers else (os.cpu_count() or 1)
-
-
-def _submit_chunks(
-    pool: ProcessPoolExecutor,
-    configs: Sequence[ExperimentConfig],
-    indices: Sequence[int],
-    chunksize: int,
-):
-    """Submit ``configs[i] for i in indices`` in chunks; returns
-    ``{future: [indices]}``."""
-    futures = {}
-    for start in range(0, len(indices), chunksize):
-        idxs = list(indices[start:start + chunksize])
-        fut = pool.submit(_run_chunk, [configs[i] for i in idxs])
-        futures[fut] = idxs
-    return futures
-
-
-def stream_configs_parallel(
-    configs: Sequence[ExperimentConfig],
-    max_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    reuse_pool: bool = False,
-) -> Iterator[Tuple[int, ExperimentResult]]:
-    """Yield ``(index, result)`` pairs as runs complete (arbitrary order).
-
-    The streaming front door for long sweeps: progress is observable
-    before the batch finishes, and a broken pool only costs the chunks
-    that had not completed (redone in-process, in index order).
-    ``reuse_pool=True`` runs on the shared :func:`warm_pool`.
-    """
-    if not configs:
-        raise ConfigurationError("stream_configs_parallel needs >= 1 config")
-    for config in configs:
-        config.validate()
-    return _stream_validated(configs, max_workers, chunksize, reuse_pool)
-
-
-def _stream_validated(
-    configs: Sequence[ExperimentConfig],
-    max_workers: Optional[int],
-    chunksize: Optional[int],
-    reuse_pool: bool,
-) -> Iterator[Tuple[int, ExperimentResult]]:
-    if max_workers == 1 or len(configs) == 1:
-        for i, config in enumerate(configs):
-            yield i, run_experiment(config)
-        return
-
-    done_idx: set = set()
-    results: dict = {}
-    try:
-        pool = warm_pool(max_workers) if reuse_pool else ProcessPoolExecutor(
-            max_workers=max_workers
-        )
-        try:
-            size = chunksize or compute_chunksize(
-                len(configs), _effective_workers(max_workers)
-            )
-            futures = _submit_chunks(pool, configs, range(len(configs)), size)
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # Deterministic processing order (by first index) so a
-                # mid-batch failure always keeps the earliest results.
-                for fut in sorted(finished, key=lambda f: futures[f][0]):
-                    idxs = futures[fut]
-                    for i, result in zip(idxs, fut.result()):
-                        done_idx.add(i)
-                        results[i] = result
-                        yield i, result
-        finally:
-            if not reuse_pool:
-                pool.shutdown(wait=False, cancel_futures=True)
-    except _POOL_ERRORS:
-        # No subprocess capability here (sandbox forbids fork), or a
-        # worker died mid-batch: results already streamed are kept and
-        # only the missing configurations are redone in-process.  Runs
-        # are deterministic, so the redo is exact.
-        if reuse_pool:
-            shutdown_warm_pool()  # a broken shared pool must not linger
-        for i in range(len(configs)):
-            if i not in done_idx:
-                yield i, run_experiment(configs[i])
+    return results, cache.stats if cache is not None else None
 
 
 def _stream_cached_exec(
     configs: Sequence[ExperimentConfig],
     put_mask: Sequence[bool],
-    spec,
-    stats_sink: CacheStats,
+    spec: Optional[CacheSpec],
+    stats_sink: Optional[CacheStats],
     max_workers: Optional[int],
     chunksize: Optional[int],
     reuse_pool: bool,
 ) -> Iterator[Tuple[int, ExperimentResult, bool]]:
-    """Pool executor for cached sweeps: yields ``(index, result,
-    stored_by_worker)`` triples.
+    """The pool loop: yields ``(index, result, stored_by_worker)``
+    triples as runs complete.
 
     On the pool path each chunk runs via :func:`_run_chunk_cached`, so
     the worker itself stores the masked results and its stats are merged
@@ -237,7 +147,7 @@ def _stream_cached_exec(
     the broken-pool redo) yields ``stored_by_worker=False`` and leaves
     storing to the caller, which already holds an open cache handle.
     """
-    if max_workers == 1 or len(configs) == 1:
+    if max_workers == 1 or len(configs) < POOL_MIN_BATCH:
         for i, config in enumerate(configs):
             yield i, run_experiment(config), False
         return
@@ -249,7 +159,7 @@ def _stream_cached_exec(
         )
         try:
             size = chunksize or compute_chunksize(
-                len(configs), _effective_workers(max_workers)
+                len(configs), max_workers or os.cpu_count() or 1
             )
             futures = {}
             for start in range(0, len(configs), size):
@@ -264,10 +174,13 @@ def _stream_cached_exec(
             pending = set(futures)
             while pending:
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                # Deterministic processing order (by first index) so a
+                # mid-batch failure always keeps the earliest results.
                 for fut in sorted(finished, key=lambda f: futures[f][0]):
                     idxs = futures[fut]
                     results, worker_stats = fut.result()
-                    stats_sink.merge(worker_stats)
+                    if stats_sink is not None:
+                        stats_sink.merge(worker_stats)
                     for i, result in zip(idxs, results):
                         done_idx.add(i)
                         yield i, result, put_mask[i]
@@ -275,11 +188,13 @@ def _stream_cached_exec(
             if not reuse_pool:
                 pool.shutdown(wait=False, cancel_futures=True)
     except _POOL_ERRORS:
-        # Same contract as _stream_validated: anything already yielded
-        # is kept (its chunk's puts and stats landed with it); only the
-        # missing configurations are redone here, stored by the caller.
+        # No subprocess capability here (sandbox forbids fork), or a
+        # worker died mid-batch: anything already yielded is kept (its
+        # chunk's puts and stats landed with it); only the missing
+        # configurations are redone in-process, stored by the caller.
+        # Runs are deterministic, so the redo is exact.
         if reuse_pool:
-            shutdown_warm_pool()
+            shutdown_warm_pool()  # a broken shared pool must not linger
         for i in range(len(configs)):
             if i not in done_idx:
                 yield i, run_experiment(configs[i]), False
@@ -294,20 +209,16 @@ def stream_configs_cached(
 ) -> Iterator[Tuple[int, ExperimentResult]]:
     """The incremental sweep scheduler: hits stream first, misses run.
 
-    Partitions ``configs`` against the experiment cache: hits are
-    yielded immediately (in config order), then the misses — and any
-    hits sampled for verification — are submitted to the (warm) pool in
-    chunks and yielded as they complete.  Fresh results are stored back
-    into the cache from this process, so concurrent sweeps sharing a
-    cache directory converge after one racing window.  With
-    ``cache=None`` this is exactly :func:`stream_configs_parallel`.
+    Yields ``(index, result)`` pairs.  Partitions ``configs`` against
+    the experiment cache: hits are yielded immediately (in config
+    order), then the misses — and any hits sampled for verification —
+    are submitted to the (warm) pool in chunks and yielded as they
+    complete, so progress is observable before the batch finishes and a
+    broken pool only costs the chunks that had not completed.  Fresh
+    results are stored back into the cache, so concurrent sweeps sharing
+    a cache directory converge after one racing window.  With
+    ``cache=None`` nothing hits and nothing is stored.
     """
-    if cache is None:
-        yield from stream_configs_parallel(
-            configs, max_workers=max_workers, chunksize=chunksize,
-            reuse_pool=reuse_pool,
-        )
-        return
     if not configs:
         raise ConfigurationError("stream_configs_cached needs >= 1 config")
     for config in configs:
@@ -317,7 +228,7 @@ def stream_configs_cached(
     # cached value must not escape before verification confirms it).
     to_run: List[Tuple[int, Optional[ExperimentResult]]] = []
     for i, config in enumerate(configs):
-        cached = cache.get(config)
+        cached = cache.get(config) if cache is not None else None
         if cached is None:
             to_run.append((i, None))
         elif cache.should_verify():
@@ -332,14 +243,21 @@ def stream_configs_cached(
     # _run_chunk_cached); verification re-runs are not — their fresh
     # result must pass record_verification before it may replace the
     # stored entry.  Worker handles never verify on their own.
-    put_mask = [expected is None for _, expected in to_run]
-    worker_spec = replace(cache.spec, verify_every=0)
+    put_mask = [
+        cache is not None and expected is None for _, expected in to_run
+    ]
+    worker_spec = stats = None
+    if cache is not None:
+        worker_spec = replace(cache.spec, verify_every=0)
+        stats = cache.stats
     for j, result, stored_by_worker in _stream_cached_exec(
-        queued, put_mask, worker_spec, cache.stats,
+        queued, put_mask, worker_spec, stats,
         max_workers, chunksize, reuse_pool,
     ):
         i, expected = to_run[j]
-        if expected is None:
+        if cache is None:
+            pass
+        elif expected is None:
             if not stored_by_worker:
                 cache.put(configs[i], result)
         elif not cache.record_verification(expected, result):
@@ -354,7 +272,8 @@ def run_configs_cached(
     chunksize: Optional[int] = None,
     reuse_pool: bool = False,
 ) -> List[ExperimentResult]:
-    """Ordered-list front door over :func:`stream_configs_cached`."""
+    """Ordered-list front door over :func:`stream_configs_cached`:
+    results come back in the order of ``configs``."""
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     for i, result in stream_configs_cached(
         configs, cache, max_workers=max_workers, chunksize=chunksize,
@@ -363,50 +282,3 @@ def run_configs_cached(
         results[i] = result
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
-
-
-def run_configs_parallel(
-    configs: Sequence[ExperimentConfig],
-    max_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    reuse_pool: bool = False,
-) -> List[ExperimentResult]:
-    """Run independent configurations across worker processes.
-
-    Results come back in the order of ``configs``.  ``max_workers=1``
-    (or an executor failure, e.g. a sandbox forbidding fork) degrades
-    gracefully to serial execution; a pool that breaks mid-batch only
-    redoes the configurations whose results are missing.
-    """
-    results: List[Optional[ExperimentResult]] = [None] * len(configs)
-    for i, result in stream_configs_parallel(
-        configs, max_workers=max_workers, chunksize=chunksize,
-        reuse_pool=reuse_pool,
-    ):
-        results[i] = result
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
-
-
-def run_many_parallel(
-    config: ExperimentConfig,
-    seeds: Sequence[int] = (0, 1, 2),
-    max_workers: Optional[int] = None,
-    reuse_pool: bool = False,
-) -> AggregateResult:
-    """Parallel counterpart of :func:`repro.experiments.run_many`:
-    identical results, seeds spread over processes."""
-    if not seeds:
-        raise ConfigurationError("run_many_parallel needs at least one seed")
-    runs = tuple(
-        run_configs_parallel(
-            [config.with_(seed=s) for s in seeds],
-            max_workers=max_workers,
-            reuse_pool=reuse_pool,
-        )
-    )
-    return AggregateResult(
-        name=runs[0].name,
-        runs=runs,
-        obtaining=pooled([r.obtaining for r in runs]),
-    )

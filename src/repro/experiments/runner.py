@@ -33,7 +33,6 @@ from .config import ExperimentConfig
 __all__ = [
     "ExperimentResult",
     "AggregateResult",
-    "PARALLEL_SEED_THRESHOLD",
     "run_experiment",
     "run_many",
     "run_composition",
@@ -222,8 +221,6 @@ def _execute_experiment(
     """The uncached run: build, simulate, check, aggregate."""
     sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
     topology, latency = build_platform(config)
-    if config.batch_jitter:
-        latency.enable_batched_jitter()
     net = Network(sim, topology, latency, fifo=config.fifo)
     system = build_system(sim, net, topology, config)
     apps: list = []
@@ -338,40 +335,29 @@ def _teardown(sim: Simulator, net: Network, system: MutexSystem, apps) -> None:
     net.close()
 
 
-#: ``run_many`` routes through the warm worker pool once a seed batch
-#: reaches this size; smaller jobs stay serial in-process (a pool round
-#: trip costs more than two or three quick runs).
-PARALLEL_SEED_THRESHOLD = 4
-
-
 def run_many(
     config: ExperimentConfig,
     seeds: Sequence[int] = (0, 1, 2),
     cache: Optional[ExperimentCache] = None,
-    parallel: Optional[bool] = None,
     max_workers: Optional[int] = None,
 ) -> AggregateResult:
     """Run the same configuration over several seeds and pool the stats.
 
-    Seed batches of :data:`PARALLEL_SEED_THRESHOLD` or more run through
-    the shared warm pool (``parallel=None`` is this auto mode; pass
-    ``True``/``False`` to force either way).  Results are bit-identical
-    to serial execution and come back in seed order.  ``cache`` streams
-    known seeds from the experiment cache and only computes the misses.
+    The seeds go through the sweep scheduler
+    (:func:`~repro.experiments.parallel.run_configs_cached`) on the
+    shared warm pool, which runs small batches in-process.  Results are
+    bit-identical to serial execution and come back in seed order.
+    ``cache`` streams known seeds from the experiment cache and only
+    computes the misses.
     """
     if not seeds:
         raise ConfigurationError("run_many needs at least one seed")
-    configs = [config.with_(seed=s) for s in seeds]
-    if parallel is None:
-        parallel = len(configs) >= PARALLEL_SEED_THRESHOLD
-    if parallel and len(configs) > 1 and max_workers != 1:
-        from .parallel import run_configs_cached  # runtime import: no cycle
+    from .parallel import run_configs_cached  # runtime import: no cycle
 
-        runs = tuple(run_configs_cached(
-            configs, cache=cache, max_workers=max_workers, reuse_pool=True,
-        ))
-    else:
-        runs = tuple(run_experiment(c, cache=cache) for c in configs)
+    runs = tuple(run_configs_cached(
+        [config.with_(seed=s) for s in seeds],
+        cache=cache, max_workers=max_workers, reuse_pool=True,
+    ))
     return AggregateResult(
         name=runs[0].name,
         runs=runs,

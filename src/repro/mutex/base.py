@@ -154,8 +154,6 @@ class MutexPeer(Process):
         #: state is ``NO_REQ`` again, before the algorithm's release logic
         self.on_released: List[Callable[[], None]] = []
         self.on_pending_request: List[Callable[[], None]] = []
-        #: number of times this peer entered the CS
-        self.cs_count = 0
         cls = type(self)
         if cls._on_message is MutexPeer._on_message:
             # The direct route: a plain network schedules
@@ -241,6 +239,7 @@ class MutexPeer(Process):
                 f"{self.name}: request_cs() in state {self._state.value}"
             )
         self._state = PeerState.REQ
+        self.net.stats.cs_requests += 1
         if "cs_request" in self.sim.trace.active_kinds:
             self.sim.trace.emit(
                 "cs_request", time=self.now, node=self.node, port=self.port
@@ -257,6 +256,7 @@ class MutexPeer(Process):
                 f"{self.name}: release_cs() in state {self._state.value}"
             )
         self._state = PeerState.NO_REQ
+        self.net.stats.cs_exits += 1
         if "cs_exit" in self.sim.trace.active_kinds:
             self.sim.trace.emit(
                 "cs_exit", time=self.now, node=self.node, port=self.port
@@ -285,7 +285,7 @@ class MutexPeer(Process):
         if self._state is PeerState.CS:
             raise ProtocolError(f"{self.name}: double grant")
         self._state = PeerState.CS
-        self.cs_count += 1
+        self.net.stats.cs_entries += 1
         if "cs_enter" in self.sim.trace.active_kinds:
             self.sim.trace.emit(
                 "cs_enter", time=self.now, node=self.node, port=self.port

@@ -22,15 +22,6 @@ construction time everything the per-call path would otherwise redo:
   topology's dense cluster map;
 * the jitter constants: ``sigma`` and the lognormal ``mean = -sigma²/2``
   that keeps the jitter factor mean-1.
-
-Optionally, :meth:`LatencyModel.enable_batched_jitter` switches the model
-to drawing lognormal factors in blocks from the same RNG stream — fewer
-generator calls for jittered paper-scale sweeps.  The default
-(unbatched) mode draws one factor per call exactly as before, so default
-runs stay draw-for-draw identical (``RunDigest``-pinned); batched mode is
-deterministic for a given seed and block size, but its draw-for-draw
-agreement with the unbatched mode is a numpy implementation detail, not
-a contract.  See ``docs/performance.md`` for the determinism contract.
 """
 
 from __future__ import annotations
@@ -65,36 +56,6 @@ LOCAL_DELIVERY_MS = 0.001
 _NODE_TABLE_MAX_NODES = 512
 
 
-class _BatchedLognormal:
-    """Block-drawn lognormal jitter factors from a shared RNG stream.
-
-    Refills a block of ``block`` factors at a time; deterministic for a
-    given (seed, sigma, block) but not *guaranteed* draw-for-draw
-    identical to per-call draws, which is why batching is opt-in."""
-
-    __slots__ = ("mean", "sigma", "block", "_buf", "_idx")
-
-    def __init__(self, mean: float, sigma: float, block: int) -> None:
-        if block < 1:
-            raise NetworkError(f"jitter block size must be >= 1, got {block}")
-        self.mean = mean
-        self.sigma = sigma
-        self.block = int(block)
-        self._buf: Optional[np.ndarray] = None
-        self._idx = 0
-
-    def factor(self, rng: np.random.Generator) -> float:
-        buf = self._buf
-        if buf is None or self._idx >= self.block:
-            buf = self._buf = rng.lognormal(
-                mean=self.mean, sigma=self.sigma, size=self.block
-            )
-            self._idx = 0
-        value = buf[self._idx]
-        self._idx += 1
-        return float(value)
-
-
 class LatencyModel(ABC):
     """Maps a directed node pair to a one-way delay (ms)."""
 
@@ -102,7 +63,6 @@ class LatencyModel(ABC):
     jitter: float = 0.0
     _sigma: float = 0.0
     _lognorm_mean: float = 0.0
-    _batch: Optional[_BatchedLognormal] = None
 
     def _init_jitter(self, jitter: float) -> None:
         """Hoist the per-call jitter constants into construction."""
@@ -111,32 +71,12 @@ class LatencyModel(ABC):
         # sigma chosen so std of the factor ~= jitter for small jitter;
         # mean = -sigma^2/2 keeps the factor mean ~1 (no latency bias).
         self._lognorm_mean = -0.5 * self._sigma * self._sigma
-        self._batch = None
 
     def _jittered(self, base: float, rng: np.random.Generator) -> float:
         """Apply the multiplicative lognormal jitter factor to ``base``."""
-        batch = self._batch
-        if batch is not None:
-            return base * batch.factor(rng)
         return base * float(
             rng.lognormal(mean=self._lognorm_mean, sigma=self._sigma)
         )
-
-    def enable_batched_jitter(self, block: int = 256) -> None:
-        """Draw jitter factors in blocks of ``block`` from the RNG stream.
-
-        A no-op for jitter-free models.  Changes the RNG consumption
-        pattern (see module docstring), so only enable it when the run is
-        not being compared against unbatched digests."""
-        if self._sigma > 0.0:
-            self._batch = _BatchedLognormal(
-                self._lognorm_mean, self._sigma, block
-            )
-
-    @property
-    def batched_jitter(self) -> bool:
-        """Whether batched jitter drawing is enabled."""
-        return self._batch is not None
 
     @abstractmethod
     def one_way(self, src: int, dst: int, rng: np.random.Generator) -> float:
@@ -145,22 +85,6 @@ class LatencyModel(ABC):
     def rtt(self, src: int, dst: int, rng: np.random.Generator) -> float:
         """Round-trip estimate (two one-way samples)."""
         return self.one_way(src, dst, rng) + self.one_way(dst, src, rng)
-
-
-def _apply_jitter(
-    base: float, jitter: float, rng: np.random.Generator
-) -> float:
-    """Multiply ``base`` by a lognormal factor with relative spread
-    ``jitter`` (0 disables).  The factor has mean ~1 so jitter does not
-    bias the average latency.
-
-    Kept for API compatibility (tests and external callers); the models
-    themselves use the constants hoisted by ``_init_jitter``."""
-    if jitter <= 0.0:
-        return base
-    sigma = float(jitter)
-    factor = float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
-    return base * factor
 
 
 def _node_delay_table(

@@ -63,7 +63,9 @@ controller assigned in flight still loses it.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from ..errors import NetworkError, SimulationError
 from ..sim.kernel import HeapEntry, Simulator, _mix64
@@ -126,6 +128,10 @@ class Network:
         self._routes: Dict[str, Dict[int, Route]] = {}
         self._flow_clock: Dict[Tuple[int, int, str], float] = {}
         self._seq = 0
+        # Scheduled deliveries that ended without a handler: destination
+        # crashed / address unregistered in flight (see `delivered`).
+        self._lost = 0
+        self._unrouted = 0
         self._rng = sim.rng.stream("network/latency")
         self._fault_rng = sim.rng.stream("network/faults")
         # Interposition points for observers (repro.obs).  Both stay empty
@@ -182,19 +188,16 @@ class Network:
             self._undirect()  # what is in flight arrives through _deliver
         self._direct = direct
 
-    def _undirect(self, owner: Any = None) -> None:
-        """Rewrite this network's in-flight direct entries — only those
-        bound for ``owner`` when given — into ``_deliver`` entries, in
-        place: same key, so the heap invariant holds as it stands.
+    def _direct_entries(self, owner: Any = None) -> Iterator[Tuple[int, Message]]:
+        """Calendar index and message of this network's in-flight direct
+        entries — only those bound for ``owner`` when given.
 
         A direct entry is ``(due, seq, fn, (peer, msg))``; it is ours
         when ``peer`` is the owner registered at the message's address
         (``owner`` comes out of the route table, so it is by definition).
         """
-        heap = self.sim._heap
         routes = self._routes
-        deliver = self._deliver_cb
-        for i, entry in enumerate(heap):
+        for i, entry in enumerate(self.sim._heap):
             args = entry[3]
             if args is None or len(args) != 2 or type(args[1]) is not Message:
                 continue
@@ -205,7 +208,36 @@ class Network:
                     continue
             elif peer is not owner:
                 continue  # someone else's: stays direct
-            heap[i] = (entry[0], entry[1], deliver, (msg,))
+            yield i, msg
+
+    def _undirect(self, owner: Any = None) -> None:
+        """Rewrite the in-flight direct entries (see
+        :meth:`_direct_entries`) into ``_deliver`` entries, in place:
+        same key, so the heap invariant holds as it stands."""
+        heap = self.sim._heap
+        deliver = self._deliver_cb
+        for i, msg in self._direct_entries(owner):
+            due, seq = heap[i][:2]
+            heap[i] = (due, seq, deliver, (msg,))
+
+    @property
+    def delivered(self) -> int:
+        """Messages handed to a handler so far.
+
+        Every scheduled delivery ends exactly one way — handed over,
+        lost with a crashed destination, dropped at an address
+        unregistered in flight, or still in the calendar — so this is
+        the scheduled count minus the other three, read off the calendar
+        at call time; nothing is counted per delivery.  Under a delivery
+        interceptor a captured message counts as delivered.
+        """
+        deliver = self._deliver_cb
+        pending = sum(1 for _ in self._direct_entries())
+        for entry in self.sim._heap:
+            fn = entry[2] if entry[3] is not None else entry[2].callback
+            if fn is deliver:
+                pending += 1
+        return self._seq - pending - self._lost - self._unrouted
 
     @property
     def fused(self) -> bool:
@@ -448,7 +480,7 @@ class Network:
                     kind=kind, payload=msg.payload,
                 )
             latency = self.latency
-            if not self._inline_latency or latency._batch is not None:
+            if not self._inline_latency:
                 delay = latency.one_way(src, dst, self._rng)
             elif src == dst:
                 delay = LOCAL_DELIVERY_MS  # no jitter draw, as in one_way
@@ -655,11 +687,13 @@ class Network:
         ):
             # Destination node crashed: in-flight messages die with it
             # (and messages sent before its restart are equally lost).
+            self._lost += 1
             return
         route = self._routes.get(msg.port, _NO_ROUTES).get(msg.dst)
         if route is None:
             # The agent deregistered while the message was in flight
             # (e.g. teardown); drop silently like a closed UDP socket.
+            self._unrouted += 1
             return
         sim = self.sim
         msg.delivered_at = sim._now

@@ -5,6 +5,11 @@ messages**; the statistics layer classifies every send as *local* (same
 node), *intra-cluster* or *inter-cluster* and tallies counts and bytes,
 overall and per port (protocol instance).  A per-cluster-pair matrix is
 kept for the scalability and topology studies.
+
+The run's three critical-section edge counts live here as well: every
+:class:`~repro.mutex.base.MutexPeer` bumps them on ``request_cs`` /
+grant / ``release_cs``, and they have to outlive the peers (an adaptive
+switch or a failover shuts peers down mid-run).
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ class MessageStats:
         self.by_port: Counter[str] = Counter()
         self.inter_by_port: Counter[str] = Counter()
         self.by_kind: Counter[str] = Counter()
+        self.cs_requests = 0
+        self.cs_entries = 0
+        self.cs_exits = 0
         # Plain-int accumulators on the per-send path; the numpy view is
         # materialised on demand (scalar `ndarray[i, j] += 1` costs more
         # than the rest of `record` combined).

@@ -21,7 +21,6 @@ See ``docs/observability.md`` for a worked example.
 """
 
 from .causality import CausalityRecorder, CSWait, DeliveryRecord
-from .counters import ObsCounters
 from .export import chrome_trace, chrome_trace_events, write_chrome_trace
 from .layer import OBS_LEVELS, ObservabilityLayer
 from .path import (
@@ -42,7 +41,6 @@ __all__ = [
     "CausalityRecorder",
     "CSWait",
     "DeliveryRecord",
-    "ObsCounters",
     "ObservabilityLayer",
     "OBS_LEVELS",
     "CriticalPath",

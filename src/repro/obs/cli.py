@@ -24,6 +24,8 @@ import json
 import sys
 from typing import List, Optional
 
+from ..errors import ConfigurationError
+from ..experiments.cli import multilevel_fields
 from ..experiments.config import OBS_LEVELS, PLATFORMS, SYSTEMS, ExperimentConfig
 from ..experiments.runner import run_experiment
 from .layer import ObservabilityLayer
@@ -66,7 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ConfigurationError as exc:
+        # A refused config is a usage error: one line, status 2.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+def _run(args: argparse.Namespace) -> int:
     level = "trace" if args.trace else args.level
     n_apps = args.clusters * args.apps
     if args.rho is not None:
@@ -86,6 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         rho=rho,
         seed=args.seed,
         obs=level,
+        **multilevel_fields(args.system, args.intra, args.inter, args.clusters),
     )
 
     def export(layer: ObservabilityLayer) -> None:

@@ -7,7 +7,9 @@ knob, matching ``ExperimentConfig.obs``:
 ========== ==========================================================
 ``off``    nothing attached (the layer refuses this level — callers
            simply don't construct one)
-``counters`` :class:`~repro.obs.counters.ObsCounters` only
+``counters`` :meth:`ObservabilityLayer.counters`, a read at report time
+           of what every run counts anyway: nothing is subscribed,
+           tapped or wrapped, so the run stays fused and direct
 ``paths``  counters + vector clocks + critical-path breakdown
 ``trace``  everything above, plus per-CS rows in the report and
            Chrome trace export
@@ -16,14 +18,13 @@ knob, matching ``ExperimentConfig.obs``:
 
 from __future__ import annotations
 
-from typing import IO, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..net.network import Network
 from ..net.topology import GridTopology
 from ..sim.kernel import Simulator
 from .causality import CausalityRecorder
-from .counters import ObsCounters
 from .export import write_chrome_trace
 from .path import CriticalPath, extract_paths
 from .report import ObsReport, build_report
@@ -60,15 +61,48 @@ class ObservabilityLayer:
         self.net = net
         self.topology: GridTopology = net.topology
         self.coordinator_nodes = tuple(coordinator_nodes)
-        self.counters = ObsCounters(sim, net.topology)
+        # Counters count from here; detach() freezes them.
+        self._final: Optional[Dict[str, int]] = None
+        self._since: Dict[str, int] = {}
+        self._since = self.counters()
         self.recorder: Optional[CausalityRecorder] = None
         if level in ("paths", "trace"):
             self.recorder = CausalityRecorder(sim, net, app_nodes=app_nodes)
         self._paths: Optional[Tuple[CriticalPath, ...]] = None
 
+    def counters(self) -> Dict[str, int]:
+        """Sends by locality and kind, deliveries and CS edges of every
+        peer since this layer attached (until it detached), in a fixed
+        order.  A read: the sends are ``net.stats``, tallied inline by
+        ``Network.send``/``multicast`` on every run, the CS edges three
+        ints :class:`~repro.mutex.base.MutexPeer` bumps per critical
+        section, the deliveries :attr:`Network.delivered`.  A message
+        kind not sent since the layer attached has no row."""
+        if self._final is not None:
+            return self._final
+        stats, since = self.net.stats, self._since
+        out = {
+            key: value - since.get(key, 0)
+            for key, value in (
+                ("sends", stats.total),
+                ("delivers", self.net.delivered),
+                ("intra_sends", stats.intra_cluster + stats.local),
+                ("inter_sends", stats.inter_cluster),
+                ("cs_requests", stats.cs_requests),
+                ("cs_entries", stats.cs_entries),
+                ("cs_exits", stats.cs_exits),
+            )
+        }
+        for kind in sorted(stats.by_kind):
+            key = f"send.{kind}"
+            count = stats.by_kind[kind] - since.get(key, 0)
+            if count:
+                out[key] = count
+        return out
+
     def detach(self) -> None:
         """Stop observing; recorded data stays readable."""
-        self.counters.detach()
+        self._final = self.counters()
         if self.recorder is not None:
             self.recorder.detach()
 
@@ -86,7 +120,7 @@ class ObservabilityLayer:
         """Aggregate everything observed so far into a picklable report."""
         return build_report(
             self.level,
-            self.counters.snapshot(),
+            self.counters(),
             self.paths(),
             keep_details=(self.level == "trace"),
         )

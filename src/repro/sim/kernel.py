@@ -29,10 +29,10 @@ per-event work minimal (see ``docs/performance.md``):
   :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
   its cancellation flag and label.  The loops tell them apart with one
   ``is None`` test on the fourth field;
-* :meth:`Simulator.run` hoists the ``until``/``max_events`` bound checks
-  out of the loop — a run without bounds executes a tight pop/fire
-  loop, an ``until``-only run (every experiment) a second one, and
-  anything with ``max_events`` is ``_peek()`` + :meth:`Simulator.step`;
+* :meth:`Simulator.run` keeps the ``max_events`` check out of the loop
+  every experiment runs: one tight pop/fire loop bounded by ``until``
+  (infinity when none is given); anything with ``max_events`` is
+  ``_peek()`` + :meth:`Simulator.step`;
 * :meth:`Simulator.post_at` schedules without allocating an
   :class:`~repro.sim.event.EventHandle` for internal callers that
   rarely cancel (the workload's two timers per critical section, the
@@ -75,6 +75,7 @@ HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
 _COMPACT_MIN_CANCELLED = 64
 
 _MASK64 = (1 << 64) - 1
+_INF = float("inf")
 
 
 def _mix64(x: int) -> int:
@@ -291,48 +292,20 @@ class Simulator:
         heap = self._heap
         trace = self.trace
         try:
-            if until is None and max_events is None:
-                # Fast path: no bound checks per iteration.  `heap` stays
-                # a valid alias because compaction mutates it in place.
-                # The fired counter accumulates in a local (an attribute
-                # store per event otherwise) and lands in `_fired` on
-                # every exit; nothing reads it mid-run — callbacks only
-                # see `events_fired` after run() returns.  Bare entries
-                # come first and repeat the few steps the two shapes
-                # share: folding them into one tail measured ~100 ns
-                # slower per event, here and in the loop below.
-                fired = self._fired
-                try:
-                    while heap and not self._stopped:
-                        entry = heappop(heap)
-                        args = entry[3]
-                        if args is not None:  # bare: the entry is the event
-                            self._now = entry[0]
-                            fired += 1
-                            if trace.event_active:
-                                trace.emit("event", time=entry[0], label="")
-                            entry[2](*args)
-                            continue
-                        event = entry[2]
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self._now = entry[0]
-                        event.cancelled = True
-                        fired += 1
-                        if trace.event_active:
-                            trace.emit(
-                                "event", time=entry[0], label=event.label
-                            )
-                        event.callback(*event.args)
-                finally:
-                    self._fired = fired
-                return self._now
-
             if max_events is None:
-                # `until`-only: the run_experiment path.  Pop first and
-                # push the head back on the (rare) deadline overshoot —
+                # The run_experiment path; an unbounded run is the same
+                # loop with the bound at infinity.  Pop first and push
+                # the head back on the (rare) deadline overshoot —
                 # cheaper than peeking then popping on every iteration.
+                # `heap` stays a valid alias because compaction mutates
+                # it in place.  The fired counter accumulates in a local
+                # (an attribute store per event otherwise) and lands in
+                # `_fired` on every exit; nothing reads it mid-run —
+                # callbacks only see `events_fired` after run() returns.
+                # Bare entries come first and repeat the few steps the
+                # two shapes share: folding them into one tail measured
+                # ~100 ns slower per event.
+                bound = _INF if until is None else until
                 exhausted = False
                 fired = self._fired
                 try:
@@ -344,7 +317,7 @@ class Simulator:
                         args = entry[3]
                         if args is not None:  # bare: the entry is the event
                             t = entry[0]
-                            if t > until:
+                            if t > bound:
                                 heappush(heap, entry)
                                 exhausted = True
                                 break
@@ -359,7 +332,7 @@ class Simulator:
                             self._cancelled -= 1
                             continue
                         t = entry[0]
-                        if t > until:
+                        if t > bound:
                             heappush(heap, entry)
                             exhausted = True
                             break
@@ -371,7 +344,8 @@ class Simulator:
                         event.callback(*event.args)
                 finally:
                     self._fired = fired
-                if exhausted and self._now < until:
+                # An unbounded run leaves the clock at its last event.
+                if exhausted and until is not None and self._now < until:
                     self._now = until
                 return self._now
 

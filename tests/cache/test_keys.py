@@ -29,7 +29,7 @@ TINY = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
 #: CACHE_SCHEMA_VERSION) when ExperimentConfig gains or renames a field.
 GOLDEN = (
     '{"algorithms":[],"alpha_ms":10.0,"apps_per_cluster":2,'
-    '"batch_jitter":false,"check_safety":true,"deadline_ms":null,'
+    '"check_safety":true,"deadline_ms":null,'
     '"distribution":"exponential","fifo":false,"hierarchy":null,'
     '"inter":"naimi","intra":"naimi","jitter":0.0,"label":"",'
     '"lan_ms":0.05,"n_clusters":2,"n_cs":3,"obs":"off",'

@@ -14,7 +14,6 @@ from repro.experiments import (
     run_many,
     stream_configs_cached,
 )
-from repro.experiments.parallel import run_configs_parallel
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
@@ -58,7 +57,7 @@ class TestStreamConfigsCached:
 
     def test_none_cache_is_plain_parallel(self):
         assert run_configs_cached(CONFIGS, None, max_workers=2) == \
-            run_configs_parallel(CONFIGS, max_workers=2)
+            [run_experiment(c) for c in CONFIGS]
 
     def test_verified_hits_are_recomputed_not_leaked(self, tmp_path):
         cache = ExperimentCache(cache_dir=tmp_path / "c", verify_every=1)
@@ -87,14 +86,17 @@ class TestRunManyRouting:
         def boom(*a, **kw):  # pragma: no cover - must not be reached
             raise AssertionError("small batch must not hit the pool")
 
-        monkeypatch.setattr(parallel_mod, "run_configs_cached", boom)
-        agg = run_many(CFG, seeds=(0, 1), cache=cache)
-        assert len(agg.runs) == 2
+        monkeypatch.setattr(parallel_mod, "warm_pool", boom)
+        agg = run_many(CFG, seeds=(0, 1, 2), cache=cache)
+        assert len(agg.runs) == 3
+        # ... and neither do three misses of a larger, partly warm batch
+        agg = run_many(CFG, seeds=range(6), cache=cache)
+        assert len(agg.runs) == 6
 
     def test_large_seed_batches_route_through_pool(self, cache):
-        seeds = tuple(range(4))  # == PARALLEL_SEED_THRESHOLD
+        seeds = tuple(range(4))  # == POOL_MIN_BATCH
         parallel_agg = run_many(CFG, seeds=seeds, cache=cache)
-        serial_agg = run_many(CFG, seeds=seeds, parallel=False)
+        serial_agg = run_many(CFG, seeds=seeds, max_workers=1)
         assert parallel_agg.runs == serial_agg.runs
         assert parallel_agg.obtaining == serial_agg.obtaining
         assert cache.stats.stores == len(seeds)
@@ -107,9 +109,9 @@ class TestRunManyRouting:
         assert cache.stats.hits == len(seeds)
 
     def test_threshold_is_four(self):
-        from repro.experiments.runner import PARALLEL_SEED_THRESHOLD
+        from repro.experiments.parallel import POOL_MIN_BATCH
 
-        assert PARALLEL_SEED_THRESHOLD == 4
+        assert POOL_MIN_BATCH == 4
 
 
 # --------------------------------------------------------------------- #

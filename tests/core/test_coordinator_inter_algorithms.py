@@ -103,20 +103,24 @@ def test_inter_token_parks_with_last_active_cluster():
     # And a second local CS indeed needs no new inter traffic.
     msgs_before = comp.net.stats.inter_cluster
     app2 = comp.peer_for(topo.cluster_nodes(2)[2])
+    grants = []
+    app2.on_granted.append(lambda: grants.append(sim.now))
     app2.on_granted.append(lambda: sim.schedule(2.0, app2.release_cs))
     app2.request_cs()
     sim.run()
-    assert app2.cs_count == 1
+    assert len(grants) == 1
     assert comp.net.stats.inter_cluster == msgs_before
 
 
 def test_permission_based_inter_releases_cleanly():
     sim, topo, comp = build("ricart-agrawala")
     apps = occupy_all_clusters(sim, topo, comp)
+    grants = []
     for app in apps:
+        app.on_granted.append(lambda app=app: grants.append(app.node))
         app.on_granted.append(lambda app=app: sim.schedule(2.0, app.release_cs))
     sim.run()
-    assert all(a.cs_count == 1 for a in apps)
+    assert sorted(grants) == sorted(a.node for a in apps)
     # RA has no token to park: after quiescence nobody is in the inter CS
     # except possibly the last cluster (which holds it as CS membership).
     in_cs = [c for c in comp.coordinators if c.state is CoordinatorState.IN]

@@ -70,6 +70,26 @@ def test_cli_run_no_longer_takes_the_retired_execution_flags(flag):
     assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--clusters", "12"], "n_clusters"),
+        (["run", "--n-cs", "0"], "n_cs"),
+        (["run", "--rho-over-n", "-1"], "rho"),
+        (["scalability", "--clusters", "0"], "n_clusters"),
+    ],
+)
+def test_cli_refuses_a_bad_config_in_one_line(capsys, argv, named):
+    """``ExperimentConfig.validate()``'s refusal is a usage error: status
+    2 and one line naming the field, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_scalability_study_shapes():
     study = scalability_study(
         algorithm="suzuki", cluster_counts=(2, 4), apps_per_cluster=2,

@@ -22,8 +22,8 @@ def test_compare_rejects_malformed_pair():
         main(["compare", "naimi", *FAST])
 
 
-def test_compare_rejects_unknown_algorithm():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
+def test_compare_rejects_unknown_algorithm(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["compare", "naimi-zookeeper", *FAST])
+    assert exc.value.code == 2
+    assert "unknown algorithm 'zookeeper'" in capsys.readouterr().err

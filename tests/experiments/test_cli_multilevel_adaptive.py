@@ -36,7 +36,8 @@ def test_cli_run_rejects_unregistered_algorithm(capsys):
             "run", "--system", "multilevel", "--intra", "nope",
             "--clusters", "2", "--apps", "2", "--n-cs", "1",
         ])
-    msg = str(exc.value)
+    assert exc.value.code == 2
+    msg = capsys.readouterr().err
     assert "unknown algorithm 'nope'" in msg
     assert "naimi" in msg  # the registered list is spelled out
 

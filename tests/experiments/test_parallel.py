@@ -1,4 +1,5 @@
-"""Unit tests for the process-parallel runner."""
+"""Unit tests for the process-parallel runner: the one sweep loop,
+driven uncached (``cache=None``: nothing hits, nothing is stored)."""
 
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -8,21 +9,23 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, run_experiment, run_many
 from repro.experiments.parallel import (
+    POOL_MIN_BATCH,
     compute_chunksize,
-    run_configs_parallel,
-    run_many_parallel,
+    run_configs_cached,
     shutdown_warm_pool,
-    stream_configs_parallel,
+    stream_configs_cached,
     warm_pool,
 )
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
+#: the smallest batch the loop hands to a pool
+SEEDS = tuple(range(POOL_MIN_BATCH))
 
 
 def test_parallel_matches_serial_exactly():
-    serial = run_many(CFG, seeds=(0, 1))
-    parallel = run_many_parallel(CFG, seeds=(0, 1), max_workers=2)
+    serial = run_many(CFG, seeds=SEEDS, max_workers=1)
+    parallel = run_many(CFG, seeds=SEEDS, max_workers=2)
     assert parallel.name == serial.name
     assert parallel.obtaining.mean == serial.obtaining.mean
     assert parallel.obtaining.std == serial.obtaining.std
@@ -32,22 +35,28 @@ def test_parallel_matches_serial_exactly():
 
 
 def test_run_configs_parallel_preserves_order():
-    configs = [CFG.with_(seed=s) for s in (3, 1, 2)]
-    results = run_configs_parallel(configs, max_workers=2)
-    assert [r.config.seed for r in results] == [3, 1, 2]
+    configs = [CFG.with_(seed=s) for s in (3, 1, 2, 0)]
+    results = run_configs_cached(configs, cache=None, max_workers=2)
+    assert [r.config.seed for r in results] == [3, 1, 2, 0]
     for r, c in zip(results, configs):
         assert r.total_messages == run_experiment(c).total_messages
 
 
-def test_single_worker_falls_back_to_serial():
-    results = run_configs_parallel([CFG, CFG.with_(seed=1)], max_workers=1)
-    assert len(results) == 2
+def test_single_worker_falls_back_to_serial(monkeypatch):
+    import repro.experiments.parallel as parallel_mod
+
+    def boom(*args, **kwargs):  # pragma: no cover - must not be reached
+        raise AssertionError("max_workers=1 must not touch a pool")
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+    configs = [CFG.with_(seed=s) for s in SEEDS]
+    assert len(run_configs_cached(configs, cache=None, max_workers=1)) == 4
 
 
 def test_stream_yields_every_index():
-    configs = [CFG.with_(seed=s) for s in (0, 1, 2)]
-    got = dict(stream_configs_parallel(configs, max_workers=2))
-    assert sorted(got) == [0, 1, 2]
+    configs = [CFG.with_(seed=s) for s in SEEDS]
+    got = dict(stream_configs_cached(configs, None, max_workers=2))
+    assert sorted(got) == list(SEEDS)
     for i, config in enumerate(configs):
         assert got[i].total_messages == run_experiment(config).total_messages
 
@@ -61,10 +70,10 @@ def test_compute_chunksize():
 
 def test_warm_pool_is_reused_and_matches_serial():
     shutdown_warm_pool()
-    configs = [CFG.with_(seed=s) for s in (0, 1)]
-    first = run_configs_parallel(configs, max_workers=2, reuse_pool=True)
+    configs = [CFG.with_(seed=s) for s in SEEDS]
+    first = run_configs_cached(configs, None, max_workers=2, reuse_pool=True)
     pool = warm_pool(2)
-    second = run_configs_parallel(configs, max_workers=2, reuse_pool=True)
+    second = run_configs_cached(configs, None, max_workers=2, reuse_pool=True)
     assert warm_pool(2) is pool  # same executor across calls
     serial = [run_experiment(c) for c in configs]
     assert [r.total_messages for r in first] == \
@@ -90,9 +99,9 @@ def test_broken_process_pool_falls_back_to_serial(monkeypatch):
             pass
 
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", ExplodingPool)
-    configs = [CFG, CFG.with_(seed=1)]
-    results = run_configs_parallel(configs, max_workers=2)
-    assert [r.config.seed for r in results] == [0, 1]
+    configs = [CFG.with_(seed=s) for s in SEEDS]
+    results = run_configs_cached(configs, cache=None, max_workers=2)
+    assert [r.config.seed for r in results] == list(SEEDS)
     assert all(r.total_messages > 0 for r in results)
 
 
@@ -101,7 +110,7 @@ def test_broken_pool_mid_batch_redoes_only_missing(monkeypatch):
     completed; finished results are kept, not re-run."""
     import repro.experiments.parallel as parallel_mod
 
-    configs = [CFG.with_(seed=s) for s in (0, 1, 2)]
+    configs = [CFG.with_(seed=s) for s in SEEDS]
     real = [run_experiment(c) for c in configs]
 
     class HalfBrokenPool:
@@ -112,10 +121,10 @@ def test_broken_pool_mid_batch_redoes_only_missing(monkeypatch):
         def __init__(self, *args, **kwargs):
             pass
 
-        def submit(self, fn, chunk):
+        def submit(self, fn, chunk, spec, put_mask):
             fut = Future()
             if HalfBrokenPool.calls == 0:
-                fut.set_result([real[0]])
+                fut.set_result(([real[0]], None))  # (results, worker stats)
             else:
                 fut.set_exception(BrokenProcessPool("worker died"))
             HalfBrokenPool.calls += 1
@@ -133,19 +142,21 @@ def test_broken_pool_mid_batch_redoes_only_missing(monkeypatch):
 
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", HalfBrokenPool)
     monkeypatch.setattr(parallel_mod, "run_experiment", counting_run)
-    results = run_configs_parallel(configs, max_workers=2, chunksize=1)
-    assert redone == [1, 2]  # seed 0 came from the pool and was kept
-    assert [r.config.seed for r in results] == [0, 1, 2]
+    results = run_configs_cached(
+        configs, cache=None, max_workers=2, chunksize=1
+    )
+    assert redone == [1, 2, 3]  # seed 0 came from the pool and was kept
+    assert [r.config.seed for r in results] == list(SEEDS)
     assert [r.total_messages for r in results] == \
         [r.total_messages for r in real]
 
 
 def test_validation():
     with pytest.raises(ConfigurationError):
-        run_configs_parallel([])
+        run_configs_cached([], cache=None)
     with pytest.raises(ConfigurationError):
-        run_many_parallel(CFG, seeds=())
+        run_many(CFG, seeds=())
     with pytest.raises(ConfigurationError):
-        run_configs_parallel([CFG.with_(rho=-1.0)])
+        run_configs_cached([CFG.with_(rho=-1.0)], cache=None)
     with pytest.raises(ConfigurationError):
-        stream_configs_parallel([])
+        list(stream_configs_cached([], None))

@@ -27,6 +27,8 @@ CONFIGS = {
         rho=1008.0, seed=1,
     ),
 }
+# the counters level attaches nothing that could hold the run alive
+CONFIGS["composition-counters"] = CONFIGS["composition"].with_(obs="counters")
 
 #: slack for what the test machinery itself leaves between two collects
 FEW = 50
@@ -121,7 +123,7 @@ def test_teardown_runs_with_observers_and_on_the_adaptive_system(run_sims):
     # by design), but the finally block must cope with them.
     config = CONFIGS["composition"]
     for variant in (
-        config.with_(obs="counters"),
+        config.with_(obs="paths"),
         config.with_(system="adaptive"),
     ):
         assert run_experiment(variant).cs_count == config.n_apps * config.n_cs

@@ -114,7 +114,7 @@ def test_large_topology_falls_back_to_cluster_table(monkeypatch):
 
 
 def test_unbatched_jitter_matches_reference_formula():
-    # The default mode must stay draw-for-draw identical to the seed
+    # Jitter must stay draw-for-draw identical to the seed
     # implementation: one lognormal(mean=-sigma^2/2, sigma) per call.
     sigma = 0.3
     model = ConstantLatency(10.0, jitter=sigma)
@@ -125,37 +125,3 @@ def test_unbatched_jitter_matches_reference_formula():
         for _ in range(20)
     ]
     assert seq == ref_seq
-
-
-def test_batched_jitter_flag():
-    model = ConstantLatency(10.0, jitter=0.2)
-    assert not model.batched_jitter
-    model.enable_batched_jitter(block=16)
-    assert model.batched_jitter
-
-
-def test_batched_jitter_same_seed_same_sequence():
-    def run(block):
-        model = ConstantLatency(10.0, jitter=0.2)
-        model.enable_batched_jitter(block=block)
-        rng = np.random.default_rng(3)
-        return [model.one_way(0, 1, rng) for _ in range(40)]
-
-    assert run(16) == run(16)  # deterministic, including block refills
-    samples = np.array(run(16))
-    assert samples.std() > 0  # jitter actually applied
-    assert np.all(samples > 0)
-
-
-def test_batched_jitter_noop_without_jitter():
-    model = ConstantLatency(10.0)
-    model.enable_batched_jitter()
-    assert not model.batched_jitter
-    assert model.one_way(0, 1, RNG) == 10.0
-
-
-def test_batched_jitter_rejects_bad_block():
-    from repro.net.latency import _BatchedLognormal
-
-    with pytest.raises(NetworkError):
-        _BatchedLognormal(0.0, 0.2, 0)

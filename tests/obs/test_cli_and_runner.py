@@ -44,6 +44,23 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([*SMALL, "--rho", "5"])
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["--intra", "bogus"], "'bogus'"), (["--clusters", "12"], "n_clusters")],
+    )
+    def test_refused_config_is_one_line_and_status_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_multilevel_is_built_from_intra_and_inter(self, capsys):
+        assert main([*SMALL, "--system", "multilevel", "--inter", "martin",
+                     "--platform", "two-tier", "--level", "counters"]) == 0
+        assert "naimi/martin" in capsys.readouterr().out
+
     def test_module_entry_point(self, tmp_path):
         """`python -m repro.obs` resolves and runs end to end."""
         repo = Path(__file__).resolve().parents[2]
