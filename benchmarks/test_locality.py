@@ -12,32 +12,21 @@ counts.
 """
 
 from conftest import run_once
-from repro.core import Composition, FlatMutex
-from repro.experiments.runner import build_platform
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, ExperimentRun
 from repro.metrics import TimelineRecorder, format_table
-from repro.net import Network
-from repro.sim import Simulator
-from repro.workload import deploy_workload
 
 
 def _locality(system_kind: str, rho_over_n: float, seed=5) -> float:
     cfg = ExperimentConfig(
-        n_clusters=6, apps_per_cluster=3, n_cs=10,
-        rho=rho_over_n * 18,
+        system=system_kind, n_clusters=6, apps_per_cluster=3, n_cs=10,
+        rho=rho_over_n * 18, seed=seed,
     )
-    sim = Simulator(seed=seed)
-    topo, latency = build_platform(cfg)
-    net = Network(sim, topo, latency)
-    if system_kind == "composition":
-        system = Composition(sim, net, topo, intra="naimi", inter="naimi")
-    else:
-        system = FlatMutex(sim, net, topo, algorithm="naimi")
-    timeline = TimelineRecorder(sim.trace, topo, system.app_nodes)
-    apps, _ = deploy_workload(system, alpha_ms=10.0, rho=cfg.rho,
-                              n_cs=cfg.n_cs)
-    sim.run(until=10_000_000.0)
-    assert all(a.done for a in apps)
+    with ExperimentRun(cfg) as run:
+        run.build()
+        timeline = TimelineRecorder(
+            run.sim.trace, run.net.topology, run.system.app_nodes
+        )
+        run.execute()
     return timeline.locality_ratio()
 
 

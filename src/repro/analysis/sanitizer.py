@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..errors import LivenessViolation
 from ..experiments.config import ExperimentConfig
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord
@@ -104,55 +104,26 @@ class CanonicalDigest:
 # --------------------------------------------------------------------- #
 # running one configuration
 # --------------------------------------------------------------------- #
-def _run_with_digests(config: ExperimentConfig) -> Tuple[str, str, int]:
-    """Run ``config`` with both digests attached.
-
-    Returns ``(canonical_hexdigest, raw_hexdigest, events)``.  Imports
-    stay local so importing :mod:`repro.analysis` for pure linting does
-    not pull the whole experiment stack.
-    """
-    from ..experiments.runner import build_platform, build_system
-    from ..net.network import Network
+def _run_with_digests(config: ExperimentConfig) -> Tuple[str, str]:
+    """Run ``config`` with both digests attached; returns ``(canonical,
+    raw)`` hex digests.  Imports stay local so importing
+    :mod:`repro.analysis` for pure linting does not pull the whole
+    experiment stack."""
+    from ..experiments.runner import ExperimentRun
     from ..verify.digest import RunDigest
-    from ..workload.scenario import deploy_workload
 
-    config.validate()
-    sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
-    canonical = CanonicalDigest(sim)
-    raw = RunDigest(sim)
-    topology, latency = build_platform(config)
-    net = Network(sim, topology, latency, fifo=config.fifo)
-    system = build_system(sim, net, topology, config)
-
-    remaining = {"count": len(system.app_nodes)}
-
-    def app_done(_app: object) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            sim.stop()
-
-    apps, _collector = deploy_workload(
-        system,
-        alpha_ms=config.alpha_ms,
-        rho=config.rho,
-        n_cs=config.n_cs,
-        distribution=config.distribution,
-        on_done=app_done,
-    )
-    deadline = (
-        config.deadline_ms
-        if config.deadline_ms is not None
-        else config.default_deadline()
-    )
-    sim.run(until=deadline)
-    unfinished = [a.name for a in apps if not a.done]
-    if unfinished:
-        raise ReproError(
-            f"sanitizer run {config.describe()} (tie_seed={config.tie_seed}) "
-            f"did not complete: {len(unfinished)} app(s) unfinished — a "
-            f"tie-break perturbation must never cost liveness"
-        )
-    return canonical.hexdigest, raw.hexdigest, canonical.events
+    with ExperimentRun(config) as run:
+        canonical = CanonicalDigest(run.sim)
+        raw = RunDigest(run.sim)
+        try:
+            run.execute()
+        except LivenessViolation as exc:
+            raise LivenessViolation(
+                f"sanitizer run (tie_seed={config.tie_seed}) did not "
+                f"complete — a tie-break perturbation must never cost "
+                f"liveness: {exc}"
+            ) from exc
+    return canonical.hexdigest, raw.hexdigest
 
 
 @dataclass(frozen=True)
@@ -192,14 +163,13 @@ def sanitize_config(
     """Run ``config`` under FIFO and each perturbed tie-break order and
     compare canonical digests."""
     base = config.with_(tie_seed=None)
-    base_canonical, base_raw, _ = _run_with_digests(base)
+    base_canonical, base_raw = _run_with_digests(base)
     perturbed: Dict[int, str] = {}
     reordered: List[int] = []
-    for seed in tie_seeds:
-        canonical, raw, _ = _run_with_digests(config.with_(tie_seed=int(seed)))
-        perturbed[int(seed)] = canonical
+    for seed in map(int, tie_seeds):
+        perturbed[seed], raw = _run_with_digests(config.with_(tie_seed=seed))
         if raw != base_raw:
-            reordered.append(int(seed))
+            reordered.append(seed)
     return ConfigSanitizeResult(
         config=base,
         baseline_digest=base_canonical,

@@ -11,7 +11,7 @@ is exactly the transparency the paper claims for the approach.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CompositionError
 from ..mutex.base import MutexPeer
@@ -31,6 +31,13 @@ class MutexSystem(ABC):
     application node — the paper's "original algorithm") and
     :class:`Composition` (the paper's contribution).
     """
+
+    #: The bridging processes, one per intra instance with a level above
+    #: it.  A flat system has none; the hierarchical ones override this.
+    coordinators: Sequence[Coordinator] = ()
+    #: Algorithm currently run between the clusters; ``""`` where there is
+    #: no single inter level (flat, multilevel).
+    inter_name: str = ""
 
     def __init__(self, sim: Simulator, net: Network, topology: GridTopology):
         self.sim = sim

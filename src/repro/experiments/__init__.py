@@ -26,6 +26,7 @@ from .figures import (
 from .runner import (
     AggregateResult,
     ExperimentResult,
+    ExperimentRun,
     run_composition,
     run_experiment,
     run_flat,
@@ -45,6 +46,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "AggregateResult",
+    "ExperimentRun",
     "run_experiment",
     "run_many",
     "run_composition",

@@ -18,6 +18,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,6 +64,10 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cache_from_args(args):
     """The cache the flags ask for: ``None`` means caching is off."""
+    if args.cache_verify < 0:
+        raise ConfigurationError(
+            f"--cache-verify must be >= 0, got {args.cache_verify}"
+        )
     if args.no_cache:
         return None
     if getattr(args, "cache_url", None):
@@ -207,6 +212,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_figure(args) -> int:
     scale: FigureScale = PAPER_SCALE if args.full else QUICK_SCALE
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # before the sweep, not after it
+        raise ConfigurationError(f"--out {args.out}: no such directory")
     cache = _cache_from_args(args)
     data = ALL_FIGURES[args.figure](scale, cache=cache)
     _print_cache_stats(cache)

@@ -163,11 +163,13 @@ class ExperimentConfig:
         so the passing case is straight-line: no helper calls, and
         ``0 < v < inf`` is false for NaN and for infinity alike.
         """
-        for name in ("n_clusters", "apps_per_cluster", "n_cs"):
+        for name, least in (("n_clusters", 1), ("apps_per_cluster", 1),
+                            ("n_cs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < least):
                 raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {value!r}"
+                    f"{name} must be an integer >= {least}, got {value!r}"
                 )
         for name in ("alpha_ms", "rho"):
             value = getattr(self, name)
@@ -183,6 +185,13 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{name} must be finite and >= 0, got {value!r}"
                 )
+        value = self.tie_seed
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
+            raise ConfigurationError(
+                f"tie_seed must be None or an integer, got {value!r}"
+            )
         value = self.deadline_ms
         if value is not None and (
             isinstance(value, bool) or not isinstance(value, _REAL)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..cache.store import CacheStats, ExperimentCache, resolve_cache
-from ..metrics.analysis import pooled
+from ..cache.store import ExperimentCache, resolve_cache
 from ..workload.behavior import PAPER_RHO_OVER_N_GRID
 from .config import ExperimentConfig
-from .runner import AggregateResult
+from .runner import AggregateResult, _aggregate
 
 __all__ = [
     "FigureScale",
@@ -32,7 +31,6 @@ __all__ = [
     "inter_sweep",
     "intra_sweep",
     "clear_sweep_memo",
-    "last_sweep_cache_stats",
     "fig4a",
     "fig4b",
     "fig5a",
@@ -109,78 +107,45 @@ Sweep = Dict[SweepKey, AggregateResult]
 _SWEEP_MEMO: "Dict[Tuple[str, FigureScale], Sweep]" = {}
 _SWEEP_MEMO_MAX = 4
 
-#: Counter snapshot of the last sweep that consulted the experiment
-#: cache (for CLI/suite reporting); ``None`` when caching was off.
-_LAST_CACHE_STATS: List[Optional[CacheStats]] = [None]
-
 
 def clear_sweep_memo() -> None:
     """Drop the in-process sweep memo (tests and cache-smoke runs)."""
     _SWEEP_MEMO.clear()
-    _LAST_CACHE_STATS[0] = None
 
 
-def last_sweep_cache_stats() -> Optional[CacheStats]:
-    """Experiment-cache counters of the most recent uncached-memo sweep."""
-    return _LAST_CACHE_STATS[0]
+#: The curves of each sweep, in the paper's legend order, as the config
+#: fields that tell them apart.  Fig 4/5 (``inter``): intra fixed to
+#: Naimi, inter varying, plus the original (flat) Naimi; Fig 6
+#: (``intra``): inter fixed to Naimi, intra varying.
+_CURVES: Dict[str, Tuple[Tuple[str, Dict[str, str]], ...]] = {
+    "inter": (
+        ("naimi-naimi", {"intra": "naimi", "inter": "naimi"}),
+        ("naimi-martin", {"intra": "naimi", "inter": "martin"}),
+        ("naimi-suzuki", {"intra": "naimi", "inter": "suzuki"}),
+        ("naimi (flat)", {"system": "flat", "intra": "naimi"}),
+    ),
+    "intra": (
+        ("naimi-naimi", {"intra": "naimi", "inter": "naimi"}),
+        ("martin-naimi", {"intra": "martin", "inter": "naimi"}),
+        ("suzuki-naimi", {"intra": "suzuki", "inter": "naimi"}),
+    ),
+}
 
 
-def _base_config(scale: FigureScale) -> ExperimentConfig:
-    return ExperimentConfig(
+def _cells(
+    kind: str, scale: FigureScale
+) -> List[Tuple[SweepKey, ExperimentConfig]]:
+    """The cell grid of a sweep (rho points × curves), unexecuted."""
+    base = ExperimentConfig(
         n_clusters=scale.n_clusters,
         apps_per_cluster=scale.apps_per_cluster,
         n_cs=scale.n_cs,
     )
-
-
-def _inter_cells(
-    scale: FigureScale,
-) -> List[Tuple[SweepKey, ExperimentConfig]]:
-    """The Fig 4/5 cell grid (labels × rho points), unexecuted."""
-    base = _base_config(scale)
-    cells: List[Tuple[SweepKey, ExperimentConfig]] = []
-    for x in scale.rho_over_n:
-        rho = x * scale.n_apps
-        for inter in ("naimi", "martin", "suzuki"):
-            cells.append((
-                (f"naimi-{inter}", x),
-                base.with_(intra="naimi", inter=inter, rho=rho),
-            ))
-        cells.append((
-            ("naimi (flat)", x),
-            base.with_(system="flat", intra="naimi", rho=rho),
-        ))
-    return cells
-
-
-def _intra_cells(
-    scale: FigureScale,
-) -> List[Tuple[SweepKey, ExperimentConfig]]:
-    """The Fig 6 cell grid (labels × rho points), unexecuted."""
-    base = _base_config(scale)
-    cells: List[Tuple[SweepKey, ExperimentConfig]] = []
-    for x in scale.rho_over_n:
-        rho = x * scale.n_apps
-        for intra in ("naimi", "martin", "suzuki"):
-            cells.append((
-                (f"{intra}-naimi", x),
-                base.with_(intra=intra, inter="naimi", rho=rho),
-            ))
-    return cells
-
-
-#: Which cell grid each figure draws from (Fig 4/5 share the inter
-#: sweep, Fig 6 the intra sweep).
-FIGURE_SWEEPS = {
-    "fig4a": "inter",
-    "fig4b": "inter",
-    "fig5a": "inter",
-    "fig5b": "inter",
-    "fig6a": "intra",
-    "fig6b": "intra",
-}
-
-_CELL_BUILDERS = {"inter": _inter_cells, "intra": _intra_cells}
+    return [
+        ((label, x), base.with_(rho=x * scale.n_apps, **fields))
+        for x in scale.rho_over_n
+        for label, fields in _CURVES[kind]
+    ]
 
 
 def sweep_configs(kind: str, scale: FigureScale) -> List[ExperimentConfig]:
@@ -191,8 +156,11 @@ def sweep_configs(kind: str, scale: FigureScale) -> List[ExperimentConfig]:
     collecting from the shared store reproduces the sweep results the
     figure generators read, byte for byte.
     """
-    cells = _CELL_BUILDERS[kind](scale)
-    return [cfg.with_(seed=seed) for _, cfg in cells for seed in scale.seeds]
+    return [
+        cfg.with_(seed=seed)
+        for _, cfg in _cells(kind, scale)
+        for seed in scale.seeds
+    ]
 
 
 def figure_configs(
@@ -203,37 +171,27 @@ def figure_configs(
 
 
 def _run_sweep(
-    kind: str,
-    scale: FigureScale,
-    cells: Sequence[Tuple[SweepKey, ExperimentConfig]],
-    cache: "ExperimentCache | str | None",
+    kind: str, scale: FigureScale, cache: "ExperimentCache | str | None"
 ) -> Sweep:
-    """Run ``cells`` (label → config template) × seeds through the
-    incremental scheduler and pool the per-cell aggregates."""
+    """Run the ``kind`` cells × seeds through the incremental scheduler
+    and pool the per-cell aggregates."""
     memo_key = (kind, scale)
     memo = _SWEEP_MEMO.get(memo_key)
     if memo is not None:
         return memo
-    store = resolve_cache(cache)
-    configs = [
-        cfg.with_(seed=seed) for _, cfg in cells for seed in scale.seeds
-    ]
     from .parallel import run_configs_cached  # runtime import: no cycle
 
-    results = run_configs_cached(configs, cache=store, reuse_pool=True)
-    out: Sweep = {}
+    results = run_configs_cached(
+        sweep_configs(kind, scale), cache=resolve_cache(cache), reuse_pool=True
+    )
     n_seeds = len(scale.seeds)
-    for c, (key, _) in enumerate(cells):
-        runs = tuple(results[c * n_seeds: (c + 1) * n_seeds])
-        out[key] = AggregateResult(
-            name=runs[0].name,
-            runs=runs,
-            obtaining=pooled([r.obtaining for r in runs]),
-        )
+    out: Sweep = {
+        key: _aggregate(results[c * n_seeds: (c + 1) * n_seeds])
+        for c, (key, _) in enumerate(_cells(kind, scale))
+    }
     if len(_SWEEP_MEMO) >= _SWEEP_MEMO_MAX:
         _SWEEP_MEMO.pop(next(iter(_SWEEP_MEMO)))
     _SWEEP_MEMO[memo_key] = out
-    _LAST_CACHE_STATS[0] = store.stats.snapshot() if store else None
     return out
 
 
@@ -247,7 +205,7 @@ def inter_sweep(
     is set (see :func:`repro.cache.cache_from_env`); pass an
     :class:`~repro.cache.ExperimentCache` to use one explicitly or
     ``None`` to force execution."""
-    return _run_sweep("inter", scale, _inter_cells(scale), cache)
+    return _run_sweep("inter", scale, cache)
 
 
 def intra_sweep(
@@ -255,130 +213,66 @@ def intra_sweep(
 ) -> Sweep:
     """The Fig 6 matrix: inter fixed to Naimi, intra ∈ {Naimi, Martin,
     Suzuki}."""
-    return _run_sweep("intra", scale, _intra_cells(scale), cache)
-
-
-def _extract(
-    sweep: Sweep,
-    labels: Sequence[str],
-    xs: Sequence[float],
-    metric,
-) -> Dict[str, Tuple[float, ...]]:
-    return {
-        label: tuple(metric(sweep[(label, x)]) for x in xs)
-        for label in labels
-    }
-
-
-_INTER_LABELS = ("naimi-naimi", "naimi-martin", "naimi-suzuki", "naimi (flat)")
-_INTRA_LABELS = ("naimi-naimi", "martin-naimi", "suzuki-naimi")
+    return _run_sweep("intra", scale, cache)
 
 
 # --------------------------------------------------------------------- #
 # figure generators
 # --------------------------------------------------------------------- #
-def fig4a(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 4(a): obtaining time of application processes vs ρ."""
-    sweep = inter_sweep(scale, cache=cache)
-    return FigureData(
-        "fig4a",
-        "Composition evaluation: obtaining time",
-        "rho/N",
-        "mean obtaining time (ms)",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTER_LABELS, scale.rho_over_n,
-                 lambda r: r.obtaining.mean),
-    )
+#: All that tells one figure from another: ``(id, sweep it reads, title,
+#: y label, metric of one aggregated cell, docstring)``.
+_FIGURES = (
+    ("fig4a", "inter", "Composition evaluation: obtaining time",
+     "mean obtaining time (ms)", lambda r: r.obtaining.mean,
+     "Fig 4(a): obtaining time of application processes vs ρ."),
+    ("fig4b", "inter", "Composition evaluation: inter-cluster sent messages",
+     "inter-cluster messages per CS", lambda r: r.inter_messages_per_cs,
+     "Fig 4(b): inter-cluster sent messages per CS vs ρ."),
+    ("fig5a", "inter", "Obtaining time standard deviation",
+     "obtaining time std (ms)", lambda r: r.obtaining.std,
+     "Fig 5(a): standard deviation of the obtaining time vs ρ."),
+    ("fig5b", "inter", "Obtaining time relative deviation",
+     "sigma_r (std / mean)", lambda r: r.obtaining.relative_std,
+     "Fig 5(b): relative deviation σ_r = σ/mean vs ρ."),
+    ("fig6a", "intra", "Intra algorithm choice: obtaining time",
+     "mean obtaining time (ms)", lambda r: r.obtaining.mean,
+     "Fig 6(a): obtaining time vs ρ for the intra algorithm choice."),
+    ("fig6b", "intra",
+     "Intra algorithm choice: obtaining time standard deviation",
+     "obtaining time std (ms)", lambda r: r.obtaining.std,
+     "Fig 6(b): obtaining time std vs ρ for the intra algorithm choice\n"
+     "(the paper's \"regularity\" argument for Naimi intra)."),
+)
 
 
-def fig4b(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 4(b): inter-cluster sent messages per CS vs ρ."""
-    sweep = inter_sweep(scale, cache=cache)
-    return FigureData(
-        "fig4b",
-        "Composition evaluation: inter-cluster sent messages",
-        "rho/N",
-        "inter-cluster messages per CS",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTER_LABELS, scale.rho_over_n,
-                 lambda r: r.inter_messages_per_cs),
-    )
+def _generator(
+    figure_id: str,
+    sweep_kind: str,
+    title: str,
+    y_label: str,
+    metric: Callable[[AggregateResult], float],
+    doc: str,
+) -> Callable[..., FigureData]:
+    def figure(
+        scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
+    ) -> FigureData:
+        sweep = _run_sweep(sweep_kind, scale, cache)
+        xs = tuple(scale.rho_over_n)
+        return FigureData(
+            figure_id, title, "rho/N", y_label, xs,
+            {
+                label: tuple(metric(sweep[(label, x)]) for x in xs)
+                for label, _ in _CURVES[sweep_kind]
+            },
+        )
+
+    figure.__name__ = figure.__qualname__ = figure_id
+    figure.__doc__ = doc
+    return figure
 
 
-def fig5a(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 5(a): standard deviation of the obtaining time vs ρ."""
-    sweep = inter_sweep(scale, cache=cache)
-    return FigureData(
-        "fig5a",
-        "Obtaining time standard deviation",
-        "rho/N",
-        "obtaining time std (ms)",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTER_LABELS, scale.rho_over_n,
-                 lambda r: r.obtaining.std),
-    )
-
-
-def fig5b(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 5(b): relative deviation σ_r = σ/mean vs ρ."""
-    sweep = inter_sweep(scale, cache=cache)
-    return FigureData(
-        "fig5b",
-        "Obtaining time relative deviation",
-        "rho/N",
-        "sigma_r (std / mean)",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTER_LABELS, scale.rho_over_n,
-                 lambda r: r.obtaining.relative_std),
-    )
-
-
-def fig6a(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 6(a): obtaining time vs ρ for the intra algorithm choice."""
-    sweep = intra_sweep(scale, cache=cache)
-    return FigureData(
-        "fig6a",
-        "Intra algorithm choice: obtaining time",
-        "rho/N",
-        "mean obtaining time (ms)",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTRA_LABELS, scale.rho_over_n,
-                 lambda r: r.obtaining.mean),
-    )
-
-
-def fig6b(
-    scale: FigureScale, cache: "ExperimentCache | str | None" = "auto"
-) -> FigureData:
-    """Fig 6(b): obtaining time std vs ρ for the intra algorithm choice
-    (the paper's "regularity" argument for Naimi intra)."""
-    sweep = intra_sweep(scale, cache=cache)
-    return FigureData(
-        "fig6b",
-        "Intra algorithm choice: obtaining time standard deviation",
-        "rho/N",
-        "obtaining time std (ms)",
-        tuple(scale.rho_over_n),
-        _extract(sweep, _INTRA_LABELS, scale.rho_over_n,
-                 lambda r: r.obtaining.std),
-    )
-
-
-ALL_FIGURES = {
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-}
+ALL_FIGURES = {row[0]: _generator(*row) for row in _FIGURES}
+#: Which cell grid each figure draws from (Fig 4/5 share the inter
+#: sweep, Fig 6 the intra sweep).
+FIGURE_SWEEPS = {row[0]: row[1] for row in _FIGURES}
+fig4a, fig4b, fig5a, fig5b, fig6a, fig6b = ALL_FIGURES.values()

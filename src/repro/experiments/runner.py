@@ -1,38 +1,41 @@
 """Experiment runner: configuration -> simulation -> results.
 
-``run_experiment`` performs one complete run: build the platform,
+:class:`ExperimentRun` performs one complete run: build the platform,
 deploy the chosen mutual exclusion system and the α/β/ρ workload, run
 the kernel with the safety checker attached, and aggregate the paper's
-metrics.  ``run_many`` repeats over seeds like the paper's "every
-experiment was executed 10 times".
+metrics.  ``run_experiment`` is that behind the experiment cache;
+``run_many`` repeats over seeds like the paper's "every experiment was
+executed 10 times".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.store import ExperimentCache
 from ..core.adaptive import AdaptiveComposition
 from ..core.composition import Composition, FlatMutex, MutexSystem
 from ..core.multilevel import MultilevelComposition
-from ..errors import ConfigurationError, LivenessViolation
+from ..errors import ConfigurationError, LivenessViolation, SimulationError
 from ..grid.builders import random_wan_grid, two_tier_grid
 from ..grid.grid5000 import grid5000_latency, grid5000_topology
 from ..metrics.analysis import SummaryStats, pooled
-from ..metrics.collector import BoundedMetricsCollector
+from ..metrics.collector import BoundedMetricsCollector, MetricsCollector
 from ..net.network import Network
 from ..net.topology import LARGE_GRID_NODES, GridTopology
 from ..obs.layer import ObservabilityLayer
 from ..obs.report import ObsReport
 from ..sim.kernel import Simulator
 from ..verify.safety import MutualExclusionChecker
+from ..workload.application import ApplicationProcess
 from ..workload.scenario import deploy_workload
 from .config import ExperimentConfig
 
 __all__ = [
     "ExperimentResult",
     "AggregateResult",
+    "ExperimentRun",
     "run_experiment",
     "run_many",
     "run_composition",
@@ -91,6 +94,15 @@ class AggregateResult:
     @property
     def cs_count(self) -> int:
         return sum(r.cs_count for r in self.runs)
+
+
+def _aggregate(runs: Sequence[ExperimentResult]) -> AggregateResult:
+    """The runs of one configuration (one per seed), pooled."""
+    return AggregateResult(
+        name=runs[0].name,
+        runs=tuple(runs),
+        obtaining=pooled([r.obtaining for r in runs]),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -153,95 +165,78 @@ def _to_lists(spec):
     return [_to_lists(s) for s in spec]
 
 
-def _app_cs_filter(app_nodes) -> Callable:
-    """Safety-checker predicate: application CS events only.
-
-    Coordinators enter their intra/inter CSes as part of the bridging
-    automaton; the paper's mutual exclusion invariant is over the
-    *application* processes.  Reads the record's field dict directly —
-    this runs on every CS entry/exit of every checked run.
-    """
-    app_set = frozenset(app_nodes)
-
-    def include(rec) -> bool:
-        fields = rec.fields
-        if fields["node"] not in app_set:
-            return False
-        port = fields["port"]
-        return port.startswith("intra") or port == "flat"
-
-    return include
-
-
 # --------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------- #
-def run_experiment(
-    config: ExperimentConfig,
-    obs_hook: Optional[Callable[[ObservabilityLayer], None]] = None,
-    cache: Optional[ExperimentCache] = None,
-) -> ExperimentResult:
-    """Run one configured simulation to completion and aggregate.
+class ExperimentRun:
+    """One configuration becoming one run — the only place that does it.
 
-    ``obs_hook``, if given, is called with the attached
-    :class:`~repro.obs.ObservabilityLayer` after the run completes
-    (before the report is frozen) — the CLI uses it to export Chrome
-    traces.  It requires ``config.obs != "off"``.
+    The sequence is fixed: the kernel exists from construction, so a
+    trace subscriber attached to :attr:`sim` sees the first record
+    (coordinators take their intra token while the system is being
+    *built*); :meth:`build` wires platform, network, system, observers,
+    safety checker, collector and workload; :meth:`execute` runs to the
+    deadline and aggregates; :meth:`close` cuts the reference cycles.
+    Use it as a context manager — what it built is live and inspectable
+    (``run.net``, ``run.system``, ``run.obs``, ``run.apps``) until the
+    ``with`` block exits::
 
-    ``cache``, if given, consults a :class:`~repro.cache.ExperimentCache`
-    before executing and stores the result afterwards.  Caching is
-    strictly opt-in here: without an explicit cache this function always
-    executes, so tier-1 correctness paths (which run with
-    ``check_safety=True``) exercise the safety checker on every call.
-    An ``obs_hook`` needs the live observability layer, so it bypasses
-    the cache entirely.
+        with ExperimentRun(config) as run:
+            digest = RunDigest(run.sim)
+            result = run.execute()
     """
-    config.validate()
-    if obs_hook is not None and config.obs == "off":
-        raise ConfigurationError("obs_hook requires config.obs != 'off'")
-    if cache is None or obs_hook is not None:
-        return _execute_experiment(config, obs_hook)
-    cached = cache.get(config)
-    if cached is not None:
-        if cache.should_verify():
-            fresh = _execute_experiment(config, None)
-            if not cache.record_verification(cached, fresh):
-                cache.put(config, fresh)  # replace the stale entry
-            return fresh
-        return cached
-    result = _execute_experiment(config, None)
-    cache.put(config, result)
-    return result
 
+    def __init__(self, config: ExperimentConfig) -> None:
+        config.validate()
+        self.config = config
+        self.sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
+        self.net: Optional[Network] = None
+        self.system: Optional[MutexSystem] = None
+        #: attached by :meth:`build` when ``config.obs != "off"``; its
+        #: recorded data stays readable after :meth:`execute`
+        self.obs: Optional[ObservabilityLayer] = None
+        self.apps: List[ApplicationProcess] = []
+        self.collector: Optional[MetricsCollector] = None
+        self._stage = "new"  # -> "built" -> "executed"; "closed" from any
 
-def _execute_experiment(
-    config: ExperimentConfig,
-    obs_hook: Optional[Callable[[ObservabilityLayer], None]] = None,
-) -> ExperimentResult:
-    """The uncached run: build, simulate, check, aggregate."""
-    sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
-    topology, latency = build_platform(config)
-    net = Network(sim, topology, latency, fifo=config.fifo)
-    system = build_system(sim, net, topology, config)
-    apps: list = []
-    try:
+    def __enter__(self) -> "ExperimentRun":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
+
+    def _advance(self, expected: str, stage: str) -> None:
+        if self._stage != expected:
+            raise SimulationError(
+                f"{self.config.describe()}: a run that is {self._stage} "
+                f"cannot be {stage}"
+            )
+        self._stage = stage
+
+    def build(self) -> None:
+        """Platform, network, system, observers and workload, deployed
+        and ready to run (at most once; :meth:`execute` calls it)."""
+        self._advance("new", "built")
+        config, sim = self.config, self.sim
+        topology, latency = build_platform(config)
+        net = self.net = Network(sim, topology, latency, fifo=config.fifo)
+        system = self.system = build_system(sim, net, topology, config)
         # Attach after build_system (every handler registered, so the
         # causality layer wraps them all) and before the workload deploys.
-        obs: Optional[ObservabilityLayer] = None
         if config.obs != "off":
-            obs = ObservabilityLayer(
+            self.obs = ObservabilityLayer(
                 sim,
                 net,
                 level=config.obs,
                 app_nodes=system.app_nodes,
-                coordinator_nodes=tuple(
-                    c.node for c in getattr(system, "coordinators", ())
-                ),
+                coordinator_nodes=tuple(c.node for c in system.coordinators),
             )
 
         if config.check_safety:
-            # Edge-fed: checked on the grant/release callbacks of exactly
-            # the peers `_app_cs_filter` selects, so no cs_enter/cs_exit
+            # Edge-fed: checked on the grant/release callbacks of the
+            # application processes' own peers (coordinators enter their
+            # CSes as part of the bridging automaton; the paper's
+            # invariant is over the applications), so no cs_enter/cs_exit
             # record is built unless something else subscribes to them.
             MutualExclusionChecker().watch(
                 system.peer_for(node) for node in system.app_nodes
@@ -249,7 +244,7 @@ def _execute_experiment(
 
         remaining = {"count": len(system.app_nodes)}
 
-        def app_done(_app) -> None:
+        def app_done(_app: ApplicationProcess) -> None:
             remaining["count"] -= 1
             if remaining["count"] == 0:
                 sim.stop()
@@ -261,7 +256,7 @@ def _execute_experiment(
         collector_arg = None
         if config.n_apps >= LARGE_GRID_NODES:
             collector_arg = BoundedMetricsCollector(seed=config.seed)
-        apps, collector = deploy_workload(
+        self.apps, self.collector = deploy_workload(
             system,
             alpha_ms=config.alpha_ms,
             rho=config.rho,
@@ -270,13 +265,23 @@ def _execute_experiment(
             distribution=config.distribution,
             on_done=app_done,
         )
+
+    def execute(self) -> ExperimentResult:
+        """Run to the deadline, check liveness, freeze the observability
+        report and aggregate.  Once per run."""
+        if self._stage == "new":
+            self.build()
+        self._advance("built", "executed")
+        config, sim, net, system = self.config, self.sim, self.net, self.system
+        collector = self.collector
+        assert net is not None and system is not None and collector is not None
         deadline = (
             config.deadline_ms
             if config.deadline_ms is not None
             else config.default_deadline()
         )
         sim.run(until=deadline)
-        unfinished = [a.name for a in apps if not a.done]
+        unfinished = [a.name for a in self.apps if not a.done]
         if unfinished:
             raise LivenessViolation(
                 f"{config.describe()}: {len(unfinished)} application "
@@ -284,11 +289,9 @@ def _execute_experiment(
                 f"(first: {unfinished[:5]})"
             )
         obs_report: Optional[ObsReport] = None
-        if obs is not None:
-            if obs_hook is not None:
-                obs_hook(obs)
-            obs_report = obs.report()
-            obs.detach()
+        if self.obs is not None:
+            obs_report = self.obs.report()
+            self.obs.detach()
         stats = net.stats
         return ExperimentResult(
             config=config,
@@ -302,37 +305,66 @@ def _execute_experiment(
             inter_cluster_bytes=stats.bytes_inter_cluster,
             sim_time_ms=sim.now,
             per_cluster=collector.by_cluster(),
-            inter_algorithm_final=getattr(system, "inter_name", ""),
+            inter_algorithm_final=system.inter_name,
             obs_report=obs_report,
         )
-    finally:
-        _teardown(sim, net, system, apps)
+
+    def close(self) -> None:
+        """Cut the reference cycles of a finished (or failed) run.
+
+        Handlers, peers, their callback lists, timers and the kernel all
+        point at each other: left alone, every run is tens of thousands of
+        objects of *cyclic* garbage, and peak memory depends on when the
+        next full collection happens.  Each owner lets go of its own edges;
+        the rest is freed by reference count when the last reference to
+        this object goes.  Idempotent.
+        """
+        if self._stage == "closed":
+            return
+        self._stage = "closed"
+        # The calendar first: every `unregister` below looks through what is
+        # still in flight, and a run that ends on a LivenessViolation leaves
+        # thousands of entries behind — once per peer would be quadratic.
+        self.sim.close()
+        coordinators = self.system.coordinators if self.system is not None else ()
+        peers = {app.peer for app in self.apps}
+        for coordinator in coordinators:
+            peers.update((coordinator.lower, coordinator.upper))
+            # adaptive: gate -> controller -> composition -> coordinators
+            coordinator.upper_request_gate = None
+        for process in (*self.apps, *coordinators):
+            process.cancel_timers()
+        for peer in peers:
+            peer.shutdown()
+        if self.net is not None:
+            self.net.close()
 
 
-def _teardown(sim: Simulator, net: Network, system: MutexSystem, apps) -> None:
-    """Cut the reference cycles of a finished (or failed) run.
+def run_experiment(
+    config: ExperimentConfig,
+    cache: Optional[ExperimentCache] = None,
+) -> ExperimentResult:
+    """Run one configured simulation to completion and aggregate.
 
-    Handlers, peers, their callback lists, timers and the kernel all
-    point at each other: left alone, every run is tens of thousands of
-    objects of *cyclic* garbage, and peak memory depends on when the
-    next full collection happens.  Each owner lets go of its own edges;
-    the rest is freed by reference count when the caller's frame exits.
+    ``cache``, if given, consults a :class:`~repro.cache.ExperimentCache`
+    before executing and stores the result afterwards.  Caching is
+    strictly opt-in here: without an explicit cache this function always
+    executes, so tier-1 correctness paths (which run with
+    ``check_safety=True``) exercise the safety checker on every call.
+    To reach the live run (a digest, a Chrome trace, a probe) use
+    :class:`ExperimentRun` directly.
     """
-    # The calendar first: every `unregister` below looks through what is
-    # still in flight, and a run that ends on a LivenessViolation leaves
-    # thousands of entries behind — once per peer would be quadratic.
-    sim.close()
-    coordinators = getattr(system, "coordinators", ())
-    peers = {app.peer for app in apps}
-    for coordinator in coordinators:
-        peers.update((coordinator.lower, coordinator.upper))
-        # adaptive: gate -> controller -> composition -> coordinators
-        coordinator.upper_request_gate = None
-    for process in (*apps, *coordinators):
-        process.cancel_timers()
-    for peer in peers:
-        peer.shutdown()
-    net.close()
+    config.validate()  # also on a hit: a refused config has no result
+    cached = cache.get(config) if cache is not None else None
+    if cached is not None and not cache.should_verify():
+        return cached
+    with ExperimentRun(config) as run:
+        fresh = run.execute()
+    if cache is not None and (
+        cached is None or not cache.record_verification(cached, fresh)
+    ):
+        cache.put(config, fresh)  # a miss, or the stale entry replaced
+    return fresh
 
 
 def run_many(
@@ -354,15 +386,11 @@ def run_many(
         raise ConfigurationError("run_many needs at least one seed")
     from .parallel import run_configs_cached  # runtime import: no cycle
 
-    runs = tuple(run_configs_cached(
+    runs = run_configs_cached(
         [config.with_(seed=s) for s in seeds],
         cache=cache, max_workers=max_workers, reuse_pool=True,
-    ))
-    return AggregateResult(
-        name=runs[0].name,
-        runs=runs,
-        obtaining=pooled([r.obtaining for r in runs]),
     )
+    return _aggregate(runs)
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Client for the farm server: submit / status / fetch / drain.
 
-A thin wrapper over ``urllib`` with the same retry-with-backoff policy
-as the HTTP cache tier, so a server restart mid-conversation costs a
-delay, not a failed sweep.  Many concurrent clients may submit the
-same sweep: job ids are content-addressed, so they all converge on one
-job and one set of warm results.
+Every exchange is the HTTP cache tier's
+:func:`~repro.farm.httpcache.http_round_trip` (retry with backoff), so a
+server restart mid-conversation costs a delay, not a failed sweep.
+Many concurrent clients may submit the same sweep: job ids are
+content-addressed, so they all converge on one job and one set of warm
+results.
 """
 
 from __future__ import annotations
@@ -12,19 +13,15 @@ from __future__ import annotations
 import json
 import pickle
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cache.retry import with_retries
 from ..cache.store import CacheStats
 from ..errors import FarmError
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import ExperimentResult
+from .httpcache import http_round_trip
 
 __all__ = ["FarmClient"]
-
-_TRANSIENT = (urllib.error.URLError, OSError)
 
 
 class FarmClient:
@@ -38,33 +35,12 @@ class FarmClient:
         self.attempts = attempts
 
     # ------------------------------------------------------------------ #
-    def _request(
-        self, method: str, path: str, body: Optional[bytes] = None
-    ) -> Tuple[int, bytes]:
-        req = urllib.request.Request(
-            f"{self.url}{path}", data=body, method=method
-        )
-        req.add_header("Content-Type", "application/octet-stream")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            payload = exc.read()
-            status = exc.code
-            exc.close()
-            if status >= 500:
-                raise urllib.error.URLError(
-                    f"server returned {status} for {method} {path}"
-                ) from exc
-            return status, payload
-
     def _retrying(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> Tuple[int, bytes]:
-        return with_retries(
-            lambda: self._request(method, path, body),
-            attempts=self.attempts,
-            retry_on=_TRANSIENT,
+        return http_round_trip(
+            method, f"{self.url}{path}", body,
+            timeout_s=self.timeout_s, attempts=self.attempts,
         )
 
     @staticmethod

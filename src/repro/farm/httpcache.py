@@ -25,7 +25,7 @@ import pickle
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from ..cache.keys import code_fingerprint, config_key
 from ..cache.retry import with_retries
@@ -36,6 +36,42 @@ __all__ = ["HttpCache", "HttpCacheSpec"]
 #: Transport failures worth retrying (urllib raises URLError for
 #: connection problems; OSError covers socket-level resets).
 _TRANSIENT = (urllib.error.URLError, OSError)
+
+
+def http_round_trip(
+    method: str,
+    url: str,
+    body: Optional[bytes] = None,
+    *,
+    timeout_s: float,
+    attempts: int,
+) -> Tuple[int, bytes]:
+    """One HTTP exchange with the farm server, retried with backoff on
+    transport errors: ``(status, body)`` for every status below 500.
+
+    ``HTTPError`` subclasses ``URLError``, so status handling must
+    happen *before* the retry policy sees the exception: a 4xx is an
+    answer (never retried — a malformed request will not get better,
+    and what a 404 means is the caller's business), a 5xx is re-raised
+    as a plain ``URLError`` (retried — the server is restarting).
+    """
+    def once() -> Tuple[int, bytes]:
+        req = urllib.request.Request(url, data=body, method=method)
+        req.add_header("Content-Type", "application/octet-stream")
+        try:
+            with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            payload = exc.read()
+            status = exc.code
+            exc.close()
+            if status >= 500:
+                raise urllib.error.URLError(
+                    f"server returned {status} for {method} {url}"
+                ) from exc
+            return status, payload
+
+    return with_retries(once, attempts=attempts, retry_on=_TRANSIENT)
 
 
 @dataclass(frozen=True)
@@ -92,46 +128,18 @@ class HttpCache:
     def _entry_url(self, key: str) -> str:
         return f"{self.url}/v1/cache/{self.fingerprint}/{key}"
 
-    def _request(
-        self, method: str, url: str, body: Optional[bytes] = None
-    ) -> Optional[bytes]:
-        """One HTTP round trip; ``None`` for 404 (a clean miss).
-
-        ``HTTPError`` subclasses ``URLError``, so status handling must
-        happen *before* the retry policy sees the exception: 404 is a
-        miss (never retried), 5xx is re-raised as a plain ``URLError``
-        (retried — the proxy is restarting), any other 4xx propagates
-        as a hard error (a malformed request will not get better).
-        """
-        req = urllib.request.Request(url, data=body, method=method)
-        req.add_header("Content-Type", "application/octet-stream")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            status = exc.code
-            exc.close()
-            if status == 404:
-                return None
-            if status >= 500:
-                raise urllib.error.URLError(
-                    f"proxy returned {status} for {method} {url}"
-                ) from exc
-            raise
-
     # ------------------------------------------------------------------ #
     def get(self, config: Any) -> Optional[Any]:
         key = self.key_for(config)
         try:
-            blob = with_retries(
-                lambda: self._request("GET", self._entry_url(key)),
-                attempts=self.attempts,
-                retry_on=_TRANSIENT,
+            status, blob = http_round_trip(
+                "GET", self._entry_url(key),
+                timeout_s=self.timeout_s, attempts=self.attempts,
             )
         except _TRANSIENT:
             self.stats.misses += 1  # unreachable proxy degrades to a miss
             return None
-        if blob is None:
+        if status != 200:  # 404: a clean miss
             self.stats.misses += 1
             return None
         try:
@@ -153,12 +161,13 @@ class HttpCache:
         key = self.key_for(config)
         blob = canonical_dumps({"key": config.cache_key(), "result": result})
         try:
-            with_retries(
-                lambda: self._request("PUT", self._entry_url(key), blob),
-                attempts=self.attempts,
-                retry_on=_TRANSIENT,
+            status, _ = http_round_trip(
+                "PUT", self._entry_url(key), blob,
+                timeout_s=self.timeout_s, attempts=self.attempts,
             )
-        except (urllib.error.HTTPError, *_TRANSIENT):
+        except _TRANSIENT:
+            status = None
+        if status is None or status >= 400:  # unreachable, or refused
             self.put_failures += 1
             return
         self.stats.stores += 1

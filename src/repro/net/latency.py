@@ -15,27 +15,22 @@ Hot path
 ``one_way`` is called once per message, so the models precompute at
 construction time everything the per-call path would otherwise redo:
 
-* the full node-pair delay table (plain Python floats — scalar indexing
-  into a numpy array costs more than the rest of the call combined),
-  derived once from the cluster-pair matrix; topologies too large for a
-  dense node table fall back to a cluster-indexed table plus the
-  topology's dense cluster map;
+* the cluster-pair delay table as nested lists of plain Python floats
+  (scalar indexing into a numpy array costs more than the rest of the
+  call combined), read through the topology's dense node -> cluster map;
 * the jitter constants: ``sigma`` and the lognormal ``mean = -sigma²/2``
   that keeps the jitter factor mean-1.
 """
 
 from __future__ import annotations
 
-import logging
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import NetworkError
 from .topology import GridTopology
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "LatencyModel",
@@ -49,11 +44,6 @@ __all__ = [
 #: one node, e.g. an application process talking to a co-located
 #: coordinator).  Small but non-zero so delivery is still an event.
 LOCAL_DELIVERY_MS = 0.001
-
-#: Largest topology for which a dense node-pair delay table is built
-#: (n² Python floats; 512 nodes ≈ 262k entries).  Above it, models fall
-#: back to the cluster-pair table — same results, one extra index hop.
-_NODE_TABLE_MAX_NODES = 512
 
 
 class LatencyModel(ABC):
@@ -87,32 +77,6 @@ class LatencyModel(ABC):
         return self.one_way(src, dst, rng) + self.one_way(dst, src, rng)
 
 
-def _node_delay_table(
-    topology: GridTopology, cluster_table: List[List[float]]
-) -> Optional[List[List[float]]]:
-    """Dense ``[src][dst]`` one-way delay table of plain Python floats.
-
-    ``None`` when the topology is too large for a dense table (quadratic
-    memory); the diagonal holds :data:`LOCAL_DELIVERY_MS`."""
-    n = topology.n_nodes
-    if n > _NODE_TABLE_MAX_NODES:
-        logger.info(
-            "topology has %d nodes (> %d): skipping the dense O(N^2) "
-            "node-pair delay table in favour of O(N + C^2) cluster block "
-            "tables (same delays, one extra index hop per send)",
-            n, _NODE_TABLE_MAX_NODES,
-        )
-        return None
-    cluster_of = [topology.cluster_of(node) for node in range(n)]
-    table: List[List[float]] = []
-    for src in range(n):
-        row_base = cluster_table[cluster_of[src]]
-        row = [row_base[cluster_of[dst]] for dst in range(n)]
-        row[src] = LOCAL_DELIVERY_MS
-        table.append(row)
-    return table
-
-
 class ConstantLatency(LatencyModel):
     """Uniform delay between distinct nodes; local delivery for self-sends.
 
@@ -137,70 +101,30 @@ class ConstantLatency(LatencyModel):
 class _TableLatency(LatencyModel):
     """Shared table machinery for the cluster-structured models.
 
-    Memory is O(N + C²) regardless of grid size: one shared cluster map
-    (aliased from the topology, not copied) plus a C×C cluster-pair block
-    table.  Below :data:`_NODE_TABLE_MAX_NODES` nodes an additional dense
-    node-pair table of Python floats trades O(N²) memory for one fewer
-    index hop per send; above it, the scalar path reads the block table
-    directly and the vectorized :meth:`base_delays` serves bulk lookups.
-
-    The block tables are kept as float64 (nested Python floats for the
-    scalar path, a numpy mirror for the vectorized one) rather than
-    float32: the scalar and vectorized paths must agree bitwise for the
-    digest-equivalence gates, and at C ≤ 1000 clusters the float64 block
-    table is ≤ 8 MB — the O(N²) node table was the memory problem, not
-    the element width.
+    Memory is O(N + C²) at every grid size: the cluster map (aliased
+    from the topology, not copied) plus one C×C cluster-pair table of
+    Python floats.  A delay is ``table[cluster_of[src]][cluster_of[dst]]``;
+    :class:`~repro.net.network.Network` already holds both cluster
+    indices when it sends (its statistics classify by them), so its
+    fused path reads ``_cluster_table`` directly.
     """
 
     def _init_tables(self, topology: GridTopology,
                      cluster_table: List[List[float]]) -> None:
-        """Install the cluster map and delay tables (construction time)."""
+        """Install the cluster map and delay table (construction time)."""
         # The topology already owns a dense node->cluster list; alias it
         # instead of building a per-model copy (it is never mutated).
         self._cluster_of: List[int] = topology._cluster_of
         self._cluster_table = cluster_table
-        self._node_table = _node_delay_table(topology, cluster_table)
-        self._block_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _block_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Numpy mirrors ``(block_table, cluster_of)`` for bulk lookup."""
-        arrs = self._block_cache
-        if arrs is None:
-            arrs = self._block_cache = (
-                np.asarray(self._cluster_table, dtype=np.float64),
-                np.asarray(self._cluster_of, dtype=np.intp),
-            )
-        return arrs
 
     def one_way(self, src: int, dst: int, rng: np.random.Generator) -> float:
         if src == dst:
             return LOCAL_DELIVERY_MS
-        table = self._node_table
-        if table is not None:
-            base = table[src][dst]
-        else:
-            cluster_of = self._cluster_of
-            base = self._cluster_table[cluster_of[src]][cluster_of[dst]]
+        cluster_of = self._cluster_of
+        base = self._cluster_table[cluster_of[src]][cluster_of[dst]]
         if self._sigma <= 0.0:
             return base
         return self._jittered(base, rng)
-
-    def base_delays(
-        self, src: int, dsts: Sequence[int] | np.ndarray
-    ) -> np.ndarray:
-        """Vectorized jitter-free base delays ``src -> each of dsts``.
-
-        Bitwise-equal to the scalar ``one_way`` base values (both read
-        the same float64 cluster-pair block table); self-sends map to
-        :data:`LOCAL_DELIVERY_MS`.  O(len(dsts)) regardless of grid
-        size — the bulk-lookup path for fan-out on 1k-10k-node grids.
-        """
-        blocks, cluster_of = self._block_arrays()
-        dst_arr = np.asarray(dsts, dtype=np.intp)
-        base = blocks[cluster_of[src], cluster_of[dst_arr]]
-        if base.size:
-            base[dst_arr == src] = LOCAL_DELIVERY_MS
-        return base
 
 
 class TwoTierLatency(_TableLatency):

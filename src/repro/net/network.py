@@ -143,22 +143,20 @@ class Network:
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None
         # Fused-send constants.  The latency inline is only exact for the
-        # stock table models: a subclass overriding one_way() keeps its
-        # own code.  Dense node-pair table below the 512-node cap, the
-        # O(N + C^2) cluster block table above it.
+        # stock table models over *this* topology: the cluster indices the
+        # statistics compute are then the table's own.  A subclass
+        # overriding one_way(), or a model built on another topology,
+        # keeps its own code.
         self._n_nodes = topology.n_nodes
-        self._lat_table: Optional[List[List[float]]] = None
-        self._lat_cluster_of: List[int] = []
         self._lat_ctab: List[List[float]] = []
         self._inline_latency = False
         if (
             isinstance(latency, _TableLatency)
             and type(latency).one_way is _TableLatency.one_way
             and type(latency)._jittered is LatencyModel._jittered
+            and latency._cluster_of is topology._cluster_of
         ):
             self._inline_latency = True
-            self._lat_table = latency._node_table
-            self._lat_cluster_of = latency._cluster_of
             self._lat_ctab = latency._cluster_table
         # Bound once: one method object per message otherwise.
         self._deliver_cb = self._deliver
@@ -484,13 +482,8 @@ class Network:
                 delay = latency.one_way(src, dst, self._rng)
             elif src == dst:
                 delay = LOCAL_DELIVERY_MS  # no jitter draw, as in one_way
-            else:
-                table = self._lat_table
-                if table is not None:
-                    delay = table[src][dst]
-                else:  # large grid: O(N + C^2) cluster block table
-                    cluster_of = self._lat_cluster_of
-                    delay = self._lat_ctab[cluster_of[src]][cluster_of[dst]]
+            else:  # ci, cj: the statistics branch above, same src != dst
+                delay = self._lat_ctab[ci][cj]
                 sigma = latency._sigma
                 if sigma > 0.0:
                     delay *= float(self._rng.lognormal(
@@ -596,13 +589,7 @@ class Network:
         cluster_of = st._cluster_of
         ci = cluster_of[src]
         matrix_row = st._matrix[ci]
-        index: Optional[List[int]] = None
-        table = self._lat_table
-        if table is not None:
-            delays = table[src]
-        else:  # large grid: the row of the cluster block table
-            index = self._lat_cluster_of
-            delays = self._lat_ctab[index[src]]
+        delays = self._lat_ctab[ci]
         routes = self._routes.get(port, _NO_ROUTES)  # once per broadcast
         direct = self._direct
         deliver = self._deliver_cb
@@ -627,7 +614,7 @@ class Network:
                 matrix_row[cj] += 1
                 if cj != ci:
                     inter += 1
-                due = now + delays[dst if index is None else index[dst]]
+                due = now + delays[cj]
                 fn = route[2].get(kind) if direct else None
                 if fn is None:
                     heappush(heap, (due, seq, deliver, (msg,)))

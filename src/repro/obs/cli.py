@@ -27,8 +27,7 @@ from typing import List, Optional
 from ..errors import ConfigurationError
 from ..experiments.cli import multilevel_fields
 from ..experiments.config import OBS_LEVELS, PLATFORMS, SYSTEMS, ExperimentConfig
-from ..experiments.runner import run_experiment
-from .layer import ObservabilityLayer
+from ..experiments.runner import ExperimentRun
 from .report import format_obs_report
 
 __all__ = ["main", "build_parser"]
@@ -99,14 +98,12 @@ def _run(args: argparse.Namespace) -> int:
         obs=level,
         **multilevel_fields(args.system, args.intra, args.inter, args.clusters),
     )
-
-    def export(layer: ObservabilityLayer) -> None:
+    with ExperimentRun(config) as run:
+        report = run.execute().obs_report
+        layer = run.obs
+        assert layer is not None and report is not None  # level is never "off"
         if args.trace:
             layer.write_chrome_trace(args.trace)
-
-    result = run_experiment(config, obs_hook=export)
-    report = result.obs_report
-    assert report is not None  # level is never "off" here
     if args.json:
         payload = {
             "scenario": config.describe(),

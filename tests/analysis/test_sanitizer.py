@@ -10,6 +10,8 @@ detector has a demonstrated positive.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.sanitizer import (
     DEFAULT_TIE_SEEDS,
     CanonicalDigest,
@@ -17,6 +19,7 @@ from repro.analysis.sanitizer import (
     sanitize_config,
     sanitize_matrix,
 )
+from repro.errors import LivenessViolation
 from repro.sim import Simulator
 
 
@@ -117,6 +120,10 @@ class TestSanitizeConfig:
         assert result.diverged == ()
         assert sorted(result.perturbed) == [1, 2]
         assert "ok" in result.format()
+
+    def test_unfinished_run_is_a_liveness_violation_naming_the_tie_seed(self):
+        with pytest.raises(LivenessViolation, match=r"tie_seed=None.*unfinished"):
+            sanitize_config(small_config(deadline_ms=1.0), tie_seeds=(1,))
 
     def test_result_reports_divergence(self):
         result = sanitize_config(small_config(), tie_seeds=(1,))

@@ -77,11 +77,15 @@ def test_cli_run_no_longer_takes_the_retired_execution_flags(flag):
         (["run", "--n-cs", "0"], "n_cs"),
         (["run", "--rho-over-n", "-1"], "rho"),
         (["scalability", "--clusters", "0"], "n_clusters"),
+        (["run", "--seed", "-1"], "seed"),  # used to die inside numpy
+        (["run", "--cache-verify", "-1"], "--cache-verify"),
+        (["figure", "fig4a", "--out", "/missing/dir/x.txt"], "/missing/dir"),
     ],
 )
 def test_cli_refuses_a_bad_config_in_one_line(capsys, argv, named):
     """``ExperimentConfig.validate()``'s refusal is a usage error: status
-    2 and one line naming the field, not a traceback."""
+    2 and one line naming the field, not a traceback.  So is a flag value
+    or an output path no run could honour."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

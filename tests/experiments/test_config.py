@@ -84,6 +84,10 @@ def test_validation_rejects(changes):
         ("deadline_ms", -1),
         ("n_clusters", True),
         ("queue", "no-such-queue"),
+        ("seed", -1),  # died inside numpy, after a sweep had "validated" it
+        ("seed", 1.0),
+        ("tie_seed", True),
+        ("tie_seed", "3"),
     ],
 )
 def test_invalid_value_is_refused_by_field_name_before_anything_runs(field, value):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import LivenessViolation
+from repro.errors import LivenessViolation, SimulationError
 from repro.experiments import (
     ExperimentConfig,
+    ExperimentRun,
     run_composition,
     run_experiment,
     run_flat,
@@ -172,3 +173,42 @@ def test_large_runs_use_bounded_collector(monkeypatch):
     assert bounded.obtaining.mean == pytest.approx(
         small.obtaining.mean, rel=1e-12
     )
+
+
+# --------------------------------------------------------------------- #
+# ExperimentRun: the one build -> deploy -> run -> check -> tear down
+# --------------------------------------------------------------------- #
+def test_the_kernel_exists_before_anything_is_built():
+    # Coordinators take their intra token while the system is being
+    # constructed: a subscriber that could only attach after build()
+    # would miss the first records of every composition run.
+    cfg = ExperimentConfig(rho=6.0, **QUICK)
+    with ExperimentRun(cfg) as run:
+        entered = []
+        run.sim.trace.record_into("cs_enter", entered)
+        assert run.net is None and run.system is None and not entered
+        run.build()
+        assert [(rec.node, rec.time) for rec in entered] == [
+            (coordinator.node, 0.0) for coordinator in run.system.coordinators
+        ]
+        assert len(entered) == cfg.n_clusters
+        assert run.execute().cs_count == cfg.n_apps * cfg.n_cs
+
+
+def test_a_run_executes_once_and_closes_any_number_of_times():
+    cfg = ExperimentConfig(system="flat", intra="suzuki", rho=6.0, **QUICK)
+    with ExperimentRun(cfg) as run:
+        first = run.execute()  # builds on its own
+        assert run.system.coordinators == () and run.system.inter_name == ""
+        with pytest.raises(SimulationError, match="is executed cannot be executed"):
+            run.execute()
+        with pytest.raises(SimulationError, match="is executed cannot be built"):
+            run.build()
+        run.close()
+    run.close()
+    assert run.net.fused and not run.sim.pending  # closed, still readable
+    assert first == run_experiment(cfg)
+    unused = ExperimentRun(cfg)
+    unused.close()  # nothing built: nothing to cut
+    with pytest.raises(SimulationError, match="is closed cannot be executed"):
+        unused.execute()

@@ -6,10 +6,12 @@ import weakref
 
 import pytest
 
+from repro.analysis.sanitizer import sanitize_config
 from repro.errors import LivenessViolation
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 from repro.experiments import runner
 from repro.sim import Simulator
+from repro.verify import MutualExclusionChecker
 
 CONFIGS = {
     "composition": ExperimentConfig(
@@ -20,8 +22,7 @@ CONFIGS = {
         system="flat", intra="suzuki", platform="grid5000", n_clusters=4,
         apps_per_cluster=4, n_cs=3, rho=16.0, seed=1,
     ),
-    # 16 x (63 + 1) = 1024 nodes: past the dense latency table's cap,
-    # so sends read the cluster block tables.
+    # 16 x (63 + 1) = 1024 nodes.
     "two-tier-1024": ExperimentConfig(
         platform="two-tier", n_clusters=16, apps_per_cluster=63, n_cs=1,
         rho=1008.0, seed=1,
@@ -85,6 +86,43 @@ def test_failed_run_dies_by_refcount_too(name, run_sims):
     _run_past_its_deadline(config)
     assert [ref() for ref in run_sims] == [None]
     assert gc.collect() < FEW
+
+
+def test_leaving_the_with_block_on_any_exception_tears_down(run_sims):
+    class Interrupted(Exception):
+        pass
+
+    def interrupted() -> None:
+        try:
+            with ExperimentRun(CONFIGS["composition"]) as run:
+                run.build()  # deployed, never run
+                raise Interrupted
+        except Interrupted:
+            pass
+
+    interrupted()  # warm-up, not measured
+    gc.collect()
+    del run_sims[:]
+    interrupted()
+    assert [ref() for ref in run_sims] == [None]
+    assert gc.collect() < FEW
+
+
+def test_the_sanitizer_runs_checked_and_leaves_nothing_behind(run_sims, monkeypatch):
+    # It used to keep a copy of the run sequence: no checker, no teardown.
+    watched = []
+
+    class Spy(MutualExclusionChecker):
+        def watch(self, peers):
+            peers = list(peers)
+            watched.append(len(peers))
+            return super().watch(peers)
+
+    monkeypatch.setattr(runner, "MutualExclusionChecker", Spy)
+    config = CONFIGS["composition"].with_(n_cs=2)
+    assert sanitize_config(config, tie_seeds=(1, 2)).ok
+    assert watched == [config.n_apps] * 3  # FIFO order + two tie seeds
+    assert [ref() for ref in run_sims] == [None] * 3
 
 
 def test_teardown_of_a_deadline_hit_run_is_linear_in_the_peer_count(monkeypatch):

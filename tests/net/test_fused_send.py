@@ -244,14 +244,11 @@ def test_golden_scenarios_run_fused_unless_they_crash(
     monkeypatch, algo, system, fault
 ):
     capture = _Capture()
+    # crash cells are hand-built there; fault-free ones go through the runner
     monkeypatch.setattr(digest_scenarios, "Network", capture)
+    monkeypatch.setattr(runner_mod, "Network", capture)
     digest_scenarios.run_cell(algo, system, fault)
     assert capture.net.fused is (fault == "fault-free")
-    if fault == "fault-free":  # ... and so does the runner on default knobs
-        runner = _Capture()
-        monkeypatch.setattr(runner_mod, "Network", runner)
-        run_experiment(digest_scenarios.fault_free_config(algo, system))
-        assert runner.net.fused is True
 
 
 def _bare(**kw):
@@ -428,3 +425,28 @@ def test_overridden_one_way_is_called_not_inlined(monkeypatch, digest):
         assert _Doubling.calls == observed[2] > 0  # once per message
         runs.append(observed)
     assert runs[0] == runs[1]
+
+
+def test_a_model_over_another_topology_is_called_not_inlined():
+    # The inline reads the delay table with the cluster indices the
+    # statistics computed from *this* network's topology; a model built
+    # over a differently clustered one must keep its own lookup.
+    topo, other = uniform_topology(2, 3), uniform_topology(3, 2)
+    sim = Simulator(seed=1)
+    assert Network(sim, topo, TwoTierLatency(topo))._inline_latency
+    model = TwoTierLatency(other, lan_ms=0.5, wan_ms=10.0)
+    net = Network(sim, topo, model)
+    assert net.fused and not net._inline_latency
+    arrived = []
+    for node in range(topo.n_nodes):
+        net.register(
+            node, "p", lambda msg: arrived.append((msg.src, msg.dst, sim.now))
+        )
+    net.multicast(0, range(topo.n_nodes), "p", "hello")
+    net.send(2, 3, "p", "hello")  # two clusters here, one there
+    sim.run()
+    assert sorted(arrived) == sorted(
+        (src, dst, model.one_way(src, dst, None))
+        for src, dst in [(0, d) for d in range(1, topo.n_nodes)] + [(2, 3)]
+    )
+    assert (2, 3, 0.5) in arrived and (0, 2, 10.0) in arrived

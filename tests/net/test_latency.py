@@ -82,7 +82,7 @@ def test_zero_jitter_is_deterministic():
 
 
 # --------------------------------------------------------------------- #
-# precomputed delay tables and jitter fast paths
+# the precomputed cluster-pair table and the jitter constants
 # --------------------------------------------------------------------- #
 def test_node_table_matches_cluster_math():
     topo = uniform_topology(3, 4)
@@ -97,20 +97,6 @@ def test_node_table_matches_cluster_math():
                 ci, cj = topo.cluster_of(src), topo.cluster_of(dst)
                 assert got == rtt[ci][cj] / 2.0
                 assert got == model.mean_one_way(ci, cj)
-
-
-def test_large_topology_falls_back_to_cluster_table(monkeypatch):
-    import repro.net.latency as latency_mod
-
-    topo = uniform_topology(2, 3)
-    dense = TwoTierLatency(topo, lan_ms=0.1, wan_ms=10.0)
-    assert dense._node_table is not None
-    monkeypatch.setattr(latency_mod, "_NODE_TABLE_MAX_NODES", 2)
-    sparse = TwoTierLatency(topo, lan_ms=0.1, wan_ms=10.0)
-    assert sparse._node_table is None  # dense table skipped
-    for src in range(topo.n_nodes):
-        for dst in range(topo.n_nodes):
-            assert sparse.one_way(src, dst, RNG) == dense.one_way(src, dst, RNG)
 
 
 def test_unbatched_jitter_matches_reference_formula():

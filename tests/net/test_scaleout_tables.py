@@ -1,15 +1,14 @@
-"""Block latency tables and O(N) construction on 1k-10k-node grids.
+"""The cluster-pair latency table and O(N) construction on 1k-10k-node grids.
 
-Above ``_NODE_TABLE_MAX_NODES`` the table-driven latency models skip the
-dense O(N²) node-pair table and serve every lookup from the O(C²)
-cluster-pair block table — same delays, logged once, with a vectorized
-bulk path (``base_delays``).  These tests pin that the two paths agree
-exactly, that the fall-off is announced, and that building a 10k-node
-platform (topology + latency models + both mutex systems) stays O(N)
-cheap.
+The table-driven latency models keep one O(N + C²) structure at every
+grid size: the topology's node -> cluster map and a C×C delay table.
+These tests pin ``one_way`` against the dense node-pair values computed
+the slow way from the RTT matrix (a reference that lives only here), on
+a small grid and on one past ``LARGE_GRID_NODES``, and that building a
+10k-node platform (topology + latency models + both mutex systems)
+stays O(N) cheap.
 """
 
-import logging
 import time
 
 import numpy as np
@@ -17,11 +16,12 @@ import pytest
 
 from repro.core import Composition, FlatMutex
 from repro.net import MatrixLatency, Network, TwoTierLatency, uniform_topology
-from repro.net.latency import _NODE_TABLE_MAX_NODES, LOCAL_DELIVERY_MS
+from repro.net.latency import LOCAL_DELIVERY_MS
+from repro.net.topology import LARGE_GRID_NODES
 from repro.sim import Simulator
 
-#: Smallest uniform grid that overflows the dense node-table cap.
-BIG = uniform_topology(10, (_NODE_TABLE_MAX_NODES // 10) + 1)
+BIG = uniform_topology(10, LARGE_GRID_NODES // 10 + 1)
+SMALL = uniform_topology(10, 2)
 
 
 def _rtt(n_clusters: int) -> np.ndarray:
@@ -33,59 +33,43 @@ def _rtt(n_clusters: int) -> np.ndarray:
     return rtt
 
 
+def _dense_row(topo, rtt, src):
+    """Reference: ``src``'s row of the N×N one-way table, by definition."""
+    ci = topo.cluster_of(src)
+    row = [rtt[ci][topo.cluster_of(dst)] / 2.0 for dst in range(topo.n_nodes)]
+    row[src] = LOCAL_DELIVERY_MS
+    return row
+
+
 class TestBlockTables:
-    def test_large_topology_skips_dense_table(self):
-        assert BIG.n_nodes > _NODE_TABLE_MAX_NODES
-        lat = TwoTierLatency(BIG, lan_ms=0.5, wan_ms=10.0)
-        assert lat._node_table is None
-        small = uniform_topology(2, 3)
-        assert TwoTierLatency(small)._node_table is not None
-
-    def test_fall_off_is_logged_once_per_model(self, caplog):
-        with caplog.at_level(logging.INFO, logger="repro.net.latency"):
-            TwoTierLatency(BIG, lan_ms=0.5, wan_ms=10.0)
-        assert any("cluster block" in r.message for r in caplog.records)
-
     @pytest.mark.parametrize("jitter", [0.0, 0.05])
     def test_block_path_matches_dense_values(self, jitter):
-        # The same RTT matrix served via the block table (big grid) must
-        # produce the same cluster-pair delays the dense path computes.
+        assert BIG.n_nodes > LARGE_GRID_NODES
         rtt = _rtt(BIG.n_clusters)
-        big = MatrixLatency(BIG, rtt, jitter=jitter)
-        small_topo = uniform_topology(BIG.n_clusters, 2)
-        small = MatrixLatency(small_topo, rtt, jitter=jitter)
-        assert big._node_table is None and small._node_table is not None
-        rng = np.random.default_rng(0)
-        for src_c in range(BIG.n_clusters):
-            src_big = BIG.cluster_nodes(src_c)[0]
-            src_small = small_topo.cluster_nodes(src_c)[0]
-            for dst_c in range(BIG.n_clusters):
-                dst_big = BIG.cluster_nodes(dst_c)[-1]
-                dst_small = small_topo.cluster_nodes(dst_c)[-1]
+        for topo in (SMALL, BIG):
+            lat = MatrixLatency(topo, rtt, jitter=jitter)
+            rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+            # Every pair when exact.  With jitter that would be 1M
+            # lognormals: three source rows against every destination,
+            # the twin stream pinning "one draw per message, none on the
+            # diagonal".
+            sources = range(topo.n_nodes) if not jitter else (
+                0, topo.n_nodes // 2, topo.n_nodes - 1)
+            for src in sources:
+                want = _dense_row(topo, rtt, src)
                 if jitter:
-                    continue  # jittered values differ by draw, skip
-                assert big.one_way(src_big, dst_big, rng) == \
-                    small.one_way(src_small, dst_small, rng) == \
-                    rtt[src_c][dst_c] / 2.0
+                    want = [
+                        base if dst == src else base * float(twin.lognormal(
+                            mean=-0.5 * jitter * jitter, sigma=jitter))
+                        for dst, base in enumerate(want)
+                    ]
+                got = [lat.one_way(src, dst, rng) for dst in range(topo.n_nodes)]
+                assert got == want  # bitwise, not approx
 
     def test_one_way_local_delivery_on_block_path(self):
         lat = TwoTierLatency(BIG, lan_ms=0.5, wan_ms=10.0)
         rng = np.random.default_rng(0)
         assert lat.one_way(7, 7, rng) == LOCAL_DELIVERY_MS
-
-    @pytest.mark.parametrize("topo", [BIG, uniform_topology(4, 5)])
-    def test_base_delays_bitwise_matches_scalar(self, topo):
-        lat = MatrixLatency(topo, _rtt(topo.n_clusters))
-        rng = np.random.default_rng(0)
-        dsts = np.arange(topo.n_nodes)
-        for src in (0, topo.n_nodes // 2, topo.n_nodes - 1):
-            bulk = lat.base_delays(src, dsts)
-            scalar = [lat.one_way(src, int(d), rng) for d in dsts]
-            assert bulk.tolist() == scalar  # bitwise, not approx
-
-    def test_base_delays_empty(self):
-        lat = TwoTierLatency(BIG)
-        assert lat.base_delays(0, np.array([], dtype=np.intp)).size == 0
 
 
 class TestConstructionScale:

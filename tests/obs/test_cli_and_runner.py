@@ -90,10 +90,6 @@ class TestRunnerWiring:
         with pytest.raises(ConfigurationError):
             self.config(obs="verbose").validate()
 
-    def test_obs_hook_requires_obs_on(self):
-        with pytest.raises(ConfigurationError):
-            run_experiment(self.config(), obs_hook=lambda layer: None)
-
     def test_counters_level_has_no_paths(self):
         result = run_experiment(self.config(obs="counters"))
         report = result.obs_report

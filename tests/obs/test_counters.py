@@ -13,15 +13,14 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments.runner import build_platform, build_system
+from repro.errors import LivenessViolation
+from repro.experiments import ExperimentConfig, ExperimentRun
 from repro.mutex import NaimiTrehelPeer, SuzukiKasamiPeer
 from repro.mutex.base import dispatch_table
 from repro.net import ConstantLatency, FaultInjector, Network, uniform_topology
 from repro.net.message import Message
 from repro.obs import ObservabilityLayer
 from repro.sim import Simulator
-from repro.workload import deploy_workload
 
 from ..helpers import heap_entries
 from ..properties.digest_scenarios import (
@@ -66,20 +65,18 @@ def counters_layer(sim, net):
 
 
 def run_plain(config, obs, until=None):
-    """The runner's build -> attach -> deploy -> run sequence with nothing
-    else attached (no digest: its ``send`` subscription would take
-    broadcasts off ``multicast``'s own loop).  Stops at ``until``, or when
-    the workload is done."""
-    sim = Simulator(seed=config.seed)
-    topology, latency = build_platform(config)
-    net = Network(sim, topology, latency, fifo=config.fifo)
-    system = build_system(sim, net, topology, config)
-    obs(sim, net)
-    apps, _ = deploy_workload(
-        system, alpha_ms=config.alpha_ms, rho=config.rho, n_cs=config.n_cs,
-    )
-    sim.run(until=config.default_deadline() if until is None else until)
-    assert until is not None or all(app.done for app in apps)
+    """The runner's own sequence with ``obs`` attached to the built
+    network (no digest: its ``send`` subscription would take broadcasts
+    off ``multicast``'s own loop).  Stops at ``until``, or when the
+    workload is done.  Left open: callers look at the live calendar."""
+    run = ExperimentRun(config.with_(deadline_ms=until))
+    run.build()
+    obs(run.sim, run.net)
+    if until is None:
+        run.execute()
+    else:
+        with pytest.raises(LivenessViolation):
+            run.execute()
 
 
 def run_lossy(obs):
@@ -198,11 +195,10 @@ def test_counters_level_leaves_the_run_on_the_default_path():
         peer, msg = entry.args
         assert entry.callback is dispatch_table(type(peer))[msg.kind]
 
-    def at_the_end(layer):  # ... and so does the runner's own wiring
-        assert not layer.sim.trace.active_kinds & set(KINDS)
-        assert layer.net.fused
-
-    result = run_experiment(BASE.with_(obs="counters"), obs_hook=at_the_end)
+    with ExperimentRun(BASE.with_(obs="counters")) as run:
+        result = run.execute()  # ... and so does the runner's own wiring
+        assert not run.sim.trace.active_kinds & set(KINDS)
+        assert run.net.fused
     assert result.obs_report.counters["sends"] == result.total_messages
 
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.obs import ObservabilityLayer
+from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 
 
 def fig4_config(**overrides) -> ExperimentConfig:
@@ -41,13 +40,9 @@ def fig4_config(**overrides) -> ExperimentConfig:
 def test_every_cs_entry_decomposes_exactly():
     """Exactness for *every* CS entry, checked path by path in Fractions
     (the float-world equivalent of integer flow-clock equality)."""
-    captured = {}
-
-    def grab(layer: ObservabilityLayer) -> None:
-        captured["paths"] = layer.paths()
-
-    result = run_experiment(fig4_config(), obs_hook=grab)
-    paths = captured["paths"]
+    with ExperimentRun(fig4_config()) as run:
+        result = run.execute()
+        paths = run.obs.paths()
     assert len(paths) == result.cs_count == 9 * 6 * 15
     for path in paths:
         assert path.exact_total() == (

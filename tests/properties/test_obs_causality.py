@@ -20,11 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.experiments.runner import build_platform, build_system
-from repro.net import Network
+from repro.experiments import ExperimentRun
 from repro.obs import CausalityRecorder
-from repro.sim import Simulator
-from repro.workload import deploy_workload
 
 from .digest_scenarios import ALGOS, SYSTEMS, fault_free_config
 
@@ -34,25 +31,12 @@ MATRIX = [(algo, system) for algo in ALGOS for system in SYSTEMS]
 def record_run(algo: str, system: str, seed: int) -> CausalityRecorder:
     """One small jittered run with FIFO delivery, fully recorded."""
     config = fault_free_config(algo, system).with_(seed=seed, fifo=True)
-    sim = Simulator(seed=config.seed)
-    topology, latency = build_platform(config)
-    net = Network(sim, topology, latency, fifo=True)
-    system_obj = build_system(sim, net, topology, config)
-    recorder = CausalityRecorder(sim, net, app_nodes=system_obj.app_nodes)
-
-    remaining = {"count": len(system_obj.app_nodes)}
-
-    def app_done(_app) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            sim.stop()
-
-    apps, _ = deploy_workload(
-        system_obj, alpha_ms=config.alpha_ms, rho=config.rho,
-        n_cs=config.n_cs, on_done=app_done,
-    )
-    sim.run(until=config.default_deadline())
-    assert all(a.done for a in apps)
+    with ExperimentRun(config) as run:
+        run.build()
+        recorder = CausalityRecorder(
+            run.sim, run.net, app_nodes=run.system.app_nodes
+        )
+        run.execute()
     return recorder
 
 

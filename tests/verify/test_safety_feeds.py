@@ -126,6 +126,24 @@ def test_released_callbacks_fire_after_the_state_change_before_the_protocol():
 # --------------------------------------------------------------------- #
 # the runner watches exactly what _app_cs_filter includes
 # --------------------------------------------------------------------- #
+def _app_cs_filter(app_nodes):
+    """Reference predicate (what the runner gave the trace-fed checker
+    before the edge feed): application CS events only.  Coordinators
+    enter their intra/inter CSes as part of the bridging automaton; the
+    paper's mutual exclusion invariant is over the *application*
+    processes."""
+    app_set = frozenset(app_nodes)
+
+    def include(rec) -> bool:
+        fields = rec.fields
+        if fields["node"] not in app_set:
+            return False
+        port = fields["port"]
+        return port.startswith("intra") or port == "flat"
+
+    return include
+
+
 RUNNER_CONFIGS = {
     "composition": ExperimentConfig(
         platform="two-tier", n_clusters=3, apps_per_cluster=2, n_cs=2,
@@ -175,7 +193,7 @@ def test_check_safety_watches_exactly_the_filtered_pairs(system, monkeypatch):
     result = run_experiment(config)
     assert result.cs_count == config.n_apps * config.n_cs
 
-    include = runner._app_cs_filter(app_nodes)
+    include = _app_cs_filter(app_nodes)
     expected = {
         pair for pair in cs_pairs
         if include(TraceRecord("cs_enter", {"node": pair[0], "port": pair[1]}))
