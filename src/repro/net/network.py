@@ -455,23 +455,11 @@ class Network:
             # Fused path: MessageStats.record, the table-latency lookup
             # and a bare-entry Simulator.post_at, inlined step for step.
             st = self.stats
-            st.total += 1
-            st.bytes_total += size
-            st.by_port[port] += 1
-            st.by_kind[kind] += 1
-            if src == dst:
-                st.local += 1
-            else:
-                cluster_of = st._cluster_of
-                ci = cluster_of[src]
-                cj = cluster_of[dst]
-                st._matrix[ci][cj] += 1
-                if ci == cj:
-                    st.intra_cluster += 1
-                else:
-                    st.inter_cluster += 1
-                    st.bytes_inter_cluster += size
-                    st.inter_by_port[port] += 1
+            ci = st._cluster_of[src]
+            cj = -1 if src == dst else st._cluster_of[dst]
+            key = (port, kind, size, ci)
+            row = st._rows.get(key) or st._row(key)
+            row[cj] += 1  # the one accounting write of this message
             if self._trace_send:
                 sim.trace.emit(
                     "send", time=now, src=src, dst=dst, port=port,
@@ -482,7 +470,7 @@ class Network:
                 delay = latency.one_way(src, dst, self._rng)
             elif src == dst:
                 delay = LOCAL_DELIVERY_MS  # no jitter draw, as in one_way
-            else:  # ci, cj: the statistics branch above, same src != dst
+            else:  # ci, cj: the statistics row and cell above
                 delay = self._lat_ctab[ci][cj]
                 sigma = latency._sigma
                 if sigma > 0.0:
@@ -564,10 +552,10 @@ class Network:
         and one kernel event per destination, each with its own copy of
         ``payload``, the same partial state if a destination has no
         handler — with the per-broadcast work (source check, clock,
-        latency row, statistics row, queue push, scalar counters) done
-        once.  Whenever something could observe a message boundary (a
-        tap, a ``send`` subscriber, jitter, a tie salt, any feature that
-        takes :meth:`send` off the fused path) it *is* that loop.
+        latency row, statistics row, queue push) done once.  Whenever
+        something could observe a message boundary (a tap, a ``send``
+        subscriber, jitter, a tie salt, any feature that takes
+        :meth:`send` off the fused path) it *is* that loop.
         """
         sim = self.sim
         latency = self.latency
@@ -588,7 +576,8 @@ class Network:
         st = self.stats
         cluster_of = st._cluster_of
         ci = cluster_of[src]
-        matrix_row = st._matrix[ci]
+        key = (port, kind, size, ci)
+        row = st._rows.get(key) or st._row(key)  # see MessageStats.reset
         delays = self._lat_ctab[ci]
         routes = self._routes.get(port, _NO_ROUTES)  # once per broadcast
         direct = self._direct
@@ -596,7 +585,7 @@ class Network:
         heap = sim._heap
         now = sim._now
         seq = sim._seq
-        sent = inter = 0
+        sent = 0
         try:
             for dst in dsts:
                 if dst == src:
@@ -611,9 +600,7 @@ class Network:
                 msg.sent_at = now
                 msg.seq = self._seq + sent
                 cj = cluster_of[dst]
-                matrix_row[cj] += 1
-                if cj != ci:
-                    inter += 1
+                row[cj] += 1
                 due = now + delays[cj]
                 fn = route[2].get(kind) if direct else None
                 if fn is None:
@@ -623,20 +610,9 @@ class Network:
                 seq += 1
                 sent += 1
         finally:
-            # Scalar counters once, with the count — also on the way out
-            # of a NetworkError, which leaves the loop's partial state.
+            # also leaving on a NetworkError, with the loop's partial state
             self._seq += sent
             sim._seq = seq
-            if sent:
-                st.total += sent
-                st.bytes_total += size * sent
-                st.by_port[port] += sent
-                st.by_kind[kind] += sent
-                st.intra_cluster += sent - inter
-                if inter:
-                    st.inter_cluster += inter
-                    st.bytes_inter_cluster += size * inter
-                    st.inter_by_port[port] += inter
 
     # ------------------------------------------------------------------ #
     # delivery
