@@ -268,8 +268,7 @@ def _run_explore(
         wall_budget_s=args.explore_budget,
     )
     written: List[str] = []
-    if args.counterexamples is not None:
-        args.counterexamples.mkdir(parents=True, exist_ok=True)
+    if args.counterexamples is not None:  # made by _refuse_bad_outputs
         for run in report.cells:
             for i, violation in enumerate(run.violations):
                 name = (
@@ -347,9 +346,29 @@ def _run_replay(
     return 0
 
 
+def _refuse_bad_outputs(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """A usage error, one line and status 2, for an output path no run
+    could write — checked before anything runs, not at the end of it."""
+    problem = None
+    trace_out = args.trace_out
+    if args.replay is not None and trace_out is not None:
+        if not trace_out.parent.is_dir():
+            problem = f"--trace-out {trace_out}: no such directory"
+    if args.explore and args.counterexamples is not None:
+        try:
+            args.counterexamples.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            problem = f"--counterexamples {args.counterexamples}: {exc.strerror}"
+    if problem is not None:
+        parser.exit(2, f"{parser.prog}: error: {problem}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _refuse_bad_outputs(parser, args)
 
     if args.list_rules:
         from .rules import DEFAULT_RULES

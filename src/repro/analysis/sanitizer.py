@@ -56,7 +56,9 @@ class CanonicalDigest:
     ``cs_enter``, ``cs_exit``) but records sharing a timestamp are
     buffered and hashed in sorted serialised order, making the digest
     invariant under same-instant reordering — exactly the equivalence
-    the schedule-race sanitizer needs.
+    the schedule-race sanitizer needs.  A ``send`` record's ``seq`` is
+    left out: it numbers sends in scheduling order, which is the very
+    order a tie seed permutes.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -70,6 +72,8 @@ class CanonicalDigest:
     def _serialise(self, rec: TraceRecord) -> bytes:
         parts = [rec.kind]
         for key in sorted(rec.fields):
+            if key == "seq":
+                continue
             value = rec.fields[key]
             if isinstance(value, dict):
                 value = sorted(value.items(), key=repr)

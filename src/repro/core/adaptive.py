@@ -151,7 +151,7 @@ class AdaptiveComposition(MutexSystem):
         self._sample_every = sample_every_ms
         self._decide_every = decide_every_samples
         self._hysteresis = hysteresis
-        sim.schedule(sample_every_ms, self._tick, label="adaptive.tick")
+        sim.schedule(sample_every_ms, self._tick)
 
     # ------------------------------------------------------------------ #
     # MutexSystem interface (delegates to the wrapped composition)
@@ -197,7 +197,7 @@ class AdaptiveComposition(MutexSystem):
                 self._streak_algo, self._streak = choice, 1
             if choice != self.inter_name and self._streak >= self._hysteresis:
                 self._try_switch(choice)
-        self.sim.schedule(self._sample_every, self._tick, label="adaptive.tick")
+        self.sim.schedule(self._sample_every, self._tick)
 
     # ------------------------------------------------------------------ #
     def _gate(self, coordinator) -> bool:

@@ -348,9 +348,7 @@ class InstanceRecovery(Process):
         return self._deadline
 
     def _arm_check(self) -> None:
-        self.set_timer(
-            self.config.check_ms, self._check, label=f"{self.name}.check"
-        )
+        self.set_timer(self.config.check_ms, self._check)
 
     def _check(self) -> None:
         try:
@@ -518,15 +516,14 @@ class HeartbeatEmitter(Process):
         self.port = port
         self.period_ms = period_ms
         self.beats_sent = 0
-        self._beat_label = f"{self.name}.beat"  # hoisted off the tick path
         # First beat goes out as a zero-delay event, so the monitor can
         # be constructed (and register its handler) after the emitter.
-        self.set_timer(0.0, self._tick, label=self._beat_label)
+        self.set_timer(0.0, self._tick)
 
     def _tick(self) -> None:
         self.net.send(self.node, self.monitor_node, self.port, "hb")
         self.beats_sent += 1
-        self.set_timer(self.period_ms, self._tick, label=self._beat_label)
+        self.set_timer(self.period_ms, self._tick)
 
 
 class HeartbeatMonitor(Process):
@@ -556,10 +553,7 @@ class HeartbeatMonitor(Process):
         self.last_beat_at: Optional[float] = None
         self._spent = False
         net.register(node, port, self._on_beat)
-        self._deadline_label = f"{self.name}.deadline"  # hoisted: re-armed per beat
-        self._deadline = self.set_timer(
-            deadline_ms, self._expired, label=self._deadline_label
-        )
+        self._deadline = self.set_timer(deadline_ms, self._expired)
 
     def _on_beat(self, msg) -> None:
         if self._spent:
@@ -567,9 +561,7 @@ class HeartbeatMonitor(Process):
         self.beats_seen += 1
         self.last_beat_at = self.now
         self._deadline.cancel()
-        self._deadline = self.set_timer(
-            self.deadline_ms, self._expired, label=self._deadline_label
-        )
+        self._deadline = self.set_timer(self.deadline_ms, self._expired)
 
     def _expired(self) -> None:
         if self._spent:

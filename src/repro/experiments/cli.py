@@ -210,11 +210,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def require_parent_dir(flag: str, path: str) -> None:
+    """Refuse an output ``path`` whose directory does not exist — before
+    the run, which would otherwise end in a traceback at the write."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"{flag} {path}: no such directory")
+
+
 def _cmd_figure(args) -> int:
     scale: FigureScale = PAPER_SCALE if args.full else QUICK_SCALE
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        # before the sweep, not after it
-        raise ConfigurationError(f"--out {args.out}: no such directory")
+    if args.out:
+        require_parent_dir("--out", args.out)
     cache = _cache_from_args(args)
     data = ALL_FIGURES[args.figure](scale, cache=cache)
     _print_cache_stats(cache)

@@ -221,8 +221,8 @@ class ExperimentRun:
         topology, latency = build_platform(config)
         net = self.net = Network(sim, topology, latency, fifo=config.fifo)
         system = self.system = build_system(sim, net, topology, config)
-        # Attach after build_system (every handler registered, so the
-        # causality layer wraps them all) and before the workload deploys.
+        # Attach after build_system (counters start from a built system)
+        # and before the workload deploys.
         if config.obs != "off":
             self.obs = ObservabilityLayer(
                 sim,

@@ -103,9 +103,7 @@ class SuzukiKasamiPeer(MutexPeer):
     def _arm_retry(self) -> None:
         if self.retry_ms is None:
             return
-        self._retry_timer = self.set_timer(
-            self.retry_ms, self._retry, label=f"{self.name}.retry"
-        )
+        self._retry_timer = self.set_timer(self.retry_ms, self._retry)
 
     def _retry(self) -> None:
         """Re-broadcast the outstanding request (same sequence number —

@@ -188,11 +188,11 @@ class CrashController:
     # ------------------------------------------------------------------ #
     def schedule_crash(self, at_ms: float, node: int) -> None:
         """Schedule a crash at absolute simulated time ``at_ms``."""
-        self.sim.schedule_at(at_ms, self.crash, node, label=f"crash@{node}")
+        self.sim.schedule_at(at_ms, self.crash, node)
 
     def schedule_restart(self, at_ms: float, node: int) -> None:
         """Schedule a restart at absolute simulated time ``at_ms``."""
-        self.sim.schedule_at(at_ms, self.restart, node, label=f"restart@{node}")
+        self.sim.schedule_at(at_ms, self.restart, node)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CrashController down={sorted(self._down)}>"

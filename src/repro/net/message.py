@@ -36,13 +36,11 @@ class Message:
         Protocol-specific fields.  Treated as immutable after send.
     size:
         Nominal size in bytes, used only by the statistics layer.
-    sent_at, delivered_at:
-        Simulated timestamps stamped by the network.  ``delivered_at``
-        is stamped by ``Network._deliver`` only: a message dispatched
-        straight to a peer's ``_on_<kind>`` (see "Send paths" in
-        :mod:`repro.net.network`) keeps NaN there.  Handlers installed
-        through ``wrap_handler`` — how ``repro.obs.causality``, the one
-        reader, observes — and plain-callable handlers always get it.
+    sent_at:
+        Simulated send time, stamped by the network.  A message carries
+        no delivery time: a handler reads ``sim.now``, and an observer
+        the ``time`` of the ``deliver`` trace record (which also
+        carries ``seq`` and ``sent_at``).
     seq:
         Network-global monotone delivery sequence number, stamped when
         the delivery is scheduled.  Strictly orders same-instant sends,
@@ -58,7 +56,6 @@ class Message:
         "payload",
         "size",
         "sent_at",
-        "delivered_at",
         "seq",
     )
 
@@ -78,7 +75,6 @@ class Message:
         self.payload = payload if payload is not None else {}
         self.size = size
         self.sent_at: float = _UNSTAMPED
-        self.delivered_at: float = _UNSTAMPED
         self.seq: int = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

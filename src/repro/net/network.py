@@ -43,12 +43,16 @@ and goes through ``_deliver``, as every delivery of a non-plain network
 does — by any of:
 
 * a handler registered as a plain callable, or wrapped since
-  (:meth:`Network.wrap_handler`, hence also a wrapping register hook);
+  (:meth:`Network.wrap_handler`);
 * a kind outside the receiver's table (``_deliver`` →
   ``_on_message`` raises the ``ProtocolError`` at delivery time);
-* a ``deliver`` trace subscriber (only ``_deliver`` emits the record,
-  and only ``_deliver`` stamps ``Message.delivered_at``);
+* a ``deliver`` trace subscriber (only ``_deliver`` emits the record);
 * anything that takes the network off the fused path.
+
+Observers see a run through the tracer and nothing else: a ``send``
+record per message sent (``seq`` as scheduled, ``-1`` when a fault
+dropped it) and a ``deliver`` record per message handed to a handler
+(with its ``seq`` and ``sent_at``).
 
 All of this may change *while messages are in flight*: the affected
 direct entries are then rewritten in place into ``_deliver`` entries
@@ -134,11 +138,6 @@ class Network:
         self._unrouted = 0
         self._rng = sim.rng.stream("network/latency")
         self._fault_rng = sim.rng.stream("network/faults")
-        # Interposition points for observers (repro.obs).  Both stay empty
-        # tuples when unused so the hot send path pays one falsy check —
-        # the same gating discipline as ``trace.active_kinds``.
-        self._send_taps: Tuple[Callable[[Message], None], ...] = ()
-        self._register_hooks: Tuple[Callable[[int, str], None], ...] = ()
         # Delivery interception (repro.analysis.explore): when set, sends
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None
@@ -292,9 +291,6 @@ class Network:
         if node in nodes:
             raise NetworkError(f"address {(node, port)} already has a handler")
         nodes[node] = (handler, owner, _NO_TABLE if table is None else table)
-        if self._register_hooks:
-            for hook in self._register_hooks:
-                hook(node, port)
 
     def unregister(self, node: int, port: str) -> None:
         """Detach the handler at ``(node, port)``; missing address is an error."""
@@ -333,53 +329,6 @@ class Network:
         nodes[node] = (wrapped, None, _NO_TABLE)
         if owner is not None:
             self._undirect(owner)  # the wrapper sees what is in flight too
-
-    # ------------------------------------------------------------------ #
-    # observer taps (repro.obs)
-    # ------------------------------------------------------------------ #
-    def add_send_tap(self, tap: Callable[[Message], None]) -> None:
-        """Call ``tap(msg)`` after every successful :meth:`send`.
-
-        The tap observes the already-scheduled message (``seq`` stamped
-        unless a fault dropped it); it must not mutate the message or
-        send traffic of its own.  This is the outbound mirror of
-        :meth:`wrap_handler`: together they let an observability layer
-        see every hop without touching any algorithm."""
-        self._send_taps = (*self._send_taps, tap)
-
-    def remove_send_tap(self, tap: Callable[[Message], None]) -> None:
-        """Detach a tap added with :meth:`add_send_tap`."""
-        if tap not in self._send_taps:
-            raise NetworkError("send tap not attached")
-        # Equality, not identity: bound methods are re-created on each
-        # attribute access, so ``is`` would never match one.
-        self._send_taps = tuple(t for t in self._send_taps if t != tap)
-
-    def add_register_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Call ``hook(node, port)`` after every future :meth:`register`.
-
-        Lets an interposition layer wrap handlers that appear *after* it
-        attached (e.g. peers rebuilt by the recovery layer's failover)."""
-        self._register_hooks = (*self._register_hooks, hook)
-
-    def remove_register_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Detach a hook added with :meth:`add_register_hook`."""
-        if hook not in self._register_hooks:
-            raise NetworkError("register hook not attached")
-        self._register_hooks = tuple(
-            h for h in self._register_hooks if h != hook
-        )
-
-    def addresses(self) -> Tuple[Tuple[int, str], ...]:
-        """All currently registered ``(node, port)`` addresses, sorted.
-
-        Interposition layers use this to wrap every existing handler in
-        one sweep (and :meth:`add_register_hook` for handlers that appear
-        later)."""
-        return tuple(sorted(
-            (node, port)
-            for port, nodes in self._routes.items() for node in nodes
-        ))
 
     # ------------------------------------------------------------------ #
     # delivery interception (repro.analysis.explore)
@@ -460,10 +409,12 @@ class Network:
             key = (port, kind, size, ci)
             row = st._rows.get(key) or st._row(key)
             row[cj] += 1  # the one accounting write of this message
+            msg.seq = self._seq
+            self._seq += 1
             if self._trace_send:
                 sim.trace.emit(
                     "send", time=now, src=src, dst=dst, port=port,
-                    kind=kind, payload=msg.payload,
+                    kind=kind, payload=msg.payload, seq=msg.seq,
                 )
             latency = self.latency
             if not self._inline_latency:
@@ -478,8 +429,6 @@ class Network:
                         mean=latency._lognorm_mean, sigma=sigma
                     ))
             due = now + delay
-            msg.seq = self._seq
-            self._seq += 1
             if due < now:
                 raise SimulationError(
                     f"cannot schedule into the past (t={due} < now={now})"
@@ -495,9 +444,6 @@ class Network:
                 entry = (due, seq, fn, (route[1], msg))
             heappush(sim._heap, entry)
             sim._seq += 1
-            if self._send_taps:
-                for tap in self._send_taps:
-                    tap(msg)
             return msg
         crashes = self._crashes
         if crashes is not None and crashes.is_down(src):
@@ -506,18 +452,19 @@ class Network:
             # unbound caller keeps driving a peer on a dead node).
             return msg
         self.stats.record(msg)
-        if self._trace_send:
+        faults = self._faults
+        dropped = faults is not None and faults.should_drop(
+            self._fault_rng, kind
+        )
+        if not dropped:
+            self._schedule_delivery(msg, extra_factor=1.0)
+        if self._trace_send:  # seq stays -1 when dropped: sent, never scheduled
             sim.trace.emit(
                 "send", time=now, src=src, dst=dst, port=port,
-                kind=kind, payload=msg.payload,
+                kind=kind, payload=msg.payload, seq=msg.seq,
             )
-        faults = self._faults
-        if faults is not None and faults.should_drop(self._fault_rng, kind):
-            if self._send_taps:
-                for tap in self._send_taps:
-                    tap(msg)  # seq stays -1: sent but never scheduled
+        if dropped:
             return msg
-        self._schedule_delivery(msg, extra_factor=1.0)
         if faults is not None and faults.should_duplicate(
             self._fault_rng, kind
         ):
@@ -532,9 +479,6 @@ class Network:
                 extra_factor=faults.delay_factor,
                 advance_flow=False,
             )
-        if self._send_taps:
-            for tap in self._send_taps:
-                tap(msg)
         return msg
 
     def multicast(
@@ -553,7 +497,7 @@ class Network:
         ``payload``, the same partial state if a destination has no
         handler — with the per-broadcast work (source check, clock,
         latency row, statistics row, queue push) done once.  Whenever
-        something could observe a message boundary (a tap, a ``send``
+        something could observe a message boundary (a ``send``
         subscriber, jitter, a tie salt, any feature that takes
         :meth:`send` off the fused path) it *is* that loop.
         """
@@ -561,7 +505,6 @@ class Network:
         latency = self.latency
         if (
             not self._plain
-            or self._send_taps
             or not self._inline_latency
             or latency._sigma > 0.0
             or sim._tie_salt is not None
@@ -659,11 +602,11 @@ class Network:
             self._unrouted += 1
             return
         sim = self.sim
-        msg.delivered_at = sim._now
         if "deliver" in sim.trace.active_kinds:
             sim.trace.emit(
                 "deliver", time=sim._now, src=msg.src, dst=msg.dst,
                 port=msg.port, kind=msg.kind, payload=msg.payload,
+                seq=msg.seq, sent_at=msg.sent_at,
             )
         route[0](msg)
 

@@ -1,9 +1,9 @@
 """Causal tracing and critical-path observability.
 
 This package explains *why* a critical-section wait took as long as it
-did.  It interposes at the network boundary only (send taps +
-:meth:`~repro.net.network.Network.wrap_handler`), stamps vector clocks
-onto every message out-of-band, reconstructs the causal chain behind
+did.  It reads the run's trace records only (the network's ``send`` and
+``deliver``, the peers' CS edges), stamps vector clocks onto every
+message out-of-band, reconstructs the causal chain behind
 each grant, and decomposes obtaining time into intra-cluster latency,
 inter-cluster latency, coordinator queueing and remote holding segments
 that sum **exactly** to the measured wait — turning the paper's Figure

@@ -1,13 +1,16 @@
 """Vector-clock causality over the unmodified algorithms.
 
-The recorder interposes at the :class:`~repro.net.network.Network`
-boundary only — a send tap on the outbound side and
-:meth:`~repro.net.network.Network.wrap_handler` on the inbound side — so
-**no algorithm changes** are needed, mirroring the composition's own
-non-intrusive contract.  Clock state is kept entirely out-of-band (a side
-table keyed by the network's delivery sequence number); message payloads
-are never touched, which is why an instrumented run stays bit-identical
-to a bare one (see ``tests/properties/test_observer_transparency.py``).
+The recorder reads the run's trace records and nothing else — the
+network's ``send`` and ``deliver`` records, the peers' ``cs_request`` /
+``cs_enter`` / ``cs_exit`` — so **no algorithm changes** are needed and
+no handler is wrapped, mirroring the composition's own non-intrusive
+contract.  Clock state is kept entirely out-of-band (a side table keyed
+by the network's delivery sequence number, which both records carry);
+message payloads are never touched, which is why an instrumented run
+stays bit-identical to a bare one (see
+``tests/properties/test_observer_transparency.py``).  Every delivery is
+recorded, including one that an interposition layer (the recovery
+fence) then discards: the hop happened, the handler just ignored it.
 
 Clock protocol (Lamport happens-before, vector form; PAPERS.md:
 Lamport 1978 and Mattern/Fidge):
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net.message import Message
-from ..net.network import Handler, Network
+from ..net.network import Network
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord
 
@@ -55,8 +57,7 @@ class DeliveryRecord:
     """
 
     __slots__ = (
-        "seq", "src", "dst", "port", "kind",
-        "sent_at", "delivered_at", "size", "stamp",
+        "seq", "src", "dst", "port", "kind", "sent_at", "delivered_at", "stamp",
     )
 
     def __init__(
@@ -68,7 +69,6 @@ class DeliveryRecord:
         kind: str,
         sent_at: float,
         delivered_at: float,
-        size: int,
         stamp: Optional[Tuple[int, ...]],
     ) -> None:
         self.seq = seq
@@ -78,7 +78,6 @@ class DeliveryRecord:
         self.kind = kind
         self.sent_at = sent_at
         self.delivered_at = delivered_at
-        self.size = size
         self.stamp = stamp
 
     @property
@@ -131,10 +130,10 @@ class CausalityRecorder:
     Parameters
     ----------
     sim, net:
-        Kernel and transport.  Attaching wraps every currently
-        registered handler and hooks future registrations, so late
-        joiners (e.g. peers rebuilt by the recovery layer) are covered
-        too.
+        Kernel and transport.  The recorder subscribes to ``sim``'s
+        tracer; ``net`` only sizes the clocks.  Peers registered after
+        it attached (e.g. rebuilt by the recovery layer) are covered
+        like any other: their traffic is in the same records.
     app_nodes:
         Nodes whose CS requests/grants on application ports are tracked
         as :class:`CSWait` entries (``None`` = every node).
@@ -164,67 +163,51 @@ class CausalityRecorder:
         self.sends = 0
         self._open_requests: Dict[Tuple[int, str], Tuple[float, int]] = {}
         self._open_cs: Dict[Tuple[int, str], float] = {}
-        net.add_send_tap(self._on_send)
-        net.add_register_hook(self._on_register)
-        for node, port in net.addresses():
-            net.wrap_handler(node, port, self._wrap)
-        self._detach_trace = sim.trace.attach({
+        self._detach_trace: Optional[Callable[[], None]] = sim.trace.attach({
+            "send": self._on_send,
+            "deliver": self._on_deliver,
             "cs_request": self._on_cs_request,
             "cs_enter": self._on_cs_enter,
             "cs_exit": self._on_cs_exit,
         })
-        self._attached = True
 
     def detach(self) -> None:
-        """Stop observing new traffic (recorded data stays readable).
-
-        Wrapped handlers stay in place but become pass-through; the send
-        tap, register hook and trace subscriptions are removed."""
-        if not self._attached:
-            return
-        self._attached = False
-        self.net.remove_send_tap(self._on_send)
-        self.net.remove_register_hook(self._on_register)
-        self._detach_trace()
+        """Stop observing new traffic (recorded data stays readable)."""
+        if self._detach_trace is not None:
+            self._detach_trace()
+            self._detach_trace = None
 
     # ------------------------------------------------------------------ #
-    # network interposition
+    # message hops (the network's send / deliver records)
     # ------------------------------------------------------------------ #
-    def _on_send(self, msg: Message) -> None:
-        clock = self.clocks[msg.src]
-        clock[msg.src] += 1
+    # Two records per message: read their fields dict directly, since a
+    # TraceRecord attribute is a failed slot lookup plus __getattr__.
+    def _on_send(self, rec: TraceRecord) -> None:
+        fields = rec.fields
+        src, seq = fields["src"], fields["seq"]
+        clock = self.clocks[src]
+        clock[src] += 1
         self.sends += 1
-        if msg.seq >= 0:  # dropped-by-fault messages are never delivered
-            self._in_flight[msg.seq] = tuple(clock)
+        if seq >= 0:  # dropped-by-fault messages are never delivered
+            self._in_flight[seq] = tuple(clock)
 
-    def _on_register(self, node: int, port: str) -> None:
-        self.net.wrap_handler(node, port, self._wrap)
-
-    def _wrap(self, handler: Handler) -> Handler:
-        recorder = self
-
-        def observed(msg: Message) -> None:
-            if recorder._attached:
-                recorder._on_deliver(msg)
-            handler(msg)
-
-        return observed
-
-    def _on_deliver(self, msg: Message) -> None:
-        stamp = self._in_flight.pop(msg.seq, None)
-        clock = self.clocks[msg.dst]
+    def _on_deliver(self, rec: TraceRecord) -> None:
+        fields = rec.fields
+        seq, dst, now = fields["seq"], fields["dst"], fields["time"]
+        stamp = self._in_flight.pop(seq, None)
+        clock = self.clocks[dst]
         if stamp is not None:
             for i, v in enumerate(stamp):
                 if v > clock[i]:
                     clock[i] = v
-        clock[msg.dst] += 1
-        self.deliveries[msg.dst].append(
+        clock[dst] += 1
+        self.deliveries[dst].append(
             DeliveryRecord(
-                msg.seq, msg.src, msg.dst, msg.port, msg.kind,
-                msg.sent_at, msg.delivered_at, msg.size, stamp,
+                seq, fields["src"], dst, fields["port"], fields["kind"],
+                fields["sent_at"], now, stamp,
             )
         )
-        self.delivery_times[msg.dst].append(msg.delivered_at)
+        self.delivery_times[dst].append(now)
 
     # ------------------------------------------------------------------ #
     # application CS tracking (trace-level, like the safety checker)

@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from ..experiments.cli import multilevel_fields
+from ..experiments.cli import multilevel_fields, require_parent_dir
 from ..experiments.config import OBS_LEVELS, PLATFORMS, SYSTEMS, ExperimentConfig
 from ..experiments.runner import ExperimentRun
 from .report import format_obs_report
@@ -77,6 +77,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.trace:
+        require_parent_dir("--trace", args.trace)
     level = "trace" if args.trace else args.level
     n_apps = args.clusters * args.apps
     if args.rho is not None:

@@ -9,7 +9,7 @@ knob, matching ``ExperimentConfig.obs``:
            simply don't construct one)
 ``counters`` :meth:`ObservabilityLayer.counters`, a read at report time
            of what every run counts anyway: nothing is subscribed,
-           tapped or wrapped, so the run stays fused and direct
+           so the run stays fused and direct
 ``paths``  counters + vector clocks + critical-path breakdown
 ``trace``  everything above, plus per-CS rows in the report and
            Chrome trace export
@@ -38,10 +38,11 @@ OBS_LEVELS: Tuple[str, ...] = ("off", "counters", "paths", "trace")
 class ObservabilityLayer:
     """Attach observability to a simulation at a chosen verbosity.
 
-    Construct *after* the mutex system (so every handler is registered
-    and gets wrapped) and *before* the workload runs.  The layer never
-    sends traffic or perturbs schedules — instrumented runs stay
-    digest-identical to bare ones.
+    Construct *after* the mutex system and *before* the workload runs:
+    counters count from here, and the recorder sees every trace record
+    from here on.  The layer never sends traffic, wraps a handler or
+    perturbs schedules — instrumented runs stay digest-identical to
+    bare ones.
     """
 
     def __init__(

@@ -30,7 +30,7 @@ class Event:
     cancellation.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
@@ -38,14 +38,12 @@ class Event:
         seq: int,
         callback: Callable[..., Any],
         args: tuple,
-        label: str = "",
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.label = label
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
@@ -54,7 +52,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        name = self.label or getattr(self.callback, "__qualname__", "?")
+        name = getattr(self.callback, "__qualname__", "?")
         return f"<Event t={self.time:.6f} seq={self.seq} {name} [{state}]>"
 
 

@@ -22,12 +22,12 @@ per-event work minimal (see ``docs/performance.md``):
   comparison never reaches the third field);
 * an entry comes in two shapes (:data:`HeapEntry`).  A *bare* entry
   ``(due, seq, callback, args)`` is the whole event: one tuple, no
-  :class:`~repro.sim.event.Event`, never cancelled, never labelled —
-  what the network pushes for every message delivery, the dominant
-  source of events.  An *event* entry ``(time, seq, event, None)``
-  carries the :class:`~repro.sim.event.Event` that
+  :class:`~repro.sim.event.Event`, never cancelled — what the network
+  pushes for every message delivery, the dominant source of events.
+  An *event* entry ``(time, seq, event, None)`` carries the
+  :class:`~repro.sim.event.Event` that
   :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
-  its cancellation flag and label.  The loops tell them apart with one
+  its cancellation flag.  The loops tell them apart with one
   ``is None`` test on the fourth field;
 * :meth:`Simulator.run` keeps the ``max_events`` check out of the loop
   every experiment runs: one tight pop/fire loop bounded by ``until``
@@ -65,7 +65,7 @@ __all__ = ["Simulator", "HeapEntry"]
 #: One calendar entry, ordered by its first two fields.  Either *bare*,
 #: ``(due, seq, callback, args)`` with ``args`` a tuple — fires
 #: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
-#: cancellable, labelled :class:`~repro.sim.event.Event`.  The module
+#: cancellable :class:`~repro.sim.event.Event`.  The module
 #: that pushes entries itself (``net/network.py``) pushes bare ones and
 #: must consume ``seq`` exactly as :meth:`Simulator.post_at` does.
 HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
@@ -172,7 +172,6 @@ class Simulator:
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` ms from now.
 
@@ -182,14 +181,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., Any],
         *args: Any,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
         if time < self._now:
@@ -199,7 +197,7 @@ class Simulator:
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
         seq = self._seq
-        event = Event(time, seq, callback, args, label=label)
+        event = Event(time, seq, callback, args)
         if self._tie_salt is not None:
             seq = _mix64(seq ^ self._tie_salt)
         heappush(self._heap, (time, seq, event, None))
@@ -211,15 +209,13 @@ class Simulator:
         time: float,
         callback: Callable[..., Any],
         args: tuple = (),
-        label: str = "",
     ) -> Event:
         """Handle-free scheduling at absolute time ``time`` (hot path).
 
         Identical ordering semantics to :meth:`schedule_at` but skips the
         :class:`EventHandle` allocation and the callable check — for
         internal callers (message delivery, workload stepping) that
-        schedule in bulk.  ``label`` is what ``event`` trace subscribers
-        see, as with :meth:`schedule_at`.  Returns the raw
+        schedule in bulk.  Returns the raw
         :class:`Event`; a caller that must cancel it wraps it in an
         ``EventHandle(event, sim)`` so :attr:`pending` stays exact.
         """
@@ -228,7 +224,7 @@ class Simulator:
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
         seq = self._seq
-        event = Event(time, seq, callback, args, label)
+        event = Event(time, seq, callback, args)
         if self._tie_salt is not None:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
@@ -249,18 +245,15 @@ class Simulator:
         heap = self._heap
         while heap:
             time, _, callback, args = heappop(heap)
-            label = ""
             if args is None:  # an Event-carrying entry
                 event: Event = callback
                 if event.cancelled:
                     self._cancelled -= 1
                     continue
                 event.cancelled = True  # a fired event can no longer be cancelled
-                callback, args, label = event.callback, event.args, event.label
+                callback, args = event.callback, event.args
             self._now = time
             self._fired += 1
-            if self.trace.event_active:
-                self.trace.emit("event", time=time, label=label)
             callback(*args)
             return True
         return False
@@ -290,7 +283,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        trace = self.trace
         try:
             if max_events is None:
                 # The run_experiment path; an unbounded run is the same
@@ -323,8 +315,6 @@ class Simulator:
                                 break
                             self._now = t
                             fired += 1
-                            if trace.event_active:
-                                trace.emit("event", time=t, label="")
                             entry[2](*args)
                             continue
                         event = entry[2]
@@ -339,8 +329,6 @@ class Simulator:
                         self._now = t
                         event.cancelled = True
                         fired += 1
-                        if trace.event_active:
-                            trace.emit("event", time=t, label=event.label)
                         event.callback(*event.args)
                 finally:
                     self._fired = fired

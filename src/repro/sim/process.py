@@ -34,7 +34,6 @@ class Process:
         self.name = name
         self._timers: list[EventHandle] = []
         self._halted = False
-        self._timer_label = f"{name}.timer"  # hoisted off the set_timer path
 
     # ------------------------------------------------------------------ #
     # time helpers
@@ -45,7 +44,7 @@ class Process:
         return self.sim._now
 
     def set_timer(
-        self, delay: float, fn: Callable[..., Any], *args: Any, label: str = ""
+        self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to fire ``delay`` ms from now.
 
@@ -56,12 +55,10 @@ class Process:
         an inert, already-cancelled handle is returned: a crashed node
         cannot arm timers, and callers need not special-case it."""
         if self._halted:
-            dead = Event(self.sim.now, -1, fn, args, label=label)
+            dead = Event(self.sim.now, -1, fn, args)
             dead.cancelled = True
             return EventHandle(dead)
-        handle = self.sim.schedule(
-            delay, fn, *args, label=label or self._timer_label
-        )
+        handle = self.sim.schedule(delay, fn, *args)
         self._timers.append(handle)
         # Opportunistically compact the tracking list so long-lived
         # processes do not accumulate dead handles.

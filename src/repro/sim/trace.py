@@ -9,8 +9,8 @@ subscribers to observe the simulation without instrumenting the algorithms.
 Per-kind gating
 ---------------
 Subscribing to one kind must not tax emitters of every other kind: a run
-with only a ``cs_enter`` checker attached fires millions of ``event`` and
-``send`` records' worth of *emitter* work if emitters gate on the global
+with only a ``cs_enter`` checker attached fires millions of ``send`` and
+``deliver`` records' worth of *emitter* work if emitters gate on the global
 :attr:`Tracer.active` flag alone.  The tracer therefore maintains
 :attr:`Tracer.active_kinds` — the set of kinds with at least one
 subscriber (a match-everything sentinel when a ``"*"`` subscriber exists)
@@ -79,10 +79,6 @@ class Tracer:
         self.active = False
         #: Kinds with >= 1 subscriber; supports ``kind in active_kinds``.
         self.active_kinds: Any = frozenset()
-        #: ``"event" in active_kinds`` as a plain attribute: the kernel
-        #: loop checks this once per fired event, so it skips the set
-        #: membership call.
-        self.event_active = False
         #: snapshot of the ``"*"`` subscriber list, hoisted out of emit
         self._star: tuple = ()
         #: called (no arguments) after every subscription change
@@ -106,7 +102,6 @@ class Tracer:
         kinds = {k for k, subs in self._subs.items() if subs}
         self.active = bool(kinds)
         self.active_kinds = _ALL_KINDS if "*" in kinds else frozenset(kinds)
-        self.event_active = "event" in self.active_kinds
         self._star = tuple(self._subs.get("*", ()))
         for hook in self._change_hooks:
             hook()
@@ -121,10 +116,6 @@ class Tracer:
         """Remove a subscriber registered with :meth:`subscribe`."""
         self._subs[kind].remove(fn)
         self._refresh()
-
-    def wants(self, kind: str) -> bool:
-        """Whether any subscriber would receive a record of ``kind``."""
-        return kind in self.active_kinds
 
     def emit(self, kind: str, /, **fields: Any) -> None:
         """Deliver a record to the matching subscribers synchronously.

@@ -81,7 +81,7 @@ class ProgressWatchdog:
 
     def _arm(self) -> None:
         self._armed = True
-        self.sim.schedule(self.stall_after, self._check, label="watchdog")
+        self.sim.schedule(self.stall_after, self._check)
 
     def _check(self) -> None:
         if not self.outstanding:

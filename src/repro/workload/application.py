@@ -116,17 +116,11 @@ class ApplicationProcess(Process):
         self._undrawn = self.n_cs
         #: the one outstanding timer (first request, CS end or think end)
         self._timer: Optional[Event] = None
-        # Timer labels hoisted off the per-CS path (2 f-strings per CS).
-        self._cs_label = f"{self.name}.cs"
-        self._think_label = f"{self.name}.think"
         peer.on_granted.append(self._on_granted)
         if self.n_cs == 0 and on_done is not None:
             on_done(self)
         if self.n_cs > 0:
-            self._timer = sim.post_at(
-                start + self._next_think(), self._request, (),
-                f"{self.name}.first",
-            )
+            self._timer = sim.post_at(start + self._next_think(), self._request)
 
     # ------------------------------------------------------------------ #
     @property
@@ -179,9 +173,7 @@ class ApplicationProcess(Process):
         sim = self.sim
         self._granted_at = now = sim._now
         if not self._halted:
-            self._timer = sim.post_at(
-                now + self.alpha, self._release, (), self._cs_label
-            )
+            self._timer = sim.post_at(now + self.alpha, self._release)
 
     def _release(self) -> None:
         assert self._requested_at is not None and self._granted_at is not None
@@ -202,9 +194,7 @@ class ApplicationProcess(Process):
         if self.completed < self.n_cs:
             think = self._next_think()
             if not self._halted:
-                self._timer = sim.post_at(
-                    sim._now + think, self._request, (), self._think_label
-                )
+                self._timer = sim.post_at(sim._now + think, self._request)
         else:
             self._timer = None  # the fired event points back at us
             if self.on_done is not None:

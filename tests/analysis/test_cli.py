@@ -150,6 +150,26 @@ class TestExploreCli:
             main(["--explore", "--explore-backend", "both"])
         assert exc.value.code == 2  # argparse: unrecognized arguments
 
+    @pytest.mark.parametrize("flag", ["--counterexamples", "--trace-out"])
+    def test_unwritable_output_is_refused_before_anything_runs(
+        self, tmp_path, capsys, flag
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")  # a file where a directory should be
+        argv = {
+            "--counterexamples": ["--explore", "--explore-cells", "crash",
+                                  flag, str(blocker / "sub")],
+            "--trace-out": ["--replay", str(tmp_path / "ce.json"),
+                            flag, str(blocker / "sub" / "t.json")],
+        }[flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"python -m repro.analysis: error: {flag} ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""  # nothing explored, nothing replayed
+
     def test_replay_workflow(self, tmp_path, capsys):
         from repro.analysis.explore import (
             ExploreScope, Violation, World, write_counterexample,

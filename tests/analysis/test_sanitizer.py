@@ -70,8 +70,20 @@ class TestCanonicalDigest:
         digest = CanonicalDigest(sim)
         sim.trace.emit("send", time=0.0)
         sim.trace.emit("cs_enter", time=0.0)
-        sim.trace.emit("event", time=0.0)  # not a digest kind
+        sim.trace.emit("deliver", time=0.0)  # not a digest kind
         assert digest.events == 2
+
+    def test_blind_to_the_send_seq(self):
+        # A send's seq numbers it in scheduling order — exactly what a tie
+        # seed permutes — so two runs may differ there and nowhere else.
+        a = [
+            ("send", {"time": 1.0, "src": 0, "dst": 1, "seq": 4}),
+            ("send", {"time": 1.0, "src": 2, "dst": 3, "seq": 5}),
+        ]
+        b = [(kind, {**fields, "seq": 9 - fields["seq"]}) for kind, fields in a]
+        assert digest_of(a) == digest_of(b)
+        c = [(kind, {**fields, "dst": 7}) for kind, fields in b]
+        assert digest_of(a) != digest_of(c)
 
 
 # --------------------------------------------------------------------- #
@@ -88,7 +100,8 @@ def _racy_digest(tie_seed):
     for i in range(8):
         sim.schedule_at(1.0, lambda i=i: order.append(i))
     sim.schedule_at(
-        2.0, lambda: sim.trace.emit("send", time=2.0, payload=tuple(order))
+        2.0,
+        lambda: sim.trace.emit("send", time=2.0, seq=8, payload=tuple(order)),
     )
     sim.run(until=3.0)
     return digest.hexdigest

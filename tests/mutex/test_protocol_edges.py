@@ -1,6 +1,8 @@
 """Remaining protocol edge paths across algorithms."""
 
+import pytest
 
+from repro.errors import NetworkError
 from repro.mutex import PeerState
 from repro.net import FaultInjector
 
@@ -105,7 +107,8 @@ def test_shutdown_detaches_the_peer_from_everything():
     fired = []
     peer.set_timer(5.0, fired.append, "late")
     peer.shutdown()
-    assert (1, "mutex") not in driver.net.addresses()
+    with pytest.raises(NetworkError):
+        driver.net.unregister(1, "mutex")  # no longer registered
     assert peer.on_granted == peer.on_released == peer.on_pending_request == []
     driver.sim.run()
     assert fired == []

@@ -11,6 +11,9 @@ Three claims, each pinned against the general path (today's code, which a
 (c) which path ran is invisible: digests and results are equal under a
     tie seed, trace subscribers, observers and latency models the fused
     path must not inline.
+
+Observers read the ``send`` and ``deliver`` records, so the records'
+``seq`` / ``sent_at`` fields are pinned here too, on every path.
 """
 
 import hashlib
@@ -64,13 +67,14 @@ class DeliverDigest:
 # (a) multicast == the loop of sends
 # --------------------------------------------------------------------- #
 def _twin(cls=Network, n_clusters=3, nodes=4, skip=(), **sim_kw):
+    """A network whose handlers collect ``(message, arrival time)``."""
     sim = Simulator(seed=3, **sim_kw)
     topo = uniform_topology(n_clusters, nodes)
     net = cls(sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0))
     got = []
     for node in topo.nodes:
         if node not in skip:
-            net.register(node, "p", got.append)
+            net.register(node, "p", lambda m: got.append((m, sim.now)))
     return sim, net, got
 
 
@@ -93,8 +97,8 @@ def _state(sim, net, got):
         "kernel_seq": sim._seq,
         "pending": sim.pending,
         "msgs": [
-            (m.src, m.dst, m.kind, m.payload, m.seq, m.sent_at, m.delivered_at)
-            for m in got
+            (m.src, m.dst, m.kind, m.payload, m.seq, m.sent_at, at)
+            for m, at in got
         ],
     }
 
@@ -112,8 +116,8 @@ def test_multicast_equals_the_loop_of_sends(payload, shape):
         before = _state(sim, net, [])
         sim.run()
         states.append((before, _state(sim, net, got)))
-        assert len({id(m.payload) for m in got}) == len(got)  # own copy each
-        assert all(m.payload is not payload for m in got)
+        assert len({id(m.payload) for m, _ in got}) == len(got)  # own copy each
+        assert all(m.payload is not payload for m, _ in got)
     assert states[0] == states[1]
     assert states[0][1]["snapshot"]["total"] == 2 * (len(dsts) - 1)
 
@@ -192,7 +196,7 @@ def test_past_dated_delivery_still_raises():
         assert (net.stats.total, net._seq, sim.pending) == (1, 1, 0)
 
 
-@pytest.mark.parametrize("observer", ["subscriber", "tap", "handler"])
+@pytest.mark.parametrize("observer", ["subscriber", "handler"])
 def test_stats_are_identical_wherever_an_observer_can_read_them(observer):
     samples = []
     for cls in (Network, GeneralNetwork):
@@ -204,8 +208,6 @@ def test_stats_are_identical_wherever_an_observer_can_read_them(observer):
 
         if observer == "subscriber":
             sim.trace.subscribe("send", sample)
-        elif observer == "tap":
-            net.add_send_tap(sample)
         else:
             net.unregister(4, "p")
             net.register(4, "p", sample)
@@ -288,8 +290,12 @@ def _drive_flip(cls, feature):
     net = cls(sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.1))
     digest = RunDigest(sim)
     got = []
+
+    def arrived(m):
+        got.append((m.src, m.dst, m.kind, m.seq, sim.now))
+
     for node in topo.nodes:
-        net.register(node, "p", got.append)
+        net.register(node, "p", arrived)
     crashes = CrashController(sim)
     captured = []
     flips = []
@@ -300,8 +306,6 @@ def _drive_flip(cls, feature):
                     lambda: setattr(net, "crashes", None)),
         "intercept": (lambda: net.set_delivery_intercept(captured.append),
                       lambda: net.set_delivery_intercept(None)),
-        "tap": (lambda: net.add_send_tap(captured.append),
-                lambda: net.remove_send_tap(captured.append)),
     }[feature]
 
     def flip(fn):
@@ -323,18 +327,14 @@ def _drive_flip(cls, feature):
     sim.run()
     return flips, (
         digest.hexdigest, net.stats.snapshot(), net._seq, sim._seq,
-        sim.events_fired, len(captured),
-        [(m.src, m.dst, m.kind, m.seq, m.delivered_at) for m in got],
+        sim.events_fired, len(captured), got,
     )
 
 
-@pytest.mark.parametrize(
-    "feature", ["faults", "crashes", "intercept", "tap"]
-)
+@pytest.mark.parametrize("feature", ["faults", "crashes", "intercept"])
 def test_features_attached_mid_run_flip_the_path_and_nothing_else(feature):
     flips, fused_run = _drive_flip(Network, feature)
-    # Taps ride the fused path (one falsy check); everything else leaves it.
-    assert flips == [True, feature == "tap", True]
+    assert flips == [True, False, True]
     never, general_run = _drive_flip(GeneralNetwork, feature)
     assert never == [False, False, False]
     assert fused_run == general_run
@@ -450,3 +450,71 @@ def test_a_model_over_another_topology_is_called_not_inlined():
         for src, dst in [(0, d) for d in range(1, topo.n_nodes)] + [(2, 3)]
     )
     assert (2, 3, 0.5) in arrived and (0, 2, 10.0) in arrived
+
+
+# --------------------------------------------------------------------- #
+# the record contract: what observers read instead of the messages
+# --------------------------------------------------------------------- #
+def _recorded(feature):
+    """Unicast and broadcast traffic on a network with ``feature``, with
+    ``send`` and ``deliver`` recorded; returns the network, both record
+    lists, the messages ``send`` returned and those the handlers got."""
+    sim = Simulator(seed=6)
+    topo = uniform_topology(2, 3)
+    crashes = CrashController(sim)
+    kw = {
+        "plain": {}, "fifo": {"fifo": True}, "intercept": {},
+        "faulted": {"faults": FaultInjector(drop=0.3, duplicate=0.3)},
+        "crashed": {"crashes": crashes},
+    }[feature]
+    latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.1)
+    net = Network(sim, topo, latency, **kw)
+    sends, delivers, got, captured = [], [], [], []
+    sim.trace.record_into("send", sends)
+    sim.trace.record_into("deliver", delivers)
+    for node in topo.nodes:
+        net.register(node, "p", got.append)
+    if feature == "intercept":
+        net.set_delivery_intercept(captured.append)
+    if feature == "crashed":
+        crashes.crash(4)
+    returned = [net.send(i % 6, (i + 1) % 6, "p", "token") for i in range(30)]
+    net.multicast(1, topo.nodes, "p", "request")  # "send" is observed: the loop
+    sim.run()
+    for msg in captured:
+        net.deliver_intercepted(msg)
+    return net, sends, delivers, returned, got
+
+
+def _keys(messages):
+    return [(m.src, m.dst, m.kind, m.seq) for m in messages]
+
+
+@pytest.mark.parametrize(
+    "feature", ["plain", "fifo", "faulted", "crashed", "intercept"]
+)
+def test_records_carry_the_scheduled_seq(feature):
+    net, sends, delivers, returned, got = _recorded(feature)
+    recorded = [(r.src, r.dst, r.fields["kind"], r.seq) for r in sends]
+    # One send record per message sent from a live node, in send order,
+    # with the seq its delivery was scheduled under.
+    live = [m for m in returned if not (feature == "crashed" and m.src == 4)]
+    assert recorded[:len(live)] == _keys(live)
+    assert len(recorded) == len(live) + 5  # the broadcast's five
+    # One deliver record per message handed to a handler, just before it.
+    assert [
+        (r.src, r.dst, r.fields["kind"], r.seq, r.sent_at) for r in delivers
+    ] == [(m.src, m.dst, m.kind, m.seq, m.sent_at) for m in got]
+    if feature == "faulted":
+        faults = net.faults
+        dropped = [key for key in recorded if key[3] == -1]
+        assert len(dropped) == faults.dropped > 0  # sent, never scheduled
+        copies = {m.seq for m in got} - {key[3] for key in recorded}
+        assert len(copies) == faults.duplicated > 0  # delivered, no record
+    elif feature == "crashed":
+        assert any(key[1] == 4 and key[3] >= 0 for key in recorded)
+        assert sorted(key for key in recorded if key[1] != 4) == sorted(_keys(got))
+    else:
+        assert net.fused is (feature == "plain")
+        assert sorted(recorded) == sorted(_keys(got))
+        assert len({key[3] for key in recorded}) == len(recorded)

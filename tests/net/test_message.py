@@ -10,7 +10,7 @@ def test_defaults():
     assert msg.payload == {}
     assert msg.size == DEFAULT_MESSAGE_SIZE
     assert math.isnan(msg.sent_at)
-    assert math.isnan(msg.delivered_at)
+    assert msg.seq == -1
 
 
 def test_payload_not_shared_between_messages():

@@ -22,23 +22,23 @@ def make_net(fifo=False, faults=None, jitter=0.0, n_clusters=2, nodes=2):
 def test_send_delivers_with_latency():
     sim, topo, net = make_net()
     got = []
-    net.register(3, "app", got.append)
+    net.register(3, "app", lambda m: got.append((m, sim.now)))
     msg = net.send(0, 3, "app", "ping", {"x": 1})
     assert msg.sent_at == 0.0
     sim.run()
     assert len(got) == 1
-    assert got[0].kind == "ping"
-    assert got[0].payload == {"x": 1}
-    assert got[0].delivered_at == 10.0  # WAN one-way
+    assert got[0][0].kind == "ping"
+    assert got[0][0].payload == {"x": 1}
+    assert got[0][1] == 10.0  # WAN one-way
 
 
 def test_intra_cluster_uses_lan_latency():
     sim, topo, net = make_net()
     got = []
-    net.register(1, "app", got.append)
+    net.register(1, "app", lambda m: got.append(sim.now))
     net.send(0, 1, "app", "ping")
     sim.run()
-    assert got[0].delivered_at == pytest.approx(0.1)
+    assert got == [pytest.approx(0.1)]
 
 
 def test_send_to_unregistered_address_raises():
@@ -63,7 +63,8 @@ def test_close_forgets_handlers_and_the_self_references():
     net.register(0, "app", got.append)
     net.send(1, 0, "app", "ping")
     net.close()
-    assert net.addresses() == ()
+    with pytest.raises(NetworkError):
+        net.unregister(0, "app")  # the handler is gone
     with pytest.raises(NetworkError):
         net.send(1, 0, "app", "ping")  # nothing can be sent afterwards
     sim.close()  # the in-flight delivery went with the calendar
@@ -186,7 +187,7 @@ def test_fifo_duplicate_does_not_advance_flow_clock():
     faults = FaultInjector(duplicate=1.0, delay_factor=50.0)
     sim, topo, net = make_net(fifo=True, faults=faults)
     got = []
-    net.register(1, "app", lambda m: got.append((m.payload["i"], m.delivered_at)))
+    net.register(1, "app", lambda m: got.append((m.payload["i"], sim.now)))
     net.send(0, 1, "app", "seq", {"i": 0})
     net.send(0, 1, "app", "seq", {"i": 1})
     sim.run()

@@ -1,9 +1,14 @@
 """Unit tests for the vector-clock causality recorder."""
 
-import pytest
-
-from repro.errors import NetworkError
-from repro.net import FaultInjector, Network, TwoTierLatency, uniform_topology
+from repro.core import InstanceRecovery
+from repro.mutex import get_algorithm
+from repro.net import (
+    CrashController,
+    FaultInjector,
+    Network,
+    TwoTierLatency,
+    uniform_topology,
+)
 from repro.obs import CausalityRecorder
 from repro.sim import Simulator
 
@@ -115,18 +120,35 @@ class TestInterposition:
         assert rec._in_flight == {}
         assert rec.deliveries[1] == []
 
-    def test_send_tap_removal_of_unattached_tap_raises(self):
+    def test_recorder_wraps_no_handler(self):
         sim, _, net = make_net()
-        with pytest.raises(NetworkError):
-            net.remove_send_tap(lambda msg: None)
-        with pytest.raises(NetworkError):
-            net.remove_register_hook(lambda node, port: None)
+        register_sinks(net)
+        routes = dict(net._routes["p"])
+        rec = CausalityRecorder(sim, net)
+        assert net._routes["p"] == routes
+        assert not net._direct  # a deliver subscriber takes the hop back
+        rec.detach()
+        assert net._direct  # and leaves the network as it found it
 
-    def test_addresses_lists_registered_handlers(self):
-        sim, _, net = make_net()
-        net.register(1, "b", lambda msg: None)
-        net.register(0, "a", lambda msg: None)
-        assert net.addresses() == ((0, "a"), (1, "b"))
+    def test_a_hop_the_recovery_fence_discards_is_still_recorded(self):
+        # The fence goes on after the recorder attached, as it does on a
+        # failover's replacement peer: the delivery happened, the fence
+        # only kept it from the handler.
+        sim = Simulator(seed=3)
+        topo = uniform_topology(1, 3)
+        crashes = CrashController(sim)
+        net = Network(sim, topo, TwoTierLatency(topo, jitter=0.0), crashes=crashes)
+        naimi = get_algorithm("naimi").peer_class
+        peers = [naimi(sim, net, i, [0, 1, 2], "flat", initial_holder=0)
+                 for i in range(3)]
+        rec = CausalityRecorder(sim, net)
+        recovery = InstanceRecovery(sim, net, crashes, peers, detect=False)
+        peers[1].request_cs()
+        recovery.recover("fence the request off", prefer=0, replay=False)
+        sim.run()
+        assert [(d.src, d.kind) for d in rec.deliveries[0]] == [(1, "request")]
+        assert recovery.fence_seq > rec.deliveries[0][0].seq
+        assert not peers[1].in_cs
 
 
 class TestCSWaitTracking:

@@ -46,15 +46,17 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "argv, named",
-        [(["--intra", "bogus"], "'bogus'"), (["--clusters", "12"], "n_clusters")],
+        [(["--intra", "bogus"], "'bogus'"), (["--clusters", "12"], "n_clusters"),
+         (["--trace", "/nonexistent/x.json"], "--trace /nonexistent/x.json")],
     )
     def test_refused_config_is_one_line_and_status_2(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert named in err and "Traceback" not in err
         assert err.count("\n") == 1
+        assert out == ""  # refused before the run, not after it
 
     def test_multilevel_is_built_from_intra_and_inter(self, capsys):
         assert main([*SMALL, "--system", "multilevel", "--inter", "martin",

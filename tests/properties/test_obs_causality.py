@@ -14,6 +14,12 @@ the {naimi, suzuki, martin} x {flat, composition} matrix:
 * **per-flow FIFO** — with FIFO delivery on, consecutive deliveries of
   one ``(src, dst, port)`` flow arrive in send order and their stamps
   form a strictly increasing causal chain.
+
+The composition crash cells (coordinator death, standby failover) are
+inputs too: the replacement coordinator's peers are registered mid-run,
+after the recorder attached, and its traffic must be recorded like any
+other: the recorder reads the network's records, so every delivery is
+a hop, including one the epoch fence then discards.
 """
 
 from hypothesis import given, settings
@@ -23,7 +29,7 @@ import pytest
 from repro.experiments import ExperimentRun
 from repro.obs import CausalityRecorder
 
-from .digest_scenarios import ALGOS, SYSTEMS, fault_free_config
+from .digest_scenarios import ALGOS, SYSTEMS, fault_free_config, run_crash
 
 MATRIX = [(algo, system) for algo in ALGOS for system in SYSTEMS]
 
@@ -40,12 +46,21 @@ def record_run(algo: str, system: str, seed: int) -> CausalityRecorder:
     return recorder
 
 
-@pytest.mark.parametrize("algo,system", MATRIX,
-                         ids=[f"{a}-{s}" for a, s in MATRIX])
-@given(seed=st.integers(min_value=0, max_value=2**10))
-@settings(max_examples=4, deadline=None)
-def test_happens_before_is_acyclic_and_time_consistent(algo, system, seed):
-    recorder = record_run(algo, system, seed)
+def record_failover(algo: str):
+    """The composition crash cell of ``algo``, fully recorded; returns
+    the recorder, every ``deliver`` record and the ``failover`` records."""
+    seen = {}
+
+    def attach(sim, net):
+        seen["recorder"] = CausalityRecorder(sim, net)
+        for kind in ("deliver", "failover"):
+            sim.trace.record_into(kind, seen.setdefault(kind, []))
+
+    run_crash(algo, "composition", obs=attach)
+    return seen["recorder"], seen["deliver"], seen["failover"]
+
+
+def assert_acyclic_and_time_consistent(recorder: CausalityRecorder) -> None:
     stamped = [d for d in recorder.all_deliveries() if d.stamp is not None]
     assert stamped, "expected recorded deliveries"
     less = CausalityRecorder.stamp_less
@@ -61,6 +76,27 @@ def test_happens_before_is_acyclic_and_time_consistent(algo, system, seed):
                 assert a.sent_at <= b.sent_at
             if after:
                 assert b.sent_at <= a.sent_at
+
+
+@pytest.mark.parametrize("algo,system", MATRIX,
+                         ids=[f"{a}-{s}" for a, s in MATRIX])
+@given(seed=st.integers(min_value=0, max_value=2**10))
+@settings(max_examples=4, deadline=None)
+def test_happens_before_is_acyclic_and_time_consistent(algo, system, seed):
+    assert_acyclic_and_time_consistent(record_run(algo, system, seed))
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_failover_is_recorded_and_stays_causal(algo):
+    recorder, delivers, failovers = record_failover(algo)
+    assert_acyclic_and_time_consistent(recorder)
+    (failover,) = failovers
+    # The standby had no inter port before it became the coordinator:
+    # these hops reached the replacement, registered after the recorder.
+    assert any(d.port == "inter" for d in recorder.deliveries[failover.new_node])
+    # Every delivery is a recorded hop, whatever its handler (or the
+    # epoch fence in front of it) then does with it.
+    assert sum(map(len, recorder.deliveries)) == len(delivers)
 
 
 @pytest.mark.parametrize("algo,system", MATRIX,

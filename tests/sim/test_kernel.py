@@ -248,11 +248,10 @@ def test_events_scheduled_during_run_fire():
 
 def test_pending_events_iterator_skips_cancelled():
     sim = Simulator(seed=1)
-    h1 = sim.schedule(1.0, lambda: None, label="keep")
-    h2 = sim.schedule(2.0, lambda: None, label="drop")
+    h1 = sim.schedule(1.0, print, "keep")
+    h2 = sim.schedule(2.0, print, "drop")
     h2.cancel()
-    labels = [e.label for e in sim.pending_events()]
-    assert labels == ["keep"]
+    assert [e.args for e in sim.pending_events()] == [("keep",)]
     assert h1.active
 
 
@@ -351,25 +350,13 @@ def test_post_at_queues_the_same_keys_as_schedule_at(tie_seed):
         for i, t in enumerate((5.0, 5.0, 1.5, 5.0)):
             post(sim, t, f"timer{i}")
         return [
-            (e.time, e.key, e.event.seq, e.event.label)
+            (e.time, e.key, e.event.seq, e.event.args)
             for e in heap_entries(sim)
         ]
 
-    via_schedule = keys(
-        lambda sim, t, label: sim.schedule_at(t, print, label=label)
-    )
-    via_post = keys(lambda sim, t, label: sim.post_at(t, print, (), label))
+    via_schedule = keys(lambda sim, t, name: sim.schedule_at(t, print, name))
+    via_post = keys(lambda sim, t, name: sim.post_at(t, print, (name,)))
     assert via_post == via_schedule
-
-
-def test_post_at_label_reaches_event_subscribers():
-    sim = Simulator(seed=0)
-    labels = []
-    sim.trace.subscribe("event", lambda rec: labels.append(rec.label))
-    sim.post_at(1.0, lambda: None, (), "named")
-    sim.post_at(2.0, lambda: None)
-    sim.run()
-    assert labels == ["named", ""]
 
 
 def test_post_at_event_cancelled_through_a_handle_keeps_pending_exact():
@@ -412,10 +399,10 @@ def _mixed(tie_seed=None):
     sim = Simulator(seed=0, tie_seed=tie_seed)
     fired = []
     post_bare(sim, 1.0, fired.append, "bare1")
-    sim.schedule_at(2.0, fired.append, "event2", label="two")
+    sim.schedule_at(2.0, fired.append, "event2")
     dead = sim.schedule_at(3.0, fired.append, "dead3")
     post_bare(sim, 4.0, fired.append, "bare4")
-    sim.post_at(5.0, fired.append, ("event5",), "five")
+    sim.post_at(5.0, fired.append, ("event5",))
     post_bare(sim, 6.0, fired.append, "bare6")
     tail = sim.schedule_at(7.0, fired.append, "dead7")
     dead.cancel()
@@ -440,7 +427,9 @@ def test_mixed_calendar_counts_bare_entries_as_pending():
     sim, _ = _mixed()
     assert (sim.pending, sim.cancelled_pending) == (5, 2)
     # Bare entries have no Event to hand out; the Event entries still do.
-    assert sorted(e.label for e in sim.pending_events()) == ["five", "two"]
+    assert sorted(e.args for e in sim.pending_events()) == [
+        ("event2",), ("event5",),
+    ]
 
 
 @pytest.mark.parametrize("tie_seed", [None, 3])
@@ -475,14 +464,6 @@ def test_mixed_calendar_max_events_counts_bare_entries():
     assert sim.run(until=100.0, max_events=1) == 5.0
     assert sim.run(until=100.0, max_events=5) == 100.0
     assert sim.events_fired == 5
-
-
-def test_mixed_calendar_event_records_cover_bare_entries():
-    sim, _ = _mixed()
-    seen = []
-    sim.trace.subscribe("event", lambda rec: seen.append((rec.time, rec.label)))
-    sim.run()
-    assert seen == [(1.0, ""), (2.0, "two"), (4.0, ""), (5.0, "five"), (6.0, "")]
 
 
 def test_stop_from_a_bare_entry_freezes_the_clock():

@@ -87,15 +87,6 @@ def test_trace_record_attribute_error():
         pass
 
 
-def test_kernel_emits_event_records_when_traced():
-    sim = Simulator(seed=1)
-    sink = []
-    sim.trace.record_into("event", sink)
-    sim.schedule(1.0, lambda: None, label="hello")
-    sim.run()
-    assert [r.label for r in sink] == ["hello"]
-
-
 def test_now_reads_the_kernel_clock():
     sim = Simulator(seed=0)
     proc = Process(sim, "p")

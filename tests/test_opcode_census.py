@@ -1,6 +1,8 @@
 """``scripts/opcode_census.py`` counts, it does not time: the same config
 gives the same instruction counts every time, and on the composition
-workload the function that executes the most is ``Network.send``."""
+workload the function that executes the most is ``Network.send``.  The
+same census shows that observation is free when it is off: a bare run
+emits no trace record and enters no ``repro.obs`` code."""
 
 import importlib.util
 import sys
@@ -23,5 +25,10 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert (messages, table) == opcode_census.census(config)
     assert messages > 0 and all(table.values())
     assert opcode_census.ranked(table)[0][0] == ("net/network.py", "send")
+    # Only Tracer.emit builds a TraceRecord, so no emit row means no record
+    # built (__getattr__ is the record's field read).
+    assert ("sim/trace.py", "emit") not in table
+    assert ("sim/trace.py", "__getattr__") not in table
+    assert [row for row in table if row[0].startswith("obs/")] == []
     report = opcode_census.render("fig4_single", messages, table)
     assert len(report.splitlines()) == 3 + opcode_census.TOP

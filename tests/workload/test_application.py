@@ -204,17 +204,6 @@ def test_halted_process_arms_nothing_until_resumed():
     assert app.done and collector.cs_count == 2
 
 
-def test_event_subscriber_sees_the_three_timer_labels():
-    sim, app, collector = _lone_app(n_cs=2)
-    labels = []
-    sim.trace.subscribe(
-        "event",
-        lambda rec: rec.label.startswith("app@") and labels.append(rec.label),
-    )
-    sim.run()
-    assert labels == ["app@1.first", "app@1.cs", "app@1.think", "app@1.cs"]
-
-
 def test_finished_process_keeps_no_reference_to_its_last_timer():
     sim, app, collector = _lone_app(n_cs=1)
     sim.run()
