@@ -1,11 +1,12 @@
 """Acceptance benchmarks for the experiment cache.
 
-These tests assert the two cache acceptance criteria hold on the machine
+These tests assert the cache acceptance criteria hold on the machine
 at hand, on a small version of the Fig. 4 ρ/N sweep:
 
 * a warm-cache sweep is at least 10x faster than a cold one;
 * a cold cache costs a bounded absolute time per stored cell (best of
-  five to reject scheduler noise).
+  five to reject scheduler noise);
+* a warm hit costs a bounded absolute time (best of five).
 """
 
 import tempfile
@@ -99,4 +100,32 @@ def test_cold_cache_overhead_is_small():
     print(f"cold cache: {best * 1e6:.0f} us per put (budget {PUT_BUDGET_US:.0f})")
     assert best * 1e6 <= PUT_BUDGET_US, (
         f"one cache put takes {best * 1e6:.0f} us, budget {PUT_BUDGET_US:.0f} us"
+    )
+
+
+#: What one ``ExperimentCache.get`` hit may cost: key derivation, the
+#: read, the unpickle, the stored-key check and the recency touch.  The
+#: 2-core reference host (CPython 3.11) reads 50-53 us (best of five, six
+#: times over; 150-200 us when every hit rendered its key twice through
+#: the recursive renderer): the budget is about three times that.
+GET_BUDGET_US = 160.0
+
+
+def test_warm_cache_hit_is_cheap():
+    # Absolute time per hit, like PUT_BUDGET_US; best of five.
+    configs = _fig4_sweep_configs()
+    results = run_configs_cached(configs, None, max_workers=1)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
+        cache = ExperimentCache(cache_dir=tmp)
+        for config, result in zip(configs, results):
+            cache.put(config, result)
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for config in configs:
+                assert cache.get(config) is not None
+            best = min(best, (time.perf_counter() - t0) / len(configs))
+    print(f"warm cache: {best * 1e6:.0f} us per get (budget {GET_BUDGET_US:.0f})")
+    assert best * 1e6 <= GET_BUDGET_US, (
+        f"one cache get takes {best * 1e6:.0f} us, budget {GET_BUDGET_US:.0f} us"
     )

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Bytecode instructions per message of one smoke-size benchmark run.
+"""Bytecode instructions per message (or per cache hit) of one
+smoke-size benchmark run.
 
     python scripts/opcode_census.py --workload fig4_single
+    python scripts/opcode_census.py --workload reproduce_warm
 
 Runs one of the three single-run workloads of ``benchmarks/system`` (the
 smoke-size config, built by ``workloads.py`` itself, imported read-only)
 under ``sys.settrace`` with ``f_trace_opcodes`` and prints how many
 bytecode instructions the interpreter executed per sent message: in
 total, and for the twenty ``(file, function)`` pairs that executed the
-most.  A count, not a time: it repeats exactly (the config runs once
-untraced first, so one-off imports and memos are out of the census), it
-omits everything that happens inside C, and it weighs every instruction
-alike.  Use it to size a change to the per-message path before timing
+most.  ``reproduce_warm`` instead traces one smoke-size ``reproduce_all``
+against a temporary cache filled (untraced) beforehand, and divides by
+its cache hits.  A count, not a time: it repeats exactly (the call runs
+once untraced first, so one-off imports and memos are out of the
+census), it omits everything that happens inside C, and it weighs every
+instruction alike.  Use it to size a change to a hot path before timing
 it with ``scripts/paired_bench.py``; quote the interpreter version with
 the numbers, they differ between CPython releases.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 from types import CodeType, FrameType
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -29,15 +34,22 @@ for entry in (ROOT / "src", ROOT / "benchmarks" / "system"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
-from workloads import _single_config  # noqa: E402
+from workloads import _single_config, reproduce_scale  # noqa: E402
 
-from repro.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from repro.cache import ExperimentCache  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    ExperimentConfig,
+    clear_sweep_memo,
+    reproduce_all,
+    run_experiment,
+)
+from repro.experiments.parallel import shutdown_warm_pool, warm_pool  # noqa: E402
 
-WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k")
+WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k", "reproduce_warm")
 TOP = 20
 PACKAGE = ROOT / "src" / "repro"
 
-#: ``(messages, {(file, function): instructions})``
+#: ``(messages or cache hits, {(file, function): instructions})``
 Census = Tuple[int, Dict[Tuple[str, str], int]]
 
 
@@ -80,16 +92,46 @@ def _where(code: CodeType) -> Tuple[str, str]:
     return name, code.co_name
 
 
+def _table(counts: Dict[CodeType, int]) -> Dict[Tuple[str, str], int]:
+    table: Dict[Tuple[str, str], int] = {}
+    for code, n in counts.items():
+        where = _where(code)
+        table[where] = table.get(where, 0) + n
+    return table
+
+
 def census(config: ExperimentConfig) -> Census:
     """Messages sent by one ``run_experiment(config)`` and the
     instructions it executed, per ``(file, function)``."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
     result, counts = count_opcodes(lambda: run_experiment(config, cache=None))
-    table: Dict[Tuple[str, str], int] = {}
-    for code, n in counts.items():
-        where = _where(code)
-        table[where] = table.get(where, 0) + n
-    return result.total_messages, table
+    return result.total_messages, _table(counts)
+
+
+def warm_census(seed: int = 1) -> Census:
+    """Cache hits of one smoke-size warm ``reproduce_all`` and the
+    instructions it executed, per ``(file, function)``."""
+    scale = reproduce_scale(seed, True)
+    with tempfile.TemporaryDirectory(prefix="repro-census-") as tmp:
+        root = Path(tmp)
+
+        def call() -> int:
+            clear_sweep_memo()
+            cache = ExperimentCache(cache_dir=root / "cache")
+            reproduce_all(root / "figures", scale, cache=cache)
+            return cache.stats.hits
+
+        try:
+            call()  # fills the cache through the worker pool
+        finally:
+            warm_pool().shutdown(wait=True)
+            shutdown_warm_pool()
+        call()  # imports, memos: not the pass's cost
+        try:
+            hits, counts = count_opcodes(call)
+        finally:
+            clear_sweep_memo()
+    return hits, _table(counts)
 
 
 def ranked(table: Dict[Tuple[str, str], int]) -> List[Tuple[Tuple[str, str], int]]:
@@ -97,16 +139,21 @@ def ranked(table: Dict[Tuple[str, str], int]) -> List[Tuple[Tuple[str, str], int
     return sorted(table.items(), key=lambda item: (-item[1], item[0]))
 
 
-def render(workload: str, messages: int, table: Dict[Tuple[str, str], int]) -> str:
+def render(workload: str, units: int, table: Dict[Tuple[str, str], int]) -> str:
+    """The census table; ``units`` are cache hits for ``reproduce_warm``,
+    sent messages otherwise."""
     total = sum(table.values())
+    unit, per = (
+        ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
+    )
     lines = [
         f"{workload} (smoke size) on {sys.implementation.name} "
-        f"{sys.version.split()[0]}: {messages} messages, {total} instructions",
-        f"{'instr/msg':>10} {'share':>6}  file:function",
-        f"{total / messages:>10.1f} {1:>6.1%}  (all Python frames)",
+        f"{sys.version.split()[0]}: {units} {unit}, {total} instructions",
+        f"{'instr/' + per:>10} {'share':>6}  file:function",
+        f"{total / units:>10.1f} {1:>6.1%}  (all Python frames)",
     ]
     for (name, function), n in ranked(table)[:TOP]:
-        lines.append(f"{n / messages:>10.1f} {n / total:>6.1%}  {name}:{function}")
+        lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
     return "\n".join(lines)
 
 
@@ -115,8 +162,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="fig4_single")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    messages, table = census(smoke_config(args.workload, args.seed))
-    print(render(args.workload, messages, table))
+    if args.workload == "reproduce_warm":
+        units, table = warm_census(args.seed)
+    else:
+        units, table = census(smoke_config(args.workload, args.seed))
+    print(render(args.workload, units, table))
     return 0
 
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -36,6 +37,7 @@ __all__ = [
     "canonical_json",
     "config_key",
     "code_fingerprint",
+    "key_digest",
 ]
 
 #: Bumped whenever the pickled payload layout changes (e.g. a new field
@@ -50,6 +52,8 @@ CACHE_SCHEMA_VERSION = 2
 #: :data:`CACHE_SCHEMA_VERSION`.
 DIGEST_RELEVANT_PACKAGES = ("sim", "net", "mutex", "core", "grid", "workload")
 
+_INF = float("inf")
+
 
 def _canonical(value: Any) -> str:
     if value is None:
@@ -59,18 +63,16 @@ def _canonical(value: Any) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return repr(value)
+        # int() drops a subclass's own repr (an IntEnum's, say).
+        return repr(int(value))
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError(f"non-finite float {value!r} is not cacheable")
-        return repr(value)
+        # float() drops a subclass's own repr: np.float64(4.0) -> 4.0.
+        return _float(float(value))
     if isinstance(value, str):
         # JSON string escaping, ASCII-only: stable everywhere.
-        import json
-
-        return json.dumps(value, ensure_ascii=True)
+        return encode_basestring_ascii(value)
     if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_canonical(v) for v in value) + "]"
+        return _array(value)
     if isinstance(value, dict):
         items = sorted((str(k), v) for k, v in value.items())
         body = ",".join(f"{_canonical(k)}:{_canonical(v)}" for k, v in items)
@@ -78,6 +80,44 @@ def _canonical(value: Any) -> str:
     if is_dataclass(value) and not isinstance(value, type):
         return canonical_json(value)
     raise TypeError(f"uncacheable value of type {type(value).__name__}: {value!r}")
+
+
+def _float(value: float) -> str:
+    if value != value or value in (_INF, -_INF):
+        raise ValueError(f"non-finite float {value!r} is not cacheable")
+    return repr(value)
+
+
+def _array(value: Any) -> str:
+    return "[" + ",".join([_canonical(v) for v in value]) + "]"
+
+
+#: How a value of exactly this type renders; every other type (dicts,
+#: nested dataclasses, subclasses) goes through :func:`_canonical`, which
+#: owns the format -- these are its answers for the plain types.  A
+#: tuple's items go through :func:`_canonical` too (an empty one renders
+#: without a call).
+_BY_TYPE: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    tuple: _array,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+#: Per dataclass: its cache-key fields in sorted order, each with its
+#: rendered ``"name":`` prefix.  Keyed by class, never by instance.
+_PLANS: Dict[type, Tuple[Tuple[str, str], ...]] = {}
+
+
+def _plan(cls: type) -> Tuple[Tuple[str, str], ...]:
+    names = sorted(
+        f.name for f in fields(cls) if f.metadata.get("cache_key", True)
+    )
+    plan = tuple((name, encode_basestring_ascii(name) + ":") for name in names)
+    _PLANS[cls] = plan
+    return plan
 
 
 def canonical_json(config: Any) -> str:
@@ -92,15 +132,29 @@ def canonical_json(config: Any) -> str:
     the retired ``ExperimentConfig.backend``, which nothing reads), so
     including them would split the key space without ever changing a
     cached value.
+
+    A dataclass renders from its class's plan (the sorted field names
+    and their prefixes, built on first use), each value by its exact
+    type; nothing about an instance is remembered, so ``rho=4`` and
+    ``rho=4.0`` still render ``4`` and ``4.0``.
     """
-    if is_dataclass(config) and not isinstance(config, type):
-        payload = {
-            f.name: getattr(config, f.name)
-            for f in fields(config)
-            if f.metadata.get("cache_key", True)
-        }
-        return _canonical(payload)
-    return _canonical(config)
+    cls = type(config)
+    plan = _PLANS.get(cls)
+    if plan is None:
+        if not is_dataclass(config) or isinstance(config, type):
+            return _canonical(config)
+        plan = _plan(cls)
+    render = _BY_TYPE.get
+    parts = []
+    for name, prefix in plan:
+        value = getattr(config, name)
+        parts.append(prefix + render(type(value), _canonical)(value))
+    return "{" + ",".join(parts) + "}"
+
+
+def key_digest(text: str) -> str:
+    """SHA-256 hex digest of a canonical key text: the entry's address."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def config_key(config: Any) -> str:
@@ -108,11 +162,11 @@ def config_key(config: Any) -> str:
 
     Uses ``config.cache_key()`` when the object provides one (so the
     config class stays the single owner of its serialization), falling
-    back to :func:`canonical_json`.
+    back to :func:`canonical_json`.  A store that also needs the text
+    itself derives it once and calls :func:`key_digest`.
     """
     key_fn = getattr(config, "cache_key", None)
-    text = key_fn() if callable(key_fn) else canonical_json(config)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return key_digest(key_fn() if callable(key_fn) else canonical_json(config))
 
 
 _fingerprint: Optional[str] = None

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .keys import code_fingerprint, config_key
+from .keys import code_fingerprint, config_key, key_digest
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -228,8 +228,7 @@ class ExperimentCache:
         return config_key(config)
 
     def path_for(self, config: Any) -> Path:
-        key = self.key_for(config)
-        return self.root / self.fingerprint / key[:2] / f"{key}.pkl"
+        return self.blob_path(self.fingerprint, self.key_for(config))
 
     # ------------------------------------------------------------------ #
     def get(self, config: Any) -> Optional[Any]:
@@ -237,9 +236,11 @@ class ExperimentCache:
 
         Any defect in the stored blob — truncation, unpicklable bytes,
         a canonical-key mismatch — deletes the entry and reports a miss,
-        so callers recompute instead of failing.
+        so callers recompute instead of failing.  The canonical key is
+        derived once: it addresses the entry and checks the stored one.
         """
-        path = self.path_for(config)
+        text = config.cache_key()
+        path = self.blob_path(self.fingerprint, key_digest(text))
         try:
             blob = path.read_bytes()
         except OSError:
@@ -254,7 +255,7 @@ class ExperimentCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        if stored_key != config.cache_key():
+        if stored_key != text:
             # Hash collision or serialization drift: never trust it.
             self._discard(path)
             self.stats.corrupt += 1
@@ -269,8 +270,9 @@ class ExperimentCache:
 
     def put(self, config: Any, result: Any) -> None:
         """Store ``result`` atomically; may trigger an LRU eviction pass."""
-        blob = canonical_dumps({"key": config.cache_key(), "result": result})
-        self.put_blob(self.fingerprint, self.key_for(config), blob)
+        text = config.cache_key()
+        blob = canonical_dumps({"key": text, "result": result})
+        self.put_blob(self.fingerprint, key_digest(text), blob)
 
     # ------------------------------------------------------------------ #
     # raw blob access (the farm's HTTP cache proxy speaks this layer:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from ..cache.keys import canonical_json
 from ..errors import ConfigurationError
 from ..mutex.registry import get_algorithm
 
@@ -150,8 +151,6 @@ class ExperimentConfig:
         refactors fails loudly instead of silently splitting (or,
         worse, aliasing) cache keys.
         """
-        from ..cache.keys import canonical_json
-
         return canonical_json(self)
 
     # ------------------------------------------------------------------ #

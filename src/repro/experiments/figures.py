@@ -156,11 +156,13 @@ def sweep_configs(kind: str, scale: FigureScale) -> List[ExperimentConfig]:
     collecting from the shared store reproduces the sweep results the
     figure generators read, byte for byte.
     """
-    return [
-        cfg.with_(seed=seed)
-        for _, cfg in _cells(kind, scale)
-        for seed in scale.seeds
-    ]
+    return _seeded(_cells(kind, scale), scale.seeds)
+
+
+def _seeded(
+    cells: List[Tuple[SweepKey, ExperimentConfig]], seeds: Tuple[int, ...]
+) -> List[ExperimentConfig]:
+    return [cfg.with_(seed=seed) for _, cfg in cells for seed in seeds]
 
 
 def figure_configs(
@@ -181,13 +183,14 @@ def _run_sweep(
         return memo
     from .parallel import run_configs_cached  # runtime import: no cycle
 
+    cells = _cells(kind, scale)  # built once: for the configs and the sweep keys
     results = run_configs_cached(
-        sweep_configs(kind, scale), cache=resolve_cache(cache), reuse_pool=True
+        _seeded(cells, scale.seeds), cache=resolve_cache(cache), reuse_pool=True
     )
     n_seeds = len(scale.seeds)
     out: Sweep = {
         key: _aggregate(results[c * n_seeds: (c + 1) * n_seeds])
-        for c, (key, _) in enumerate(_cells(kind, scale))
+        for c, (key, _) in enumerate(cells)
     }
     if len(_SWEEP_MEMO) >= _SWEEP_MEMO_MAX:
         _SWEEP_MEMO.pop(next(iter(_SWEEP_MEMO)))

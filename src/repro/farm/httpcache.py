@@ -27,7 +27,7 @@ import urllib.request
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
-from ..cache.keys import code_fingerprint, config_key
+from ..cache.keys import code_fingerprint, config_key, key_digest
 from ..cache.retry import with_retries
 from ..cache.store import CacheStats, canonical_dumps
 
@@ -130,10 +130,10 @@ class HttpCache:
 
     # ------------------------------------------------------------------ #
     def get(self, config: Any) -> Optional[Any]:
-        key = self.key_for(config)
+        text = config.cache_key()  # derived once: the address and the check
         try:
             status, blob = http_round_trip(
-                "GET", self._entry_url(key),
+                "GET", self._entry_url(key_digest(text)),
                 timeout_s=self.timeout_s, attempts=self.attempts,
             )
         except _TRANSIENT:
@@ -150,7 +150,7 @@ class HttpCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        if stored_key != config.cache_key():
+        if stored_key != text:
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
@@ -158,11 +158,11 @@ class HttpCache:
         return result
 
     def put(self, config: Any, result: Any) -> None:
-        key = self.key_for(config)
-        blob = canonical_dumps({"key": config.cache_key(), "result": result})
+        text = config.cache_key()
+        blob = canonical_dumps({"key": text, "result": result})
         try:
             status, _ = http_round_trip(
-                "PUT", self._entry_url(key), blob,
+                "PUT", self._entry_url(key_digest(text)), blob,
                 timeout_s=self.timeout_s, attempts=self.attempts,
             )
         except _TRANSIENT:

@@ -11,6 +11,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.cache.keys import (
@@ -195,3 +197,154 @@ class TestCodeFingerprint:
         assert code_fingerprint(refresh=True) != before
         monkeypatch.undo()
         assert code_fingerprint(refresh=True) == before
+
+
+# --------------------------------------------------------------------- #
+# The renderer against the recursive one it replaced
+# --------------------------------------------------------------------- #
+def _oracle_canonical(value):
+    """The recursive renderer every key was made by before the per-class
+    plan, kept verbatim as the oracle the plan must match."""
+    import json
+    from dataclasses import is_dataclass
+
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        if value != value or value in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite float {value!r} is not cacheable")
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=True)
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(_oracle_canonical(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted((str(k), v) for k, v in value.items())
+        body = ",".join(
+            f"{_oracle_canonical(k)}:{_oracle_canonical(v)}" for k, v in items
+        )
+        return "{" + body + "}"
+    if is_dataclass(value) and not isinstance(value, type):
+        return _oracle_json(value)
+    raise TypeError(f"uncacheable value of type {type(value).__name__}: {value!r}")
+
+
+def _oracle_json(config):
+    from dataclasses import fields, is_dataclass
+
+    if is_dataclass(config) and not isinstance(config, type):
+        payload = {
+            f.name: getattr(config, f.name)
+            for f in fields(config)
+            if f.metadata.get("cache_key", True)
+        }
+        return _oracle_canonical(payload)
+    return _oracle_canonical(config)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number = st.one_of(st.integers(-10**20, 10**20), _finite)
+_hierarchy = st.recursive(
+    st.integers(0, 50),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+_label = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1fé€😀', max_size=8),
+)
+
+
+@st.composite
+def _configs(draw):
+    return ExperimentConfig(
+        system=draw(st.sampled_from(("composition", "flat", "multilevel"))),
+        algorithms=draw(st.lists(st.text(max_size=6), max_size=3).map(tuple)),
+        hierarchy=draw(st.one_of(st.none(), _hierarchy)),
+        n_clusters=draw(st.integers(1, 9)),
+        jitter=draw(_number),
+        fifo=draw(st.booleans()),
+        alpha_ms=draw(_number),
+        rho=draw(_number),
+        seed=draw(st.integers(0, 2**64)),
+        tie_seed=draw(st.one_of(st.none(), st.integers(-5, 2**40))),
+        check_safety=draw(st.booleans()),
+        deadline_ms=draw(st.one_of(st.none(), _number)),
+        batch_delivery=draw(st.one_of(st.none(), st.booleans())),
+        horizon=draw(st.booleans()),
+        label=draw(_label),
+    )
+
+
+class TestAgainstTheRecursiveRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(_configs())
+    def test_every_config_renders_as_the_oracle_does(self, config):
+        assert config.cache_key() == _oracle_json(config)
+        assert canonical_json(config) == _oracle_json(config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_hierarchy, _label, _number)
+    def test_plain_values_render_as_the_oracle_does(self, tree, text, number):
+        for value in (tree, text, number, {"b": tree, "a": [text, number]}):
+            assert canonical_json(value) == _oracle_canonical(value)
+
+    def test_golden_matches_the_oracle(self):
+        assert _oracle_json(TINY) == GOLDEN
+
+    def test_int_and_float_rho_stay_apart(self):
+        # Equal configs, distinct keys: why nothing may memoise by equality.
+        assert TINY.with_(rho=4) == TINY
+        assert '"rho":4,' in TINY.with_(rho=4).cache_key()
+        assert '"rho":4.0,' in TINY.cache_key()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["rho", "deadline_ms", "hierarchy"])
+    def test_non_finite_floats_still_raise(self, bad, where):
+        value = ((0, bad),) if where == "hierarchy" else bad
+        with pytest.raises(ValueError):
+            TINY.with_(**{where: value}).cache_key()
+
+    @pytest.mark.parametrize("where", ["label", "hierarchy", "tie_seed"])
+    def test_unsupported_types_still_raise(self, where):
+        for value in (object(), frozenset({1}), (1, {2})):
+            with pytest.raises(TypeError):
+                TINY.with_(**{where: value}).cache_key()
+
+
+class TestNumericSubclasses:
+    """A config that passes ``validate()`` with a numpy float (or any int
+    or float subclass) renders exactly as its plain twin: same run, same
+    entry, and the key stays JSON."""
+
+    def test_numpy_float_renders_as_a_plain_float(self):
+        import json
+
+        np = pytest.importorskip("numpy")
+        config = TINY.with_(rho=np.float64(4.0), alpha_ms=np.float64(10.0))
+        config.validate()
+        assert config.cache_key() == TINY.cache_key() == GOLDEN
+        assert json.loads(config.cache_key())["rho"] == 4.0
+
+    def test_numpy_non_finite_float_still_raises(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError):
+            TINY.with_(rho=np.float64("nan")).cache_key()
+
+    def test_int_subclass_renders_as_a_plain_int(self):
+        import enum
+        import json
+
+        class Seed(enum.IntEnum):
+            SEVEN = 7
+
+        config = TINY.with_(seed=Seed.SEVEN)
+        config.validate()
+        assert config.cache_key() == GOLDEN
+        assert json.loads(config.cache_key())["seed"] == 7

@@ -2,7 +2,8 @@
 gives the same instruction counts every time, and on the composition
 workload the function that executes the most is ``Network.send``.  The
 same census shows that observation is free when it is off: a bare run
-emits no trace record and enters no ``repro.obs`` code."""
+emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
+census shows each sweep config's key rendered from the class plan."""
 
 import importlib.util
 import sys
@@ -32,3 +33,17 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert [row for row in table if row[0].startswith("obs/")] == []
     report = opcode_census.render("fig4_single", messages, table)
     assert len(report.splitlines()) == 3 + opcode_census.TOP
+
+
+def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
+    hits, table = opcode_census.warm_census()
+    assert (hits, table) == opcode_census.warm_census()
+    assert hits == 84 and all(table.values())
+    # Sweep configs hold only plain values: each key renders from the
+    # class plan, and the recursive fallback never runs.
+    assert ("cache/keys.py", "canonical_json") in table
+    assert ("cache/keys.py", "_canonical") not in table
+    report = opcode_census.render("reproduce_warm", hits, table)
+    assert report.splitlines()[1].split()[0] == "instr/hit"
