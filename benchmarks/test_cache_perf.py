@@ -6,7 +6,8 @@ at hand, on a small version of the Fig. 4 ρ/N sweep:
 * a warm-cache sweep is at least 10x faster than a cold one;
 * a cold cache costs a bounded absolute time per stored cell (best of
   five to reject scheduler noise);
-* a warm hit costs a bounded absolute time (best of five).
+* a warm hit costs a bounded absolute time (best of five);
+* so does a whole smoke-scale warm ``reproduce_all`` call (best of five).
 """
 
 import tempfile
@@ -14,8 +15,17 @@ import time
 from typing import List, Optional
 
 from repro.cache import ExperimentCache
-from repro.experiments import ExperimentConfig
-from repro.experiments.parallel import run_configs_cached
+from repro.experiments import (
+    ExperimentConfig,
+    FigureScale,
+    clear_sweep_memo,
+    reproduce_all,
+)
+from repro.experiments.parallel import (
+    run_configs_cached,
+    shutdown_warm_pool,
+    warm_pool,
+)
 
 
 def _fig4_sweep_configs() -> List[ExperimentConfig]:
@@ -105,10 +115,11 @@ def test_cold_cache_overhead_is_small():
 
 #: What one ``ExperimentCache.get`` hit may cost: key derivation, the
 #: read, the unpickle, the stored-key check and the recency touch.  The
-#: 2-core reference host (CPython 3.11) reads 50-53 us (best of five, six
-#: times over; 150-200 us when every hit rendered its key twice through
-#: the recursive renderer): the budget is about three times that.
-GET_BUDGET_US = 160.0
+#: 2-core reference host (CPython 3.11.7) reads 34-41 us (best of five,
+#: nine times over, two outliers at 63 and 68 us; 41-87 us while every hit
+#: built its address through pathlib): the budget is about three times
+#: that.
+GET_BUDGET_US = 120.0
 
 
 def test_warm_cache_hit_is_cheap():
@@ -128,4 +139,42 @@ def test_warm_cache_hit_is_cheap():
     print(f"warm cache: {best * 1e6:.0f} us per get (budget {GET_BUDGET_US:.0f})")
     assert best * 1e6 <= GET_BUDGET_US, (
         f"one cache get takes {best * 1e6:.0f} us, budget {GET_BUDGET_US:.0f} us"
+    )
+
+
+#: What one smoke-scale warm ``reproduce_all`` call may cost (all six
+#: figures, 84 hits): deriving the configs, the hits, aggregation and the
+#: export, so a regression anywhere in the warm call shows, not only in
+#: ``get``.  The 2-core reference host (CPython 3.11.7) reads 4.7-6.1 ms
+#: (best of five, nine times over, one outlier at 9.7 ms; 7.2-11.8 ms while
+#: each derived config went through ``dataclasses.replace``): the budget
+#: is about three times that.
+WARM_CALL_BUDGET_MS = 18.0
+
+
+def test_warm_reproduce_all_call_is_cheap():
+    scale = FigureScale(apps_per_cluster=2, n_cs=4, seeds=(1, 2))
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
+        out_dir = f"{tmp}/figures"
+        cache = ExperimentCache(cache_dir=f"{tmp}/cache")
+        try:
+            reproduce_all(out_dir, scale, cache=cache)  # fills the cache
+        finally:
+            warm_pool().shutdown(wait=True)  # no worker exits during timing
+            shutdown_warm_pool()
+        best = float("inf")
+        for _ in range(5):
+            clear_sweep_memo()
+            before = cache.stats.snapshot()
+            t0 = time.perf_counter()
+            reproduce_all(out_dir, scale, cache=cache)
+            best = min(best, time.perf_counter() - t0)
+            assert cache.stats.hits - before.hits == 84
+            assert cache.stats.misses == before.misses
+        clear_sweep_memo()
+    print(f"warm reproduce_all: {best * 1e3:.2f} ms per call "
+          f"(budget {WARM_CALL_BUDGET_MS:.0f})")
+    assert best * 1e3 <= WARM_CALL_BUDGET_MS, (
+        f"one warm reproduce_all takes {best * 1e3:.2f} ms, "
+        f"budget {WARM_CALL_BUDGET_MS:.0f} ms"
     )

@@ -107,6 +107,16 @@ def canonical_dumps(obj: Any) -> bytes:
     return buf.getvalue()
 
 
+def _blob_file(fingerprint_dir: str, key: str) -> str:
+    """Where ``key``'s blob lives under a fingerprint's directory: the
+    one place the layout is spelled.  Checks the key; the caller has
+    checked the fingerprint.  A plain string, so a hit builds no path
+    object."""
+    if not _SAFE_COMPONENT.fullmatch(key):
+        raise ValueError(f"malformed cache key {key!r}")
+    return f"{fingerprint_dir}/{key[:2]}/{key}.pkl"
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction/verification counters for one cache handle.
@@ -203,10 +213,17 @@ class ExperimentCache:
             max_bytes = int(env_cap) if env_cap.isdigit() else DEFAULT_MAX_BYTES
         if verify_every < 0:
             raise ValueError("verify_every must be >= 0")
+        if fingerprint is None:
+            fingerprint = code_fingerprint()
+        elif not _SAFE_COMPONENT.fullmatch(fingerprint):
+            raise ValueError(f"malformed fingerprint {fingerprint!r}")
         self.root = Path(cache_dir)
         self.max_bytes = max_bytes
         self.verify_every = verify_every
-        self.fingerprint = fingerprint or code_fingerprint()
+        self.fingerprint = fingerprint
+        #: ``get`` / ``put`` address blobs under this string (the
+        #: fingerprint is checked once, above); see :func:`_blob_file`.
+        self._fingerprint_dir = os.path.join(str(self.root), fingerprint)
         self.stats = CacheStats()
         #: Running size estimate so every put does not rescan the tree;
         #: None until the first put pays for one full scan.  Advisory
@@ -240,9 +257,10 @@ class ExperimentCache:
         derived once: it addresses the entry and checks the stored one.
         """
         text = config.cache_key()
-        path = self.blob_path(self.fingerprint, key_digest(text))
+        path = _blob_file(self._fingerprint_dir, key_digest(text))
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as fh:
+                blob = fh.read()
         except OSError:
             self.stats.misses += 1
             return None
@@ -272,7 +290,7 @@ class ExperimentCache:
         """Store ``result`` atomically; may trigger an LRU eviction pass."""
         text = config.cache_key()
         blob = canonical_dumps({"key": text, "result": result})
-        self.put_blob(self.fingerprint, key_digest(text), blob)
+        self._write(_blob_file(self._fingerprint_dir, key_digest(text)), blob)
 
     # ------------------------------------------------------------------ #
     # raw blob access (the farm's HTTP cache proxy speaks this layer:
@@ -288,9 +306,7 @@ class ExperimentCache:
         """
         if not _SAFE_COMPONENT.fullmatch(fingerprint):
             raise ValueError(f"malformed fingerprint {fingerprint!r}")
-        if not _SAFE_COMPONENT.fullmatch(key):
-            raise ValueError(f"malformed cache key {key!r}")
-        return self.root / fingerprint / key[:2] / f"{key}.pkl"
+        return Path(_blob_file(os.path.join(str(self.root), fingerprint), key))
 
     def get_blob(self, fingerprint: str, key: str) -> Optional[bytes]:
         """The raw stored bytes for an entry, or ``None``.
@@ -304,10 +320,13 @@ class ExperimentCache:
 
     def put_blob(self, fingerprint: str, key: str, blob: bytes) -> None:
         """Store raw bytes atomically (same tmp+replace path as ``put``)."""
-        path = self.blob_path(fingerprint, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self._write(str(self.blob_path(fingerprint, key)), blob)
+
+    def _write(self, path: str, blob: bytes) -> None:
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".pkl", dir=path.parent
+            prefix=".tmp-", suffix=".pkl", dir=directory
         )
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -381,7 +400,7 @@ class ExperimentCache:
                 removed += 1
         return removed
 
-    def _discard(self, path: Path) -> bool:
+    def _discard(self, path: "str | Path") -> bool:
         try:
             os.unlink(path)
             return True

@@ -133,8 +133,22 @@ class ExperimentConfig:
         return 10.0 * (serial + thinking) + 10_000.0
 
     def with_(self, **changes) -> "ExperimentConfig":
-        """A modified copy (convenience for sweeps)."""
-        return replace(self, **changes)
+        """A modified copy (convenience for sweeps).
+
+        Equal to ``dataclasses.replace(self, **changes)`` (same fields,
+        same ``__dict__`` order, so the same pickle and cache-key bytes),
+        built as one dict copy instead of a re-run of the frozen
+        ``__init__``: sweeps derive a config per cell and per seed.  An
+        unknown field goes to ``replace``, which raises its ``TypeError``.
+        ``tests/experiments/test_with_.py`` holds the two to each other.
+        """
+        state = self.__dict__.copy()
+        if not changes.keys() <= state.keys():
+            return replace(self, **changes)
+        state.update(changes)
+        copy = object.__new__(self.__class__)
+        object.__setattr__(copy, "__dict__", state)  # frozen: no plain setattr
+        return copy
 
     def cache_key(self) -> str:
         """Canonical JSON serialization for content-addressed caching.

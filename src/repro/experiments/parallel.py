@@ -102,6 +102,27 @@ def compute_chunksize(n_items: int, workers: int) -> int:
     return max(1, n_items // (max(1, workers) * 4))
 
 
+#: This process's store handle for pool chunks and the spec it was
+#: opened from (see :func:`_chunk_cache`).
+_chunk_store: Optional[Tuple[CacheSpec, ExperimentCache]] = None
+
+
+def _chunk_cache(spec: CacheSpec) -> ExperimentCache:
+    """The handle a chunk stores through, with fresh :class:`CacheStats`.
+
+    One handle per spec per process, so the running size estimate its
+    first put pays for (a walk of the whole store) is paid once per
+    worker process, not once per chunk.  Like every handle's estimate it
+    is advisory: the authority is the rescan before an eviction.
+    """
+    global _chunk_store
+    if _chunk_store is None or _chunk_store[0] != spec:
+        _chunk_store = (spec, spec.open())
+    cache = _chunk_store[1]
+    cache.stats = CacheStats()
+    return cache
+
+
 def _run_chunk_cached(
     configs: List[ExperimentConfig],
     spec: Optional[CacheSpec],
@@ -110,16 +131,17 @@ def _run_chunk_cached(
     """Worker-side chunk executor.
 
     Opens the shared store from its picklable spec (fingerprint
-    included, so the source tree is not re-hashed per chunk), runs each
+    included, so the source tree is not re-hashed per chunk; the handle
+    is kept for the next chunk, see :func:`_chunk_cache`), runs each
     configuration, and stores the results the parent marked as misses
     directly from this process — the puts are what makes a farm chunk
-    idempotent, and the per-worker :class:`CacheStats` ride back with
+    idempotent, and the chunk's own :class:`CacheStats` ride back with
     the results so the parent can :meth:`~CacheStats.merge` them into
     the totals it reports.  Transient store errors retry with backoff
     rather than failing the whole chunk.  An uncached sweep has no spec
     and an all-false mask.
     """
-    cache = spec.open() if spec is not None else None
+    cache = _chunk_cache(spec) if spec is not None else None
     results: List[ExperimentResult] = []
     for config, do_put in zip(configs, put_mask):
         result = run_experiment(config)

@@ -17,6 +17,7 @@ and the cache counters land in ``summary.json`` under ``"cache"``.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Dict, Optional
@@ -28,7 +29,7 @@ from .export import figure_to_csv, figure_to_json
 __all__ = ["reproduce_all"]
 
 
-def _write_if_changed(path: Path, text: str) -> None:
+def _write_if_changed(path: str, text: str) -> None:
     """Write ``text`` unless ``path`` already holds exactly these bytes.
 
     Runs are deterministic, so a repeated reproduction renders every
@@ -38,11 +39,13 @@ def _write_if_changed(path: Path, text: str) -> None:
     """
     data = text.encode("utf-8")
     try:
-        if path.read_bytes() == data:
-            return
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
     except OSError:
         pass
-    path.write_bytes(data)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def reproduce_all(
@@ -68,8 +71,8 @@ def reproduce_all(
     if unknown:
         raise KeyError(f"unknown figures: {unknown}")
     store = resolve_cache(cache)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = os.fspath(out_dir) or os.curdir  # as Path("") is "."
+    os.makedirs(out, exist_ok=True)
 
     results: Dict[str, FigureData] = {}
     timings: Dict[str, float] = {}
@@ -80,9 +83,10 @@ def reproduce_all(
         data = ALL_FIGURES[figure_id](scale, cache=store)
         timings[figure_id] = time.perf_counter() - started  # repro: allow[RPR001] host-side telemetry
         results[figure_id] = data
-        _write_if_changed(out / f"{figure_id}.txt", data.to_table() + "\n")
-        _write_if_changed(out / f"{figure_id}.csv", figure_to_csv(data))
-        _write_if_changed(out / f"{figure_id}.json", figure_to_json(data) + "\n")
+        base = os.path.join(out, figure_id)
+        _write_if_changed(base + ".txt", data.to_table() + "\n")
+        _write_if_changed(base + ".csv", figure_to_csv(data))
+        _write_if_changed(base + ".json", figure_to_json(data) + "\n")
 
     summary = {
         "figures": wanted,
@@ -108,7 +112,6 @@ def reproduce_all(
             "verified": store.stats.verified,
             "verify_failures": store.stats.verify_failures,
         }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return results

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.cache.store import CacheSpec, ExperimentCache
+from repro.cache.store import CacheSpec, CacheStats, ExperimentCache
 from repro.experiments import (
     ExperimentConfig,
     run_configs_cached,
@@ -192,6 +192,67 @@ class TestPoolPathWorkerStats:
         assert cache.stats.stores == len(CONFIGS)
         assert cache.stats.misses == len(CONFIGS)
         assert cache.stats.hits == 0
+
+    def test_chunks_in_one_process_walk_the_store_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: each chunk opened a fresh handle, whose first put
+        # walked every blob under every fingerprint to seed its size
+        # estimate.  The chunks of a sweep now share one handle per
+        # process; each still reports its own stats exactly once.
+        from repro.experiments import parallel
+
+        walks = []
+        entries = ExperimentCache.entries
+        monkeypatch.setattr(
+            ExperimentCache, "entries",
+            lambda self: (walks.append(1), entries(self))[1],
+        )
+        monkeypatch.setattr(parallel, "_chunk_store", None)
+        spec = CacheSpec(cache_dir=str(tmp_path / "c"))
+        merged = CacheStats()
+        chunks = [CONFIGS[:1], CONFIGS[1:3], CONFIGS[3:]]
+        for chunk in chunks:
+            results, stats = parallel._run_chunk_cached(
+                chunk, spec, [True] * len(chunk)
+            )
+            assert results == [run_experiment(c) for c in chunk]
+            assert (stats.stores, stats.hits, stats.misses) == (len(chunk), 0, 0)
+            merged.merge(stats)
+        assert len(walks) == 1
+        assert merged.stores == len(CONFIGS)
+
+    def test_a_pooled_sweep_walks_the_store_once_per_worker(
+        self, cache, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the walk counter reaches workers only when forked")
+        try:
+            with ProcessPoolExecutor(max_workers=2) as probe:
+                probe.submit(int).result(timeout=60)
+        except OSError:
+            pytest.skip("platform cannot spawn worker processes")
+
+        # Each walk, in whichever process, appends one line to this file.
+        log = tmp_path / "walks"
+        entries = ExperimentCache.entries
+
+        def counted(self):
+            with open(log, "a") as fh:
+                fh.write("walk\n")
+            return entries(self)
+
+        monkeypatch.setattr(ExperimentCache, "entries", counted)
+        configs = [CFG.with_(seed=s) for s in range(8)]
+        got = run_configs_cached(configs, cache, max_workers=2, chunksize=1)
+        assert got == [run_experiment(c) for c in configs]
+        walks = len(log.read_text().splitlines())
+        assert 1 <= walks <= 2  # one per worker process, not one per chunk (8)
+        stats = cache.stats
+        assert stats.hits + stats.misses == len(configs)
+        assert stats.stores == stats.misses == len(configs)
 
     def test_warm_pool_sweep_counts_hits_parent_side(self, cache):
         run_configs_cached(CONFIGS, cache, max_workers=1)

@@ -64,6 +64,59 @@ class TestRoundTrip:
         assert cache.get(CFG.with_(seed=1)) == b
 
 
+class TestAddressing:
+    @pytest.mark.parametrize("bad", ["../x", "", ".", "..", "a/b", "/abs"])
+    def test_malformed_fingerprint_is_refused_at_construction(
+        self, tmp_path, bad
+    ):
+        with pytest.raises(ValueError, match="malformed fingerprint") as err:
+            ExperimentCache(cache_dir=tmp_path, fingerprint=bad)
+        assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["../x", "", "."])
+    def test_malformed_fingerprint_is_refused_by_spec_open(self, tmp_path, bad):
+        spec = CacheSpec(cache_dir=str(tmp_path), fingerprint=bad)
+        with pytest.raises(ValueError, match="malformed fingerprint") as err:
+            spec.open()
+        assert repr(bad) in str(err.value)
+
+    def test_none_fingerprint_is_the_code_fingerprint(self, tmp_path):
+        from repro.cache import code_fingerprint
+
+        cache = ExperimentCache(cache_dir=tmp_path, fingerprint=None)
+        assert cache.fingerprint == code_fingerprint()
+
+    @pytest.mark.parametrize("root", ["cache", "cache/", "./cache", "a//b"])
+    def test_get_and_put_address_the_public_blob_path(
+        self, tmp_path, monkeypatch, root
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = ExperimentCache(cache_dir=root, fingerprint="f00d")
+        result = run_experiment(CFG)
+        cache.put(CFG, result)
+        path = cache.path_for(CFG)
+        assert path.is_file()
+        assert cache.get_blob("f00d", path.stem) == path.read_bytes()
+        assert cache.get(CFG) == result
+        assert [p for p, _, _ in cache.entries()] == [path]
+
+    def test_raw_api_keeps_its_per_call_checks(self, cache):
+        for fingerprint, key in (("..", "ab"), (cache.fingerprint, "../ab"),
+                                 (cache.fingerprint, "")):
+            with pytest.raises(ValueError):
+                cache.blob_path(fingerprint, key)
+            with pytest.raises(ValueError):
+                cache.get_blob(fingerprint, key)
+            with pytest.raises(ValueError):
+                cache.put_blob(fingerprint, key, b"x")
+        # get/put address through the same string builder, which still
+        # checks the key on every call.
+        from repro.cache.store import _blob_file
+
+        with pytest.raises(ValueError, match="malformed cache key"):
+            _blob_file(cache._fingerprint_dir, "../ab")
+
+
 class TestCorruption:
     def test_truncated_blob_is_a_miss_not_an_exception(self, cache):
         result = run_experiment(CFG)

@@ -3,7 +3,9 @@ gives the same instruction counts every time, and on the composition
 workload the function that executes the most is ``Network.send``.  The
 same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
-census shows each sweep config's key rendered from the class plan."""
+census shows each sweep config's key rendered from the class plan, each
+derived config built without ``dataclasses.replace`` and each blob
+addressed without pathlib."""
 
 import importlib.util
 import sys
@@ -45,5 +47,12 @@ def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     # class plan, and the recursive fallback never runs.
     assert ("cache/keys.py", "canonical_json") in table
     assert ("cache/keys.py", "_canonical") not in table
+    # A derived config is one dict copy (no dataclasses.replace, which
+    # re-ran the frozen __init__), and a blob or artefact address is one
+    # string.  What pathlib is left runs once per call (the summary names
+    # the store's root), so no pathlib row reaches one instruction per hit.
+    assert ("dataclasses.py", "replace") not in table
+    per_hit = {row: n / hits for row, n in table.items() if row[0] == "pathlib.py"}
+    assert all(n < 1 for n in per_hit.values()), per_hit
     report = opcode_census.render("reproduce_warm", hits, table)
     assert report.splitlines()[1].split()[0] == "instr/hit"
