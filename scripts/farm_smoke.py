@@ -11,9 +11,11 @@ fleet over a fresh farm directory — and walks the full lifecycle:
 2. **warm** — wipe the job queue and resubmit: the fleet re-claims every
    chunk and must serve the whole sweep from the shared store
    (zero misses), byte-identical to the cold pass;
-3. **figures** — render fig4a through the HTTP cache tier
-   (``HttpCache``, the ``--cache-url`` path) and compare the CSV
-   byte-for-byte against the baseline render.
+3. **figures** — render fig4a through the HTTP cache tier, once
+   in-process (``HttpCache``) and once through the CLI as a subprocess
+   (``python -m repro figure fig4a --cache-url <server>``); both must
+   read zero misses and write a CSV byte-identical to the baseline
+   render.
 
 Usage::
 
@@ -28,6 +30,7 @@ import argparse
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -163,6 +166,26 @@ def main(argv=None) -> int:
             if farm_csv != baseline_csv:
                 failures.append(
                     f"{FIGURE}.csv differs between farm and serial render"
+                )
+
+            # ... and the same render through the CLI, as a user runs it
+            cli = subprocess.run(
+                [sys.executable, "-m", "repro", "figure", FIGURE,
+                 "--format", "csv", "--cache-url", server.url],
+                capture_output=True, text=True, timeout=600,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            stats_line = cli.stderr.strip().splitlines()[-1:] or [""]
+            print(f"figure via the CLI: {stats_line[0]}")
+            if cli.returncode != 0:
+                failures.append(
+                    f"CLI --cache-url exited {cli.returncode}: {cli.stderr}"
+                )
+            elif " 0 miss(es)" not in stats_line[0]:
+                failures.append(f"CLI render missed the HTTP tier: {stats_line[0]}")
+            elif cli.stdout != baseline_csv + "\n":
+                failures.append(
+                    f"{FIGURE}.csv differs between CLI and serial render"
                 )
 
             client.drain()

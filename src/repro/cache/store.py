@@ -33,8 +33,9 @@ With ``verify_every=N``, every N-th hit is *re-executed* by the caller
 and compared field-for-field against the cached result
 (:meth:`ExperimentCache.record_verification`); runs are deterministic,
 so any mismatch means a stale or corrupted entry, which is replaced and
-counted.  The experiments layer drives this (the store never runs
-simulations itself).
+counted.  The sweep scheduler
+(:func:`repro.experiments.stream_configs_cached`) drives this — the
+store never runs simulations itself.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..errors import ConfigurationError
 from .keys import code_fingerprint, config_key, key_digest
 
 __all__ = [
@@ -78,6 +80,9 @@ _EVICT_TO = 0.8
 #: files) are rejected; ``/`` is excluded entirely.
 _SAFE_COMPONENT = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,127}")
 
+#: A :class:`CacheSpec` location starting so is a farm server's URL.
+_URL_SCHEMES = ("http://", "https://")
+
 
 class _CanonicalPickler(pickle._Pickler):  # noqa: SLF001 - pure-Python pickler
     """Pickler with string memoization disabled.
@@ -105,6 +110,39 @@ def canonical_dumps(obj: Any) -> bytes:
     buf = io.BytesIO()
     _CanonicalPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return buf.getvalue()
+
+
+def write_atomic(
+    path: "str | os.PathLike[str]", data: bytes, exclusive: bool = False
+) -> bool:
+    """Publish ``data`` at ``path`` through a temporary file in the same
+    directory, so a reader never sees a partial file.
+
+    ``exclusive`` publishes with ``os.link``, which fails if ``path``
+    exists: the first writer wins and racing writers are no-ops.
+    Returns whether this call published the file.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        if not exclusive:
+            os.replace(tmp_name, path)
+            tmp_name = None
+            return True
+        try:
+            os.link(tmp_name, path)
+            return True
+        except FileExistsError:
+            return False
+    finally:
+        if tmp_name is not None:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
 
 
 def _blob_file(fingerprint_dir: str, key: str) -> str:
@@ -177,17 +215,30 @@ class CacheStats:
 class CacheSpec:
     """Picklable description of a cache, for shipping to worker processes.
 
-    ``fingerprint`` carries the parent's already-computed code
-    fingerprint so each worker process does not re-hash the source tree
-    per chunk; ``None`` recomputes (the pre-farm behaviour).
+    ``cache_dir`` says where the store is: a directory, or the base URL
+    (``http://…``) of a farm server, whose cache proxy :meth:`open` then
+    reads and writes (``max_bytes`` is the server's business there).
+    ``None`` for ``cache_dir`` or ``max_bytes`` means what
+    :class:`ExperimentCache` reads from the environment.  ``fingerprint``
+    carries the parent's already-computed code fingerprint so each
+    worker process does not re-hash the source tree per chunk; ``None``
+    recomputes.
     """
 
-    cache_dir: str
-    max_bytes: int = DEFAULT_MAX_BYTES
+    cache_dir: Optional[str] = None
+    max_bytes: Optional[int] = None
     verify_every: int = 0
     fingerprint: Optional[str] = None
 
     def open(self) -> "ExperimentCache":
+        if (self.cache_dir or "").startswith(_URL_SCHEMES):
+            from .http import HttpCache  # subclasses ExperimentCache
+
+            return HttpCache(
+                self.cache_dir,
+                verify_every=self.verify_every,
+                fingerprint=self.fingerprint,
+            )
         return ExperimentCache(
             cache_dir=self.cache_dir,
             max_bytes=self.max_bytes,
@@ -197,7 +248,14 @@ class CacheSpec:
 
 
 class ExperimentCache:
-    """Content-addressed persistent store for experiment results."""
+    """Content-addressed persistent store for experiment results.
+
+    The one owner of the store contract — one key derivation per
+    operation, the stored-key check, :attr:`stats`, verification
+    sampling and :attr:`spec` — for every tier.  The blobs are files
+    under :attr:`root`; :class:`~repro.cache.http.HttpCache` keeps them
+    behind a farm server by overriding only the ``_*_blob`` byte hooks.
+    """
 
     def __init__(
         self,
@@ -209,27 +267,34 @@ class ExperimentCache:
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         if max_bytes is None:
-            env_cap = os.environ.get("REPRO_CACHE_MAX_BYTES", "")
-            max_bytes = int(env_cap) if env_cap.isdigit() else DEFAULT_MAX_BYTES
+            max_bytes = _env_count("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
+        self._init_shared(Path(cache_dir), verify_every, fingerprint)
+        self.max_bytes = max_bytes
+        #: ``get`` / ``put`` address blobs under this string (the
+        #: fingerprint is checked once, in :meth:`_init_shared`); see
+        #: :func:`_blob_file`.
+        self._fingerprint_dir = os.path.join(str(self.root), self.fingerprint)
+        #: Running size estimate so every put does not rescan the tree;
+        #: None until the first put pays for one full scan.  Advisory
+        #: only (concurrent writers each keep their own): the authority
+        #: is the rescan inside :meth:`_evict_if_needed`.
+        self._approx_bytes: Optional[int] = None
+
+    def _init_shared(
+        self, root: Any, verify_every: int, fingerprint: Optional[str]
+    ) -> None:
+        """The state every tier has: where the store is, the sampling
+        cadence, the (checked) fingerprint and fresh counters."""
         if verify_every < 0:
             raise ValueError("verify_every must be >= 0")
         if fingerprint is None:
             fingerprint = code_fingerprint()
         elif not _SAFE_COMPONENT.fullmatch(fingerprint):
             raise ValueError(f"malformed fingerprint {fingerprint!r}")
-        self.root = Path(cache_dir)
-        self.max_bytes = max_bytes
+        self.root = root
         self.verify_every = verify_every
         self.fingerprint = fingerprint
-        #: ``get`` / ``put`` address blobs under this string (the
-        #: fingerprint is checked once, above); see :func:`_blob_file`.
-        self._fingerprint_dir = os.path.join(str(self.root), fingerprint)
         self.stats = CacheStats()
-        #: Running size estimate so every put does not rescan the tree;
-        #: None until the first put pays for one full scan.  Advisory
-        #: only (concurrent writers each keep their own): the authority
-        #: is the rescan inside :meth:`_evict_if_needed`.
-        self._approx_bytes: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -252,16 +317,14 @@ class ExperimentCache:
         """The cached result for ``config``, or ``None`` (a miss).
 
         Any defect in the stored blob — truncation, unpicklable bytes,
-        a canonical-key mismatch — deletes the entry and reports a miss,
+        a canonical-key mismatch — drops the entry and reports a miss,
         so callers recompute instead of failing.  The canonical key is
         derived once: it addresses the entry and checks the stored one.
         """
         text = config.cache_key()
-        path = _blob_file(self._fingerprint_dir, key_digest(text))
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError:
+        key = key_digest(text)
+        blob = self._read_blob(key)
+        if blob is None:
             self.stats.misses += 1
             return None
         try:
@@ -269,28 +332,45 @@ class ExperimentCache:
             stored_key = payload["key"]
             result = payload["result"]
         except Exception:
-            self._discard(path)
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
+            stored_key = None
         if stored_key != text:
-            # Hash collision or serialization drift: never trust it.
-            self._discard(path)
+            # Unreadable, a hash collision or serialization drift:
+            # never trust it.
+            self._drop_blob(key)
             self.stats.corrupt += 1
             self.stats.misses += 1
             return None
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
         self.stats.hits += 1
         return result
 
     def put(self, config: Any, result: Any) -> None:
-        """Store ``result`` atomically; may trigger an LRU eviction pass."""
+        """Store ``result`` under ``config``'s key."""
         text = config.cache_key()
-        blob = canonical_dumps({"key": text, "result": result})
-        self._write(_blob_file(self._fingerprint_dir, key_digest(text)), blob)
+        self._write_blob(
+            key_digest(text), canonical_dumps({"key": text, "result": result})
+        )
+
+    # -- the byte hooks, keyed by the config key's digest ---------------- #
+    def _read_blob(self, key: str) -> Optional[bytes]:
+        """The stored bytes, or ``None``; a read refreshes LRU recency."""
+        path = _blob_file(self._fingerprint_dir, key)
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except OSError:
+            return None
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return blob
+
+    def _write_blob(self, key: str, blob: bytes) -> None:
+        """Publish the bytes atomically; may trigger an LRU eviction."""
+        self._write(_blob_file(self._fingerprint_dir, key), blob)
+
+    def _drop_blob(self, key: str) -> None:
+        self._discard(_blob_file(self._fingerprint_dir, key))
 
     # ------------------------------------------------------------------ #
     # raw blob access (the farm's HTTP cache proxy speaks this layer:
@@ -323,21 +403,7 @@ class ExperimentCache:
         self._write(str(self.blob_path(fingerprint, key)), blob)
 
     def _write(self, path: str, blob: bytes) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".pkl", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, blob)
         self.stats.stores += 1
         if self.max_bytes > 0:
             if self._approx_bytes is None:
@@ -441,6 +507,18 @@ class ExperimentCache:
 _FALSEY = ("", "0", "false", "no", "off")
 
 
+def _env_count(name: str, default: int) -> int:
+    """A non-negative integer from environment variable ``name``;
+    ``default`` when it is unset or empty, a :class:`ConfigurationError`
+    naming the variable and its value when it is anything else."""
+    raw = os.environ.get(name, "")
+    if raw.isdecimal():
+        return int(raw)
+    if raw:
+        raise ConfigurationError(f"{name}={raw!r}: expected an integer >= 0")
+    return default
+
+
 def cache_from_env() -> Optional[ExperimentCache]:
     """A cache when ``REPRO_CACHE`` is set truthy, else ``None``.
 
@@ -453,9 +531,7 @@ def cache_from_env() -> Optional[ExperimentCache]:
     """
     if os.environ.get("REPRO_CACHE", "").strip().lower() in _FALSEY:
         return None
-    verify_env = os.environ.get("REPRO_CACHE_VERIFY", "")
-    verify_every = int(verify_env) if verify_env.isdigit() else 0
-    return ExperimentCache(verify_every=verify_every)
+    return ExperimentCache(verify_every=_env_count("REPRO_CACHE_VERIFY", 0))
 
 
 def resolve_cache(
@@ -463,12 +539,12 @@ def resolve_cache(
 ) -> Optional[ExperimentCache]:
     """Normalise the ``cache=`` argument convention used by sweeps.
 
-    ``None`` → caching off; an :class:`ExperimentCache` → itself; a
-    :class:`CacheSpec` → opened; the string ``"auto"`` → whatever the
-    environment dictates (:func:`cache_from_env`).  Any other object
-    exposing the ``get``/``put``/``stats`` surface (the farm's
-    :class:`~repro.farm.httpcache.HttpCache` tier) passes through
-    unchanged — sweeps only ever duck-type that surface.
+    ``None`` → caching off; an :class:`ExperimentCache` (either tier) →
+    itself; a :class:`CacheSpec` → opened; the string ``"auto"`` →
+    whatever the environment dictates (:func:`cache_from_env`).  Any
+    other object exposing the ``get``/``put``/``stats`` surface (a
+    proxy wrapping a handle, as the benchmark's span recorder does)
+    passes through unchanged — sweeps only ever duck-type that surface.
     """
     if cache is None:
         return None
@@ -484,7 +560,7 @@ def resolve_cache(
             f"CacheSpec; got {cache!r}"
         )
     if all(hasattr(cache, a) for a in ("get", "put", "stats")):
-        return cache  # duck-typed tier (e.g. the farm's HttpCache)
+        return cache  # a duck-typed proxy around a handle
     raise TypeError(
         f"cache must be None, 'auto', an ExperimentCache or a CacheSpec; "
         f"got {cache!r}"

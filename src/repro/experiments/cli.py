@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from ..cache.store import ExperimentCache, cache_from_env
+from ..cache.store import CacheSpec, ExperimentCache, cache_from_env
 from ..errors import ConfigurationError
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
@@ -70,14 +70,9 @@ def _cache_from_args(args):
         )
     if args.no_cache:
         return None
-    if getattr(args, "cache_url", None):
-        from ..farm.httpcache import HttpCache
-
-        return HttpCache(args.cache_url, verify_every=args.cache_verify)
-    if args.cache or args.cache_dir is not None or args.cache_verify:
-        return ExperimentCache(
-            cache_dir=args.cache_dir, verify_every=args.cache_verify
-        )
+    where = args.cache_url or args.cache_dir  # the spec picks the tier
+    if where is not None or args.cache or args.cache_verify:
+        return CacheSpec(cache_dir=where, verify_every=args.cache_verify).open()
     return cache_from_env()
 
 

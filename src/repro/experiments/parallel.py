@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -102,23 +103,25 @@ def compute_chunksize(n_items: int, workers: int) -> int:
     return max(1, n_items // (max(1, workers) * 4))
 
 
-#: This process's store handle for pool chunks and the spec it was
-#: opened from (see :func:`_chunk_cache`).
-_chunk_store: Optional[Tuple[CacheSpec, ExperimentCache]] = None
+#: This thread's store handle for chunks and the spec it was opened
+#: from (see :func:`_chunk_cache`).
+_chunk_store = threading.local()
 
 
 def _chunk_cache(spec: CacheSpec) -> ExperimentCache:
     """The handle a chunk stores through, with fresh :class:`CacheStats`.
 
-    One handle per spec per process, so the running size estimate its
-    first put pays for (a walk of the whole store) is paid once per
-    worker process, not once per chunk.  Like every handle's estimate it
-    is advisory: the authority is the rescan before an eviction.
+    One handle per spec per worker — a pool worker process, a farm
+    worker process, or a thread of the farm's inline fleet — so the
+    running size estimate its first put pays for (a walk of the whole
+    store) is paid once per worker, not once per chunk.  Like every
+    handle's estimate it is advisory: the authority is the rescan
+    before an eviction.
     """
-    global _chunk_store
-    if _chunk_store is None or _chunk_store[0] != spec:
-        _chunk_store = (spec, spec.open())
-    cache = _chunk_store[1]
+    held = getattr(_chunk_store, "held", None)
+    if held is None or held[0] != spec:
+        held = _chunk_store.held = (spec, spec.open())
+    cache = held[1]
     cache.stats = CacheStats()
     return cache
 
@@ -154,72 +157,70 @@ def _run_chunk_cached(
 def _stream_cached_exec(
     configs: Sequence[ExperimentConfig],
     put_mask: Sequence[bool],
-    spec: Optional[CacheSpec],
-    stats_sink: Optional[CacheStats],
+    cache: Optional[ExperimentCache],
     max_workers: Optional[int],
     chunksize: Optional[int],
     reuse_pool: bool,
 ) -> Iterator[Tuple[int, ExperimentResult, bool]]:
-    """The pool loop: yields ``(index, result, stored_by_worker)``
+    """The execution loop: yields ``(index, result, stored_by_worker)``
     triples as runs complete.
 
-    On the pool path each chunk runs via :func:`_run_chunk_cached`, so
-    the worker itself stores the masked results and its stats are merged
-    into ``stats_sink`` as the chunk completes.  The serial path (and
-    the broken-pool redo) yields ``stored_by_worker=False`` and leaves
-    storing to the caller, which already holds an open cache handle.
+    On the pool path each chunk runs via :func:`_run_chunk_cached` on a
+    worker handle opened from ``cache``'s spec (worker handles never
+    verify), so the worker itself stores the masked results and its
+    stats are merged into ``cache.stats`` as the chunk completes.  Runs
+    made in-process — the whole batch when a pool would not pay, or
+    what a failed pool left — yield ``stored_by_worker=False`` and leave
+    storing to the caller, which holds ``cache``.
     """
-    if max_workers == 1 or len(configs) < POOL_MIN_BATCH:
-        for i, config in enumerate(configs):
-            yield i, run_experiment(config), False
-        return
-
     done_idx: set = set()
-    try:
-        pool = warm_pool(max_workers) if reuse_pool else ProcessPoolExecutor(
-            max_workers=max_workers
-        )
+    if max_workers != 1 and len(configs) >= POOL_MIN_BATCH:
+        spec = replace(cache.spec, verify_every=0) if cache is not None else None
         try:
-            size = chunksize or compute_chunksize(
-                len(configs), max_workers or os.cpu_count() or 1
+            pool = warm_pool(max_workers) if reuse_pool else ProcessPoolExecutor(
+                max_workers=max_workers
             )
-            futures = {}
-            for start in range(0, len(configs), size):
-                idxs = list(range(start, min(start + size, len(configs))))
-                fut = pool.submit(
-                    _run_chunk_cached,
-                    [configs[i] for i in idxs],
-                    spec,
-                    [put_mask[i] for i in idxs],
+            try:
+                size = chunksize or compute_chunksize(
+                    len(configs), max_workers or os.cpu_count() or 1
                 )
-                futures[fut] = idxs
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # Deterministic processing order (by first index) so a
-                # mid-batch failure always keeps the earliest results.
-                for fut in sorted(finished, key=lambda f: futures[f][0]):
-                    idxs = futures[fut]
-                    results, worker_stats = fut.result()
-                    if stats_sink is not None:
-                        stats_sink.merge(worker_stats)
-                    for i, result in zip(idxs, results):
-                        done_idx.add(i)
-                        yield i, result, put_mask[i]
-        finally:
-            if not reuse_pool:
-                pool.shutdown(wait=False, cancel_futures=True)
-    except _POOL_ERRORS:
-        # No subprocess capability here (sandbox forbids fork), or a
-        # worker died mid-batch: anything already yielded is kept (its
-        # chunk's puts and stats landed with it); only the missing
-        # configurations are redone in-process, stored by the caller.
-        # Runs are deterministic, so the redo is exact.
-        if reuse_pool:
-            shutdown_warm_pool()  # a broken shared pool must not linger
-        for i in range(len(configs)):
-            if i not in done_idx:
-                yield i, run_experiment(configs[i]), False
+                futures = {}
+                for start in range(0, len(configs), size):
+                    idxs = list(range(start, min(start + size, len(configs))))
+                    fut = pool.submit(
+                        _run_chunk_cached,
+                        [configs[i] for i in idxs],
+                        spec,
+                        [put_mask[i] for i in idxs],
+                    )
+                    futures[fut] = idxs
+                pending = set(futures)
+                while pending:
+                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    # Deterministic processing order (by first index) so a
+                    # mid-batch failure always keeps the earliest results.
+                    for fut in sorted(finished, key=lambda f: futures[f][0]):
+                        idxs = futures[fut]
+                        results, worker_stats = fut.result()
+                        if cache is not None:
+                            cache.stats.merge(worker_stats)
+                        for i, result in zip(idxs, results):
+                            done_idx.add(i)
+                            yield i, result, put_mask[i]
+            finally:
+                if not reuse_pool:
+                    pool.shutdown(wait=False, cancel_futures=True)
+        except _POOL_ERRORS:
+            # No subprocess capability here (sandbox forbids fork), or a
+            # worker died mid-batch: anything already yielded is kept
+            # (its chunk's puts and stats landed with it); only the
+            # missing configurations are redone below.  Runs are
+            # deterministic, so the redo is exact.
+            if reuse_pool:
+                shutdown_warm_pool()  # a broken shared pool must not linger
+    for i, config in enumerate(configs):
+        if i not in done_idx:
+            yield i, run_experiment(config), False
 
 
 def stream_configs_cached(
@@ -237,9 +238,14 @@ def stream_configs_cached(
     are submitted to the (warm) pool in chunks and yielded as they
     complete, so progress is observable before the batch finishes and a
     broken pool only costs the chunks that had not completed.  Fresh
-    results are stored back into the cache, so concurrent sweeps sharing
-    a cache directory converge after one racing window.  With
+    results are stored back into the cache (every put retried with
+    backoff on transient store errors), so concurrent sweeps sharing a
+    cache directory converge after one racing window.  With
     ``cache=None`` nothing hits and nothing is stored.
+
+    This is the one cached-lookup policy: ``run_experiment(config,
+    cache)``, the farm's workers and its collector all go through it,
+    and nothing else samples hits for verification.
     """
     if not configs:
         raise ConfigurationError("stream_configs_cached needs >= 1 config")
@@ -268,22 +274,15 @@ def stream_configs_cached(
     put_mask = [
         cache is not None and expected is None for _, expected in to_run
     ]
-    worker_spec = stats = None
-    if cache is not None:
-        worker_spec = replace(cache.spec, verify_every=0)
-        stats = cache.stats
     for j, result, stored_by_worker in _stream_cached_exec(
-        queued, put_mask, worker_spec, stats,
-        max_workers, chunksize, reuse_pool,
+        queued, put_mask, cache, max_workers, chunksize, reuse_pool,
     ):
         i, expected = to_run[j]
-        if cache is None:
+        if cache is None or stored_by_worker:
             pass
-        elif expected is None:
-            if not stored_by_worker:
-                cache.put(configs[i], result)
-        elif not cache.record_verification(expected, result):
-            cache.put(configs[i], result)  # replace the stale entry
+        elif expected is None or not cache.record_verification(expected, result):
+            # a miss, or the stale entry replaced; retried like a worker's
+            with_retries(lambda: cache.put(configs[i], result))
         yield i, result
 
 

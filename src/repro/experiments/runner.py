@@ -347,24 +347,20 @@ def run_experiment(
     """Run one configured simulation to completion and aggregate.
 
     ``cache``, if given, consults a :class:`~repro.cache.ExperimentCache`
-    before executing and stores the result afterwards.  Caching is
-    strictly opt-in here: without an explicit cache this function always
-    executes, so tier-1 correctness paths (which run with
-    ``check_safety=True``) exercise the safety checker on every call.
-    To reach the live run (a digest, a Chrome trace, a probe) use
-    :class:`ExperimentRun` directly.
+    before executing and stores the result afterwards — a one-config
+    sweep through :func:`~repro.experiments.parallel.run_configs_cached`,
+    run in-process.  Caching is strictly opt-in here: without an
+    explicit cache this function always executes, so tier-1 correctness
+    paths (which run with ``check_safety=True``) exercise the safety
+    checker on every call.  To reach the live run (a digest, a Chrome
+    trace, a probe) use :class:`ExperimentRun` directly.
     """
-    config.validate()  # also on a hit: a refused config has no result
-    cached = cache.get(config) if cache is not None else None
-    if cached is not None and not cache.should_verify():
-        return cached
+    if cache is not None:
+        from .parallel import run_configs_cached  # runtime import: no cycle
+
+        return run_configs_cached([config], cache, max_workers=1)[0]
     with ExperimentRun(config) as run:
-        fresh = run.execute()
-    if cache is not None and (
-        cached is None or not cache.record_verification(cached, fresh)
-    ):
-        cache.put(config, fresh)  # a miss, or the stale entry replaced
-    return fresh
+        return run.execute()
 
 
 def run_many(

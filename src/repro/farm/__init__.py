@@ -6,7 +6,8 @@ multi-worker service:
 
 * a **shared cache tier** — the existing ``.repro-cache`` layout used
   concurrently by many worker processes/hosts over a shared filesystem,
-  plus an optional thin HTTP cache proxy (:class:`HttpCache` against a
+  plus an optional thin HTTP cache proxy (:class:`HttpCache`, the
+  store's own transport from :mod:`repro.cache.http`, against a
   :class:`FarmServer`) for hosts without one;
 * a **work-stealing sweep distributor** — a filesystem-backed
   lease-file work queue (:mod:`repro.farm.leases`) where each worker
@@ -23,9 +24,9 @@ failure-mode matrix.
 
 from __future__ import annotations
 
+from ..cache.http import HttpCache
 from .client import FarmClient
 from .distribute import FarmReport, run_configs_farm
-from .httpcache import HttpCache, HttpCacheSpec
 from .leases import JobState, JobStore, job_id_for
 from .server import FarmServer
 from .worker import work_loop
@@ -35,7 +36,6 @@ __all__ = [
     "FarmReport",
     "FarmServer",
     "HttpCache",
-    "HttpCacheSpec",
     "JobState",
     "JobStore",
     "job_id_for",

@@ -1,7 +1,7 @@
 """Client for the farm server: submit / status / fetch / drain.
 
 Every exchange is the HTTP cache tier's
-:func:`~repro.farm.httpcache.http_round_trip` (retry with backoff), so a
+:func:`~repro.cache.http.http_round_trip` (retry with backoff), so a
 server restart mid-conversation costs a delay, not a failed sweep.
 Many concurrent clients may submit the same sweep: job ids are
 content-addressed, so they all converge on one job and one set of warm
@@ -15,11 +15,11 @@ import pickle
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..cache.http import http_round_trip
 from ..cache.store import CacheStats
 from ..errors import FarmError
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import ExperimentResult
-from .httpcache import http_round_trip
 
 __all__ = ["FarmClient"]
 

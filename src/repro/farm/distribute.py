@@ -6,8 +6,9 @@ job over the config batch, runs a worker fleet against it (real
 subprocesses by default, in-process threads where spawning is
 impossible), and collects the results from the shared
 content-addressed store in config order.  Results are byte-identical
-to the serial path — the workers run exactly ``run_experiment`` and the
-store round-trip is the same pickle layer the single-host cache uses.
+to the serial path — workers and collector alike go through the same
+sweep scheduler, and the store round-trip is the same pickle layer the
+single-host cache uses.
 
 Fault tolerance is structural rather than bolted on: a SIGKILLed or
 hung worker's chunk goes stale and is re-claimed by a peer
@@ -24,14 +25,15 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..cache.store import CacheSpec, CacheStats, ExperimentCache
+from ..cache.store import CacheSpec, CacheStats, ExperimentCache, resolve_cache
 from ..errors import FarmError
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import ExperimentResult, run_experiment
+from ..experiments.parallel import run_configs_cached
+from ..experiments.runner import ExperimentResult
 from .leases import JobState, JobStore
 from .worker import work_loop, worker_id_for_process
 
@@ -106,26 +108,6 @@ def spawn_worker(
     return subprocess.Popen(cmd, env=env)
 
 
-def _resolve_spec(
-    cache: "ExperimentCache | CacheSpec | None", farm_dir: Path
-) -> Any:
-    if cache is None:
-        return ExperimentCache(cache_dir=farm_dir / "cache").spec
-    if isinstance(cache, ExperimentCache):
-        return cache.spec
-    if isinstance(cache, CacheSpec):
-        if cache.fingerprint is None:
-            # Workers must agree on the fingerprint; compute it once
-            # here instead of once per worker process.
-            return cache.open().spec
-        return cache
-    if hasattr(cache, "spec"):  # HttpCache and other duck-typed tiers
-        return cache.spec
-    if hasattr(cache, "open"):  # already a picklable spec (HttpCacheSpec)
-        return cache
-    raise FarmError(f"unsupported cache argument {cache!r}")
-
-
 def _run_inline_fleet(
     farm_dir: Path, job: JobState, num_workers: int, poll_s: float
 ) -> None:
@@ -186,7 +168,12 @@ def run_configs_farm(
     farm_path = Path(farm_dir)
     try:
         store = JobStore(farm_path)
-        spec = _resolve_spec(cache, farm_path)
+        # Workers never verify; a spec's fingerprint is computed here,
+        # once, when it opens, so every worker agrees on it.
+        handle = resolve_cache(cache) or ExperimentCache(
+            cache_dir=farm_path / "cache"
+        )
+        spec = replace(handle.spec, verify_every=0)
         job = store.create_job(
             configs,
             cache_spec=spec,
@@ -227,26 +214,12 @@ def run_configs_farm(
             )
 
         report.worker_stats = job.merged_stats()
-        collector = (
-            spec.open() if not isinstance(cache, ExperimentCache) else cache
-        )
-        # Collection reads go through a snapshot-and-restore so the
-        # caller-visible stats reflect the sweep, not the fetch loop.
-        stats_before = collector.stats.snapshot()
-        results: List[Optional[ExperimentResult]] = [None] * len(configs)
-        for i, config in enumerate(configs):
-            got = collector.get(config)
-            if got is None:
-                # Evicted between completion and collection (tiny cap or
-                # a concurrent sweep): recompute locally, exactly once.
-                got = run_experiment(config)
-                collector.put(config, got)
-                report.recovered += 1
-            results[i] = got
-        collector.stats.hits = stats_before.hits
-        collector.stats.misses = stats_before.misses
-        collector.stats.stores = stats_before.stores
-        report.results = results  # type: ignore[assignment]
+        # A fresh handle, so the caller's stats stay the sweep's.  A
+        # result evicted between completion and collection (tiny cap or
+        # a concurrent sweep) is a miss: recomputed here, exactly once.
+        collector = spec.open()
+        report.results = run_configs_cached(configs, collector, max_workers=1)
+        report.recovered = collector.stats.misses
         return report
     finally:
         if tmp_ctx is not None:

@@ -42,13 +42,12 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..cache.store import CacheSpec, CacheStats
+from ..cache.store import CacheSpec, CacheStats, write_atomic
 from ..errors import FarmError
 
 __all__ = [
@@ -62,7 +61,9 @@ __all__ = [
 #: Name of the farm-level drain marker file.
 DRAIN_MARKER = "DRAIN"
 
-_MANIFEST_VERSION = 1
+#: Bumped whenever the manifest changes shape (2: ``cache`` is a
+#: :class:`CacheSpec` as a dict, where 1 had a ``kind`` per tier).
+_MANIFEST_VERSION = 2
 
 
 def job_id_for(configs: Sequence[Any], fingerprint: str) -> str:
@@ -88,36 +89,6 @@ def default_chunks(n_configs: int, chunk_size: int) -> List[List[int]]:
         list(range(start, min(start + chunk_size, n_configs)))
         for start in range(0, n_configs, chunk_size)
     ]
-
-
-def _write_atomic(path: Path, data: bytes, exclusive: bool = False) -> bool:
-    """Write ``data`` to ``path`` via tmp + rename/link.
-
-    With ``exclusive=True`` the publish uses ``os.link``, which fails if
-    ``path`` already exists — first writer wins, racing writers of a
-    content-addressed file are no-ops.  Returns whether *this* call
-    published the file.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        if exclusive:
-            try:
-                os.link(tmp_name, path)
-                return True
-            except FileExistsError:
-                return False
-        os.replace(tmp_name, path)
-        tmp_name = None
-        return True
-    finally:
-        if tmp_name is not None:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
 
 
 @dataclass(frozen=True)
@@ -165,7 +136,7 @@ class JobState:
     def manifest(self) -> Dict[str, Any]:
         if self._manifest is None:
             try:
-                self._manifest = json.loads(
+                manifest = json.loads(
                     self.manifest_path.read_text(encoding="utf-8")
                 )
             except (OSError, ValueError) as exc:
@@ -173,6 +144,17 @@ class JobState:
                     f"job {self.job_id}: unreadable manifest "
                     f"({self.manifest_path}): {exc}"
                 ) from exc
+            version = (
+                manifest.get("version") if isinstance(manifest, dict) else None
+            )
+            if version != _MANIFEST_VERSION:
+                raise FarmError(
+                    f"job {self.job_id}: manifest {self.manifest_path} is "
+                    f"version {version!r}, this farm reads version "
+                    f"{_MANIFEST_VERSION}; delete the job directory and "
+                    "resubmit the sweep"
+                )
+            self._manifest = manifest
         return self._manifest
 
     @property
@@ -191,20 +173,9 @@ class JobState:
     def chunk_timeout_s(self) -> float:
         return float(self.manifest["chunk_timeout_s"])
 
-    def cache_spec(self) -> Any:
-        """The cache every worker of this job must use (fs or HTTP)."""
-        spec = self.manifest["cache"]
-        if spec.get("kind", "fs") == "http":
-            from .httpcache import HttpCacheSpec  # local: avoid cycle
-
-            return HttpCacheSpec(
-                url=spec["url"], fingerprint=spec.get("fingerprint")
-            )
-        return CacheSpec(
-            cache_dir=spec["cache_dir"],
-            max_bytes=int(spec["max_bytes"]),
-            fingerprint=spec.get("fingerprint"),
-        )
+    def cache_spec(self) -> CacheSpec:
+        """The cache every worker of this job must use."""
+        return CacheSpec(**self.manifest["cache"])
 
     def load_configs(self) -> List[Any]:
         if self._configs is None:
@@ -314,7 +285,7 @@ class JobState:
             "indices": self.chunks[chunk_id],
             "stats": stats.as_dict(),
         }
-        _write_atomic(
+        write_atomic(
             self._done_path(chunk_id),
             json.dumps(marker, sort_keys=True).encode("utf-8"),
         )
@@ -420,7 +391,7 @@ class JobStore:
     def create_job(
         self,
         configs: Sequence[Any],
-        cache_spec: Any,
+        cache_spec: CacheSpec,
         chunk_size: int,
         lease_timeout_s: float,
         chunk_timeout_s: float,
@@ -434,28 +405,14 @@ class JobStore:
         """
         if not configs:
             raise FarmError("a farm job needs >= 1 config")
-        fingerprint = getattr(cache_spec, "fingerprint", None) or ""
-        job = self.job(job_id_for(configs, fingerprint))
+        job = self.job(job_id_for(configs, cache_spec.fingerprint or ""))
         if job.exists():
             return job
-        _write_atomic(
+        write_atomic(
             job.configs_path,
             pickle.dumps(list(configs), protocol=pickle.HIGHEST_PROTOCOL),
             exclusive=True,
         )
-        if hasattr(cache_spec, "url"):
-            cache_field: Dict[str, Any] = {
-                "kind": "http",
-                "url": cache_spec.url,
-                "fingerprint": cache_spec.fingerprint,
-            }
-        else:
-            cache_field = {
-                "kind": "fs",
-                "cache_dir": cache_spec.cache_dir,
-                "max_bytes": cache_spec.max_bytes,
-                "fingerprint": cache_spec.fingerprint,
-            }
         manifest = {
             "version": _MANIFEST_VERSION,
             "job_id": job.job_id,
@@ -463,9 +420,9 @@ class JobStore:
             "chunks": default_chunks(len(configs), chunk_size),
             "lease_timeout_s": lease_timeout_s,
             "chunk_timeout_s": chunk_timeout_s,
-            "cache": cache_field,
+            "cache": asdict(cache_spec),
         }
-        _write_atomic(
+        write_atomic(
             job.manifest_path,
             json.dumps(manifest, sort_keys=True).encode("utf-8"),
             exclusive=True,

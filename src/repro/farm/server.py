@@ -11,7 +11,7 @@
   submitted jobs execute without any client-side orchestration;
 * **the cache proxy** — ``GET``/``PUT /v1/cache/<fingerprint>/<key>``
   move raw store blobs for hosts without the shared filesystem
-  (:class:`repro.farm.httpcache.HttpCache` is the client side).
+  (:class:`repro.cache.http.HttpCache` is the client side).
 
 The server is deliberately *thin*: every piece of persistent state
 lives in the farm directory and the content-addressed store, so a
@@ -239,6 +239,11 @@ class FarmServer:
         )
 
 
+class _Refused(Exception):
+    """A request refused, before its body is read, with ``args``
+    ``(status, message)``."""
+
+
 def _make_handler(server: FarmServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -255,97 +260,100 @@ def _make_handler(server: FarmServer):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
             self._send(status, json.dumps(payload).encode("utf-8"))
 
-        def _read_body(self) -> Optional[bytes]:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length > MAX_BODY_BYTES:
-                self._send_json(413, {"error": "body too large"})
-                return None
-            return self.rfile.read(length)
-
         def _fail(self, status: int, message: str) -> None:
             self._send_json(status, {"error": message})
 
-        # -- routes ---------------------------------------------------- #
-        def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
+        def _read_body(self) -> bytes:
+            """The request body.  A length that is not a non-negative
+            integer, or is over the cap, is refused before anything is
+            read: ``rfile.read(-1)`` would wait for the client to close."""
+            raw = self.headers.get("Content-Length", "0")
             try:
-                parts = [p for p in self.path.split("?")[0].split("/") if p]
-                if parts == ["healthz"]:
-                    self._send_json(200, server.health())
-                elif parts == ["v1", "workers"]:
-                    self._send_json(200, {"pids": server.worker_pids()})
-                elif parts == ["v1", "jobs"]:
-                    self._send_json(200, {
-                        "jobs": [j.status() for j in server.store.list_jobs()]
-                    })
-                elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                    job = server.store.job(parts[2])
-                    if not job.exists():
-                        self._fail(404, "unknown job")
-                    else:
-                        self._send_json(200, job.status())
-                elif (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
-                        and parts[3] == "results"):
-                    status, body, ctype = server.job_results(parts[2])
-                    self._send(status, body, ctype)
-                elif len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-                    blob = server.cache.get_blob(parts[2], parts[3])
-                    if blob is None:
-                        self._fail(404, "cache miss")
-                    else:
-                        self._send(200, blob, "application/octet-stream")
-                else:
-                    self._fail(404, f"no route for GET {self.path}")
-            except ValueError as exc:
-                self._fail(400, str(exc))
-            except Exception as exc:  # pragma: no cover - defensive
-                self._fail(500, f"{type(exc).__name__}: {exc}")
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _Refused(400, f"bad Content-Length {raw!r}")
+            if length > MAX_BODY_BYTES:
+                raise _Refused(413, "body too large")
+            return self.rfile.read(length)
 
-        def do_POST(self) -> None:  # noqa: N802
+        def _serve(self) -> None:
+            """Answer one request by its method's route: a malformed one
+            is a 400, anything unexpected a 500.  A refused body stays
+            unread, so the connection closes rather than parse it as
+            the next request."""
+            route = getattr(self, f"_{self.command.lower()}")
             try:
-                parts = [p for p in self.path.split("?")[0].split("/") if p]
-                if parts == ["v1", "jobs"]:
-                    body = self._read_body()
-                    if body is None:
-                        return
-                    try:
-                        configs = pickle.loads(body)
-                    except Exception as exc:
-                        self._fail(400, f"unreadable submission: {exc}")
-                        return
-                    if not isinstance(configs, list) or not configs:
-                        self._fail(400, "submission must be a non-empty list")
-                        return
-                    self._send_json(200, server.submit(configs))
-                elif parts == ["v1", "drain"]:
-                    server.store.request_drain()
-                    self._send_json(200, {"draining": True})
-                else:
-                    self._fail(404, f"no route for POST {self.path}")
+                route([p for p in self.path.split("?")[0].split("/") if p])
+            except _Refused as exc:
+                self.close_connection = True
+                self._fail(*exc.args)
             except (TypeError, ValueError) as exc:
                 self._fail(400, str(exc))
             except Exception as exc:  # pragma: no cover - defensive
                 self._fail(500, f"{type(exc).__name__}: {exc}")
 
-        def do_PUT(self) -> None:  # noqa: N802
-            try:
-                parts = [p for p in self.path.split("?")[0].split("/") if p]
-                if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
-                    body = self._read_body()
-                    if body is None:
-                        return
-                    server.cache.put_blob(parts[2], parts[3], body)
-                    self._send_json(200, {"stored": True})
+        do_GET = do_POST = do_PUT = _serve  # stdlib handler API
+
+        # -- routes ---------------------------------------------------- #
+        def _get(self, parts: List[str]) -> None:
+            if parts == ["healthz"]:
+                self._send_json(200, server.health())
+            elif parts == ["v1", "workers"]:
+                self._send_json(200, {"pids": server.worker_pids()})
+            elif parts == ["v1", "jobs"]:
+                self._send_json(200, {
+                    "jobs": [j.status() for j in server.store.list_jobs()]
+                })
+            elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
+                job = server.store.job(parts[2])
+                if not job.exists():
+                    self._fail(404, "unknown job")
                 else:
-                    self._fail(404, f"no route for PUT {self.path}")
-            except ValueError as exc:
-                self._fail(400, str(exc))
-            except Exception as exc:  # pragma: no cover - defensive
-                self._fail(500, f"{type(exc).__name__}: {exc}")
+                    self._send_json(200, job.status())
+            elif (len(parts) == 4 and parts[:2] == ["v1", "jobs"]
+                    and parts[3] == "results"):
+                status, body, ctype = server.job_results(parts[2])
+                self._send(status, body, ctype)
+            elif len(parts) == 4 and parts[:2] == ["v1", "cache"]:
+                blob = server.cache.get_blob(parts[2], parts[3])
+                if blob is None:
+                    self._fail(404, "cache miss")
+                else:
+                    self._send(200, blob, "application/octet-stream")
+            else:
+                self._fail(404, f"no route for GET {self.path}")
+
+        def _post(self, parts: List[str]) -> None:
+            if parts == ["v1", "jobs"]:
+                body = self._read_body()
+                try:
+                    configs = pickle.loads(body)
+                except Exception as exc:
+                    raise ValueError(f"unreadable submission: {exc}") from exc
+                if not isinstance(configs, list) or not configs:
+                    raise ValueError("submission must be a non-empty list")
+                self._send_json(200, server.submit(configs))
+            elif parts == ["v1", "drain"]:
+                server.store.request_drain()
+                self._send_json(200, {"draining": True})
+            else:
+                self._fail(404, f"no route for POST {self.path}")
+
+        def _put(self, parts: List[str]) -> None:
+            if len(parts) == 4 and parts[:2] == ["v1", "cache"]:
+                server.cache.put_blob(parts[2], parts[3], self._read_body())
+                self._send_json(200, {"stored": True})
+            else:
+                self._fail(404, f"no route for PUT {self.path}")
 
     return Handler

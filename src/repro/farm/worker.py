@@ -13,9 +13,10 @@ Per chunk the worker:
    lease goes stale, and a peer re-claims the chunk (duplicated compute
    is safe: results are idempotent puts into the content-addressed
    store);
-2. for each config: consult the shared cache, run the experiment on a
-   miss, and put the result back *from this process* with
-   retry-with-backoff on transient store errors;
+2. sweeps the chunk through :func:`~repro.experiments.stream_configs_cached`
+   in-process, on this worker's one store handle: hits are read, misses
+   run and are put back *from this process* with retry-with-backoff on
+   transient store errors;
 3. publishes the completion marker carrying the per-chunk
    :class:`CacheStats`, then drops the lease.
 
@@ -30,8 +31,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..cache.retry import with_retries
-from ..experiments.runner import run_experiment
+from ..experiments.parallel import _chunk_cache, stream_configs_cached
 from .leases import JobState, JobStore
 
 __all__ = ["run_one_chunk", "work_loop", "worker_id_for_process"]
@@ -97,25 +97,23 @@ def run_one_chunk(
     peer finishes the remainder.
     """
     configs = job.load_configs()
-    indices = job.chunks[chunk_id]
-    cache = job.cache_spec().open()  # fresh handle => per-chunk stats
+    chunk = [configs[i] for i in job.chunks[chunk_id]]
+    # this worker's handle, fresh stats: one store walk per worker
+    cache = _chunk_cache(job.cache_spec())
     budget_s = job.chunk_timeout_s
     heartbeat = _Heartbeat(job, chunk_id, worker_id, budget_s)
     heartbeat.start()
     deadline = time.monotonic() + budget_s  # repro: allow[RPR001] host-side chunk budget, outside any simulation
     slow_ms = _slow_ms()
     try:
-        for idx in indices:
-            if time.monotonic() > deadline:  # repro: allow[RPR001] host-side chunk budget, outside any simulation
-                job.release(chunk_id, worker_id)
-                return False
-            config = configs[idx]
+        left = len(chunk)
+        for _ in stream_configs_cached(chunk, cache, max_workers=1):
+            left -= 1
             if slow_ms:
                 time.sleep(slow_ms / 1000.0)
-            cached = cache.get(config)
-            if cached is None:
-                result = run_experiment(config)
-                with_retries(lambda: cache.put(config, result))
+            if left and time.monotonic() > deadline:  # repro: allow[RPR001] host-side chunk budget, outside any simulation
+                job.release(chunk_id, worker_id)
+                return False
         job.complete(chunk_id, worker_id, cache.stats)
         return True
     finally:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -208,7 +209,7 @@ class TestPoolPathWorkerStats:
             ExperimentCache, "entries",
             lambda self: (walks.append(1), entries(self))[1],
         )
-        monkeypatch.setattr(parallel, "_chunk_store", None)
+        monkeypatch.setattr(parallel, "_chunk_store", threading.local())
         spec = CacheSpec(cache_dir=str(tmp_path / "c"))
         merged = CacheStats()
         chunks = [CONFIGS[:1], CONFIGS[1:3], CONFIGS[3:]]

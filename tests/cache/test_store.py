@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.cache.http import HttpCache
 from repro.cache.store import (
     DEFAULT_CACHE_DIR,
     CacheSpec,
@@ -15,7 +16,9 @@ from repro.cache.store import (
     cache_from_env,
     resolve_cache,
 )
+from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments.cli import main
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
@@ -245,6 +248,17 @@ class TestSpecAndEnv:
         assert reopened.max_bytes == 1024
         assert reopened.verify_every == 5
 
+    def test_an_http_spec_reopens_the_http_tier(self):
+        cache = HttpCache("http://127.0.0.1:9/", verify_every=3,
+                          fingerprint="f00d")
+        spec = pickle.loads(pickle.dumps(cache.spec))
+        assert spec.cache_dir == "http://127.0.0.1:9"
+        reopened = spec.open()
+        assert type(reopened) is HttpCache
+        assert (reopened.root, reopened.verify_every, reopened.fingerprint) \
+            == ("http://127.0.0.1:9", 3, "f00d")
+        assert type(CacheSpec(cache_dir="http-logs").open()) is ExperimentCache
+
     def test_cache_off_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         assert cache_from_env() is None
@@ -261,6 +275,28 @@ class TestSpecAndEnv:
         assert cache is not None
         assert cache.root == tmp_path / "envcache"
         assert cache.verify_every == 7
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_CACHE_MAX_BYTES", "1G"),  # was silently 512 MiB
+        ("REPRO_CACHE_MAX_BYTES", "-5"),
+        ("REPRO_CACHE_VERIFY", "-3"),  # was silently 0
+        ("REPRO_CACHE_VERIFY", "every"),
+    ])
+    def test_a_malformed_env_count_is_refused_by_name(
+        self, tmp_path, monkeypatch, capsys, name, value
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigurationError, match=f"{name}='{value}'"):
+            cache_from_env()
+        # ... and the CLI says so in one line, status 2, before any run
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--clusters", "2", "--apps", "2", "--n-cs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{name}='{value}'" in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_default_dir_is_repro_cache(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

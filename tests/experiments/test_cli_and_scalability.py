@@ -80,6 +80,8 @@ def test_cli_run_no_longer_takes_the_retired_execution_flags(flag):
         (["run", "--seed", "-1"], "seed"),  # used to die inside numpy
         (["run", "--cache-verify", "-1"], "--cache-verify"),
         (["figure", "fig4a", "--out", "/missing/dir/x.txt"], "/missing/dir"),
+        (["run", "--cache-url", "http://127.0.0.1:9", "--cache-verify", "-1"],
+         "--cache-verify"),
     ],
 )
 def test_cli_refuses_a_bad_config_in_one_line(capsys, argv, named):

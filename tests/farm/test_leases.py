@@ -75,6 +75,23 @@ class TestJobCreation:
         assert job.load_configs() == CONFIGS
         assert job.cache_spec().cache_dir == spec.cache_dir
 
+    def test_manifest_cache_field_is_the_spec(self, store, spec):
+        job = make_job(store, spec)
+        assert job.cache_spec() == spec
+
+    def test_an_old_manifest_is_refused_by_name(self, store, spec):
+        job = make_job(store, spec)
+        manifest = json.loads(job.manifest_path.read_text())
+        manifest["version"] = 1
+        manifest["cache"] = {"kind": "fs", "cache_dir": spec.cache_dir,
+                             "max_bytes": spec.max_bytes,
+                             "fingerprint": spec.fingerprint}
+        job.manifest_path.write_text(json.dumps(manifest))
+        stale = store.job(job.job_id)  # a fresh handle re-reads it
+        with pytest.raises(FarmError, match="version 1") as exc:
+            stale.cache_spec()
+        assert str(job.manifest_path) in str(exc.value)
+
     def test_empty_submission_rejected(self, store, spec):
         with pytest.raises(FarmError):
             make_job(store, spec, configs=[])

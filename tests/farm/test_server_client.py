@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
 
-from repro.cache.store import ExperimentCache, canonical_dumps
+from repro.cache.store import CacheSpec, ExperimentCache, canonical_dumps
 from repro.errors import FarmError
 from repro.experiments import ExperimentConfig, run_configs_cached, run_experiment
+from repro.experiments.cli import main
 from repro.farm import FarmClient, FarmServer, HttpCache, run_configs_farm
-from repro.farm.httpcache import HttpCacheSpec
 from repro.farm.worker import work_loop
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
@@ -75,6 +76,33 @@ class TestServerBasics:
         assert status == 400
 
 
+@pytest.mark.parametrize("method, path", [
+    ("POST", "/v1/jobs"),
+    ("PUT", "/v1/cache/abcd/ef01"),
+])
+@pytest.mark.parametrize("length", ["-1", "12.5", "lots"])
+def test_a_bad_content_length_is_refused_before_reading(
+    server, method, path, length
+):
+    # Regression: a negative length became rfile.read(-1), which waits
+    # for the client to close; the PUT then stored whatever arrived.
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\npartial body".encode()
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(4096)  # socket.timeout fails the test
+            if not chunk:
+                break
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert server.cache.get_blob("abcd", "ef01") is None
+    assert server.store.list_jobs() == []
+
+
 class TestSubmitFetch:
     def test_submit_drive_fetch(self, server, client, tmp_path):
         job = client.submit(CONFIGS)
@@ -109,7 +137,7 @@ class TestSubmitFetch:
 
 
 class TestCacheProxy:
-    def test_http_cache_round_trip(self, server):
+    def test_http_cache_round_trip(self, server, tmp_path):
         cache = HttpCache(server.url, timeout_s=10.0)
         config = CONFIGS[0]
         assert cache.get(config) is None
@@ -128,6 +156,11 @@ class TestCacheProxy:
         # a shared-fs worker and an HTTP worker interoperate
         fs_view = server.cache.get(config)
         assert canonical_dumps(fs_view) == canonical_dumps(result)
+        local = ExperimentCache(cache_dir=tmp_path / "local")
+        local.put(config, result)
+        key = cache.key_for(config)
+        assert server.cache.get_blob(cache.fingerprint, key) == \
+            local.get_blob(local.fingerprint, key)
 
     def test_client_rejects_laundered_blob(self, server):
         cache = HttpCache(server.url, timeout_s=10.0)
@@ -158,10 +191,23 @@ class TestCacheProxy:
         assert cache.stats.stores == 0
 
 
+class TestCliCacheUrl:
+    ARGV = ["run", "--clusters", "2", "--apps", "2", "--n-cs", "3",
+            "--platform", "two-tier"]
+
+    def test_second_run_is_a_hit(self, server, capsys):
+        for expected in ("0 hit(s), 1 miss(es), 1 store(s)",
+                         "1 hit(s), 0 miss(es), 0 store(s)"):
+            assert main(self.ARGV + ["--cache-url", server.url]) == 0
+            out, err = capsys.readouterr()
+            assert f"cache: {expected}" in err
+            assert "critical sections : 12" in out
+
+
 class TestFarmOverHttpTier:
     def test_inline_farm_with_http_cache(self, server, tmp_path):
-        spec = HttpCacheSpec(
-            url=server.url, fingerprint=server.cache.fingerprint
+        spec = CacheSpec(
+            cache_dir=server.url, fingerprint=server.cache.fingerprint
         )
         report = run_configs_farm(
             CONFIGS, cache=spec, num_workers=2,
