@@ -1,9 +1,13 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the experiment farm (used by CI).
 
-Brings up the real thing — ``FarmServer`` with a two-worker subprocess
-fleet over a fresh farm directory — and walks the full lifecycle:
+Runs the serverless sweep, then brings up the real thing —
+``FarmServer`` with a two-worker subprocess fleet over a fresh farm
+directory — and walks the full lifecycle:
 
+0. **serverless** — ``python -m repro.farm sweep fig4a --workers 2``
+   as a subprocess, on the default subprocess fleet; its ``--out``
+   results must be byte-identical to the serial baseline;
 1. **cold** — submit the fig4 sweep, SIGKILL one worker mid-run (its
    chunk lease expires and a peer re-claims it; the server monitor
    respawns the dead worker), fetch, and compare every result
@@ -15,7 +19,9 @@ fleet over a fresh farm directory — and walks the full lifecycle:
    in-process (``HttpCache``) and once through the CLI as a subprocess
    (``python -m repro figure fig4a --cache-url <server>``); both must
    read zero misses and write a CSV byte-identical to the baseline
-   render.
+   render;
+4. **drained** — after ``drain``, a sweep on the same farm directory
+   must exit 1 with a one-line error naming the ``DRAIN`` marker.
 
 Usage::
 
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -65,6 +72,15 @@ def _wait(predicate, timeout_s, poll_s=0.05, what="condition"):
     raise TimeoutError(f"timed out waiting for {what}")
 
 
+def _farm_cli(*args: str) -> "subprocess.CompletedProcess[str]":
+    """``python -m repro.farm <args>`` as a user runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.farm", *args],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--full", action="store_true",
@@ -83,6 +99,27 @@ def main(argv=None) -> int:
               f"({time.perf_counter() - t0:.2f}s)")
         clear_sweep_memo()
         baseline_csv = figure_to_csv(fig4a(scale, cache=baseline_cache))
+
+        # -- serverless: the sweep CLI on its default subprocess fleet -- #
+        out = os.path.join(tmp, "sweep.pkl")
+        t0 = time.perf_counter()
+        sweep = _farm_cli("sweep", FIGURE, "--workers", "2", "--out", out,
+                          *(["--full"] if args.full else []))
+        # the pinned workers print their own summaries on the same stdout
+        summary = next((line for line in sweep.stdout.splitlines()
+                        if line.startswith("job ")), "")
+        print(f"serverless sweep: {summary} "
+              f"({time.perf_counter() - t0:.2f}s)")
+        if sweep.returncode != 0:
+            failures.append(
+                f"sweep exited {sweep.returncode}: {sweep.stderr}"
+            )
+        else:
+            with open(out, "rb") as fh:
+                swept = pickle.load(fh)
+            if [canonical_dumps(r) for r in swept] != \
+                    [canonical_dumps(r) for r in baseline]:
+                failures.append("serverless sweep differs from serial")
 
         # -- the farm -------------------------------------------------- #
         # slow each config slightly so the kill provably lands mid-run
@@ -189,6 +226,19 @@ def main(argv=None) -> int:
                 )
 
             client.drain()
+            # fig6a's sweep has no job here yet (fig4 and fig5 share
+            # fig4a's, already complete): the drained farm must refuse it
+            # before any worker starts, in one line naming the marker.
+            drained = _farm_cli("sweep", "fig6a", "--farm-dir",
+                                os.path.join(tmp, "farm"))
+            lines = drained.stderr.strip().splitlines()
+            print(f"drained sweep: exit {drained.returncode}: {lines}")
+            if drained.returncode != 1 or len(lines) != 1 \
+                    or "DRAIN" not in lines[0]:
+                failures.append(
+                    f"a sweep on the drained farm did not refuse in one "
+                    f"line with exit 1: {drained.returncode} {lines}"
+                )
         finally:
             server.shutdown()
             os.environ.pop(SLOW_MS_ENV, None)
@@ -197,8 +247,9 @@ def main(argv=None) -> int:
         for line in failures:
             print(f"FAIL: {line}")
         return 1
-    print(f"ok: {len(configs)} configs, worker kill healed, warm pass "
-          f"all hits, {FIGURE}.csv byte-identical")
+    print(f"ok: {len(configs)} configs, serverless sweep byte-identical, "
+          f"worker kill healed, warm pass all hits, {FIGURE}.csv "
+          f"byte-identical, drained farm refused")
     return 0
 
 

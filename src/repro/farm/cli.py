@@ -27,6 +27,7 @@ import pickle
 import sys
 from typing import Optional, Sequence
 
+from ..errors import FarmError
 from ..experiments.figures import (
     ALL_FIGURES,
     PAPER_SCALE,
@@ -69,16 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     work_p = sub.add_parser("work", help="run one farm worker")
     work_p.add_argument("--farm-dir", required=True)
     work_p.add_argument("--job", default=None,
-                        help="pin to one job id (default: steal from all)")
+                        help="pin to one job id and exit once it is "
+                             "complete (default: steal from all until "
+                             "drained)")
     work_p.add_argument("--tag", default="",
                         help="human-readable worker-id prefix")
     work_p.add_argument("--poll", type=float, default=0.2, metavar="S")
-    work_p.add_argument("--idle-exit", type=float, default=None, metavar="S",
-                        help="exit after S seconds with nothing claimable")
-    work_p.add_argument("--max-chunks", type=int, default=None)
-    work_p.add_argument("--exit-when-done", action="store_true",
-                        help="exit once the pinned job (or all jobs) "
-                             "completed")
 
     def add_url(p: argparse.ArgumentParser) -> None:
         p.add_argument("--url", default="http://127.0.0.1:8734",
@@ -154,9 +151,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         worker_id=worker_id_for_process(args.tag) if args.tag else None,
         job_id=args.job,
         poll_s=args.poll,
-        idle_exit_s=args.idle_exit,
-        max_chunks=args.max_chunks,
-        exit_when_done=args.exit_when_done,
     )
     print(f"worker {summary['worker']}: {summary['completed']} chunk(s) "
           f"completed, {summary['abandoned']} abandoned")
@@ -242,8 +236,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except FarmError as exc:
+        # A farm that cannot run the command says why: one line, status 1.
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,7 +2,7 @@
 
 :func:`run_configs_farm` is the multi-process counterpart of
 :func:`repro.experiments.run_configs_cached`: it creates a lease-file
-job over the config batch, runs a worker fleet against it (real
+job over the config batch, runs a :class:`Fleet` against it (real
 subprocesses by default, in-process threads where spawning is
 impossible), and collects the results from the shared
 content-addressed store in config order.  Results are byte-identical
@@ -12,9 +12,10 @@ single-host cache uses.
 
 Fault tolerance is structural rather than bolted on: a SIGKILLed or
 hung worker's chunk goes stale and is re-claimed by a peer
-(:mod:`repro.farm.leases`), the distributor respawns dead workers while
+(:mod:`repro.farm.leases`), the fleet respawns dead workers while
 chunks remain, and any result evicted between completion and
-collection is recomputed locally.
+collection is recomputed locally.  The server's resident fleet is the
+same :class:`Fleet`, unpinned.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -34,23 +35,26 @@ from ..errors import FarmError
 from ..experiments.config import ExperimentConfig
 from ..experiments.parallel import run_configs_cached
 from ..experiments.runner import ExperimentResult
-from .leases import JobState, JobStore
+from .leases import JobStore
 from .worker import work_loop, worker_id_for_process
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "FarmReport",
+    "Fleet",
     "run_configs_farm",
-    "spawn_worker",
 ]
 
 #: Default configs per chunk.  Small chunks spread better over a fleet
 #: and bound the work lost to a crash; the store amortises the rest.
 DEFAULT_CHUNK_SIZE = 2
 
-#: Cap on worker respawns per farm call, so a config that crashes its
+#: Cap on a pinned fleet's respawns, so a config that crashes its
 #: worker deterministically cannot respawn forever.
 _MAX_RESPAWNS = 8
+
+#: Seconds a closing fleet waits for each member before killing it.
+_STOP_S = 5.0
 
 
 @dataclass
@@ -71,70 +75,142 @@ class FarmReport:
     #: cache pressure) and recomputed locally.
     recovered: int = 0
     inline: bool = False
-    events: List[str] = field(default_factory=list)
 
 
-def spawn_worker(
-    farm_dir: "str | os.PathLike[str]",
-    job_id: Optional[str] = None,
-    tag: str = "",
-    idle_exit_s: Optional[float] = None,
-    exit_when_done: bool = True,
-    poll_s: float = 0.2,
-) -> "subprocess.Popen[bytes]":
-    """Start one real worker subprocess against ``farm_dir``.
+class Fleet:
+    """``size`` workers kept on one farm directory, started at once.
 
-    The child runs ``python -m repro.farm work``; the repro package's
-    source root is prepended to its ``PYTHONPATH`` so the call works
-    from a source checkout without installation.
+    Members are ``python -m repro.farm work`` subprocesses; with
+    ``spawn=False``, or where spawning raises ``OSError``, the whole
+    fleet is :func:`work_loop` threads (:attr:`inline`).  ``job_id``
+    pins every member to one job, which it leaves once the job is
+    complete; ``None`` gives resident stealers that run until the farm
+    drains.  :meth:`heal` replaces dead members, never while the farm
+    drains: a pinned fleet at most ``_MAX_RESPAWNS`` times, a resident
+    one without a cap.  Closing terminates, waits for and kills the
+    subprocesses left, or joins the threads; a fleet of size 0 does
+    nothing.
     """
-    src_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    cmd = [
-        sys.executable, "-m", "repro.farm", "work",
-        "--farm-dir", str(farm_dir),
-        "--poll", str(poll_s),
-    ]
-    if job_id is not None:
-        cmd += ["--job", job_id]
-    if tag:
-        cmd += ["--tag", tag]
-    if idle_exit_s is not None:
-        cmd += ["--idle-exit", str(idle_exit_s)]
-    if exit_when_done:
-        cmd += ["--exit-when-done"]
-    return subprocess.Popen(cmd, env=env)
 
+    def __init__(
+        self,
+        farm_dir: "str | os.PathLike[str]",
+        size: int,
+        job_id: Optional[str] = None,
+        poll_s: float = 0.2,
+        spawn: bool = True,
+    ) -> None:
+        self.farm_dir = Path(farm_dir)
+        self.store = JobStore(self.farm_dir)
+        self.job_id = job_id
+        self.poll_s = poll_s
+        self.inline = not spawn
+        self.started = 0
+        self.respawns = 0
+        self._members: list = []
+        self._lock = threading.Lock()
+        if size and job_id is not None and self.store.draining():
+            raise FarmError(self._drained())
+        try:
+            self._fill(size)
+        except OSError:  # no subprocesses here: threads, all of them
+            self.close()
+            self.inline = True
+            self._fill(size)
 
-def _run_inline_fleet(
-    farm_dir: Path, job: JobState, num_workers: int, poll_s: float
-) -> None:
-    """Worker loops on threads — the no-subprocess fallback.
+    def __enter__(self) -> "Fleet":
+        return self
 
-    Simulations are CPU-bound so threads do not parallelise them, but
-    the lease/claim/complete protocol is exercised identically, which
-    is what the equivalence contract needs.
-    """
-    threads = [
-        threading.Thread(
-            target=work_loop,
-            kwargs=dict(
-                farm_dir=farm_dir,
-                worker_id=worker_id_for_process(f"t{i}"),
-                job_id=job.job_id,
-                poll_s=poll_s,
-                exit_when_done=True,
-            ),
-            daemon=True,
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _drained(self) -> str:
+        return (
+            f"job {self.job_id}: the farm is draining; delete "
+            f"{self.store.drain_path} to run work on it"
         )
-        for i in range(max(1, num_workers))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+
+    def _fill(self, size: int) -> None:
+        for i in range(size):
+            self._members.append(self._start(f"f{i}"))
+
+    def _start(self, tag: str):
+        self.started += 1
+        if self.inline:
+            member = threading.Thread(target=work_loop, daemon=True, args=(
+                self.farm_dir, worker_id_for_process(tag),
+                self.job_id, self.poll_s,
+            ))
+            member.start()
+            return member
+        # The source root leads the child's PYTHONPATH, so a source
+        # checkout works without installation.
+        path = os.environ.get("PYTHONPATH")
+        src_root = str(Path(__file__).resolve().parents[2])
+        cmd = [
+            sys.executable, "-m", "repro.farm", "work",
+            "--farm-dir", str(self.farm_dir),
+            "--poll", str(self.poll_s),
+            "--tag", tag,
+        ]
+        if self.job_id is not None:
+            cmd += ["--job", self.job_id]
+        return subprocess.Popen(cmd, env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src_root, path))),
+        })
+
+    def _alive(self, member) -> bool:
+        return member.is_alive() if self.inline else member.poll() is None
+
+    def pids(self) -> List[int]:
+        """Live members' process ids (none for a thread fleet)."""
+        with self._lock:
+            if self.inline:
+                return []
+            return [p.pid for p in self._members if p.poll() is None]
+
+    def heal(self) -> None:
+        """Replace dead members.  A pinned fleet with no live member
+        that may not respawn raises :class:`FarmError`."""
+        with self._lock:
+            alive = [m for m in self._members if self._alive(m)]
+            dead = len(self._members) - len(alive)
+            if not dead:
+                return
+            pinned = self.job_id is not None
+            if self.store.draining():  # the dead wait for the drain to lift
+                if pinned and not alive:
+                    raise FarmError(self._drained())
+                return
+            self._members = alive
+            if pinned:
+                dead = min(dead, _MAX_RESPAWNS - self.respawns)
+                if not dead and not alive:
+                    raise FarmError(
+                        f"job {self.job_id}: every worker died and the "
+                        f"respawn cap ({_MAX_RESPAWNS}) is exhausted"
+                    )
+            for _ in range(dead):
+                self.respawns += 1
+                alive.append(self._start(f"r{self.respawns}"))
+
+    def close(self) -> None:
+        with self._lock:
+            members, self._members = self._members, []
+        if self.inline:
+            for thread in members:
+                thread.join(timeout=_STOP_S)
+            return
+        for proc in members:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in members:
+            try:
+                proc.wait(timeout=_STOP_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=_STOP_S)
 
 
 def run_configs_farm(
@@ -147,14 +223,13 @@ def run_configs_farm(
     chunk_timeout_s: float = 300.0,
     poll_s: float = 0.1,
     deadline_s: float = 900.0,
-    spawn: Optional[bool] = None,
+    spawn: bool = True,
 ) -> FarmReport:
     """Distribute ``configs`` over a worker fleet; results in config order.
 
     ``cache=None`` opens a store under the farm directory (the farm
-    *requires* a store — it is the result channel).  ``spawn`` picks the
-    fleet flavour: ``True`` real subprocesses, ``False`` in-process
-    threads, ``None`` tries subprocesses and falls back.
+    *requires* a store — it is the result channel).  ``spawn=False``
+    runs the fleet on in-process threads (see :class:`Fleet`).
     """
     if not configs:
         raise FarmError("run_configs_farm needs >= 1 config")
@@ -189,29 +264,23 @@ def run_configs_farm(
         )
 
         if not job.is_complete():
-            if spawn is False:
-                report.inline = True
-                _run_inline_fleet(farm_path, job, num_workers, poll_s)
-            else:
-                try:
-                    _run_spawned_fleet(
-                        farm_path, job, num_workers, poll_s, deadline_s,
-                        report,
-                    )
-                except OSError:
-                    if spawn:  # explicitly requested subprocesses
-                        raise
-                    report.inline = True
-                    report.events.append(
-                        "subprocess spawn unavailable; inline fallback"
-                    )
-                    _run_inline_fleet(farm_path, job, num_workers, poll_s)
-        if not job.is_complete():
-            raise FarmError(
-                f"job {job.job_id}: fleet exited with "
-                f"{len(job.chunks) - len(job.done_markers())} chunk(s) "
-                "outstanding"
-            )
+            deadline = time.monotonic() + deadline_s  # repro: allow[RPR001] host-side farm deadline, outside any simulation
+            with Fleet(
+                farm_path, max(1, num_workers), job.job_id, poll_s, spawn
+            ) as fleet:
+                while not job.is_complete():
+                    if time.monotonic() > deadline:  # repro: allow[RPR001] host-side farm deadline, outside any simulation
+                        raise FarmError(
+                            f"job {job.job_id}: farm deadline "
+                            f"({deadline_s:.0f}s) elapsed with "
+                            f"{len(job.done_markers())}/{len(job.chunks)} "
+                            "chunks done"
+                        )
+                    fleet.heal()
+                    time.sleep(poll_s)
+            report.inline = fleet.inline
+            report.workers_spawned = fleet.started
+            report.respawns = fleet.respawns
 
         report.worker_stats = job.merged_stats()
         # A fresh handle, so the caller's stats stay the sweep's.  A
@@ -224,64 +293,3 @@ def run_configs_farm(
     finally:
         if tmp_ctx is not None:
             tmp_ctx.cleanup()
-
-
-def _run_spawned_fleet(
-    farm_dir: Path,
-    job: JobState,
-    num_workers: int,
-    poll_s: float,
-    deadline_s: float,
-    report: FarmReport,
-) -> None:
-    """Keep ``num_workers`` live workers on the job until it completes.
-
-    Dead workers (crashed, SIGKILLed, OOM-killed) are respawned while
-    chunks remain, up to a respawn cap; their abandoned leases expire
-    and are re-claimed by the survivors either way.
-    """
-    fleet: List["subprocess.Popen[bytes]"] = []
-    deadline = time.monotonic() + deadline_s  # repro: allow[RPR001] host-side farm deadline, outside any simulation
-    try:
-        for i in range(max(1, num_workers)):
-            fleet.append(
-                spawn_worker(farm_dir, job_id=job.job_id, tag=f"f{i}")
-            )
-            report.workers_spawned += 1
-        while not job.is_complete():
-            if time.monotonic() > deadline:  # repro: allow[RPR001] host-side farm deadline, outside any simulation
-                raise FarmError(
-                    f"job {job.job_id}: farm deadline ({deadline_s:.0f}s) "
-                    f"elapsed with {len(job.done_markers())}/"
-                    f"{len(job.chunks)} chunks done"
-                )
-            alive = [p for p in fleet if p.poll() is None]
-            died = len(fleet) - len(alive)
-            if died and report.respawns < _MAX_RESPAWNS:
-                for _ in range(min(died, _MAX_RESPAWNS - report.respawns)):
-                    alive.append(
-                        spawn_worker(
-                            farm_dir, job_id=job.job_id,
-                            tag=f"r{report.respawns}",
-                        )
-                    )
-                    report.respawns += 1
-                    report.workers_spawned += 1
-                    report.events.append("respawned a dead worker")
-            elif died and not alive:
-                raise FarmError(
-                    f"job {job.job_id}: every worker died and the respawn "
-                    f"cap ({_MAX_RESPAWNS}) is exhausted"
-                )
-            fleet = alive
-            time.sleep(poll_s)
-    finally:
-        for proc in fleet:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in fleet:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)

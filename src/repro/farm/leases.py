@@ -182,7 +182,7 @@ class JobState:
             try:
                 with open(self.configs_path, "rb") as fh:
                     self._configs = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError) as exc:
+            except (OSError, EOFError, pickle.UnpicklingError) as exc:
                 raise FarmError(
                     f"job {self.job_id}: unreadable config list: {exc}"
                 ) from exc

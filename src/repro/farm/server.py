@@ -5,10 +5,11 @@
 * **job intake** — ``POST /v1/jobs`` with a pickled config list creates
   (or finds — job ids are content-addressed) a lease-file job in the
   farm directory and returns its id;
-* **a worker fleet** — the server keeps ``--workers`` worker
-  subprocesses alive against the farm directory (respawning any that
-  die, which is also how an operator-injected SIGKILL heals), so
-  submitted jobs execute without any client-side orchestration;
+* **a worker fleet** — a resident :class:`~repro.farm.distribute.Fleet`
+  of ``--workers`` worker subprocesses.  A worker that dies is
+  replaced, with no cap, unless the farm drains (which is also how an
+  operator-injected SIGKILL heals), so submitted jobs execute without
+  any client-side orchestration;
 * **the cache proxy** — ``GET``/``PUT /v1/cache/<fingerprint>/<key>``
   move raw store blobs for hosts without the shared filesystem
   (:class:`repro.cache.http.HttpCache` is the client side).
@@ -20,24 +21,20 @@ warm results stay warm.
 
 Transport is unauthenticated HTTP carrying pickles: bind it to
 loopback or a trusted lab network only (see ``docs/farm.md``).
-
-Every wall-clock read below is host-side fleet bookkeeping, outside
-any simulation.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-import subprocess
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..cache.store import ExperimentCache
 from ..experiments.config import ExperimentConfig
-from .distribute import DEFAULT_CHUNK_SIZE, spawn_worker
+from .distribute import DEFAULT_CHUNK_SIZE, Fleet
 from .leases import JobStore
 
 __all__ = ["FarmServer"]
@@ -46,7 +43,9 @@ __all__ = ["FarmServer"]
 #: entries is a mistake, not a sweep).
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
-_FLEET_POLL_S = 0.5
+#: How often the request loop checks for shutdown: ``shutdown()``
+#: waits up to this long (the stdlib default is 0.5 s).
+_SERVE_POLL_S = 0.05
 
 
 class FarmServer:
@@ -72,17 +71,18 @@ class FarmServer:
         self.chunk_size = chunk_size
         self.lease_timeout_s = lease_timeout_s
         self.chunk_timeout_s = chunk_timeout_s
-        self.target_workers = workers
         self.verbose = verbose
-        self.respawns = 0
-        self._fleet: List["subprocess.Popen[bytes]"] = []
-        self._fleet_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
 
         handler = _make_handler(self)
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
+        # Resident stealers: no job pin; the drain marker (or server
+        # shutdown) is their off switch.
+        self.fleet = Fleet(self.farm_dir, workers)
+        self._stopping = threading.Event()
+        self._monitor = threading.Thread(
+            target=self._monitor_fleet, daemon=True
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -97,14 +97,16 @@ class FarmServer:
     def start(self) -> None:
         """Serve in background threads (tests and embedding)."""
         threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": _SERVE_POLL_S},
+            daemon=True,
         ).start()
-        self._start_fleet()
+        self._monitor.start()
 
     def serve_forever(self) -> None:  # pragma: no cover - CLI path
-        self._start_fleet()
+        self._monitor.start()
         try:
-            self.httpd.serve_forever()
+            self.httpd.serve_forever(poll_interval=_SERVE_POLL_S)
         finally:
             self.shutdown()
 
@@ -112,55 +114,15 @@ class FarmServer:
         self._stopping.set()
         self.httpd.shutdown()
         self.httpd.server_close()
-        with self._fleet_lock:
-            fleet, self._fleet = self._fleet, []
-        for proc in fleet:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in fleet:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-
-    # -- fleet --------------------------------------------------------- #
-    def _start_fleet(self) -> None:
-        if self.target_workers <= 0:
-            return
-        with self._fleet_lock:
-            for i in range(self.target_workers):
-                self._fleet.append(self._spawn(f"s{i}"))
-        self._monitor = threading.Thread(
-            target=self._monitor_fleet, daemon=True
-        )
-        self._monitor.start()
-
-    def _spawn(self, tag: str) -> "subprocess.Popen[bytes]":
-        # Persistent stealers: no job pin, no idle exit; the drain
-        # marker (or server shutdown) is their off switch.
-        return spawn_worker(
-            self.farm_dir, job_id=None, tag=tag,
-            exit_when_done=False, idle_exit_s=None,
-        )
+        self._monitor.join(timeout=5.0)
+        self.fleet.close()
 
     def _monitor_fleet(self) -> None:
-        while not self._stopping.wait(_FLEET_POLL_S):
-            if self.store.draining():
-                continue
-            with self._fleet_lock:
-                alive = [p for p in self._fleet if p.poll() is None]
-                dead = len(self._fleet) - len(alive)
-                for _ in range(dead):
-                    self.respawns += 1
-                    alive.append(self._spawn(f"r{self.respawns}"))
-                self._fleet = alive
+        while not self._stopping.wait(self.fleet.poll_s):
+            self.fleet.heal()
 
     def worker_pids(self) -> List[int]:
-        with self._fleet_lock:
-            return [p.pid for p in self._fleet if p.poll() is None]
+        return self.fleet.pids()
 
     # -- request-side operations --------------------------------------- #
     def health(self) -> Dict[str, Any]:
@@ -169,7 +131,7 @@ class FarmServer:
             "fingerprint": self.cache.fingerprint,
             "jobs": len(self.store.list_jobs()),
             "workers": self.worker_pids(),
-            "respawns": self.respawns,
+            "respawns": self.fleet.respawns,
             "draining": self.store.draining(),
         }
 

@@ -31,6 +31,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..errors import FarmError
 from ..experiments.parallel import _chunk_cache, stream_configs_cached
 from .leases import JobState, JobStore
 
@@ -96,7 +97,11 @@ def run_one_chunk(
     released (results computed so far are already in the store) and a
     peer finishes the remainder.
     """
-    configs = job.load_configs()
+    try:
+        configs = job.load_configs()
+    except FarmError:
+        job.release(chunk_id, worker_id)  # a peer need not wait it out
+        raise
     chunk = [configs[i] for i in job.chunks[chunk_id]]
     # this worker's handle, fresh stats: one store walk per worker
     cache = _chunk_cache(job.cache_spec())
@@ -125,19 +130,11 @@ def work_loop(
     worker_id: Optional[str] = None,
     job_id: Optional[str] = None,
     poll_s: float = 0.2,
-    idle_exit_s: Optional[float] = None,
-    max_chunks: Optional[int] = None,
-    exit_when_done: bool = False,
 ) -> Dict[str, Any]:
-    """Run chunks until drained, idle-expired, or out of work.
+    """Run chunks until the farm drains or the pinned job is complete.
 
-    * ``job_id`` pins the worker to one job; otherwise it steals work
-      from every job in the farm directory (lowest job id first).
-    * ``idle_exit_s`` exits after that long with nothing claimable;
-      ``None`` polls forever (server-managed fleets — the drain marker
-      is the off switch).
-    * ``exit_when_done`` exits once the pinned job (or every known job)
-      is complete — the distributor uses this for one-shot fleets.
+    ``job_id`` pins the worker to one job; otherwise it steals work from
+    every job in the farm directory (lowest job id first).
 
     Returns a small summary dict (chunks completed/abandoned) for the
     CLI to print.
@@ -146,39 +143,24 @@ def work_loop(
     me = worker_id or worker_id_for_process()
     completed = 0
     abandoned = 0
-    idle_since: Optional[float] = None
-    while True:
-        if store.draining():
-            break
+    while not store.draining():
         jobs: List[JobState]
         if job_id is not None:
             job = store.job(job_id)
             jobs = [job] if job.exists() else []
         else:
             jobs = store.list_jobs()
-        claimed = False
         for job in jobs:
             chunk_id = job.claim(me)
             if chunk_id is None:
                 continue
-            claimed = True
-            idle_since = None
             if run_one_chunk(job, chunk_id, me):
                 completed += 1
             else:
                 abandoned += 1
             break  # rescan: an earlier job may have opened up
-        if claimed:
-            if max_chunks is not None and completed >= max_chunks:
+        else:  # nothing claimable
+            if job_id is not None and jobs and jobs[0].is_complete():
                 break
-            continue
-        if exit_when_done and jobs and all(j.is_complete() for j in jobs):
-            break
-        if idle_exit_s is not None:
-            now = time.monotonic()  # repro: allow[RPR001] host-side idle timer, outside any simulation
-            if idle_since is None:
-                idle_since = now
-            elif now - idle_since > idle_exit_s:
-                break
-        time.sleep(poll_s)
+            time.sleep(poll_s)
     return {"worker": me, "completed": completed, "abandoned": abandoned}

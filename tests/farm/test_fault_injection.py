@@ -1,6 +1,6 @@
 """Fault injection: SIGKILL a real worker mid-chunk, assert recovery.
 
-Spawns four real worker subprocesses over one farm directory, kills one
+Starts a four-worker subprocess :class:`Fleet` pinned to one job, kills one
 while it provably holds a lease, and checks the crash-recovery
 contract end to end:
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import re
 import signal
-import subprocess
 import time
 
 import pytest
@@ -26,7 +25,7 @@ import pytest
 from repro.cache.store import ExperimentCache, canonical_dumps
 from repro.experiments import run_configs_cached
 from repro.experiments.figures import QUICK_SCALE, figure_configs
-from repro.farm.distribute import spawn_worker
+from repro.farm.distribute import Fleet
 from repro.farm.leases import JobStore
 from repro.farm.worker import SLOW_MS_ENV
 
@@ -67,15 +66,13 @@ def test_sigkilled_worker_chunks_are_recovered(
         chunk_timeout_s=120.0,  # stale within a second
     )
     # Slow each config down so workers are provably mid-chunk when the
-    # signal lands (spawn_worker forwards the environment).
+    # signal lands (the fleet's members inherit the environment).
     monkeypatch.setenv(SLOW_MS_ENV, "120")
 
-    fleet = [
-        spawn_worker(farm_dir, job_id=job.job_id, tag=f"k{i}", poll_s=0.05)
-        for i in range(4)
-    ]
-    victim: "subprocess.Popen[bytes] | None" = None
-    try:
+    # Nothing heals the fleet here: the survivors alone must finish.
+    with Fleet(farm_dir, 4, job_id=job.job_id, poll_s=0.05) as fleet:
+        procs = list(fleet._members)
+
         # Wait until some worker holds a lease, then SIGKILL it.
         def live_owner_pid():
             for lease in job.leases():
@@ -87,22 +84,17 @@ def test_sigkilled_worker_chunks_are_recovered(
 
         pid = _wait(live_owner_pid, timeout_s=30.0)
         assert pid is not None, "no worker ever claimed a chunk"
-        victim = next(p for p in fleet if p.pid == pid)
+        victim = next(p for p in procs if p.pid == pid)
         os.kill(pid, signal.SIGKILL)
         assert victim.wait(timeout=10.0) == -signal.SIGKILL
 
         assert _wait(job.is_complete, timeout_s=120.0, poll_s=0.1), (
             f"job did not complete after the kill: {job.status()}"
         )
-        # exit_when_done: the three survivors wind down by themselves
-        for proc in fleet:
+        # pinned: the three survivors wind down by themselves
+        for proc in procs:
             if proc is not victim:
                 assert proc.wait(timeout=30.0) == 0
-    finally:
-        for proc in fleet:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10.0)
 
     # -- exactly-once completion ------------------------------------- #
     markers = job.done_markers()

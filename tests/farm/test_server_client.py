@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import socket
-import threading
+import time
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.errors import FarmError
 from repro.experiments import ExperimentConfig, run_configs_cached, run_experiment
 from repro.experiments.cli import main
 from repro.farm import FarmClient, FarmServer, HttpCache, run_configs_farm
+from repro.farm.distribute import Fleet
 from repro.farm.worker import work_loop
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
@@ -34,21 +35,12 @@ def client(server):
 
 
 def _drive_workers(server, job_id, n=2):
-    threads = [
-        threading.Thread(
-            target=work_loop,
-            kwargs=dict(
-                farm_dir=server.farm_dir, worker_id=f"t{i}", job_id=job_id,
-                poll_s=0.02, exit_when_done=True,
-            ),
-            daemon=True,
-        )
-        for i in range(n)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120.0)
+    job = server.store.job(job_id)
+    with Fleet(server.farm_dir, n, job_id=job_id, poll_s=0.02,
+               spawn=False) as fleet:
+        while not job.is_complete():
+            fleet.heal()
+            time.sleep(0.02)
 
 
 class TestServerBasics:

@@ -3,7 +3,10 @@ checked between configs."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache.store import ExperimentCache
+from repro.errors import FarmError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.farm import run_configs_farm
 from repro.farm.leases import JobStore
@@ -57,3 +60,20 @@ def test_a_lapsed_budget_releases_the_chunk_between_configs(tmp_path):
     assert cache.get(CONFIGS[1]) is None
     assert job.claim("peer") == 0
 
+
+@pytest.mark.parametrize("content", [b"", b"\x80\x05\x95"],
+                         ids=["empty", "truncated"])
+def test_an_unreadable_config_list_releases_the_claim(tmp_path, content):
+    # Regression: an empty configs.pkl raised a bare EOFError, and either
+    # way the worker died holding the lease until lease_timeout_s.
+    store = JobStore(tmp_path / "farm")
+    cache = ExperimentCache(cache_dir=tmp_path / "cache")
+    job = store.create_job(
+        CONFIGS[:2], cache_spec=cache.spec, chunk_size=2,
+        lease_timeout_s=60.0, chunk_timeout_s=60.0,
+    )
+    job.configs_path.write_bytes(content)
+    assert job.claim("w") == 0
+    with pytest.raises(FarmError, match="unreadable config list"):
+        run_one_chunk(job, 0, "w")
+    assert job.leases() == []
