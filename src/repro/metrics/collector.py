@@ -23,6 +23,11 @@ from .records import CSRecord, RecoveryRecord
 
 __all__ = ["MetricsCollector", "BoundedMetricsCollector"]
 
+#: Reservoir slots are drawn this many at a time.  numpy's
+#: ``integers(0, highs)`` over an array of bounds yields the same values
+#: as one scalar ``integers(0, high)`` call per bound, in order.
+_SLOT_BLOCK = 64
+
 
 class MetricsCollector:
     """Accumulates :class:`~repro.metrics.records.CSRecord` objects.
@@ -163,6 +168,8 @@ class BoundedMetricsCollector(MetricsCollector):
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.max_records = int(max_records)
         self._rng = np.random.default_rng(seed ^ 0x5EED_CA9)
+        #: block-drawn reservoir slots, reversed (``pop()`` is the next)
+        self._slots: List[int] = []
         self._all = _Moments()
         self._clusters: Dict[int, _Moments] = {}
         self._last_release = 0.0
@@ -180,10 +187,14 @@ class BoundedMetricsCollector(MetricsCollector):
         seen = self._all.n - 1  # records seen before this one
         if seen < self.max_records:
             records.append(record)
-        else:
-            j = int(self._rng.integers(0, seen + 1))
-            if j < self.max_records:
-                records[j] = record
+            return
+        slots = self._slots
+        if not slots:
+            highs = np.arange(seen + 1, seen + 1 + _SLOT_BLOCK)
+            slots.extend(self._rng.integers(0, highs)[::-1].tolist())
+        j = slots.pop()
+        if j < self.max_records:
+            records[j] = record
 
     @property
     def cs_count(self) -> int:

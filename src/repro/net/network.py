@@ -136,8 +136,9 @@ class Network:
         # crashed / address unregistered in flight (see `delivered`).
         self._lost = 0
         self._unrouted = 0
-        self._rng = sim.rng.stream("network/latency")
-        self._fault_rng = sim.rng.stream("network/faults")
+        self._rng, self._fault_rng = sim.rng.streams(
+            ("network/latency", "network/faults")
+        )
         # Delivery interception (repro.analysis.explore): when set, sends
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None

@@ -15,7 +15,12 @@ import numpy as np
 from .event import Event, EventHandle
 from .kernel import Simulator
 
-__all__ = ["Process"]
+__all__ = ["Process", "stream_label"]
+
+
+def stream_label(name: str, purpose: str) -> str:
+    """The registry label of process ``name``'s ``purpose`` stream."""
+    return f"{name}/{purpose}"
 
 
 class Process:
@@ -94,7 +99,7 @@ class Process:
 
     def rng(self, purpose: str = "default") -> "np.random.Generator":
         """Return this process's named random stream for ``purpose``."""
-        return self.sim.rng.stream(f"{self.name}/{purpose}")
+        return self.sim.rng.stream(stream_label(self.name, purpose))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

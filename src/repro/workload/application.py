@@ -22,7 +22,7 @@ from ..metrics.collector import MetricsCollector
 from ..metrics.records import CSRecord
 from ..mutex.base import MutexPeer
 from ..sim.event import Event, EventHandle
-from ..sim.process import Process
+from ..sim.process import Process, stream_label
 
 __all__ = ["ApplicationProcess"]
 
@@ -32,6 +32,10 @@ _DISTRIBUTIONS = ("exponential", "fixed")
 #: ``Generator.exponential(beta, size=n)`` yields the bit-identical
 #: sequence to ``n`` scalar calls, so only the number of calls changes.
 _THINK_BLOCK = 64
+
+
+def _name(node: int) -> str:
+    return f"app@{node}"
 
 
 class ApplicationProcess(Process):
@@ -70,7 +74,7 @@ class ApplicationProcess(Process):
         first_request_at: Optional[float] = None,
         on_done=None,
     ) -> None:
-        super().__init__(peer.sim, f"app@{peer.node}")
+        super().__init__(peer.sim, _name(peer.node))
         if alpha_ms <= 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha_ms}")
         if beta_ms < 0:
@@ -103,7 +107,7 @@ class ApplicationProcess(Process):
         self.on_done = on_done
         self._requested_at: Optional[float] = None
         self._granted_at: Optional[float] = None
-        self._rng = self.rng("think")
+        self._rng = self.sim.rng.stream(self.think_label(peer.node))
         #: the think time when it is not random (β = 0 or ``"fixed"``)
         self._const_think: Optional[float] = (
             self.beta if self.beta == 0.0 or distribution == "fixed" else None
@@ -121,6 +125,11 @@ class ApplicationProcess(Process):
             on_done(self)
         if self.n_cs > 0:
             self._timer = sim.post_at(start + self._next_think(), self._request)
+
+    @staticmethod
+    def think_label(node: int) -> str:
+        """The registry label of the think stream of ``node``'s process."""
+        return stream_label(_name(node), "think")
 
     # ------------------------------------------------------------------ #
     @property

@@ -43,6 +43,11 @@ def deploy_workload(
             )
     if collector is None:
         collector = MetricsCollector()
+    # Every think stream in one derivation; each process finds its own
+    # already in the registry.
+    system.sim.rng.streams(
+        [ApplicationProcess.think_label(node) for node in system.app_nodes]
+    )
     apps = []
     for node in system.app_nodes:
         cluster = system.topology.cluster_of(node)
