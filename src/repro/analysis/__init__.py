@@ -8,11 +8,12 @@ modification**", §3.1) are behavioural properties.  This package enforces
 them *statically*, before a single event fires:
 
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.engine` — an
-  AST-based linter with repro-specific rules (RPR001-RPR007): no
-  wall-clock reads, no stdlib ``random``, no unordered ``set``/``dict``
-  iteration inside message handlers, no kernel re-entry from handlers, no
-  coordinator imports from ``repro.mutex``, no mutable default arguments,
-  no sweep that bypasses the experiment cache.
+  AST-based linter with repro-specific rules: no wall-clock reads, no
+  stdlib ``random``, no unordered ``set``/``dict`` iteration inside
+  message handlers, no kernel re-entry from handlers, no mutable default
+  arguments, and one table of structural invariants
+  (:data:`~repro.analysis.rules.INVARIANTS`: which modules may call or
+  import a name — composition purity is one row).
 * :mod:`repro.analysis.effects` — a handler-effect extractor that walks
   each algorithm's AST into a per-message-kind send graph and
   cross-checks worst-case message counts against the paper's analytical
@@ -31,8 +32,8 @@ from .effects import (
     check_conformance,
     extract_algorithm_effects,
 )
-from .engine import AnalysisReport, Baseline, Engine, Violation
-from .rules import DEFAULT_RULES, Rule
+from .engine import AnalysisReport, Engine, Violation
+from .rules import DEFAULT_RULES, INVARIANTS, Rule
 from .sanitizer import (
     CanonicalDigest,
     SanitizerReport,
@@ -44,11 +45,11 @@ from .sanitizer import (
 __all__ = [
     "AlgorithmEffects",
     "AnalysisReport",
-    "Baseline",
     "CanonicalDigest",
     "ConformanceFinding",
     "DEFAULT_RULES",
     "Engine",
+    "INVARIANTS",
     "Rule",
     "SanitizerReport",
     "Violation",

@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from .engine import Baseline, Engine
+from .engine import Engine
 
 __all__ = ["main"]
 
 #: bumped when the shape of the ``--json`` document changes
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def _default_paths() -> List[Path]:
@@ -78,27 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="CI gate: --lint --conformance",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of accepted violations (stale entries are "
-        "reported and fail the run)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the current violations as a baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="lint report format (text mode only; see --json)",
     )
     parser.add_argument(
         "--json",
@@ -174,28 +154,12 @@ def _run_lint(
     if missing:
         print(f"error: no such path(s): {', '.join(map(str, missing))}")
         return 2
-    baseline: Optional[Baseline] = None
-    if args.baseline is not None:
-        if not args.baseline.exists():
-            print(f"error: baseline file not found: {args.baseline}")
-            return 2
-        baseline = Baseline.load(args.baseline)
-    engine = Engine()
-    report = engine.check_paths(paths, baseline=baseline, root=Path.cwd())
-    if args.write_baseline is not None:
-        Baseline.from_violations(report.violations).save(args.write_baseline)
-        print(
-            f"wrote {len(report.violations)} suppression(s) to "
-            f"{args.write_baseline} — fill in the reasons"
-        )
-        return 0
-    status = 1 if (report.stale_suppressions or not report.ok) else 0
+    report = Engine().check_paths(paths, root=Path.cwd())
     if json_out is not None:
-        json_out["lint"] = json.loads(report.to_json())
-        json_out["lint"]["ok"] = status == 0
+        json_out["lint"] = report.to_dict()
     else:
-        print(report.to_json() if args.format == "json" else report.format())
-    return status
+        print(report.format())
+    return 0 if report.ok else 1
 
 
 def _run_conformance(json_out: Optional[Dict[str, Any]]) -> int:
@@ -350,13 +314,17 @@ def _refuse_bad_outputs(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
     """A usage error, one line and status 2, for an output path no run
-    could write — checked before anything runs, not at the end of it."""
+    could write or a budget no search could meet — checked before
+    anything runs, not at the end of it."""
     problem = None
+    budget = args.explore_budget
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        problem = f"--explore-budget {budget}: must be a positive number of seconds"
     trace_out = args.trace_out
     if args.replay is not None and trace_out is not None:
         if not trace_out.parent.is_dir():
             problem = f"--trace-out {trace_out}: no such directory"
-    if args.explore and args.counterexamples is not None:
+    if problem is None and args.explore and args.counterexamples is not None:
         try:
             args.counterexamples.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -4,33 +4,24 @@ The engine is deliberately free of any :mod:`repro` *runtime* imports —
 it parses source files with :mod:`ast` and never executes them, so it can
 lint a broken tree (that is the point of a review-time gate).
 
-Suppressions come in two forms:
-
-* **inline allows** — ``# repro: allow[RPR003] <reason>`` on the
-  offending line (or alone on the line above) suppresses the named
-  rule(s) there.  This is the preferred mechanism: the justification
-  lives next to the code it justifies.
-* **baseline file** — a JSON file of known violations (``--baseline``),
-  matched by ``(rule, path, context)`` so entries survive unrelated line
-  drift.  Meant for adopting a new rule over a large tree; stale entries
-  are reported so the baseline can only shrink.
+A violation is suppressed by an inline allow — ``# repro: allow[RPR003]
+<reason>`` on the offending line (or alone on the line above) — so the
+justification lives next to the code it justifies.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "Engine",
     "ModuleInfo",
-    "Suppression",
     "Violation",
 ]
 
@@ -132,90 +123,6 @@ def module_name_for(path: Path) -> str:
 
 
 # --------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Suppression:
-    """One baseline entry; ``path`` is matched as a trailing path suffix
-    so baselines work from any checkout root."""
-
-    rule: str
-    path: str
-    context: str = ""
-    reason: str = ""
-
-    def matches(self, violation: Violation) -> bool:
-        if self.rule != violation.rule or self.context != violation.context:
-            return False
-        want = Path(self.path).as_posix()
-        have = Path(violation.path).as_posix()
-        return have == want or have.endswith("/" + want)
-
-
-class Baseline:
-    """A set of accepted violations loaded from / saved to JSON."""
-
-    def __init__(self, suppressions: Iterable[Suppression] = ()) -> None:
-        self.suppressions: List[Suppression] = list(suppressions)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text())
-        entries = data.get("suppressions", []) if isinstance(data, dict) else data
-        return cls(
-            Suppression(
-                rule=e["rule"],
-                path=e["path"],
-                context=e.get("context", ""),
-                reason=e.get("reason", ""),
-            )
-            for e in entries
-        )
-
-    @classmethod
-    def from_violations(
-        cls, violations: Iterable[Violation], reason: str = "grandfathered"
-    ) -> "Baseline":
-        return cls(
-            Suppression(rule=v.rule, path=v.path, context=v.context, reason=reason)
-            for v in violations
-        )
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "version": 1,
-            "suppressions": [
-                {
-                    "rule": s.rule,
-                    "path": s.path,
-                    "context": s.context,
-                    "reason": s.reason,
-                }
-                for s in self.suppressions
-            ],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def partition(
-        self, violations: Sequence[Violation]
-    ) -> Tuple[List[Violation], List[Violation], List[Suppression]]:
-        """Split into (unsuppressed, suppressed) and list stale entries."""
-        used: Set[int] = set()
-        kept: List[Violation] = []
-        dropped: List[Violation] = []
-        for v in violations:
-            for i, s in enumerate(self.suppressions):
-                if s.matches(v):
-                    used.add(i)
-                    dropped.append(v)
-                    break
-            else:
-                kept.append(v)
-        stale = [s for i, s in enumerate(self.suppressions) if i not in used]
-        return kept, dropped, stale
-
-
-# --------------------------------------------------------------------- #
 # engine
 # --------------------------------------------------------------------- #
 @dataclass
@@ -224,7 +131,6 @@ class AnalysisReport:
 
     violations: List[Violation] = field(default_factory=list)
     suppressed: List[Violation] = field(default_factory=list)
-    stale_suppressions: List[Suppression] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
@@ -236,12 +142,6 @@ class AnalysisReport:
         out: List[str] = []
         out.extend(err for err in self.parse_errors)
         out.extend(v.format() for v in self.violations)
-        if self.stale_suppressions:
-            out.append("")
-            out.append("stale baseline entries (fixed or moved — remove them):")
-            out.extend(
-                f"  {s.rule} {s.path} [{s.context}]" for s in self.stale_suppressions
-            )
         summary = (
             f"{self.files_checked} file(s) checked: "
             f"{len(self.violations)} violation(s), "
@@ -250,17 +150,14 @@ class AnalysisReport:
         out.append(summary)
         return "\n".join(out)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "files_checked": self.files_checked,
-                "violations": [v.__dict__ for v in self.violations],
-                "suppressed": [v.__dict__ for v in self.suppressed],
-                "stale_suppressions": [s.__dict__ for s in self.stale_suppressions],
-                "parse_errors": self.parse_errors,
-            },
-            indent=2,
-        )
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "ok": self.ok,
+            "files_checked": self.files_checked,
+            "violations": [v.__dict__ for v in self.violations],
+            "suppressed": [v.__dict__ for v in self.suppressed],
+            "parse_errors": self.parse_errors,
+        }
 
 
 def iter_python_files(paths: Sequence["Path | str"]) -> Iterator[Path]:
@@ -283,13 +180,9 @@ class Engine:
         self.rules = list(rules)
 
     def check_paths(
-        self,
-        paths: Sequence[Path],
-        baseline: Optional[Baseline] = None,
-        root: Optional[Path] = None,
+        self, paths: Sequence[Path], root: Optional[Path] = None
     ) -> AnalysisReport:
         report = AnalysisReport()
-        raw: List[Violation] = []
         for path in iter_python_files(paths):
             display = path
             if root is not None:
@@ -297,24 +190,24 @@ class Engine:
                     display = path.relative_to(root)
                 except ValueError:
                     pass
+            # A broken tree must still lint: a file that does not decode or
+            # parse is one report line, not a traceback.  Sources decode as
+            # PEP 263 says (UTF-8 unless declared), never by the locale.
             try:
-                mod = ModuleInfo(path, path.read_text(), str(display))
-            except SyntaxError as exc:  # a broken tree must still lint
+                with tokenize.open(path) as fh:
+                    mod = ModuleInfo(path, fh.read(), str(display))
+            except SyntaxError as exc:
                 report.parse_errors.append(f"{display}: syntax error: {exc}")
+                continue
+            except UnicodeDecodeError as exc:
+                report.parse_errors.append(f"{display}: cannot decode: {exc}")
                 continue
             report.files_checked += 1
             for violation in self._check_module(mod):
                 if mod.allowed(violation.rule, violation.line):
                     report.suppressed.append(violation)
                 else:
-                    raw.append(violation)
-        if baseline is not None:
-            kept, dropped, stale = baseline.partition(raw)
-            report.violations.extend(kept)
-            report.suppressed.extend(dropped)
-            report.stale_suppressions.extend(stale)
-        else:
-            report.violations.extend(raw)
+                    report.violations.append(violation)
         report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
         return report
 

@@ -1,4 +1,4 @@
-"""The repro-specific lint rules (RPR001-RPR007).
+"""The repro-specific lint rules (RPR001-RPR006).
 
 Each rule guards one facet of the determinism / composition-purity
 contract (see ``docs/analysis.md`` for the rationale and the suppression
@@ -12,13 +12,10 @@ RPR003    no unordered ``set``/``dict.values()``/``dict.keys()``
           and ``repro.core`` (wrap in ``sorted()`` or allowlist)
 RPR004    handlers must not drive the kernel (``Simulator.run``/``step``
           or clock writes) from inside an event
-RPR005    composition purity: ``repro.mutex`` must not import
-          ``repro.core`` (coordinator/composition internals)
+RPR005    structural invariants: each name in :data:`INVARIANTS` is
+          called — or, for ``repro.core``, imported — only from the
+          modules its row allows (composition purity is one row)
 RPR006    no mutable default arguments
-RPR007    figure/suite/scalability sweeps must go through the
-          cache-aware entry points — no direct
-          ``run_experiment``/``run_many`` calls in
-          ``repro.experiments.{figures,suites,scalability}``
 ========  ==========================================================
 
 Rules yield ``(line, col, message)`` triples; the engine attaches paths,
@@ -28,20 +25,22 @@ enclosing scopes and suppression handling.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import ModuleInfo
 
 __all__ = [
     "DEFAULT_RULES",
+    "INVARIANTS",
+    "Invariant",
+    "InvariantRule",
     "Rule",
     "WallClockRule",
     "StdlibRandomRule",
     "UnorderedIterationRule",
     "KernelReentryRule",
-    "CompositionPurityRule",
     "MutableDefaultRule",
-    "CacheBypassRule",
 ]
 
 Finding = Tuple[int, int, str]
@@ -63,26 +62,29 @@ class Rule:
 # --------------------------------------------------------------------- #
 # import-origin resolution (shared)
 # --------------------------------------------------------------------- #
-def import_origins(tree: ast.Module) -> Dict[str, str]:
+def import_origins(mod: ModuleInfo) -> Dict[str, str]:
     """Map local names to their imported dotted origins.
 
     ``import time as t`` -> ``{"t": "time"}``;
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
+    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``;
+    ``from .runner import run_many`` in ``repro.experiments.figures`` ->
+    ``{"run_many": "repro.experiments.runner.run_many"}``.
     Only module-level and function-level imports are resolved; the map is
     flat (good enough for flagging known call targets).
     """
     origins: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(mod.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
                 origins[local] = alias.name if alias.asname else alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        elif isinstance(node, ast.ImportFrom):
+            base = resolve_relative_module(mod, node)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                origins[local] = f"{node.module}.{alias.name}"
+                origins[local] = f"{base}.{alias.name}" if base else alias.name
     return origins
 
 
@@ -156,7 +158,7 @@ class WallClockRule(Rule):
         return mod.module.startswith("repro")
 
     def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        origins = import_origins(mod.tree)
+        origins = import_origins(mod)
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -206,7 +208,7 @@ class StdlibRandomRule(Rule):
         return mod.module.startswith("repro") and mod.module != "repro.sim.rng"
 
     def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        origins = import_origins(mod.tree)
+        origins = import_origins(mod)
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -427,40 +429,167 @@ class KernelReentryRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# RPR005 — composition purity
+# RPR005 — structural invariants
 # --------------------------------------------------------------------- #
-class CompositionPurityRule(Rule):
+@dataclass(frozen=True)
+class Invariant:
+    """One row of :data:`INVARIANTS`: ``name`` is used only from ``allowed``.
+
+    A bare ``name`` is a callable: calling it, by name, as an attribute or
+    through an import alias, is the use.  A dotted ``name`` is a module:
+    importing it or anything under it is the use.  ``allowed`` holds paths
+    relative to the ``repro`` package; one ending in ``/`` is a subpackage.
+    """
+
+    name: str
+    allowed: Tuple[str, ...]
+    reason: str
+
+    def allows(self, path: str) -> bool:
+        return any(
+            path == entry or (entry.endswith("/") and path.startswith(entry))
+            for entry in self.allowed
+        )
+
+
+_RUN_SEQUENCE = (
+    "the build -> deploy -> run sequence exists once, in ExperimentRun; a "
+    "second hand copy drifts (the sanitizer's had no safety checker and no "
+    "teardown)"
+)
+_LOOKUP_POLICY = (
+    "the sweep scheduler is the one cached-lookup policy: "
+    "run_experiment(config, cache), the farm's workers and its collector "
+    "all go through it"
+)
+_CACHE_BYPASS = (
+    "a sweep that calls it directly silently bypasses the experiment cache "
+    "and re-executes every cell; sweeps go through run_configs_cached"
+)
+
+#: "X is called (or imported) only from Y", one row per X
+INVARIANTS: Tuple[Invariant, ...] = (
+    Invariant(
+        "repro.core",
+        ("core/", "experiments/runner.py", "workload/scenario.py",
+         "analysis/explore/world.py"),
+        "composition purity (paper §3.1): the algorithms compose unmodified, "
+        "so nothing but the runs that wire a composition knows the "
+        "coordinator internals",
+    ),
+    Invariant("build_system", ("experiments/runner.py",), _RUN_SEQUENCE),
+    Invariant(
+        "deploy_workload",
+        ("experiments/runner.py", "workload/scenario.py"),
+        _RUN_SEQUENCE + "; the scenario module wraps it for the hotspot "
+        "workload",
+    ),
+    Invariant("should_verify", ("experiments/parallel.py",), _LOOKUP_POLICY),
+    Invariant("record_verification", ("experiments/parallel.py",), _LOOKUP_POLICY),
+    Invariant(
+        "canonical_dumps",
+        ("cache/store.py",),
+        "only the store serialises blobs; the HTTP tier supplies byte I/O only",
+    ),
+    Invariant(
+        "Popen",
+        ("farm/distribute.py",),
+        "one Fleet starts, heals and stops farm workers; when three loops "
+        "spawned them, the distributor's workers ignored its poll_s",
+    ),
+    Invariant(
+        "wrap_handler",
+        ("core/recovery.py",),
+        "a run is observed through trace records; the recovery epoch fence "
+        "is the one wrapper, so whether a fenced message is seen never "
+        "depends on which wrapper went on first",
+    ),
+    Invariant(
+        "SeedSequence",
+        ("sim/rng.py",),
+        "RngRegistry runs SeedSequence's mixing itself, in bulk; numpy's "
+        "SeedSequence only draws the entropy of RngRegistry(None)",
+    ),
+    Invariant(
+        "run_experiment",
+        ("experiments/runner.py", "experiments/parallel.py", "experiments/cli.py"),
+        _CACHE_BYPASS,
+    ),
+    Invariant("run_many", ("experiments/cli.py",), _CACHE_BYPASS),
+)
+
+
+def _package_path(mod: ModuleInfo) -> str:
+    """``mod``'s file relative to the ``repro`` package: ``core/recovery.py``."""
+    parts = mod.module.split(".")[1:]
+    if mod.path.stem == "__init__":
+        parts.append("__init__")
+    return "/".join(parts) + ".py"
+
+
+def _called_names(func: ast.AST, origins: Dict[str, str]) -> Tuple[str, ...]:
+    """The names a call target answers to: its bare name or attribute, and
+    the last component of an imported name's origin (``P`` after
+    ``from subprocess import Popen as P`` is ``Popen``)."""
+    if isinstance(func, ast.Attribute):
+        return (func.attr,)
+    if isinstance(func, ast.Name):
+        return (func.id, origins.get(func.id, "").rpartition(".")[2])
+    return ()
+
+
+def _imported_modules(mod: ModuleInfo, node: ast.AST) -> List[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = resolve_relative_module(mod, node)
+        # `from ..core import coordinator` names the submodule in the
+        # alias list; qualify each alias for the check.
+        return [base] + [
+            f"{base}.{alias.name}" for alias in node.names if alias.name != "*"
+        ]
+    return []
+
+
+class InvariantRule(Rule):
     id = "RPR005"
     summary = (
-        "repro.mutex must not import repro.core — the paper's invariant is "
-        "that composed algorithms work *unmodified*, so algorithms cannot "
-        "know about coordinator/composition internals"
+        "structural invariants: each name in the table "
+        "repro.analysis.rules.INVARIANTS is called (repro.core: imported) "
+        "only from the modules its row allows — composition purity, "
+        "repro.mutex never importing repro.core, is one row"
     )
 
     def applies(self, mod: ModuleInfo) -> bool:
-        return mod.module.startswith("repro.mutex")
+        return mod.module.split(".")[0] == "repro"
 
     def check(self, mod: ModuleInfo) -> Iterator[Finding]:
+        path = _package_path(mod)
+        rows = [row for row in INVARIANTS if not row.allows(path)]
+        calls = {row.name: row for row in rows if "." not in row.name}
+        modules = [row for row in rows if "." in row.name]
+        origins = import_origins(mod)
         for node in ast.walk(mod.tree):
-            resolved: List[str] = []
-            if isinstance(node, ast.Import):
-                resolved = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = resolve_relative_module(mod, node)
-                # `from ..core import coordinator` names the submodule in
-                # the alias list; qualify each alias for the check.
-                resolved = [base] + [
-                    f"{base}.{alias.name}" for alias in node.names if alias.name != "*"
+            if isinstance(node, ast.Call):
+                hits = [
+                    (f"{name}() call", calls[name])
+                    for name in _called_names(node.func, origins)
+                    if name in calls
                 ]
-            for target in resolved:
-                if target == "repro.core" or target.startswith("repro.core."):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f"composition-purity violation: import of {target} "
-                        f"from {mod.module}",
-                    )
-                    break
+            else:
+                hits = [
+                    (f"import of {target}", row)
+                    for target in _imported_modules(mod, node)
+                    for row in modules
+                    if target == row.name or target.startswith(row.name + ".")
+                ]
+            if hits:
+                what, row = hits[0]
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"{what} outside {', '.join(row.allowed)} — {row.reason}",
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -523,76 +652,11 @@ class MutableDefaultRule(Rule):
         return False
 
 
-# --------------------------------------------------------------------- #
-# RPR007 — cache bypass in sweep modules
-# --------------------------------------------------------------------- #
-class CacheBypassRule(Rule):
-    id = "RPR007"
-    summary = (
-        "figure/suite sweeps must go through the cache-aware entry points "
-        "(run_configs_cached / stream_configs_cached / the sweep helpers) — "
-        "a direct run_experiment/run_many call silently bypasses the "
-        "experiment cache and re-executes every cell"
-    )
-
-    #: modules whose job is sweeping the experiment matrix
-    _TARGET_MODULES = (
-        "repro.experiments.figures",
-        "repro.experiments.suites",
-        "repro.experiments.scalability",
-    )
-    #: the cache-oblivious runner entry points
-    _BYPASS_SUFFIXES = ("run_experiment", "run_many")
-
-    def applies(self, mod: ModuleInfo) -> bool:
-        return mod.module in self._TARGET_MODULES
-
-    def _origins(self, mod: ModuleInfo) -> Dict[str, str]:
-        """Import-origin map with *relative* imports resolved too
-        (``from .runner import run_many`` → ``repro.experiments.runner.run_many``)."""
-        origins = import_origins(mod.tree)
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                base = resolve_relative_module(mod, node)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    origins[local] = f"{base}.{alias.name}" if base else alias.name
-        return origins
-
-    def _is_bypass(self, origin: Optional[str]) -> bool:
-        if origin is None:
-            return False
-        parts = origin.split(".")
-        # Any repro-origin name ending in run_experiment/run_many: the
-        # sweep modules have no legitimate direct caller of either.
-        return parts[-1] in self._BYPASS_SUFFIXES and parts[0] == "repro"
-
-    def check(self, mod: ModuleInfo) -> Iterator[Finding]:
-        origins = self._origins(mod)
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            origin = resolve_call_origin(node.func, origins)
-            if self._is_bypass(origin):
-                name = origin.split(".")[-1] if origin else "?"
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"direct {name}() call bypasses the experiment cache — "
-                    f"route the sweep through run_configs_cached()/"
-                    f"stream_configs_cached() (or justify with an allow "
-                    f"comment / baseline entry)",
-                )
-
-
 DEFAULT_RULES = (
     WallClockRule,
     StdlibRandomRule,
     UnorderedIterationRule,
     KernelReentryRule,
-    CompositionPurityRule,
+    InvariantRule,
     MutableDefaultRule,
-    CacheBypassRule,
 )

@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.analysis.cli import main
+from repro.analysis.rules import DEFAULT_RULES
 
 REPO_SRC = Path(repro.__file__).resolve().parent  # .../src/repro
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,8 +30,8 @@ class TestExitCodes:
     def test_bad_fixture_tree_fails(self, capsys):
         assert main([str(FIXTURES / "bad_tree")]) == 1
         out = capsys.readouterr().out
-        for rule in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
-            assert rule in out
+        for cls in DEFAULT_RULES:
+            assert f" {cls.id} " in out
 
     def test_broken_fixture_tree_fails(self, capsys):
         assert main([str(FIXTURES / "broken")]) == 1
@@ -39,50 +40,26 @@ class TestExitCodes:
     def test_missing_path_is_usage_error(self, capsys):
         assert main([str(FIXTURES / "no_such_dir")]) == 2
 
-    def test_missing_baseline_is_usage_error(self, capsys):
-        assert (
-            main([str(FIXTURES / "bad_tree"), "--baseline", "no_such_baseline.json"])
-            == 2
-        )
-
-
-class TestBaselineWorkflow:
-    def test_write_then_check_with_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([str(FIXTURES / "bad_tree"), "--write-baseline", str(baseline)]) == 0
-        data = json.loads(baseline.read_text())
-        assert len(data["suppressions"]) == 6
-
-        capsys.readouterr()
-        assert main([str(FIXTURES / "bad_tree"), "--baseline", str(baseline)]) == 0
-        assert "6 suppressed" in capsys.readouterr().out
-
-    def test_stale_baseline_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "suppressions": [
-                        {"rule": "RPR001", "path": "repro/gone.py", "context": "f"}
-                    ],
-                }
-            )
-        )
-        assert main([str(REPO_SRC), "--baseline", str(baseline)]) == 1
-        assert "stale" in capsys.readouterr().out
+    def test_baseline_and_format_options_are_gone(self):
+        for option in ("--baseline", "--write-baseline", "--format"):
+            with pytest.raises(SystemExit) as exc:
+                main([str(FIXTURES / "bad_tree"), option, "json"])
+            assert exc.value.code == 2  # argparse: unrecognized arguments
 
 
 class TestModes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert out.count("RPR") == 7
+        assert [line.split()[0] for line in out.splitlines()] == [
+            cls.id for cls in DEFAULT_RULES
+        ]
 
     def test_json_format(self, capsys):
-        assert main([str(FIXTURES / "bad_tree"), "--format", "json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert len(data["violations"]) == 6
+        assert main([str(FIXTURES / "bad_tree"), "--json"]) == 1
+        lint = json.loads(capsys.readouterr().out)["lint"]
+        assert lint["ok"] is False
+        assert len(lint["violations"]) == len(DEFAULT_RULES)
 
     def test_conformance_mode_is_clean(self, capsys):
         assert main(["--conformance"]) == 0
@@ -97,6 +74,7 @@ class TestModes:
 
 #: the pinned shape of the ``--json`` document — update deliberately,
 #: and bump JSON_SCHEMA_VERSION when you do
+LINT_REPORT_KEYS = {"ok", "files_checked", "violations", "suppressed", "parse_errors"}
 EXPLORE_REPORT_KEYS = {
     "cell", "scope", "ok", "complete", "states", "transitions",
     "enabled_total", "sleep_pruned", "schedules_covered", "naive_visits",
@@ -110,9 +88,10 @@ class TestJsonOutput:
         assert main([str(REPO_SRC), "--check", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro.analysis"
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["ok"] is True
         assert set(doc) == {"schema", "version", "ok", "lint", "conformance"}
+        assert set(doc["lint"]) == LINT_REPORT_KEYS
         assert doc["lint"]["ok"] is True
         conf = doc["conformance"]
         assert conf["ok"] is True
@@ -169,6 +148,18 @@ class TestExploreCli:
         assert err.startswith(f"python -m repro.analysis: error: {flag} ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out == ""  # nothing explored, nothing replayed
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "nan", "inf"])
+    def test_unmeetable_budget_is_refused_before_anything_runs(
+        self, capsys, budget
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["--explore", "--explore-cells", "crash",
+                  "--explore-budget", budget])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("python -m repro.analysis: error: --explore-budget ")
+        assert err.count("\n") == 1 and out == ""
 
     def test_replay_workflow(self, tmp_path, capsys):
         from repro.analysis.explore import (

@@ -1,19 +1,18 @@
-"""Engine-level tests: suppression comments, baselines, reporting."""
+"""Engine-level tests: suppression comments, source decoding, reporting."""
 
 from __future__ import annotations
 
-import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.engine import (
-    AnalysisReport,
-    Baseline,
-    Engine,
-    ModuleInfo,
-    Suppression,
-    Violation,
-)
+import pytest
+
+import repro
+from repro.analysis.engine import AnalysisReport, Engine, ModuleInfo
+from repro.analysis.rules import DEFAULT_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,67 +88,36 @@ class TestInlineAllows:
         assert report.violations == []
 
 
-class TestBaseline:
-    def _violating_tree(self, tmp_path: Path) -> Path:
-        write_module(
-            tmp_path, "repro/mutex/peer.py", HANDLER_WITH_HAZARD.format(allow="")
+class TestDecoding:
+    def test_declared_encoding_is_honoured(self, tmp_path):
+        path = tmp_path / "repro" / "sim" / "latin.py"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"# -*- coding: latin-1 -*-\nNAME = '\xe9t\xe9'\n")
+        report = Engine().check_paths([path])
+        assert report.ok and report.files_checked == 1
+
+    @pytest.mark.parametrize("source", [b"x = 1  # \xff\n", b"# coding: bogus\n"])
+    def test_undecodable_file_is_one_report_line(self, tmp_path, source):
+        path = tmp_path / "repro" / "bad.py"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(source)
+        report = Engine().check_paths([path])
+        assert not report.ok and report.files_checked == 0
+        (error,) = report.parse_errors
+        assert error.startswith(f"{path}: ") and "\n" not in error
+
+    def test_lint_does_not_depend_on_the_locale(self):
+        """Most of the shipped tree is non-ASCII: an ASCII locale with
+        UTF-8 mode off must lint it exactly as any other locale does."""
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "repro.analysis",
+             str(Path(repro.__file__).parent), "--lint"],
+            capture_output=True, env=env,
         )
-        return tmp_path
-
-    def test_round_trip_suppresses_everything(self, tmp_path):
-        tree = self._violating_tree(tmp_path)
-        report = Engine().check_paths([tree])
-        assert report.violations
-
-        baseline = Baseline.from_violations(report.violations)
-        baseline_path = tmp_path / "baseline.json"
-        baseline.save(baseline_path)
-
-        loaded = Baseline.load(baseline_path)
-        again = Engine().check_paths([tree], baseline=loaded)
-        assert again.violations == []
-        assert again.suppressed
-        assert again.stale_suppressions == []
-        assert again.ok
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        tree = self._violating_tree(tmp_path)
-        stale = Suppression(rule="RPR001", path="repro/mutex/gone.py", context="f")
-        baseline = Baseline([stale])
-        report = Engine().check_paths([tree], baseline=baseline)
-        assert report.stale_suppressions == [stale]
-        # the real violation is still reported
-        assert [v.rule for v in report.violations] == ["RPR003"]
-
-    def test_path_suffix_matching(self):
-        suppression = Suppression(
-            rule="RPR003", path="repro/mutex/peer.py", context="Peer._on_request"
-        )
-        hit = Violation(
-            rule="RPR003",
-            path="/checkout/src/repro/mutex/peer.py",
-            line=3,
-            col=8,
-            message="m",
-            context="Peer._on_request",
-        )
-        miss = Violation(
-            rule="RPR003",
-            path="/checkout/src/repro/mutex/other_peer.py",
-            line=3,
-            col=8,
-            message="m",
-            context="Peer._on_request",
-        )
-        assert suppression.matches(hit)
-        assert not suppression.matches(miss)
-
-    def test_save_format_is_versioned_json(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline([Suppression(rule="RPR001", path="x.py", reason="why")]).save(path)
-        data = json.loads(path.read_text())
-        assert data["version"] == 1
-        assert data["suppressions"][0]["reason"] == "why"
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert b" 0 violation(s)" in proc.stdout
 
 
 class TestReporting:
@@ -161,14 +129,9 @@ class TestReporting:
 
     def test_bad_tree_trips_every_rule_exactly_once(self):
         report = Engine().check_paths([FIXTURES / "bad_tree"])
-        assert sorted(v.rule for v in report.violations) == [
-            "RPR001",
-            "RPR002",
-            "RPR003",
-            "RPR004",
-            "RPR005",
-            "RPR006",
-        ]
+        assert sorted(v.rule for v in report.violations) == sorted(
+            cls.id for cls in DEFAULT_RULES
+        )
 
     def test_format_and_json(self, tmp_path):
         path = write_module(
@@ -178,7 +141,8 @@ class TestReporting:
         text = report.format()
         assert "RPR003" in text
         assert "1 violation(s)" in text
-        data = json.loads(report.to_json())
+        data = report.to_dict()
+        assert data["ok"] is False
         assert data["files_checked"] == 1
         assert data["violations"][0]["rule"] == "RPR003"
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import re
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.analysis.engine import ModuleInfo, module_name_for
 from repro.analysis.rules import (
     DEFAULT_RULES,
-    CacheBypassRule,
-    CompositionPurityRule,
+    INVARIANTS,
+    InvariantRule,
     KernelReentryRule,
     MutableDefaultRule,
     StdlibRandomRule,
@@ -287,30 +290,69 @@ class TestKernelReentry:
 
 
 # --------------------------------------------------------------------- #
-# RPR005 — composition purity
+# RPR005 — structural invariants
 # --------------------------------------------------------------------- #
+#: a module no row allows, and the forms a planted use takes
+DISALLOWED = "src/repro/mutex/frag.py"
+CALL_FORMS = {
+    "bare name": "{name}(1)\n",
+    "attribute": "helpers.{name}(1)\n",
+    "import alias": "from pkg.mod import {name} as planted\nplanted(1)\n",
+}
+IMPORT_FORMS = {
+    "absolute import": "import {name}.frag\n",
+    "from import": "from {name} import frag\n",
+    "relative import": "from ..{tail} import frag\n",
+}
+
+
+def _planted(row, form):
+    template = {**CALL_FORMS, **IMPORT_FORMS}[form]
+    return template.format(name=row.name, tail=row.name.partition(".")[2])
+
+
+def _allowed_path(row):
+    entry = row.allowed[0]
+    return f"src/repro/{entry}frag.py" if entry.endswith("/") else f"src/repro/{entry}"
+
+
+@pytest.mark.parametrize("row,form", [
+    pytest.param(row, form, id=f"{row.name}-{form}")
+    for row in INVARIANTS
+    for form in (IMPORT_FORMS if "." in row.name else CALL_FORMS)
+])
+def test_every_invariant_row_catches_a_planted_use(row, form):
+    source = _planted(row, form)
+    findings = run_rule(InvariantRule, source, DISALLOWED)
+    assert len(findings) == 1, findings
+    assert row.reason in findings[0][2]
+    assert run_rule(InvariantRule, source, _allowed_path(row)) == []
+
+
+def test_invariant_rows_are_unique_and_reasoned():
+    names = [row.name for row in INVARIANTS]
+    assert len(names) == len(set(names))
+    assert all(row.allowed and row.reason for row in INVARIANTS)
+
+
 class TestCompositionPurity:
     def test_flags_absolute_import(self):
-        findings = run_rule(
-            CompositionPurityRule, "import repro.core.coordinator\n"
-        )
+        findings = run_rule(InvariantRule, "import repro.core.coordinator\n")
         assert len(findings) == 1
 
     def test_flags_from_import(self):
-        findings = run_rule(
-            CompositionPurityRule, "from repro.core import coordinator\n"
-        )
+        findings = run_rule(InvariantRule, "from repro.core import coordinator\n")
         assert len(findings) == 1
 
     def test_flags_relative_import(self):
         findings = run_rule(
-            CompositionPurityRule, "from ..core.composition import build\n"
+            InvariantRule, "from ..core.composition import build\n"
         )
         assert len(findings) == 1
 
     def test_intra_package_imports_are_clean(self):
         findings = run_rule(
-            CompositionPurityRule,
+            InvariantRule,
             """
             from .base import MutexPeer
             from ..sim import Simulator
@@ -321,7 +363,7 @@ class TestCompositionPurity:
 
     def test_core_itself_is_out_of_scope(self):
         source = "from repro.core import coordinator\n"
-        assert run_rule(CompositionPurityRule, source, "src/repro/core/frag.py") is None
+        assert run_rule(InvariantRule, source, "src/repro/core/frag.py") == []
 
 
 # --------------------------------------------------------------------- #
@@ -364,7 +406,7 @@ class TestMutableDefault:
 
 
 # --------------------------------------------------------------------- #
-# RPR007 — cache bypass in sweep modules
+# cache bypass: the run_experiment / run_many rows of RPR005
 # --------------------------------------------------------------------- #
 FIGURES_PATH = "src/repro/experiments/figures.py"
 SUITES_PATH = "src/repro/experiments/suites.py"
@@ -373,7 +415,7 @@ SUITES_PATH = "src/repro/experiments/suites.py"
 class TestCacheBypass:
     def test_flags_relative_run_many_import(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from .runner import run_many
 
@@ -387,7 +429,7 @@ class TestCacheBypass:
 
     def test_flags_module_attribute_call_in_suites(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from . import runner
 
@@ -401,7 +443,7 @@ class TestCacheBypass:
 
     def test_flags_package_level_import(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from repro.experiments import run_experiment
 
@@ -414,7 +456,7 @@ class TestCacheBypass:
 
     def test_cache_aware_entry_points_are_clean(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from .parallel import run_configs_cached
 
@@ -425,9 +467,9 @@ class TestCacheBypass:
         )
         assert findings == []
 
-    def test_locally_defined_name_is_clean(self):
+    def test_locally_defined_name_is_flagged(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             def run_many(configs):
                 return list(configs)
@@ -437,11 +479,11 @@ class TestCacheBypass:
             """,
             path=FIGURES_PATH,
         )
-        assert findings == []
+        assert len(findings) == 1
 
     def test_scalability_module_is_in_scope(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from .runner import run_experiment
 
@@ -454,7 +496,7 @@ class TestCacheBypass:
 
     def test_other_experiment_modules_are_out_of_scope(self):
         findings = run_rule(
-            CacheBypassRule,
+            InvariantRule,
             """
             from .runner import run_experiment
 
@@ -463,7 +505,7 @@ class TestCacheBypass:
             """,
             path="src/repro/experiments/cli.py",
         )
-        assert findings is None
+        assert findings == []
 
     def test_shipped_sweep_modules_are_clean(self):
         import repro.experiments.figures as figures
@@ -473,7 +515,7 @@ class TestCacheBypass:
         for module in (figures, suites, scalability):
             path = Path(module.__file__)
             findings = run_rule(
-                CacheBypassRule, path.read_text(), path=str(path)
+                InvariantRule, path.read_text(encoding="utf-8"), path=str(path)
             )
             assert findings == [], f"{path} bypasses the cache: {findings}"
 
@@ -481,16 +523,11 @@ class TestCacheBypass:
 # --------------------------------------------------------------------- #
 # shared plumbing
 # --------------------------------------------------------------------- #
-def test_default_rules_cover_all_seven_ids():
-    assert [cls.id for cls in DEFAULT_RULES] == [
-        "RPR001",
-        "RPR002",
-        "RPR003",
-        "RPR004",
-        "RPR005",
-        "RPR006",
-        "RPR007",
-    ]
+def test_default_rules_have_ordered_unique_ids():
+    ids = [cls.id for cls in DEFAULT_RULES]
+    assert ids == sorted(set(ids))
+    assert all(re.fullmatch(r"RPR\d{3}", rule_id) for rule_id in ids)
+    assert "RPR007" not in ids  # retired: its facts are invariant-table rows
     assert all(cls.summary for cls in DEFAULT_RULES)
 
 

@@ -320,3 +320,12 @@ class TestSpecAndEnv:
         run_experiment(CFG)  # no cache argument -> no cache traffic
         assert cache.stats.lookups == 1
         assert cache.get(CFG) == result
+
+
+def test_the_http_tier_overrides_only_byte_io():
+    """``ExperimentCache`` owns the contract — key derivation, the
+    stored-key check, the counters, verification sampling, the spec — and
+    the HTTP tier supplies only byte I/O."""
+    contract = {"get", "put", "should_verify", "record_verification",
+                "with_verify", "spec", "key_for"}
+    assert contract.isdisjoint(vars(HttpCache))
