@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Bytecode instructions per message (or per cache hit) of one
-smoke-size benchmark run.
+"""Bytecode instructions per message and per critical section (or per
+cache hit) of one smoke-size benchmark run.
 
     python scripts/opcode_census.py --workload fig4_single
     python scripts/opcode_census.py --workload reproduce_warm
@@ -10,14 +10,19 @@ smoke-size config, built by ``workloads.py`` itself, imported read-only)
 under ``sys.settrace`` with ``f_trace_opcodes`` and prints how many
 bytecode instructions the interpreter executed per sent message: in
 total, and for the twenty ``(file, function)`` pairs that executed the
-most.  ``reproduce_warm`` instead traces one smoke-size ``reproduce_all``
+most; a second total line divides by the critical sections completed.
+``reproduce_warm`` instead traces one smoke-size ``reproduce_all``
 against a temporary cache filled (untraced) beforehand, and divides by
 its cache hits.  A count, not a time: it repeats exactly (the call runs
 once untraced first, so one-off imports and memos are out of the
-census), it omits everything that happens inside C, and it weighs every
-instruction alike.  Use it to size a change to a hot path before timing
-it with ``scripts/paired_bench.py``; quote the interpreter version with
-the numbers, they differ between CPython releases.
+census), and it weighs every instruction alike.  It counts no work done
+inside C: building a frozen dataclass, for one, shows as a handful of
+instructions in the generated ``__init__``, but its five
+``object.__setattr__`` calls make it some thirty times as dear as a
+tuple, so a census alone under-sizes a per-object saving.  Use it to size a
+change to a hot path before timing it with ``scripts/paired_bench.py``;
+quote the interpreter version with the numbers, they differ between
+CPython releases.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k", "reproduce_warm")
 TOP = 20
 PACKAGE = ROOT / "src" / "repro"
 
-#: ``(messages or cache hits, {(file, function): instructions})``
+#: ``(cache hits, {(file, function): instructions})``
 Census = Tuple[int, Dict[Tuple[str, str], int]]
 
 
@@ -100,12 +105,13 @@ def _table(counts: Dict[CodeType, int]) -> Dict[Tuple[str, str], int]:
     return table
 
 
-def census(config: ExperimentConfig) -> Census:
-    """Messages sent by one ``run_experiment(config)`` and the
-    instructions it executed, per ``(file, function)``."""
+def census(config: ExperimentConfig) -> Tuple[int, int, Dict[Tuple[str, str], int]]:
+    """Messages sent and critical sections completed by one
+    ``run_experiment(config)``, and the instructions it executed, per
+    ``(file, function)``."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
     result, counts = count_opcodes(lambda: run_experiment(config, cache=None))
-    return result.total_messages, _table(counts)
+    return result.total_messages, result.cs_count, _table(counts)
 
 
 def warm_census(seed: int = 1) -> Census:
@@ -142,9 +148,15 @@ def ranked(table: Dict[Tuple[str, str], int]) -> List[Tuple[Tuple[str, str], int
     return sorted(table.items(), key=lambda item: (-item[1], item[0]))
 
 
-def render(workload: str, units: int, table: Dict[Tuple[str, str], int]) -> str:
+def render(
+    workload: str,
+    units: int,
+    table: Dict[Tuple[str, str], int],
+    cs: Optional[int] = None,
+) -> str:
     """The census table; ``units`` are cache hits for ``reproduce_warm``,
-    sent messages otherwise."""
+    sent messages otherwise.  ``cs``, the critical sections completed,
+    adds a line of instructions per CS."""
     total = sum(table.values())
     unit, per = (
         ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
@@ -155,6 +167,8 @@ def render(workload: str, units: int, table: Dict[Tuple[str, str], int]) -> str:
         f"{'instr/' + per:>10} {'share':>6}  file:function",
         f"{total / units:>10.1f} {1:>6.1%}  (all Python frames)",
     ]
+    if cs:
+        lines.append(f"{total / cs:>10.1f} {'':>6}  per CS ({cs} completed)")
     for (name, function), n in ranked(table)[:TOP]:
         lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
     return "\n".join(lines)
@@ -165,11 +179,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="fig4_single")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    cs = None
     if args.workload == "reproduce_warm":
         units, table = warm_census(args.seed)
     else:
-        units, table = census(smoke_config(args.workload, args.seed))
-    print(render(args.workload, units, table))
+        units, cs, table = census(smoke_config(args.workload, args.seed))
+    print(render(args.workload, units, table, cs))
     return 0
 
 

@@ -48,18 +48,23 @@ _EMPTY = SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 def summarize(values: Iterable[float]) -> SummaryStats:
     """Summary statistics of ``values`` (population std, like the paper's
-    measured σ over all observed CS entries)."""
-    arr = np.asarray(list(values), dtype=float)
+    measured σ over all observed CS entries).  An ndarray is read as it
+    is; any other iterable is listed first."""
+    arr = np.asarray(
+        values if isinstance(values, np.ndarray) else list(values),
+        dtype=float,
+    )
     if arr.size == 0:
         return _EMPTY
+    p50, p95 = np.percentile(arr, (50, 95)).tolist()
     return SummaryStats(
         count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std()),
         minimum=float(arr.min()),
         maximum=float(arr.max()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
+        p50=p50,
+        p95=p95,
     )
 
 

@@ -1,11 +1,12 @@
-"""Collection of per-CS records during a run.
+"""Collection of per-CS rows during a run.
 
 Two collectors share one interface: the exact :class:`MetricsCollector`
-keeps every :class:`~repro.metrics.records.CSRecord` (paper-scale runs,
-a few thousand records), and :class:`BoundedMetricsCollector` keeps
-O(cap) state for 1k-10k-node sweeps — exact streaming moments (count,
-mean, std, min, max, overall and per cluster) plus a uniform reservoir
-sample of records for the percentile and per-node views.  The experiment
+keeps every CS as five numbers, one column per
+:class:`~repro.metrics.records.CSRecord` field (paper-scale runs, a few
+thousand rows), and :class:`BoundedMetricsCollector` keeps O(cap) state
+for 1k-10k-node sweeps — exact streaming moments (count, mean, std, min,
+max, overall and per cluster) plus a uniform reservoir sample of rows
+for the percentile and per-node views.  The experiment
 runner switches to the bounded collector automatically above
 :data:`~repro.net.topology.LARGE_GRID_NODES` application processes.
 """
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import SummaryStats, jain_index, summarize
-from .records import CSRecord, RecoveryRecord
+from .records import CSRecord, RecoveryRecord, inconsistent_timestamps
 
 __all__ = ["MetricsCollector", "BoundedMetricsCollector"]
 
@@ -28,24 +29,82 @@ __all__ = ["MetricsCollector", "BoundedMetricsCollector"]
 #: as one scalar ``integers(0, high)`` call per bound, in order.
 _SLOT_BLOCK = 64
 
+#: ``(node, cluster, requested_at, granted_at, released_at)``, one
+#: sequence per :class:`~repro.metrics.records.CSRecord` field
+_Columns = Tuple[
+    Sequence[int], Sequence[int], Sequence[float], Sequence[float],
+    Sequence[float],
+]
+
+
+def _obtaining(columns: _Columns) -> np.ndarray:
+    """Obtaining times ``granted - requested``, the same IEEE operation
+    as :attr:`~repro.metrics.records.CSRecord.obtaining_time`."""
+    return np.asarray(columns[3], dtype=float) - np.asarray(
+        columns[2], dtype=float
+    )
+
+
+def _grouped(columns: _Columns, key: int) -> Dict[int, np.ndarray]:
+    """Obtaining times per value of column ``key`` (0: node, 1: cluster),
+    values ascending, in row order within a value (the order fixes the
+    rounding of a group's mean)."""
+    if not columns[key]:
+        return {}
+    keyed = np.asarray(columns[key])
+    order = np.argsort(keyed, kind="stable")
+    unique, starts = np.unique(keyed[order], return_index=True)
+    groups = np.split(_obtaining(columns)[order], starts[1:])
+    return dict(zip(unique.tolist(), groups))
+
 
 class MetricsCollector:
-    """Accumulates :class:`~repro.metrics.records.CSRecord` objects.
+    """Accumulates one row of five numbers per completed critical section.
 
-    Application processes push a record per completed CS; the experiment
-    layer reads the aggregations after the run.  The recovery layer
-    (:mod:`repro.core.recovery`) additionally pushes
+    Application processes push a row per completed CS through
+    :meth:`add_cs`; the experiment layer reads the aggregations after the
+    run.  A CS is stored as five appended numbers, one list per
+    :class:`~repro.metrics.records.CSRecord` field, and every summary is
+    computed from those columns: no per-CS object is built on the run
+    path.  :attr:`records` builds the records when it is read.  The
+    recovery layer (:mod:`repro.core.recovery`) additionally pushes
     :class:`~repro.metrics.records.RecoveryRecord` entries and per-kind
     retry counts; both stay empty on fault-free runs.
     """
 
     def __init__(self) -> None:
-        self.records: List[CSRecord] = []
+        self._node: List[int] = []
+        self._cluster: List[int] = []
+        self._requested: List[float] = []
+        self._granted: List[float] = []
+        self._released: List[float] = []
         self.recoveries: List[RecoveryRecord] = []
         self.retries: Dict[str, int] = defaultdict(int)
 
+    def add_cs(
+        self,
+        node: int,
+        cluster: int,
+        requested_at: float,
+        granted_at: float,
+        released_at: float,
+    ) -> None:
+        """Record one completed CS, refusing timestamps that
+        :class:`~repro.metrics.records.CSRecord` refuses (NaN included)."""
+        if not requested_at <= granted_at <= released_at:
+            raise inconsistent_timestamps(requested_at, granted_at, released_at)
+        self._node.append(node)
+        self._cluster.append(cluster)
+        self._requested.append(requested_at)
+        self._granted.append(granted_at)
+        self._released.append(released_at)
+
     def add(self, record: CSRecord) -> None:
-        self.records.append(record)
+        """Record one completed CS given as a record (see :meth:`add_cs`)."""
+        self.add_cs(
+            record.node, record.cluster, record.requested_at,
+            record.granted_at, record.released_at,
+        )
 
     def add_recovery(self, record: RecoveryRecord) -> None:
         self.recoveries.append(record)
@@ -56,34 +115,47 @@ class MetricsCollector:
         self.retries[kind] += 1
 
     # ------------------------------------------------------------------ #
+    def _columns(self) -> _Columns:
+        """The stored rows as five parallel columns, in insertion order."""
+        return (
+            self._node, self._cluster, self._requested, self._granted,
+            self._released,
+        )
+
+    @property
+    def records(self) -> List[CSRecord]:
+        """The stored rows as :class:`~repro.metrics.records.CSRecord`
+        objects, built on each read."""
+        return [CSRecord(*row) for row in zip(*self._columns())]
+
     @property
     def cs_count(self) -> int:
-        return len(self.records)
+        return len(self._node)
 
     def obtaining_times(self) -> List[float]:
-        return [r.obtaining_time for r in self.records]
+        _, _, requested, granted, _ = self._columns()
+        return [g - r for r, g in zip(requested, granted)]
 
     def obtaining_stats(self) -> SummaryStats:
         """The paper's headline metric over the whole run."""
-        return summarize(self.obtaining_times())
+        return summarize(_obtaining(self._columns()))
 
     def by_cluster(self) -> Dict[int, SummaryStats]:
         """Obtaining time summary per cluster — used to study how latency
         heterogeneity spreads the per-cluster experience (§4.5)."""
-        groups: Dict[int, List[float]] = defaultdict(list)
-        for r in self.records:
-            groups[r.cluster].append(r.obtaining_time)
-        return {ci: summarize(v) for ci, v in sorted(groups.items())}
+        return {
+            ci: summarize(v) for ci, v in _grouped(self._columns(), 1).items()
+        }
 
     def by_node(self) -> Dict[int, SummaryStats]:
-        groups: Dict[int, List[float]] = defaultdict(list)
-        for r in self.records:
-            groups[r.node].append(r.obtaining_time)
-        return {node: summarize(v) for node, v in sorted(groups.items())}
+        return {
+            node: summarize(v)
+            for node, v in _grouped(self._columns(), 0).items()
+        }
 
     def completion_time(self) -> float:
         """Simulated time of the last CS release (0 when empty)."""
-        return max((r.released_at for r in self.records), default=0.0)
+        return max(self._columns()[4], default=0.0)
 
     def recovery_times(self) -> List[float]:
         return [r.recovery_time for r in self.recoveries]
@@ -154,7 +226,7 @@ class BoundedMetricsCollector(MetricsCollector):
     cluster — are **exact** (streaming moments; population std like
     :func:`~repro.metrics.analysis.summarize`).  Percentiles and the
     per-node views (``by_node``, ``fairness``, ``obtaining_times``) are
-    computed over a uniform reservoir sample of ``max_records`` records
+    computed over a uniform reservoir sample of ``max_records`` rows
     (Vitter's algorithm R), so they are deterministic for a given seed
     and insertion order but approximate once the run exceeds the cap.
     The reservoir RNG is an explicit private generator: it never touches
@@ -168,25 +240,38 @@ class BoundedMetricsCollector(MetricsCollector):
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.max_records = int(max_records)
         self._rng = np.random.default_rng(seed ^ 0x5EED_CA9)
+        #: the reservoir: one ``(node, cluster, requested_at, granted_at,
+        #: released_at)`` row per sampled CS
+        self._rows: List[Tuple[int, int, float, float, float]] = []
         #: block-drawn reservoir slots, reversed (``pop()`` is the next)
         self._slots: List[int] = []
         self._all = _Moments()
         self._clusters: Dict[int, _Moments] = {}
         self._last_release = 0.0
 
-    def add(self, record: CSRecord) -> None:
-        t = record.obtaining_time
+    def add_cs(
+        self,
+        node: int,
+        cluster: int,
+        requested_at: float,
+        granted_at: float,
+        released_at: float,
+    ) -> None:
+        if not requested_at <= granted_at <= released_at:
+            raise inconsistent_timestamps(requested_at, granted_at, released_at)
+        t = granted_at - requested_at
         self._all.add(t)
-        cluster = self._clusters.get(record.cluster)
-        if cluster is None:
-            cluster = self._clusters[record.cluster] = _Moments()
-        cluster.add(t)
-        if record.released_at > self._last_release:
-            self._last_release = record.released_at
-        records = self.records
-        seen = self._all.n - 1  # records seen before this one
+        moments = self._clusters.get(cluster)
+        if moments is None:
+            moments = self._clusters[cluster] = _Moments()
+        moments.add(t)
+        if released_at > self._last_release:
+            self._last_release = released_at
+        row = (node, cluster, requested_at, granted_at, released_at)
+        rows = self._rows
+        seen = self._all.n - 1  # rows seen before this one
         if seen < self.max_records:
-            records.append(record)
+            rows.append(row)
             return
         slots = self._slots
         if not slots:
@@ -194,7 +279,13 @@ class BoundedMetricsCollector(MetricsCollector):
             slots.extend(self._rng.integers(0, highs)[::-1].tolist())
         j = slots.pop()
         if j < self.max_records:
-            records[j] = record
+            rows[j] = row
+
+    def _columns(self) -> _Columns:
+        if not self._rows:
+            return (), (), (), (), ()
+        node, cluster, requested, granted, released = zip(*self._rows)
+        return node, cluster, requested, granted, released
 
     @property
     def cs_count(self) -> int:
@@ -203,25 +294,16 @@ class BoundedMetricsCollector(MetricsCollector):
     def obtaining_stats(self) -> SummaryStats:
         if self._all.n == 0:
             return summarize(())
-        sample = np.asarray(
-            [r.obtaining_time for r in self.records], dtype=float
-        )
-        return self._all.stats(
-            p50=float(np.percentile(sample, 50)),
-            p95=float(np.percentile(sample, 95)),
-        )
+        p50, p95 = np.percentile(_obtaining(self._columns()), (50, 95)).tolist()
+        return self._all.stats(p50=p50, p95=p95)
 
     def by_cluster(self) -> Dict[int, SummaryStats]:
-        groups: Dict[int, List[float]] = defaultdict(list)
-        for r in self.records:
-            groups[r.cluster].append(r.obtaining_time)
+        sampled = _grouped(self._columns(), 1)
         out: Dict[int, SummaryStats] = {}
         for ci, moments in sorted(self._clusters.items()):
-            sampled = groups.get(ci)
-            if sampled:
-                arr = np.asarray(sampled, dtype=float)
-                p50 = float(np.percentile(arr, 50))
-                p95 = float(np.percentile(arr, 95))
+            sample = sampled.get(ci)
+            if sample is not None:
+                p50, p95 = np.percentile(sample, (50, 95)).tolist()
             else:  # cluster fell out of the reservoir: mean as fallback
                 p50 = p95 = moments.total / moments.n
             out[ci] = moments.stats(p50=p50, p95=p95)

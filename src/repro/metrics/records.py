@@ -34,10 +34,19 @@ class CSRecord:
         if not (
             self.requested_at <= self.granted_at <= self.released_at
         ):
-            raise ValueError(
-                f"inconsistent CS timestamps: req={self.requested_at} "
-                f"grant={self.granted_at} rel={self.released_at}"
+            raise inconsistent_timestamps(
+                self.requested_at, self.granted_at, self.released_at
             )
+
+
+def inconsistent_timestamps(
+    requested_at: float, granted_at: float, released_at: float
+) -> ValueError:
+    """The error for a CS whose timestamps are out of order (or NaN)."""
+    return ValueError(
+        f"inconsistent CS timestamps: req={requested_at} "
+        f"grant={granted_at} rel={released_at}"
+    )
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,15 @@ drawn (so processes do not all request at t=0 unless asked to).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
-from ..metrics.records import CSRecord
 from ..mutex.base import MutexPeer
 from ..sim.event import Event, EventHandle
 from ..sim.process import Process, stream_label
+from .behavior import require_positive
 
 __all__ = ["ApplicationProcess"]
 
@@ -75,16 +76,21 @@ class ApplicationProcess(Process):
         on_done=None,
     ) -> None:
         super().__init__(peer.sim, _name(peer.node))
-        if alpha_ms <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {alpha_ms}")
-        if beta_ms < 0:
-            raise ConfigurationError(f"beta must be >= 0, got {beta_ms}")
+        require_positive("alpha_ms", alpha_ms)
+        if not 0 <= beta_ms < math.inf:
+            raise ConfigurationError(
+                f"beta_ms must be finite and >= 0, got {beta_ms!r}"
+            )
         if n_cs < 0:
             raise ConfigurationError(f"n_cs must be >= 0, got {n_cs}")
         if distribution not in _DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown distribution {distribution!r}; "
                 f"choose from {_DISTRIBUTIONS}"
+            )
+        if first_request_at is not None and not math.isfinite(first_request_at):
+            raise ConfigurationError(
+                f"first_request_at must be finite, got {first_request_at!r}"
             )
         sim = self.sim
         start = (
@@ -188,14 +194,9 @@ class ApplicationProcess(Process):
         assert self._requested_at is not None and self._granted_at is not None
         sim = self.sim
         self.peer.release_cs()
-        self.collector.add(
-            CSRecord(
-                node=self.peer.node,
-                cluster=self.cluster,
-                requested_at=self._requested_at,
-                granted_at=self._granted_at,
-                released_at=sim._now,
-            )
+        self.collector.add_cs(
+            self.peer.node, self.cluster, self._requested_at,
+            self._granted_at, sim._now,
         )
         self._requested_at = None
         self._granted_at = None

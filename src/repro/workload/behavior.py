@@ -20,6 +20,7 @@ The paper classifies applications against the total process count ``N``:
 from __future__ import annotations
 
 import enum
+import math
 
 from ..errors import ConfigurationError
 
@@ -49,10 +50,18 @@ class ParallelismLevel(enum.Enum):
     HIGH = "high"
 
 
+def require_positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is finite and positive (NaN and
+    infinity included), naming the parameter."""
+    if not 0 < value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be finite and positive, got {value!r}"
+        )
+
+
 def classify_rho(rho: float, n_processes: int) -> ParallelismLevel:
     """Classify ``ρ`` against ``N`` total application processes."""
-    if rho <= 0:
-        raise ConfigurationError(f"rho must be positive, got {rho}")
+    require_positive("rho", rho)
     if n_processes <= 0:
         raise ConfigurationError(f"n_processes must be positive, got {n_processes}")
     if rho <= n_processes:
@@ -64,8 +73,6 @@ def classify_rho(rho: float, n_processes: int) -> ParallelismLevel:
 
 def beta_for_rho(rho: float, alpha_ms: float) -> float:
     """Mean think time β (ms) realising a given ρ at CS duration α."""
-    if rho <= 0 or alpha_ms <= 0:
-        raise ConfigurationError(
-            f"rho and alpha must be positive (rho={rho}, alpha={alpha_ms})"
-        )
+    require_positive("rho", rho)
+    require_positive("alpha_ms", alpha_ms)
     return rho * alpha_ms

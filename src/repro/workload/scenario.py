@@ -8,7 +8,7 @@ from ..core.composition import MutexSystem
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
 from .application import ApplicationProcess
-from .behavior import beta_for_rho
+from .behavior import beta_for_rho, require_positive
 
 __all__ = ["deploy_workload", "deploy_hotspot_workload"]
 
@@ -32,6 +32,8 @@ def deploy_workload(
     """
     if not system.app_nodes:
         raise ConfigurationError("system has no application nodes")
+    require_positive("alpha_ms", alpha_ms)
+    require_positive("rho", rho)
     if rho_by_cluster:
         unknown = [
             ci for ci in rho_by_cluster
@@ -41,6 +43,8 @@ def deploy_workload(
             raise ConfigurationError(
                 f"rho_by_cluster names unknown clusters {unknown}"
             )
+        for ci, cluster_rho in rho_by_cluster.items():
+            require_positive(f"rho_by_cluster[{ci}]", cluster_rho)
     if collector is None:
         collector = MetricsCollector()
     # Every think stream in one derivation; each process finds its own

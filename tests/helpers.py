@@ -55,6 +55,13 @@ def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: 
     sim._seq += 1
 
 
+#: Events one :meth:`PeerDriver.run` may fire: over a hundred times what
+#: the longest terminating schedule of the suite fires (806 when the bound
+#: was set), so reaching it with events still due means the schedule does
+#: not end.
+MAX_EVENTS = 100_000
+
+
 class PeerDriver:
     """Hosts ``n`` peers of one algorithm on a flat single-cluster network.
 
@@ -84,7 +91,12 @@ class PeerDriver:
             fifo=fifo,
             faults=faults,
         )
+        self.algorithm = algorithm
+        self.n = n
+        self.seed = seed
         self.cs_time = cs_time
+        #: ``(node, times, think, at)`` of every scripted request or cycle
+        self.script: List[Tuple[int, int, float, float]] = []
         self.safety = MutualExclusionChecker.for_port(self.sim.trace, PORT)
         self.liveness = LivenessChecker(self.sim.trace)
         info = get_algorithm(algorithm)
@@ -122,6 +134,7 @@ class PeerDriver:
     # ------------------------------------------------------------------ #
     def request(self, node: int, at: float = 0.0) -> None:
         """Schedule a single CS request by ``node`` at absolute time ``at``."""
+        self.script.append((node, 1, 0.0, at))
         self.sim.schedule_at(at, self.peers[node].request_cs)
 
     def cycle(self, node: int, times: int, think: float = 0.0, at: float = 0.0) -> None:
@@ -130,10 +143,28 @@ class PeerDriver:
             return
         self._cycles[node] = times - 1
         self._think[node] = think
-        self.request(node, at)
+        self.script.append((node, times, think, at))
+        self.sim.schedule_at(at, self.peers[node].request_cs)
 
-    def run(self, until: Optional[float] = None) -> "PeerDriver":
-        self.sim.run(until=until)
+    def run(
+        self, until: Optional[float] = None, max_events: int = MAX_EVENTS
+    ) -> "PeerDriver":
+        """Run to quiescence (or ``until``); fail, naming the schedule, if
+        ``max_events`` fire with events still due — a livelock fails in
+        about a second instead of hanging the suite."""
+        sim = self.sim
+        before = sim.events_fired
+        sim.run(until=until, max_events=max_events)
+        due = sim._peek()
+        if sim.events_fired - before >= max_events and due is not None and (
+            until is None or due <= until
+        ):
+            raise AssertionError(
+                f"{self.algorithm} n={self.n} seed={self.seed} "
+                f"cs_time={self.cs_time}: {max_events} events fired and "
+                f"more are due at t={due}; scripted (node, times, think, at): "
+                f"{self.script}"
+            )
         return self
 
     # ------------------------------------------------------------------ #

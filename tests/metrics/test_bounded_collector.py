@@ -114,37 +114,40 @@ def test_rejects_nonpositive_cap():
 
 class _ScalarReservoir(BoundedMetricsCollector):
     """The reservoir as it was before slots were block-drawn: one scalar
-    ``integers`` call per record past the cap.  The oracle of the block
+    ``integers`` call per row past the cap.  The oracle of the block
     draw."""
 
-    def add(self, record):
-        t = record.obtaining_time
+    def add_cs(self, node, cluster, requested_at, granted_at, released_at):
+        t = granted_at - requested_at
         self._all.add(t)
-        cluster = self._clusters.get(record.cluster)
-        if cluster is None:
-            cluster = self._clusters[record.cluster] = _Moments()
-        cluster.add(t)
-        if record.released_at > self._last_release:
-            self._last_release = record.released_at
-        records = self.records
-        seen = self._all.n - 1  # records seen before this one
+        moments = self._clusters.get(cluster)
+        if moments is None:
+            moments = self._clusters[cluster] = _Moments()
+        moments.add(t)
+        if released_at > self._last_release:
+            self._last_release = released_at
+        row = (node, cluster, requested_at, granted_at, released_at)
+        rows = self._rows
+        seen = self._all.n - 1  # rows seen before this one
         if seen < self.max_records:
-            records.append(record)
+            rows.append(row)
         else:
             j = int(self._rng.integers(0, seen + 1))
             if j < self.max_records:
-                records[j] = record
+                rows[j] = row
 
 
 @pytest.mark.parametrize("cap", [1, 7, 64, 8192])
 @pytest.mark.parametrize("past", [0, 1, 63, 64, 65, 128, 129, 200])
 def test_block_drawn_slots_match_scalar_draws(cap, past):
     records = _records(cap + past, seed=cap + past)
+    # Every row is distinct, so equal reservoirs hold the same rows in
+    # the same slots.
+    assert len({r.requested_at for r in records}) == len(records)
     block = _fill(BoundedMetricsCollector(max_records=cap, seed=5), records)
     scalar = _fill(_ScalarReservoir(max_records=cap, seed=5), records)
-    assert len(block.records) == len(scalar.records)
-    for a, b in zip(block.records, scalar.records):
-        assert a is b
+    assert len(block._rows) == cap
+    assert block._rows == scalar._rows
 
 
 #: p50 / p95 of a 20 000-record run past the default 8 192 cap, overall

@@ -1,6 +1,7 @@
 """``scripts/opcode_census.py`` counts, it does not time: the same config
 gives the same instruction counts every time, and on the composition
-workload the function that executes the most is ``Network.send``.  The
+workload the function that executes the most is ``Network.send``, and a
+completed critical section builds no record object.  The
 same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
 census shows each sweep config's key rendered from the class plan, each
@@ -24,17 +25,24 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
     config = opcode_census.smoke_config("fig4_single")
-    messages, table = opcode_census.census(config)
-    assert (messages, table) == opcode_census.census(config)
-    assert messages > 0 and all(table.values())
+    messages, cs, table = opcode_census.census(config)
+    assert (messages, cs, table) == opcode_census.census(config)
+    assert messages > 0 and cs > 0 and all(table.values())
     assert opcode_census.ranked(table)[0][0] == ("net/network.py", "send")
     # Only Tracer.emit builds a TraceRecord, so no emit row means no record
     # built (__getattr__ is the record's field read).
     assert ("sim/trace.py", "emit") not in table
     assert ("sim/trace.py", "__getattr__") not in table
     assert [row for row in table if row[0].startswith("obs/")] == []
-    report = opcode_census.render("fig4_single", messages, table)
-    assert len(report.splitlines()) == 3 + opcode_census.TOP
+    # A completed CS builds no record object: it is five appended numbers.
+    assert ("metrics/collector.py", "add_cs") in table
+    assert ("metrics/records.py", "__post_init__") not in table
+    assert ("metrics/collector.py", "add") not in table
+    report = opcode_census.render("fig4_single", messages, table, cs)
+    assert len(report.splitlines()) == 4 + opcode_census.TOP
+    per_cs = report.splitlines()[3].split()
+    assert float(per_cs[0]) == round(sum(table.values()) / cs, 1)
+    assert per_cs[1:] == ["per", "CS", f"({cs}", "completed)"]
 
 
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():

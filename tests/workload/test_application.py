@@ -114,6 +114,41 @@ def test_parameter_validation():
                            collector=collector, distribution="weird")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha_ms", NAN), ("alpha_ms", INF), ("beta_ms", NAN), ("beta_ms", INF),
+    ("first_request_at", NAN), ("first_request_at", INF),
+])
+def test_non_finite_parameters_are_refused_up_front(field, value):
+    # A NaN used to pass the sign checks and end the run mid-way in
+    # "inconsistent CS timestamps"; an infinite think time reached the
+    # deadline with no CS done and nothing raised.
+    sim, topo, comp = single_cluster_system(n_apps=1)
+    kwargs = dict(cluster=0, alpha_ms=1.0, beta_ms=1.0, n_cs=1,
+                  collector=MetricsCollector())
+    kwargs[field] = value
+    with pytest.raises(ConfigurationError, match=rf"{field} .*got {value}"):
+        ApplicationProcess(comp.peer_for(1), **kwargs)
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("field, value, kwargs", [
+    ("rho", NAN, {"rho": NAN}),
+    ("rho", INF, {"rho": INF}),
+    ("alpha_ms", NAN, {"alpha_ms": NAN}),
+    (r"rho_by_cluster\[0\]", NAN, {"rho_by_cluster": {0: NAN}}),
+    (r"rho_by_cluster\[0\]", -1.0, {"rho_by_cluster": {0: -1.0}}),
+])
+def test_deploy_workload_refuses_non_finite_rates(field, value, kwargs):
+    sim, topo, comp = single_cluster_system(n_apps=2)
+    args = {"alpha_ms": 1.0, "rho": 2.0, "n_cs": 2, **kwargs}
+    with pytest.raises(ConfigurationError, match=rf"{field} .*got {value}"):
+        deploy_workload(comp, **args)
+    assert sim.pending == 0
+
+
 def test_deploy_workload_covers_all_app_nodes():
     sim, topo, comp = single_cluster_system(n_apps=3)
     apps, collector = deploy_workload(

@@ -45,6 +45,18 @@ def test_beta_for_rho():
         beta_for_rho(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rho_and_alpha_are_refused(bad):
+    # NaN used to pass every comparison-based check: beta_for_rho
+    # returned nan or inf and classify_rho(nan) said HIGH.
+    with pytest.raises(ConfigurationError, match=rf"rho .*got {bad}"):
+        beta_for_rho(bad, 10.0)
+    with pytest.raises(ConfigurationError, match=rf"alpha_ms .*got {bad}"):
+        beta_for_rho(1.0, bad)
+    with pytest.raises(ConfigurationError, match=rf"rho .*got {bad}"):
+        classify_rho(bad, 10)
+
+
 def test_grid_covers_all_three_levels():
     n = 100
     levels = {classify_rho(x * n, n) for x in PAPER_RHO_OVER_N_GRID}
