@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Bytecode instructions per message and per critical section (or per
-cache hit) of one smoke-size benchmark run.
+cache hit) of one smoke-size benchmark run, and its calendar operations.
 
     python scripts/opcode_census.py --workload fig4_single
     python scripts/opcode_census.py --workload reproduce_warm
@@ -19,10 +19,18 @@ census), and it weighs every instruction alike.  It counts no work done
 inside C: building a frozen dataclass, for one, shows as a handful of
 instructions in the generated ``__init__``, but its five
 ``object.__setattr__`` calls make it some thirty times as dear as a
-tuple, so a census alone under-sizes a per-object saving.  Use it to size a
-change to a hot path before timing it with ``scripts/paired_bench.py``;
-quote the interpreter version with the numbers, they differ between
-CPython releases.
+tuple, so a census alone under-sizes a per-object saving.
+
+The kernel's calendar is the same kind of cost: a ``heappush`` or
+``heappop`` is one instruction here, but inside it the heap compares
+``(time, seq)`` tuples, about log2(pending) of them per call, all in
+C.  So the simulating workloads also count, through ``sys.setprofile``
+``c_call`` events, how many times those two were called per message
+and per CS: a change that puts fewer entries on the calendar shows
+there, and may add instructions while it saves time.  Use the census to
+size a change to a hot path before timing it with
+``scripts/paired_bench.py``; quote the interpreter version with the
+numbers, they differ between CPython releases.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from heapq import heappop, heappush
 from pathlib import Path
 from types import CodeType, FrameType
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -56,6 +65,8 @@ PACKAGE = ROOT / "src" / "repro"
 
 #: ``(cache hits, {(file, function): instructions})``
 Census = Tuple[int, Dict[Tuple[str, str], int]]
+#: The calendar operations counted, by name.
+HEAP_CALLS = ("heappush", "heappop")
 
 
 def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
@@ -63,10 +74,21 @@ def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
     return _single_config(workload, seed, True)
 
 
-def count_opcodes(call: Callable[[], Any]) -> Tuple[Any, Dict[CodeType, int]]:
+def count_opcodes(
+    call: Callable[[], Any],
+) -> Tuple[Any, Dict[CodeType, int], Dict[str, int]]:
     """Run ``call()`` and count the instructions of every Python frame
-    it enters, per code object."""
+    it enters, per code object, and its calls of ``heappush`` and
+    ``heappop`` (C functions: a ``c_call`` profile event each)."""
     counts: Dict[CodeType, int] = {}
+    heap = dict.fromkeys(HEAP_CALLS, 0)
+
+    def profile(frame: FrameType, event: str, arg: Any) -> None:
+        if event == "c_call":
+            if arg is heappush:
+                heap["heappush"] += 1
+            elif arg is heappop:
+                heap["heappop"] += 1
 
     def local(frame: FrameType, event: str, arg: Any) -> Any:
         if event == "opcode":
@@ -79,13 +101,15 @@ def count_opcodes(call: Callable[[], Any]) -> Tuple[Any, Dict[CodeType, int]]:
         frame.f_trace_lines = False
         return local
 
-    previous = sys.gettrace()
+    previous, previous_profile = sys.gettrace(), sys.getprofile()
     sys.settrace(on_call)
+    sys.setprofile(profile)
     try:
         result = call()
     finally:
+        sys.setprofile(previous_profile)
         sys.settrace(previous)
-    return result, counts
+    return result, counts, heap
 
 
 def _where(code: CodeType) -> Tuple[str, str]:
@@ -105,13 +129,17 @@ def _table(counts: Dict[CodeType, int]) -> Dict[Tuple[str, str], int]:
     return table
 
 
-def census(config: ExperimentConfig) -> Tuple[int, int, Dict[Tuple[str, str], int]]:
+def census(
+    config: ExperimentConfig,
+) -> Tuple[int, int, Dict[Tuple[str, str], int], Dict[str, int]]:
     """Messages sent and critical sections completed by one
-    ``run_experiment(config)``, and the instructions it executed, per
-    ``(file, function)``."""
+    ``run_experiment(config)``, the instructions it executed, per
+    ``(file, function)``, and its ``heappush`` / ``heappop`` calls."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
-    result, counts = count_opcodes(lambda: run_experiment(config, cache=None))
-    return result.total_messages, result.cs_count, _table(counts)
+    result, counts, heap = count_opcodes(
+        lambda: run_experiment(config, cache=None)
+    )
+    return result.total_messages, result.cs_count, _table(counts), heap
 
 
 def warm_census(seed: int = 1) -> Census:
@@ -137,7 +165,7 @@ def warm_census(seed: int = 1) -> Census:
             shutdown_warm_pool()
         call()  # imports, memos: not the pass's cost
         try:
-            hits, counts = count_opcodes(call)
+            hits, counts, _heap = count_opcodes(call)
         finally:
             clear_sweep_memo()
     return hits, _table(counts)
@@ -153,10 +181,12 @@ def render(
     units: int,
     table: Dict[Tuple[str, str], int],
     cs: Optional[int] = None,
+    heap: Optional[Dict[str, int]] = None,
 ) -> str:
     """The census table; ``units`` are cache hits for ``reproduce_warm``,
     sent messages otherwise.  ``cs``, the critical sections completed,
-    adds a line of instructions per CS."""
+    adds a line of instructions per CS; ``heap``, the calendar
+    operations, one line per operation, per unit and per CS."""
     total = sum(table.values())
     unit, per = (
         ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
@@ -169,6 +199,9 @@ def render(
     ]
     if cs:
         lines.append(f"{total / cs:>10.1f} {'':>6}  per CS ({cs} completed)")
+    for name, n in (heap or {}).items():
+        per_cs = f", {n / cs:.1f} per CS" if cs else ""
+        lines.append(f"{n / units:>10.2f} {'':>6}  {name} calls ({n}{per_cs})")
     for (name, function), n in ranked(table)[:TOP]:
         lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
     return "\n".join(lines)
@@ -179,12 +212,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="fig4_single")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    cs = None
+    cs = heap = None
     if args.workload == "reproduce_warm":
         units, table = warm_census(args.seed)
     else:
-        units, cs, table = census(smoke_config(args.workload, args.seed))
-    print(render(args.workload, units, table, cs))
+        units, cs, table, heap = census(smoke_config(args.workload, args.seed))
+    print(render(args.workload, units, table, cs, heap))
     return 0
 
 

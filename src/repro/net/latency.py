@@ -20,10 +20,16 @@ construction time everything the per-call path would otherwise redo:
   call combined), read through the topology's dense node -> cluster map;
 * the jitter constants: ``sigma`` and the lognormal ``mean = -sigma²/2``
   that keeps the jitter factor mean-1.
+
+Every delay and jitter is checked once, at construction: a negative,
+NaN or infinite one is a :class:`~repro.errors.NetworkError` naming the
+value (a NaN passes every ``< 0`` test and would reach the kernel as a
+due time no comparison orders).
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import List, Sequence
 
@@ -46,6 +52,12 @@ __all__ = [
 LOCAL_DELIVERY_MS = 0.001
 
 
+def _require_delay(name: str, value: float) -> None:
+    """Refuse a delay or jitter that is negative, NaN or infinite."""
+    if not 0 <= value < math.inf:
+        raise NetworkError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 class LatencyModel(ABC):
     """Maps a directed node pair to a one-way delay (ms)."""
 
@@ -56,6 +68,7 @@ class LatencyModel(ABC):
 
     def _init_jitter(self, jitter: float) -> None:
         """Hoist the per-call jitter constants into construction."""
+        _require_delay("jitter", jitter)
         self.jitter = float(jitter)
         self._sigma = self.jitter
         # sigma chosen so std of the factor ~= jitter for small jitter;
@@ -85,8 +98,7 @@ class ConstantLatency(LatencyModel):
     """
 
     def __init__(self, delay_ms: float, jitter: float = 0.0) -> None:
-        if delay_ms < 0:
-            raise NetworkError(f"negative latency {delay_ms}")
+        _require_delay("delay_ms", delay_ms)
         self.delay_ms = float(delay_ms)
         self._init_jitter(jitter)
 
@@ -141,8 +153,8 @@ class TwoTierLatency(_TableLatency):
         wan_ms: float = 10.0,
         jitter: float = 0.0,
     ) -> None:
-        if lan_ms < 0 or wan_ms < 0:
-            raise NetworkError("latencies must be non-negative")
+        _require_delay("lan_ms", lan_ms)
+        _require_delay("wan_ms", wan_ms)
         if wan_ms < lan_ms:
             raise NetworkError(
                 f"WAN latency ({wan_ms}) below LAN latency ({lan_ms}) "
@@ -190,8 +202,13 @@ class MatrixLatency(_TableLatency):
                 f"RTT matrix is {matrix.shape[0]}x{matrix.shape[0]} but the "
                 f"topology has {topology.n_clusters} clusters"
             )
-        if np.any(matrix < 0):
-            raise NetworkError("RTT matrix has negative entries")
+        bad = np.argwhere(~((matrix >= 0) & (matrix < np.inf)))
+        if len(bad):
+            i, j = bad[0]
+            raise NetworkError(
+                f"RTT matrix entry [{i}, {j}] must be finite and >= 0, "
+                f"got {float(matrix[i, j])!r}"
+            )
         self.topology = topology
         self.rtt_ms = matrix
         self._one_way = matrix / 2.0

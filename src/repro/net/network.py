@@ -30,8 +30,9 @@ the broadcast primitive on top: one call, per-destination messages, the
 per-broadcast work hoisted out of the loop.
 
 The fused path pushes *bare* calendar entries
-(:data:`~repro.sim.kernel.HeapEntry`): one tuple per message, no
-``Event``.  Normally that is ``(due, seq, _deliver, (msg,))`` and
+(:data:`~repro.sim.kernel.HeapEntry`): one tuple per message (per
+group of same-due messages, for ``multicast``: below), no ``Event``.
+For ``send`` that is normally ``(due, seq, _deliver, (msg,))`` and
 :meth:`Network._deliver` looks the handler up when the message arrives.
 **Direct dispatch** skips that hop too: when the destination registered
 an owner and a kind table (``register(..., owner=, table=)``, which is
@@ -62,17 +63,31 @@ network leaves plain mode or a ``deliver`` subscriber appears.  A
 message to an address unregistered in flight is therefore still dropped
 on arrival, a wrapper installed in flight still sees it, and a crash
 controller assigned in flight still loses it.
+
+A fused :meth:`Network.multicast` goes one step further: consecutive
+destinations with the same due time share **one** bare entry, a
+*group* ``(due, seq, _fan, (msgs, seq))`` keyed by its first member.
+The kernel ``seq`` still advances once per message, so the members'
+keys ``seq, seq + 1, …`` are what per-message entries would have had
+and nothing else can sort between them.  :meth:`Network._fan` hands
+the members over in send order and routes each one *on arrival*, as
+``_deliver`` does — direct while :attr:`_direct` holds and the address
+has the kind in its table, through ``_deliver`` otherwise — so a group
+needs no rewriting when any of the above changes in flight.  A
+``stop()`` or an exception in a member's handler puts the rest back
+under the next member's key.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
+from operator import length_hint
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
 )
 
-from ..errors import NetworkError, SimulationError
-from ..sim.kernel import HeapEntry, Simulator, _mix64
+from ..errors import NetworkError
+from ..sim.kernel import HeapEntry, Simulator, _mix64, _time_error
 from .faults import CrashController, FaultInjector
 from .latency import LOCAL_DELIVERY_MS, LatencyModel, _TableLatency
 from .message import DEFAULT_MESSAGE_SIZE, Message
@@ -90,6 +105,9 @@ KindTable = Dict[str, Callable[..., Any]]
 Route = Tuple[Handler, Any, KindTable]
 _NO_TABLE: KindTable = {}  # shared, never written
 _NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
+#: The route of a group member that must take the ``_deliver`` hop: its
+#: empty table sends every kind there (the handler is never called).
+_HOP: Route = (lambda _msg: None, None, _NO_TABLE)
 
 
 class Network:
@@ -160,6 +178,10 @@ class Network:
             self._lat_ctab = latency._cluster_table
         # Bound once: one method object per message otherwise.
         self._deliver_cb = self._deliver
+        self._fan_cb = self._fan
+        # The members of the group `_fan` is handing over that it has
+        # not reached yet (an iterator; see `delivered`).
+        self._fanning: Optional[Iterator[Message]] = None
         # Gates of the fused path, kept as plain attributes: `_resolve`
         # and the tracer's change hook re-derive them.
         self._direct = False
@@ -226,15 +248,23 @@ class Network:
         lost with a crashed destination, dropped at an address
         unregistered in flight, or still in the calendar — so this is
         the scheduled count minus the other three, read off the calendar
-        at call time; nothing is counted per delivery.  Under a delivery
-        interceptor a captured message counts as delivered.
+        at call time (a group entry counts its members, and a group
+        being handed over its members not reached yet); nothing is
+        counted per delivery.  Under a delivery interceptor a captured
+        message counts as delivered.
         """
-        deliver = self._deliver_cb
+        deliver, fan = self._deliver_cb, self._fan_cb
         pending = sum(1 for _ in self._direct_entries())
         for entry in self.sim._heap:
-            fn = entry[2] if entry[3] is not None else entry[2].callback
-            if fn is deliver:
+            args = entry[3]
+            if args is None:  # an Event entry: the general path's
+                pending += entry[2].callback is deliver
+            elif entry[2] is deliver:
                 pending += 1
+            elif entry[2] is fan:
+                pending += len(args[0])
+        if self._fanning is not None:
+            pending += length_hint(self._fanning)
         return self._seq - pending - self._lost - self._unrouted
 
     @property
@@ -303,12 +333,12 @@ class Network:
             self._undirect(owner)
 
     def close(self) -> None:
-        """End of a run: drop every handler, the bound delivery callback
+        """End of a run: drop every handler, the bound delivery callbacks
         and the tracer's hook, the references that tie the network and
         its agents into cycles.  Nothing can be sent afterwards."""
         self._routes.clear()
         self.sim.trace.remove_change_hook(self._resolve)
-        self._deliver_cb = None
+        self._deliver_cb = self._fan_cb = None
 
     def wrap_handler(
         self, node: int, port: str, wrap: Callable[[Handler], Handler]
@@ -430,10 +460,8 @@ class Network:
                         mean=latency._lognorm_mean, sigma=sigma
                     ))
             due = now + delay
-            if due < now:
-                raise SimulationError(
-                    f"cannot schedule into the past (t={due} < now={now})"
-                )
+            if not due >= now:  # NaN too
+                raise _time_error(due, now)
             seq = sim._seq
             if sim._tie_salt is not None:
                 seq = _mix64(seq ^ sim._tie_salt)
@@ -493,14 +521,16 @@ class Network:
     ) -> None:
         """Send ``kind`` to every node of ``dsts`` other than ``src``.
 
-        Exactly the loop of :meth:`send` calls it replaces — one message
-        and one kernel event per destination, each with its own copy of
-        ``payload``, the same partial state if a destination has no
-        handler — with the per-broadcast work (source check, clock,
-        latency row, statistics row, queue push) done once.  Whenever
-        something could observe a message boundary (a ``send``
-        subscriber, jitter, a tie salt, any feature that takes
-        :meth:`send` off the fused path) it *is* that loop.
+        Exactly the loop of :meth:`send` calls it replaces — one message,
+        one kernel ``seq`` and one delivery per destination, each with
+        its own copy of ``payload``, the same partial state if a
+        destination has no handler — with the per-broadcast work (source
+        check, clock, latency row, statistics row) done once, and one
+        calendar entry per run of consecutive destinations that share a
+        due time (a group, handed over by :meth:`_fan`; see the module
+        docstring).  Whenever something could observe a message boundary
+        (a ``send`` subscriber, jitter, a tie salt, any feature that
+        takes :meth:`send` off the fused path) it *is* that loop.
         """
         sim = self.sim
         latency = self.latency
@@ -524,18 +554,18 @@ class Network:
         row = st._rows.get(key) or st._row(key)  # see MessageStats.reset
         delays = self._lat_ctab[ci]
         routes = self._routes.get(port, _NO_ROUTES)  # once per broadcast
-        direct = self._direct
-        deliver = self._deliver_cb
+        fan = self._fan_cb
         heap = sim._heap
         now = sim._now
         seq = sim._seq
         sent = 0
+        group: List[Message] = []
+        group_due: Optional[float] = None
         try:
             for dst in dsts:
                 if dst == src:
                     continue
-                route = routes.get(dst)
-                if route is None:
+                if dst not in routes:
                     raise NetworkError(
                         f"no handler registered at ({dst}, {port!r})"
                     )
@@ -546,11 +576,12 @@ class Network:
                 cj = cluster_of[dst]
                 row[cj] += 1
                 due = now + delays[cj]
-                fn = route[2].get(kind) if direct else None
-                if fn is None:
-                    heappush(heap, (due, seq, deliver, (msg,)))
+                if due == group_due:
+                    group.append(msg)  # the entry holds the list itself
                 else:
-                    heappush(heap, (due, seq, fn, (route[1], msg)))
+                    group = [msg]
+                    group_due = due
+                    heappush(heap, (due, seq, fan, (group, seq)))
                 seq += 1
                 sent += 1
         finally:
@@ -586,6 +617,41 @@ class Network:
         # Handle-free scheduling: deliveries are never cancelled, and one
         # is created per message — the dominant event source by far.
         sim.post_at(due, self._deliver_cb, (msg,))
+
+    def _fan(self, msgs: List[Message], seq: int) -> None:
+        """Hand a group's members over in send order (see the module
+        docstring); ``seq`` is the first member's kernel key.
+
+        Each member is routed as ``_deliver`` would route it now, so
+        anything changed in flight applies to the members not reached
+        yet.  If the run is stopped, or a handler raises, the rest go
+        back on the calendar under the next member's key."""
+        sim = self.sim
+        head = msgs[0]
+        nodes = self._routes.get(head.port, _NO_ROUTES)
+        kind = head.kind
+        rest = iter(msgs)
+        outer, self._fanning = self._fanning, rest
+        try:
+            for msg in rest:
+                route = nodes.get(msg.dst, _HOP) if self._direct else _HOP
+                fn = route[2].get(kind)
+                if fn is None:
+                    self._deliver(msg)
+                else:
+                    fn(route[1], msg)
+                if sim._stopped:
+                    break
+        finally:
+            self._fanning = outer
+            left = length_hint(rest)
+            done = len(msgs) - left
+            sim._fired += done - 1  # the kernel counted one
+            if left:
+                seq += done
+                heappush(sim._heap, (
+                    sim._now, seq, self._fan_cb, (msgs[done:], seq)
+                ))
 
     def _deliver(self, msg: Message) -> None:
         crashes = self._crashes

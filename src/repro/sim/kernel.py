@@ -23,7 +23,10 @@ per-event work minimal (see ``docs/performance.md``):
 * an entry comes in two shapes (:data:`HeapEntry`).  A *bare* entry
   ``(due, seq, callback, args)`` is the whole event: one tuple, no
   :class:`~repro.sim.event.Event`, never cancelled — what the network
-  pushes for every message delivery, the dominant source of events.
+  pushes for message deliveries, the dominant source of events.  One
+  bare entry may stand for several deliveries: a broadcast's
+  same-due messages share one (see ``Network.multicast``), and its
+  callback adds the members beyond the first to the fired count.
   An *event* entry ``(time, seq, event, None)`` carries the
   :class:`~repro.sim.event.Event` that
   :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
@@ -67,7 +70,10 @@ __all__ = ["Simulator", "HeapEntry"]
 #: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
 #: cancellable :class:`~repro.sim.event.Event`.  The module
 #: that pushes entries itself (``net/network.py``) pushes bare ones and
-#: must consume ``seq`` exactly as :meth:`Simulator.post_at` does.
+#: must consume ``seq`` exactly as :meth:`Simulator.post_at` does, once
+#: per message — also for a group entry, which is keyed by its first
+#: member's ``seq``; its other members own the next ones, which no
+#: entry is keyed by.
 HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
 
 #: Compaction is considered only past this many tombstones (a small heap
@@ -76,6 +82,15 @@ _COMPACT_MIN_CANCELLED = 64
 
 _MASK64 = (1 << 64) - 1
 _INF = float("inf")
+
+
+def _time_error(time: float, now: float) -> SimulationError:
+    """The refusal of a due time that is not at or after ``now``: one in
+    the past, or NaN (which no comparison orders, so it must never reach
+    the heap)."""
+    if time != time:
+        return SimulationError(f"cannot schedule at t={time}: not a time")
+    return SimulationError(f"cannot schedule into the past (t={time} < now={now})")
 
 
 def _mix64(x: int) -> int:
@@ -148,12 +163,17 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
+        """Number of events executed so far (cancelled events excluded);
+        each delivery of a grouped broadcast entry counts as one."""
         return self._fired
 
     @property
     def pending(self) -> int:
-        """Exact number of live (non-cancelled) events in the calendar."""
+        """Exact number of live (non-cancelled) calendar entries.
+
+        An entry is not always one delivery: a broadcast's same-due
+        messages share one entry (``Network.multicast``), which counts
+        once here; ``Network.delivered`` counts its members."""
         return len(self._heap) - self._cancelled
 
     @property
@@ -179,7 +199,7 @@ class Simulator:
         events already scheduled for the current instant (FIFO within a
         timestamp).
         """
-        if delay < 0:
+        if delay < 0:  # a NaN delay is refused by schedule_at
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -190,10 +210,8 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (t={time} < now={self._now})"
-            )
+        if not time >= self._now:  # NaN too
+            raise _time_error(time, self._now)
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
         seq = self._seq
@@ -219,10 +237,8 @@ class Simulator:
         :class:`Event`; a caller that must cancel it wraps it in an
         ``EventHandle(event, sim)`` so :attr:`pending` stays exact.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (t={time} < now={self._now})"
-            )
+        if not time >= self._now:  # NaN too
+            raise _time_error(time, self._now)
         seq = self._seq
         event = Event(time, seq, callback, args)
         if self._tie_salt is not None:
@@ -276,10 +292,14 @@ class Simulator:
           calendar);
         * ``max_events`` exhausted — the clock stays at the last fired
           event (no advance to ``until``: the run was cut short, not
-          completed).
+          completed).  The bound is checked between calendar entries, so
+          a grouped broadcast entry can carry it past by up to its
+          member count minus one.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until t={until}: not a time")
         self._running = True
         self._stopped = False
         heap = self._heap
@@ -291,15 +311,17 @@ class Simulator:
                 # cheaper than peeking then popping on every iteration.
                 # `heap` stays a valid alias because compaction mutates
                 # it in place.  The fired counter accumulates in a local
-                # (an attribute store per event otherwise) and lands in
-                # `_fired` on every exit; nothing reads it mid-run —
-                # callbacks only see `events_fired` after run() returns.
+                # (an attribute store per event otherwise) and is added
+                # to `_fired` on every exit, which a grouped delivery
+                # entry also adds its extra members to; nothing reads it
+                # mid-run — callbacks only see `events_fired` after
+                # run() returns.
                 # Bare entries come first and repeat the few steps the
                 # two shapes share: folding them into one tail measured
                 # ~100 ns slower per event.
                 bound = _INF if until is None else until
                 exhausted = False
-                fired = self._fired
+                fired = 0
                 try:
                     while not self._stopped:
                         if not heap:
@@ -331,22 +353,22 @@ class Simulator:
                         fired += 1
                         event.callback(*event.args)
                 finally:
-                    self._fired = fired
+                    self._fired += fired
                 # An unbounded run leaves the clock at its last event.
                 if exhausted and until is not None and self._now < until:
                     self._now = until
                 return self._now
 
-            # General loop: anything with `max_events`.
-            fired = 0
+            # General loop: anything with `max_events`, which bounds
+            # deliveries as `events_fired` counts them.
+            start = self._fired
             exhausted = False  # drained, or next event beyond `until`
-            while fired < max_events and not self._stopped:
+            while self._fired - start < max_events and not self._stopped:
                 due = self._peek()
                 if due is None or (until is not None and due > until):
                     exhausted = True
                     break
                 self.step()
-                fired += 1
             if exhausted and until is not None and self._now < until:
                 self._now = until
         finally:
@@ -382,13 +404,12 @@ class Simulator:
         which of them (if any) happens next.  Returns the number of
         events fired.
         """
-        fired = 0
+        start = self._fired
         while True:
             due = self._peek()
             if due is None or due > self._now:
-                return fired
+                return self._fired - start
             self.step()
-            fired += 1
 
     def _peek(self) -> Optional[float]:
         """Due time of the next live entry (``None`` on an empty

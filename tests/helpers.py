@@ -1,7 +1,7 @@
 """Shared test harness: drives a set of mutex peers through scripted
 critical-section cycles on a simulated network, with safety and liveness
 checkers attached — and, for the white-box tests, the one reader of the
-kernel's calendar entry shape."""
+kernel's calendar entry shape and of what deliveries it holds."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from heapq import heappush
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mutex import get_algorithm
-from repro.net import ConstantLatency, Network, uniform_topology
+from repro.net import ConstantLatency, Message, Network, uniform_topology
 from repro.net.faults import FaultInjector
 from repro.sim import Simulator
 from repro.sim.event import Event
@@ -42,6 +42,22 @@ def heap_entries(sim: Simulator) -> List[CalendarEntry]:
         else:  # bare: (due, seq, callback, args)
             entries.append(CalendarEntry(time, key, third, args, None))
     return entries
+
+
+def in_flight(sim: Simulator) -> List[Tuple[float, int, Any]]:
+    """Every message delivery the calendar holds, in firing order, as
+    ``(due, key, message)``.  A group entry (``Network.multicast``'s
+    ``(due, seq, _fan, (msgs, seq))``) yields one row per member under
+    the key the member's own entry would have had; a ``_deliver`` or
+    direct entry yields its message.  Other entries are left out."""
+    rows = []
+    for entry in heap_entries(sim):
+        if getattr(entry.callback, "__name__", "") == "_fan":
+            msgs, first = entry.args
+            rows.extend((entry.time, first + i, m) for i, m in enumerate(msgs))
+        elif entry.args and type(entry.args[-1]) is Message:
+            rows.append((entry.time, entry.key, entry.args[-1]))
+    return rows
 
 
 def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: Any) -> None:

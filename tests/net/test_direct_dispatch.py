@@ -32,7 +32,7 @@ from repro.sim import Simulator
 from repro.verify import RunDigest
 from repro.workload import deploy_workload
 
-from ..helpers import heap_entries
+from ..helpers import heap_entries, in_flight
 from ..properties.digest_scenarios import ALGOS, SYSTEMS, fault_free_config
 from .test_fused_send import _Capture
 
@@ -170,12 +170,14 @@ def test_adaptive_switch_shuts_old_inter_peers_down_mid_run():
 # --------------------------------------------------------------------- #
 # (b) one message in flight, the world changes under it
 # --------------------------------------------------------------------- #
-def _peers(algorithm="naimi", n=3, clusters=1):
+def _peers(algorithm="naimi", n=3, clusters=1, jitter=0.0):
     """``clusters`` LANs (1 ms one-way, 10 ms between them) of ``n`` idle
     peers each; peer 0 holds the token."""
     sim = Simulator(seed=0)
     topo = uniform_topology(clusters, n)
-    net = Counting(sim, topo, TwoTierLatency(topo, lan_ms=1.0, wan_ms=10.0))
+    net = Counting(sim, topo, TwoTierLatency(
+        topo, lan_ms=1.0, wan_ms=10.0, jitter=jitter
+    ))
     cls = get_algorithm(algorithm).peer_class
     nodes = range(topo.n_nodes)
     peers = [cls(sim, net, node, nodes, "p") for node in nodes]
@@ -211,10 +213,12 @@ def test_unregistered_in_flight_is_dropped_not_delivered_to_the_dead_peer():
     # A stale Suzuki broadcast reaching a shut-down idle holder would
     # otherwise make it send the token away.
     sim, net, peers = _peers("suzuki")
-    peers[1].request_cs()  # broadcast to 0 and 2
-    assert sorted(_in_flight(sim)) == [("_on_request", 2)] * 2
+    peers[1].request_cs()  # broadcast to 0 and 2: one due time, one group
+    assert _in_flight(sim) == [("_fan", 2)]
+    assert [msg.dst for _due, _key, msg in in_flight(sim)] == [0, 2]
     peers[0].shutdown()
-    assert sorted(_in_flight(sim)) == [("_deliver", 1), ("_on_request", 2)]
+    # Nothing to rewrite: each member is routed when it arrives.
+    assert _in_flight(sim) == [("_fan", 2)]
     sim.run()
     assert peers[0].holds_token and not peers[1].in_cs
     assert net.stats.by_kind["token"] == 0
@@ -283,12 +287,22 @@ def test_deliver_subscriber_attached_in_flight_sees_that_delivery():
 
 
 def test_other_peers_direct_entries_survive_a_rewrite():
-    sim, net, peers = _peers("suzuki", n=4)
+    # Jittered, the broadcast is one direct entry per message, and the
+    # rewrite touches only the shut-down peer's.
+    sim, net, peers = _peers("suzuki", n=4, jitter=0.1)
     peers[1].request_cs()
     peers[3].shutdown()
     assert sorted(_in_flight(sim)) == (
         [("_deliver", 1)] + [("_on_request", 2)] * 2
     )
+    sim.run()
+    assert peers[1].in_cs and net.hops == 1
+    # Jitter-free, it is one group, which the rewrite leaves alone: the
+    # shut-down peer's member alone takes the hop, on arrival.
+    sim, net, peers = _peers("suzuki", n=4)
+    peers[1].request_cs()
+    peers[3].shutdown()
+    assert _in_flight(sim) == [("_fan", 2)]
     sim.run()
     assert peers[1].in_cs and net.hops == 1
 

@@ -5,7 +5,10 @@ Three claims, each pinned against the general path (today's code, which a
 
 (a) ``multicast`` is the loop of ``send`` calls it replaces — same
     statistics, same messages, same sequence consumption, same partial
-    state on an error;
+    state on an error — and its grouped calendar entries deliver what
+    the loop's per-message entries deliver, under the same keys and
+    counts, whatever changes while a group is in flight or half handed
+    over;
 (b) default-knob runs really take the fused path (non-vacuity) and every
     feature takes the network off it, also when attached mid-run;
 (c) which path ran is invisible: digests and results are equal under a
@@ -17,16 +20,20 @@ Observers read the ``send`` and ``deliver`` records, so the records'
 """
 
 import hashlib
+from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError, SimulationError
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 from repro.experiments import runner as runner_mod
 from repro.net import (
     ConstantLatency,
     CrashController,
     FaultInjector,
+    MatrixLatency,
     Network,
     TwoTierLatency,
     uniform_topology,
@@ -34,6 +41,7 @@ from repro.net import (
 from repro.sim import Simulator
 from repro.verify import RunDigest
 
+from ..helpers import in_flight
 from ..properties import digest_scenarios
 from ..properties.digest_scenarios import ALGOS, FAULTS, SYSTEMS
 
@@ -86,16 +94,19 @@ def _loop(net, src, dsts, port, kind, payload=None, size=64):
 
 
 def _state(sim, net, got):
-    st = net.stats
+    stats = net.stats
     return {
-        "snapshot": st.snapshot(),
-        "by_port": dict(st.by_port),
-        "by_kind": dict(st.by_kind),
-        "inter_by_port": dict(st.inter_by_port),
-        "matrix": st.cluster_matrix.tolist(),
+        "snapshot": stats.snapshot(),
+        "by_port": dict(stats.by_port),
+        "by_kind": dict(stats.by_kind),
+        "inter_by_port": dict(stats.inter_by_port),
+        "matrix": stats.cluster_matrix.tolist(),
         "net_seq": net._seq,
         "kernel_seq": sim._seq,
-        "pending": sim.pending,
+        "in_flight": [
+            (due, key, m.src, m.dst, m.kind, m.payload, m.seq, m.sent_at)
+            for due, key, m in in_flight(sim)
+        ],
         "msgs": [
             (m.src, m.dst, m.kind, m.payload, m.seq, m.sent_at, at)
             for m, at in got
@@ -103,10 +114,17 @@ def _state(sim, net, got):
     }
 
 
+def _due_runs(net, src, dsts):
+    """Calendar entries a fused ``multicast`` pushes: one per run of
+    consecutive destinations with the same due time."""
+    dues = [net.latency.one_way(src, dst, None) for dst in dsts if dst != src]
+    return len(list(groupby(dues)))
+
+
 @pytest.mark.parametrize("payload", [None, {}, {"ts": 4, "origin": 1}])
 @pytest.mark.parametrize("shape", [(3, 4), (6, 100)])  # dense / block tables
 def test_multicast_equals_the_loop_of_sends(payload, shape):
-    states = []
+    states, entries = [], []
     for fan_out in (Network.multicast, _loop):
         sim, net, got = _twin(n_clusters=shape[0], nodes=shape[1])
         assert net.fused
@@ -114,12 +132,18 @@ def test_multicast_equals_the_loop_of_sends(payload, shape):
         fan_out(net, 1, dsts, "p", "request", payload, 80)
         sim.schedule(3.0, fan_out, net, 5, dsts[::-1], "p", "release", payload)
         before = _state(sim, net, [])
+        entries.append(sim.pending)
         sim.run()
         states.append((before, _state(sim, net, got)))
         assert len({id(m.payload) for m, _ in got}) == len(got)  # own copy each
         assert all(m.payload is not payload for m, _ in got)
+    # The same deliveries in flight under the same keys; on the calendar,
+    # one group per due-time run against one entry per message (each
+    # side also holds the scheduled second broadcast).
     assert states[0] == states[1]
     assert states[0][1]["snapshot"]["total"] == 2 * (len(dsts) - 1)
+    assert entries == [1 + _due_runs(net, 1, dsts), len(dsts)]
+    assert entries[0] < entries[1]
 
 
 @pytest.mark.parametrize("src", [1, 99, -1])
@@ -142,6 +166,189 @@ def test_multicast_to_nobody_leaves_no_trace():
     net.multicast(1, [1], "p", "request")
     net.multicast(99, [], "p", "request")  # the loop never looks at src
     assert net.stats.total == 0 and not net.stats.by_port and sim.pending == 0
+
+
+# --------------------------------------------------------------------- #
+# (a) a group of same-due deliveries is the per-send entries it replaces
+# --------------------------------------------------------------------- #
+class _Owner:
+    """A peer stand-in: the owner of a direct route."""
+
+    def __init__(self, node):
+        self.node = node
+
+
+def _grid(rtt, direct, log):
+    """A network over ``len(rtt)`` clusters of ``len(direct) // len(rtt)``
+    nodes; node ``i`` takes the direct route (owner + table for kinds
+    ``a`` and ``b``) when ``direct[i]``, a plain callable otherwise.  Both
+    log ``(now, node, src, kind, payload, seq, sent_at, delivered)``."""
+    sim = Simulator(seed=11)
+    topo = uniform_topology(len(rtt), len(direct) // len(rtt))
+    net = Network(sim, topo, MatrixLatency(topo, rtt))
+
+    def arrived(node, msg):
+        log.append((sim.now, node, msg.src, msg.kind, msg.payload, msg.seq,
+                    msg.sent_at, net.delivered))
+
+    for node in topo.nodes:
+        if direct[node]:
+            def on_kind(owner, msg):
+                arrived(owner.node, msg)
+
+            net.register(node, "p", lambda msg, node=node: arrived(node, msg),
+                         owner=_Owner(node), table={"a": on_kind, "b": on_kind})
+        else:
+            net.register(node, "p", lambda msg, node=node: arrived(node, msg))
+    return sim, net
+
+
+def _counts(sim, net):
+    return (net.stats.snapshot(), dict(net.stats.by_kind), net._seq, sim._seq,
+            sim.events_fired, net.delivered, sim.now)
+
+
+def _deliveries(sim):
+    return [(due, key, m.dst, m.seq) for due, key, m in in_flight(sim)]
+
+
+@st.composite
+def _traffic(draw):
+    clusters, per = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = clusters * per
+    delays = st.sampled_from([1.0, 2.0, 6.0])  # equal dues across clusters too
+    rtt = [[draw(delays) for _ in range(clusters)] for _ in range(clusters)]
+    direct = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),  # when
+        st.booleans(),  # multicast, or one send to the first destination
+        node,
+        st.lists(node, min_size=1, max_size=2 * n),  # any order, repeats, src
+        st.sampled_from("abc"),  # "c" is outside every table
+        st.sampled_from([None, {"k": 1}]),
+    ), min_size=1, max_size=8))
+    return rtt, direct, ops
+
+
+def _run_traffic(fan_out, rtt, direct, ops):
+    log = []
+    sim, net = _grid(rtt, direct, log)
+
+    def do(cast, src, dsts, kind, payload):
+        if cast:
+            fan_out(net, src, dsts, "p", kind, payload)
+        else:
+            net.send(src, dsts[0], "p", kind, dict(payload) if payload else {})
+
+    for at, *op in ops:
+        sim.schedule_at(at, do, *op)
+    before = _counts(sim, net)
+    sim.run(until=1.5)  # mid-traffic: groups and entries still queued
+    middle = (_counts(sim, net), _deliveries(sim))
+    sim.run()
+    return before, middle, _counts(sim, net), log
+
+
+@settings(max_examples=150, deadline=None)
+@given(_traffic())
+def test_grouped_multicast_delivers_as_the_loop_of_sends(traffic):
+    grouped = _run_traffic(Network.multicast, *traffic)
+    assert grouped == _run_traffic(_loop, *traffic)
+    assert grouped[2][5] == len(grouped[3])  # delivered counts every member
+
+
+def _mid_group(fan_out, act):
+    """A broadcast from node 0 to nodes 1..9 of a 2 x 5 grid: a LAN group
+    (1..4) and a WAN group (5..9); even nodes are on the direct route.
+    Node 2's handler does ``act`` on its first delivery, with nodes 3
+    and 4 of its group still to come."""
+    log = []
+    sim, net = _grid([[1.0, 6.0], [6.0, 1.0]], [True, False] * 5, log)
+    crashes = CrashController(sim)
+    records, acted = [], []
+    route = net._routes["p"][2]
+
+    def acting(owner, msg):
+        route[0](msg)  # logged as node 2's own handler logs it
+        if acted:
+            return
+        acted.append(act)
+        if act == "raise":
+            raise RuntimeError("handler failed")
+        if act == "stop":
+            sim.stop()
+        elif act == "unregister":
+            net.unregister(4, "p")
+        elif act == "reregister":
+            net.unregister(4, "p")
+            net.register(4, "p", lambda m: records.append(("new", m.seq)))
+        elif act == "wrap":
+            net.wrap_handler(4, "p", lambda inner: lambda m: (
+                records.append(("wrapped", m.seq)), inner(m)))
+        elif act == "crash":
+            net.crashes = crashes
+            crashes.crash(4)
+        elif act == "subscribe":
+            sim.trace.subscribe("deliver", lambda r: records.append(r.seq))
+
+    net._routes["p"][2] = (route[0], route[1], {"a": acting})
+    fan_out(net, 0, range(10), "p", "a")
+    states = []
+    for _ in range(2):  # a stopped or failed run is resumed
+        try:
+            sim.run()
+        except RuntimeError:
+            pass
+        states.append((_counts(sim, net), _deliveries(sim), list(log)))
+    return states, records, net._lost, net._unrouted
+
+
+@pytest.mark.parametrize("act", [
+    "stop", "raise", "unregister", "reregister", "wrap", "crash", "subscribe",
+])
+def test_what_changes_mid_group_applies_to_the_members_not_reached(act):
+    grouped = _mid_group(Network.multicast, act)
+    assert grouped == _mid_group(_loop, act)
+    (first, second), records, lost, unrouted = grouped
+    assert second[0][5] + lost + unrouted == 9 and second[1] == []
+    if act in ("stop", "raise"):
+        # Handed over up to node 2; 3 and 4 went back under their keys.
+        assert [row[1] for row in first[2]] == [1, 2]
+        assert [row[2] for row in first[1][:2]] == [3, 4]
+        assert first[1][0][1] == first[1][1][1] - 1 == 2
+        assert first[0][5] == 2  # delivered
+    else:
+        assert first == second
+    assert len(records) == {"reregister": 1, "wrap": 1, "subscribe": 7}.get(act, 0)
+    assert (lost, unrouted) == {
+        "crash": (1, 0), "unregister": (0, 1)}.get(act, (0, 0))
+
+
+def test_max_events_and_drain_count_deliveries_not_entries():
+    sim, net, got = _twin()
+    net.multicast(0, [1, 2, 3], "p", "a")  # one LAN group of three ...
+    net.multicast(0, [1, 2, 3], "p", "b")  # ... and a second, same due
+    assert sim.pending == 2
+    # The bound is checked between entries: the first group goes whole.
+    sim.run(max_events=2)
+    assert [m.kind for m, _ in got] == ["a"] * 3 and sim.events_fired == 3
+    assert sim.drain_current() == 3 and sim.events_fired == 6
+
+
+def test_flat_lamport_counts_the_members_of_groups_still_in_flight():
+    # The run ends with release broadcasts in flight; a count blind to
+    # groups read 11 400 here.
+    config = ExperimentConfig(
+        system="flat", intra="lamport", n_clusters=4, apps_per_cluster=5,
+        n_cs=10, obs="counters",
+    )
+    with ExperimentRun(config) as run:
+        run.build()
+        result = run.execute()
+        assert run.net._seq == 11_400 and run.net.delivered == 11_381
+        assert len(in_flight(run.sim)) == 19 > run.sim.pending
+    assert result.obs_report.counters["delivers"] == 11_381
 
 
 # --------------------------------------------------------------------- #
@@ -194,6 +401,23 @@ def test_past_dated_delivery_still_raises():
             sim.run()
         # The statistic and the message seq were consumed, the kernel's not.
         assert (net.stats.total, net._seq, sim.pending) == (1, 1, 0)
+
+
+class _NotANumber(ConstantLatency):
+    def one_way(self, src, dst, rng):
+        return float("nan")
+
+
+def test_nan_dated_delivery_raises_on_both_paths():
+    # NaN passed the `due < now` check, and no comparison orders it.
+    for cls in (Network, GeneralNetwork):
+        sim = Simulator(seed=0)
+        topo = uniform_topology(1, 2)
+        net = cls(sim, topo, _NotANumber(1.0))
+        net.register(1, "p", lambda m: None)
+        with pytest.raises(SimulationError, match="t=nan: not a time"):
+            net.send(0, 1, "p", "x")
+        assert sim.pending == 0
 
 
 @pytest.mark.parametrize("observer", ["subscriber", "handler"])

@@ -64,6 +64,23 @@ def test_matrix_latency_validation():
         MatrixLatency(topo, [[0.1, -1.0], [1.0, 0.1]])  # negative
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_latencies_are_refused_by_name(bad):
+    # A NaN passed every `< 0` check and reached the kernel as a due time.
+    topo = uniform_topology(2, 2)
+    builds = {
+        "delay_ms": lambda: ConstantLatency(bad),
+        "lan_ms": lambda: TwoTierLatency(topo, lan_ms=bad),
+        "wan_ms": lambda: TwoTierLatency(topo, wan_ms=bad),
+        "jitter": lambda: ConstantLatency(1.0, jitter=bad),
+    }
+    for name, build in builds.items():
+        with pytest.raises(NetworkError, match=rf"{name} must be finite and >= 0, got {bad}"):
+            build()
+    with pytest.raises(NetworkError, match=rf"entry \[1, 0\] must be finite and >= 0, got {bad}"):
+        MatrixLatency(topo, [[0.1, 8.0], [bad, 0.1]])
+
+
 def test_jitter_preserves_mean_and_varies():
     topo = uniform_topology(2, 2)
     model = TwoTierLatency(topo, lan_ms=0.1, wan_ms=10.0, jitter=0.2)

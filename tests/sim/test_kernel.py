@@ -60,6 +60,41 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda sim, fn: sim.schedule(NAN, fn, "nan"),
+    lambda sim, fn: sim.schedule_at(NAN, fn, "nan"),
+    lambda sim, fn: sim.post_at(NAN, fn, ("nan",)),
+], ids=["schedule", "schedule_at", "post_at"])
+def test_nan_times_are_refused_by_name(call):
+    # NaN passes a `time < now` test: it used to be queued, and the
+    # schedule 5, nan, 1, 3 fired as 1, 3, nan, 5 with now = nan.
+    sim = Simulator(seed=1)
+    fired = []
+    sim.schedule(5.0, fired.append, 5)
+    with pytest.raises(SimulationError, match="t=nan: not a time"):
+        call(sim, fired.append)
+    sim.schedule(1.0, fired.append, 1)
+    sim.schedule(3.0, fired.append, 3)
+    assert sim.pending == 3
+    sim.run()
+    assert fired == [1, 3, 5] and sim.now == 5.0
+
+
+@pytest.mark.parametrize("max_events", [None, 10])
+def test_run_until_nan_is_refused_before_anything_fires(max_events):
+    sim = Simulator(seed=1)
+    fired = []
+    sim.schedule(1.0, fired.append, 1)
+    with pytest.raises(SimulationError, match="until t=nan: not a time"):
+        sim.run(until=NAN, max_events=max_events)
+    assert fired == [] and sim.pending == 1 and sim.now == 0.0
+    sim.run(until=2.0)  # not left running
+    assert fired == [1] and sim.now == 2.0
+
+
 def test_non_callable_rejected():
     sim = Simulator(seed=1)
     with pytest.raises(SimulationError):

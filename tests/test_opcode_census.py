@@ -1,7 +1,10 @@
 """``scripts/opcode_census.py`` counts, it does not time: the same config
 gives the same instruction counts every time, and on the composition
 workload the function that executes the most is ``Network.send``, and a
-completed critical section builds no record object.  The
+completed critical section builds no record object.  It also counts
+the calendar's ``heappush`` / ``heappop`` calls, C work the
+instruction count cannot see: a broadcast puts one entry per due time
+on the calendar, not one per message.  The
 same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
 census shows each sweep config's key rendered from the class plan, each
@@ -22,12 +25,16 @@ spec.loader.exec_module(opcode_census)
 
 
 def test_census_repeats_exactly_and_send_is_the_top_row():
-    if sys.gettrace() is not None:
-        pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
     config = opcode_census.smoke_config("fig4_single")
-    messages, cs, table = opcode_census.census(config)
-    assert (messages, cs, table) == opcode_census.census(config)
+    messages, cs, table, heap = opcode_census.census(config)
+    assert (messages, cs, table, heap) == opcode_census.census(config)
     assert messages > 0 and cs > 0 and all(table.values())
+    # Unicast only: every message is one calendar entry, and so is each
+    # workload timer.
+    assert set(heap) == {"heappush", "heappop"}
+    assert heap["heappop"] <= heap["heappush"] and heap["heappush"] > messages
     assert opcode_census.ranked(table)[0][0] == ("net/network.py", "send")
     # Only Tracer.emit builds a TraceRecord, so no emit row means no record
     # built (__getattr__ is the record's field read).
@@ -38,11 +45,26 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert ("metrics/collector.py", "add_cs") in table
     assert ("metrics/records.py", "__post_init__") not in table
     assert ("metrics/collector.py", "add") not in table
-    report = opcode_census.render("fig4_single", messages, table, cs)
-    assert len(report.splitlines()) == 4 + opcode_census.TOP
+    report = opcode_census.render("fig4_single", messages, table, cs, heap)
+    assert len(report.splitlines()) == 6 + opcode_census.TOP
     per_cs = report.splitlines()[3].split()
     assert float(per_cs[0]) == round(sum(table.values()) / cs, 1)
     assert per_cs[1:] == ["per", "CS", f"({cs}", "completed)"]
+    pushes = report.splitlines()[4].split()
+    assert float(pushes[0]) == round(heap["heappush"] / messages, 2)
+    assert pushes[1:4] == ["heappush", "calls", f"({heap['heappush']},"]
+
+
+def test_census_counts_one_calendar_entry_per_broadcast_due_time():
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    config = opcode_census.smoke_config("suzuki_flat")
+    messages, cs, table, heap = opcode_census.census(config)
+    # 26 requests per CS, on at most 9 due times (one per cluster); the
+    # token and the workload's timers are one entry each.
+    assert messages / cs > 26
+    assert heap["heappush"] < 13 * cs < messages / 2
+    assert ("net/network.py", "_fan") in table
 
 
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
