@@ -74,8 +74,9 @@ def test_ablation_inter_token_home_cluster(benchmark):
         sim = Simulator(seed=7)
         topo, latency = build_platform(cfg)
         net = Network(sim, topo, latency)
+        others = tuple(ci for ci in range(topo.n_clusters) if ci != home)
         comp = Composition(sim, net, topo, intra="naimi", inter="naimi",
-                           inter_initial_cluster=home)
+                           hierarchy=(home, *others))
         apps, collector = deploy_workload(
             comp, alpha_ms=cfg.alpha_ms, rho=cfg.rho, n_cs=cfg.n_cs
         )
@@ -92,7 +93,7 @@ def test_ablation_inter_token_home_cluster(benchmark):
 def test_ablation_multilevel_shields_top_level(benchmark):
     """§6: adding a zone level keeps most token handovers below the top
     algorithm when traffic is zone-local."""
-    from repro.core import MultilevelComposition
+    from repro.core import Composition
     from repro.net import Network, TwoTierLatency, uniform_topology
     from repro.sim import Simulator
     from repro.workload import deploy_workload
@@ -101,17 +102,18 @@ def test_ablation_multilevel_shields_top_level(benchmark):
         sim = Simulator(seed=3)
         topo = uniform_topology(4, 5)
         net = Network(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=8.0))
-        ml = MultilevelComposition(sim, net, topo, hierarchy, algorithms)
+        intra, *middle, inter = algorithms
+        ml = Composition(sim, net, topo, intra, inter, hierarchy=hierarchy,
+                         middle=middle)
         apps, _ = deploy_workload(ml, alpha_ms=4.0, rho=6.0, n_cs=8)
         sim.run(until=10_000_000.0)
         assert all(a.done for a in apps)
-        prefix = f"l{ml.depth}/"
         return sum(c for p, c in net.stats.by_port.items()
-                   if p.startswith(prefix))
+                   if p.startswith("inter"))
 
     def run_pair():
-        two = top_traffic([0, 1, 2, 3], ["naimi", "naimi"])
-        three = top_traffic([[0, 1], [2, 3]], ["naimi", "naimi", "naimi"])
+        two = top_traffic((0, 1, 2, 3), ["naimi", "naimi"])
+        three = top_traffic(((0, 1), (2, 3)), ["naimi", "naimi", "naimi"])
         return two, three
 
     two, three = run_once(benchmark, run_pair)

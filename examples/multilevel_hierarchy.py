@@ -1,12 +1,12 @@
-"""Multi-level hierarchies (paper §6) with latency-derived zones.
+"""Multi-level hierarchies (paper §6) over latency zones.
 
 The paper notes its two-level approach "can be easily extended to
 multiple levels of algorithm hierarchy".  This example builds a
 **three-level** composition over the Grid'5000 platform:
 
-1. the zone layout is *derived from the paper's own RTT matrix*
-   (Figure 3) by agglomerative clustering — WAN-close sites such as
-   toulouse/bordeaux (3.1 ms) and grenoble/lyon (3.3 ms) share a zone;
+1. the nine sites are grouped into three zones of WAN-close sites from
+   the paper's own RTT matrix (Figure 3): toulouse/bordeaux (3.1 ms) and
+   grenoble/lyon (3.3 ms) share a zone;
 2. Naimi-Tréhel runs inside clusters, inside zones, and at the top;
 3. the run is compared with the plain two-level composition on
    top-level traffic.
@@ -14,28 +14,22 @@ multiple levels of algorithm hierarchy".  This example builds a
 Run:  python examples/multilevel_hierarchy.py
 """
 
-from repro.core import Composition, MultilevelComposition
-from repro.grid import (
-    GRID5000_RTT_MS,
-    GRID5000_SITES,
-    derive_zones,
-    grid5000_latency,
-    grid5000_topology,
-    zone_spread,
-)
+from repro.core import Composition
+from repro.grid import GRID5000_SITES, grid5000_latency, grid5000_topology
 from repro.net import Network
 from repro.sim import Simulator
 from repro.workload import deploy_workload
 
-zones = derive_zones(GRID5000_RTT_MS, 3)
-print("zones derived from the Figure 3 latency matrix:")
+zones = (
+    (0, 3, 4),  # orsay, rennes, lille
+    (1, 2, 6, 7, 8),  # grenoble, lyon, toulouse, sophia, bordeaux
+    (5,),  # nancy
+)
+print("zones of WAN-close sites in the Figure 3 latency matrix:")
 for zi, members in enumerate(zones):
     names = ", ".join(GRID5000_SITES[s] for s in members)
     print(f"  zone {zi}: {names}")
-spread = zone_spread(GRID5000_RTT_MS, zones)
-print(f"mean RTT inside a zone : {spread['intra_mean_ms']:.1f} ms")
-print(f"mean RTT between zones : {spread['inter_mean_ms']:.1f} ms "
-      f"(separation {spread['separation']:.1f}x)\n")
+print()
 
 
 def run(levels: str):
@@ -44,19 +38,16 @@ def run(levels: str):
     topology = grid5000_topology(nodes_per_cluster=5)
     net = Network(sim, topology, grid5000_latency(topology))
     if levels == "three":
-        system = MultilevelComposition(
-            sim, net, topology, zones, ["naimi", "naimi", "naimi"]
-        )
-        top_prefix = "l2/"
+        system = Composition(sim, net, topology, "naimi", "naimi",
+                             hierarchy=zones, middle=["naimi"])
     else:
-        system = Composition(sim, net, topology, intra="naimi", inter="naimi")
-        top_prefix = "inter"
+        system = Composition(sim, net, topology, "naimi", "naimi")
     apps, collector = deploy_workload(system, alpha_ms=10.0, rho=45.0, n_cs=10)
     sim.run()
     assert all(a.done for a in apps)
     top_msgs = sum(
         count for port, count in net.stats.by_port.items()
-        if port.startswith(top_prefix)
+        if port.startswith("inter")
     )
     return system.name, collector.obtaining_stats(), top_msgs, collector.cs_count
 

@@ -471,11 +471,12 @@ _CACHE_BYPASS = (
 INVARIANTS: Tuple[Invariant, ...] = (
     Invariant(
         "repro.core",
-        ("core/", "experiments/runner.py", "workload/scenario.py",
-         "analysis/explore/world.py"),
+        ("core/", "experiments/runner.py", "experiments/config.py",
+         "workload/scenario.py", "analysis/explore/world.py"),
         "composition purity (paper §3.1): the algorithms compose unmodified, "
         "so nothing but the runs that wire a composition knows the "
-        "coordinator internals",
+        "coordinator internals (a config checks its hierarchy with the "
+        "builder's own hierarchy_depth)",
     ),
     Invariant("build_system", ("experiments/runner.py",), _RUN_SEQUENCE),
     Invariant(

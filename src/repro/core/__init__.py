@@ -3,12 +3,13 @@ exclusion algorithms.
 
 * :class:`~repro.core.coordinator.Coordinator` — the hybrid process
   bridging two algorithm instances (Fig 1(b) automaton, Fig 2 pseudo-code).
-* :class:`~repro.core.composition.Composition` — the two-level assembly
-  (any intra algorithm × any inter algorithm).
+* :class:`~repro.core.composition.Composition` — the hierarchy (any
+  intra algorithm × any inter algorithm): the paper's two levels by
+  default, any deeper tree of clusters (paper §6 extension) through
+  ``hierarchy=`` and ``middle=``;
+  :func:`~repro.core.composition.hierarchy_depth` checks a tree.
 * :class:`~repro.core.composition.FlatMutex` — the non-hierarchical
   baseline ("original algorithm").
-* :class:`~repro.core.multilevel.MultilevelComposition` — >2 levels
-  (paper §6 extension).
 * :class:`~repro.core.adaptive.AdaptiveComposition` — runtime switching
   of the inter algorithm (paper §6 future work).
 * :mod:`repro.core.recovery` — crash detection, token regeneration and
@@ -16,9 +17,8 @@ exclusion algorithms.
 """
 
 from .adaptive import AdaptiveComposition, AdaptivePolicy
-from .composition import Composition, FlatMutex, MutexSystem
+from .composition import Composition, FlatMutex, MutexSystem, hierarchy_depth
 from .coordinator import Coordinator
-from .multilevel import MultilevelComposition
 from .recovery import (
     CompositionRecovery,
     HeartbeatEmitter,
@@ -35,7 +35,7 @@ __all__ = [
     "MutexSystem",
     "Composition",
     "FlatMutex",
-    "MultilevelComposition",
+    "hierarchy_depth",
     "AdaptiveComposition",
     "AdaptivePolicy",
     "RecoveryConfig",

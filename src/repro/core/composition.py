@@ -1,5 +1,6 @@
-"""Assembly of the two-level composition (paper §3) and the flat
-baseline, behind a common :class:`MutexSystem` interface.
+"""Assembly of the hierarchical composition (paper §3, and its §6
+extension to more levels) and the flat baseline, behind a common
+:class:`MutexSystem` interface.
 
 The application layer only ever sees ``system.peer_for(node)`` — a
 :class:`~repro.mutex.base.MutexPeer` to call ``request_cs`` /
@@ -11,7 +12,7 @@ is exactly the transparency the paper claims for the approach.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CompositionError
 from ..mutex.base import MutexPeer
@@ -21,7 +22,10 @@ from ..net.topology import GridTopology
 from ..sim.kernel import Simulator
 from .coordinator import Coordinator
 
-__all__ = ["MutexSystem", "Composition", "FlatMutex"]
+__all__ = ["MutexSystem", "Composition", "FlatMutex", "hierarchy_depth"]
+
+#: A hierarchy spec: a cluster index, or a tuple of sub-specs.
+Spec = Union[int, Tuple["Spec", ...]]
 
 
 class MutexSystem(ABC):
@@ -32,11 +36,11 @@ class MutexSystem(ABC):
     :class:`Composition` (the paper's contribution).
     """
 
-    #: The bridging processes, one per intra instance with a level above
-    #: it.  A flat system has none; the hierarchical ones override this.
+    #: The bridging processes, one per instance with a level above it.
+    #: A flat system has none; the hierarchical ones override this.
     coordinators: Sequence[Coordinator] = ()
-    #: Algorithm currently run between the clusters; ``""`` where there is
-    #: no single inter level (flat, multilevel).
+    #: Algorithm currently run at the top of the hierarchy; ``""`` where
+    #: there is no hierarchy (flat).
     inter_name: str = ""
 
     def __init__(self, sim: Simulator, net: Network, topology: GridTopology):
@@ -54,47 +58,113 @@ class MutexSystem(ABC):
     def app_nodes(self) -> Tuple[int, ...]:
         """Nodes hosting application processes.
 
-        By convention the first node of every cluster is the coordinator
-        slot and never hosts an application process — also in the flat
-        baseline, so both systems serve identical app populations."""
+        By convention the first node of every cluster (the first ``D``
+        in a ``D``-deep hierarchy) is the coordinator slot and never
+        hosts an application process — also in the flat baseline, so
+        both systems serve identical app populations."""
 
     @abstractmethod
     def peer_for(self, node: int) -> MutexPeer:
         """The mutex peer an application process on ``node`` must use."""
 
 
-def _split_cluster_nodes(topology: GridTopology, ci: int) -> Tuple[int, Tuple[int, ...]]:
-    """(coordinator node, application nodes) of cluster ``ci``."""
-    nodes = topology.cluster_nodes(ci)
-    if len(nodes) < 2:
+def hierarchy_depth(spec: object, n_clusters: int) -> int:
+    """Depth of a hierarchy spec over ``n_clusters`` clusters.
+
+    A spec is a tuple whose members are cluster indices (non-bool ints)
+    or, recursively, specs; every cluster index sits at the same depth
+    and ``0 .. n_clusters - 1`` each appear exactly once.  ``(0, 1, 2)``
+    is the paper's two levels (depth 1); ``((0, 1), (2, 3))`` adds a
+    zone level (depth 2).  Anything else raises a
+    :class:`~repro.errors.CompositionError` saying what is wrong.
+    """
+    if not isinstance(spec, tuple):
         raise CompositionError(
-            f"cluster {ci} has {len(nodes)} node(s); need at least 2 "
-            "(one coordinator slot + one application node)"
+            f"a hierarchy is a tuple of cluster indices or of groups, "
+            f"got {spec!r}"
         )
-    return nodes[0], nodes[1:]
+    clusters: List[int] = []
+    depth = _depth(spec, clusters)
+    if sorted(clusters) != list(range(n_clusters)):
+        raise CompositionError(
+            f"a hierarchy must name clusters 0..{n_clusters - 1} exactly "
+            f"once, got {sorted(clusters)}"
+        )
+    return depth
+
+
+def _depth(spec: object, clusters: List[int]) -> int:
+    if isinstance(spec, int) and not isinstance(spec, bool):
+        clusters.append(spec)
+        return 0
+    if not isinstance(spec, tuple):
+        raise CompositionError(
+            f"hierarchy member {spec!r} is neither a cluster index nor a tuple"
+        )
+    if not spec:
+        raise CompositionError("empty group in hierarchy")
+    depths = {_depth(child, clusters) for child in spec}
+    if len(depths) != 1:
+        raise CompositionError(
+            f"hierarchy leaves at mixed depths: {sorted(depths)}"
+        )
+    return depths.pop() + 1
+
+
+def _first_cluster(spec: Spec) -> int:
+    """Leftmost cluster index of a spec subtree."""
+    while not isinstance(spec, int):
+        spec = spec[0]
+    return spec
 
 
 class Composition(MutexSystem):
-    """The paper's two-level hierarchy: one *intra* algorithm instance per
-    cluster plus one *inter* instance over the per-cluster coordinators.
+    """The paper's hierarchy: one *intra* algorithm instance per cluster,
+    one *inter* instance at the top, and coordinators bridging each
+    instance to the one above it.
+
+    The paper's two levels are the one-deep tree; §6's extension to more
+    levels is the same recursion over a deeper spec — a zone coordinator
+    is an ordinary :class:`Coordinator` whose lower instance runs among
+    the coordinators of its zone.  Instances are built bottom-up:
+
+    * each **cluster** ``ci`` runs ``intra`` on port ``intra/{ci}`` over
+      its coordinator slot, its standbys and its applications;
+    * each **group** below the root runs its level's ``middle``
+      algorithm on port ``l{level}/{gid}`` over its members' coordinator
+      nodes plus its own coordinator, which initially holds the group's
+      token (``gid`` numbers the groups in build order);
+    * the **root** runs ``inter`` on port ``inter`` over its members'
+      coordinator nodes; its token initially idles at the first member.
 
     Parameters
     ----------
     intra, inter:
-        Algorithm names (see :mod:`repro.mutex.registry`).  Any
-        registered algorithm can be plugged in at either level — the
-        paper's "Intra-Inter" notation, e.g. ``Composition(..., intra=
-        "naimi", inter="martin")`` is the paper's "Naimi-Martin".
-    inter_initial_cluster:
-        Cluster whose coordinator initially stores the (idle) inter token.
+        Algorithm names (see :mod:`repro.mutex.registry`) of the bottom
+        and the top level.  Any registered algorithm can be plugged in
+        at either level — the paper's "Intra-Inter" notation, e.g.
+        ``Composition(..., intra="naimi", inter="martin")`` is the
+        paper's "Naimi-Martin".
+    hierarchy:
+        Nested tuples of cluster indices (see :func:`hierarchy_depth`).
+        ``None`` is the paper's two levels over the clusters in index
+        order, ``tuple(range(n_clusters))``; ``(2, 0, 1)`` is the same
+        tree with the idle inter token at cluster 2's coordinator.
+    middle:
+        Algorithm names of the levels between, bottom-up: a spec of
+        depth ``D`` takes ``D - 1`` of them.
     standbys:
-        Number of nodes per cluster reserved (after the coordinator
-        slot) as *standby* application-process hosts for coordinator
-        failover (:mod:`repro.core.recovery`).  A standby participates
-        in its cluster's intra instance but hosts no application
-        process, so it can take over as coordinator without first
-        draining an application workload.  Default 0 — no node is
-        reserved and the composition behaves exactly as before.
+        Number of nodes per cluster reserved as *standby* hosts for
+        coordinator failover (:mod:`repro.core.recovery`).  A standby
+        participates in its cluster's intra instance but hosts no
+        application process, so it can take over as coordinator without
+        first draining an application workload.
+
+    The first ``D`` nodes of every cluster are coordinator slots — slot
+    ``k`` hosts the level-``k`` coordinator of the group whose subtree
+    starts at that cluster; unused slots stay idle so every cluster
+    contributes the same number of application nodes — then come the
+    ``standbys``, then the application nodes.
     """
 
     def __init__(
@@ -104,71 +174,104 @@ class Composition(MutexSystem):
         topology: GridTopology,
         intra: str = "naimi",
         inter: str = "naimi",
-        inter_initial_cluster: int = 0,
+        *,
+        hierarchy: Optional[Spec] = None,
+        middle: Sequence[str] = (),
         standbys: int = 0,
     ) -> None:
         super().__init__(sim, net, topology)
-        self.intra_name = get_algorithm(intra).name
-        self.inter_name = get_algorithm(inter).name
-        intra_cls = get_algorithm(intra).peer_class
-        inter_cls = get_algorithm(inter).peer_class
-        if not 0 <= inter_initial_cluster < topology.n_clusters:
+        levels = [get_algorithm(name) for name in (intra, *middle, inter)]
+        n_clusters = topology.n_clusters
+        if hierarchy is None:
+            hierarchy = tuple(range(n_clusters))
+        depth = hierarchy_depth(hierarchy, n_clusters)
+        if len(middle) != depth - 1:
             raise CompositionError(
-                f"inter_initial_cluster {inter_initial_cluster} out of range"
+                f"a depth-{depth} hierarchy takes {depth - 1} middle "
+                f"algorithm(s), got {len(middle)}"
             )
         if standbys < 0:
             raise CompositionError(f"standbys must be >= 0, got {standbys}")
-
+        for ci in range(n_clusters):
+            size = len(topology.cluster_nodes(ci))
+            if size <= depth + standbys:
+                raise CompositionError(
+                    f"cluster {ci} has {size} node(s); need at least "
+                    f"{depth + standbys + 1}: {depth} coordinator slot(s), "
+                    f"{standbys} standby(s) and one application node"
+                )
+        self.hierarchy = hierarchy
+        self.depth = depth
+        self.intra_name = levels[0].name
+        self.inter_name = levels[-1].name
+        self._level_names = [info.name for info in levels]
+        self._classes = [info.peer_class for info in levels]
+        self._standbys = standbys
         self._app_peers: Dict[int, MutexPeer] = {}
-        self.intra_instances: List[List[MutexPeer]] = []
+        #: per-cluster intra instance, the coordinator slot's peer first
+        self.intra_instances: List[List[MutexPeer]] = [[]] * n_clusters
         #: per-cluster list of unused standby nodes (consumed by failover)
         self.standby_nodes: Dict[int, List[int]] = {}
-        coord_lower: List[MutexPeer] = []
-        coord_nodes: List[int] = []
-        for ci in range(topology.n_clusters):
-            coord_node, app_nodes = _split_cluster_nodes(topology, ci)
-            if len(app_nodes) <= standbys:
-                raise CompositionError(
-                    f"cluster {ci} has {len(app_nodes)} non-coordinator "
-                    f"node(s); need more than standbys={standbys} to keep "
-                    "at least one application node"
-                )
-            self.standby_nodes[ci] = list(app_nodes[:standbys])
-            reserved = set(self.standby_nodes[ci])
-            cluster_nodes = topology.cluster_nodes(ci)
-            port = f"intra/{ci}"
-            instance: List[MutexPeer] = []
-            for node in cluster_nodes:
-                peer = intra_cls(
-                    sim, net, node, cluster_nodes, port,
-                    initial_holder=coord_node,
-                )
-                instance.append(peer)
-                if node != coord_node and node not in reserved:
-                    self._app_peers[node] = peer
-            self.intra_instances.append(instance)
-            coord_lower.append(instance[0])
-            coord_nodes.append(coord_node)
+        self.coordinators: List[Coordinator] = []
+        # index into `coordinators` of each cluster's coordinator
+        self._cluster_coordinator = [0] * n_clusters
+        self._groups = 0
+        #: the root (inter) instance, in the order of its members
+        self.inter_peers: List[MutexPeer] = []
+        self._build(hierarchy, depth)
 
-        inter_holder = coord_nodes[inter_initial_cluster]
-        # One shared tuple: every inter peer interns the same peer table.
-        inter_peer_set = tuple(coord_nodes)
-        self.inter_peers: List[MutexPeer] = [
-            inter_cls(
-                sim, net, node, inter_peer_set, "inter",
-                initial_holder=inter_holder,
-            )
-            for node in coord_nodes
+    # ------------------------------------------------------------------ #
+    def _build(self, spec: Spec, level: int) -> MutexPeer:
+        """Build ``spec``'s subtree, whose top instance runs at ``level``;
+        return that instance's peer on the subtree's coordinator slot,
+        the one the level above bridges to."""
+        if isinstance(spec, int):
+            return self._build_cluster(spec)
+        lowers = [self._build(child, level - 1) for child in spec]
+        # One shared tuple: every peer of the instance interns it.
+        nodes = tuple(lower.node for lower in lowers)
+        if level == self.depth:
+            port = "inter"
+            holder = nodes[0]
+        else:
+            port = f"l{level}/{self._groups}"
+            self._groups += 1
+            holder = self.topology.cluster_nodes(_first_cluster(spec))[level]
+            nodes += (holder,)
+        peer_cls = self._classes[level]
+        instance = [
+            peer_cls(self.sim, self.net, node, nodes, port,
+                     initial_holder=holder)
+            for node in nodes
         ]
-        self.coordinators: List[Coordinator] = [
-            Coordinator(sim, lower, upper)
-            for lower, upper in zip(coord_lower, self.inter_peers)
+        for member, lower, upper in zip(spec, lowers, instance):
+            if level == 1:
+                self._cluster_coordinator[member] = len(self.coordinators)
+            self.coordinators.append(Coordinator(self.sim, lower, upper))
+        if level == self.depth:
+            self.inter_peers = instance
+        return instance[-1]
+
+    def _build_cluster(self, ci: int) -> MutexPeer:
+        nodes = self.topology.cluster_nodes(ci)
+        members = nodes[:1] + nodes[self.depth:]
+        self.standby_nodes[ci] = list(members[1:1 + self._standbys])
+        port = f"intra/{ci}"
+        peer_cls = self._classes[0]
+        instance = [
+            peer_cls(self.sim, self.net, node, members, port,
+                     initial_holder=nodes[0])
+            for node in members
         ]
+        for peer in instance[1 + self._standbys:]:
+            self._app_peers[peer.node] = peer
+        self.intra_instances[ci] = instance
+        return instance[0]
 
     # ------------------------------------------------------------------ #
     @property
     def name(self) -> str:
-        return f"{self.intra_name}-{self.inter_name}"
+        return "-".join(self._level_names)
 
     @property
     def app_nodes(self) -> Tuple[int, ...]:
@@ -184,7 +287,7 @@ class Composition(MutexSystem):
 
     def coordinator_for(self, cluster_index: int) -> Coordinator:
         """The coordinator of the cluster at ``cluster_index``."""
-        return self.coordinators[cluster_index]
+        return self.coordinators[self._cluster_coordinator[cluster_index]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -222,8 +325,13 @@ class FlatMutex(MutexSystem):
             self.algorithm_name = name or algorithm
         app_list: List[int] = []
         for ci in range(topology.n_clusters):
-            _, cluster_apps = _split_cluster_nodes(topology, ci)
-            app_list.extend(cluster_apps)
+            nodes = topology.cluster_nodes(ci)
+            if len(nodes) < 2:
+                raise CompositionError(
+                    f"cluster {ci} has {len(nodes)} node(s); need at least 2 "
+                    "(one coordinator slot + one application node)"
+                )
+            app_list.extend(nodes[1:])
         # One shared tuple: every flat peer interns the same peer table
         # (an O(N) copy per peer would make construction O(N^2)).
         app_nodes = tuple(app_list)

@@ -584,8 +584,9 @@ class CompositionRecovery:
     Wires per-cluster :class:`InstanceRecovery` (token loss among the
     applications), a fence-only inter :class:`InstanceRecovery`, and a
     heartbeat pair per cluster whose expiry fails the coordinator over
-    to the cluster's standby node.  Requires the composition to have
-    been built with ``standbys >= 1``.
+    to the cluster's standby node.  Requires the composition to be the
+    paper's two levels over the clusters in index order (the default
+    ``hierarchy``), built with ``standbys >= 1``.
 
     Failover sequence (the order is the safety argument — see module
     docstring and ``docs/faults.md``):
@@ -620,6 +621,12 @@ class CompositionRecovery:
         self.composition = composition
         self.config = config if config is not None else RecoveryConfig()
         self.metrics = metrics
+        # Failover indexes `inter_peers` and `coordinators` by cluster.
+        if composition.hierarchy != tuple(range(composition.topology.n_clusters)):
+            raise RecoveryError(
+                "failover needs the two-level composition over the clusters "
+                f"in index order; got hierarchy {composition.hierarchy!r}"
+            )
         if not any(composition.standby_nodes.values()):
             raise RecoveryError(
                 "composition has no standby nodes; build it with "

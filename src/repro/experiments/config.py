@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from ..cache.keys import canonical_json
-from ..errors import ConfigurationError
+from ..core.composition import hierarchy_depth
+from ..errors import CompositionError, ConfigurationError
 from ..mutex.registry import get_algorithm
 
 __all__ = [
@@ -237,14 +238,23 @@ class ExperimentConfig:
         elif self.system == "flat":
             get_algorithm(self.intra)
         elif self.system == "multilevel":
-            if len(self.algorithms) < 2:
+            if (not isinstance(self.algorithms, tuple)
+                    or len(self.algorithms) < 2):
                 raise ConfigurationError(
-                    "multilevel needs >= 2 algorithms (bottom-up)"
+                    "algorithms of a multilevel system must be a tuple of "
+                    f">= 2 algorithm names (bottom-up), got {self.algorithms!r}"
                 )
             for name in self.algorithms:
                 get_algorithm(name)
-            if self.hierarchy is None:
-                raise ConfigurationError("multilevel needs a hierarchy spec")
+            try:
+                depth = hierarchy_depth(self.hierarchy, self.n_clusters)
+            except CompositionError as exc:
+                raise ConfigurationError(f"hierarchy: {exc}") from None
+            if len(self.algorithms) != depth + 1:
+                raise ConfigurationError(
+                    f"algorithms: a depth-{depth} hierarchy takes {depth + 1} "
+                    f"algorithms (bottom-up), got {len(self.algorithms)}"
+                )
         if self.platform == "grid5000" and self.n_clusters > 9:
             raise ConfigurationError(
                 "n_clusters must be <= 9 on the grid5000 platform (it has "

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cache.store import ExperimentCache
 from ..core.adaptive import AdaptiveComposition
 from ..core.composition import Composition, FlatMutex, MutexSystem
-from ..core.multilevel import MultilevelComposition
 from ..errors import ConfigurationError, LivenessViolation, SimulationError
 from ..grid.builders import random_wan_grid, two_tier_grid
 from ..grid.grid5000 import grid5000_latency, grid5000_topology
@@ -141,9 +140,16 @@ def build_system(
     config: ExperimentConfig,
 ) -> MutexSystem:
     """Instantiate the configured mutual exclusion system."""
-    if config.system == "composition":
+    if config.system in ("composition", "multilevel"):
+        # A "multilevel" config names its tree and every level's
+        # algorithm; a "composition" one is the paper's two levels.
+        deep = config.system == "multilevel"
+        intra, *middle, inter = (
+            config.algorithms if deep else (config.intra, config.inter)
+        )
         return Composition(
-            sim, net, topology, intra=config.intra, inter=config.inter
+            sim, net, topology, intra, inter,
+            hierarchy=config.hierarchy if deep else None, middle=middle,
         )
     if config.system == "flat":
         return FlatMutex(sim, net, topology, algorithm=config.intra)
@@ -151,18 +157,7 @@ def build_system(
         return AdaptiveComposition(
             sim, net, topology, intra=config.intra, initial_inter=config.inter
         )
-    if config.system == "multilevel":
-        hierarchy = _to_lists(config.hierarchy)
-        return MultilevelComposition(
-            sim, net, topology, hierarchy, list(config.algorithms)
-        )
     raise ConfigurationError(f"unknown system {config.system!r}")
-
-
-def _to_lists(spec):
-    if isinstance(spec, int):
-        return spec
-    return [_to_lists(s) for s in spec]
 
 
 # --------------------------------------------------------------------- #

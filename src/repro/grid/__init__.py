@@ -1,7 +1,6 @@
 """Platform models: the measured Grid'5000 testbed and synthetic grids."""
 
 from .builders import random_wan_grid, two_tier_grid
-from .clustering import derive_zones, zone_spread
 from .grid5000 import (
     GRID5000_RTT_MS,
     GRID5000_SITES,
@@ -20,6 +19,4 @@ __all__ = [
     "grid5000_latency",
     "two_tier_grid",
     "random_wan_grid",
-    "derive_zones",
-    "zone_spread",
 ]

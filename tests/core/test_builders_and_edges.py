@@ -37,13 +37,15 @@ def test_composition_rejects_single_node_clusters():
 
 
 def test_composition_inter_initial_cluster():
+    # The idle inter token starts at the first member of the hierarchy.
     sim, topo, net = env(3, 3)
-    comp = Composition(sim, net, topo, inter_initial_cluster=2)
+    comp = Composition(sim, net, topo, hierarchy=(2, 0, 1))
     holders = [p for p in comp.inter_peers if p.holds_token]
     assert len(holders) == 1
     assert holders[0].node == topo.coordinator_node(2)
+    assert comp.coordinator_for(2).node == topo.coordinator_node(2)
     with pytest.raises(CompositionError):
-        Composition(sim, net, env(3, 3, seed=1)[1], inter_initial_cluster=9)
+        Composition(sim, net, env(3, 3, seed=1)[1], hierarchy=(9, 0, 1))
 
 
 def test_peer_for_coordinator_slot_rejected():

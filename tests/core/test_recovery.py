@@ -1,5 +1,7 @@
 """Tests for the crash-recovery subsystem (repro.core.recovery)."""
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -463,6 +465,24 @@ def test_composition_without_standbys_rejected():
     net = Network(sim, topo, latency, crashes=crashes)
     comp = Composition(sim, net, topo)
     with pytest.raises(RecoveryError):
+        CompositionRecovery(sim, net, crashes, comp)
+
+
+@pytest.mark.parametrize("hierarchy,middle", [
+    (((0, 1), (2, 3)), ("naimi",)),  # three levels
+    ((1, 0, 2, 3), ()),  # two levels, not in cluster order
+])
+def test_composition_recovery_refuses_other_shapes(hierarchy, middle):
+    # Failover indexes inter_peers and coordinators by cluster: only the
+    # two-level tree in cluster order has that layout.
+    sim = Simulator(seed=1)
+    topo = uniform_topology(4, 4)
+    latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0)
+    crashes = CrashController(sim)
+    net = Network(sim, topo, latency, crashes=crashes)
+    comp = Composition(sim, net, topo, hierarchy=hierarchy, middle=middle,
+                       standbys=1)
+    with pytest.raises(RecoveryError, match=re.escape(repr(hierarchy))):
         CompositionRecovery(sim, net, crashes, comp)
 
 

@@ -12,7 +12,8 @@ def test_cli_run_multilevel(capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "naimi/naimi" in out
+    assert "system            : naimi-naimi\n" in out
+    assert "workload          : naimi/naimi on" in out
     assert "critical sections : 18" in out
 
 
@@ -26,7 +27,8 @@ def test_cli_run_multilevel_honours_intra_inter_flags(capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "suzuki/martin" in out
+    assert "system            : suzuki-martin\n" in out
+    assert "workload          : suzuki/martin on" in out
     assert "naimi" not in out
 
 

@@ -95,6 +95,42 @@ def test_invalid_value_is_refused_by_field_name_before_anything_runs(field, valu
         run_experiment(ExperimentConfig(**{field: value}))
 
 
+@pytest.mark.parametrize(
+    "field,changes",
+    [
+        ("hierarchy", {"hierarchy": "abc"}),  # was a RecursionError in build()
+        ("hierarchy", {"hierarchy": [0, 1, 2]}),  # ran, but unhashable
+        ("hierarchy", {"hierarchy": (0, 1)}),  # the rest failed in build()
+        ("hierarchy", {"hierarchy": (0, 0, 1, 2)}),
+        ("hierarchy", {"hierarchy": (True, 1, 2)}),
+        ("hierarchy", {"hierarchy": (0, (1, 2))}),
+        ("hierarchy", {"hierarchy": None}),
+        ("algorithms", {"algorithms": ("naimi", "naimi", "naimi")}),
+        ("algorithms", {"hierarchy": ((0, 1), (2,))}),
+        ("algorithms", {"algorithms": ["naimi", "naimi"]}),
+    ],
+    ids=["string", "list", "missing", "repeated", "bool", "mixed-depth",
+         "none", "too-many-algorithms", "too-few-algorithms",
+         "algorithm-list"],
+)
+def test_multilevel_tree_is_refused_by_field_name(field, changes):
+    config = ExperimentConfig(
+        system="multilevel", algorithms=("naimi", "naimi"),
+        hierarchy=(0, 1, 2), n_clusters=3, apps_per_cluster=2, n_cs=2,
+    ).with_(**changes)
+    with pytest.raises(ConfigurationError, match=field):
+        config.validate()
+
+
+def test_valid_multilevel_config_is_hashable():
+    config = ExperimentConfig(
+        system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+        hierarchy=((0, 2), (1,)), n_clusters=3,
+    )
+    config.validate()
+    assert hash(config) == hash(config.with_())
+
+
 def test_describe():
     assert "naimi-martin" in ExperimentConfig(inter="martin").describe()
     assert "(flat)" in ExperimentConfig(system="flat").describe()

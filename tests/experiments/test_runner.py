@@ -98,8 +98,9 @@ def test_lazy_top_level_reexport():
 
 
 def test_importing_experiments_leaves_scipy_unloaded():
-    # scipy's only user is the multilevel zone builder; importing it with
-    # the package cost more start-up time and memory than everything else.
+    # The package does not depend on scipy; when a zone builder imported
+    # it with the package, it cost more start-up time and memory than
+    # everything else.
     import os
     import subprocess
     import sys
