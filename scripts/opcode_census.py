@@ -4,6 +4,7 @@ cache hit) of one smoke-size benchmark run, and its calendar operations.
 
     python scripts/opcode_census.py --workload fig4_single
     python scripts/opcode_census.py --workload reproduce_warm
+    python scripts/opcode_census.py --workload twotier_5k --memory
 
 Runs one of the three single-run workloads of ``benchmarks/system`` (the
 smoke-size config, built by ``workloads.py`` itself, imported read-only)
@@ -31,17 +32,28 @@ there, and may add instructions while it saves time.  Use the census to
 size a change to a hot path before timing it with
 ``scripts/paired_bench.py``; quote the interpreter version with the
 numbers, they differ between CPython releases.
+
+``--memory`` is the same census for state instead of work: it builds
+the workload's smoke config with ``ExperimentRun.build()`` under
+``tracemalloc`` and prints the bytes still allocated once the build
+returns, per application node, by ``src/repro`` package and for the ten
+``file:line`` sites that allocated the most (an object is charged to
+the innermost Python line that created it).  It counts what CPython's
+allocator is asked for, not pages, so it sizes a per-node saving before
+``peak_rss_mb`` is timed; it too repeats exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import tempfile
+import tracemalloc
 from heapq import heappop, heappush
 from pathlib import Path
 from types import CodeType, FrameType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 ROOT = Path(__file__).resolve().parents[1]
 for entry in (ROOT / "src", ROOT / "benchmarks" / "system"):
@@ -53,18 +65,28 @@ from workloads import _single_config, reproduce_scale  # noqa: E402
 from repro.cache import ExperimentCache  # noqa: E402
 from repro.experiments import (  # noqa: E402
     ExperimentConfig,
+    ExperimentRun,
     clear_sweep_memo,
     reproduce_all,
     run_experiment,
 )
 from repro.experiments.parallel import shutdown_warm_pool, warm_pool  # noqa: E402
+from repro.mutex.base import _PEER_TABLES  # noqa: E402
 
 WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k", "reproduce_warm")
 TOP = 20
+#: ``file:line`` sites listed by ``--memory``
+TOP_SITES = 10
+#: the ``--memory`` row of what was allocated outside ``src/repro``
+OTHER = "(other)"
+#: untraced builds before ``--memory`` traces one
+WARM_BUILDS = 32
 PACKAGE = ROOT / "src" / "repro"
 
 #: ``(cache hits, {(file, function): instructions})``
 Census = Tuple[int, Dict[Tuple[str, str], int]]
+#: A census row's name: ``(file, function)``, or ``file:line``
+Row = TypeVar("Row", Tuple[str, str], str)
 #: The calendar operations counted, by name.
 HEAP_CALLS = ("heappush", "heappop")
 
@@ -112,13 +134,16 @@ def count_opcodes(
     return result, counts, heap
 
 
-def _where(code: CodeType) -> Tuple[str, str]:
-    path = Path(code.co_filename)
+def _where_file(filename: str) -> str:
+    path = Path(filename)
     try:
-        name = path.relative_to(PACKAGE).as_posix()
+        return path.relative_to(PACKAGE).as_posix()
     except ValueError:  # stdlib, numpy: the file name is enough
-        name = path.name
-    return name, code.co_name
+        return path.name
+
+
+def _where(code: CodeType) -> Tuple[str, str]:
+    return _where_file(code.co_filename), code.co_name
 
 
 def _table(counts: Dict[CodeType, int]) -> Dict[Tuple[str, str], int]:
@@ -171,8 +196,76 @@ def warm_census(seed: int = 1) -> Census:
     return hits, _table(counts)
 
 
-def ranked(table: Dict[Tuple[str, str], int]) -> List[Tuple[Tuple[str, str], int]]:
-    """Most instructions first; ties by name, so the order repeats."""
+def memory_census(config: ExperimentConfig) -> Dict[Tuple[str, str], int]:
+    """Bytes that ``ExperimentRun(config).build()`` leaves allocated, by
+    ``(package, file:line)`` of the line that allocated them: a
+    ``src/repro`` package (a top-level module is its own) and file, or
+    ``OTHER`` and the file name."""
+    # Imports and memos are not the build's cost.  Nor is CPython 3.11's
+    # sizing of instance dicts: each new instance of a class gets one
+    # slot less than the last, down to the attributes it holds, so the
+    # classes a run builds one of need a few dozen builds to settle.
+    for _ in range(WARM_BUILDS):
+        with ExperimentRun(config) as run:
+            run.build()
+    # The peer-set memo is id-keyed and emptied wholesale when full, so
+    # its size depends on history: start it empty.
+    _PEER_TABLES.clear()
+    # A full collection also empties CPython's free lists, so every
+    # object the build creates is a traced allocation.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with ExperimentRun(config) as run:
+            run.build()
+            snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    sites: Dict[Tuple[str, str], int] = {}
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        path = Path(frame.filename)
+        if path.name == "tracemalloc.py":
+            continue
+        package = OTHER
+        if PACKAGE in path.parents:
+            package = path.relative_to(PACKAGE).parts[0].removesuffix(".py")
+        site = (package, f"{_where_file(frame.filename)}:{frame.lineno}")
+        sites[site] = sites.get(site, 0) + stat.size
+    return sites
+
+
+def by_package(sites: Dict[Tuple[str, str], int]) -> Dict[str, int]:
+    """``memory_census`` sites summed per package."""
+    packages: Dict[str, int] = {}
+    for (package, _), size in sites.items():
+        packages[package] = packages.get(package, 0) + size
+    return packages
+
+
+def render_memory(
+    workload: str, nodes: int, sites: Dict[Tuple[str, str], int]
+) -> str:
+    """The ``--memory`` table: bytes per application node, by package
+    and for the ``TOP_SITES`` largest sites."""
+    total = sum(sites.values())
+    lines = [
+        f"{workload} (smoke size) build() on {sys.implementation.name} "
+        f"{sys.version.split()[0]}: {nodes} app nodes, {total} bytes "
+        "retained under tracemalloc",
+        f"{'B/node':>10} {'share':>6}  package",
+        f"{total / nodes:>10.1f} {1:>6.1%}  (all)",
+    ]
+    for package, size in ranked(by_package(sites)):
+        lines.append(f"{size / nodes:>10.1f} {size / total:>6.1%}  {package}")
+    lines.append(f"{'B/node':>10} {'share':>6}  file:line")
+    for (_, site), size in ranked(sites)[:TOP_SITES]:
+        lines.append(f"{size / nodes:>10.1f} {size / total:>6.1%}  {site}")
+    return "\n".join(lines)
+
+
+def ranked(table: Dict[Row, int]) -> List[Tuple[Row, int]]:
+    """Largest count first; ties by name, so the order repeats."""
     return sorted(table.items(), key=lambda item: (-item[1], item[0]))
 
 
@@ -211,7 +304,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=(__doc__ or "").splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, default="fig4_single")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--memory", action="store_true",
+        help="bytes retained per app node after build(), not instructions",
+    )
     args = parser.parse_args(argv)
+    if args.memory:
+        if args.workload == "reproduce_warm":
+            parser.error("--memory builds one run: pick a single-run workload")
+        config = smoke_config(args.workload, args.seed)
+        sites = memory_census(config)
+        print(render_memory(args.workload, config.n_apps, sites))
+        return 0
     cs = heap = None
     if args.workload == "reproduce_warm":
         units, table = warm_census(args.seed)

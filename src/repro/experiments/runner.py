@@ -192,6 +192,8 @@ class ExperimentRun:
         self.obs: Optional[ObservabilityLayer] = None
         self.apps: List[ApplicationProcess] = []
         self.collector: Optional[MetricsCollector] = None
+        #: built by :meth:`build` when ``config.check_safety``
+        self.checker: Optional[MutualExclusionChecker] = None
         self._stage = "new"  # -> "built" -> "executed"; "closed" from any
 
     def __enter__(self) -> "ExperimentRun":
@@ -227,16 +229,6 @@ class ExperimentRun:
                 coordinator_nodes=tuple(c.node for c in system.coordinators),
             )
 
-        if config.check_safety:
-            # Edge-fed: checked on the grant/release callbacks of the
-            # application processes' own peers (coordinators enter their
-            # CSes as part of the bridging automaton; the paper's
-            # invariant is over the applications), so no cs_enter/cs_exit
-            # record is built unless something else subscribes to them.
-            MutualExclusionChecker().watch(
-                system.peer_for(node) for node in system.app_nodes
-            )
-
         remaining = {"count": len(system.app_nodes)}
 
         def app_done(_app: ApplicationProcess) -> None:
@@ -260,6 +252,18 @@ class ExperimentRun:
             distribution=config.distribution,
             on_done=app_done,
         )
+
+        if config.check_safety:
+            # Edge-fed: checked on the grant/release callbacks of the
+            # application processes' own peers (coordinators enter their
+            # CSes as part of the bridging automaton; the paper's
+            # invariant is over the applications), so no cs_enter/cs_exit
+            # record is built unless something else subscribes to them.
+            # Deploying grants nothing, and the checker's callbacks go in
+            # front of the workload's, so watching last misses no edge.
+            self.checker = MutualExclusionChecker().watch(
+                system.peer_for(node) for node in system.app_nodes
+            )
 
     def execute(self) -> ExperimentResult:
         """Run to the deadline, check liveness, freeze the observability
@@ -331,6 +335,8 @@ class ExperimentRun:
             process.cancel_timers()
         for peer in peers:
             peer.shutdown()
+        if self.checker is not None:
+            self.checker.close()
         if self.net is not None:
             self.net.close()
 

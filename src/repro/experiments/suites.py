@@ -22,30 +22,34 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..cache.store import ExperimentCache, resolve_cache
+from ..cache.store import ExperimentCache, resolve_cache, write_atomic
 from .figures import ALL_FIGURES, FigureData, FigureScale, scale_from_env
 from .export import figure_to_csv, figure_to_json
 
 __all__ = ["reproduce_all"]
 
 
-def _write_if_changed(path: str, text: str) -> None:
-    """Write ``text`` unless ``path`` already holds exactly these bytes.
+def _write_if_changed(path: str, text: str, mode: int) -> None:
+    """Publish ``text`` at ``path`` with permissions ``mode``, unless
+    ``path`` already holds exactly these bytes.
 
     Runs are deterministic, so a repeated reproduction renders every
-    figure artefact byte for byte as before, and a truncating rewrite
-    is flushed to disk on close: rewriting them would make a warm-cache
-    call, which does little else, wait on the disk 18 times for nothing.
+    figure artefact byte for byte as before, and is left alone.  A
+    changed file is unlinked and a fresh one linked into its place: on
+    ext4 both a truncating rewrite and a rename over an existing file
+    are flushed to disk on close, so rewriting would make a warm-cache
+    call, which does little else, wait on the disk for nothing.
     """
     data = text.encode("utf-8")
     try:
         with open(path, "rb") as fh:
             if fh.read() == data:
                 return
-    except OSError:
+        os.unlink(path)
+    except FileNotFoundError:
         pass
-    with open(path, "wb") as fh:
-        fh.write(data)
+    if write_atomic(path, data, exclusive=True):
+        os.chmod(path, mode)
 
 
 def reproduce_all(
@@ -62,7 +66,7 @@ def reproduce_all(
     :class:`~repro.cache.ExperimentCache`, or ``None`` for no caching.
     A figure artefact that already holds the bytes about to be written
     is left alone (its mtime too); ``summary.json`` carries this call's
-    timings and cache counters and is always written.
+    timings and cache counters.
     """
     if scale is None:
         scale = scale_from_env()
@@ -73,6 +77,11 @@ def reproduce_all(
     store = resolve_cache(cache)
     out = os.fspath(out_dir) or os.curdir  # as Path("") is "."
     os.makedirs(out, exist_ok=True)
+    # Artefacts get the mode open() would give them; the umask can only
+    # be read by setting it.
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = 0o666 & ~umask
 
     results: Dict[str, FigureData] = {}
     timings: Dict[str, float] = {}
@@ -84,9 +93,9 @@ def reproduce_all(
         timings[figure_id] = time.perf_counter() - started  # repro: allow[RPR001] host-side telemetry
         results[figure_id] = data
         base = os.path.join(out, figure_id)
-        _write_if_changed(base + ".txt", data.to_table() + "\n")
-        _write_if_changed(base + ".csv", figure_to_csv(data))
-        _write_if_changed(base + ".json", figure_to_json(data) + "\n")
+        _write_if_changed(base + ".txt", data.to_table() + "\n", mode)
+        _write_if_changed(base + ".csv", figure_to_csv(data), mode)
+        _write_if_changed(base + ".json", figure_to_json(data) + "\n", mode)
 
     summary = {
         "figures": wanted,
@@ -112,6 +121,9 @@ def reproduce_all(
             "verified": store.stats.verified,
             "verify_failures": store.stats.verify_failures,
         }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_if_changed(
+        os.path.join(out, "summary.json"),
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        mode,
+    )
     return results

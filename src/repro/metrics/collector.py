@@ -240,9 +240,8 @@ class BoundedMetricsCollector(MetricsCollector):
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.max_records = int(max_records)
         self._rng = np.random.default_rng(seed ^ 0x5EED_CA9)
-        #: the reservoir: one ``(node, cluster, requested_at, granted_at,
-        #: released_at)`` row per sampled CS
-        self._rows: List[Tuple[int, int, float, float, float]] = []
+        # The reservoir is the five columns of the exact collector: a
+        # sampled CS is a row of them, replaced column by column.
         #: block-drawn reservoir slots, reversed (``pop()`` is the next)
         self._slots: List[int] = []
         self._all = _Moments()
@@ -267,11 +266,13 @@ class BoundedMetricsCollector(MetricsCollector):
         moments.add(t)
         if released_at > self._last_release:
             self._last_release = released_at
-        row = (node, cluster, requested_at, granted_at, released_at)
-        rows = self._rows
         seen = self._all.n - 1  # rows seen before this one
         if seen < self.max_records:
-            rows.append(row)
+            self._node.append(node)
+            self._cluster.append(cluster)
+            self._requested.append(requested_at)
+            self._granted.append(granted_at)
+            self._released.append(released_at)
             return
         slots = self._slots
         if not slots:
@@ -279,13 +280,11 @@ class BoundedMetricsCollector(MetricsCollector):
             slots.extend(self._rng.integers(0, highs)[::-1].tolist())
         j = slots.pop()
         if j < self.max_records:
-            rows[j] = row
-
-    def _columns(self) -> _Columns:
-        if not self._rows:
-            return (), (), (), (), ()
-        node, cluster, requested, granted, released = zip(*self._rows)
-        return node, cluster, requested, granted, released
+            self._node[j] = node
+            self._cluster[j] = cluster
+            self._requested[j] = requested_at
+            self._granted[j] = granted_at
+            self._released[j] = released_at
 
     @property
     def cs_count(self) -> int:

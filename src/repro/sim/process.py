@@ -8,7 +8,7 @@ timers; message passing lives one layer up in :mod:`repro.net`.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -16,6 +16,10 @@ from .event import Event, EventHandle
 from .kernel import Simulator
 
 __all__ = ["Process", "stream_label"]
+
+#: The timer list of every process that has armed no managed timer:
+#: shared, and a tuple, so nothing can be appended to it.
+_NO_TIMERS: Tuple[EventHandle, ...] = ()
 
 
 def stream_label(name: str, purpose: str) -> str:
@@ -37,7 +41,9 @@ class Process:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._timers: list[EventHandle] = []
+        self._timers: Union[List[EventHandle], Tuple[EventHandle, ...]] = (
+            _NO_TIMERS
+        )
         self._halted = False
 
     # ------------------------------------------------------------------ #
@@ -64,18 +70,22 @@ class Process:
             dead.cancelled = True
             return EventHandle(dead)
         handle = self.sim.schedule(delay, fn, *args)
-        self._timers.append(handle)
+        timers = self._timers
+        if not isinstance(timers, list):  # none armed, or all cancelled
+            self._timers = [handle]
+            return handle
+        timers.append(handle)
         # Opportunistically compact the tracking list so long-lived
         # processes do not accumulate dead handles.
-        if len(self._timers) > 64:
-            self._timers = [h for h in self._timers if h.active]
+        if len(timers) > 64:
+            self._timers = [h for h in timers if h.active]
         return handle
 
     def cancel_timers(self) -> None:
         """Cancel every outstanding timer of this process."""
         for handle in self._timers:
             handle.cancel()
-        self._timers.clear()
+        self._timers = _NO_TIMERS
 
     # ------------------------------------------------------------------ #
     # crash semantics (driven by repro.net.faults.CrashController)

@@ -134,7 +134,9 @@ def _uint32_words(value: int) -> Tuple[int, ...]:
 
 class _SeedWords:
     """Stands in for the SeedSequence a stream was derived from: PCG64
-    reads its seed words once, through ``generate_state(4, uint64)``.
+    reads its seed words once, through ``generate_state(4, uint64)``,
+    and the generator keeps this object for as long as it lives, so the
+    words are let go at that read.
 
     It becomes a numpy ``ISeedSequence`` at the first derivation, not at
     import: importing ``numpy.random`` costs a process that derives no
@@ -143,14 +145,20 @@ class _SeedWords:
     __slots__ = ("words",)
 
     def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+        self.words: Optional[np.ndarray] = words
 
     def generate_state(
         self, n_words: int, dtype: npt.DTypeLike = np.uint32
     ) -> np.ndarray:
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("a derived stream holds only PCG64's seed words")
-        return self.words
+        words, self.words = self.words, None
+        if words is None:
+            raise ValueError(
+                "a derived stream's seed words are read once, by its PCG64; "
+                "RngRegistry.fresh(label) derives the stream again"
+            )
+        return words
 
 
 class RngRegistry:

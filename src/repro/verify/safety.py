@@ -15,8 +15,7 @@ exact simulated time it happens, with both culprits named.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, Optional, Set, Tuple, Union
 
 from ..errors import SafetyViolation
 from ..sim.trace import TraceRecord, Tracer
@@ -24,6 +23,45 @@ from ..sim.trace import TraceRecord, Tracer
 __all__ = ["MutualExclusionChecker"]
 
 Key = Tuple[int, str]
+
+
+class _Watcher:
+    """One peer watched by the edge feed.  Its bound :meth:`enter` and
+    :meth:`exit` are the peer's grant / release callbacks, and the
+    checker keeps the watcher itself in its set of processes inside the
+    CS, so the ``(node, port)`` key is built only for a violation.  It
+    holds the simulator (for the instant a violation is reported at),
+    never the peer.  Each edge is one Python frame: the checker's
+    bookkeeping is done here, not called."""
+
+    __slots__ = ("checker", "node", "port", "sim")
+
+    def __init__(
+        self, checker: "MutualExclusionChecker", node: int, port: str, sim: Any
+    ) -> None:
+        self.checker = checker
+        self.node = node
+        self.port = port
+        self.sim = sim
+
+    @property
+    def key(self) -> Key:
+        return (self.node, self.port)
+
+    def enter(self) -> None:
+        checker = self.checker
+        if checker._inside:
+            raise checker._overlap(self.key, self.sim._now)
+        checker._inside.add(self)
+        checker.total_entries += 1
+
+    def exit(self) -> None:
+        try:
+            self.checker._inside.remove(self)
+        except KeyError:
+            raise MutualExclusionChecker._unentered(
+                self.key, self.sim._now
+            ) from None
 
 
 class MutualExclusionChecker:
@@ -57,9 +95,10 @@ class MutualExclusionChecker:
         self._include = include
         #: memoized include verdicts, keyed by (node, port)
         self._included: dict = {}
-        self.inside: Set[Key] = set()
+        #: who is inside the CS: a key from the trace feed, a watcher
+        #: from the edge feed
+        self._inside: Set[Union[Key, _Watcher]] = set()
         self.total_entries = 0
-        self.max_concurrency = 0
         if tracer is not None:
             tracer.subscribe(enter_kind, self._on_enter)
             tracer.subscribe(exit_kind, self._on_exit)
@@ -81,10 +120,25 @@ class MutualExclusionChecker:
         instant a violation is reported at), never the peer.
         """
         for peer in peers:
-            key = (peer.node, peer.port)
-            peer.on_granted.insert(0, partial(self._enter, key, peer.sim))
-            peer.on_released.insert(0, partial(self._exit, key, peer.sim))
+            watcher = _Watcher(self, peer.node, peer.port, peer.sim)
+            peer.on_granted.insert(0, watcher.enter)
+            peer.on_released.insert(0, watcher.exit)
         return self
+
+    @property
+    def inside(self) -> Set[Key]:
+        """The ``(node, port)`` pairs inside the CS now, from either feed."""
+        return {
+            entry.key if isinstance(entry, _Watcher) else entry
+            for entry in self._inside
+        }
+
+    @property
+    def max_concurrency(self) -> int:
+        """Most tracked processes seen inside the CS at once: 1 from the
+        first entry on, because a second concurrent entry raises before
+        it is recorded."""
+        return min(self.total_entries, 1)
 
     # ------------------------------------------------------------------ #
     # The violations are built in one place, so a run fails with the
@@ -103,18 +157,6 @@ class MutualExclusionChecker:
             "without having entered it"
         )
 
-    def _enter(self, key: Key, sim) -> None:
-        if self.inside:
-            raise self._overlap(key, sim._now)
-        self.inside.add(key)
-        self.total_entries += 1
-        self.max_concurrency = 1
-
-    def _exit(self, key: Key, sim) -> None:
-        if key not in self.inside:
-            raise self._unentered(key, sim._now)
-        self.inside.discard(key)
-
     def _on_enter(self, rec: TraceRecord) -> None:
         # Hot path: this fires on every CS entry of every benchmarked
         # run, so the key is read straight out of the record's field
@@ -130,15 +172,11 @@ class MutualExclusionChecker:
             )
         if not inc:
             return
-        inside = self.inside
+        inside = self._inside
         if inside:
             raise self._overlap(key, fields["time"])
         inside.add(key)
         self.total_entries += 1
-        # The raise above fires before a second concurrent entry could
-        # ever be recorded, so observed concurrency is exactly 1 from
-        # the first entry on — no len() bookkeeping per record needed.
-        self.max_concurrency = 1
 
     def _on_exit(self, rec: TraceRecord) -> None:
         fields = rec.fields
@@ -151,13 +189,19 @@ class MutualExclusionChecker:
             )
         if not inc:
             return
-        if key not in self.inside:
+        if key not in self._inside:
             raise self._unentered(key, fields["time"])
-        self.inside.discard(key)
+        self._inside.discard(key)
+
+    def close(self) -> None:
+        """Forget who is inside the CS.  A watched peer inside it and
+        its checker hold each other, so a run cut off mid-CS calls this
+        for both to die by reference count."""
+        self._inside.clear()
 
     # ------------------------------------------------------------------ #
     def assert_quiescent(self) -> None:
         """Assert nobody is left inside the CS (end-of-run check)."""
-        if self.inside:
+        if self._inside:
             others = ", ".join(f"{n}@{p}" for n, p in sorted(self.inside))
             raise SafetyViolation(f"run ended with [{others}] inside the CS")

@@ -57,3 +57,46 @@ def test_repeated_reproduction_rewrites_only_what_changed(tmp_path):
     assert [path.read_bytes() for path in artefacts] == before
     assert [path.stat().st_mtime_ns == 1 for path in artefacts] == [False, True, True]
     assert (tmp_path / "summary.json").stat().st_mtime_ns != 1
+
+
+def test_repeated_reproduction_never_rewrites_a_file_in_place(
+    tmp_path, monkeypatch
+):
+    # On ext4 a truncating rewrite, or a rename over an existing file, is
+    # flushed to disk on close: a changed file is unlinked and a fresh
+    # one linked into its place instead.
+    overwrites = []
+    real_open, real_replace = open, os.replace
+
+    def watching_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and os.path.exists(file):
+            overwrites.append(("open", os.fspath(file)))
+        return real_open(file, mode, *args, **kwargs)
+
+    def watching_replace(src, dst, *args, **kwargs):
+        if os.path.exists(dst):
+            overwrites.append(("replace", os.fspath(dst)))
+        return real_replace(src, dst, *args, **kwargs)
+
+    umask = os.umask(0o027)
+    try:
+        reproduce_all(tmp_path, scale=TINY, figures=["fig6a"], cache=None)
+        artefacts = [tmp_path / f"fig6a.{ext}" for ext in ("txt", "csv", "json")]
+        before = [path.read_bytes() for path in artefacts]
+        summary = tmp_path / "summary.json"
+        first_summary = summary.read_bytes()
+        artefacts[1].write_bytes(b"tampered\n")
+        monkeypatch.setattr("builtins.open", watching_open)
+        monkeypatch.setattr(os, "replace", watching_replace)
+        reproduce_all(tmp_path, scale=TINY, figures=["fig6a"], cache=None)
+    finally:
+        os.umask(umask)
+    assert overwrites == []
+    assert [path.read_bytes() for path in artefacts] == before
+    assert summary.read_bytes() != first_summary  # this call's timings
+    # Published with the mode open() gives a new file, not mkstemp's 0600.
+    for path in (*artefacts, summary):
+        assert path.stat().st_mode & 0o777 == 0o640, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [p.name for p in artefacts] + ["summary.json"]
+    )

@@ -88,6 +88,27 @@ def test_failed_run_dies_by_refcount_too(name, run_sims):
     assert gc.collect() < FEW
 
 
+def test_run_cut_off_inside_the_cs_dies_by_refcount(run_sims, monkeypatch):
+    # A watched peer inside the CS and the safety checker hold each
+    # other: the teardown has to cut that cycle too.
+    left_inside = []
+
+    class Spy(MutualExclusionChecker):
+        def close(self):
+            left_inside.append(self.inside)
+            super().close()
+
+    monkeypatch.setattr(runner, "MutualExclusionChecker", Spy)
+    config = CONFIGS["composition"].with_(deadline_ms=50.0)
+    _run_past_its_deadline(config)  # warm-up, not measured
+    gc.collect()
+    del run_sims[:]
+    _run_past_its_deadline(config)
+    assert left_inside[-1]  # cut off with an application inside the CS
+    assert [ref() for ref in run_sims] == [None]
+    assert gc.collect() < FEW
+
+
 def test_leaving_the_with_block_on_any_exception_tears_down(run_sims):
     class Interrupted(Exception):
         pass

@@ -127,14 +127,15 @@ class _ScalarReservoir(BoundedMetricsCollector):
         if released_at > self._last_release:
             self._last_release = released_at
         row = (node, cluster, requested_at, granted_at, released_at)
-        rows = self._rows
         seen = self._all.n - 1  # rows seen before this one
         if seen < self.max_records:
-            rows.append(row)
+            for column, value in zip(self._columns(), row):
+                column.append(value)
         else:
             j = int(self._rng.integers(0, seen + 1))
             if j < self.max_records:
-                rows[j] = row
+                for column, value in zip(self._columns(), row):
+                    column[j] = value
 
 
 @pytest.mark.parametrize("cap", [1, 7, 64, 8192])
@@ -146,8 +147,8 @@ def test_block_drawn_slots_match_scalar_draws(cap, past):
     assert len({r.requested_at for r in records}) == len(records)
     block = _fill(BoundedMetricsCollector(max_records=cap, seed=5), records)
     scalar = _fill(_ScalarReservoir(max_records=cap, seed=5), records)
-    assert len(block._rows) == cap
-    assert block._rows == scalar._rows
+    assert [len(column) for column in block._columns()] == [cap] * 5
+    assert block._columns() == scalar._columns()
 
 
 #: p50 / p95 of a 20 000-record run past the default 8 192 cap, overall

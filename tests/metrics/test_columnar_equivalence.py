@@ -238,6 +238,12 @@ def test_bounded_past_the_cap_matches(cap, count):
     _fill_both(new, oracle, _records(rows), True)
     assert new.cs_count == count and len(new.records) == cap
     assert view(new) == view(oracle)
+    # The reservoir is five columns, slot for slot the oracle's records.
+    assert new._columns() == tuple(
+        [getattr(r, field) for r in oracle.records]
+        for field in ("node", "cluster", "requested_at", "granted_at",
+                      "released_at")
+    )
 
 
 @pytest.mark.parametrize("factory", [MetricsCollector, BoundedMetricsCollector])

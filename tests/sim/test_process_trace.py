@@ -24,6 +24,26 @@ def test_cancel_timers_sweeps_everything():
     assert fired == []
 
 
+def test_timer_list_is_made_by_the_first_timer():
+    sim = Simulator(seed=1)
+    proc, idle = Process(sim, "p0"), Process(sim, "p1")
+    proc.cancel_timers()  # nothing armed yet: nothing to cancel
+    assert proc._timers == () and proc._timers is idle._timers
+    fired = []
+    proc.set_timer(1.0, fired.append, "cancelled")
+    assert len(proc._timers) == 1 and idle._timers == ()
+    proc.cancel_timers()
+    assert proc._timers is idle._timers  # back to the shared empty one
+    proc.set_timer(2.0, fired.append, "armed after a cancel")
+    sim.run()
+    assert fired == ["armed after a cancel"]
+    proc.halt()
+    dead = proc.set_timer(1.0, fired.append, "halted")
+    assert not dead.active and proc._timers == ()
+    sim.run()
+    assert fired == ["armed after a cancel"] and idle._timers == ()
+
+
 def test_timer_list_compaction():
     sim = Simulator(seed=1)
     proc = Process(sim, "p0")

@@ -149,6 +149,18 @@ def test_derived_stream_survives_pickle_and_deepcopy():
         assert clone.random(5).tolist() == copy.deepcopy(gen).random(5).tolist()
 
 
+def test_seed_words_are_let_go_once_pcg64_has_read_them():
+    registry = RngRegistry(7)
+    gen = registry.stream("a")
+    first = gen.random(4).tolist()
+    seed_words = gen.bit_generator._seed_seq
+    assert seed_words.words is None
+    with pytest.raises(ValueError, match=r"read once, by its PCG64.*fresh"):
+        seed_words.generate_state(4, np.uint64)
+    assert registry.fresh("a").random(4).tolist() == first
+    assert_same_stream(registry.fresh("a"), oracle(7, stable_hash("a")))
+
+
 # --------------------------------------------------------------------- #
 # Seeds the registry refuses
 # --------------------------------------------------------------------- #

@@ -9,10 +9,13 @@ same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
 census shows each sweep config's key rendered from the class plan, each
 derived config built without ``dataclasses.replace`` and each blob
-addressed without pathlib."""
+addressed without pathlib.  ``--memory`` sizes state the same way: what
+a build retains repeats exactly, and a watched peer costs the safety
+checker one slotted object and its two bound callbacks."""
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,23 @@ def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     assert all(n < 1 for n in per_hit.values()), per_hit
     report = opcode_census.render("reproduce_warm", hits, table)
     assert report.splitlines()[1].split()[0] == "instr/hit"
+
+
+def test_memory_census_repeats_exactly_and_adds_up():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    config = opcode_census.smoke_config("twotier_5k")
+    sites = opcode_census.memory_census(config)
+    assert sites == opcode_census.memory_census(config)
+    packages = opcode_census.by_package(sites)
+    assert sum(packages.values()) == sum(sites.values())
+    assert {"sim", "mutex", "core", "net", "workload", "verify"} <= set(packages)
+    # Per watched peer: a watcher and two bound methods (64 B each) and
+    # the first growth of its on_released list.
+    assert packages["verify"] <= 256 * config.n_apps
+    report = opcode_census.render_memory("twotier_5k", config.n_apps, sites)
+    lines = report.splitlines()
+    assert len(lines) == 4 + len(packages) + opcode_census.TOP_SITES
+    assert float(lines[2].split()[0]) == round(
+        sum(sites.values()) / config.n_apps, 1
+    )

@@ -1,10 +1,13 @@
 """The safety checker's two feeds: trace records and the grant/release
 edge.  Same class, same state, same violations at the same instant."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.errors import ProtocolError, SafetyViolation
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 from repro.experiments import runner
 from repro.metrics import MetricsCollector
 from repro.net import ConstantLatency, Network, uniform_topology
@@ -58,8 +61,8 @@ def test_edge_feed_raises_before_any_other_grant_subscriber_acts():
     a, b = driver.peers
     acted = []
     b.on_granted.append(lambda: acted.append("b"))
-    MutualExclusionChecker().watch([a, b])
-    assert b.on_granted[0].func.__name__ == "_enter"  # inserted in front
+    checker = MutualExclusionChecker().watch([a, b])
+    assert b.on_granted[0].__self__.checker is checker  # inserted in front
     a._grant()
     with pytest.raises(SafetyViolation, match="1@mutex entered the CS"):
         b._grant()
@@ -210,3 +213,31 @@ def test_check_safety_off_watches_nothing(monkeypatch):
 
     monkeypatch.setattr(runner, "MutualExclusionChecker", refuse)
     run_experiment(RUNNER_CONFIGS["composition"].with_(check_safety=False))
+
+
+def _retained_by_build(config) -> int:
+    """Bytes still allocated once ``ExperimentRun(config).build()``
+    returns, under ``tracemalloc``."""
+    with ExperimentRun(config) as run:  # imports, memos: not counted
+        run.build()
+    gc.collect()  # also empties the free lists: every new object is traced
+    tracemalloc.start()
+    try:
+        with ExperimentRun(config) as run:
+            run.build()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_watched_peer_costs_at_most_256_bytes():
+    # 10 x (99 + 1) = 1 000 nodes: one slotted watcher and its two bound
+    # callbacks per application peer, nothing per edge.
+    config = ExperimentConfig(
+        platform="two-tier", n_clusters=10, apps_per_cluster=99, n_cs=1,
+        rho=990.0, seed=1,
+    )
+    watched = _retained_by_build(config)
+    unwatched = _retained_by_build(config.with_(check_safety=False))
+    assert watched - unwatched <= 256 * config.n_apps
