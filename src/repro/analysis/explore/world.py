@@ -343,19 +343,14 @@ class World:
     def _recover(self) -> None:
         """Membership reset over the survivors (the flat-system recovery
         path from :mod:`repro.core.recovery`): drop the crashed epoch's
-        in-flight messages, re-seat the token via ``elect_holder`` +
-        the per-algorithm resetter, then replay every surviving
-        requester through the unmodified ``_do_request`` path."""
-        from ...core.recovery import _RESETTERS, elect_holder
+        in-flight messages, re-seat the token via ``elect_holder`` and
+        each survivor's :meth:`~repro.mutex.base.MutexPeer.reform`, then
+        replay every surviving requester through the unmodified
+        ``_do_request`` path."""
+        from ...core.recovery import elect_holder
 
         if not self.down or self.recover_used:
             raise ExplorationError("recover not enabled")
-        algorithm = self.port_members["flat"][0]
-        resetter = _RESETTERS.get(algorithm)
-        if resetter is None:
-            raise ExplorationError(
-                f"no membership resetter for algorithm {algorithm!r}"
-            )
         self.recover_used = True
         # Epoch fence: recovery assumes the old epoch's messages are
         # gone (the controller quiesces before resetting; the explorer
@@ -364,7 +359,9 @@ class World:
         self.pending.clear()
         live = [p for p in self.peers if p.node not in self.down]
         elected = elect_holder(live)
-        resetter(live, [p.node for p in live], elected.node)
+        members = tuple(p.node for p in live)
+        for peer in live:
+            peer.reform(members, elected.node)
         for peer in live:
             if peer.state is PeerState.REQ:
                 peer._do_request()

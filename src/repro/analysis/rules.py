@@ -506,6 +506,13 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "depends on which wrapper went on first",
     ),
     Invariant(
+        "reform",
+        ("core/recovery.py", "analysis/explore/world.py"),
+        "an epoch change re-seats a token through the algorithm's own "
+        "initial state; recovery and the explorer's recover action are its "
+        "only two callers",
+    ),
+    Invariant(
         "SeedSequence",
         ("sim/rng.py",),
         "RngRegistry runs SeedSequence's mixing itself, in bulk; numpy's "

@@ -23,27 +23,29 @@ three outside-in mechanisms:
   network's delivery sequence number.  Fencing makes *false* suspicion
   safe: if the "lost" token was merely slow, the stale copy is
   discarded before the regenerated one can meet it.
-* **epoch reset** — a deterministic election picks the new token
+* **epoch change** — a deterministic election picks the new token
   holder among live peers (an in-CS peer always wins, then a live
   holder, then an explicit preference, then the smallest node id — so
-  a token that *isn't* lost is never duplicated), a per-algorithm
-  resetter rebuilds the distributed structures over the live
-  membership, and peers still in ``REQ`` re-drive their requests
-  through the algorithm's own request path.
+  a token that *isn't* lost is never duplicated); every live peer is
+  re-seated by :meth:`~repro.mutex.base.MutexPeer.reform`, the
+  algorithm's own initial-state code, with the token at the elected
+  peer; and peers still in ``REQ`` re-drive their requests through the
+  algorithm's own request path.  Algorithms without a token to re-seat
+  are refused.
 
 :class:`CompositionRecovery` assembles these into coordinator failover:
-on a missed heartbeat the standby's cluster is fenced and reset (token
-to the in-CS application if any), a replacement
+on a missed heartbeat the standby's cluster is fenced and re-formed
+(token to the in-CS application if any), a replacement
 :class:`~repro.core.coordinator.Coordinator` is built on the standby
 node, and only once it has re-acquired the intra CS — i.e. provably no
 application of the orphaned cluster is inside the critical section —
-is the inter instance reset.  That ordering is what keeps the global
-safety property across the failover.
+is the inter instance re-formed.  That ordering is what keeps the
+global safety property across the failover.  The replacement is then
+watched from the cluster's next standby, if one is left.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -146,63 +148,6 @@ def elect_holder(
 
 
 # --------------------------------------------------------------------- #
-# per-algorithm epoch resetters
-# --------------------------------------------------------------------- #
-# A resetter rebuilds one algorithm's distributed structures from
-# scratch over ``membership`` (a node-id sequence, order significant for
-# ring algorithms), installing exactly one token at ``elected``.  It may
-# write peer attributes — that is the recovery layer's privilege — but
-# must not call into handlers or send messages; replay does the latter
-# through the unmodified request path.
-
-def _reset_naimi(
-    peers: Sequence[MutexPeer], membership: Sequence[int], elected: int
-) -> None:
-    for p in peers:
-        p._holds_token = p.node == elected
-        p.last = p.node if p.node == elected else elected
-        p.next = None
-        p.peers = tuple(membership)
-        p.initial_holder = elected
-
-
-def _reset_suzuki(
-    peers: Sequence[MutexPeer], membership: Sequence[int], elected: int
-) -> None:
-    for p in peers:
-        if p._retry_timer is not None:
-            p._retry_timer.cancel()
-            p._retry_timer = None
-        p.rn = {q: 0 for q in membership}
-        p._holds_token = p.node == elected
-        p.ln = {q: 0 for q in membership} if p.node == elected else None
-        p.queue = deque() if p.node == elected else None
-        p.peers = tuple(membership)
-        p.initial_holder = elected
-
-
-def _reset_martin(
-    peers: Sequence[MutexPeer], membership: Sequence[int], elected: int
-) -> None:
-    order = list(membership)
-    for p in peers:
-        i = order.index(p.node)
-        p.successor = order[(i + 1) % len(order)]
-        p.predecessor = order[(i - 1) % len(order)]
-        p._holds_token = p.node == elected
-        p._owe_pred = False
-        p.peers = tuple(membership)
-        p.initial_holder = elected
-
-
-_RESETTERS: Dict[str, Callable[[Sequence[MutexPeer], Sequence[int], int], None]] = {
-    "naimi": _reset_naimi,
-    "suzuki": _reset_suzuki,
-    "martin": _reset_martin,
-}
-
-
-# --------------------------------------------------------------------- #
 # instance-level recovery
 # --------------------------------------------------------------------- #
 class InstanceRecovery(Process):
@@ -213,9 +158,10 @@ class InstanceRecovery(Process):
     sim, net, crashes:
         Kernel, transport and failure model.
     peers:
-        Every peer of the instance (one shared port).  All three token
-        algorithms of the paper are supported; an unknown algorithm
-        raises :class:`~repro.errors.RecoveryError` at construction.
+        Every peer of the instance (one shared port).  Their class must
+        implement ``_init_state`` (every token algorithm does); any
+        other raises :class:`~repro.errors.RecoveryError` at
+        construction.
     config, metrics:
         Timing knobs and an optional
         :class:`~repro.metrics.MetricsCollector` receiving
@@ -253,13 +199,13 @@ class InstanceRecovery(Process):
         self.config = config if config is not None else RecoveryConfig()
         self.metrics = metrics
         self.detect = detect
-        algo = getattr(type(peers[0]), "algorithm_name", None)
-        if algo not in _RESETTERS:
+        cls = type(peers[0])
+        if cls._init_state is MutexPeer._init_state:
             raise RecoveryError(
-                f"no epoch resetter registered for algorithm {algo!r} "
-                f"(supported: {sorted(_RESETTERS)})"
+                f"{cls.__name__} ({getattr(cls, 'algorithm_name', '?')!r}) "
+                "has no token to re-seat: it does not implement "
+                "_init_state (see docs/faults.md)"
             )
-        self._resetter = _RESETTERS[algo]
         #: membership in canonical order (ring order for Martin)
         self._canonical: List[int] = [p.node for p in self.peers]
         self._members = set(self._canonical)
@@ -299,10 +245,10 @@ class InstanceRecovery(Process):
         if node not in self._members:
             # An epoch reset excluded this node while it was down; its
             # in-memory protocol state belongs to a fenced-off epoch.
-            # Strip the token flag so the reboot cannot resurrect a
-            # second token — the node rejoins only when a future epoch's
+            # Re-seat it without a token so the reboot cannot resurrect
+            # a second one — the node rejoins only when a future epoch's
             # membership includes it.
-            peer._holds_token = False
+            peer.reform((*self._canonical, node), self._canonical[0])
 
     # ------------------------------------------------------------------ #
     # epoch fence
@@ -435,8 +381,11 @@ class InstanceRecovery(Process):
         # keeps its orientation); genuinely new nodes go to the back.
         order = [n for n in self._canonical if n in member_set]
         order += [n for n in members if n not in self._canonical]
+        anchor = prefer if prefer in member_set else elected.node
         self._fence_seq = self.net.seq_watermark
-        self._resetter(live, order, elected.node)
+        peers = tuple(order)
+        for p in live:
+            p.reform(peers, anchor, holder=elected.node)
         self._canonical = order
         self._members = member_set
         self._req_since.clear()
@@ -584,26 +533,27 @@ class CompositionRecovery:
     Wires per-cluster :class:`InstanceRecovery` (token loss among the
     applications), a fence-only inter :class:`InstanceRecovery`, and a
     heartbeat pair per cluster whose expiry fails the coordinator over
-    to the cluster's standby node.  Requires the composition to be the
-    paper's two levels over the clusters in index order (the default
-    ``hierarchy``), built with ``standbys >= 1``.
+    to the cluster's next standby node.  Requires a one-deep
+    ``hierarchy`` (the paper's two levels, clusters in any order), built
+    with ``standbys >= 1``.
 
     Failover sequence (the order is the safety argument — see module
     docstring and ``docs/faults.md``):
 
     1. park the cluster's intra detection;
-    2. fence + reset the intra instance *without replay*; the token goes
-       to the application inside the CS if there is one, else to the
-       standby;
+    2. fence + re-form the intra instance *without replay*; the token
+       goes to the application inside the CS if there is one, else to
+       the standby, which becomes the instance's initial holder;
     3. build the replacement :class:`Coordinator` on the standby (its
        constructor re-acquires the intra CS through the normal request
        path) with its upper requests gated;
     4. once it holds the intra CS — hence no application of this
-       cluster is in the CS — fence + reset the inter instance over the
-       surviving coordinators plus the replacement, replaying their
+       cluster is in the CS — fence + re-form the inter instance over
+       the surviving coordinators plus the replacement, replaying their
        outstanding inter requests;
-    5. release the gate, replay the cluster's application requests, and
-       resume detection.
+    5. release the gate, replay the cluster's application requests,
+       resume detection, and watch the replacement from the cluster's
+       next standby, if one is left.
     """
 
     def __init__(
@@ -621,11 +571,12 @@ class CompositionRecovery:
         self.composition = composition
         self.config = config if config is not None else RecoveryConfig()
         self.metrics = metrics
-        # Failover indexes `inter_peers` and `coordinators` by cluster.
-        if composition.hierarchy != tuple(range(composition.topology.n_clusters)):
+        # A failover replaces one coordinator's slot in the inter instance.
+        if composition.depth != 1:
             raise RecoveryError(
-                "failover needs the two-level composition over the clusters "
-                f"in index order; got hierarchy {composition.hierarchy!r}"
+                "failover needs a one-deep hierarchy (the paper's two "
+                f"levels); got hierarchy {composition.hierarchy!r} of depth "
+                f"{composition.depth}"
             )
         if not any(composition.standby_nodes.values()):
             raise RecoveryError(
@@ -655,7 +606,7 @@ class CompositionRecovery:
             # token to an application lacking inter-CS cover.
             rec.detection_guard = (
                 lambda ci=ci: crashes.is_down(
-                    composition.coordinators[ci].node
+                    composition.coordinator_for(ci).node
                 )
             )
             self.intra_recovery.append(rec)
@@ -670,30 +621,29 @@ class CompositionRecovery:
             name="recovery/inter",
         )
 
-        self._emitters: Dict[int, HeartbeatEmitter] = {}
-        self._monitors: Dict[int, HeartbeatMonitor] = {}
-        for ci, coord in enumerate(composition.coordinators):
-            if not composition.standby_nodes[ci]:
-                continue
-            standby = composition.standby_nodes[ci][0]
-            port = f"recovery/hb/{ci}"
-            emitter = HeartbeatEmitter(
-                sim, net, coord.node, standby, port,
-                self.config.heartbeat_ms,
-            )
-            monitor = HeartbeatMonitor(
-                sim, net, standby, port,
-                self.config.heartbeat_deadline_ms,
-                on_failure=lambda ci=ci: self._on_coordinator_suspected(ci),
-            )
-            crashes.bind(coord.node, emitter)
-            crashes.bind(standby, monitor)
-            self._emitters[ci] = emitter
-            self._monitors[ci] = monitor
+        for ci in range(composition.topology.n_clusters):
+            if composition.standby_nodes[ci]:
+                self._watch(ci, composition.coordinator_for(ci).node)
+
+    def _watch(self, ci: int, node: int) -> None:
+        """Beat from cluster ``ci``'s coordinator on ``node`` to the
+        cluster's next standby, which fails it over when the beats stop."""
+        standby = self.composition.standby_nodes[ci][0]
+        port = f"recovery/hb/{ci}"
+        emitter = HeartbeatEmitter(
+            self.sim, self.net, node, standby, port, self.config.heartbeat_ms,
+        )
+        monitor = HeartbeatMonitor(
+            self.sim, self.net, standby, port,
+            self.config.heartbeat_deadline_ms,
+            on_failure=lambda: self._on_coordinator_suspected(ci),
+        )
+        self.crashes.bind(node, emitter)
+        self.crashes.bind(standby, monitor)
 
     # ------------------------------------------------------------------ #
     def _on_coordinator_suspected(self, ci: int) -> None:
-        coord = self.composition.coordinators[ci]
+        coord = self.composition.coordinator_for(ci)
         if not self.crashes.is_down(coord.node):
             # False suspicion (cannot arise under the crash-stop model,
             # where only a halt silences the emitter) — ignore.  The
@@ -706,7 +656,7 @@ class CompositionRecovery:
 
     def _failover(self, ci: int, detected_at: float) -> None:
         comp = self.composition
-        old = comp.coordinators[ci]
+        old = comp.coordinator_for(ci)
         if not comp.standby_nodes[ci]:
             raise RecoveryError(
                 f"cluster {ci}: coordinator {old.node} is dead and no "
@@ -717,7 +667,9 @@ class CompositionRecovery:
         intra_rec.suspend()
         old._detach()  # the deposed automaton must not observe the new epoch
 
-        # Step 2: intra epoch reset, requests withheld.
+        # Step 2: intra epoch change, requests withheld.  The standby is
+        # the new epoch's initial holder even when an in-CS application
+        # keeps the token, as the replacement coordinator requires.
         intra_rec.recover(
             reason=f"coordinator {old.node} of cluster {ci} crashed",
             prefer=standby,
@@ -726,33 +678,25 @@ class CompositionRecovery:
             record=False,
         )
 
-        # Step 3: replacement coordinator on the standby node.
+        # Step 3: replacement coordinator on the standby node.  Its
+        # upper peer starts as a non-holder beside the dead coordinator
+        # and is a member of nothing until the inter epoch change.
         lower = next(
             p for p in comp.intra_instances[ci] if p.node == standby
         )
-        # The new epoch's anchor: `initial_holder` is a constructor-time
-        # contract ("the coordinator is the cluster's notional root"),
-        # not live protocol state — the regenerated token may lawfully
-        # rest with an in-CS application until request_cs() fetches it.
-        for p in comp.intra_instances[ci]:
-            if not self.crashes.is_down(p.node):
-                p.initial_holder = standby
-        upper = type(comp.inter_peers[ci])(
-            self.sim, self.net, standby, [standby], "inter",
-            initial_holder=standby,
+        upper = type(old.upper)(
+            self.sim, self.net, standby, (old.node, standby), "inter",
+            initial_holder=old.node,
         )
-        # Until the inter reset runs, this peer is a member of nothing:
-        # construction necessarily minted it a token (it is its own
-        # initial holder), which must not exist before the election.
-        upper._holds_token = False
         self.inter_recovery.add_peer(upper)
 
         deferred: List[Coordinator] = []
         new_coord = Coordinator(self.sim, lower, upper)
         new_coord.upper_request_gate = lambda c: deferred.append(c) or True
-        self.crashes.bind(standby, new_coord)
-        comp.coordinators[ci] = new_coord
-        comp.inter_peers[ci] = upper
+        self.crashes.bind(standby, new_coord, upper)
+        slot = comp.coordinators.index(old)
+        comp.coordinators[slot] = new_coord
+        comp.inter_peers[slot] = upper
 
         def finish() -> None:
             # Step 4: the replacement holds the intra CS, so no
@@ -773,6 +717,8 @@ class CompositionRecovery:
                 c.resume_upper_request()
             intra_rec.replay_pending()
             intra_rec.resume_detection()
+            if comp.standby_nodes[ci]:
+                self._watch(ci, standby)
             self.failovers.append((self.sim.now, ci, standby))
             if self.sim.trace.active:
                 self.sim.trace.emit(

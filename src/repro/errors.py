@@ -60,4 +60,4 @@ class FarmError(ReproError):
 class RecoveryError(ReproError):
     """The crash-recovery layer could not restore the system (no live
     peer to elect, no standby left for a failover, or an algorithm
-    without a registered epoch resetter)."""
+    with no token to re-seat)."""

@@ -135,19 +135,10 @@ class MutexPeer(Process):
         initial_holder: Optional[int] = None,
     ) -> None:
         super().__init__(sim, f"{port}@{node}")
-        if node not in peers:
-            raise ProtocolError(f"node {node} not in peer set {peers}")
         self.net = net
         self.node = int(node)
-        self.peers: Tuple[int, ...] = _intern_peers(peers)
+        self._seat(peers, initial_holder)
         self.port = port
-        if initial_holder is None:
-            initial_holder = self.peers[0]
-        if initial_holder not in self.peers:
-            raise ProtocolError(
-                f"initial holder {initial_holder} not in peer set"
-            )
-        self.initial_holder = int(initial_holder)
         self._state = PeerState.NO_REQ
         self.on_granted: List[Callable[[], None]] = []
         #: mirror of ``on_granted``: fired by :meth:`release_cs` once the
@@ -162,6 +153,47 @@ class MutexPeer(Process):
                          owner=self, table=dispatch_table(cls))
         else:  # a subclass with its own dispatcher keeps every delivery
             net.register(node, port, self._on_message)
+
+    def _seat(self, peers: Sequence[int], initial_holder: Optional[int]) -> None:
+        """Check and store the membership and its initial holder."""
+        if self.node not in peers:
+            raise ProtocolError(f"node {self.node} not in peer set {peers}")
+        self.peers: Tuple[int, ...] = _intern_peers(peers)
+        if initial_holder is None:
+            initial_holder = self.peers[0]
+        if initial_holder not in self.peers:
+            raise ProtocolError(
+                f"initial holder {initial_holder} not in peer set"
+            )
+        self.initial_holder = int(initial_holder)
+
+    def _init_state(self, holder: int) -> None:
+        """Set every protocol variable to its initial value, with the
+        token at ``holder``.  A token algorithm's constructor calls it;
+        configuration (timeouts, policies, counters) stays in
+        ``__init__``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement _init_state, so its "
+            "instance cannot be re-formed"
+        )
+
+    def reform(
+        self, peers: Sequence[int], initial_holder: int,
+        holder: Optional[int] = None,
+    ) -> None:
+        """Re-seat this peer, in place, in a new epoch over ``peers``:
+        membership checked as the constructor checks it, timers
+        cancelled, and the constructor's initial state with the token at
+        ``holder`` (default ``initial_holder``).  The automaton state,
+        subscribers and network registration are kept, so a peer in
+        ``REQ`` re-drives its request through ``_do_request``."""
+        self._seat(peers, initial_holder)
+        if holder is None:
+            holder = self.initial_holder
+        elif holder not in self.peers:
+            raise ProtocolError(f"token holder {holder} not in peer set")
+        self.cancel_timers()
+        self._init_state(int(holder))
 
     # ------------------------------------------------------------------ #
     # public state

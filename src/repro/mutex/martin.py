@@ -41,10 +41,13 @@ class MartinPeer(MutexPeer):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        self._init_state(self.initial_holder)
+
+    def _init_state(self, holder: int) -> None:
         index = self.peers.index(self.node)
         self.successor = self.peers[(index + 1) % len(self.peers)]
         self.predecessor = self.peers[(index - 1) % len(self.peers)]
-        self._holds_token = self.node == self.initial_holder
+        self._holds_token = self.node == holder
         # True when the token, once through with our own needs, must be
         # passed to our predecessor (a request came from that side and has
         # not been satisfied yet).

@@ -37,10 +37,13 @@ class NaimiTrehelPeer(MutexPeer):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._holds_token = self.node == self.initial_holder
-        # Probable owner.  The initial holder is the tree root (last ==
-        # itself); everyone else points at it.
-        self.last: int = self.initial_holder
+        self._init_state(self.initial_holder)
+
+    def _init_state(self, holder: int) -> None:
+        self._holds_token = self.node == holder
+        # Probable owner.  The holder is the tree root (last == itself);
+        # everyone else points at it.
+        self.last: int = holder
         # Next peer to hand the token to after our CS (None = nobody).
         self.next: Optional[int] = None
 

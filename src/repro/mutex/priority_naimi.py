@@ -208,8 +208,11 @@ class PriorityNaimiPeer(MutexPeer):
         super().__init__(*args, **kwargs)
         self.policy = policy if policy is not None else FifoPolicy()
         self.priority = int(priority)
-        self._holds_token = self.node == self.initial_holder
-        self.last: int = self.initial_holder
+        self._init_state(self.initial_holder)
+
+    def _init_state(self, holder: int) -> None:
+        self._holds_token = self.node == holder
+        self.last: int = holder
         #: global queue; only meaningful while holding the token
         self.token_queue: List[QueueEntry] = []
         #: requests buffered here while we are ourselves waiting

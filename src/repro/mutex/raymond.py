@@ -54,11 +54,13 @@ class RaymondPeer(MutexPeer):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        parents = balanced_tree_parents(self.peers, self.initial_holder)
-        parent = parents[self.node]
+        self._init_state(self.initial_holder)
+
+    def _init_state(self, holder: int) -> None:
+        parent = balanced_tree_parents(self.peers, holder)[self.node]
         # ``holder`` points at ourselves when we have the token, else at
         # the neighbour in the token's direction — initially the parent,
-        # since the initial holder is the tree root.
+        # since the token holder is the tree root.
         self.holder: int = self.node if parent is None else parent
         self.request_q: Deque[int] = deque()
         self.asked = False

@@ -50,9 +50,12 @@ class SuzukiKasamiPeer(MutexPeer):
             raise ProtocolError(f"retry_ms must be positive, got {retry_ms}")
         self.retry_ms = retry_ms
         self.retries = 0
+        self._init_state(self.initial_holder)
+
+    def _init_state(self, holder: int) -> None:
         self._retry_timer = None
         self.rn: Dict[int, int] = {p: 0 for p in self.peers}
-        self._holds_token = self.node == self.initial_holder
+        self._holds_token = self.node == holder
         # Token state; only meaningful while holding the token.
         self.ln: Optional[Dict[int, int]] = (
             {p: 0 for p in self.peers} if self._holds_token else None

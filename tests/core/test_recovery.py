@@ -26,7 +26,9 @@ from repro.verify import (
     live_peers,
 )
 
-ALGOS = ["naimi", "suzuki", "martin"]
+ALGOS = ["naimi", "suzuki", "martin", "raymond", "priority-naimi"]
+#: no token to re-seat (docs/faults.md says why for each)
+REFUSED = ["centralized", "ricart-agrawala", "lamport", "maekawa"]
 
 #: fast-reacting knobs so tests stay short
 FAST = RecoveryConfig(
@@ -80,6 +82,13 @@ def test_elect_holder_priorities():
     assert elect_holder(peers, prefer=3).node == 0
     with pytest.raises(RecoveryError):
         elect_holder([])
+
+
+@pytest.mark.parametrize("algo", REFUSED)
+def test_algorithms_without_a_token_are_refused_by_name(algo):
+    sim, net, crashes, peers = make_instance(algo)
+    with pytest.raises(RecoveryError, match=re.escape(repr(algo))):
+        InstanceRecovery(sim, net, crashes, peers)
 
 
 def test_unknown_algorithm_rejected():
@@ -470,11 +479,10 @@ def test_composition_without_standbys_rejected():
 
 @pytest.mark.parametrize("hierarchy,middle", [
     (((0, 1), (2, 3)), ("naimi",)),  # three levels
-    ((1, 0, 2, 3), ()),  # two levels, not in cluster order
 ])
 def test_composition_recovery_refuses_other_shapes(hierarchy, middle):
-    # Failover indexes inter_peers and coordinators by cluster: only the
-    # two-level tree in cluster order has that layout.
+    # Failover replaces one slot of the inter instance: a deeper tree
+    # would also need its middle instances re-formed.
     sim = Simulator(seed=1)
     topo = uniform_topology(4, 4)
     latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0)
@@ -482,8 +490,81 @@ def test_composition_recovery_refuses_other_shapes(hierarchy, middle):
     net = Network(sim, topo, latency, crashes=crashes)
     comp = Composition(sim, net, topo, hierarchy=hierarchy, middle=middle,
                        standbys=1)
-    with pytest.raises(RecoveryError, match=re.escape(repr(hierarchy))):
+    with pytest.raises(RecoveryError,
+                       match=re.escape(repr(hierarchy)) + ".*depth 2"):
         CompositionRecovery(sim, net, crashes, comp)
+
+
+def test_failover_on_a_two_level_tree_out_of_cluster_order():
+    # hierarchy (1, 0, 2, 3): cluster 0's coordinator is the inter
+    # instance's second slot, and failover replaces that slot.
+    sim = Simulator(seed=1)
+    topo = uniform_topology(4, 4)
+    latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.0)
+    crashes = CrashController(sim)
+    net = Network(sim, topo, latency, crashes=crashes)
+    comp = Composition(sim, net, topo, hierarchy=(1, 0, 2, 3), standbys=1)
+    recovery = CompositionRecovery(sim, net, crashes, comp, config=FAST)
+    app_nodes = set(comp.app_nodes)
+    liveness = LivenessChecker(
+        sim.trace, include=lambda rec: rec.node in app_nodes
+    )
+    c0 = comp.coordinator_for(0).node
+    standby = comp.standby_nodes[0][0]
+    grants = []
+    sim.schedule_at(0.0, drive_app, sim, comp.peer_for(c0 + 2), 60.0, grants)
+    crashes.schedule_crash(20.0, c0)
+    sim.schedule_at(30.0, drive_app, sim, comp.peer_for(6), 5.0, grants)
+    sim.schedule_at(40.0, drive_app, sim, comp.peer_for(c0 + 3), 5.0, grants)
+    sim.run(until=2000.0)
+    assert len(grants) == 3
+    assert [f[1:] for f in recovery.failovers] == [(0, standby)]
+    assert comp.coordinator_for(0).node == standby
+    assert comp.coordinators[1] is comp.coordinator_for(0)
+    assert comp.inter_peers[1].node == standby
+    liveness.assert_all_satisfied()
+    assert_single_token(live_peers(comp.intra_instances[0], crashes))
+    assert_single_token(live_peers(comp.inter_peers, crashes))
+
+
+@pytest.mark.parametrize("intra", ["naimi", "suzuki", "martin"])
+def test_the_replacement_coordinator_is_failed_over_too(intra):
+    # Two standbys: the coordinator dies, then its replacement does.
+    # The second standby must take over and serve the cluster.
+    sim = Simulator(seed=3)
+    topo = uniform_topology(2, 6)
+    latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.0)
+    crashes = CrashController(sim)
+    net = Network(sim, topo, latency, crashes=crashes)
+    comp = Composition(sim, net, topo, intra=intra, standbys=2)
+    recovery = CompositionRecovery(sim, net, crashes, comp, config=FAST)
+    first, second = comp.standby_nodes[0]
+    crashes.schedule_crash(20.0, comp.coordinator_for(0).node)
+    crashes.schedule_crash(400.0, first)
+    grants = []
+    for node in (3, 4, 5):
+        sim.schedule_at(600.0, drive_app, sim, comp.peer_for(node), 2.0, grants)
+    sim.run(until=3000.0)
+    assert len(grants) == 3, f"cluster 0 served {len(grants)} of 3"
+    assert [f[1:] for f in recovery.failovers] == [(0, first), (0, second)]
+    assert comp.coordinator_for(0).node == second
+    assert comp.standby_nodes[0] == []
+    assert_single_token(live_peers(comp.intra_instances[0], crashes))
+    assert_single_token(live_peers(comp.inter_peers, crashes))
+
+
+def test_one_standby_arms_no_second_heartbeat_pair():
+    # standbys=1: after the failover nothing watches the replacement,
+    # so no beat is scheduled at all (the golden crash cells rely on it).
+    sim, net, crashes, comp = make_composition("naimi")
+    CompositionRecovery(sim, net, crashes, comp, config=FAST)
+    crashes.schedule_crash(10.0, comp.coordinators[0].node)
+    sim.run(until=500.0)
+    assert comp.standby_nodes[0] == []
+    beats = net.stats.by_kind.get("hb", 0)
+    sim.run(until=1000.0)
+    # only cluster 1's original pair still beats: 500 ms / 10 ms
+    assert net.stats.by_kind.get("hb", 0) - beats == 50
 
 
 def test_standby_hosts_no_application():
