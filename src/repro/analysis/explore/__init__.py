@@ -3,9 +3,12 @@
 This package drives the *real*, unmodified :mod:`repro.mutex` algorithms
 through a controlled scheduler that owns every message delivery and
 CS request, and exhaustively explores every admissible interleaving at
-small scope.  A sleep-set dynamic partial-order reduction prunes
-redundant interleavings without losing a single reachable state, so the
-three checked properties stay exact:
+small scope.  A cell is an :class:`~repro.experiments.ExperimentConfig`
+plus the explorer's bounds, and the world under control is what a run
+of that config builds (``build_platform`` / ``build_system``), with the
+explorer standing in for the workload.  A sleep-set dynamic
+partial-order reduction prunes redundant interleavings without losing a
+single reachable state, so the three checked properties stay exact:
 
 * **safety** — at most one node in its critical section, ever;
 * **deadlock-freedom** — no reachable state with outstanding requests
@@ -16,10 +19,10 @@ three checked properties stay exact:
 
 Entry points: :func:`explore` checks one :class:`ExploreScope` cell;
 :func:`run_matrix` runs the default {naimi, suzuki, martin} x
-{flat, composition} matrix plus one crash cell;
-:mod:`repro.analysis.explore.schedule` serializes violations into
-replayable JSON counterexamples.  All of it is wired into
-``python -m repro.analysis --explore``.
+{flat, composition} matrix plus one three-level tree and one crash
+cell; :mod:`repro.analysis.explore.schedule` serializes violations into
+replayable JSON counterexamples that carry the cell's exact config.
+All of it is wired into ``python -m repro.analysis --explore``.
 """
 
 from .cells import MatrixReport, default_cells, run_matrix

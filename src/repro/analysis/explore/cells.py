@@ -1,16 +1,17 @@
 """The default verification matrix and its runner.
 
+A cell is an :class:`~repro.experiments.ExperimentConfig` plus bounds.
 Six fault-free cells cover {naimi, suzuki, martin} x {flat, composition}
-(composition cells run the algorithm at both levels), each at a scope
-tuned so the sleep-set reduction demonstrably prunes >= 10x of the naive
-schedule enumeration while staying within a few seconds of wall clock.
-One crash cell exercises the crash-stop + recovery path (flat naimi,
-crashing the initial token holder at every possible point of the
-schedule).
+(composition cells run the algorithm at both levels) and a seventh runs
+naimi, suzuki and martin on a three-level tree, each at a scope tuned so
+the sleep-set reduction demonstrably prunes >= 10x of the naive schedule
+enumeration while staying within a few seconds of wall clock.  One crash
+cell exercises the crash-stop + recovery path (flat naimi, crashing the
+initial token holder at every possible point of the schedule).
 
 What each cell visits is pinned absolutely: the ``EXPLORED`` table of
 ``tests/analysis/test_explore.py`` holds the ``(states, transitions,
-state_fingerprint)`` of all seven cells.
+state_fingerprint)`` of all eight cells.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
+from ...experiments.config import ExperimentConfig
 from .explorer import ExploreReport, explore
 from .world import ExploreScope
 
@@ -32,38 +34,30 @@ _THREE = (1, 2, 4)
 
 def default_cells(crash: bool = True) -> List[ExploreScope]:
     """The default model-checking matrix."""
+    # a composition of two clusters of two applications unless a cell
+    # says otherwise
+    two = ExperimentConfig(
+        platform="two-tier", n_clusters=2, apps_per_cluster=2, n_cs=1
+    )
+    flat = two.with_(system="flat")
     cells = [
+        ExploreScope(flat.with_(intra="naimi", n_cs=2), requesters=_THREE),
+        ExploreScope(flat.with_(intra="suzuki"), requesters=_THREE),
+        ExploreScope(flat.with_(intra="martin")),
+        ExploreScope(two.with_(intra="naimi", inter="naimi", n_cs=2), requesters=_THREE),
+        ExploreScope(two.with_(intra="suzuki", inter="suzuki"), requesters=_THREE),
+        ExploreScope(two.with_(intra="martin", inter="martin"), requesters=_THREE),
         ExploreScope(
-            system="flat", intra="naimi",
-            nodes_per_cluster=3, requests_per_node=2, requesters=_THREE,
-        ),
-        ExploreScope(
-            system="flat", intra="suzuki",
-            nodes_per_cluster=3, requests_per_node=1, requesters=_THREE,
-        ),
-        ExploreScope(
-            system="flat", intra="martin",
-            nodes_per_cluster=3, requests_per_node=1,
-        ),
-        ExploreScope(
-            system="composition", intra="naimi", inter="naimi",
-            nodes_per_cluster=3, requests_per_node=2, requesters=_THREE,
-        ),
-        ExploreScope(
-            system="composition", intra="suzuki", inter="suzuki",
-            nodes_per_cluster=3, requests_per_node=1, requesters=_THREE,
-        ),
-        ExploreScope(
-            system="composition", intra="martin", inter="martin",
-            nodes_per_cluster=3, requests_per_node=1, requesters=_THREE,
+            ExperimentConfig(
+                system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+                hierarchy=((0, 1), (2,)), platform="two-tier",
+                n_clusters=3, apps_per_cluster=1, n_cs=1,
+            )
         ),
     ]
     if crash:
         cells.append(
-            ExploreScope(
-                system="flat", intra="naimi",
-                nodes_per_cluster=2, requests_per_node=1, crash_node=1,
-            )
+            ExploreScope(flat.with_(intra="naimi", apps_per_cluster=1), crash_node=1)
         )
     return cells
 

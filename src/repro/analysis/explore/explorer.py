@@ -199,7 +199,7 @@ def explore(
     import time  # wall budget only, never simulated time
 
     scope.validate()
-    if scope.peer_factory is not None or not scope.fifo_flows:
+    if scope.peer_factory is not None or scope.reorders:
         # Mutant handlers are invisible to the static oracles, and
         # indexed (non-FIFO) deliveries shift names across states;
         # both force full expansion — sound, just unreduced.

@@ -85,11 +85,9 @@ def build_envelopes(world: World) -> Optional[Dict[str, frozenset]]:
     """Per-port declared send-kind sets for the world's algorithms, or
     ``None`` when a port runs an algorithm unknown to the static
     analysis (mutant fixtures)."""
-    if world.scope.peer_factory is not None:
-        return None
     effects = _effects_by_algorithm()
     envelopes: Dict[str, frozenset] = {}
-    for port, (algorithm, _members) in world.port_members.items():
+    for port, algorithm in world.port_algorithms.items():
         eff = effects.get(algorithm)
         if eff is None:
             return None
@@ -100,11 +98,9 @@ def build_envelopes(world: World) -> Optional[Dict[str, frozenset]]:
 def visibility_oracle(world: World) -> Callable[[Action], bool]:
     """A predicate: may this action enter a critical section (or drive a
     coordinator automaton)?  Used to order exploration, not to prune."""
-    if world.scope.peer_factory is not None:
-        return lambda action: True
     effects = _effects_by_algorithm()
     grants_by_port: Dict[str, Dict[str, bool]] = {}
-    for port, (algorithm, _members) in world.port_members.items():
+    for port, algorithm in world.port_algorithms.items():
         eff = effects.get(algorithm)
         if eff is None:
             return lambda action: True

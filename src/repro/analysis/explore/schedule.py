@@ -4,15 +4,14 @@ A violation found by the explorer is only useful if it can be handed to
 a human and re-executed deterministically.  This module pins the full
 recipe into one JSON document:
 
-* the exploration scope (enough to rebuild the exact
-  :class:`~repro.analysis.explore.world.World`),
+* the exploration scope: the cell's exact
+  :class:`~repro.experiments.ExperimentConfig` (which the simulator can
+  run side by side) plus bounds, enough to rebuild the exact
+  :class:`~repro.analysis.explore.world.World`,
 * the violated property and its message,
 * the minimal schedule — the exact sequence of request/release/deliver/
   crash/recover actions from the initial state to the violation (plus,
-  for starvation, the loop the system can cycle in forever),
-* a best-effort mapping onto :class:`repro.experiments.ExperimentConfig`
-  fields, so the same cell can be re-run under the normal simulator for
-  side-by-side comparison.
+  for starvation, the loop the system can cycle in forever).
 
 :func:`replay` re-executes the schedule step by step against a fresh
 world and returns the per-step snapshots; :func:`chrome_trace` renders
@@ -26,9 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Optional, Set, Tuple, Union
 
 from ...errors import ReproError
+from ...experiments.config import ExperimentConfig
 from .explorer import Violation
 from .world import Action, ExploreScope, World
 
@@ -42,29 +42,15 @@ __all__ = [
     "write_counterexample",
 ]
 
-#: Bump on any incompatible change to the counterexample document.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the counterexample document
+#: (version 2: the scope carries the cell's exact config).
+SCHEMA_VERSION = 2
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _experiment_mapping(scope: ExploreScope) -> Dict[str, Any]:
-    """Best-effort projection of an exploration scope onto the fields of
-    :class:`repro.experiments.ExperimentConfig` (the explorer's workload
-    is bounded-requests rather than Poisson, so ``n_cs`` carries the
-    per-node request budget)."""
-    return {
-        "system": scope.system,
-        "intra": scope.intra,
-        "inter": scope.inter if scope.system == "composition" else scope.intra,
-        "n_clusters": scope.n_clusters,
-        "apps_per_cluster": max(1, scope.nodes_per_cluster - 1),
-        "n_cs": scope.requests_per_node,
-        "fifo": scope.fifo_flows,
-        "seed": 0,
-    }
 
 
 def counterexample_to_dict(
@@ -80,7 +66,6 @@ def counterexample_to_dict(
         "message": violation.message,
         "schedule": [list(a) for a in violation.schedule],
         "loop": [list(a) for a in violation.loop],
-        "experiment_config": _experiment_mapping(scope),
     }
 
 
@@ -102,13 +87,29 @@ def _parse_action(raw: List[Any]) -> Action:
     return tuple(raw)  # type: ignore[return-value]
 
 
+def _exact_keys(what: str, raw: Any, known: Set[str]) -> None:
+    keys = set(raw) if isinstance(raw, dict) else set()
+    if keys != known:
+        raise ReproError(
+            f"counterexample {what} does not match "
+            f"(unknown keys: {sorted(keys - known)}; "
+            f"missing keys: {sorted(known - keys)})"
+        )
+
+
+def _tuples(value: Any) -> Any:
+    """JSON arrays back into the (nested) tuples a scope holds."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def load_counterexample(
     source: Union[str, IO[str]],
 ) -> Tuple[ExploreScope, Violation]:
-    """Parse a counterexample document back into (scope, violation).
+    """Parse a counterexample document back into (scope, violation),
+    the scope's config validated.
 
-    Mutant-fixture counterexamples (``peer_factory`` set at explore
-    time) are rejected: the factory is code, not data, and cannot be
+    Mutant-fixture counterexamples (``peer_factory`` set at explore time)
+    are rejected: the factory is code, not data, and cannot be
     round-tripped through JSON.
     """
     if isinstance(source, str):
@@ -120,7 +121,8 @@ def load_counterexample(
         raise ReproError("not a repro.explore.counterexample document")
     if doc.get("version") != SCHEMA_VERSION:
         raise ReproError(
-            f"unsupported counterexample schema version {doc.get('version')!r}"
+            f"unsupported counterexample schema version {doc.get('version')!r} "
+            f"(version {SCHEMA_VERSION} carries the cell's exact config)"
         )
     raw_scope = dict(doc["scope"])
     if raw_scope.pop("peer_factory", None) is not None:
@@ -128,24 +130,16 @@ def load_counterexample(
             "counterexample was produced with a peer_factory override; "
             "replay it in-process via the fixture that generated it"
         )
-    # Documents written while the explorer had two backends name one;
-    # an interpreted run replays identically today.
-    backend = raw_scope.pop("backend", "interpreted")
-    if backend != "interpreted":
-        raise ReproError(
-            f"counterexample was produced under backend {backend!r}: "
-            "the compiled backend was removed"
-        )
-    known = {f.name for f in dataclasses.fields(ExploreScope)} - {"peer_factory"}
-    if set(raw_scope) != known:
-        raise ReproError(
-            "counterexample scope does not match ExploreScope "
-            f"(unknown keys: {sorted(set(raw_scope) - known)}; "
-            f"missing keys: {sorted(known - set(raw_scope))})"
-        )
-    if raw_scope["requesters"] is not None:
-        raw_scope["requesters"] = tuple(raw_scope["requesters"])
-    scope = ExploreScope(**raw_scope)
+    _exact_keys("scope", raw_scope, {"config", "requesters", "crash_node"})
+    raw_config = raw_scope["config"]
+    _exact_keys("config", raw_config, _CONFIG_FIELDS)
+    config = ExperimentConfig(**{k: _tuples(v) for k, v in raw_config.items()})
+    config.validate()
+    scope = ExploreScope(
+        config,
+        requesters=_tuples(raw_scope["requesters"]),
+        crash_node=raw_scope["crash_node"],
+    )
     violation = Violation(
         property=doc["property"],
         message=doc["message"],

@@ -1,17 +1,18 @@
 """Controlled-scheduler world for the bounded model checker.
 
-A :class:`World` builds one of the repo's real mutex systems — the very
-same :class:`~repro.core.composition.Composition` / ``FlatMutex`` classes
-the simulator runs, unmodified — on top of a
+A :class:`World` builds what a run of its cell's
+:class:`~repro.experiments.ExperimentConfig` builds (``build_platform``,
+``build_system``: the real, unmodified algorithms) on a
 :class:`~repro.net.network.Network` whose delivery intercept (installed
 before the system is built, so no message ever reaches the latency
 model) hands every sent message to the explorer.  The explorer then owns
-the schedule: the only sources of nondeterminism are the *actions* it
-chooses to fire,
+the schedule and stands in for the workload: the only sources of
+nondeterminism are the *actions* it chooses to fire,
 
 * ``("request", n)`` — application node ``n`` calls ``request_cs``,
 * ``("release", n)`` — node ``n`` leaves its critical section,
-* ``("deliver", src, dst, port)`` — deliver the FIFO head of one flow,
+* ``("deliver", src, dst, port)`` — deliver the FIFO head of one flow
+  (``("deliver", src, dst, port, i)``, its ``i``-th, if the cell reorders),
 * ``("crash", n)`` — crash-stop node ``n`` (at most once per run),
 * ``("recover",)`` — membership reset + replay over the survivors,
 
@@ -33,12 +34,12 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ...errors import ReproError
-from ...core.composition import Composition, FlatMutex, MutexSystem
+from ...experiments.config import ExperimentConfig
+from ...experiments.runner import build_platform, build_system
 from ...mutex.base import MutexPeer, PeerState
-from ...net.latency import ConstantLatency
+from ...mutex.registry import available_algorithms
 from ...net.message import Message
 from ...net.network import Network
-from ...net.topology import uniform_topology
 from ...sim.kernel import Simulator
 
 __all__ = [
@@ -58,8 +59,6 @@ Action = Tuple
 #: latencies preserve per-link send order).
 Flow = Tuple[int, int, str]
 
-_SYSTEMS = ("flat", "composition")
-
 
 class ExplorationError(ReproError):
     """The explorer was driven outside its supported envelope."""
@@ -67,79 +66,82 @@ class ExplorationError(ReproError):
 
 @dataclasses.dataclass(frozen=True)
 class ExploreScope:
-    """One model-checking cell: a system configuration plus bounds.
+    """One model-checking cell: the config a run builds, plus bounds.
 
     The checker is *bounded*: each application node performs at most
-    ``requests_per_node`` critical sections.  Within that bound the
-    exploration is exhaustive over every admissible interleaving of
-    message deliveries and CS requests/releases.
+    ``config.n_cs`` critical sections.  Within that bound the exploration
+    is exhaustive over every admissible interleaving of message
+    deliveries and CS requests/releases.
     """
 
-    system: str = "composition"
-    intra: str = "naimi"
-    inter: str = "naimi"
-    n_clusters: int = 2
-    nodes_per_cluster: int = 2
-    requests_per_node: int = 1
+    config: ExperimentConfig
     #: Restrict the requesting workload to these application nodes
     #: (None = every app node requests).  Non-requesters still relay
     #: messages; the knob tunes per-cell interleaving width.
     requesters: Optional[Tuple[int, ...]] = None
-    #: Deliver flows in per-link FIFO order (one enabled action per
-    #: flow).  Switching this off explores reorderings within a link —
-    #: outside the simulator's jitter-free semantics, and incompatible
-    #: with sleep-set reduction (the explorer forces full expansion).
-    fifo_flows: bool = True
     #: Crash-stop this node (once, at any point of the schedule); a
     #: single ``("recover",)`` action becomes available afterwards.
     crash_node: Optional[int] = None
-    #: Override peer construction (mutant fixtures).  Implies ``flat``
-    #: system, and disables reduction + the static send-envelope check
-    #: (the mutant is invisible to static analysis).
+    #: ``build_system``'s flat-peer hook (mutant fixtures).  Disables
+    #: reduction + the static send-envelope check (the mutant is
+    #: invisible to static analysis).
     peer_factory: Optional[Callable] = None
-    label: str = ""
+
+    @property
+    def reorders(self) -> bool:
+        """Messages may overtake on a flow: exactly when the simulator's
+        may (jitter without per-flow FIFO)."""
+        return self.config.jitter > 0 and not self.config.fifo
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        if self.system not in _SYSTEMS:
-            raise ExplorationError(f"unknown system {self.system!r}")
-        if self.n_clusters < 1 or self.nodes_per_cluster < 2:
+        self.config.validate()
+        system = self.config.system
+        if system == "adaptive":
             raise ExplorationError(
-                "need >= 1 cluster of >= 2 nodes (coordinator slot + app)"
+                "system 'adaptive' is not explored: its controller's timer "
+                "is outside the explorer's synchronous envelope"
             )
-        if self.requests_per_node < 1:
-            raise ExplorationError("requests_per_node must be >= 1")
-        if self.peer_factory is not None:
-            if self.system != "flat":
-                raise ExplorationError("peer_factory requires system='flat'")
-            if self.crash_node is not None:
+        if self.crash_node is not None:
+            if system != "flat":
+                raise ExplorationError(
+                    "crash cells are supported for the flat system only "
+                    "(coordinator failover is driven by repro.core.recovery "
+                    "controllers, outside the explorer's synchronous envelope)"
+                )
+            if self.peer_factory is not None:
                 raise ExplorationError("peer_factory cells cannot crash")
-        if self.crash_node is not None and self.system != "flat":
-            raise ExplorationError(
-                "crash cells are supported for the flat system only "
-                "(coordinator failover is driven by repro.core.recovery "
-                "controllers, outside the explorer's synchronous envelope)"
-            )
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
-        algo = (
-            self.intra
-            if self.system == "flat"
-            else f"{self.intra}-{self.inter}"
+        config = self.config
+        if config.label:
+            return config.label
+        if config.system == "flat":
+            algo = config.intra
+        elif config.system == "multilevel":
+            algo = "-".join(config.algorithms)
+        else:
+            algo = f"{config.intra}-{config.inter}"
+        tag = (
+            f"{config.system}:{algo}:{config.n_clusters}x"
+            f"{config.nodes_per_cluster}:r{config.n_cs}"
         )
-        tag = f"{self.system}:{algo}:{self.n_clusters}x{self.nodes_per_cluster}"
-        tag += f":r{self.requests_per_node}"
+        if config.system == "multilevel":
+            tag += ":h" + repr(config.hierarchy).replace(" ", "")
         if self.requesters is not None:
             tag += f":q{','.join(str(n) for n in self.requesters)}"
+        if self.reorders:
+            tag += ":reorder"
         if self.crash_node is not None:
             tag += f":crash{self.crash_node}"
         return tag
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d.pop("peer_factory")
+        d = {
+            "config": dataclasses.asdict(self.config),
+            "requesters": self.requesters,
+            "crash_node": self.crash_node,
+        }
         if self.peer_factory is not None:
             d["peer_factory"] = getattr(
                 self.peer_factory, "__name__", repr(self.peer_factory)
@@ -153,9 +155,10 @@ class World:
     def __init__(self, scope: ExploreScope) -> None:
         scope.validate()
         self.scope = scope
-        self.sim = Simulator(seed=0)
-        self.topology = uniform_topology(scope.n_clusters, scope.nodes_per_cluster)
-        self.net = Network(self.sim, self.topology, ConstantLatency(0.1))
+        config = scope.config
+        self.sim = Simulator(seed=config.seed, tie_seed=config.tie_seed)
+        self.topology, latency = build_platform(config)
+        self.net = Network(self.sim, self.topology, latency, fifo=config.fifo)
         #: pending[(src, dst, port)] -> FIFO queue of captured messages,
         #: paired with their canonical (kind, payload) form — computed
         #: once at capture so state fingerprinting is O(pending) lookups
@@ -167,20 +170,10 @@ class World:
         #: declared send envelope per port (kind set), None = unchecked
         self._envelopes: Optional[Dict[str, frozenset]] = None
         self.net.set_delivery_intercept(self._capture)
-
-        self.system: MutexSystem
-        if scope.system == "composition":
-            self.system = Composition(
-                self.sim, self.net, self.topology,
-                intra=scope.intra, inter=scope.inter,
-            )
-        else:
-            self.system = FlatMutex(
-                self.sim, self.net, self.topology,
-                algorithm=scope.intra,
-                peer_factory=scope.peer_factory,
-                name=(None if scope.peer_factory is None else scope.label or None),
-            )
+        self.system = build_system(
+            self.sim, self.net, self.topology, config,
+            peer_factory=scope.peer_factory,
+        )
         self._collect_peers()
         self.app_nodes: Tuple[int, ...] = self.system.app_nodes
         if scope.crash_node is not None and scope.crash_node not in self.app_nodes:
@@ -199,7 +192,7 @@ class World:
                 f"{self.app_nodes}"
             )
         self.budget: Dict[int, int] = {
-            n: (scope.requests_per_node if n in requesters else 0)
+            n: (config.n_cs if n in requesters else 0)
             for n in self.app_nodes
         }
         self._drain()
@@ -208,36 +201,26 @@ class World:
     # construction helpers
     # ------------------------------------------------------------------ #
     def _collect_peers(self) -> None:
-        peers: List[MutexPeer] = []
-        self.port_members: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-        if isinstance(self.system, Composition):
-            for ci, instance in enumerate(self.system.intra_instances):
-                peers.extend(instance)
-                self.port_members[f"intra/{ci}"] = (
-                    self.system.intra_name,
-                    self.topology.cluster_nodes(ci),
-                )
-            peers.extend(self.system.inter_peers)
-            self.port_members["inter"] = (
-                self.system.inter_name,
-                self.topology.coordinator_nodes,
-            )
-            self.coordinators = list(self.system.coordinators)
-            self.coordinator_nodes = frozenset(
-                c.lower.node for c in self.coordinators
-            )
-        else:
-            assert isinstance(self.system, FlatMutex)
-            peers = [self.system.peer_for(n) for n in self.system.app_nodes]
-            self.port_members["flat"] = (
-                self.system.algorithm_name,
-                self.system.app_nodes,
-            )
-            self.coordinators = []
-            self.coordinator_nodes = frozenset()
+        """The application peers and each coordinator's lower and upper
+        peer: every instance's members, at any depth."""
+        system = self.system
+        self.coordinators = list(system.coordinators)
+        self.coordinator_nodes = frozenset(
+            c.lower.node for c in self.coordinators
+        )
+        peers = [system.peer_for(n) for n in system.app_nodes]
+        for c in self.coordinators:
+            peers += (c.lower, c.upper)
         self.peers: List[MutexPeer] = sorted(
             peers, key=lambda p: (p.port, p.node)
         )
+        algorithm = {
+            info.peer_class: name for name, info in available_algorithms().items()
+        }
+        #: port -> registered algorithm name (None: a mutant's class)
+        self.port_algorithms: Dict[str, Optional[str]] = {
+            peer.port: algorithm.get(type(peer)) for peer in self.peers
+        }
 
     # ------------------------------------------------------------------ #
     # message capture
@@ -289,10 +272,10 @@ class World:
             queue = self.pending[flow]
             if not queue:
                 continue
-            if self.scope.fifo_flows:
-                acts.append(("deliver", *flow))
-            else:
+            if self.scope.reorders:
                 acts.extend(("deliver", *flow, i) for i in range(len(queue)))
+            else:
+                acts.append(("deliver", *flow))
         if self.scope.crash_node is not None and not self.crash_used:
             acts.append(("crash", self.scope.crash_node))
         if self.down and not self.recover_used:

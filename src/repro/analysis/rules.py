@@ -476,9 +476,15 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "composition purity (paper §3.1): the algorithms compose unmodified, "
         "so nothing but the runs that wire a composition knows the "
         "coordinator internals (a config checks its hierarchy with the "
-        "builder's own hierarchy_depth)",
+        "builder's own hierarchy_depth; the explorer's world imports only "
+        "elect_holder, for its recover action)",
     ),
-    Invariant("build_system", ("experiments/runner.py",), _RUN_SEQUENCE),
+    Invariant(
+        "build_system",
+        ("experiments/runner.py", "analysis/explore/world.py"),
+        _RUN_SEQUENCE + "; the explorer builds what a run builds, and its "
+        "own driver stands in for the workload, which it does not deploy",
+    ),
     Invariant(
         "deploy_workload",
         ("experiments/runner.py", "workload/scenario.py"),

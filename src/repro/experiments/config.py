@@ -232,12 +232,21 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown platform {self.platform!r}; choose from {PLATFORMS}"
             )
-        if self.system in ("composition", "adaptive"):
+        if self.system != "multilevel":
+            # Only a multilevel build reads these (yet they split the key).
+            if self.algorithms != ():
+                raise ConfigurationError("algorithms: multilevel systems only")
+            if self.hierarchy is not None:
+                raise ConfigurationError("hierarchy: multilevel systems only")
             get_algorithm(self.intra)
-            get_algorithm(self.inter)
-        elif self.system == "flat":
-            get_algorithm(self.intra)
-        elif self.system == "multilevel":
+            if self.system != "flat":
+                inter = get_algorithm(self.inter)
+                if self.system == "adaptive" and not inter.token_based:
+                    raise ConfigurationError(
+                        f"inter: adaptive switching needs a token algorithm, "
+                        f"got {self.inter!r}"
+                    )
+        else:
             if (not isinstance(self.algorithms, tuple)
                     or len(self.algorithms) < 2):
                 raise ConfigurationError(

@@ -138,8 +138,21 @@ def build_system(
     net: Network,
     topology: GridTopology,
     config: ExperimentConfig,
+    *,
+    peer_factory=None,
 ) -> MutexSystem:
-    """Instantiate the configured mutual exclusion system."""
+    """Instantiate the configured mutual exclusion system.
+
+    ``peer_factory`` is a test hook: it builds a flat system's peers in
+    place of the registry's class (the model checker's seeded mutants).
+    Other systems refuse it; :class:`ExperimentRun` never passes it.
+    """
+    if config.system == "flat":
+        return FlatMutex(sim, net, topology, config.intra, peer_factory=peer_factory)
+    if peer_factory is not None:
+        raise ConfigurationError(
+            f"peer_factory: a {config.system!r} system takes registry peers"
+        )
     if config.system in ("composition", "multilevel"):
         # A "multilevel" config names its tree and every level's
         # algorithm; a "composition" one is the paper's two levels.
@@ -151,8 +164,6 @@ def build_system(
             sim, net, topology, intra, inter,
             hierarchy=config.hierarchy if deep else None, middle=middle,
         )
-    if config.system == "flat":
-        return FlatMutex(sim, net, topology, algorithm=config.intra)
     if config.system == "adaptive":
         return AdaptiveComposition(
             sim, net, topology, intra=config.intra, initial_inter=config.inter

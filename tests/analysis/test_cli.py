@@ -165,9 +165,13 @@ class TestExploreCli:
         from repro.analysis.explore import (
             ExploreScope, Violation, World, write_counterexample,
         )
+        from repro.experiments import ExperimentConfig
 
         scope = ExploreScope(
-            system="flat", intra="naimi", nodes_per_cluster=2,
+            ExperimentConfig(
+                system="flat", intra="naimi", platform="two-tier",
+                n_clusters=2, apps_per_cluster=1, n_cs=1,
+            ),
             requesters=(1,),
         )
         world = World(scope)

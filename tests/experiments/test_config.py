@@ -122,6 +122,27 @@ def test_multilevel_tree_is_refused_by_field_name(field, changes):
         config.validate()
 
 
+@pytest.mark.parametrize("inter", ["lamport", "ricart-agrawala", "maekawa"])
+def test_adaptive_with_a_permission_inter_is_refused_by_validate(inter):
+    # Used to validate, then raise a CompositionError inside build().
+    config = ExperimentConfig(system="adaptive", inter=inter)
+    with pytest.raises(ConfigurationError, match="inter"):
+        config.validate()
+
+
+@pytest.mark.parametrize("system", ["composition", "flat", "adaptive"])
+@pytest.mark.parametrize(
+    "field,value,default",
+    [("hierarchy", (2, 0, 1), None), ("algorithms", ("naimi", "martin"), ())],
+)
+def test_multilevel_fields_are_refused_elsewhere(system, field, value, default):
+    # Such a config ran as the default one but cached under its own key.
+    config = ExperimentConfig(system=system, n_clusters=3, **{field: value})
+    assert config.cache_key() != config.with_(**{field: default}).cache_key()
+    with pytest.raises(ConfigurationError, match=field):
+        config.validate()
+
+
 def test_valid_multilevel_config_is_hashable():
     config = ExperimentConfig(
         system="multilevel", algorithms=("naimi", "suzuki", "martin"),
