@@ -10,8 +10,10 @@ Runs one of the three single-run workloads of ``benchmarks/system`` (the
 smoke-size config, built by ``workloads.py`` itself, imported read-only)
 under ``sys.settrace`` with ``f_trace_opcodes`` and prints how many
 bytecode instructions the interpreter executed per sent message: in
-total, and for the twenty ``(file, function)`` pairs that executed the
-most; a second total line divides by the critical sections completed.
+total, per ``src/repro`` package (a layer: ``net``, ``mutex``, ``sim``
+...; everything outside the package is one ``(other)`` row), and for
+the twenty ``(file, function)`` pairs that executed the most; a second
+total line divides by the critical sections completed.
 ``reproduce_warm`` instead traces one smoke-size ``reproduce_all``
 against a temporary cache filled (untraced) beforehand, and divides by
 its cache hits.  A count, not a time: it repeats exactly (the call runs
@@ -20,7 +22,11 @@ census), and it weighs every instruction alike.  It counts no work done
 inside C: building a frozen dataclass, for one, shows as a handful of
 instructions in the generated ``__init__``, but its five
 ``object.__setattr__`` calls make it some thirty times as dear as a
-tuple, so a census alone under-sizes a per-object saving.
+tuple, so a census alone under-sizes a per-object saving.  For the
+simulating workloads it therefore also counts the ``Message`` objects
+built (entries into ``Message.__init__``) per message sent: a message
+that is one object per delivery reads 1.00, a broadcast that shares one
+object between its receivers less.
 
 The kernel's calendar is the same kind of cost: a ``heappush`` or
 ``heappop`` is one instruction here, but inside it the heap compares
@@ -53,7 +59,9 @@ import tracemalloc
 from heapq import heappop, heappush
 from pathlib import Path
 from types import CodeType, FrameType
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Tuple, TypeVar,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 for entry in (ROOT / "src", ROOT / "benchmarks" / "system"):
@@ -72,6 +80,7 @@ from repro.experiments import (  # noqa: E402
 )
 from repro.experiments.parallel import shutdown_warm_pool, warm_pool  # noqa: E402
 from repro.mutex.base import _PEER_TABLES  # noqa: E402
+from repro.net import Message  # noqa: E402
 
 WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k", "reproduce_warm")
 TOP = 20
@@ -83,12 +92,27 @@ OTHER = "(other)"
 WARM_BUILDS = 32
 PACKAGE = ROOT / "src" / "repro"
 
-#: ``(cache hits, {(file, function): instructions})``
-Census = Tuple[int, Dict[Tuple[str, str], int]]
+#: ``{(file, function): instructions}``
+Table = Dict[Tuple[str, str], int]
+#: ``(cache hits, instructions per row, instructions per package)``
+Census = Tuple[int, Table, Dict[str, int]]
 #: A census row's name: ``(file, function)``, or ``file:line``
 Row = TypeVar("Row", Tuple[str, str], str)
 #: The calendar operations counted, by name.
 HEAP_CALLS = ("heappush", "heappop")
+#: The constructor whose entries count the ``Message`` objects built.
+MESSAGE_INIT = Message.__init__.__code__
+
+
+class RunCensus(NamedTuple):
+    """What one traced ``run_experiment`` did."""
+
+    messages: int  #: sent
+    cs: int  #: critical sections completed
+    table: Table  #: instructions per ``(file, function)``
+    heap: Dict[str, int]  #: ``heappush`` / ``heappop`` calls
+    packages: Dict[str, int]  #: instructions per ``src/repro`` package
+    built: int  #: ``Message`` objects constructed
 
 
 def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
@@ -98,12 +122,14 @@ def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
 
 def count_opcodes(
     call: Callable[[], Any],
-) -> Tuple[Any, Dict[CodeType, int], Dict[str, int]]:
+) -> Tuple[Any, Dict[CodeType, int], Dict[str, int], int]:
     """Run ``call()`` and count the instructions of every Python frame
-    it enters, per code object, and its calls of ``heappush`` and
-    ``heappop`` (C functions: a ``c_call`` profile event each)."""
+    it enters, per code object, its calls of ``heappush`` and
+    ``heappop`` (C functions: a ``c_call`` profile event each) and the
+    ``Message`` objects it builds."""
     counts: Dict[CodeType, int] = {}
     heap = dict.fromkeys(HEAP_CALLS, 0)
+    built = 0
 
     def profile(frame: FrameType, event: str, arg: Any) -> None:
         if event == "c_call":
@@ -119,11 +145,18 @@ def count_opcodes(
         return local
 
     def on_call(frame: FrameType, event: str, arg: Any) -> Any:
+        nonlocal built
+        if frame.f_code is MESSAGE_INIT:
+            built += 1
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
 
     previous, previous_profile = sys.gettrace(), sys.getprofile()
+    # A full collection first: the collector then runs at the same points
+    # of every call, and its callbacks (a test runner may install some)
+    # with it, instead of wherever earlier work left its counters.
+    gc.collect()
     sys.settrace(on_call)
     sys.setprofile(profile)
     try:
@@ -131,7 +164,7 @@ def count_opcodes(
     finally:
         sys.setprofile(previous_profile)
         sys.settrace(previous)
-    return result, counts, heap
+    return result, counts, heap, built
 
 
 def _where_file(filename: str) -> str:
@@ -142,34 +175,47 @@ def _where_file(filename: str) -> str:
         return path.name
 
 
+def _package(filename: str) -> str:
+    """The ``src/repro`` package of a file (a top-level module is its
+    own), or ``OTHER``."""
+    path = Path(filename)
+    if PACKAGE in path.parents:
+        return path.relative_to(PACKAGE).parts[0].removesuffix(".py")
+    return OTHER
+
+
 def _where(code: CodeType) -> Tuple[str, str]:
     return _where_file(code.co_filename), code.co_name
 
 
-def _table(counts: Dict[CodeType, int]) -> Dict[Tuple[str, str], int]:
-    table: Dict[Tuple[str, str], int] = {}
+def _tables(counts: Dict[CodeType, int]) -> Tuple[Table, Dict[str, int]]:
+    """Instructions per ``(file, function)`` and per package."""
+    table: Table = {}
+    packages: Dict[str, int] = {}
     for code, n in counts.items():
         where = _where(code)
         table[where] = table.get(where, 0) + n
-    return table
+        package = _package(code.co_filename)
+        packages[package] = packages.get(package, 0) + n
+    return table, packages
 
 
-def census(
-    config: ExperimentConfig,
-) -> Tuple[int, int, Dict[Tuple[str, str], int], Dict[str, int]]:
-    """Messages sent and critical sections completed by one
-    ``run_experiment(config)``, the instructions it executed, per
-    ``(file, function)``, and its ``heappush`` / ``heappop`` calls."""
+def census(config: ExperimentConfig) -> RunCensus:
+    """The census of one ``run_experiment(config)``."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
-    result, counts, heap = count_opcodes(
+    result, counts, heap, built = count_opcodes(
         lambda: run_experiment(config, cache=None)
     )
-    return result.total_messages, result.cs_count, _table(counts), heap
+    table, packages = _tables(counts)
+    return RunCensus(
+        result.total_messages, result.cs_count, table, heap, packages, built
+    )
 
 
 def warm_census(seed: int = 1) -> Census:
     """Cache hits of one smoke-size warm ``reproduce_all`` and the
-    instructions it executed, per ``(file, function)``."""
+    instructions it executed, per ``(file, function)`` and per
+    package."""
     scale = reproduce_scale(seed, True)
     with tempfile.TemporaryDirectory(prefix="repro-census-") as tmp:
         # Built untraced, and reused by every call, as the benchmark's
@@ -190,10 +236,10 @@ def warm_census(seed: int = 1) -> Census:
             shutdown_warm_pool()
         call()  # imports, memos: not the pass's cost
         try:
-            hits, counts, _heap = count_opcodes(call)
+            hits, counts, _heap, _built = count_opcodes(call)
         finally:
             clear_sweep_memo()
-    return hits, _table(counts)
+    return (hits, *_tables(counts))
 
 
 def memory_census(config: ExperimentConfig) -> Dict[Tuple[str, str], int]:
@@ -224,13 +270,12 @@ def memory_census(config: ExperimentConfig) -> Dict[Tuple[str, str], int]:
     sites: Dict[Tuple[str, str], int] = {}
     for stat in snapshot.statistics("lineno"):
         frame = stat.traceback[0]
-        path = Path(frame.filename)
-        if path.name == "tracemalloc.py":
+        if Path(frame.filename).name == "tracemalloc.py":
             continue
-        package = OTHER
-        if PACKAGE in path.parents:
-            package = path.relative_to(PACKAGE).parts[0].removesuffix(".py")
-        site = (package, f"{_where_file(frame.filename)}:{frame.lineno}")
+        site = (
+            _package(frame.filename),
+            f"{_where_file(frame.filename)}:{frame.lineno}",
+        )
         sites[site] = sites.get(site, 0) + stat.size
     return sites
 
@@ -272,14 +317,18 @@ def ranked(table: Dict[Row, int]) -> List[Tuple[Row, int]]:
 def render(
     workload: str,
     units: int,
-    table: Dict[Tuple[str, str], int],
+    table: Table,
+    packages: Dict[str, int],
     cs: Optional[int] = None,
     heap: Optional[Dict[str, int]] = None,
+    built: Optional[int] = None,
 ) -> str:
     """The census table; ``units`` are cache hits for ``reproduce_warm``,
     sent messages otherwise.  ``cs``, the critical sections completed,
     adds a line of instructions per CS; ``heap``, the calendar
-    operations, one line per operation, per unit and per CS."""
+    operations, one line per operation, per unit and per CS; ``built``,
+    a line of ``Message`` objects per message.  The package block
+    follows, then the top ``(file, function)`` rows."""
     total = sum(table.values())
     unit, per = (
         ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
@@ -295,6 +344,14 @@ def render(
     for name, n in (heap or {}).items():
         per_cs = f", {n / cs:.1f} per CS" if cs else ""
         lines.append(f"{n / units:>10.2f} {'':>6}  {name} calls ({n}{per_cs})")
+    if built is not None:
+        lines.append(
+            f"{built / units:>10.2f} {'':>6}  Message objects per message ({built})"
+        )
+    lines.append(f"{'instr/' + per:>10} {'share':>6}  package")
+    for package, n in ranked(packages):
+        lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {package}")
+    lines.append(f"{'instr/' + per:>10} {'share':>6}  file:function")
     for (name, function), n in ranked(table)[:TOP]:
         lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
     return "\n".join(lines)
@@ -316,12 +373,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         sites = memory_census(config)
         print(render_memory(args.workload, config.n_apps, sites))
         return 0
-    cs = heap = None
     if args.workload == "reproduce_warm":
-        units, table = warm_census(args.seed)
-    else:
-        units, cs, table, heap = census(smoke_config(args.workload, args.seed))
-    print(render(args.workload, units, table, cs, heap))
+        hits, table, packages = warm_census(args.seed)
+        print(render(args.workload, hits, table, packages))
+        return 0
+    run = census(smoke_config(args.workload, args.seed))
+    print(render(args.workload, run.messages, run.table, run.packages,
+                 run.cs, run.heap, run.built))
     return 0
 
 

@@ -23,6 +23,11 @@ _UNSTAMPED = float("nan")  # one shared NaN: parsing it per message adds up
 class Message:
     """An in-flight (or delivered) message.
 
+    A handler reads the message it is given during the call and must
+    neither keep it nor mutate its payload: the direct receivers of a
+    broadcast are handed one shared message, readdressed to each in
+    turn (:meth:`~repro.net.network.Network.multicast`).
+
     Attributes
     ----------
     src, dst:
@@ -33,7 +38,7 @@ class Message:
     kind:
         Protocol-specific message type (``"request"``, ``"token"``, ...).
     payload:
-        Protocol-specific fields.  Treated as immutable after send.
+        Protocol-specific fields.  Immutable after send.
     size:
         Nominal size in bytes, used only by the statistics layer.
     sent_at:

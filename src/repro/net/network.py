@@ -26,8 +26,8 @@ re-resolves the flag and sends take the general path below it.  Both
 paths make the same stamps, counter updates, RNG draws and kernel
 events in the same order, so which one ran is invisible to a
 :class:`~repro.verify.digest.RunDigest`.  :meth:`Network.multicast` is
-the broadcast primitive on top: one call, per-destination messages, the
-per-broadcast work hoisted out of the loop.
+the broadcast primitive on top: one call, one delivery per destination,
+the per-broadcast work hoisted out of the loop.
 
 The fused path pushes *bare* calendar entries
 (:data:`~repro.sim.kernel.HeapEntry`): one tuple per message (per
@@ -64,17 +64,29 @@ message to an address unregistered in flight is therefore still dropped
 on arrival, a wrapper installed in flight still sees it, and a crash
 controller assigned in flight still loses it.
 
-A fused :meth:`Network.multicast` goes one step further: consecutive
-destinations with the same due time share **one** bare entry, a
-*group* ``(due, seq, _fan, (msgs, seq))`` keyed by its first member.
-The kernel ``seq`` still advances once per message, so the members'
-keys ``seq, seq + 1, …`` are what per-message entries would have had
-and nothing else can sort between them.  :meth:`Network._fan` hands
-the members over in send order and routes each one *on arrival*, as
-``_deliver`` does — direct while :attr:`_direct` holds and the address
-has the kind in its table, through ``_deliver`` otherwise — so a group
-needs no rewriting when any of the above changes in flight.  A
-``stop()`` or an exception in a member's handler puts the rest back
+A fused :meth:`Network.multicast` goes further: it builds **one**
+message per broadcast, with one private copy of the payload, and
+consecutive destinations with the same due time share one bare entry,
+a *group* ``(due, seq, _fan, (dsts, seq, shared, first))`` holding
+destinations, not messages, keyed by its first member.  The kernel
+``seq`` and the message ``seq`` still advance once per destination, so
+the members' keys ``seq, seq + 1, …`` and message numbers ``first,
+first + 1, …`` are what per-message entries would have had, and nothing
+else can sort between them.  :meth:`Network._fan` hands the members
+over in send order and routes each one *on arrival*, as ``_deliver``
+does, so a group needs no rewriting when any of the above changes in
+flight:
+
+* on the direct route it readdresses ``shared`` (``dst``, ``seq``) and
+  calls ``table[kind](owner, shared)``; the handler may read the
+  message during that call only (the :class:`Message` contract);
+* on the ``_deliver`` hop it builds the member's own message, exactly
+  the one :meth:`Network.send` would have built (:func:`materialise`),
+  so whatever can observe a delivery — a wrapper, a plain-callable
+  handler, a ``deliver`` subscriber, a crash controller, a dropped
+  address — sees what the loop of sends shows it.
+
+A ``stop()`` or an exception in a member's handler puts the rest back
 under the next member's key.
 """
 
@@ -108,6 +120,18 @@ _NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
 #: The route of a group member that must take the ``_deliver`` hop: its
 #: empty table sends every kind there (the handler is never called).
 _HOP: Route = (lambda _msg: None, None, _NO_TABLE)
+
+
+def materialise(shared: Message, dst: int, seq: int) -> Message:
+    """The message a group member addressed to ``dst`` under message
+    ``seq`` is: what :meth:`Network.send` would have built for it, with
+    its own copy of the broadcast's payload.  A group entry's arguments
+    ``(dsts, seq, shared, first)`` hold ``dsts[i]`` under ``first + i``."""
+    msg = Message(shared.src, dst, shared.port, shared.kind,
+                  dict(shared.payload), shared.size)
+    msg.sent_at = shared.sent_at
+    msg.seq = seq
+    return msg
 
 
 class Network:
@@ -181,7 +205,7 @@ class Network:
         self._fan_cb = self._fan
         # The members of the group `_fan` is handing over that it has
         # not reached yet (an iterator; see `delivered`).
-        self._fanning: Optional[Iterator[Message]] = None
+        self._fanning: Optional[Iterator[int]] = None
         # Gates of the fused path, kept as plain attributes: `_resolve`
         # and the tracer's change hook re-derive them.
         self._direct = False
@@ -521,16 +545,19 @@ class Network:
     ) -> None:
         """Send ``kind`` to every node of ``dsts`` other than ``src``.
 
-        Exactly the loop of :meth:`send` calls it replaces — one message,
-        one kernel ``seq`` and one delivery per destination, each with
-        its own copy of ``payload``, the same partial state if a
-        destination has no handler — with the per-broadcast work (source
-        check, clock, latency row, statistics row) done once, and one
+        Exactly the loop of :meth:`send` calls it replaces — one message
+        ``seq``, one kernel ``seq`` and one delivery per destination, the
+        same partial state if a destination has no handler — with the
+        per-broadcast work (source check, clock, latency row, statistics
+        row, the message and its copy of ``payload``) done once, and one
         calendar entry per run of consecutive destinations that share a
         due time (a group, handed over by :meth:`_fan`; see the module
-        docstring).  Whenever something could observe a message boundary
-        (a ``send`` subscriber, jitter, a tie salt, any feature that
-        takes :meth:`send` off the fused path) it *is* that loop.
+        docstring).  A destination reached through the ``_deliver`` hop
+        gets a message of its own with its own copy of ``payload``; the
+        direct receivers share one, readdressed for each handler call.
+        Whenever something could observe a message boundary (a ``send``
+        subscriber, jitter, a tie salt, any feature that takes
+        :meth:`send` off the fused path) it *is* that loop.
         """
         sim = self.sim
         latency = self.latency
@@ -558,8 +585,13 @@ class Network:
         heap = sim._heap
         now = sim._now
         seq = sim._seq
+        first = self._seq
+        # The one message of the broadcast, readdressed per member by _fan.
+        shared = Message(src, src, port, kind,
+                         dict(payload) if payload else {}, size)
+        shared.sent_at = now
         sent = 0
-        group: List[Message] = []
+        group: List[int] = []
         group_due: Optional[float] = None
         try:
             for dst in dsts:
@@ -569,19 +601,16 @@ class Network:
                     raise NetworkError(
                         f"no handler registered at ({dst}, {port!r})"
                     )
-                msg = Message(src, dst, port, kind,
-                              dict(payload) if payload else {}, size)
-                msg.sent_at = now
-                msg.seq = self._seq + sent
                 cj = cluster_of[dst]
                 row[cj] += 1
                 due = now + delays[cj]
                 if due == group_due:
-                    group.append(msg)  # the entry holds the list itself
+                    group.append(dst)  # the entry holds the list itself
                 else:
-                    group = [msg]
+                    group = [dst]
                     group_due = due
-                    heappush(heap, (due, seq, fan, (group, seq)))
+                    heappush(heap, (due, seq, fan,
+                                    (group, seq, shared, first + sent)))
                 seq += 1
                 sent += 1
         finally:
@@ -618,39 +647,46 @@ class Network:
         # is created per message — the dominant event source by far.
         sim.post_at(due, self._deliver_cb, (msg,))
 
-    def _fan(self, msgs: List[Message], seq: int) -> None:
+    def _fan(
+        self, dsts: List[int], seq: int, shared: Message, first: int
+    ) -> None:
         """Hand a group's members over in send order (see the module
-        docstring); ``seq`` is the first member's kernel key.
+        docstring); ``seq`` is the first member's kernel key and
+        ``first`` its message ``seq``.
 
         Each member is routed as ``_deliver`` would route it now, so
         anything changed in flight applies to the members not reached
-        yet.  If the run is stopped, or a handler raises, the rest go
-        back on the calendar under the next member's key."""
+        yet: a direct handler gets ``shared`` readdressed to it, the
+        ``_deliver`` hop a message of its own (:func:`materialise`).
+        If the run is stopped, or a handler raises, the rest go back on
+        the calendar under the next member's key."""
         sim = self.sim
-        head = msgs[0]
-        nodes = self._routes.get(head.port, _NO_ROUTES)
-        kind = head.kind
-        rest = iter(msgs)
+        nodes = self._routes.get(shared.port, _NO_ROUTES)
+        kind = shared.kind
+        rest = iter(dsts)
         outer, self._fanning = self._fanning, rest
         try:
-            for msg in rest:
-                route = nodes.get(msg.dst, _HOP) if self._direct else _HOP
+            for msg_seq, dst in enumerate(rest, first):
+                route = nodes.get(dst, _HOP) if self._direct else _HOP
                 fn = route[2].get(kind)
                 if fn is None:
-                    self._deliver(msg)
+                    self._deliver(materialise(shared, dst, msg_seq))
                 else:
-                    fn(route[1], msg)
+                    shared.dst = dst
+                    shared.seq = msg_seq
+                    fn(route[1], shared)
                 if sim._stopped:
                     break
         finally:
             self._fanning = outer
             left = length_hint(rest)
-            done = len(msgs) - left
+            done = len(dsts) - left
             sim._fired += done - 1  # the kernel counted one
             if left:
                 seq += done
                 heappush(sim._heap, (
-                    sim._now, seq, self._fan_cb, (msgs[done:], seq)
+                    sim._now, seq, self._fan_cb,
+                    (dsts[done:], seq, shared, first + done),
                 ))
 
     def _deliver(self, msg: Message) -> None:

@@ -11,6 +11,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.mutex import get_algorithm
 from repro.net import ConstantLatency, Message, Network, uniform_topology
 from repro.net.faults import FaultInjector
+from repro.net.network import materialise
 from repro.sim import Simulator
 from repro.sim.event import Event
 from repro.sim.kernel import _mix64
@@ -47,14 +48,18 @@ def heap_entries(sim: Simulator) -> List[CalendarEntry]:
 def in_flight(sim: Simulator) -> List[Tuple[float, int, Any]]:
     """Every message delivery the calendar holds, in firing order, as
     ``(due, key, message)``.  A group entry (``Network.multicast``'s
-    ``(due, seq, _fan, (msgs, seq))``) yields one row per member under
-    the key the member's own entry would have had; a ``_deliver`` or
-    direct entry yields its message.  Other entries are left out."""
+    ``(due, seq, _fan, (dsts, seq, shared, first))``) yields one row per
+    member under the key the member's own entry would have had, with the
+    message ``materialise`` builds for it; a ``_deliver`` or direct entry
+    yields its message.  Other entries are left out."""
     rows = []
     for entry in heap_entries(sim):
         if getattr(entry.callback, "__name__", "") == "_fan":
-            msgs, first = entry.args
-            rows.extend((entry.time, first + i, m) for i, m in enumerate(msgs))
+            dsts, key, shared, first = entry.args
+            rows.extend(
+                (entry.time, key + i, materialise(shared, dst, first + i))
+                for i, dst in enumerate(dsts)
+            )
         elif entry.args and type(entry.args[-1]) is Message:
             rows.append((entry.time, entry.key, entry.args[-1]))
     return rows

@@ -214,11 +214,11 @@ def test_unregistered_in_flight_is_dropped_not_delivered_to_the_dead_peer():
     # otherwise make it send the token away.
     sim, net, peers = _peers("suzuki")
     peers[1].request_cs()  # broadcast to 0 and 2: one due time, one group
-    assert _in_flight(sim) == [("_fan", 2)]
+    assert _in_flight(sim) == [("_fan", 4)]
     assert [msg.dst for _due, _key, msg in in_flight(sim)] == [0, 2]
     peers[0].shutdown()
     # Nothing to rewrite: each member is routed when it arrives.
-    assert _in_flight(sim) == [("_fan", 2)]
+    assert _in_flight(sim) == [("_fan", 4)]
     sim.run()
     assert peers[0].holds_token and not peers[1].in_cs
     assert net.stats.by_kind["token"] == 0
@@ -302,7 +302,7 @@ def test_other_peers_direct_entries_survive_a_rewrite():
     sim, net, peers = _peers("suzuki", n=4)
     peers[1].request_cs()
     peers[3].shutdown()
-    assert _in_flight(sim) == [("_fan", 2)]
+    assert _in_flight(sim) == [("_fan", 4)]
     sim.run()
     assert peers[1].in_cs and net.hops == 1
 

@@ -38,6 +38,8 @@ from repro.net import (
     TwoTierLatency,
     uniform_topology,
 )
+from repro.net import network as network_mod
+from repro.net.network import materialise
 from repro.sim import Simulator
 from repro.verify import RunDigest
 
@@ -629,6 +631,55 @@ def test_fused_and_general_runs_are_indistinguishable(
     general, ref = _observed_run(monkeypatch, GeneralNetwork, config, digest)
     assert net.fused is True and ref.fused is False
     assert fused == general
+
+
+def _broadcast_run(monkeypatch, config, subscribe):
+    """One run of ``config``; with ``subscribe``, a ``deliver``
+    subscriber (attached before ``build()``) sends every group member
+    through the ``_deliver`` hop.  Returns the fields the benchmark's
+    fingerprint hashes, the run's counts, and the members built by
+    ``materialise`` (which only the hop builds)."""
+    built = []
+
+    def counting(shared, dst, seq):
+        built.append(seq)
+        return materialise(shared, dst, seq)
+
+    monkeypatch.setattr(network_mod, "materialise", counting)
+    with ExperimentRun(config) as run:
+        if subscribe:
+            run.sim.trace.subscribe("deliver", lambda _rec: None)
+        run.build()
+        result = run.execute()
+        net, sim = run.net, run.sim
+        counts = (net.delivered, sim.events_fired, net._seq, sim._seq)
+    stats = result.obtaining
+    return (
+        result.name, result.cs_count, result.total_messages,
+        result.inter_cluster_messages, result.intra_cluster_messages,
+        result.total_bytes, result.inter_cluster_bytes,
+        repr(result.sim_time_ms), repr(stats.mean), repr(stats.std),
+        sorted((ci, s.count) for ci, s in result.per_cluster.items()),
+    ), counts, len(built)
+
+
+@pytest.mark.parametrize("platform", ["grid5000", "two-tier"])
+@pytest.mark.parametrize("intra", ["suzuki", "ricart-agrawala", "lamport"])
+def test_a_shared_broadcast_message_runs_as_one_message_per_member(
+    monkeypatch, intra, platform
+):
+    # Plain, every group member reaches its peer directly, on the one
+    # shared message; subscribed, each is a message of its own.  Nothing
+    # a result or a count shows may tell the two apart.
+    config = ExperimentConfig(
+        system="flat", intra=intra, platform=platform, n_clusters=3,
+        apps_per_cluster=3, n_cs=3, rho=9.0, seed=4,
+    )
+    shared, shared_counts, shared_built = _broadcast_run(
+        monkeypatch, config, False)
+    own, own_counts, own_built = _broadcast_run(monkeypatch, config, True)
+    assert shared == own and shared_counts == own_counts
+    assert shared_built == 0 < own_built < shared_counts[2]
 
 
 @pytest.mark.parametrize("digest", [RunDigest, DeliverDigest],

@@ -2,9 +2,11 @@
 gives the same instruction counts every time, and on the composition
 workload the function that executes the most is ``Network.send``, and a
 completed critical section builds no record object.  It also counts
-the calendar's ``heappush`` / ``heappop`` calls, C work the
-instruction count cannot see: a broadcast puts one entry per due time
-on the calendar, not one per message.  The
+the calendar's ``heappush`` / ``heappop`` calls and the ``Message``
+objects built, C work the instruction count cannot see: a broadcast
+puts one entry per due time on the calendar, not one per message, and
+builds one message, not one per receiver.  Its per-package block adds
+up to the whole run.  The
 same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
 census shows each sweep config's key rendered from the class plan, each
@@ -31,8 +33,9 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
     config = opcode_census.smoke_config("fig4_single")
-    messages, cs, table, heap = opcode_census.census(config)
-    assert (messages, cs, table, heap) == opcode_census.census(config)
+    run = opcode_census.census(config)
+    assert run == opcode_census.census(config)
+    messages, cs, table, heap, packages, built = run
     assert messages > 0 and cs > 0 and all(table.values())
     # Unicast only: every message is one calendar entry, and so is each
     # workload timer.
@@ -48,33 +51,64 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert ("metrics/collector.py", "add_cs") in table
     assert ("metrics/records.py", "__post_init__") not in table
     assert ("metrics/collector.py", "add") not in table
-    report = opcode_census.render("fig4_single", messages, table, cs, heap)
-    assert len(report.splitlines()) == 6 + opcode_census.TOP
+    # Unicast only: one message object per message sent.
+    assert built == messages
+    report = opcode_census.render(
+        "fig4_single", messages, table, packages, cs, heap, built)
+    assert len(report.splitlines()) == 9 + len(packages) + opcode_census.TOP
     per_cs = report.splitlines()[3].split()
     assert float(per_cs[0]) == round(sum(table.values()) / cs, 1)
     assert per_cs[1:] == ["per", "CS", f"({cs}", "completed)"]
     pushes = report.splitlines()[4].split()
     assert float(pushes[0]) == round(heap["heappush"] / messages, 2)
     assert pushes[1:4] == ["heappush", "calls", f"({heap['heappush']},"]
+    assert report.splitlines()[6].split() == [
+        "1.00", "Message", "objects", "per", "message", f"({built})"]
+
+
+def test_census_package_block_adds_up_to_the_run():
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    config = opcode_census.smoke_config("suzuki_flat")
+    run = opcode_census.census(config)
+    assert run.packages == opcode_census.census(config).packages
+    total = sum(run.table.values())
+    assert sum(run.packages.values()) == total
+    assert sum(n / total for n in run.packages.values()) == pytest.approx(1.0)
+    assert {"net", "mutex", "sim", opcode_census.OTHER} <= set(run.packages)
+    assert opcode_census.ranked(run.packages)[0][0] == "net"
+    lines = opcode_census.render(
+        "suzuki_flat", run.messages, run.table, run.packages, run.cs,
+        run.heap, run.built).splitlines()
+    start = lines.index(f"{'instr/msg':>10} {'share':>6}  package") + 1
+    block = lines[start:start + len(run.packages)]
+    assert [line.split()[2] for line in block] == [
+        package for package, _ in opcode_census.ranked(run.packages)]
+    assert sum(float(line.split()[1].rstrip("%")) for line in block) == (
+        pytest.approx(100.0, abs=0.05 * len(block)))
 
 
 def test_census_counts_one_calendar_entry_per_broadcast_due_time():
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
     config = opcode_census.smoke_config("suzuki_flat")
-    messages, cs, table, heap = opcode_census.census(config)
+    messages, cs, table, heap, _packages, built = opcode_census.census(config)
     # 26 requests per CS, on at most 9 due times (one per cluster); the
     # token and the workload's timers are one entry each.
     assert messages / cs > 26
     assert heap["heappush"] < 13 * cs < messages / 2
     assert ("net/network.py", "_fan") in table
+    # One message object per request broadcast, shared by its direct
+    # receivers, and one per token pass: at most two per CS.
+    assert built <= 2 * cs < messages / 10
 
 
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
-    hits, table = opcode_census.warm_census()
-    assert (hits, table) == opcode_census.warm_census()
+    hits, table, packages = opcode_census.warm_census()
+    assert (hits, table, packages) == opcode_census.warm_census()
+    assert sum(packages.values()) == sum(table.values())
     assert hits == 84 and all(table.values())
     # Sweep configs hold only plain values: each key renders from the
     # class plan, and the recursive fallback never runs.
@@ -87,7 +121,7 @@ def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     assert ("dataclasses.py", "replace") not in table
     per_hit = {row: n / hits for row, n in table.items() if row[0] == "pathlib.py"}
     assert all(n < 1 for n in per_hit.values()), per_hit
-    report = opcode_census.render("reproduce_warm", hits, table)
+    report = opcode_census.render("reproduce_warm", hits, table, packages)
     assert report.splitlines()[1].split()[0] == "instr/hit"
 
 
