@@ -31,13 +31,16 @@ object between its receivers less.
 The kernel's calendar is the same kind of cost: a ``heappush`` or
 ``heappop`` is one instruction here, but inside it the heap compares
 ``(time, seq)`` tuples, about log2(pending) of them per call, all in
-C.  So the simulating workloads also count, through ``sys.setprofile``
-``c_call`` events, how many times those two were called per message
-and per CS: a change that puts fewer entries on the calendar shows
-there, and may add instructions while it saves time.  Use the census to
-size a change to a hot path before timing it with
-``scripts/paired_bench.py``; quote the interpreter version with the
-numbers, they differ between CPython releases.
+C.  So the census also counts every call of a C function (a
+``sys.setprofile`` ``c_call`` event) by callee -- ``list.append``,
+``heappush``, ``dict.get`` ... -- and prints the ``TOP_CALLS`` most
+called per message (and per CS) beside the instruction table, with the
+two calendar operations always among the rows: a change that puts fewer
+entries on the calendar, or appends less, shows there, and may add
+instructions while it saves time.  Use the census to size a change to a
+hot path before timing it with ``scripts/paired_bench.py``; quote the
+interpreter version with the numbers, they differ between CPython
+releases.
 
 ``--memory`` is the same census for state instead of work: it builds
 the workload's smoke config with ``ExperimentRun.build()`` under
@@ -84,6 +87,8 @@ from repro.net import Message  # noqa: E402
 
 WORKLOADS = ("fig4_single", "suzuki_flat", "twotier_5k", "reproduce_warm")
 TOP = 20
+#: C functions listed per message, the calendar operations besides
+TOP_CALLS = 10
 #: ``file:line`` sites listed by ``--memory``
 TOP_SITES = 10
 #: the ``--memory`` row of what was allocated outside ``src/repro``
@@ -98,7 +103,8 @@ Table = Dict[Tuple[str, str], int]
 Census = Tuple[int, Table, Dict[str, int]]
 #: A census row's name: ``(file, function)``, or ``file:line``
 Row = TypeVar("Row", Tuple[str, str], str)
-#: The calendar operations counted, by name.
+#: The calendar operations, by name: counted apart as well, and always
+#: rows of the C-call block.
 HEAP_CALLS = ("heappush", "heappop")
 #: The constructor whose entries count the ``Message`` objects built.
 MESSAGE_INIT = Message.__init__.__code__
@@ -113,6 +119,7 @@ class RunCensus(NamedTuple):
     heap: Dict[str, int]  #: ``heappush`` / ``heappop`` calls
     packages: Dict[str, int]  #: instructions per ``src/repro`` package
     built: int  #: ``Message`` objects constructed
+    calls: Dict[str, int]  #: calls per C function, by qualified name
 
 
 def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
@@ -122,17 +129,21 @@ def smoke_config(workload: str, seed: int = 1) -> ExperimentConfig:
 
 def count_opcodes(
     call: Callable[[], Any],
-) -> Tuple[Any, Dict[CodeType, int], Dict[str, int], int]:
+) -> Tuple[Any, Dict[CodeType, int], Dict[str, int], int, Dict[str, int]]:
     """Run ``call()`` and count the instructions of every Python frame
     it enters, per code object, its calls of ``heappush`` and
-    ``heappop`` (C functions: a ``c_call`` profile event each) and the
-    ``Message`` objects it builds."""
+    ``heappop``, the ``Message`` objects it builds, and its calls of
+    every C function (a ``c_call`` profile event each) by qualified
+    name."""
     counts: Dict[CodeType, int] = {}
     heap = dict.fromkeys(HEAP_CALLS, 0)
+    calls: Dict[str, int] = {}
     built = 0
 
     def profile(frame: FrameType, event: str, arg: Any) -> None:
         if event == "c_call":
+            name = arg.__qualname__
+            calls[name] = calls.get(name, 0) + 1
             if arg is heappush:
                 heap["heappush"] += 1
             elif arg is heappop:
@@ -164,7 +175,7 @@ def count_opcodes(
     finally:
         sys.setprofile(previous_profile)
         sys.settrace(previous)
-    return result, counts, heap, built
+    return result, counts, heap, built, calls
 
 
 def _where_file(filename: str) -> str:
@@ -203,12 +214,13 @@ def _tables(counts: Dict[CodeType, int]) -> Tuple[Table, Dict[str, int]]:
 def census(config: ExperimentConfig) -> RunCensus:
     """The census of one ``run_experiment(config)``."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
-    result, counts, heap, built = count_opcodes(
+    result, counts, heap, built, calls = count_opcodes(
         lambda: run_experiment(config, cache=None)
     )
     table, packages = _tables(counts)
     return RunCensus(
-        result.total_messages, result.cs_count, table, heap, packages, built
+        result.total_messages, result.cs_count, table, heap, packages, built,
+        calls,
     )
 
 
@@ -236,7 +248,7 @@ def warm_census(seed: int = 1) -> Census:
             shutdown_warm_pool()
         call()  # imports, memos: not the pass's cost
         try:
-            hits, counts, _heap, _built = count_opcodes(call)
+            hits, counts, _heap, _built, _calls = count_opcodes(call)
         finally:
             clear_sweep_memo()
     return (hits, *_tables(counts))
@@ -320,15 +332,15 @@ def render(
     table: Table,
     packages: Dict[str, int],
     cs: Optional[int] = None,
-    heap: Optional[Dict[str, int]] = None,
     built: Optional[int] = None,
+    calls: Optional[Dict[str, int]] = None,
 ) -> str:
     """The census table; ``units`` are cache hits for ``reproduce_warm``,
     sent messages otherwise.  ``cs``, the critical sections completed,
-    adds a line of instructions per CS; ``heap``, the calendar
-    operations, one line per operation, per unit and per CS; ``built``,
-    a line of ``Message`` objects per message.  The package block
-    follows, then the top ``(file, function)`` rows."""
+    adds a line of instructions per CS; ``built``, a line of ``Message``
+    objects per message.  The package block follows, then the top
+    ``(file, function)`` rows; ``calls``, the C calls by callee, adds
+    their block last (:func:`call_rows`)."""
     total = sum(table.values())
     unit, per = (
         ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
@@ -341,9 +353,6 @@ def render(
     ]
     if cs:
         lines.append(f"{total / cs:>10.1f} {'':>6}  per CS ({cs} completed)")
-    for name, n in (heap or {}).items():
-        per_cs = f", {n / cs:.1f} per CS" if cs else ""
-        lines.append(f"{n / units:>10.2f} {'':>6}  {name} calls ({n}{per_cs})")
     if built is not None:
         lines.append(
             f"{built / units:>10.2f} {'':>6}  Message objects per message ({built})"
@@ -354,7 +363,22 @@ def render(
     lines.append(f"{'instr/' + per:>10} {'share':>6}  file:function")
     for (name, function), n in ranked(table)[:TOP]:
         lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
+    if calls is not None:
+        lines.append(f"{'calls/' + per:>10} {'per CS':>8}  C function (calls)")
+        for name, n in call_rows(calls):
+            per_cs = f"{n / cs:>8.1f}" if cs else f"{'':>8}"
+            lines.append(f"{n / units:>10.2f} {per_cs}  {name} ({n})")
     return "\n".join(lines)
+
+
+def call_rows(calls: Dict[str, int]) -> List[Tuple[str, int]]:
+    """The C-call block's rows: the ``TOP_CALLS`` most called functions,
+    then any calendar operation (``HEAP_CALLS``) not among them, so the
+    heap's two counts are always printed."""
+    rows = ranked(calls)[:TOP_CALLS]
+    shown = {name for name, _ in rows}
+    return rows + [(name, calls.get(name, 0))
+                   for name in HEAP_CALLS if name not in shown]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -379,7 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     run = census(smoke_config(args.workload, args.seed))
     print(render(args.workload, run.messages, run.table, run.packages,
-                 run.cs, run.heap, run.built))
+                 run.cs, run.built, run.calls))
     return 0
 
 

@@ -88,11 +88,34 @@ flight:
 
 A ``stop()`` or an exception in a member's handler puts the rest back
 under the next member's key.
+
+On a jitter-free table those runs depend only on the sender's cluster
+and the destinations, so :meth:`Network.multicast` walks the
+destinations once and keeps the result as a *plan*: the maximal runs
+``(delay, members)`` of consecutive destinations that share a delay and
+the member count per destination cluster, keyed by ``(source cluster,
+port, destination tuple)`` (the tuple by identity; the plan holds it).
+A later broadcast then replays the plan in O(runs): it adds the counts
+to its statistics row (the walk counts member by member, as the loop
+does, since the caller's iterable may read the statistics meanwhile),
+drops its own sender from its run, and pushes one group per run,
+merging neighbours whose due times are equal as the walk would.  Only a tuple of distinct, routed nodes is planned for good
+(:attr:`~repro.mutex.base.MutexPeer.peers` always is); any other input
+is walked and replayed once.  A plan holds no route (``_fan`` routes on
+arrival), so ``register``, ``wrap_handler`` and a path flip leave it
+valid; ``unregister`` and ``close`` drop every plan.  Each destination
+tuple has at most one plan per cluster, each holding every member once:
+O(C·N) members per tuple for C clusters and N destinations, never one
+plan per sender.  The bound is per tuple object: the plans of a tuple
+no longer broadcast to (a peer's ``peers`` before a ``reform``) stay
+until ``unregister`` or ``close``, so a caller keeps one long-lived
+tuple rather than building one per broadcast.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
+from math import nan
 from operator import length_hint
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
@@ -120,6 +143,17 @@ _NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
 #: The route of a group member that must take the ``_deliver`` hop: its
 #: empty table sends every kind there (the handler is never called).
 _HOP: Route = (lambda _msg: None, None, _NO_TABLE)
+#: A broadcast plan (see :meth:`Network.multicast`): the runs ``(delay,
+#: members)`` of consecutive destinations that share a delay, the member
+#: count per destination cluster, ``{member of the sender's cluster:
+#: (run, position)}``, and the destination tuple itself (held, so that
+#: its ``id`` in the plan's key stays its own).
+Plan = Tuple[
+    Tuple[Tuple[float, Tuple[int, ...]], ...],
+    Tuple[Tuple[int, int], ...],
+    Dict[int, Tuple[int, int]],
+    Iterable[int],
+]
 
 
 def materialise(shared: Message, dst: int, seq: int) -> Message:
@@ -203,6 +237,8 @@ class Network:
         # Bound once: one method object per message otherwise.
         self._deliver_cb = self._deliver
         self._fan_cb = self._fan
+        #: ``{(source cluster, port, id(destination tuple)): plan}``
+        self._plans: Dict[Tuple[int, str, int], Plan] = {}
         # The members of the group `_fan` is handing over that it has
         # not reached yet (an iterator; see `delivered`).
         self._fanning: Optional[Iterator[int]] = None
@@ -353,6 +389,7 @@ class Network:
         if node not in nodes:
             raise NetworkError(f"no handler at {(node, port)}")
         owner = nodes.pop(node)[1]
+        self._plans.clear()  # a plan's members were all routed
         if owner is not None:
             self._undirect(owner)
 
@@ -361,6 +398,7 @@ class Network:
         and the tracer's hook, the references that tie the network and
         its agents into cycles.  Nothing can be sent afterwards."""
         self._routes.clear()
+        self._plans.clear()
         self.sim.trace.remove_change_hook(self._resolve)
         self._deliver_cb = self._fan_cb = None
 
@@ -555,8 +593,17 @@ class Network:
         docstring).  A destination reached through the ``_deliver`` hop
         gets a message of its own with its own copy of ``payload``; the
         direct receivers share one, readdressed for each handler call.
-        Whenever something could observe a message boundary (a ``send``
-        subscriber, jitter, a tie salt, any feature that takes
+
+        The runs come from a plan (:meth:`_plan`): a tuple of distinct
+        routed nodes is walked once per ``(source cluster, port)`` and
+        replayed by every later broadcast from that cluster, in O(runs)
+        — counts added to the row, the sender dropped from its run;
+        anything else is walked and replayed once.  ``unregister`` and
+        ``close`` drop the plans, and nothing else does: pass a
+        long-lived tuple (as :attr:`~repro.mutex.base.MutexPeer.peers`
+        is), not one built per broadcast, or the plans grow with every
+        call.  Whenever something could observe a message boundary (a
+        ``send`` subscriber, jitter, a tie salt, any feature that takes
         :meth:`send` off the fused path) it *is* that loop.
         """
         sim = self.sim
@@ -575,27 +622,86 @@ class Network:
                               dict(payload) if payload else {}, size)
             return
         st = self.stats
-        cluster_of = st._cluster_of
-        ci = cluster_of[src]
+        ci = st._cluster_of[src]
         key = (port, kind, size, ci)
         row = st._rows.get(key) or st._row(key)  # see MessageStats.reset
-        delays = self._lat_ctab[ci]
-        routes = self._routes.get(port, _NO_ROUTES)  # once per broadcast
-        fan = self._fan_cb
-        heap = sim._heap
-        now = sim._now
-        seq = sim._seq
-        first = self._seq
+        error: Optional[BaseException] = None
+        plan = self._plans.get((ci, port, id(dsts)))
+        if plan is None:  # the walk counts into row as it goes
+            plan, error = self._plan(src, ci, dsts, port, row)
+        else:
+            for cj, n in plan[1]:
+                row[cj] += n
+        runs, _, own, _ = plan
+        at = own.get(src)
+        if at is not None:  # src is a member, not a receiver
+            row[ci] -= 1
+            k, i = at
+            delay, members = runs[k]
+            members = members[:i] + members[i + 1:]
+            runs = runs[:k] + (((delay, members),) if members else ()) + runs[k + 1:]
         # The one message of the broadcast, readdressed per member by _fan.
         shared = Message(src, src, port, kind,
                          dict(payload) if payload else {}, size)
-        shared.sent_at = now
-        sent = 0
-        group: List[int] = []
-        group_due: Optional[float] = None
+        now = shared.sent_at = sim._now
+        fan = self._fan_cb
+        heap = sim._heap
+        base = seq = sim._seq
+        first = self._seq - base  # a member's message seq, less its key
+        group: Tuple[int, ...] = ()
+        group_due, group_seq = nan, seq  # nan: equal to no due time
+        for delay, members in runs:
+            due = now + delay
+            if due == group_due:  # rounding met the previous due: one group
+                group += members
+            else:
+                if group:
+                    heappush(heap, (group_due, group_seq, fan,
+                                    (group, group_seq, shared, first + group_seq)))
+                group, group_due, group_seq = members, due, seq
+            seq += len(members)
+        if group:
+            heappush(heap, (group_due, group_seq, fan,
+                            (group, group_seq, shared, first + group_seq)))
+        self._seq += seq - base
+        sim._seq = seq
+        if error is not None:
+            raise error
+
+    def _plan(
+        self, src: int, ci: int, dsts: Iterable[int], port: str, row: List[int]
+    ) -> Tuple[Plan, Optional[BaseException]]:
+        """Walk ``dsts`` for a broadcast from ``src`` (in cluster ``ci``),
+        adding each member to ``row`` as it goes (so the plan's counts
+        are in ``row`` when it returns, and a caller's iterable sees the
+        loop's counts while it runs), and return its plan with the error
+        that stopped the walk:
+        the ``NetworkError`` of an unrouted destination, or whatever the
+        caller's iterable raised.  The caller pushes what was planned,
+        then raises it: the loop's partial state.
+
+        A tuple with no repeated node and every member routed is planned
+        whole, ``src`` included (each broadcast drops its own sender),
+        and kept for every sender of cluster ``ci``; anything else is
+        planned without ``src`` for this broadcast only."""
+        routes = self._routes.get(port, _NO_ROUTES)
+        keep = (
+            type(dsts) is tuple
+            and len(set(dsts)) == len(dsts)
+            and all(dst in routes for dst in dsts)
+        )
+        skip = None if keep else src
+        cluster_of = self.stats._cluster_of
+        delays = self._lat_ctab[ci]
+        runs: List[Tuple[float, List[int]]] = []
+        counts: Dict[int, int] = {}
+        own: Dict[int, Tuple[int, int]] = {}
+        members: List[int] = []
+        run_delay: Optional[float] = None
+        error: Optional[BaseException] = None
         try:
             for dst in dsts:
-                if dst == src:
+                if dst == skip:
                     continue
                 if dst not in routes:
                     raise NetworkError(
@@ -603,20 +709,24 @@ class Network:
                     )
                 cj = cluster_of[dst]
                 row[cj] += 1
-                due = now + delays[cj]
-                if due == group_due:
-                    group.append(dst)  # the entry holds the list itself
-                else:
-                    group = [dst]
-                    group_due = due
-                    heappush(heap, (due, seq, fan,
-                                    (group, seq, shared, first + sent)))
-                seq += 1
-                sent += 1
-        finally:
-            # also leaving on a NetworkError, with the loop's partial state
-            self._seq += sent
-            sim._seq = seq
+                counts[cj] = counts.get(cj, 0) + 1
+                delay = delays[cj]
+                if delay != run_delay:
+                    members = []
+                    runs.append((delay, members))
+                    run_delay = delay
+                if cj == ci:
+                    own[dst] = (len(runs) - 1, len(members))
+                members.append(dst)
+        except BaseException as exc:  # re-raised by multicast, once pushed
+            error = exc
+        plan = (
+            tuple((delay, tuple(members)) for delay, members in runs),
+            tuple(counts.items()), own, dsts,
+        )
+        if keep:
+            self._plans[(ci, port, id(dsts))] = plan
+        return plan, error
 
     # ------------------------------------------------------------------ #
     # delivery
@@ -648,7 +758,7 @@ class Network:
         sim.post_at(due, self._deliver_cb, (msg,))
 
     def _fan(
-        self, dsts: List[int], seq: int, shared: Message, first: int
+        self, dsts: Tuple[int, ...], seq: int, shared: Message, first: int
     ) -> None:
         """Hand a group's members over in send order (see the module
         docstring); ``seq`` is the first member's kernel key and

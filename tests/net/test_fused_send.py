@@ -126,24 +126,43 @@ def _due_runs(net, src, dsts):
 @pytest.mark.parametrize("payload", [None, {}, {"ts": 4, "origin": 1}])
 @pytest.mark.parametrize("shape", [(3, 4), (6, 100)])  # dense / block tables
 def test_multicast_equals_the_loop_of_sends(payload, shape):
+    per = shape[1]
+    nodes = list(range(shape[0] * per))
+    orders = (
+        nodes + [2, 2],  # src included, a repeat
+        nodes,
+        # src alone in its run between two WAN members, which then join
+        [per, 1, per + 1] + [n for n in nodes if n not in (1, per, per + 1)],
+    )
+    for container in (list, tuple):  # a tuple of distinct nodes is kept
+        for order in orders:
+            _multicast_equals_the_loop(payload, shape, container(order))
+
+
+def _multicast_equals_the_loop(payload, shape, dsts):
     states, entries = [], []
     for fan_out in (Network.multicast, _loop):
         sim, net, got = _twin(n_clusters=shape[0], nodes=shape[1])
         assert net.fused
-        dsts = list(net.topology.nodes) + [2, 2]  # src included, a repeat
         fan_out(net, 1, dsts, "p", "request", payload, 80)
         sim.schedule(3.0, fan_out, net, 5, dsts[::-1], "p", "release", payload)
         before = _state(sim, net, [])
         entries.append(sim.pending)
+        # The same object again, from another sender of node 1's cluster:
+        # a kept plan replays, with node 1 a receiver this time.
+        sim.schedule(1.0, fan_out, net, 3, dsts, "p", "again", payload, 80)
         sim.run()
         states.append((before, _state(sim, net, got)))
         assert len({id(m.payload) for m, _ in got}) == len(got)  # own copy each
         assert all(m.payload is not payload for m, _ in got)
+        if fan_out is Network.multicast:  # dsts and its reverse, or none
+            kept = type(dsts) is tuple and len(set(dsts)) == len(dsts)
+            assert len(net._plans) == 2 * kept
     # The same deliveries in flight under the same keys; on the calendar,
     # one group per due-time run against one entry per message (each
     # side also holds the scheduled second broadcast).
     assert states[0] == states[1]
-    assert states[0][1]["snapshot"]["total"] == 2 * (len(dsts) - 1)
+    assert states[0][1]["snapshot"]["total"] == 3 * (len(dsts) - 1)
     assert entries == [1 + _due_runs(net, 1, dsts), len(dsts)]
     assert entries[0] < entries[1]
 
@@ -151,16 +170,91 @@ def test_multicast_equals_the_loop_of_sends(payload, shape):
 @pytest.mark.parametrize("src", [1, 99, -1])
 def test_multicast_partial_state_on_error_matches_the_loop(src):
     # Node 7 has no handler: the broadcast dies there, after 1..6 went out
-    # (or, from an unknown source, on the first destination).
+    # (or, from an unknown source, on the first destination).  Sent twice:
+    # a destination set with an unrouted member is never planned for good.
+    for container in (lambda nodes: nodes, list, tuple):  # a range first
+        states = []
+        for fan_out in (Network.multicast, _loop):
+            sim, net, got = _twin(skip=(7,))
+            dsts = container(net.topology.nodes)
+            errors = []
+            for _ in range(2):
+                with pytest.raises(NetworkError) as err:
+                    fan_out(net, src, dsts, "p", "request", {"n": 1})
+                errors.append(str(err.value))
+            assert not net._plans
+            sim.run()
+            states.append((errors, _state(sim, net, got)))
+        assert states[0] == states[1]
+        assert states[0][1]["snapshot"]["total"] == (12 if src == 1 else 0)
+
+
+class _CallerError(Exception):
+    pass
+
+
+def test_multicast_partial_state_when_the_iterable_raises():
+    # The walk runs the caller's iterable; what it sent before the
+    # iterable failed is sent, counted and numbered, as by the loop.
     states = []
     for fan_out in (Network.multicast, _loop):
-        sim, net, got = _twin(skip=(7,))
+        sim, net, got = _twin()
+
+        def dsts():
+            yield from (0, 4, 1, 5)
+            raise _CallerError
+
+        with pytest.raises(_CallerError):
+            fan_out(net, 1, dsts(), "p", "request", {"n": 1})
+        sim.run()
+        states.append(_state(sim, net, got))
+    assert states[0] == states[1] and states[0]["snapshot"]["total"] == 3
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_multicast_after_an_unregister_raises_with_the_loops_partial_state(
+    container,
+):
+    # Node 7 leaves between two broadcasts of one destination object; the
+    # second one (from node 2, node 1's cluster) must not replay a plan
+    # that still routes it.
+    states = []
+    for fan_out in (Network.multicast, _loop):
+        sim, net, got = _twin()
+        dsts = container(net.topology.nodes)
+        fan_out(net, 1, dsts, "p", "request", {"n": 1})
+        if fan_out is Network.multicast:
+            assert len(net._plans) == (container is tuple)
+        net.unregister(7, "p")
+        assert not net._plans
         with pytest.raises(NetworkError) as err:
-            fan_out(net, src, net.topology.nodes, "p", "request", {"n": 1})
+            fan_out(net, 2, dsts, "p", "request", {"n": 2})
         sim.run()
         states.append((str(err.value), _state(sim, net, got)))
     assert states[0] == states[1]
-    assert states[0][1]["snapshot"]["total"] == (6 if src == 1 else 0)
+    assert states[0][1]["snapshot"]["total"] == 11 + 6
+    assert "(7, 'p')" in states[0][0]
+
+
+def test_a_kept_plan_survives_what_routes_on_arrival():
+    # A plan holds no route: a wrapper or a new handler installed after
+    # it was made sees the next broadcast, which replays it.
+    sim, net, got = _twin()
+    dsts = tuple(net.topology.nodes)
+    net.multicast(0, dsts, "p", "a")
+    plans = dict(net._plans)
+    wrapped = []
+    net.wrap_handler(5, "p", lambda inner: lambda m: (wrapped.append(m.kind),
+                                                      inner(m)))
+    net.register(1, "q", lambda m: None)
+    net.multicast(1, dsts, "p", "b")
+    assert net._plans == plans and len(plans) == 1
+    sim.run()
+    assert wrapped == ["a", "b"]
+    assert sorted(m.dst for m, _ in got if m.kind == "b") == [
+        n for n in dsts if n != 1]
+    net.close()
+    assert not net._plans
 
 
 def test_multicast_to_nobody_leaves_no_trace():
@@ -230,6 +324,16 @@ def _traffic(draw):
         st.sampled_from("abc"),  # "c" is outside every table
         st.sampled_from([None, {"k": 1}]),
     ), min_size=1, max_size=8))
+    # Some destination sets are tuples, and some broadcasts go again on
+    # the very same object, from any sender: a tuple of distinct nodes is
+    # planned on its first broadcast and replayed from then on.
+    ops = [(at, cast, src, draw(st.sampled_from([list, tuple]))(dsts), *rest)
+           for at, cast, src, dsts, *rest in ops]
+    again = draw(st.lists(st.tuples(
+        st.sampled_from(ops), st.sampled_from([0.0, 0.5, 2.0]), node,
+    ), max_size=3))
+    ops += [(at, True, src, dsts, *rest)
+            for (_, _, _, dsts, *rest), at, src in again]
     return rtt, direct, ops
 
 
@@ -680,6 +784,28 @@ def test_a_shared_broadcast_message_runs_as_one_message_per_member(
     own, own_counts, own_built = _broadcast_run(monkeypatch, config, True)
     assert shared == own and shared_counts == own_counts
     assert shared_built == 0 < own_built < shared_counts[2]
+
+
+def test_broadcast_plans_are_one_per_sender_cluster():
+    # Flat Suzuki on Grid'5000 9 x 8: 72 peers share one peer tuple, so
+    # the plans are one per cluster, each holding every peer once -- not
+    # one per sender (O(N^2) members).
+    config = ExperimentConfig(
+        system="flat", intra="suzuki", platform="grid5000", n_clusters=9,
+        apps_per_cluster=8, n_cs=2, rho=72.0, seed=1,
+    )
+    with ExperimentRun(config) as run:
+        run.build()
+        run.execute()
+        net = run.net
+        plans = net._plans
+        members = sum(
+            len(run_members) for runs, _, _, _ in plans.values()
+            for _, run_members in runs
+        )
+        assert 0 < len(plans) <= 9 and members <= 9 * 72
+        assert {key[0] for key in plans} <= set(range(9))
+    assert not net._plans  # close() drops them
 
 
 @pytest.mark.parametrize("digest", [RunDigest, DeliverDigest],

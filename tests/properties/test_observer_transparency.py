@@ -159,8 +159,6 @@ def test_deliver_subscriber_coming_and_going_does_not_change_the_run(
         topo = uniform_topology(2, 3)
         net = Network(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=6.0,
                                                 jitter=jitter))
-        comp = Composition(sim, net, topo, intra=intra, inter=inter)
-        digest = RunDigest(sim)
         seen = []
 
         def on_deliver(rec):
@@ -173,9 +171,14 @@ def test_deliver_subscriber_coming_and_going_does_not_change_the_run(
         if mode == "always":
             sim.trace.subscribe("deliver", on_deliver)
         # Scheduled in every mode, so the calendars hold the same keys —
-        # and ahead of every send, so at a tie the toggle fires first.
+        # and ahead of every send, so at a tie the toggle fires first:
+        # before the composition is built, since some coordinators
+        # (ricart-agrawala's, lamport's, maekawa's) already send while
+        # they are constructed.
         sim.schedule_at(on_at, toggle, sim.trace.subscribe)
         sim.schedule_at(off_at, toggle, sim.trace.unsubscribe)
+        comp = Composition(sim, net, topo, intra=intra, inter=inter)
+        digest = RunDigest(sim)
         apps, collector = deploy_workload(comp, alpha_ms=2.0, rho=4.0, n_cs=3)
         sim.run(until=1_000_000.0)
         assert all(a.done for a in apps)

@@ -2,8 +2,9 @@
 gives the same instruction counts every time, and on the composition
 workload the function that executes the most is ``Network.send``, and a
 completed critical section builds no record object.  It also counts
-the calendar's ``heappush`` / ``heappop`` calls and the ``Message``
-objects built, C work the instruction count cannot see: a broadcast
+every C call by callee, the calendar's ``heappush`` / ``heappop`` among
+them, and the ``Message`` objects built, C work the instruction count
+cannot see: a broadcast
 puts one entry per due time on the calendar, not one per message, and
 builds one message, not one per receiver.  Its per-package block adds
 up to the whole run.  The
@@ -35,7 +36,7 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     config = opcode_census.smoke_config("fig4_single")
     run = opcode_census.census(config)
     assert run == opcode_census.census(config)
-    messages, cs, table, heap, packages, built = run
+    messages, cs, table, heap, packages, built, calls = run
     assert messages > 0 and cs > 0 and all(table.values())
     # Unicast only: every message is one calendar entry, and so is each
     # workload timer.
@@ -54,16 +55,21 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     # Unicast only: one message object per message sent.
     assert built == messages
     report = opcode_census.render(
-        "fig4_single", messages, table, packages, cs, heap, built)
-    assert len(report.splitlines()) == 9 + len(packages) + opcode_census.TOP
+        "fig4_single", messages, table, packages, cs, built, calls)
+    rows = opcode_census.call_rows(calls)
+    assert len(report.splitlines()) == (
+        8 + len(packages) + opcode_census.TOP + len(rows))
     per_cs = report.splitlines()[3].split()
     assert float(per_cs[0]) == round(sum(table.values()) / cs, 1)
     assert per_cs[1:] == ["per", "CS", f"({cs}", "completed)"]
-    pushes = report.splitlines()[4].split()
-    assert float(pushes[0]) == round(heap["heappush"] / messages, 2)
-    assert pushes[1:4] == ["heappush", "calls", f"({heap['heappush']},"]
-    assert report.splitlines()[6].split() == [
+    assert report.splitlines()[4].split() == [
         "1.00", "Message", "objects", "per", "message", f"({built})"]
+    # The calendar's two counters are rows of the C-call block, last.
+    block = report.splitlines()[-len(rows):]
+    pushes = next(line.split() for line in block if " heappush " in line)
+    assert float(pushes[0]) == round(heap["heappush"] / messages, 2)
+    assert float(pushes[1]) == round(heap["heappush"] / cs, 1)
+    assert pushes[2:] == ["heappush", f"({heap['heappush']})"]
 
 
 def test_census_package_block_adds_up_to_the_run():
@@ -79,7 +85,7 @@ def test_census_package_block_adds_up_to_the_run():
     assert opcode_census.ranked(run.packages)[0][0] == "net"
     lines = opcode_census.render(
         "suzuki_flat", run.messages, run.table, run.packages, run.cs,
-        run.heap, run.built).splitlines()
+        run.built, run.calls).splitlines()
     start = lines.index(f"{'instr/msg':>10} {'share':>6}  package") + 1
     block = lines[start:start + len(run.packages)]
     assert [line.split()[2] for line in block] == [
@@ -92,7 +98,8 @@ def test_census_counts_one_calendar_entry_per_broadcast_due_time():
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
     config = opcode_census.smoke_config("suzuki_flat")
-    messages, cs, table, heap, _packages, built = opcode_census.census(config)
+    messages, cs, table, heap, _packages, built, _calls = opcode_census.census(
+        config)
     # 26 requests per CS, on at most 9 due times (one per cluster); the
     # token and the workload's timers are one entry each.
     assert messages / cs > 26
@@ -101,6 +108,32 @@ def test_census_counts_one_calendar_entry_per_broadcast_due_time():
     # One message object per request broadcast, shared by its direct
     # receivers, and one per token pass: at most two per CS.
     assert built <= 2 * cs < messages / 10
+
+
+@pytest.mark.parametrize("workload", ["fig4_single", "suzuki_flat"])
+def test_census_counts_every_c_call_by_callee(workload):
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    config = opcode_census.smoke_config(workload)
+    run = opcode_census.census(config)
+    again = opcode_census.census(config)
+    assert run.calls == again.calls and run.heap == again.heap
+    # The heap's rows are the calendar counters, counted by identity.
+    for name in opcode_census.HEAP_CALLS:
+        assert run.calls[name] == run.heap[name] > 0
+    assert run.calls["list.append"] > 0
+    rows = opcode_census.call_rows(run.calls)
+    assert [name for name, _ in rows][:opcode_census.TOP_CALLS] == [
+        name for name, _ in opcode_census.ranked(run.calls)][
+        :opcode_census.TOP_CALLS]
+    assert set(opcode_census.HEAP_CALLS) <= {name for name, _ in rows}
+    lines = opcode_census.render(
+        workload, run.messages, run.table, run.packages, run.cs, run.built,
+        run.calls).splitlines()
+    assert lines[-len(rows) - 1].split() == [
+        "calls/msg", "per", "CS", "C", "function", "(calls)"]
+    assert [line.split()[2] for line in lines[-len(rows):]] == [
+        name for name, _ in rows]
 
 
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
