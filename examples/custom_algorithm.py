@@ -62,10 +62,10 @@ class DirectHandoffPeer(MutexPeer):
             self._send(dst, "token")
 
     # -- arbiter ------------------------------------------------------- #
-    def _on_ask(self, msg) -> None:
+    def _on_ask(self, src, payload) -> None:
         if self.node != self.arbiter:
             raise ProtocolError(f"{self.name}: ask at non-arbiter")
-        self._queue.append(msg.src)
+        self._queue.append(src)
         self._dispatch()
 
     def _dispatch(self) -> None:
@@ -87,8 +87,8 @@ class DirectHandoffPeer(MutexPeer):
             self._holder = nxt
 
     # -- holders ------------------------------------------------------- #
-    def _on_handoff(self, msg) -> None:
-        nxt = msg.payload["next"]
+    def _on_handoff(self, src, payload) -> None:
+        nxt = payload["next"]
         if self._holds_token and self.state is not PeerState.CS:
             self._holds_token = False
             self._send(nxt, "token")
@@ -97,7 +97,7 @@ class DirectHandoffPeer(MutexPeer):
             if self.state is PeerState.CS:
                 self._notify_pending()
 
-    def _on_token(self, msg) -> None:
+    def _on_token(self, src, payload) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: second token")
         self._holds_token = True

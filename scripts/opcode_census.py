@@ -16,7 +16,7 @@ the twenty ``(file, function)`` pairs that executed the most; a second
 total line divides by the critical sections completed.
 ``reproduce_warm`` instead traces one smoke-size ``reproduce_all``
 against a temporary cache filled (untraced) beforehand, and divides by
-its cache hits.  A count, not a time: it repeats exactly (the call runs
+its cache hits (its C-call block below too).  A count, not a time: it repeats exactly (the call runs
 once untraced first, so one-off imports and memos are out of the
 census), and it weighs every instruction alike.  It counts no work done
 inside C: building a frozen dataclass, for one, shows as a handful of
@@ -99,8 +99,6 @@ PACKAGE = ROOT / "src" / "repro"
 
 #: ``{(file, function): instructions}``
 Table = Dict[Tuple[str, str], int]
-#: ``(cache hits, instructions per row, instructions per package)``
-Census = Tuple[int, Table, Dict[str, int]]
 #: A census row's name: ``(file, function)``, or ``file:line``
 Row = TypeVar("Row", Tuple[str, str], str)
 #: The calendar operations, by name: counted apart as well, and always
@@ -111,10 +109,11 @@ MESSAGE_INIT = Message.__init__.__code__
 
 
 class RunCensus(NamedTuple):
-    """What one traced ``run_experiment`` did."""
+    """What one traced ``run_experiment`` (or warm ``reproduce_all``)
+    did."""
 
-    messages: int  #: sent
-    cs: int  #: critical sections completed
+    units: int  #: messages sent (cache hits, for a warm census)
+    cs: int  #: critical sections completed (0 for a warm census)
     table: Table  #: instructions per ``(file, function)``
     heap: Dict[str, int]  #: ``heappush`` / ``heappop`` calls
     packages: Dict[str, int]  #: instructions per ``src/repro`` package
@@ -224,10 +223,9 @@ def census(config: ExperimentConfig) -> RunCensus:
     )
 
 
-def warm_census(seed: int = 1) -> Census:
-    """Cache hits of one smoke-size warm ``reproduce_all`` and the
-    instructions it executed, per ``(file, function)`` and per
-    package."""
+def warm_census(seed: int = 1) -> RunCensus:
+    """The census of one smoke-size warm ``reproduce_all``, per cache
+    hit: the fields of :func:`census`, with no CS completed."""
     scale = reproduce_scale(seed, True)
     with tempfile.TemporaryDirectory(prefix="repro-census-") as tmp:
         # Built untraced, and reused by every call, as the benchmark's
@@ -248,10 +246,11 @@ def warm_census(seed: int = 1) -> Census:
             shutdown_warm_pool()
         call()  # imports, memos: not the pass's cost
         try:
-            hits, counts, _heap, _built, _calls = count_opcodes(call)
+            hits, counts, heap, built, calls = count_opcodes(call)
         finally:
             clear_sweep_memo()
-    return (hits, *_tables(counts))
+    table, packages = _tables(counts)
+    return RunCensus(hits, 0, table, heap, packages, built, calls)
 
 
 def memory_census(config: ExperimentConfig) -> Dict[Tuple[str, str], int]:
@@ -397,12 +396,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         sites = memory_census(config)
         print(render_memory(args.workload, config.n_apps, sites))
         return 0
-    if args.workload == "reproduce_warm":
-        hits, table, packages = warm_census(args.seed)
-        print(render(args.workload, hits, table, packages))
+    if args.workload == "reproduce_warm":  # no messages: no Message line
+        run = warm_census(args.seed)
+        print(render(args.workload, run.units, run.table, run.packages,
+                     calls=run.calls))
         return 0
     run = census(smoke_config(args.workload, args.seed))
-    print(render(args.workload, run.messages, run.table, run.packages,
+    print(render(args.workload, run.units, run.table, run.packages,
                  run.cs, run.built, run.calls))
     return 0
 

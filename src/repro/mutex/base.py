@@ -148,7 +148,8 @@ class MutexPeer(Process):
         cls = type(self)
         if cls._on_message is MutexPeer._on_message:
             # The direct route: a plain network schedules
-            # ``table[kind](self, msg)`` — exactly what _on_message does.
+            # ``table[kind](self, msg.src, msg.payload)`` — exactly what
+            # _on_message does.
             net.register(node, port, self._on_message,
                          owner=self, table=dispatch_table(cls))
         else:  # a subclass with its own dispatcher keeps every delivery
@@ -352,7 +353,7 @@ class MutexPeer(Process):
             raise ProtocolError(
                 f"{self.name}: unexpected message kind {msg.kind!r}"
             )
-        handler(self, msg)
+        handler(self, msg.src, msg.payload)
 
     def shutdown(self) -> None:
         """Cancel timers, detach from the network and drop every

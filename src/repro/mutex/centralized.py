@@ -19,7 +19,6 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["CentralizedPeer"]
@@ -129,25 +128,25 @@ class CentralizedPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
+    def _on_request(self, src: int, payload: Any) -> None:
         if not self.is_server:
             raise ProtocolError(f"{self.name}: client got a request")
-        self._server_handle_request(msg.src)
+        self._server_handle_request(src)
 
-    def _on_release(self, msg: Message) -> None:
+    def _on_release(self, src: int, payload: Any) -> None:
         if not self.is_server:
             raise ProtocolError(f"{self.name}: client got a release")
-        self._server_handle_release(msg.src)
+        self._server_handle_release(src)
 
-    def _on_grant(self, msg: Message) -> None:
+    def _on_grant(self, src: int, payload: Any) -> None:
         if self.state is not PeerState.REQ:
             raise ProtocolError(
                 f"{self.name}: grant arrived in state {self.state.value}"
             )
-        self._client_pending = bool(msg.payload.get("pending"))
+        self._client_pending = bool(payload.get("pending"))
         self._grant()
 
-    def _on_waiting(self, msg: Message) -> None:
+    def _on_waiting(self, src: int, payload: Any) -> None:
         # Server-side notification: someone queued behind our CS.  May
         # race with our own release (then it is stale — ignore).
         if self.state is PeerState.CS:

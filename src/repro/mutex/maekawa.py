@@ -29,7 +29,6 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["MaekawaPeer", "grid_quorums"]
@@ -267,27 +266,27 @@ class MaekawaPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        self._tick(msg.payload["ts"])
-        self._arbiter_request(msg.payload["ts"], msg.payload["origin"])
+    def _on_request(self, src: int, payload: Any) -> None:
+        self._tick(payload["ts"])
+        self._arbiter_request(payload["ts"], payload["origin"])
 
-    def _on_locked(self, msg: Message) -> None:
-        self._got_vote(msg.src)
+    def _on_locked(self, src: int, payload: Any) -> None:
+        self._got_vote(src)
 
-    def _on_failed(self, msg: Message) -> None:
+    def _on_failed(self, src: int, payload: Any) -> None:
         if self.state is PeerState.REQ:
             self._failed_seen = True
 
-    def _on_inquire(self, msg: Message) -> None:
-        self._maybe_relinquish(msg.src)
+    def _on_inquire(self, src: int, payload: Any) -> None:
+        self._maybe_relinquish(src)
 
-    def _on_relinquish(self, msg: Message) -> None:
-        self._arbiter_relinquished(msg.src)
+    def _on_relinquish(self, src: int, payload: Any) -> None:
+        self._arbiter_relinquished(src)
 
-    def _on_release(self, msg: Message) -> None:
-        self._arbiter_release(msg.src)
+    def _on_release(self, src: int, payload: Any) -> None:
+        self._arbiter_release(src)
 
-    def _on_waiting(self, msg: Message) -> None:
+    def _on_waiting(self, src: int, payload: Any) -> None:
         # Arbiter hint: a request queued behind the vote backing us.
         if self.state is PeerState.CS:
             self._remote_pending = True

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["MartinPeer"]
@@ -90,7 +89,7 @@ class MartinPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
+    def _on_request(self, src: int, payload: Any) -> None:
         if self._holds_token:
             if self.state is PeerState.CS:
                 # Serve the predecessor side after our own CS.
@@ -112,7 +111,7 @@ class MartinPeer(MutexPeer):
                 self._owe_pred = True
                 self._send(self.successor, "request")
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Any) -> None:
         self._holds_token = True
         if self.state is PeerState.REQ:
             self._grant()

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["NaimiTrehelPeer"]
@@ -90,8 +89,8 @@ class NaimiTrehelPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        origin = msg.payload["origin"]
+    def _on_request(self, src: int, payload: Any) -> None:
+        origin = payload["origin"]
         if self.is_root:
             if self._holds_token and self.state is PeerState.NO_REQ:
                 # Idle holder: grant straight away.
@@ -114,7 +113,7 @@ class NaimiTrehelPeer(MutexPeer):
         # Path reversal: origin is now the probable owner.
         self.last = origin
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Any) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: received a second token")
         self._holds_token = True

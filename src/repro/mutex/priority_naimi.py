@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from typing import Any, List, Optional, Sequence
 
 from ..errors import ProtocolError
-from ..net.message import DEFAULT_MESSAGE_SIZE, Message
+from ..net.message import DEFAULT_MESSAGE_SIZE
 from ..net.topology import GridTopology
 from .base import MutexPeer, PeerState
 
@@ -246,8 +246,8 @@ class PriorityNaimiPeer(MutexPeer):
         # else: keep the token idle; we stay the tree root.
 
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        entry = QueueEntry.from_wire(msg.payload)
+    def _on_request(self, src: int, payload: Any) -> None:
+        entry = QueueEntry.from_wire(payload)
         if self._holds_token:
             if self.state is PeerState.CS:
                 self.token_queue.append(entry)
@@ -264,7 +264,7 @@ class PriorityNaimiPeer(MutexPeer):
             self._send(self.last, "request", entry.to_wire())
         self.last = entry.origin
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Any) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: received a second token")
         if self.state is not PeerState.REQ:
@@ -273,7 +273,7 @@ class PriorityNaimiPeer(MutexPeer):
             )
         self._holds_token = True
         self.token_queue = [
-            QueueEntry.from_wire(d) for d in msg.payload["queue"]
+            QueueEntry.from_wire(d) for d in payload["queue"]
         ]
         if self.local_buffer:
             self.token_queue.extend(self.local_buffer)

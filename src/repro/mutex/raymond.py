@@ -20,7 +20,6 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional, Sequence
 
 from ..errors import ProtocolError
-from ..net.message import Message
 from .base import MutexPeer, PeerState
 
 __all__ = ["RaymondPeer", "balanced_tree_parents"]
@@ -83,16 +82,15 @@ class RaymondPeer(MutexPeer):
         self._assign_or_ask()
 
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        sender = msg.src
-        if sender not in self.peers:
-            raise ProtocolError(f"{self.name}: request from stranger {sender}")
-        self.request_q.append(sender)
+    def _on_request(self, src: int, payload: Any) -> None:
+        if src not in self.peers:
+            raise ProtocolError(f"{self.name}: request from stranger {src}")
+        self.request_q.append(src)
         if self.holds_token and self.state is PeerState.CS:
             self._notify_pending()
         self._assign_or_ask()
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Any) -> None:
         self.holder = self.node
         self.asked = False
         self._assign_or_ask()

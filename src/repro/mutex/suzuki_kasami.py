@@ -28,7 +28,7 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional
 
 from ..errors import ProtocolError
-from ..net.message import DEFAULT_MESSAGE_SIZE, Message
+from ..net.message import DEFAULT_MESSAGE_SIZE
 from .base import MutexPeer, PeerState
 
 __all__ = ["SuzukiKasamiPeer"]
@@ -134,9 +134,9 @@ class SuzukiKasamiPeer(MutexPeer):
     # ------------------------------------------------------------------ #
     # message handlers
     # ------------------------------------------------------------------ #
-    def _on_request(self, msg: Message) -> None:
-        origin = msg.payload["origin"]
-        seq = msg.payload["seq"]
+    def _on_request(self, src: int, payload: Any) -> None:
+        origin = payload["origin"]
+        seq = payload["seq"]
         if seq <= self.rn[origin]:
             return  # outdated or duplicated request
         self.rn[origin] = seq
@@ -151,15 +151,15 @@ class SuzukiKasamiPeer(MutexPeer):
                 # In the CS: the request will be queued at release time.
                 self._notify_pending()
 
-    def _on_token(self, msg: Message) -> None:
+    def _on_token(self, src: int, payload: Any) -> None:
         if self._holds_token:
             raise ProtocolError(f"{self.name}: received a second token")
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
         self._holds_token = True
-        self.ln = dict(msg.payload["ln"])
-        self.queue = deque(msg.payload["queue"])
+        self.ln = dict(payload["ln"])
+        self.queue = deque(payload["queue"])
         if self.state is not PeerState.REQ:
             raise ProtocolError(
                 f"{self.name}: token arrived in state {self.state.value}"

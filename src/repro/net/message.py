@@ -23,10 +23,8 @@ _UNSTAMPED = float("nan")  # one shared NaN: parsing it per message adds up
 class Message:
     """An in-flight (or delivered) message.
 
-    A handler reads the message it is given during the call and must
-    neither keep it nor mutate its payload: the direct receivers of a
-    broadcast are handed one shared message, readdressed to each in
-    turn (:meth:`~repro.net.network.Network.multicast`).
+    A handler must not mutate the payload: the direct receivers of a
+    broadcast share one (:meth:`~repro.net.network.Network.multicast`).
 
     Attributes
     ----------

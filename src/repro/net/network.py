@@ -32,16 +32,17 @@ the per-broadcast work hoisted out of the loop.
 The fused path pushes *bare* calendar entries
 (:data:`~repro.sim.kernel.HeapEntry`): one tuple per message (per
 group of same-due messages, for ``multicast``: below), no ``Event``.
-For ``send`` that is normally ``(due, seq, _deliver, (msg,))`` and
-:meth:`Network._deliver` looks the handler up when the message arrives.
-**Direct dispatch** skips that hop too: when the destination registered
-an owner and a kind table (``register(..., owner=, table=)``, which is
-what every :class:`~repro.mutex.base.MutexPeer` does) and the kind is in
-the table, the entry is ``(due, seq, table[kind], (owner, msg))`` — the
-kernel calls ``_on_<kind>(peer, msg)`` itself, one heap tuple and one
-Python frame per message.  A delivery is taken off the direct route —
-and goes through ``_deliver``, as every delivery of a non-plain network
-does — by any of:
+**Direct dispatch** builds no :class:`Message`: when the destination
+registered an owner and a kind table (``register(..., owner=,
+table=)``, as every :class:`~repro.mutex.base.MutexPeer` does) holding
+the kind, the entry is ``(due, seq, table[kind], (owner, src,
+payload), (dst, port, kind, seq, sent_at, size))``.  The kernel calls
+``_on_<kind>(owner, src, payload)`` itself; the fifth field, which it
+never reads, is the rest of the message (:func:`materialise`).
+Otherwise the entry is ``(due, seq, _deliver, (msg,))``, and
+:meth:`Network._deliver` looks the handler up on arrival.  A delivery
+is taken off the direct route — through ``_deliver``, as every delivery
+of a non-plain network — by any of:
 
 * a handler registered as a plain callable, or wrapped since
   (:meth:`Network.wrap_handler`);
@@ -57,7 +58,9 @@ dropped it) and a ``deliver`` record per message handed to a handler
 
 All of this may change *while messages are in flight*: the affected
 direct entries are then rewritten in place into ``_deliver`` entries
-(same ``(due, seq)`` key, so the calendar order is untouched) — the
+carrying the message ``send`` would have built (same ``(due, seq)``
+key, so the calendar order is untouched; same ``seq``, ``sent_at`` and
+payload, which the recovery fence and ``deliver`` records read) — the
 address's on ``unregister``/``wrap_handler``, all of them when the
 network leaves plain mode or a ``deliver`` subscriber appears.  A
 message to an address unregistered in flight is therefore still dropped
@@ -77,9 +80,8 @@ over in send order and routes each one *on arrival*, as ``_deliver``
 does, so a group needs no rewriting when any of the above changes in
 flight:
 
-* on the direct route it readdresses ``shared`` (``dst``, ``seq``) and
-  calls ``table[kind](owner, shared)``; the handler may read the
-  message during that call only (the :class:`Message` contract);
+* on the direct route it calls ``table[kind](owner, src, payload)``
+  with the broadcast's one payload, which a handler only reads;
 * on the ``_deliver`` hop it builds the member's own message, exactly
   the one :meth:`Network.send` would have built (:func:`materialise`),
   so whatever can observe a delivery — a wrapper, a plain-callable
@@ -99,7 +101,8 @@ A later broadcast then replays the plan in O(runs): it adds the counts
 to its statistics row (the walk counts member by member, as the loop
 does, since the caller's iterable may read the statistics meanwhile),
 drops its own sender from its run, and pushes one group per run,
-merging neighbours whose due times are equal as the walk would.  Only a tuple of distinct, routed nodes is planned for good
+merging neighbours whose due times are equal as the walk would.  Only
+a tuple of distinct, routed nodes is planned for good
 (:attr:`~repro.mutex.base.MutexPeer.peers` always is); any other input
 is walked and replayed once.  A plan holds no route (``_fan`` routes on
 arrival), so ``register``, ``wrap_handler`` and a path flip leave it
@@ -132,11 +135,13 @@ from .topology import GridTopology
 __all__ = ["Network"]
 
 Handler = Callable[[Message], None]
-#: ``{kind: function(owner, msg)}`` — a peer class's ``_on_<kind>`` table.
+#: ``{kind: function(owner, src, payload)}`` — a peer class's
+#: ``_on_<kind>`` table.
 KindTable = Dict[str, Callable[..., Any]]
 #: What one registered address resolves to: ``(handler, owner, table)``.
-#: ``table[kind](owner, msg)`` is the direct-dispatch equivalent of
-#: ``handler(msg)``; an address without one has ``(handler, None, {})``.
+#: ``table[kind](owner, msg.src, msg.payload)`` is the direct-dispatch
+#: equivalent of ``handler(msg)``; an address without one has
+#: ``(handler, None, {})``.
 Route = Tuple[Handler, Any, KindTable]
 _NO_TABLE: KindTable = {}  # shared, never written
 _NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
@@ -156,14 +161,14 @@ Plan = Tuple[
 ]
 
 
-def materialise(shared: Message, dst: int, seq: int) -> Message:
-    """The message a group member addressed to ``dst`` under message
-    ``seq`` is: what :meth:`Network.send` would have built for it, with
-    its own copy of the broadcast's payload.  A group entry's arguments
-    ``(dsts, seq, shared, first)`` hold ``dsts[i]`` under ``first + i``."""
-    msg = Message(shared.src, dst, shared.port, shared.kind,
-                  dict(shared.payload), shared.size)
-    msg.sent_at = shared.sent_at
+def materialise(src: int, payload: Optional[dict], dst: int, port: str,
+                kind: str, seq: int, sent_at: float, size: int) -> Message:
+    """The message :meth:`Network.send` builds, stamped.  A direct entry
+    ends ``(owner, src, payload), (dst, port, kind, seq, sent_at,
+    size)``; a group ``(dsts, key, shared, first)`` sends ``dsts[i]`` as
+    message ``first + i``, with a copy of ``shared.payload`` each."""
+    msg = Message(src, dst, port, kind, payload, size)
+    msg.sent_at = sent_at
     msg.seq = seq
     return msg
 
@@ -268,37 +273,34 @@ class Network:
             self._undirect()  # what is in flight arrives through _deliver
         self._direct = direct
 
-    def _direct_entries(self, owner: Any = None) -> Iterator[Tuple[int, Message]]:
-        """Calendar index and message of this network's in-flight direct
-        entries — only those bound for ``owner`` when given.
-
-        A direct entry is ``(due, seq, fn, (peer, msg))``; it is ours
-        when ``peer`` is the owner registered at the message's address
-        (``owner`` comes out of the route table, so it is by definition).
-        """
+    def _direct_entries(self, owner: Any = None) -> Iterator[int]:
+        """Calendar index of this network's in-flight direct entries
+        (the five-field ones), only those bound for ``owner`` when given:
+        ``(…, (peer, src, payload), (dst, port, …))`` is ours when
+        ``peer`` is the owner registered at ``(dst, port)``."""
         routes = self._routes
         for i, entry in enumerate(self.sim._heap):
-            args = entry[3]
-            if args is None or len(args) != 2 or type(args[1]) is not Message:
+            if len(entry) != 5:
                 continue
-            peer, msg = args
+            peer = entry[3][0]
             if owner is None:
-                route = routes.get(msg.port, _NO_ROUTES).get(msg.dst)
+                dst, port = entry[4][:2]
+                route = routes.get(port, _NO_ROUTES).get(dst)
                 if route is None or route[1] is not peer:
                     continue
             elif peer is not owner:
                 continue  # someone else's: stays direct
-            yield i, msg
+            yield i
 
     def _undirect(self, owner: Any = None) -> None:
-        """Rewrite the in-flight direct entries (see
-        :meth:`_direct_entries`) into ``_deliver`` entries, in place:
-        same key, so the heap invariant holds as it stands."""
+        """Rewrite the in-flight direct entries (:meth:`_direct_entries`)
+        in place into ``_deliver`` entries of the message ``send`` would
+        have built: same key, so the heap invariant holds as it stands."""
         heap = self.sim._heap
         deliver = self._deliver_cb
-        for i, msg in self._direct_entries(owner):
-            due, seq = heap[i][:2]
-            heap[i] = (due, seq, deliver, (msg,))
+        for i in self._direct_entries(owner):
+            due, seq, _, args, fields = heap[i]
+            heap[i] = (due, seq, deliver, (materialise(*args[1:], *fields),))
 
     @property
     def delivered(self) -> int:
@@ -369,10 +371,10 @@ class Network:
         (it almost always means two agents were wired to the same port).
 
         ``owner`` and ``table`` (together or not at all) open the direct
-        route: the registrant promises that ``table[kind](owner, msg)``
-        does exactly what ``handler(msg)`` does for every kind in
-        ``table``, and a plain network may then schedule the former
-        (see the module docstring).
+        route: the registrant promises that ``table[kind](owner,
+        msg.src, msg.payload)`` does exactly what ``handler(msg)`` does
+        for every kind in ``table``, and a plain network may then
+        schedule the former (see the module docstring).
         """
         if not 0 <= node < self.topology.n_nodes:
             raise NetworkError(f"unknown node {node}")
@@ -475,8 +477,8 @@ class Network:
         kind: str,
         payload: Optional[dict] = None,
         size: int = DEFAULT_MESSAGE_SIZE,
-    ) -> Message:
-        """Send a message; returns the (already stamped) message object.
+    ) -> None:
+        """Send a message.
 
         Raises :class:`NetworkError` if the destination address has no
         registered handler — unlike real UDP, a misdirected message in a
@@ -490,9 +492,8 @@ class Network:
             ) from None
         if not 0 <= src < self._n_nodes:
             raise NetworkError(f"unknown source node {src}")
-        msg = Message(src, dst, port, kind, payload, size)
         sim = self.sim
-        now = msg.sent_at = sim._now
+        now = sim._now
         if self._plain:
             # Fused path: MessageStats.record, the table-latency lookup
             # and a bare-entry Simulator.post_at, inlined step for step.
@@ -502,12 +503,12 @@ class Network:
             key = (port, kind, size, ci)
             row = st._rows.get(key) or st._row(key)
             row[cj] += 1  # the one accounting write of this message
-            msg.seq = self._seq
-            self._seq += 1
+            msg_seq = self._seq
+            self._seq = msg_seq + 1
             if self._trace_send:
                 sim.trace.emit(
-                    "send", time=now, src=src, dst=dst, port=port,
-                    kind=kind, payload=msg.payload, seq=msg.seq,
+                    "send", time=now, src=src, dst=dst, port=port, kind=kind,
+                    payload={} if payload is None else payload, seq=msg_seq,
                 )
             latency = self.latency
             if not self._inline_latency:
@@ -530,18 +531,22 @@ class Network:
             fn = route[2].get(kind) if self._direct else None
             entry: HeapEntry
             if fn is None:
-                entry = (due, seq, self._deliver_cb, (msg,))
+                entry = (due, seq, self._deliver_cb, (materialise(
+                    src, payload, dst, port, kind, msg_seq, now, size),))
             else:  # direct dispatch: the kernel calls _on_<kind> itself
-                entry = (due, seq, fn, (route[1], msg))
+                entry = (due, seq, fn, (route[1], src, payload),
+                         (dst, port, kind, msg_seq, now, size))
             heappush(sim._heap, entry)
             sim._seq += 1
-            return msg
+            return
         crashes = self._crashes
         if crashes is not None and crashes.is_down(src):
             # A crashed node emits nothing: not even a *sent* statistic
             # (its processes are halted; this path only triggers when an
             # unbound caller keeps driving a peer on a dead node).
-            return msg
+            return
+        msg = Message(src, dst, port, kind, payload, size)
+        msg.sent_at = now
         self.stats.record(msg)
         faults = self._faults
         dropped = faults is not None and faults.should_drop(
@@ -555,7 +560,7 @@ class Network:
                 kind=kind, payload=msg.payload, seq=msg.seq,
             )
         if dropped:
-            return msg
+            return
         if faults is not None and faults.should_duplicate(
             self._fault_rng, kind
         ):
@@ -570,7 +575,6 @@ class Network:
                 extra_factor=faults.delay_factor,
                 advance_flow=False,
             )
-        return msg
 
     def multicast(
         self,
@@ -592,7 +596,7 @@ class Network:
         due time (a group, handed over by :meth:`_fan`; see the module
         docstring).  A destination reached through the ``_deliver`` hop
         gets a message of its own with its own copy of ``payload``; the
-        direct receivers share one, readdressed for each handler call.
+        direct receivers share one copy.
 
         The runs come from a plan (:meth:`_plan`): a tuple of distinct
         routed nodes is walked once per ``(source cluster, port)`` and
@@ -640,7 +644,7 @@ class Network:
             delay, members = runs[k]
             members = members[:i] + members[i + 1:]
             runs = runs[:k] + (((delay, members),) if members else ()) + runs[k + 1:]
-        # The one message of the broadcast, readdressed per member by _fan.
+        # The one message of the broadcast: _fan reads its fields.
         shared = Message(src, src, port, kind,
                          dict(payload) if payload else {}, size)
         now = shared.sent_at = sim._now
@@ -672,13 +676,12 @@ class Network:
         self, src: int, ci: int, dsts: Iterable[int], port: str, row: List[int]
     ) -> Tuple[Plan, Optional[BaseException]]:
         """Walk ``dsts`` for a broadcast from ``src`` (in cluster ``ci``),
-        adding each member to ``row`` as it goes (so the plan's counts
-        are in ``row`` when it returns, and a caller's iterable sees the
-        loop's counts while it runs), and return its plan with the error
-        that stopped the walk:
-        the ``NetworkError`` of an unrouted destination, or whatever the
-        caller's iterable raised.  The caller pushes what was planned,
-        then raises it: the loop's partial state.
+        adding each member to ``row`` as it goes (so a caller's iterable
+        sees the loop's counts while it runs), and return its plan with
+        the error that stopped the walk: the ``NetworkError`` of an
+        unrouted destination, or whatever the caller's iterable raised.
+        The caller pushes what was planned, then raises it: the loop's
+        partial state.
 
         A tuple with no repeated node and every member routed is planned
         whole, ``src`` included (each broadcast drops its own sender),
@@ -766,13 +769,13 @@ class Network:
 
         Each member is routed as ``_deliver`` would route it now, so
         anything changed in flight applies to the members not reached
-        yet: a direct handler gets ``shared`` readdressed to it, the
+        yet: a direct handler gets ``(owner, src, payload)``, the
         ``_deliver`` hop a message of its own (:func:`materialise`).
         If the run is stopped, or a handler raises, the rest go back on
         the calendar under the next member's key."""
         sim = self.sim
-        nodes = self._routes.get(shared.port, _NO_ROUTES)
-        kind = shared.kind
+        src, port, kind, payload = shared.src, shared.port, shared.kind, shared.payload
+        nodes = self._routes.get(port, _NO_ROUTES)
         rest = iter(dsts)
         outer, self._fanning = self._fanning, rest
         try:
@@ -780,11 +783,10 @@ class Network:
                 route = nodes.get(dst, _HOP) if self._direct else _HOP
                 fn = route[2].get(kind)
                 if fn is None:
-                    self._deliver(materialise(shared, dst, msg_seq))
+                    self._deliver(materialise(src, dict(payload), dst, port, kind,
+                                              msg_seq, shared.sent_at, shared.size))
                 else:
-                    shared.dst = dst
-                    shared.seq = msg_seq
-                    fn(route[1], shared)
+                    fn(route[1], src, payload)
                 if sim._stopped:
                     break
         finally:

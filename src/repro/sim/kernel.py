@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-The kernel keeps its pending events in one binary heap of four-field
+The kernel keeps its pending events in one binary heap of tuple
 entries (:data:`HeapEntry`) ordered by ``(time, seq)``.  The simulated
 clock only moves when an event fires, so a run is fully deterministic
 given the same schedule and the same RNG seeds.
@@ -26,7 +26,9 @@ per-event work minimal (see ``docs/performance.md``):
   pushes for message deliveries, the dominant source of events.  One
   bare entry may stand for several deliveries: a broadcast's
   same-due messages share one (see ``Network.multicast``), and its
-  callback adds the members beyond the first to the fired count.
+  callback adds the members beyond the first to the fired count.  A
+  bare entry may carry a fifth field, which no loop reads (the
+  network keeps the rest of a directly dispatched message there).
   An *event* entry ``(time, seq, event, None)`` carries the
   :class:`~repro.sim.event.Event` that
   :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
@@ -68,13 +70,14 @@ __all__ = ["Simulator", "HeapEntry"]
 #: One calendar entry, ordered by its first two fields.  Either *bare*,
 #: ``(due, seq, callback, args)`` with ``args`` a tuple — fires
 #: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
-#: cancellable :class:`~repro.sim.event.Event`.  The module
+#: cancellable :class:`~repro.sim.event.Event`.  A bare entry may have a
+#: fifth field for its pusher, which the kernel never reads.  The module
 #: that pushes entries itself (``net/network.py``) pushes bare ones and
 #: must consume ``seq`` exactly as :meth:`Simulator.post_at` does, once
 #: per message — also for a group entry, which is keyed by its first
 #: member's ``seq``; its other members own the next ones, which no
 #: entry is keyed by.
-HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
+HeapEntry = Tuple[Any, ...]
 
 #: Compaction is considered only past this many tombstones (a small heap
 #: is cheap to scan anyway, and recovering a handful of slots is noise).
@@ -260,7 +263,8 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            time, _, callback, args = heappop(heap)
+            entry = heappop(heap)
+            time, callback, args = entry[0], entry[2], entry[3]
             if args is None:  # an Event-carrying entry
                 event: Event = callback
                 if event.cancelled:

@@ -33,8 +33,8 @@ class BrokenNaimiPeer(NaimiTrehelPeer):
     system quiesces.
     """
 
-    def _on_request(self, msg) -> None:
-        origin = msg.payload["origin"]
+    def _on_request(self, src, payload) -> None:
+        origin = payload["origin"]
         if self.is_root:
             if self._holds_token and self.state is PeerState.NO_REQ:
                 self._holds_token = False

@@ -466,6 +466,42 @@ def test_idle_coordinator_crash_fails_over(intra):
     assert_single_token(live_peers(comp.inter_peers, crashes))
 
 
+
+@pytest.mark.parametrize("intra", ALGOS)
+@pytest.mark.parametrize("in_cs", [True, False], ids=["in-cs", "idle"])
+def test_intra_detection_resumes_after_a_failover(intra, in_cs):
+    # The failover suspends the cluster's intra detector while it swaps
+    # the coordinator; once it completes, a later intra-level holder
+    # crash in that cluster must still be detected and recovered.
+    sim, net, crashes, comp = make_composition(intra)
+    recovery = CompositionRecovery(sim, net, crashes, comp, config=FAST)
+    app_nodes = set(comp.app_nodes)
+    liveness = LivenessChecker(
+        sim.trace, include=lambda rec: rec.node in app_nodes
+    )
+    CrashSafetyChecker(sim.trace, crashes)
+    intra_rec = recovery.intra_recovery[0]
+    a0, a1 = [n for n in comp.app_nodes if n < 4]
+    crashes.schedule_crash(10.0, comp.coordinators[0].node)
+    sim.run(until=300.0)
+    assert [f[1] for f in recovery.failovers] == [0]
+    before = intra_rec.recoveries
+    holder = comp.peer_for(a0)
+    # a0 takes the intra token, then dies with it: inside the CS, or
+    # idle after its release (nobody else asked for the token since).
+    drive_app(sim, holder, 1000.0 if in_cs else 5.0, [])
+    sim.run(until=350.0)
+    assert holder.holds_token and holder.in_cs == in_cs
+    crashes.crash(a0)
+    grants = []
+    drive_app(sim, comp.peer_for(a1), 5.0, grants)
+    sim.run(until=2000.0)
+    assert grants, "cluster 0's remaining application was never served"
+    assert intra_rec.recoveries > before
+    liveness.forgive(a0)
+    liveness.assert_all_satisfied()
+    assert_single_token(live_peers(comp.intra_instances[0], crashes))
+
 def test_composition_without_standbys_rejected():
     sim = Simulator(seed=1)
     topo = uniform_topology(2, 3)

@@ -28,20 +28,23 @@ class CalendarEntry(NamedTuple):
     callback: Callable[..., Any]
     args: Tuple[Any, ...]
     event: Optional[Event]  #: ``None`` for a bare entry
+    #: a direct entry's ``(dst, port, kind, seq, sent_at, size)``, else ``None``
+    fields: Optional[Tuple[Any, ...]] = None
 
 
 def heap_entries(sim: Simulator) -> List[CalendarEntry]:
-    """The calendar of ``sim`` in firing order, tombstones included, both
-    ``repro.sim.kernel.HeapEntry`` shapes normalised; the heap itself is
+    """The calendar of ``sim`` in firing order, tombstones included, every
+    ``repro.sim.kernel.HeapEntry`` shape normalised; the heap itself is
     left untouched.  White-box tests read ``sim._heap`` through this."""
     entries = []
-    for time, key, third, args in sorted(sim._heap, key=lambda e: e[:2]):
+    for entry in sorted(sim._heap, key=lambda e: e[:2]):
+        time, key, third, args = entry[:4]
         if args is None:  # (time, seq, event, None)
             entries.append(
                 CalendarEntry(time, key, third.callback, third.args, third)
             )
-        else:  # bare: (due, seq, callback, args)
-            entries.append(CalendarEntry(time, key, third, args, None))
+        else:  # bare: (due, seq, callback, args[, fields])
+            entries.append(CalendarEntry(time, key, third, args, None, *entry[4:]))
     return entries
 
 
@@ -49,30 +52,41 @@ def in_flight(sim: Simulator) -> List[Tuple[float, int, Any]]:
     """Every message delivery the calendar holds, in firing order, as
     ``(due, key, message)``.  A group entry (``Network.multicast``'s
     ``(due, seq, _fan, (dsts, seq, shared, first))``) yields one row per
-    member under the key the member's own entry would have had, with the
-    message ``materialise`` builds for it; a ``_deliver`` or direct entry
-    yields its message.  Other entries are left out."""
+    member under the key the member's own entry would have had; a direct
+    entry (``(due, seq, fn, (owner, src, payload), fields)``) yields one
+    row; both with the message ``materialise`` builds for it.  A
+    ``_deliver`` entry yields its message.  Other entries are left out."""
     rows = []
     for entry in heap_entries(sim):
         if getattr(entry.callback, "__name__", "") == "_fan":
             dsts, key, shared, first = entry.args
             rows.extend(
-                (entry.time, key + i, materialise(shared, dst, first + i))
+                (entry.time, key + i, materialise(
+                    shared.src, dict(shared.payload), dst, shared.port,
+                    shared.kind, first + i, shared.sent_at, shared.size))
                 for i, dst in enumerate(dsts)
             )
+        elif entry.fields is not None:
+            rows.append((entry.time, entry.key,
+                         materialise(*entry.args[1:], *entry.fields)))
         elif entry.args and type(entry.args[-1]) is Message:
             rows.append((entry.time, entry.key, entry.args[-1]))
     return rows
 
 
-def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: Any) -> None:
+def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: Any,
+              fields: Optional[Tuple[Any, ...]] = None) -> None:
     """Push a bare ``(due, seq, callback, args)`` entry exactly as
     ``Network.send`` does: the kernel's seq consumed and tie-salted the
-    way ``Simulator.post_at`` would."""
+    way ``Simulator.post_at`` would.  With ``fields``, the entry is the
+    five-field ``(due, seq, callback, args, fields)`` of a direct
+    dispatch."""
     seq = sim._seq
     if sim._tie_salt is not None:
         seq = _mix64(seq ^ sim._tie_salt)
-    heappush(sim._heap, (time, seq, callback, args))
+    entry = (time, seq, callback, args) if fields is None else (
+        time, seq, callback, args, fields)
+    heappush(sim._heap, entry)
     sim._seq += 1
 
 

@@ -25,19 +25,19 @@ def test_subclass_override_is_dispatched_to():
     seen = []
 
     class Listening(NaimiTrehelPeer):
-        def _on_request(self, msg):
-            seen.append((self.node, msg.kind, msg.payload["origin"]))
-            super()._on_request(msg)
+        def _on_request(self, src, payload):
+            seen.append((self.node, "request", src, payload["origin"]))
+            super()._on_request(src, payload)
 
-        def _on_hello(self, msg):  # a kind the base class does not have
-            seen.append((self.node, "hello", msg.src))
+        def _on_hello(self, src, payload):  # a kind the base class lacks
+            seen.append((self.node, "hello", src, payload))
 
     sim, net, peers = _ring(Listening)
     peers[1].request_cs()
-    net.send(2, 0, "mutex", "hello")
+    net.send(2, 0, "mutex", "hello", {"x": 1})
     sim.run()
     assert peers[1].in_cs
-    assert sorted(seen) == [(0, "hello", 2), (0, "request", 1)]
+    assert sorted(seen) == [(0, "hello", 2, {"x": 1}), (0, "request", 1, 1)]
 
 
 def test_unknown_kind_raises_the_same_protocol_error():
@@ -50,10 +50,10 @@ def test_unknown_kind_raises_the_same_protocol_error():
 
 def test_table_is_per_concrete_class_and_mirrors_getattr():
     class Extended(NaimiTrehelPeer):
-        def _on_token(self, msg):
-            super()._on_token(msg)
+        def _on_token(self, src, payload):
+            super()._on_token(src, payload)
 
-        def _on_hello(self, msg):
+        def _on_hello(self, src, payload):
             pass
 
     base, extended = dispatch_table(NaimiTrehelPeer), dispatch_table(Extended)

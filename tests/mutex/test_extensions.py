@@ -4,7 +4,7 @@ Ricart-Agrawala, Lamport, centralized server."""
 import pytest
 
 from repro.errors import ProtocolError
-from repro.mutex import balanced_tree_parents
+from repro.mutex import available_algorithms, balanced_tree_parents
 from repro.verify import assert_all_idle
 
 from ..helpers import PeerDriver
@@ -70,6 +70,36 @@ def test_pending_notification_fires_while_in_cs(algorithm):
     d.request(1, at=10.0)
     d.run().check()
     assert notified, f"{algorithm}: holder in CS never notified of waiter"
+
+
+#: The pending-request signal as the coordinator reads it (paper Fig 2,
+#: lines 8 and 15).  Both tests hold for every registered algorithm, so
+#: none is excluded.
+EVERY_ALGORITHM = sorted(available_algorithms())
+
+
+@pytest.mark.parametrize("algorithm", EVERY_ALGORITHM)
+def test_peer_in_cs_with_a_waiter_reports_a_pending_request(algorithm):
+    d = driver(algorithm, n=3, cs_time=50.0)
+    seen = []
+    d.request(0, at=0.0)
+    d.request(1, at=10.0)
+    d.sim.schedule_at(40.0, lambda: seen.append(
+        (d.peers[0].in_cs, d.peers[0].has_pending_request)))
+    d.run().check()
+    assert seen == [(True, True)]
+    assert d.entry_order == [0, 1]
+
+
+@pytest.mark.parametrize("algorithm", EVERY_ALGORITHM)
+def test_idle_holder_handing_over_at_once_signals_no_pending_request(algorithm):
+    d = driver(algorithm, n=3)  # node 0 holds the token, idle
+    notified = []
+    d.peers[0].on_pending_request.append(lambda: notified.append(d.sim.now))
+    d.request(1, at=0.0)
+    d.run().check()
+    assert d.entry_order == [1]
+    assert notified == []
 
 
 @pytest.mark.parametrize("algorithm", ALGOS)

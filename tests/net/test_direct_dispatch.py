@@ -1,5 +1,6 @@
-"""Direct dispatch: a plain network schedules ``_on_<kind>(peer, msg)``
-itself — one bare calendar entry, no ``_deliver`` hop, no ``_on_message``.
+"""Direct dispatch: a plain network schedules ``_on_<kind>(peer, src,
+payload)`` itself — one bare calendar entry, no ``Message``, no
+``_deliver`` hop, no ``_on_message``.
 
 Two claims:
 
@@ -192,9 +193,13 @@ def _in_flight(sim):
 def test_a_peer_message_is_one_bare_entry_calling_the_handler():
     sim, net, peers = _peers()
     peers[1].request_cs()  # one request, 1 -> 0
-    assert _in_flight(sim) == [("_on_request", 2)]
+    assert _in_flight(sim) == [("_on_request", 3)]
     (entry,) = heap_entries(sim)
-    assert entry.event is None and entry.args[0] is peers[0]
+    assert entry.event is None
+    assert entry.args == (peers[0], 1, {"origin": 1})
+    # The rest of the message, which only a rewrite reads: (dst, port,
+    # kind, seq, sent_at, size).
+    assert entry.fields == (0, "p", "request", 0, 0.0, 64)
     sim.run()
     assert peers[1].in_cs and net.hops == 0
 
@@ -257,6 +262,34 @@ def test_wrapped_in_flight_is_seen_by_the_wrapper():
     assert seen == ["request", "request"]
 
 
+@pytest.mark.parametrize("change", ["wrap", "subscribe"])
+def test_a_rewritten_entry_carries_the_message_send_would_have_built(change):
+    # The rebuild is exact: the recovery fence reads ``seq``, a
+    # ``deliver`` record ``seq`` and ``sent_at``, a handler the payload.
+    sim, net, peers = _peers()
+    sim.run(until=0.5)
+    net.send(2, 0, "p", "request", {"origin": 2})  # seq 0
+    payload = {"origin": 1}
+    net.send(1, 0, "p", "request", payload, 99)  # seq 1
+    assert _in_flight(sim) == [("_on_request", 3)] * 2
+    seen = []
+    if change == "wrap":  # the wrapper keeps what it sees from the peer
+        net.wrap_handler(0, "p", lambda inner: seen.append)
+    else:
+        sim.trace.subscribe("deliver", lambda rec: seen.append(rec.fields))
+    assert _in_flight(sim) == [("_deliver", 1)] * 2
+    msg = heap_entries(sim)[1].args[0]
+    assert (msg.src, msg.dst, msg.port, msg.kind, msg.seq, msg.sent_at,
+            msg.size) == (1, 0, "p", "request", 1, 0.5, 99)
+    assert msg.payload is payload
+    sim.run(until=2.0)  # both delivered at 1.5, nothing else yet
+    if change == "wrap":
+        assert seen[1] is msg
+    else:
+        assert [(f["src"], f["seq"], f["sent_at"], f["payload"]) for f in seen] == [
+            (2, 0, 0.5, {"origin": 2}), (1, 1, 0.5, payload)]
+
+
 def test_crash_controller_assigned_in_flight_still_loses_the_message():
     sim, net, peers = _peers()
     peers[1].request_cs()
@@ -293,7 +326,7 @@ def test_other_peers_direct_entries_survive_a_rewrite():
     peers[1].request_cs()
     peers[3].shutdown()
     assert sorted(_in_flight(sim)) == (
-        [("_deliver", 1)] + [("_on_request", 2)] * 2
+        [("_deliver", 1)] + [("_on_request", 3)] * 2
     )
     sim.run()
     assert peers[1].in_cs and net.hops == 1
@@ -333,11 +366,11 @@ def test_direct_dispatch_preserves_per_link_fifo(seed):
         net.send(src, dst, "p", "request", {"origin": k}, 64)
         sent[(src, dst)].append(k)
     # Every one of them a direct entry: the route under test.
-    assert _in_flight(sim) == [("_on_request", 2)] * 80
+    assert _in_flight(sim) == [("_on_request", 3)] * 80
     arrivals = {link: [] for link in links}
     for entry in heap_entries(sim):  # firing order
-        receiver, msg = entry.args
-        arrivals[(msg.src, receiver.node)].append(msg.payload["origin"])
+        receiver, src, payload = entry.args
+        arrivals[(src, receiver.node)].append(payload["origin"])
     for link in links:
         assert arrivals[link] == sent[link], f"link {link} reordered"
 

@@ -278,24 +278,29 @@ def _grid(rtt, direct, log):
     """A network over ``len(rtt)`` clusters of ``len(direct) // len(rtt)``
     nodes; node ``i`` takes the direct route (owner + table for kinds
     ``a`` and ``b``) when ``direct[i]``, a plain callable otherwise.  Both
-    log ``(now, node, src, kind, payload, seq, sent_at, delivered)``."""
+    log ``(now, node, src, kind, payload, seq, sent_at, delivered)``; a
+    direct handler is handed no message, so it logs ``seq`` and
+    ``sent_at`` as ``None``."""
     sim = Simulator(seed=11)
     topo = uniform_topology(len(rtt), len(direct) // len(rtt))
     net = Network(sim, topo, MatrixLatency(topo, rtt))
 
-    def arrived(node, msg):
-        log.append((sim.now, node, msg.src, msg.kind, msg.payload, msg.seq,
-                    msg.sent_at, net.delivered))
+    def arrived(node, src, kind, payload, seq=None, sent_at=None):
+        log.append((sim.now, node, src, kind, payload, seq, sent_at,
+                    net.delivered))
 
+    def on(kind):
+        return lambda owner, src, payload: arrived(owner.node, src, kind, payload)
+
+    table = {"a": on("a"), "b": on("b")}
     for node in topo.nodes:
-        if direct[node]:
-            def on_kind(owner, msg):
-                arrived(owner.node, msg)
+        def hop(msg, node=node):
+            arrived(node, msg.src, msg.kind, msg.payload, msg.seq, msg.sent_at)
 
-            net.register(node, "p", lambda msg, node=node: arrived(node, msg),
-                         owner=_Owner(node), table={"a": on_kind, "b": on_kind})
+        if direct[node]:
+            net.register(node, "p", hop, owner=_Owner(node), table=table)
         else:
-            net.register(node, "p", lambda msg, node=node: arrived(node, msg))
+            net.register(node, "p", hop)
     return sim, net
 
 
@@ -375,8 +380,8 @@ def _mid_group(fan_out, act):
     records, acted = [], []
     route = net._routes["p"][2]
 
-    def acting(owner, msg):
-        route[0](msg)  # logged as node 2's own handler logs it
+    def acting(owner, src, payload):
+        route[2]["a"](owner, src, payload)  # logged as node 2's own handler
         if acted:
             return
         acted.append(act)
@@ -741,13 +746,13 @@ def _broadcast_run(monkeypatch, config, subscribe):
     """One run of ``config``; with ``subscribe``, a ``deliver``
     subscriber (attached before ``build()``) sends every group member
     through the ``_deliver`` hop.  Returns the fields the benchmark's
-    fingerprint hashes, the run's counts, and the members built by
+    fingerprint hashes, the run's counts, and the messages built by
     ``materialise`` (which only the hop builds)."""
     built = []
 
-    def counting(shared, dst, seq):
+    def counting(src, payload, dst, port, kind, seq, sent_at, size):
         built.append(seq)
-        return materialise(shared, dst, seq)
+        return materialise(src, payload, dst, port, kind, seq, sent_at, size)
 
     monkeypatch.setattr(network_mod, "materialise", counting)
     with ExperimentRun(config) as run:
@@ -772,9 +777,10 @@ def _broadcast_run(monkeypatch, config, subscribe):
 def test_a_shared_broadcast_message_runs_as_one_message_per_member(
     monkeypatch, intra, platform
 ):
-    # Plain, every group member reaches its peer directly, on the one
-    # shared message; subscribed, each is a message of its own.  Nothing
-    # a result or a count shows may tell the two apart.
+    # Plain, every message reaches its peer directly, a group member on
+    # the broadcast's one payload; subscribed, each is a message of its
+    # own, unicasts included.  Nothing a result or a count shows may
+    # tell the two apart.
     config = ExperimentConfig(
         system="flat", intra=intra, platform=platform, n_clusters=3,
         apps_per_cluster=3, n_cs=3, rho=9.0, seed=4,
@@ -783,7 +789,9 @@ def test_a_shared_broadcast_message_runs_as_one_message_per_member(
         monkeypatch, config, False)
     own, own_counts, own_built = _broadcast_run(monkeypatch, config, True)
     assert shared == own and shared_counts == own_counts
-    assert shared_built == 0 < own_built < shared_counts[2]
+    # Subscribed, every delivered message was built, and at most every
+    # message sent (a group member still in flight is built on arrival).
+    assert shared_built == 0 < shared_counts[0] <= own_built <= shared_counts[2]
 
 
 def test_broadcast_plans_are_one_per_sender_cluster():
@@ -859,7 +867,8 @@ def test_a_model_over_another_topology_is_called_not_inlined():
 def _recorded(feature):
     """Unicast and broadcast traffic on a network with ``feature``, with
     ``send`` and ``deliver`` recorded; returns the network, both record
-    lists, the messages ``send`` returned and those the handlers got."""
+    lists, the ``(src, dst)`` of each unicast sent and the messages the
+    handlers got."""
     sim = Simulator(seed=6)
     topo = uniform_topology(2, 3)
     crashes = CrashController(sim)
@@ -879,12 +888,14 @@ def _recorded(feature):
         net.set_delivery_intercept(captured.append)
     if feature == "crashed":
         crashes.crash(4)
-    returned = [net.send(i % 6, (i + 1) % 6, "p", "token") for i in range(30)]
+    sent = [(i % 6, (i + 1) % 6) for i in range(30)]
+    for src, dst in sent:
+        net.send(src, dst, "p", "token")
     net.multicast(1, topo.nodes, "p", "request")  # "send" is observed: the loop
     sim.run()
     for msg in captured:
         net.deliver_intercepted(msg)
-    return net, sends, delivers, returned, got
+    return net, sends, delivers, sent, got
 
 
 def _keys(messages):
@@ -895,13 +906,16 @@ def _keys(messages):
     "feature", ["plain", "fifo", "faulted", "crashed", "intercept"]
 )
 def test_records_carry_the_scheduled_seq(feature):
-    net, sends, delivers, returned, got = _recorded(feature)
+    net, sends, delivers, sent, got = _recorded(feature)
     recorded = [(r.src, r.dst, r.fields["kind"], r.seq) for r in sends]
     # One send record per message sent from a live node, in send order,
-    # with the seq its delivery was scheduled under.
-    live = [m for m in returned if not (feature == "crashed" and m.src == 4)]
-    assert recorded[:len(live)] == _keys(live)
+    # with the seq its delivery was scheduled under (pinned against the
+    # delivered messages below).
+    live = [(s, d, "token") for s, d in sent if not (feature == "crashed" and s == 4)]
+    assert [key[:3] for key in recorded[:len(live)]] == live
     assert len(recorded) == len(live) + 5  # the broadcast's five
+    scheduled = [key[3] for key in recorded if key[3] != -1]
+    assert all(a < b for a, b in zip(scheduled, scheduled[1:]))
     # One deliver record per message handed to a handler, just before it.
     assert [
         (r.src, r.dst, r.fields["kind"], r.seq, r.sent_at) for r in delivers

@@ -23,10 +23,10 @@ def test_send_delivers_with_latency():
     sim, topo, net = make_net()
     got = []
     net.register(3, "app", lambda m: got.append((m, sim.now)))
-    msg = net.send(0, 3, "app", "ping", {"x": 1})
-    assert msg.sent_at == 0.0
+    assert net.send(0, 3, "app", "ping", {"x": 1}) is None
     sim.run()
     assert len(got) == 1
+    assert got[0][0].sent_at == 0.0
     assert got[0][0].kind == "ping"
     assert got[0][0].payload == {"x": 1}
     assert got[0][1] == 10.0  # WAN one-way
@@ -232,9 +232,12 @@ def test_fifo_duplicate_still_respects_flow_floor():
 
 def test_messages_stamped_with_monotone_seq():
     sim, topo, net = make_net()
-    net.register(1, "app", lambda m: None)
-    m1 = net.send(0, 1, "app", "ping")
-    m2 = net.send(0, 1, "app", "ping")
+    got = []
+    net.register(1, "app", got.append)
+    net.send(0, 1, "app", "ping")
+    net.send(0, 1, "app", "ping")
+    sim.run()
+    m1, m2 = got
     assert m1.seq >= 0
     assert m2.seq > m1.seq
 
@@ -243,8 +246,11 @@ def test_dropped_message_keeps_sentinel_seq():
     faults = FaultInjector(drop=1.0)
     sim, topo, net = make_net(faults=faults)
     net.register(1, "app", lambda m: None)
-    msg = net.send(0, 1, "app", "ping")
-    assert msg.seq == -1  # never scheduled, never stamped
+    records = []
+    sim.trace.subscribe("send", records.append)
+    net.send(0, 1, "app", "ping")
+    sim.run()
+    assert [r.fields["seq"] for r in records] == [-1]  # never scheduled
 
 
 def test_wrap_handler_filters_without_touching_agent():

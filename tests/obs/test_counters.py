@@ -178,9 +178,12 @@ def test_counters_equal_the_trace_oracle(name):
 
 
 def in_flight(sim):
+    """The calendar entries that carry one message each: a direct entry
+    or a ``_deliver`` one."""
     return [
         entry for entry in heap_entries(sim)
-        if entry.args and type(entry.args[-1]) is Message
+        if entry.fields is not None
+        or (entry.args and type(entry.args[-1]) is Message)
     ]
 
 
@@ -191,9 +194,9 @@ def test_counters_level_leaves_the_run_on_the_default_path():
     assert net.fused
     messages = in_flight(sim)
     assert messages
-    for entry in messages:  # (due, seq, _on_<kind>, (peer, msg))
-        peer, msg = entry.args
-        assert entry.callback is dispatch_table(type(peer))[msg.kind]
+    for entry in messages:  # (due, seq, _on_<kind>, (peer, src, payload), fields)
+        peer, kind = entry.args[0], entry.fields[2]
+        assert entry.callback is dispatch_table(type(peer))[kind]
 
     with ExperimentRun(BASE.with_(obs="counters")) as run:
         result = run.execute()  # ... and so does the runner's own wiring

@@ -429,14 +429,15 @@ def test_close_forgets_every_pending_event_in_place():
 # interleaved with live and cancelled Event entries
 # --------------------------------------------------------------------- #
 def _mixed(tie_seed=None):
-    """t=1 bare, t=2 live Event, t=3 tombstone, t=4 bare, t=5 live Event,
+    """t=1 bare, t=2 live Event, t=3 tombstone, t=4 bare with a fifth
+    field (a direct dispatch's, which no loop reads), t=5 live Event,
     t=6 bare, t=7 trailing tombstone."""
     sim = Simulator(seed=0, tie_seed=tie_seed)
     fired = []
     post_bare(sim, 1.0, fired.append, "bare1")
     sim.schedule_at(2.0, fired.append, "event2")
     dead = sim.schedule_at(3.0, fired.append, "dead3")
-    post_bare(sim, 4.0, fired.append, "bare4")
+    post_bare(sim, 4.0, fired.append, "bare4", fields=("unread",))
     sim.post_at(5.0, fired.append, ("event5",))
     post_bare(sim, 6.0, fired.append, "bare6")
     tail = sim.schedule_at(7.0, fired.append, "dead7")

@@ -4,17 +4,18 @@ workload the function that executes the most is ``Network.send``, and a
 completed critical section builds no record object.  It also counts
 every C call by callee, the calendar's ``heappush`` / ``heappop`` among
 them, and the ``Message`` objects built, C work the instruction count
-cannot see: a broadcast
-puts one entry per due time on the calendar, not one per message, and
+cannot see: a unicast builds no message at all, and a broadcast puts
+one entry per due time on the calendar, not one per message, and
 builds one message, not one per receiver.  Its per-package block adds
 up to the whole run.  The
 same census shows that observation is free when it is off: a bare run
 emits no trace record and enters no ``repro.obs`` code.  Its warm-cache
 census shows each sweep config's key rendered from the class plan, each
 derived config built without ``dataclasses.replace`` and each blob
-addressed without pathlib.  ``--memory`` sizes state the same way: what
-a build retains repeats exactly, and a watched peer costs the safety
-checker one slotted object and its two bound callbacks."""
+addressed without pathlib, and prints the same C-call block.
+``--memory`` sizes state the same way: what a build retains repeats
+exactly, and a watched peer costs the safety checker one slotted object
+and its two bound callbacks."""
 
 import importlib.util
 import sys
@@ -52,8 +53,8 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert ("metrics/collector.py", "add_cs") in table
     assert ("metrics/records.py", "__post_init__") not in table
     assert ("metrics/collector.py", "add") not in table
-    # Unicast only: one message object per message sent.
-    assert built == messages
+    # Unicast only, on the direct route: no message object at all.
+    assert built == 0
     report = opcode_census.render(
         "fig4_single", messages, table, packages, cs, built, calls)
     rows = opcode_census.call_rows(calls)
@@ -63,7 +64,7 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
     assert float(per_cs[0]) == round(sum(table.values()) / cs, 1)
     assert per_cs[1:] == ["per", "CS", f"({cs}", "completed)"]
     assert report.splitlines()[4].split() == [
-        "1.00", "Message", "objects", "per", "message", f"({built})"]
+        "0.00", "Message", "objects", "per", "message", "(0)"]
     # The calendar's two counters are rows of the C-call block, last.
     block = report.splitlines()[-len(rows):]
     pushes = next(line.split() for line in block if " heappush " in line)
@@ -84,7 +85,7 @@ def test_census_package_block_adds_up_to_the_run():
     assert {"net", "mutex", "sim", opcode_census.OTHER} <= set(run.packages)
     assert opcode_census.ranked(run.packages)[0][0] == "net"
     lines = opcode_census.render(
-        "suzuki_flat", run.messages, run.table, run.packages, run.cs,
+        "suzuki_flat", run.units, run.table, run.packages, run.cs,
         run.built, run.calls).splitlines()
     start = lines.index(f"{'instr/msg':>10} {'share':>6}  package") + 1
     block = lines[start:start + len(run.packages)]
@@ -106,8 +107,8 @@ def test_census_counts_one_calendar_entry_per_broadcast_due_time():
     assert heap["heappush"] < 13 * cs < messages / 2
     assert ("net/network.py", "_fan") in table
     # One message object per request broadcast, shared by its direct
-    # receivers, and one per token pass: at most two per CS.
-    assert built <= 2 * cs < messages / 10
+    # receivers, and none per token pass: at most one per CS.
+    assert built <= cs < messages / 20
 
 
 @pytest.mark.parametrize("workload", ["fig4_single", "suzuki_flat"])
@@ -128,7 +129,7 @@ def test_census_counts_every_c_call_by_callee(workload):
         :opcode_census.TOP_CALLS]
     assert set(opcode_census.HEAP_CALLS) <= {name for name, _ in rows}
     lines = opcode_census.render(
-        workload, run.messages, run.table, run.packages, run.cs, run.built,
+        workload, run.units, run.table, run.packages, run.cs, run.built,
         run.calls).splitlines()
     assert lines[-len(rows) - 1].split() == [
         "calls/msg", "per", "CS", "C", "function", "(calls)"]
@@ -139,10 +140,16 @@ def test_census_counts_every_c_call_by_callee(workload):
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
-    hits, table, packages = opcode_census.warm_census()
-    assert (hits, table, packages) == opcode_census.warm_census()
+    run = opcode_census.warm_census()
+    assert run == opcode_census.warm_census()
+    hits, cs, table, heap, packages, built, calls = run
     assert sum(packages.values()) == sum(table.values())
-    assert hits == 84 and all(table.values())
+    assert hits == 84 and cs == 0 and all(table.values())
+    # Cache hits run no simulation: no message is built, and the
+    # calendar operations counted apart are the C-call block's.
+    assert built == 0
+    for name in opcode_census.HEAP_CALLS:
+        assert calls.get(name, 0) == heap[name]
     # Sweep configs hold only plain values: each key renders from the
     # class plan, and the recursive fallback never runs.
     assert ("cache/keys.py", "canonical_json") in table
@@ -154,8 +161,19 @@ def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     assert ("dataclasses.py", "replace") not in table
     per_hit = {row: n / hits for row, n in table.items() if row[0] == "pathlib.py"}
     assert all(n < 1 for n in per_hit.values()), per_hit
-    report = opcode_census.render("reproduce_warm", hits, table, packages)
-    assert report.splitlines()[1].split()[0] == "instr/hit"
+    report = opcode_census.render("reproduce_warm", hits, table, packages,
+                                  calls=calls)
+    lines = report.splitlines()
+    assert lines[1].split()[0] == "instr/hit"
+    rows = opcode_census.call_rows(calls)
+    assert lines[-len(rows) - 1].split() == [
+        "calls/hit", "per", "CS", "C", "function", "(calls)"]
+    # No CS: the per-CS column is blank.
+    assert [line.split()[1] for line in lines[-len(rows):]] == [
+        name for name, _ in rows]
+    assert set(opcode_census.HEAP_CALLS) <= {name for name, _ in rows}
+    assert len(lines) == (
+        6 + len(packages) + min(opcode_census.TOP, len(table)) + len(rows))
 
 
 def test_memory_census_repeats_exactly_and_adds_up():
