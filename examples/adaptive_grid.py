@@ -10,7 +10,7 @@ the fraction of busy clusters and walks the §4.7 choice table.
 Run:  python examples/adaptive_grid.py
 """
 
-from repro.core import AdaptiveComposition
+from repro.core import AdaptiveController, Composition
 from repro.metrics import MetricsCollector, format_table
 from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.sim import Simulator
@@ -20,13 +20,11 @@ sim = Simulator(seed=7)
 topology = uniform_topology(4, 5)  # 4 clusters, 4 apps + 1 coordinator slot
 net = Network(sim, topology, TwoTierLatency(topology, lan_ms=0.05, wan_ms=8.0))
 
-system = AdaptiveComposition(
-    sim, net, topology,
-    intra="naimi",
-    initial_inter="naimi",
-    sample_every_ms=5.0,
-    decide_every_samples=5,
-    hysteresis=2,
+# An ordinary Naimi-Naimi composition, plus the process that replaces
+# its inter instance whenever the behaviour calls for another algorithm.
+system = Composition(sim, net, topology, intra="naimi", inter="naimi")
+controller = AdaptiveController(
+    system, sample_every_ms=5.0, decide_every_samples=5, hysteresis=2
 )
 
 collector = MetricsCollector()
@@ -56,7 +54,7 @@ print(f"after the sparse phase the inter algorithm is:    "
 print("\nswitch history:")
 print(format_table(
     ["simulated time (ms)", "from", "to"],
-    [(f"{t:.0f}", old, new) for t, old, new in system.switches],
+    [(f"{t:.0f}", old, new) for t, old, new in controller.switches],
 ))
 print(f"\n{collector.cs_count} critical sections executed, "
       f"mean obtaining time {collector.obtaining_stats().mean:.1f} ms.")

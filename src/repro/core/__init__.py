@@ -10,13 +10,14 @@ exclusion algorithms.
   :func:`~repro.core.composition.hierarchy_depth` checks a tree.
 * :class:`~repro.core.composition.FlatMutex` — the non-hierarchical
   baseline ("original algorithm").
-* :class:`~repro.core.adaptive.AdaptiveComposition` — runtime switching
-  of the inter algorithm (paper §6 future work).
+* :class:`~repro.core.adaptive.AdaptiveController` — a process that
+  switches a composition's inter algorithm at runtime (paper §6 future
+  work).
 * :mod:`repro.core.recovery` — crash detection, token regeneration and
   coordinator failover around the unmodified algorithms.
 """
 
-from .adaptive import AdaptiveComposition, AdaptivePolicy
+from .adaptive import AdaptiveController, AdaptivePolicy
 from .composition import Composition, FlatMutex, MutexSystem, hierarchy_depth
 from .coordinator import Coordinator
 from .recovery import (
@@ -36,7 +37,7 @@ __all__ = [
     "Composition",
     "FlatMutex",
     "hierarchy_depth",
-    "AdaptiveComposition",
+    "AdaptiveController",
     "AdaptivePolicy",
     "RecoveryConfig",
     "InstanceRecovery",

@@ -15,24 +15,24 @@ observable signal — the fraction of clusters with at least one busy
 
 Switching protocol
 ------------------
-The controller here is an **oracle** (it reads global simulation state to
-detect quiescence), standing in for the distributed epoch-change
-protocol a real deployment would need; the paper itself proposes no such
-protocol, and the oracle variant measures the *benefit* of adaptivity
-— which is the future-work question — without inventing one.  A switch:
+:class:`AdaptiveController` is a process on an ordinary two-level
+:class:`~repro.core.composition.Composition`; only the composition's
+root instance ever changes.  It is an **oracle** (it reads global
+simulation state to detect quiescence), standing in for the distributed
+epoch-change protocol a real deployment would need; the paper proposes
+none, and the oracle measures the *benefit* of adaptivity — the
+future-work question — without inventing one.  A switch:
 
 1. **gates** new inter-level requests (coordinators stay ``WAIT_FOR_IN``
    but their request is deferred) and waits until the inter level drains
-   to quiescence — no coordinator ``WAIT_FOR_OUT`` or with a live inter
-   request, exactly one token holder, holder without pending requests.
-   Without the gate a saturated workload would never go quiescent and
-   the switch would be postponed to exactly when it no longer matters;
-2. builds a fresh inter instance (new epoch port) whose initial holder
-   is the current token owner's node;
-3. rewires every coordinator via
-   :meth:`~repro.core.coordinator.Coordinator.rewire_upper` — a
-   coordinator in ``IN`` re-enters the new instance's CS synchronously —
-   and retires the old peers.
+   to quiescence.  Without the gate a saturated workload would never go
+   quiescent and the switch would be postponed to exactly when it no
+   longer matters;
+2. calls :meth:`~repro.core.composition.Composition.switch_inter`: a
+   fresh inter instance (new epoch port) whose token starts at the
+   current owner's node, every coordinator rewired to it, the old peers
+   shut down;
+3. resumes the gated requests, which enter the new epoch.
 
 Only token-based inter algorithms are eligible (the policy's trio all
 are): ownership transfer into the new epoch is a synchronous, zero-
@@ -44,15 +44,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import CompositionError
-from ..mutex.base import MutexPeer, PeerState
+from ..mutex.base import PeerState
 from ..mutex.registry import get_algorithm
-from ..net.network import Network
-from ..net.topology import GridTopology
-from ..sim.kernel import Simulator
-from .composition import Composition, MutexSystem
+from ..sim.process import Process
+from .composition import Composition
 from .states import CoordinatorState
 
-__all__ = ["AdaptivePolicy", "AdaptiveComposition"]
+__all__ = ["AdaptivePolicy", "AdaptiveController"]
 
 
 class AdaptivePolicy:
@@ -102,47 +100,47 @@ class AdaptivePolicy:
         return self.mid_algorithm
 
 
-class AdaptiveComposition(MutexSystem):
-    """A two-level composition whose inter algorithm follows the workload.
+class AdaptiveController(Process):
+    """Makes a two-level composition's inter algorithm follow the workload.
 
-    Wraps a :class:`~repro.core.composition.Composition` (the intra level
-    and the application-facing peers never change) and periodically
-    re-evaluates :class:`AdaptivePolicy`, switching the inter instance
-    when the decision changes and the system is quiescent.
+    Every ``sample_every_ms`` it samples the busy-cluster fraction; every
+    ``decide_every_samples`` samples it asks ``policy`` for an algorithm
+    and, once a new answer has come ``hysteresis`` decisions running,
+    switches as soon as the inter level is quiescent.  It registers as
+    ``composition.controller``, whose ``name`` then reads
+    ``<intra>-adaptive[<inter>]``.
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        net: Network,
-        topology: GridTopology,
-        intra: str = "naimi",
-        initial_inter: str = "naimi",
+        composition: Composition,
         policy: Optional[AdaptivePolicy] = None,
         sample_every_ms: float = 50.0,
         decide_every_samples: int = 10,
         hysteresis: int = 2,
     ) -> None:
-        super().__init__(sim, net, topology)
+        super().__init__(composition.sim, "adaptive")
         if sample_every_ms <= 0 or decide_every_samples < 1 or hysteresis < 1:
             raise CompositionError("invalid adaptive controller parameters")
-        self.policy = policy if policy is not None else AdaptivePolicy()
-        self.base = Composition(sim, net, topology, intra=intra, inter=initial_inter)
-        if not get_algorithm(initial_inter).token_based:
+        if not get_algorithm(composition.inter_name).token_based:
             raise CompositionError(
                 "adaptive switching requires a token-based initial inter algorithm"
             )
-        self.inter_name = self.base.inter_name
+        if composition.depth != 1 or composition.controller is not None:
+            raise CompositionError(
+                "adaptive switching takes a two-level composition with no "
+                "controller yet"
+            )
+        composition.controller = self
+        self.composition = composition
+        self.policy = policy if policy is not None else AdaptivePolicy()
         self.epoch = 0
         #: (simulated time, old algorithm, new algorithm) per switch
         self.switches: List[tuple] = []
-        self._inter_peers: List[MutexPeer] = list(self.base.inter_peers)
-        # Reconfiguration gate: while a switch is pending, coordinators
-        # defer *new* inter requests so the inter level can drain to
-        # quiescence even under saturation (in-flight requests are still
-        # served by the old epoch).
+        # While a switch is pending, coordinators defer *new* inter
+        # requests (in-flight ones are still served by the old epoch).
         self._gated = []
-        for coordinator in self.base.coordinators:
+        for coordinator in composition.coordinators:
             coordinator.upper_request_gate = self._gate
         self._samples: List[float] = []
         self._streak_algo: Optional[str] = None
@@ -151,37 +149,15 @@ class AdaptiveComposition(MutexSystem):
         self._sample_every = sample_every_ms
         self._decide_every = decide_every_samples
         self._hysteresis = hysteresis
-        sim.schedule(sample_every_ms, self._tick)
+        self.set_timer(sample_every_ms, self._tick)
 
-    # ------------------------------------------------------------------ #
-    # MutexSystem interface (delegates to the wrapped composition)
-    # ------------------------------------------------------------------ #
-    @property
-    def name(self) -> str:
-        return f"{self.base.intra_name}-adaptive[{self.inter_name}]"
-
-    @property
-    def app_nodes(self):
-        return self.base.app_nodes
-
-    def peer_for(self, node: int) -> MutexPeer:
-        return self.base.peer_for(node)
-
-    @property
-    def coordinators(self):
-        return self.base.coordinators
-
-    # ------------------------------------------------------------------ #
-    # controller
-    # ------------------------------------------------------------------ #
     def busy_cluster_fraction(self) -> float:
         """Fraction of clusters with >= 1 busy application process."""
-        busy = 0
-        for instance in self.base.intra_instances:
-            # instance[0] is the coordinator's peer; apps follow.
-            if any(p.state is not PeerState.NO_REQ for p in instance[1:]):
-                busy += 1
-        return busy / self.topology.n_clusters
+        busy = sum(  # instance[0] is the coordinator's peer; apps follow
+            any(p.state is not PeerState.NO_REQ for p in instance[1:])
+            for instance in self.composition.intra_instances
+        )
+        return busy / self.composition.topology.n_clusters
 
     def _tick(self) -> None:
         self._samples.append(self.busy_cluster_fraction())
@@ -195,9 +171,9 @@ class AdaptiveComposition(MutexSystem):
                 self._streak += 1
             else:
                 self._streak_algo, self._streak = choice, 1
-            if choice != self.inter_name and self._streak >= self._hysteresis:
+            if choice != self.composition.inter_name and self._streak >= self._hysteresis:
                 self._try_switch(choice)
-        self.sim.schedule(self._sample_every, self._tick)
+        self.set_timer(self._sample_every, self._tick)
 
     # ------------------------------------------------------------------ #
     def _gate(self, coordinator) -> bool:
@@ -210,22 +186,23 @@ class AdaptiveComposition(MutexSystem):
         return True
 
     def _quiescent(self) -> bool:
-        for c in self.base.coordinators:
-            if c.state is CoordinatorState.WAIT_FOR_OUT:
-                return False
-            if (
-                c.state is CoordinatorState.WAIT_FOR_IN
-                and c.upper.state is PeerState.REQ
-            ):
-                # A request is still live inside the old epoch (only
-                # gate-deferred WAIT_FOR_IN is acceptable).
-                return False
-        holders = [p for p in self._inter_peers if p.holds_token]
-        if len(holders) != 1:
-            return False  # token in flight
-        if any(p.state is PeerState.REQ for p in self._inter_peers):
-            return False
-        return not holders[0].has_pending_request
+        """A token holder, no inter peer requesting and no coordinator
+        ``WAIT_FOR_OUT`` (which ``rewire_upper`` refuses).
+
+        Nothing else: a coordinator's live inter request is its upper
+        peer in ``REQ`` (a gate-deferred one is idle), and a holder with
+        a pending request is in the CS, its coordinator ``WAIT_FOR_OUT``
+        since that very notification.
+        """
+        peers = self.composition.inter_peers
+        return (
+            any(p.holds_token for p in peers)
+            and not any(p.state is PeerState.REQ for p in peers)
+            and not any(
+                c.state is CoordinatorState.WAIT_FOR_OUT
+                for c in self.composition.coordinators
+            )
+        )
 
     def _try_switch(self, algorithm: str) -> None:
         """Attempt the epoch change; re-armed on the next tick if the
@@ -234,31 +211,15 @@ class AdaptiveComposition(MutexSystem):
             self._pending_switch = algorithm
             return
         self._pending_switch = None
-        holder_node = next(
-            p.node for p in self._inter_peers if p.holds_token
-        )
         self.epoch += 1
-        port = f"inter/{self.epoch}"
-        peer_cls = get_algorithm(algorithm).peer_class
-        coord_nodes = [c.node for c in self.base.coordinators]
-        new_peers = [
-            peer_cls(self.sim, self.net, node, coord_nodes, port,
-                     initial_holder=holder_node)
-            for node in coord_nodes
-        ]
-        for coordinator, new_peer in zip(self.base.coordinators, new_peers):
-            coordinator.rewire_upper(new_peer)
-        for old in self._inter_peers:
-            old.shutdown()
-        self._inter_peers = new_peers
-        self.switches.append((self.sim.now, self.inter_name, algorithm))
-        self.inter_name = get_algorithm(algorithm).name
+        self.switches.append((self.now, self.composition.inter_name, algorithm))
+        self.composition.switch_inter(algorithm, self.epoch)
         # Release the gate: deferred requests enter the new epoch.
         gated, self._gated = self._gated, []
         for coordinator in gated:
             coordinator.resume_upper_request()
         if self.sim.trace.active:
             self.sim.trace.emit(
-                "inter_switch", time=self.sim.now, algorithm=algorithm,
+                "inter_switch", time=self.now, algorithm=algorithm,
                 epoch=self.epoch,
             )

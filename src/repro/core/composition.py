@@ -20,6 +20,7 @@ from ..mutex.registry import get_algorithm
 from ..net.network import Network
 from ..net.topology import GridTopology
 from ..sim.kernel import Simulator
+from ..sim.process import Process
 from .coordinator import Coordinator
 
 __all__ = ["MutexSystem", "Composition", "FlatMutex", "hierarchy_depth"]
@@ -42,6 +43,9 @@ class MutexSystem(ABC):
     #: Algorithm currently run at the top of the hierarchy; ``""`` where
     #: there is no hierarchy (flat).
     inter_name: str = ""
+    #: The process that replaces the top algorithm at runtime
+    #: (:class:`~repro.core.adaptive.AdaptiveController`), if any.
+    controller: Optional[Process] = None
 
     def __init__(self, sim: Simulator, net: Network, topology: GridTopology):
         self.sim = sim
@@ -238,12 +242,7 @@ class Composition(MutexSystem):
             self._groups += 1
             holder = self.topology.cluster_nodes(_first_cluster(spec))[level]
             nodes += (holder,)
-        peer_cls = self._classes[level]
-        instance = [
-            peer_cls(self.sim, self.net, node, nodes, port,
-                     initial_holder=holder)
-            for node in nodes
-        ]
+        instance = self._instance(self._classes[level], nodes, port, holder)
         for member, lower, upper in zip(spec, lowers, instance):
             if level == 1:
                 self._cluster_coordinator[member] = len(self.coordinators)
@@ -256,21 +255,39 @@ class Composition(MutexSystem):
         nodes = self.topology.cluster_nodes(ci)
         members = nodes[:1] + nodes[self.depth:]
         self.standby_nodes[ci] = list(members[1:1 + self._standbys])
-        port = f"intra/{ci}"
-        peer_cls = self._classes[0]
-        instance = [
-            peer_cls(self.sim, self.net, node, members, port,
-                     initial_holder=nodes[0])
-            for node in members
-        ]
+        instance = self._instance(self._classes[0], members, f"intra/{ci}", nodes[0])
         for peer in instance[1 + self._standbys:]:
             self._app_peers[peer.node] = peer
         self.intra_instances[ci] = instance
         return instance[0]
 
+    def _instance(self, cls: type, nodes: Sequence[int], port: str, holder: int) -> list:
+        """One algorithm instance on ``port``: a peer per node, in order."""
+        return [cls(self.sim, self.net, n, nodes, port, initial_holder=holder) for n in nodes]
+
+    def switch_inter(self, algorithm: str, epoch: int) -> None:
+        """Replace the root instance by a fresh ``algorithm`` instance on
+        port ``inter/{epoch}`` whose token starts at the old holder's node
+        (paper §6).  Each root coordinator is rewired to its new peer
+        (:meth:`~repro.core.coordinator.Coordinator.rewire_upper`: only
+        legal at a quiescent root) and the old peers are shut down."""
+        info = get_algorithm(algorithm)
+        holder = next(p.node for p in self.inter_peers if p.holds_token)
+        roots = self.coordinators[-len(self.inter_peers):]
+        nodes = tuple(c.node for c in roots)
+        peers = self._instance(info.peer_class, nodes, f"inter/{epoch}", holder)
+        for coordinator, peer in zip(roots, peers):
+            coordinator.rewire_upper(peer)
+        for old in self.inter_peers:
+            old.shutdown()
+        self.inter_peers = peers
+        self.inter_name = self._level_names[-1] = info.name
+
     # ------------------------------------------------------------------ #
     @property
     def name(self) -> str:
+        if self.controller is not None:
+            return f"{self.intra_name}-adaptive[{self.inter_name}]"
         return "-".join(self._level_names)
 
     @property

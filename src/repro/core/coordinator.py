@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import CompositionError
-from ..mutex.base import MutexPeer
+from ..mutex.base import MutexPeer, PeerState
 from ..sim.kernel import Simulator
 from ..sim.process import Process
 from .states import CoordinatorState
@@ -82,7 +82,7 @@ class Coordinator(Process):
         self.upper = upper
         self._trace = sim.trace  # hot: read on every state transition
         self._state = CoordinatorState.STARTING
-        #: Optional reconfiguration gate (see adaptive composition): a
+        #: Optional reconfiguration gate (see the adaptive controller): a
         #: callable consulted before issuing an upper-level request.
         #: Returning True defers the request — the gate owner must later
         #: call :meth:`resume_upper_request`.
@@ -226,7 +226,7 @@ class Coordinator(Process):
         self.upper.request_cs()
 
     # ------------------------------------------------------------------ #
-    # reconfiguration (used by the adaptive composition)
+    # reconfiguration (used by the adaptive controller)
     # ------------------------------------------------------------------ #
     def rewire_upper(self, new_peer: MutexPeer) -> None:
         """Swap the upper instance for ``new_peer`` (same node).
@@ -239,7 +239,7 @@ class Coordinator(Process):
         """
         gated_wait = (
             self._state is CoordinatorState.WAIT_FOR_IN
-            and not self.upper.state.name == "REQ"
+            and self.upper.state is not PeerState.REQ
         )
         if self._state not in (CoordinatorState.OUT, CoordinatorState.IN) and not gated_wait:
             raise CompositionError(

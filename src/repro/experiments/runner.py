@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.store import ExperimentCache
-from ..core.adaptive import AdaptiveComposition
+from ..core.adaptive import AdaptiveController
 from ..core.composition import Composition, FlatMutex, MutexSystem
 from ..errors import ConfigurationError, LivenessViolation, SimulationError
 from ..grid.builders import random_wan_grid, two_tier_grid
@@ -153,22 +153,19 @@ def build_system(
         raise ConfigurationError(
             f"peer_factory: a {config.system!r} system takes registry peers"
         )
-    if config.system in ("composition", "multilevel"):
-        # A "multilevel" config names its tree and every level's
-        # algorithm; a "composition" one is the paper's two levels.
-        deep = config.system == "multilevel"
-        intra, *middle, inter = (
-            config.algorithms if deep else (config.intra, config.inter)
-        )
-        return Composition(
-            sim, net, topology, intra, inter,
-            hierarchy=config.hierarchy if deep else None, middle=middle,
-        )
+    if config.system not in ("composition", "multilevel", "adaptive"):
+        raise ConfigurationError(f"unknown system {config.system!r}")
+    # A "multilevel" config names its tree and every level's algorithm;
+    # the others are the paper's two levels.
+    deep = config.system == "multilevel"
+    intra, *middle, inter = config.algorithms if deep else (config.intra, config.inter)
+    system = Composition(
+        sim, net, topology, intra, inter,
+        hierarchy=config.hierarchy if deep else None, middle=middle,
+    )
     if config.system == "adaptive":
-        return AdaptiveComposition(
-            sim, net, topology, intra=config.intra, initial_inter=config.inter
-        )
-    raise ConfigurationError(f"unknown system {config.system!r}")
+        AdaptiveController(system)  # reachable as system.controller
+    return system
 
 
 # --------------------------------------------------------------------- #
@@ -336,13 +333,18 @@ class ExperimentRun:
         # still in flight, and a run that ends on a LivenessViolation leaves
         # thousands of entries behind — once per peer would be quadratic.
         self.sim.close()
-        coordinators = self.system.coordinators if self.system is not None else ()
+        system = self.system
+        coordinators = system.coordinators if system is not None else ()
+        processes = [*self.apps, *coordinators]
+        if system is not None and system.controller is not None:
+            # adaptive: composition <-> controller, gate -> controller
+            processes.append(system.controller)
+            system.controller = None
         peers = {app.peer for app in self.apps}
         for coordinator in coordinators:
             peers.update((coordinator.lower, coordinator.upper))
-            # adaptive: gate -> controller -> composition -> coordinators
             coordinator.upper_request_gate = None
-        for process in (*self.apps, *coordinators):
+        for process in processes:
             process.cancel_timers()
         for peer in peers:
             peer.shutdown()

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Composition, CoordinatorState, FlatMutex
 from repro.errors import CompositionError
 from repro.mutex import PriorityNaimiPeer, get_algorithm
+from repro.mutex.base import PeerState
 from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.sim import Simulator
 from repro.workload import deploy_workload
@@ -133,6 +134,32 @@ def test_rewire_upper_in_state_requires_holdership():
     naimi(sim, net, nodes[0], nodes, "inter/w", initial_holder=nodes[0])
     with pytest.raises(CompositionError):
         coord.rewire_upper(wrong)
+
+
+def test_switch_inter_rewires_a_gate_deferred_coordinator():
+    sim, topo, net, comp = build_running_composition()
+    coord = comp.coordinator_for(1)
+    coord.upper_request_gate = lambda _coordinator: True
+    app = comp.peer_for(topo.cluster_nodes(1)[1])
+    app.request_cs()
+    sim.run(until=0.2)
+    assert coord.state is CoordinatorState.WAIT_FOR_IN
+    assert coord.upper.state is PeerState.NO_REQ  # deferred, not sent
+    retired = comp.inter_peers
+    comp.switch_inter("martin", 1)
+    assert comp.name == "naimi-martin" and comp.inter_name == "martin"
+    assert [c.upper for c in comp.coordinators] == comp.inter_peers
+    assert {(p.port, type(p).__name__) for p in comp.inter_peers} == {
+        ("inter/1", "MartinPeer")
+    }
+    # The token starts where the old one rested.
+    assert [p.holds_token for p in comp.inter_peers] == [
+        p.holds_token for p in retired
+    ]
+    coord.upper_request_gate = None
+    coord.resume_upper_request()
+    sim.run()
+    assert app.in_cs and coord.state is CoordinatorState.IN
 
 
 def test_resume_upper_request_requires_wait_for_in():

@@ -30,6 +30,8 @@ CONFIGS = {
 }
 # the counters level attaches nothing that could hold the run alive
 CONFIGS["composition-counters"] = CONFIGS["composition"].with_(obs="counters")
+# the controller, its timer and the coordinators' gate are cut too
+CONFIGS["adaptive"] = CONFIGS["composition"].with_(system="adaptive")
 
 #: slack for what the test machinery itself leaves between two collects
 FEW = 50

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.core import AdaptiveComposition
+from repro.core import AdaptiveController, Composition
 from repro.errors import ProtocolError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments import runner as runner_mod
@@ -144,15 +144,15 @@ def _adaptive_run(hop):
     digest = RunDigest(sim)
     topo = uniform_topology(3, 3)
     net = Counting(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=5.0))
-    system = AdaptiveComposition(
-        sim, net, topo, intra="naimi", initial_inter="suzuki",
-        sample_every_ms=5.0, decide_every_samples=4, hysteresis=1,
+    system = Composition(sim, net, topo, "naimi", "suzuki")
+    controller = AdaptiveController(
+        system, sample_every_ms=5.0, decide_every_samples=4, hysteresis=1
     )
     apps, collector = deploy_workload(system, alpha_ms=5.0, rho=1.0, n_cs=30)
     sim.run(until=4000.0)
     assert all(app.done for app in apps)
     return (
-        digest.hexdigest, tuple(system.switches), collector.cs_count,
+        digest.hexdigest, tuple(controller.switches), collector.cs_count,
         net.stats.snapshot(), dict(net.stats.by_kind), net._seq, sim._seq,
         sim.events_fired, sim.now,
     ), net
