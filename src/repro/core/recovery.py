@@ -225,8 +225,6 @@ class InstanceRecovery(Process):
         self.detection_guard: Optional[Callable[[], bool]] = None
         #: completed epoch resets
         self.recoveries = 0
-        #: callbacks fired as fn(reason) after each recovery
-        self.on_recover: List[Callable[[str], None]] = []
         for p in self.peers:
             self._install_fence(p)
         crashes.on_crash.append(self._note_crash)
@@ -417,8 +415,6 @@ class InstanceRecovery(Process):
                     elected=elected.node,
                 )
             )
-        for fn in tuple(self.on_recover):
-            fn(reason)
         return elected
 
     def replay_pending(self) -> None:

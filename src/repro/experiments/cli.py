@@ -27,7 +27,7 @@ from ..errors import ConfigurationError
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
 from ..mutex.registry import available_algorithms
-from .config import ExperimentConfig
+from .config import PLATFORMS, SYSTEMS, ExperimentConfig
 from .figures import ALL_FIGURES, PAPER_SCALE, QUICK_SCALE, FigureScale
 from .runner import run_experiment
 from .scalability import scalability_study
@@ -93,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
-    run_p.add_argument("--system", default="composition",
-                       choices=("composition", "flat", "adaptive", "multilevel"))
+    run_p.add_argument("--system", default="composition", choices=SYSTEMS)
     run_p.add_argument("--intra", default="naimi")
     run_p.add_argument("--inter", default="naimi")
     run_p.add_argument("--clusters", type=int, default=9)
@@ -103,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n-cs", type=int, default=20)
     run_p.add_argument("--rho-over-n", type=float, default=1.0)
     run_p.add_argument("--alpha-ms", type=float, default=10.0)
-    run_p.add_argument("--platform", default="grid5000",
-                       choices=("grid5000", "two-tier", "random-wan"))
+    run_p.add_argument("--platform", default="grid5000", choices=PLATFORMS)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--jitter", type=float, default=0.0)
     run_p.add_argument("--json", action="store_true",
@@ -153,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--apps", type=int, default=3)
     cmp_p.add_argument("--n-cs", type=int, default=12)
     cmp_p.add_argument("--rho-over-n", type=float, default=1.0)
-    cmp_p.add_argument("--platform", default="grid5000",
-                       choices=("grid5000", "two-tier", "random-wan"))
+    cmp_p.add_argument("--platform", default="grid5000", choices=PLATFORMS)
     cmp_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     _add_cache_flags(cmp_p)
 
@@ -307,19 +304,21 @@ def _cmd_compare(args) -> int:
         rho=args.rho_over_n * n_apps,
         platform=args.platform,
     )
-    rows = []
-    for pair in args.pairs:
+    configs = []
+    for pair in args.pairs:  # every pair is checked before any runs
         if pair.startswith("flat:"):
             cfg = base.with_(system="flat", intra=pair.split(":", 1)[1])
-        else:
-            try:
-                intra, inter = pair.split("-", 1)
-            except ValueError:
-                raise SystemExit(
-                    f"bad composition {pair!r}: expected INTRA-INTER "
-                    "or flat:ALGO"
-                )
+        elif "-" in pair:
+            intra, inter = pair.split("-", 1)
             cfg = base.with_(intra=intra, inter=inter)
+        else:
+            raise ConfigurationError(
+                f"bad composition {pair!r}: expected INTRA-INTER or flat:ALGO"
+            )
+        cfg.validate()
+        configs.append(cfg)
+    rows = []
+    for cfg in configs:
         agg = run_many(cfg, seeds=tuple(args.seeds), cache=cache)
         rows.append((
             agg.name,

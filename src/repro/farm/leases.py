@@ -18,7 +18,9 @@ Lease protocol
   ``O_CREAT | O_EXCL``; exactly one creator wins.  A lease whose mtime
   is older than the job's ``lease_timeout_s`` is *stale*: a claimer
   takes it over by atomically renaming it aside (``os.replace`` — again
-  exactly one winner) and then re-creating it exclusively.
+  exactly one winner) and then re-creating it exclusively.  A claimer
+  that wins a lease drops it again if the chunk's done marker appeared
+  since its scan.
 * **heartbeat** — the owner refreshes the lease mtime while it works;
   the refresh first re-reads the owner field, so a worker whose lease
   was stolen (it hung past the timeout) can never extend the thief's
@@ -238,6 +240,11 @@ class JobState:
                 return False  # a third worker slipped in; its claim wins
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        if self._done_path(chunk_id).exists():
+            # Completed (marker written, then lease dropped) since
+            # claim() looked: rerunning it would overwrite the marker.
+            self.release(chunk_id, worker_id)
+            return False
         return True
 
     def _lease_owner(self, chunk_id: int) -> Optional[str]:

@@ -92,20 +92,19 @@ A ``stop()`` or an exception in a member's handler puts the rest back
 under the next member's key.
 
 On a jitter-free table those runs depend only on the sender's cluster
-and the destinations, so :meth:`Network.multicast` walks the
-destinations once and keeps the result as a *plan*: the maximal runs
-``(delay, members)`` of consecutive destinations that share a delay and
-the member count per destination cluster, keyed by ``(source cluster,
-port, destination tuple)`` (the tuple by identity; the plan holds it).
-A later broadcast then replays the plan in O(runs): it adds the counts
-to its statistics row (the walk counts member by member, as the loop
-does, since the caller's iterable may read the statistics meanwhile),
-drops its own sender from its run, and pushes one group per run,
-merging neighbours whose due times are equal as the walk would.  Only
-a tuple of distinct, routed nodes is planned for good
+and the destinations, so :meth:`Network.multicast` walks a destination
+tuple once and keeps the result as a *plan*: the maximal runs ``(delay,
+members)`` of consecutive destinations that share a delay and the member
+count per destination cluster, keyed by ``(source cluster, port,
+destination tuple)`` (the tuple by identity; the plan holds it).  Every
+broadcast, the first included, then replays the plan in O(runs): it adds
+the counts to its statistics row, drops its own sender from its run, and
+pushes one group per run, merging neighbours whose due times are equal.
+Only a tuple of distinct, routed nodes is planned
 (:attr:`~repro.mutex.base.MutexPeer.peers` always is); any other input
-is walked and replayed once.  A plan holds no route (``_fan`` routes on
-arrival), so ``register``, ``wrap_handler`` and a path flip leave it
+— a list, a ``range``, a generator, a tuple with a repeat or an unrouted
+member — is the loop of sends.  A plan holds no route (``_fan`` routes
+on arrival), so ``register``, ``wrap_handler`` and a path flip leave it
 valid; ``unregister`` and ``close`` drop every plan.  Each destination
 tuple has at most one plan per cluster, each holding every member once:
 O(C·N) members per tuple for C clusters and N destinations, never one
@@ -588,55 +587,51 @@ class Network:
         """Send ``kind`` to every node of ``dsts`` other than ``src``.
 
         Exactly the loop of :meth:`send` calls it replaces — one message
-        ``seq``, one kernel ``seq`` and one delivery per destination, the
-        same partial state if a destination has no handler — with the
-        per-broadcast work (source check, clock, latency row, statistics
-        row, the message and its copy of ``payload``) done once, and one
-        calendar entry per run of consecutive destinations that share a
-        due time (a group, handed over by :meth:`_fan`; see the module
-        docstring).  A destination reached through the ``_deliver`` hop
-        gets a message of its own with its own copy of ``payload``; the
-        direct receivers share one copy.
+        ``seq``, one kernel ``seq`` and one delivery per destination —
+        with the per-broadcast work (source check, clock, latency row,
+        statistics row, the message and its copy of ``payload``) done
+        once, and one calendar entry per run of consecutive destinations
+        that share a due time (a group, handed over by :meth:`_fan`; see
+        the module docstring).  A destination reached through the
+        ``_deliver`` hop gets a message of its own with its own copy of
+        ``payload``; the direct receivers share one copy.
 
         The runs come from a plan (:meth:`_plan`): a tuple of distinct
         routed nodes is walked once per ``(source cluster, port)`` and
-        replayed by every later broadcast from that cluster, in O(runs)
-        — counts added to the row, the sender dropped from its run;
-        anything else is walked and replayed once.  ``unregister`` and
-        ``close`` drop the plans, and nothing else does: pass a
-        long-lived tuple (as :attr:`~repro.mutex.base.MutexPeer.peers`
-        is), not one built per broadcast, or the plans grow with every
-        call.  Whenever something could observe a message boundary (a
+        replayed by every broadcast from that cluster, in O(runs) —
+        counts added to the row, the sender dropped from its run.
+        ``unregister`` and ``close`` drop the plans, and nothing else
+        does: pass a long-lived tuple (as
+        :attr:`~repro.mutex.base.MutexPeer.peers` is), not one built per
+        broadcast, or the plans grow with every call.  Any other input,
+        and whenever something could observe a message boundary (a
         ``send`` subscriber, jitter, a tie salt, any feature that takes
-        :meth:`send` off the fused path) it *is* that loop.
+        :meth:`send` off the fused path), *is* that loop.
         """
         sim = self.sim
-        latency = self.latency
+        plan: Optional[Plan] = None
         if (
-            not self._plain
-            or not self._inline_latency
-            or latency._sigma > 0.0
-            or sim._tie_salt is not None
-            or self._trace_send
-            or not 0 <= src < self._n_nodes
+            self._plain
+            and self._inline_latency
+            and not self.latency._sigma > 0.0
+            and sim._tie_salt is None
+            and not self._trace_send
+            and 0 <= src < self._n_nodes
         ):
+            ci = self.stats._cluster_of[src]
+            plan = self._plans.get((ci, port, id(dsts))) or self._plan(ci, dsts, port)
+        if plan is None:
             for dst in dsts:
                 if dst != src:
                     self.send(src, dst, port, kind,
                               dict(payload) if payload else {}, size)
             return
         st = self.stats
-        ci = st._cluster_of[src]
         key = (port, kind, size, ci)
         row = st._rows.get(key) or st._row(key)  # see MessageStats.reset
-        error: Optional[BaseException] = None
-        plan = self._plans.get((ci, port, id(dsts)))
-        if plan is None:  # the walk counts into row as it goes
-            plan, error = self._plan(src, ci, dsts, port, row)
-        else:
-            for cj, n in plan[1]:
-                row[cj] += n
-        runs, _, own, _ = plan
+        runs, counts, own, _ = plan
+        for cj, n in counts:
+            row[cj] += n
         at = own.get(src)
         if at is not None:  # src is a member, not a receiver
             row[ci] -= 1
@@ -669,31 +664,20 @@ class Network:
                             (group, group_seq, shared, first + group_seq)))
         self._seq += seq - base
         sim._seq = seq
-        if error is not None:
-            raise error
 
-    def _plan(
-        self, src: int, ci: int, dsts: Iterable[int], port: str, row: List[int]
-    ) -> Tuple[Plan, Optional[BaseException]]:
-        """Walk ``dsts`` for a broadcast from ``src`` (in cluster ``ci``),
-        adding each member to ``row`` as it goes (so a caller's iterable
-        sees the loop's counts while it runs), and return its plan with
-        the error that stopped the walk: the ``NetworkError`` of an
-        unrouted destination, or whatever the caller's iterable raised.
-        The caller pushes what was planned, then raises it: the loop's
-        partial state.
-
-        A tuple with no repeated node and every member routed is planned
-        whole, ``src`` included (each broadcast drops its own sender),
-        and kept for every sender of cluster ``ci``; anything else is
-        planned without ``src`` for this broadcast only."""
+    def _plan(self, ci: int, dsts: Iterable[int], port: str) -> Optional[Plan]:
+        """The plan of ``dsts`` for a broadcast from cluster ``ci``, kept
+        for every later sender of that cluster, or ``None`` when ``dsts``
+        is not a tuple of distinct routed nodes (``multicast`` then runs
+        the loop of sends).  The plan holds every member, each sender
+        included: a broadcast drops its own sender when it replays it."""
         routes = self._routes.get(port, _NO_ROUTES)
-        keep = (
+        if not (
             type(dsts) is tuple
             and len(set(dsts)) == len(dsts)
             and all(dst in routes for dst in dsts)
-        )
-        skip = None if keep else src
+        ):
+            return None
         cluster_of = self.stats._cluster_of
         delays = self._lat_ctab[ci]
         runs: List[Tuple[float, List[int]]] = []
@@ -701,35 +685,23 @@ class Network:
         own: Dict[int, Tuple[int, int]] = {}
         members: List[int] = []
         run_delay: Optional[float] = None
-        error: Optional[BaseException] = None
-        try:
-            for dst in dsts:
-                if dst == skip:
-                    continue
-                if dst not in routes:
-                    raise NetworkError(
-                        f"no handler registered at ({dst}, {port!r})"
-                    )
-                cj = cluster_of[dst]
-                row[cj] += 1
-                counts[cj] = counts.get(cj, 0) + 1
-                delay = delays[cj]
-                if delay != run_delay:
-                    members = []
-                    runs.append((delay, members))
-                    run_delay = delay
-                if cj == ci:
-                    own[dst] = (len(runs) - 1, len(members))
-                members.append(dst)
-        except BaseException as exc:  # re-raised by multicast, once pushed
-            error = exc
+        for dst in dsts:
+            cj = cluster_of[dst]
+            counts[cj] = counts.get(cj, 0) + 1
+            delay = delays[cj]
+            if delay != run_delay:
+                members = []
+                runs.append((delay, members))
+                run_delay = delay
+            if cj == ci:
+                own[dst] = (len(runs) - 1, len(members))
+            members.append(dst)
         plan = (
             tuple((delay, tuple(members)) for delay, members in runs),
             tuple(counts.items()), own, dsts,
         )
-        if keep:
-            self._plans[(ci, port, id(dsts))] = plan
-        return plan, error
+        self._plans[(ci, port, id(dsts))] = plan
+        return plan
 
     # ------------------------------------------------------------------ #
     # delivery

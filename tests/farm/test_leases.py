@@ -115,6 +115,25 @@ class TestClaims:
         assert job.claim("c") == 2
         assert job.claim("d") is None
 
+    def test_a_chunk_completed_during_the_scan_is_not_claimed_again(
+        self, store, spec, monkeypatch
+    ):
+        # b's scan reads chunk 0 as not done; its owner then completes
+        # it and drops the lease before b tries that lease.
+        job = make_job(store, spec)
+        assert job.claim("a") == 0
+        try_claim = job._try_claim
+
+        def racing(chunk_id, worker_id):
+            if chunk_id == 0:
+                job.complete(0, "a", CacheStats())
+            return try_claim(chunk_id, worker_id)
+
+        monkeypatch.setattr(job, "_try_claim", racing)
+        assert job.claim("b") == 1
+        assert job.done_markers()[0]["worker"] == "a"
+        assert not job._lease_path(0).exists()
+
     def test_done_chunks_are_skipped(self, store, spec):
         job = make_job(store, spec)
         job.complete(0, "ghost", CacheStats())

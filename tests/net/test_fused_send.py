@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.errors import NetworkError, SimulationError
 from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 from repro.experiments import runner as runner_mod
+from repro.mutex import available_algorithms
 from repro.net import (
     ConstantLatency,
     CrashController,
@@ -140,6 +141,7 @@ def test_multicast_equals_the_loop_of_sends(payload, shape):
 
 
 def _multicast_equals_the_loop(payload, shape, dsts):
+    kept = type(dsts) is tuple and len(set(dsts)) == len(dsts)
     states, entries = [], []
     for fan_out in (Network.multicast, _loop):
         sim, net, got = _twin(n_clusters=shape[0], nodes=shape[1])
@@ -156,22 +158,25 @@ def _multicast_equals_the_loop(payload, shape, dsts):
         assert len({id(m.payload) for m, _ in got}) == len(got)  # own copy each
         assert all(m.payload is not payload for m, _ in got)
         if fan_out is Network.multicast:  # dsts and its reverse, or none
-            kept = type(dsts) is tuple and len(set(dsts)) == len(dsts)
             assert len(net._plans) == 2 * kept
     # The same deliveries in flight under the same keys; on the calendar,
-    # one group per due-time run against one entry per message (each
-    # side also holds the scheduled second broadcast).
+    # a kept plan pushes one group per due-time run, anything else is the
+    # loop's one entry per message (each side also holds the scheduled
+    # second broadcast).
     assert states[0] == states[1]
     assert states[0][1]["snapshot"]["total"] == 3 * (len(dsts) - 1)
-    assert entries == [1 + _due_runs(net, 1, dsts), len(dsts)]
-    assert entries[0] < entries[1]
+    if kept:
+        assert entries == [1 + _due_runs(net, 1, dsts), len(dsts)]
+        assert entries[0] < entries[1]
+    else:
+        assert entries == [len(dsts), len(dsts)]
 
 
 @pytest.mark.parametrize("src", [1, 99, -1])
 def test_multicast_partial_state_on_error_matches_the_loop(src):
     # Node 7 has no handler: the broadcast dies there, after 1..6 went out
     # (or, from an unknown source, on the first destination).  Sent twice:
-    # a destination set with an unrouted member is never planned for good.
+    # a destination set with an unrouted member is never planned.
     for container in (lambda nodes: nodes, list, tuple):  # a range first
         states = []
         for fan_out in (Network.multicast, _loop):
@@ -194,8 +199,8 @@ class _CallerError(Exception):
 
 
 def test_multicast_partial_state_when_the_iterable_raises():
-    # The walk runs the caller's iterable; what it sent before the
-    # iterable failed is sent, counted and numbered, as by the loop.
+    # A generator is the loop of sends: what it sent before the iterable
+    # failed is sent, counted and numbered.
     states = []
     for fan_out in (Network.multicast, _loop):
         sim, net, got = _twin()
@@ -262,6 +267,39 @@ def test_multicast_to_nobody_leaves_no_trace():
     net.multicast(1, [1], "p", "request")
     net.multicast(99, [], "p", "request")  # the loop never looks at src
     assert net.stats.total == 0 and not net.stats.by_port and sim.pending == 0
+
+
+#: The algorithms whose peers broadcast (``MutexPeer._broadcast``).
+BROADCASTERS = {"suzuki", "lamport", "ricart-agrawala"}
+TRAFFIC = [("flat", algo, "naimi") for algo in sorted(available_algorithms())]
+TRAFFIC += [("composition", intra, inter) for intra in ALGOS for inter in ALGOS]
+
+
+@pytest.mark.parametrize(
+    "system,intra,inter", TRAFFIC,
+    ids=[f"{s}-{a}-{b}" if s == "composition" else f"{s}-{a}" for s, a, b in TRAFFIC],
+)
+def test_every_protocol_broadcast_replays_a_kept_plan(monkeypatch, system, intra, inter):
+    # A peer broadcasts to its interned ``peers`` tuple of distinct routed
+    # nodes, so on a plain, jitter-free, unobserved network no broadcast
+    # of a protocol run falls back to the loop of sends.
+    made = []
+    plan = Network._plan
+
+    def spy(self, ci, dsts, port):
+        made.append(plan(self, ci, dsts, port))
+        return made[-1]
+
+    monkeypatch.setattr(Network, "_plan", spy)
+    config = ExperimentConfig(
+        system=system, intra=intra, inter=inter, n_clusters=3,
+        apps_per_cluster=3, n_cs=4, rho=9.0, seed=17,
+    )
+    assert config.jitter == 0.0 and config.obs == "off"
+    run_experiment(config)
+    assert None not in made
+    used = {intra} if system == "flat" else {intra, inter}
+    assert bool(made) == bool(used & BROADCASTERS)  # non-vacuous
 
 
 # --------------------------------------------------------------------- #
@@ -438,8 +476,8 @@ def test_what_changes_mid_group_applies_to_the_members_not_reached(act):
 
 def test_max_events_and_drain_count_deliveries_not_entries():
     sim, net, got = _twin()
-    net.multicast(0, [1, 2, 3], "p", "a")  # one LAN group of three ...
-    net.multicast(0, [1, 2, 3], "p", "b")  # ... and a second, same due
+    net.multicast(0, (1, 2, 3), "p", "a")  # one LAN group of three ...
+    net.multicast(0, (1, 2, 3), "p", "b")  # ... and a second, same due
     assert sim.pending == 2
     # The bound is checked between entries: the first group goes whole.
     sim.run(max_events=2)

@@ -201,9 +201,10 @@ def test_readings_cannot_be_assigned(name):
 
 def test_a_row_without_a_count_shows_in_no_reading():
     net, oracle = build("plain")
-    net.multicast(1, [1], "inter", "request")  # to nobody
-    with pytest.raises(NetworkError):
-        net.multicast(2, [7, 8], "inter", "token")  # dies on the first
+    net.multicast(1, (1,), "inter", "request")  # to nobody
+    net.multicast(2, (2,), "inter", "token")  # likewise, another row
+    with pytest.raises(NetworkError):  # the loop: dies on the first send
+        net.multicast(2, (7, 8), "inter", "ack")
     assert len(net.stats._rows) == 2  # both fetched their row ...
     assert readings(net.stats) == oracle.readings()  # ... which nobody sees
     assert not any(getattr(net.stats, name) for name in BREAKDOWNS)
@@ -212,11 +213,10 @@ def test_a_row_without_a_count_shows_in_no_reading():
     assert not net.stats._rows and net.stats.total == 0
 
 
-def test_reset_during_a_broadcast_discards_the_whole_broadcast():
-    # Nothing of the network runs between two messages of a hoisted
-    # multicast, but the caller's own iterable does.  The broadcast's
-    # row is detached by the reset: neither the messages before it nor
-    # the ones after come back.
+def test_reset_during_a_generator_broadcast_keeps_the_sends_after_it():
+    # A generator is the loop of sends, so the caller's iterable runs
+    # between two of them: a reset there discards the sends before it
+    # and none after, as it does between two sends.
     net, _ = build("plain")
 
     def dsts():
@@ -226,13 +226,13 @@ def test_reset_during_a_broadcast_discards_the_whole_broadcast():
         yield from (6, 8)
 
     net.multicast(1, dsts(), "intra/0", "request")
-    assert net.stats.total == 0 and not net.stats.by_kind
-    # All five were sent: node 0 on its own LAN entry, the four WAN ones
-    # in one group, whose member list grew past the reset.
-    assert net._seq == 5 and len(in_flight(net.sim)) == 5
-    assert net.sim.pending == 2
-    net.multicast(1, [6, 8], "intra/0", "request")
     assert net.stats.snapshot()["inter_cluster"] == net.stats.total == 2
+    assert net.stats.by_kind == {"request": 2}
+    # All five were sent, one calendar entry each.
+    assert net._seq == 5 and len(in_flight(net.sim)) == 5
+    assert net.sim.pending == 5
+    net.multicast(1, [6, 8], "intra/0", "request")
+    assert net.stats.snapshot()["inter_cluster"] == net.stats.total == 4
 
 
 def test_inter_by_kind_names_what_crosses_clusters():
