@@ -505,11 +505,10 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "spawned them, the distributor's workers ignored its poll_s",
     ),
     Invariant(
-        "wrap_handler",
+        "fence",
         ("core/recovery.py",),
-        "a run is observed through trace records; the recovery epoch fence "
-        "is the one wrapper, so whether a fenced message is seen never "
-        "depends on which wrapper went on first",
+        "only a recovery epoch change drops deliveries: a fence anywhere "
+        "else would discard live protocol traffic that no epoch retired",
     ),
     Invariant(
         "reform",

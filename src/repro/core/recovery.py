@@ -15,14 +15,13 @@ three outside-in mechanisms:
   evidence of slowness, not of loss.  :class:`HeartbeatMonitor` /
   :class:`HeartbeatEmitter` detect coordinator death: the coordinator
   beats to a standby node, and a missed deadline triggers failover.
-* **epoch fencing** — before touching any state, a recovery bumps its
-  instance's *fence*: an interposition wrapper installed with
-  :meth:`~repro.net.network.Network.wrap_handler` (the same
-  non-intrusive hook pattern the coordinator uses for callbacks) drops
-  every in-flight message of the old epoch, identified by the
-  network's delivery sequence number.  Fencing makes *false* suspicion
-  safe: if the "lost" token was merely slow, the stale copy is
-  discarded before the regenerated one can meet it.
+* **epoch fencing** — before touching any state, a recovery fences its
+  instance's port (:meth:`~repro.net.network.Network.fence`): the
+  network drops every in-flight message of the old epoch on arrival,
+  identified by its delivery sequence number, without any handler
+  knowing.  Fencing makes *false* suspicion safe: if the "lost" token
+  was merely slow, the stale copy is discarded before the regenerated
+  one can meet it.
 * **epoch change** — a deterministic election picks the new token
   holder among live peers (an in-CS peer always wins, then a live
   holder, then an explicit preference, then the smallest node id — so
@@ -209,7 +208,6 @@ class InstanceRecovery(Process):
         #: membership in canonical order (ring order for Martin)
         self._canonical: List[int] = [p.node for p in self.peers]
         self._members = set(self._canonical)
-        self._fence_seq = -1
         self._deadline = self.config.request_deadline_ms
         self._req_since: Dict[int, float] = {}
         #: members that crashed since the last epoch reset.  A restart
@@ -225,8 +223,6 @@ class InstanceRecovery(Process):
         self.detection_guard: Optional[Callable[[], bool]] = None
         #: completed epoch resets
         self.recoveries = 0
-        for p in self.peers:
-            self._install_fence(p)
         crashes.on_crash.append(self._note_crash)
         crashes.on_restart.append(self._note_restart)
         if detect:
@@ -248,33 +244,12 @@ class InstanceRecovery(Process):
             # membership includes it.
             peer.reform((*self._canonical, node), self._canonical[0])
 
-    # ------------------------------------------------------------------ #
-    # epoch fence
-    # ------------------------------------------------------------------ #
-    def _install_fence(self, peer: MutexPeer) -> None:
-        def wrap(inner):
-            def fenced(msg):
-                if msg.seq < self._fence_seq:
-                    return  # in-flight remnant of a fenced-off epoch
-                inner(msg)
-
-            return fenced
-
-        self.net.wrap_handler(peer.node, peer.port, wrap)
-
-    @property
-    def fence_seq(self) -> int:
-        """Delivery sequence number below which inbound messages of this
-        instance are discarded (-1 = nothing fenced yet)."""
-        return self._fence_seq
-
     def add_peer(self, peer: MutexPeer) -> None:
         """Adopt a peer created after construction (failover adds the
         replacement coordinator's upper peer this way)."""
         self.peers.append(peer)
         self._canonical.append(peer.node)
         self._members.add(peer.node)
-        self._install_fence(peer)
 
     # ------------------------------------------------------------------ #
     # detection
@@ -380,7 +355,7 @@ class InstanceRecovery(Process):
         order = [n for n in self._canonical if n in member_set]
         order += [n for n in members if n not in self._canonical]
         anchor = prefer if prefer in member_set else elected.node
-        self._fence_seq = self.net.seq_watermark
+        self.net.fence(self.port)
         peers = tuple(order)
         for p in live:
             p.reform(peers, anchor, holder=elected.node)
@@ -513,11 +488,6 @@ class HeartbeatMonitor(Process):
             return
         self._spent = True
         self.on_failure()
-
-    def stop(self) -> None:
-        """Disarm without firing (teardown)."""
-        self._spent = True
-        self.cancel_timers()
 
 
 # --------------------------------------------------------------------- #

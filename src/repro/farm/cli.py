@@ -111,10 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the pickled result list here")
 
     drain_p = sub.add_parser("drain", help="gracefully stop workers")
-    drain_p.add_argument("--url", default=None,
-                         help="drain via the server at this URL")
-    drain_p.add_argument("--farm-dir", default=None,
-                         help="or touch the drain marker directly")
+    target = drain_p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--url", default=None,
+                        help="drain via the server at this URL")
+    target.add_argument("--farm-dir", default=None,
+                        help="or touch the drain marker directly")
 
     return parser
 
@@ -216,11 +217,9 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     if args.url:
         FarmClient(args.url).drain()
         print("drain requested via server")
-    elif args.farm_dir:
+    else:
         JobStore(args.farm_dir).request_drain()
         print(f"drain marker written under {args.farm_dir}")
-    else:
-        raise SystemExit("drain needs --url or --farm-dir")
     return 0
 
 

@@ -38,10 +38,20 @@ class FarmClient:
     def _retrying(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> Tuple[int, bytes]:
-        return http_round_trip(
-            method, f"{self.url}{path}", body,
-            timeout_s=self.timeout_s, attempts=self.attempts,
-        )
+        """``(status, body)``; a server that stays unreachable through
+        every retry is a :class:`FarmError` naming the URL."""
+        url = f"{self.url}{path}"
+        try:
+            return http_round_trip(
+                method, url, body,
+                timeout_s=self.timeout_s, attempts=self.attempts,
+            )
+        except OSError as exc:  # URLError included
+            reason = getattr(exc, "reason", exc)
+            raise FarmError(
+                f"{method} {url}: no answer after {self.attempts} "
+                f"attempt(s): {reason}"
+            ) from exc
 
     @staticmethod
     def _json(status: int, body: bytes, what: str) -> Dict[str, Any]:
@@ -110,16 +120,3 @@ class FarmClient:
                     f"last status: {self.status(job_id)}"
                 )
             time.sleep(poll_s)
-
-    def run(
-        self,
-        configs: Sequence[ExperimentConfig],
-        poll_s: float = 0.5,
-        deadline_s: float = 900.0,
-    ) -> Tuple[List[ExperimentResult], CacheStats]:
-        """Submit-and-fetch convenience: the remote counterpart of
-        :func:`repro.experiments.run_configs_cached`."""
-        job = self.submit(configs)
-        return self.fetch(
-            job["job_id"], poll_s=poll_s, deadline_s=deadline_s
-        )

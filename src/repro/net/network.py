@@ -18,7 +18,7 @@ flow — useful for isolating reordering effects in the ablation bench.
 Send paths
 ----------
 A network with no feature attached — no crash controller, fault
-injector, FIFO or delivery intercept — is *plain*
+injector, FIFO, delivery intercept or fence — is *plain*
 (:attr:`Network.fused`), and ``send`` runs fused: statistics, the
 table-latency lookup and the queue push happen in its own frame, at
 any grid size.  Attaching any feature (at construction or mid-run)
@@ -44,8 +44,7 @@ Otherwise the entry is ``(due, seq, _deliver, (msg,))``, and
 is taken off the direct route — through ``_deliver``, as every delivery
 of a non-plain network — by any of:
 
-* a handler registered as a plain callable, or wrapped since
-  (:meth:`Network.wrap_handler`);
+* a handler registered as a plain callable;
 * a kind outside the receiver's table (``_deliver`` →
   ``_on_message`` raises the ``ProtocolError`` at delivery time);
 * a ``deliver`` trace subscriber (only ``_deliver`` emits the record);
@@ -60,12 +59,12 @@ All of this may change *while messages are in flight*: the affected
 direct entries are then rewritten in place into ``_deliver`` entries
 carrying the message ``send`` would have built (same ``(due, seq)``
 key, so the calendar order is untouched; same ``seq``, ``sent_at`` and
-payload, which the recovery fence and ``deliver`` records read) — the
-address's on ``unregister``/``wrap_handler``, all of them when the
-network leaves plain mode or a ``deliver`` subscriber appears.  A
-message to an address unregistered in flight is therefore still dropped
-on arrival, a wrapper installed in flight still sees it, and a crash
-controller assigned in flight still loses it.
+payload, which the ``deliver`` records and handlers read) — the
+address's on ``unregister``, all of them when the network leaves plain
+mode or a ``deliver`` subscriber appears.  A message to an address
+unregistered in flight is therefore still dropped on arrival, a fence
+set in flight still drops it, and a crash controller assigned in
+flight still loses it.
 
 A fused :meth:`Network.multicast` goes further: it builds **one**
 message per broadcast, with one private copy of the payload, and
@@ -84,7 +83,7 @@ flight:
   with the broadcast's one payload, which a handler only reads;
 * on the ``_deliver`` hop it builds the member's own message, exactly
   the one :meth:`Network.send` would have built (:func:`materialise`),
-  so whatever can observe a delivery — a wrapper, a plain-callable
+  so whatever can observe a delivery — a fence, a plain-callable
   handler, a ``deliver`` subscriber, a crash controller, a dropped
   address — sees what the loop of sends shows it.
 
@@ -104,7 +103,7 @@ Only a tuple of distinct, routed nodes is planned
 (:attr:`~repro.mutex.base.MutexPeer.peers` always is); any other input
 — a list, a ``range``, a generator, a tuple with a repeat or an unrouted
 member — is the loop of sends.  A plan holds no route (``_fan`` routes
-on arrival), so ``register``, ``wrap_handler`` and a path flip leave it
+on arrival), so ``register``, ``fence`` and a path flip leave it
 valid; ``unregister`` and ``close`` drop every plan.  Each destination
 tuple has at most one plan per cluster, each holding every member once:
 O(C·N) members per tuple for C clusters and N destinations, never one
@@ -222,6 +221,8 @@ class Network:
         # Delivery interception (repro.analysis.explore): when set, sends
         # are captured instead of scheduled — see set_delivery_intercept.
         self._intercept: Optional[Handler] = None
+        #: ``{port: seq}``: a message on ``port`` below ``seq`` is fenced
+        self._fences: Dict[str, int] = {}
         # Fused-send constants.  The latency inline is only exact for the
         # stock table models over *this* topology: the cluster indices the
         # statistics compute are then the table's own.  A subclass
@@ -264,6 +265,7 @@ class Network:
             or self._faults is not None
             or self._crashes is not None
             or self._intercept is not None
+            or self._fences
         )
         active = self.sim.trace.active_kinds
         self._trace_send = "send" in active
@@ -403,26 +405,16 @@ class Network:
         self.sim.trace.remove_change_hook(self._resolve)
         self._deliver_cb = self._fan_cb = None
 
-    def wrap_handler(
-        self, node: int, port: str, wrap: Callable[[Handler], Handler]
-    ) -> None:
-        """Replace the handler at ``(node, port)`` with
-        ``wrap(current_handler)``.
-
-        This is how an interposition layer (e.g. the recovery fence)
-        filters an agent's inbound traffic without the agent — or its
-        message handlers — knowing: exactly the non-intrusive contract
-        the composition itself follows."""
-        nodes = self._routes.get(port, _NO_ROUTES)
-        if node not in nodes:
-            raise NetworkError(f"no handler at {(node, port)}")
-        current, owner, _ = nodes[node]
-        wrapped = wrap(current)
-        if not callable(wrapped):
-            raise NetworkError(f"wrap() returned non-callable {wrapped!r}")
-        nodes[node] = (wrapped, None, _NO_TABLE)
-        if owner is not None:
-            self._undirect(owner)  # the wrapper sees what is in flight too
+    def fence(self, port: str) -> None:
+        """Drop every message on ``port`` scheduled before now, when it
+        arrives: the recovery epoch fence.  A message is of the old
+        epoch iff its ``seq`` is below the one the next send will carry
+        — same-instant sends included, which timestamps could not
+        separate.  The drop comes after the ``deliver`` record, so a
+        fenced message is still a delivery (:attr:`delivered`); a fenced
+        network is not plain."""
+        self._fences[port] = self._seq
+        self._resolve()
 
     # ------------------------------------------------------------------ #
     # delivery interception (repro.analysis.explore)
@@ -454,16 +446,6 @@ class Network:
         the current simulated instant.
         """
         self._deliver(msg)
-
-    @property
-    def seq_watermark(self) -> int:
-        """The sequence number the *next* scheduled delivery will carry.
-
-        Every message already scheduled has a strictly smaller ``seq``,
-        so a recovery epoch fence set to this value drops exactly the
-        in-flight traffic of the old epoch — including same-instant
-        sends, which timestamps could not separate."""
-        return self._seq
 
     # ------------------------------------------------------------------ #
     # sending
@@ -795,6 +777,8 @@ class Network:
                 port=msg.port, kind=msg.kind, payload=msg.payload,
                 seq=msg.seq, sent_at=msg.sent_at,
             )
+        if msg.seq < self._fences.get(msg.port, 0):
+            return  # in-flight remnant of a fenced-off epoch
         route[0](msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,8 +9,9 @@ by the network's delivery sequence number, which both records carry);
 message payloads are never touched, which is why an instrumented run
 stays bit-identical to a bare one (see
 ``tests/properties/test_observer_transparency.py``).  Every delivery is
-recorded, including one that an interposition layer (the recovery
-fence) then discards: the hop happened, the handler just ignored it.
+recorded, including one the recovery fence then discards: the network
+drops it after its ``deliver`` record, so the hop happened and only the
+handler never saw it.
 
 Clock protocol (Lamport happens-before, vector form; PAPERS.md:
 Lamport 1978 and Mattern/Fidge):

@@ -1,15 +1,15 @@
 """Event objects used by the discrete-event kernel.
 
-An :class:`Event` pairs a simulated timestamp with a callback.  Events are
-totally ordered by ``(time, seq)`` where ``seq`` is a kernel-assigned
+An :class:`Event` pairs a simulated timestamp with a callback.  The
+kernel orders events by ``(time, seq)`` where ``seq`` is a kernel-assigned
 monotonically increasing sequence number; this makes simulation runs fully
 deterministic: two events scheduled for the same instant fire in the order
-they were scheduled.
+they were scheduled.  Calendar entries are tuples led by that unique
+``(time, seq)`` pair, so an event itself is never compared.
 
 The allocation path is deliberately slim: events live on the kernel's hot
 path (one per message delivery, timer, and workload step), so the class
-keeps ``__slots__``, a trivial ``__init__`` and a bare ``(time, seq)``
-comparison.  The :class:`EventHandle` wrapper — which exists so user code
+keeps ``__slots__`` and a trivial ``__init__``.  The :class:`EventHandle` wrapper — which exists so user code
 can cancel without reaching into kernel internals — is only allocated by
 the public ``schedule``/``schedule_at`` API; internal callers that never
 cancel use :meth:`repro.sim.kernel.Simulator.post_at` and skip it.
@@ -44,11 +44,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -21,6 +21,7 @@ __all__ = [
     "BrokenCentralizedPeer",
     "BrokenNaimiPeer",
     "BrokenSuzukiPeer",
+    "SpinningNaimiPeer",
 ]
 
 
@@ -43,6 +44,25 @@ class BrokenNaimiPeer(NaimiTrehelPeer):
         else:
             self._send(self.last, "request", {"origin": origin})
         self.last = origin
+
+
+class SpinningNaimiPeer(NaimiTrehelPeer):
+    """Naimi-Trehel idle holder that bounces a request back to itself.
+
+    The interpreted ``_on_request`` hands an idle root's token to the
+    requester; this mutant re-sends the request to its own node instead,
+    so the request circles forever and the requester waits for a token
+    that never leaves.  Something is always in flight, so no state is
+    quiescent: only the eventual-entry check (a bottom cycle in which a
+    node keeps requesting) can catch it.
+    """
+
+    def _on_request(self, src, payload) -> None:
+        if self.is_root and self._holds_token and self.state is PeerState.NO_REQ:
+            # BUG: serves nobody, asks itself again
+            self._send(self.node, "request", payload)
+            return
+        super()._on_request(src, payload)
 
 
 class BrokenSuzukiPeer(SuzukiKasamiPeer):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-from pathlib import Path
 
 import pytest
 
@@ -46,6 +45,7 @@ from .fixtures.mutants import (
     BrokenCentralizedPeer,
     BrokenNaimiPeer,
     BrokenSuzukiPeer,
+    SpinningNaimiPeer,
 )
 
 
@@ -192,6 +192,21 @@ class TestMutants:
         steps = replay(scope, shortest.schedule)
         final = steps[-1]
         assert final.req_nodes and not final.enabled  # a real deadlock
+
+    def test_naimi_self_bounced_request_starves_around_a_loop(self):
+        scope, report = self._explore_mutant("naimi", SpinningNaimiPeer)
+        assert report.complete
+        assert {v.property for v in report.violations} == {"starvation"}
+        (starved,) = report.violations
+        assert starved.loop and all(a[0] == "deliver" for a in starved.loop)
+        # The lasso closes: prefix then loop ends where the loop began.
+        world = World(scope)
+        replay(scope, starved.schedule, world=world)
+        start = world.digest()
+        assert world.req_nodes()
+        steps = replay(scope, starved.loop, world=world)
+        assert world.digest() == start
+        assert all(step.enabled for step in steps)  # never quiescent
 
     def test_clean_algorithm_has_no_violations_at_mutant_scope(self):
         # negative control for the negative controls

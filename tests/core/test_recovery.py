@@ -244,7 +244,7 @@ def test_fence_drops_stale_token_on_false_suspicion():
     assert peers[1].in_cs  # served by the new epoch, not the stale token
     liveness.assert_all_satisfied()
     assert_single_token(peers)
-    assert rec.fence_seq > -1
+    assert net._fences == {rec.port: 2}  # the request and the stale token
 
 
 @pytest.mark.parametrize("algo", ALGOS)

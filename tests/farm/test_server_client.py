@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import socket
 import time
 
@@ -12,6 +13,7 @@ from repro.errors import FarmError
 from repro.experiments import ExperimentConfig, run_configs_cached, run_experiment
 from repro.experiments.cli import main
 from repro.farm import FarmClient, FarmServer, HttpCache, run_configs_farm
+from repro.farm.cli import main as farm_main
 from repro.farm.distribute import Fleet
 from repro.farm.worker import work_loop
 
@@ -212,3 +214,72 @@ class TestFarmOverHttpTier:
         assert [canonical_dumps(r) for r in report.results] == \
             [canonical_dumps(r) for r in serial]
         assert report.worker_stats.misses == len(CONFIGS)
+
+
+class TestFarmCli:
+    """``submit`` / ``status`` / ``fetch`` / ``drain`` through the
+    ``python -m repro.farm`` entry point."""
+
+    #: nothing listens on port 1: every connection is refused at once
+    DEAD_URL = "http://127.0.0.1:1"
+
+    def test_submit_status_fetch_drain(self, server, client, tmp_path, capsys):
+        assert farm_main(["submit", "--url", server.url, "fig6a"]) == 0
+        summary, submitted = capsys.readouterr().out.splitlines()
+        assert summary.startswith(f"job {submitted}: running, 0/")
+        assert server.store.job(submitted) is not None
+
+        job_id = client.submit(CONFIGS)["job_id"]
+        _drive_workers(server, job_id)
+        assert farm_main(["status", "--url", server.url, job_id]) == 0
+        out = capsys.readouterr().out
+        assert f"job_id: {job_id}" in out and "complete: True" in out
+
+        dest = tmp_path / "results.pkl"
+        assert farm_main(
+            ["fetch", "--url", server.url, job_id, "--out", str(dest)]
+        ) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {len(CONFIGS)} result(s) to {dest}\n"
+        fetched, _stats = client.fetch(job_id)
+        assert [canonical_dumps(r) for r in pickle.loads(dest.read_bytes())] \
+            == [canonical_dumps(r) for r in fetched]
+
+        assert farm_main(["drain", "--url", server.url]) == 0
+        assert capsys.readouterr().out == "drain requested via server\n"
+        assert server.store.draining()
+
+    def test_drain_by_marker(self, tmp_path, capsys):
+        farm_dir = tmp_path / "farm"
+        assert farm_main(["drain", "--farm-dir", str(farm_dir)]) == 0
+        assert capsys.readouterr().out == \
+            f"drain marker written under {farm_dir}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["drain"],
+        ["drain", "--url", DEAD_URL, "--farm-dir", "farm"],
+    ], ids=["neither", "both"])
+    def test_drain_takes_exactly_one_target(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            farm_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("repro-farm drain: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "fig6a"],
+        ["status", "abc"],
+        ["fetch", "abc", "--out", "never-written.pkl"],
+        ["drain"],
+    ], ids=lambda argv: argv[0])
+    def test_an_unreachable_server_is_one_line_and_status_1(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            farm_main([argv[0], "--url", self.DEAD_URL, *argv[1:]])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro-farm: error: ")
+        assert self.DEAD_URL in err
+        assert list(tmp_path.iterdir()) == []

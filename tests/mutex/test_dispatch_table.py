@@ -98,17 +98,16 @@ def test_no_per_instance_table_or_bound_methods_are_kept():
 
 def test_handler_is_still_looked_up_at_delivery_time():
     sim, net, peers = _ring(NaimiTrehelPeer)
-    wrapped = []
+    seen = []
     peers[1].request_cs()  # request to node 0 now in flight
-    net.wrap_handler(
-        0, "mutex",
-        lambda inner: lambda msg: (wrapped.append(msg.kind), inner(msg)),
-    )
+    net.unregister(0, "mutex")
+    net.register(0, "mutex",
+                 lambda msg: (seen.append(msg.kind), peers[0]._on_message(msg)))
     sim.run()
-    assert wrapped == ["request"] and peers[1].in_cs
+    assert seen == ["request"] and peers[1].in_cs
     peers[2].request_cs()  # in flight to node 0 again
     net.unregister(0, "mutex")
     sim.run()
-    assert wrapped == ["request"]  # dropped like a closed socket
+    assert seen == ["request"]  # dropped like a closed socket
     assert not peers[2].in_cs
     assert MutexPeer._on_message is NaimiTrehelPeer._on_message

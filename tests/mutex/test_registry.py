@@ -12,6 +12,7 @@ from repro.mutex import (
     get_algorithm,
     register,
 )
+from repro.mutex import registry
 
 
 def test_builtins_present():
@@ -46,7 +47,11 @@ def test_metadata():
     assert not ra.token_based
 
 
-def test_register_custom_and_reject_duplicates():
+def test_register_custom_and_reject_duplicates(monkeypatch):
+    # On a copy: a registration left behind would change what every later
+    # test sees as "every registered algorithm".
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
     class MyPeer(NaimiTrehelPeer):
         algorithm_name = "my-algo"
 

@@ -63,7 +63,7 @@ def test_crashed_source_sends_nothing():
     net.send(0, 1, "app", "ping")
     sim.run()
     assert got == []
-    assert records == [] and net.seq_watermark == 0  # never scheduled
+    assert records == [] and net._seq == 0  # never scheduled
     assert net.stats.total == 0  # not even counted as sent
 
 

@@ -240,32 +240,25 @@ def test_reregistered_in_flight_reaches_the_new_handler():
     assert [(m.kind, m.src) for m in got] == [("request", 1)]
 
 
-def test_wrapped_in_flight_is_seen_by_the_wrapper():
+def test_a_fence_set_while_direct_entries_are_in_flight_drops_them():
     sim, net, peers = _peers()
     peers[1].request_cs()
-    seen = []
-
-    def wrap(inner):
-        def observed(msg):
-            seen.append(msg.kind)
-            inner(msg)
-        return observed
-
-    net.wrap_handler(0, "p", wrap)
+    assert _in_flight(sim) == [("_on_request", 3)]
+    net.fence("p")
     assert _in_flight(sim) == [("_deliver", 1)]
     sim.run()
-    assert seen == ["request"] and peers[1].in_cs
-    # ... and the address stays off the direct route afterwards.
-    peers[1].release_cs()
+    assert not peers[1].in_cs and net.delivered == 1
+    # ... and what is sent after the fence arrives through the hop.
     peers[2].request_cs()
+    assert _in_flight(sim) == [("_deliver", 1)]
     sim.run()
-    assert seen == ["request", "request"]
+    assert peers[2].in_cs
 
 
-@pytest.mark.parametrize("change", ["wrap", "subscribe"])
+@pytest.mark.parametrize("change", ["fence", "subscribe"])
 def test_a_rewritten_entry_carries_the_message_send_would_have_built(change):
-    # The rebuild is exact: the recovery fence reads ``seq``, a
-    # ``deliver`` record ``seq`` and ``sent_at``, a handler the payload.
+    # The rebuild is exact: the fence reads ``seq``, a ``deliver``
+    # record ``seq`` and ``sent_at``, a handler the payload.
     sim, net, peers = _peers()
     sim.run(until=0.5)
     net.send(2, 0, "p", "request", {"origin": 2})  # seq 0
@@ -273,8 +266,8 @@ def test_a_rewritten_entry_carries_the_message_send_would_have_built(change):
     net.send(1, 0, "p", "request", payload, 99)  # seq 1
     assert _in_flight(sim) == [("_on_request", 3)] * 2
     seen = []
-    if change == "wrap":  # the wrapper keeps what it sees from the peer
-        net.wrap_handler(0, "p", lambda inner: seen.append)
+    if change == "fence":  # both are below it: neither reaches peer 0
+        net.fence("p")
     else:
         sim.trace.subscribe("deliver", lambda rec: seen.append(rec.fields))
     assert _in_flight(sim) == [("_deliver", 1)] * 2
@@ -283,8 +276,9 @@ def test_a_rewritten_entry_carries_the_message_send_would_have_built(change):
             msg.size) == (1, 0, "p", "request", 1, 0.5, 99)
     assert msg.payload is payload
     sim.run(until=2.0)  # both delivered at 1.5, nothing else yet
-    if change == "wrap":
-        assert seen[1] is msg
+    if change == "fence":
+        assert net.delivered == 2 and net.stats.by_kind["token"] == 0
+        assert peers[0].holds_token and seen == []
     else:
         assert [(f["src"], f["seq"], f["sent_at"], f["payload"]) for f in seen] == [
             (2, 0, 0.5, {"origin": 2}), (1, 1, 0.5, payload)]

@@ -242,22 +242,24 @@ def test_multicast_after_an_unregister_raises_with_the_loops_partial_state(
 
 
 def test_a_kept_plan_survives_what_routes_on_arrival():
-    # A plan holds no route: a wrapper or a new handler installed after
-    # it was made sees the next broadcast, which replays it.
+    # A plan holds no route: a handler swapped after it was made gets
+    # what is in flight and the next broadcast, whose plan is the same.
     sim, net, got = _twin()
     dsts = tuple(net.topology.nodes)
     net.multicast(0, dsts, "p", "a")
     plans = dict(net._plans)
-    wrapped = []
-    net.wrap_handler(5, "p", lambda inner: lambda m: (wrapped.append(m.kind),
-                                                      inner(m)))
     net.register(1, "q", lambda m: None)
-    net.multicast(1, dsts, "p", "b")
     assert net._plans == plans and len(plans) == 1
+    swapped = []
+    net.unregister(5, "p")
+    net.register(5, "p", lambda m: swapped.append(m.kind))
+    assert not net._plans  # unregister drops every plan ...
+    net.multicast(1, dsts, "p", "b")
+    assert net._plans == plans  # ... and the broadcast makes the same one
     sim.run()
-    assert wrapped == ["a", "b"]
+    assert swapped == ["a", "b"]
     assert sorted(m.dst for m, _ in got if m.kind == "b") == [
-        n for n in dsts if n != 1]
+        n for n in dsts if n not in (1, 5)]
     net.close()
     assert not net._plans
 
@@ -432,9 +434,8 @@ def _mid_group(fan_out, act):
         elif act == "reregister":
             net.unregister(4, "p")
             net.register(4, "p", lambda m: records.append(("new", m.seq)))
-        elif act == "wrap":
-            net.wrap_handler(4, "p", lambda inner: lambda m: (
-                records.append(("wrapped", m.seq)), inner(m)))
+        elif act == "fence":
+            net.fence("p")
         elif act == "crash":
             net.crashes = crashes
             crashes.crash(4)
@@ -454,7 +455,7 @@ def _mid_group(fan_out, act):
 
 
 @pytest.mark.parametrize("act", [
-    "stop", "raise", "unregister", "reregister", "wrap", "crash", "subscribe",
+    "stop", "raise", "unregister", "reregister", "fence", "crash", "subscribe",
 ])
 def test_what_changes_mid_group_applies_to_the_members_not_reached(act):
     grouped = _mid_group(Network.multicast, act)
@@ -469,7 +470,9 @@ def test_what_changes_mid_group_applies_to_the_members_not_reached(act):
         assert first[0][5] == 2  # delivered
     else:
         assert first == second
-    assert len(records) == {"reregister": 1, "wrap": 1, "subscribe": 7}.get(act, 0)
+    assert len(records) == {"reregister": 1, "subscribe": 7}.get(act, 0)
+    if act == "fence":  # delivered, but only nodes 1 and 2 before it ran
+        assert [row[1] for row in second[2]] == [1, 2]
     assert (lost, unrouted) == {
         "crash": (1, 0), "unregister": (0, 1)}.get(act, (0, 0))
 
@@ -505,13 +508,14 @@ def test_flat_lamport_counts_the_members_of_groups_still_in_flight():
 # --------------------------------------------------------------------- #
 def test_handler_is_looked_up_at_delivery_time():
     sim, net, got = _twin()
-    wrapped = []
+    swapped = []
     net.send(0, 5, "p", "a")
     net.multicast(0, [5, 6], "p", "b")
-    net.wrap_handler(5, "p", lambda inner: wrapped.append)
+    net.unregister(5, "p")
+    net.register(5, "p", swapped.append)
     net.unregister(6, "p")
     sim.run()
-    assert [m.kind for m in wrapped] == ["a", "b"] and got == []
+    assert [m.kind for m in swapped] == ["a", "b"] and got == []
 
 
 def test_fused_send_errors_are_the_general_ones():

@@ -253,31 +253,38 @@ def test_dropped_message_keeps_sentinel_seq():
     assert [r.fields["seq"] for r in records] == [-1]  # never scheduled
 
 
-def test_wrap_handler_filters_without_touching_agent():
+def test_fence_drops_lower_seqs_on_its_port_only():
     sim, topo, net = make_net()
     got = []
     net.register(1, "app", got.append)
-
-    def fence(inner):
-        def wrapped(msg):
-            if msg.kind != "stale":
-                inner(msg)
-        return wrapped
-
-    net.wrap_handler(1, "app", fence)
-    net.send(0, 1, "app", "stale")
-    net.send(0, 1, "app", "fresh")
+    net.register(1, "other", got.append)
+    net.send(0, 1, "app", "stale")  # seq 0
+    net.send(0, 1, "other", "elsewhere")  # seq 1: another port
+    net.fence("app")
+    assert net._fences == {"app": 2}
+    net.send(0, 1, "app", "fresh")  # seq 2: at the fence, not below it
     sim.run()
-    assert [m.kind for m in got] == ["fresh"]
+    assert sorted((m.port, m.kind) for m in got) == [
+        ("app", "fresh"), ("other", "elsewhere")]
 
 
-def test_wrap_handler_errors():
+def test_a_fenced_message_is_traced_and_delivered():
     sim, topo, net = make_net()
-    with pytest.raises(NetworkError):
-        net.wrap_handler(1, "app", lambda h: h)  # no handler registered
-    net.register(1, "app", lambda m: None)
-    with pytest.raises(NetworkError):
-        net.wrap_handler(1, "app", lambda h: None)  # non-callable result
+    got, delivers = [], []
+    net.register(1, "app", got.append)
+    sim.trace.record_into("deliver", delivers)
+    net.send(0, 1, "app", "stale")
+    net.fence("app")
+    sim.run()
+    assert got == [] and [r.fields["seq"] for r in delivers] == [0]
+    assert net.delivered == 1 and (net._lost, net._unrouted) == (0, 0)
+
+
+def test_fencing_takes_the_network_off_the_fused_path():
+    sim, topo, net = make_net()
+    assert net.fused
+    net.fence("app")
+    assert not net.fused and not net._direct
 
 
 def test_fault_validation():

@@ -131,9 +131,8 @@ class TestInterposition:
         assert net._direct  # and leaves the network as it found it
 
     def test_a_hop_the_recovery_fence_discards_is_still_recorded(self):
-        # The fence goes on after the recorder attached, as it does on a
-        # failover's replacement peer: the delivery happened, the fence
-        # only kept it from the handler.
+        # The network drops a fenced message after its deliver record:
+        # the delivery happened, the fence only kept it from the handler.
         sim = Simulator(seed=3)
         topo = uniform_topology(1, 3)
         crashes = CrashController(sim)
@@ -147,7 +146,7 @@ class TestInterposition:
         recovery.recover("fence the request off", prefer=0, replay=False)
         sim.run()
         assert [(d.src, d.kind) for d in rec.deliveries[0]] == [(1, "request")]
-        assert recovery.fence_seq > rec.deliveries[0][0].seq
+        assert net._fences["flat"] > rec.deliveries[0][0].seq
         assert not peers[1].in_cs
 
 
