@@ -32,7 +32,7 @@ __all__ = ["MatrixReport", "default_cells", "run_matrix"]
 _THREE = (1, 2, 4)
 
 
-def default_cells(crash: bool = True) -> List[ExploreScope]:
+def default_cells() -> List[ExploreScope]:
     """The default model-checking matrix."""
     # a composition of two clusters of two applications unless a cell
     # says otherwise
@@ -40,7 +40,7 @@ def default_cells(crash: bool = True) -> List[ExploreScope]:
         platform="two-tier", n_clusters=2, apps_per_cluster=2, n_cs=1
     )
     flat = two.with_(system="flat")
-    cells = [
+    return [
         ExploreScope(flat.with_(intra="naimi", n_cs=2), requesters=_THREE),
         ExploreScope(flat.with_(intra="suzuki"), requesters=_THREE),
         ExploreScope(flat.with_(intra="martin")),
@@ -49,17 +49,13 @@ def default_cells(crash: bool = True) -> List[ExploreScope]:
         ExploreScope(two.with_(intra="martin", inter="martin"), requesters=_THREE),
         ExploreScope(
             ExperimentConfig(
-                system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+                intra="naimi", middle=("suzuki",), inter="martin",
                 hierarchy=((0, 1), (2,)), platform="two-tier",
                 n_clusters=3, apps_per_cluster=1, n_cs=1,
             )
         ),
+        ExploreScope(flat.with_(intra="naimi", apps_per_cluster=1), crash_node=1),
     ]
-    if crash:
-        cells.append(
-            ExploreScope(flat.with_(intra="naimi", apps_per_cluster=1), crash_node=1)
-        )
-    return cells
 
 
 @dataclasses.dataclass

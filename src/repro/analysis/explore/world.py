@@ -14,7 +14,8 @@ nondeterminism are the *actions* it chooses to fire,
 * ``("deliver", src, dst, port)`` — deliver the FIFO head of one flow
   (``("deliver", src, dst, port, i)``, its ``i``-th, if the cell reorders),
 * ``("crash", n)`` — crash-stop node ``n`` (at most once per run),
-* ``("recover",)`` — membership reset + replay over the survivors,
+* ``("recover",)`` — the epoch change of
+  :meth:`~repro.core.recovery.InstanceRecovery.recover` over the survivors,
 
 and every handler runs synchronously to quiescence (``drain_current``)
 before the next action, so a world state is exactly one point of the
@@ -31,13 +32,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from ...core.recovery import InstanceRecovery
 from ...errors import ReproError
 from ...experiments.config import ExperimentConfig
 from ...experiments.runner import build_platform, build_system
 from ...mutex.base import MutexPeer, PeerState
 from ...mutex.registry import available_algorithms
+from ...net.faults import CrashController
 from ...net.message import Message
 from ...net.network import Network
 from ...sim.kernel import Simulator
@@ -118,15 +121,13 @@ class ExploreScope:
             return config.label
         if config.system == "flat":
             algo = config.intra
-        elif config.system == "multilevel":
-            algo = "-".join(config.algorithms)
         else:
-            algo = f"{config.intra}-{config.inter}"
+            algo = "-".join((config.intra, *config.middle, config.inter))
         tag = (
             f"{config.system}:{algo}:{config.n_clusters}x"
             f"{config.nodes_per_cluster}:r{config.n_cs}"
         )
-        if config.system == "multilevel":
+        if config.hierarchy is not None:
             tag += ":h" + repr(config.hierarchy).replace(" ", "")
         if self.requesters is not None:
             tag += f":q{','.join(str(n) for n in self.requesters)}"
@@ -164,7 +165,7 @@ class World:
         #: once at capture so state fingerprinting is O(pending) lookups
         self.pending: Dict[Flow, Deque[Tuple[Message, Tuple]]] = {}
         self.lost = 0
-        self.down: Set[int] = set()
+        self.crashes = CrashController(self.sim)
         self.crash_used = False
         self.recover_used = False
         #: declared send envelope per port (kind set), None = unchecked
@@ -175,6 +176,13 @@ class World:
             peer_factory=scope.peer_factory,
         )
         self._collect_peers()
+        #: the product's recovery, detector off: the explorer fires
+        #: ``("recover",)`` itself (crash cells only)
+        self.recovery: Optional[InstanceRecovery] = (
+            None if scope.crash_node is None else InstanceRecovery(
+                self.sim, self.net, self.crashes, self.peers, detect=False
+            )
+        )
         self.app_nodes: Tuple[int, ...] = self.system.app_nodes
         if scope.crash_node is not None and scope.crash_node not in self.app_nodes:
             raise ExplorationError(
@@ -222,6 +230,11 @@ class World:
             peer.port: algorithm.get(type(peer)) for peer in self.peers
         }
 
+    @property
+    def down(self) -> frozenset:
+        """The crashed nodes."""
+        return self.crashes.down
+
     # ------------------------------------------------------------------ #
     # message capture
     # ------------------------------------------------------------------ #
@@ -239,7 +252,7 @@ class World:
                     f"message kind {msg.kind!r} on port {msg.port!r} is "
                     f"outside the declared send envelope {sorted(allowed)}"
                 )
-        if msg.dst in self.down:
+        if self.crashes.is_down(msg.dst):
             self.lost += 1
             return
         flow = (msg.src, msg.dst, msg.port)
@@ -261,7 +274,7 @@ class World:
     def enabled(self) -> List[Action]:
         acts: List[Action] = []
         for n in self.app_nodes:
-            if n in self.down:
+            if self.crashes.is_down(n):
                 continue
             peer = self.system.peer_for(n)
             if peer.state is PeerState.NO_REQ and self.budget[n] > 0:
@@ -289,7 +302,7 @@ class World:
         kind = action[0]
         if kind == "request":
             node = action[1]
-            if node in self.down or self.budget.get(node, 0) <= 0:
+            if self.crashes.is_down(node) or self.budget.get(node, 0) <= 0:
                 raise ExplorationError(f"request not enabled at node {node}")
             self.budget[node] -= 1
             self.system.peer_for(node).request_cs()
@@ -318,36 +331,22 @@ class World:
         if self.crash_used or node in self.down:
             raise ExplorationError(f"crash not enabled at node {node}")
         self.crash_used = True
-        self.down.add(node)
+        self.crashes.crash(node)
         for flow in [f for f in self.pending if f[1] == node]:
             self.lost += len(self.pending[flow])
             del self.pending[flow]
 
     def _recover(self) -> None:
-        """Membership reset over the survivors (the flat-system recovery
-        path from :mod:`repro.core.recovery`): drop the crashed epoch's
-        in-flight messages, re-seat the token via ``elect_holder`` and
-        each survivor's :meth:`~repro.mutex.base.MutexPeer.reform`, then
-        replay every surviving requester through the unmodified
-        ``_do_request`` path."""
-        from ...core.recovery import elect_holder
-
+        """The product's epoch change over the survivors
+        (:meth:`~repro.core.recovery.InstanceRecovery.recover`).  The
+        world, not the network, holds the in-flight messages, so it
+        models the fence by dropping them all first."""
         if not self.down or self.recover_used:
             raise ExplorationError("recover not enabled")
         self.recover_used = True
-        # Epoch fence: recovery assumes the old epoch's messages are
-        # gone (the controller quiesces before resetting; the explorer
-        # models the fence as a drop of all in-flight messages).
         self.lost += sum(len(q) for q in self.pending.values())
         self.pending.clear()
-        live = [p for p in self.peers if p.node not in self.down]
-        elected = elect_holder(live)
-        members = tuple(p.node for p in live)
-        for peer in live:
-            peer.reform(members, elected.node)
-        for peer in live:
-            if peer.state is PeerState.REQ:
-                peer._do_request()
+        self.recovery.recover(reason=f"explorer: node(s) {sorted(self.down)} down")
 
     # ------------------------------------------------------------------ #
     # observations
@@ -356,7 +355,7 @@ class World:
         return [
             self.system.peer_for(n)
             for n in self.app_nodes
-            if n not in self.down
+            if not self.crashes.is_down(n)
         ]
 
     def cs_nodes(self) -> Tuple[int, ...]:

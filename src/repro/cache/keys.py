@@ -43,7 +43,7 @@ __all__ = [
 #: Bumped whenever the pickled payload layout changes (e.g. a new field
 #: on ``ExperimentResult``); participates in the fingerprint so stale
 #: payload shapes can never be unpickled into current code.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Packages whose source text determines simulated behaviour — the same
 #: closure the golden-digest equivalence matrix certifies.  The

@@ -31,7 +31,6 @@ DEFAULT_BASE_DELAY_S = 0.05
 def with_retries(
     fn: Callable[[], T],
     attempts: int = DEFAULT_ATTEMPTS,
-    base_delay_s: float = DEFAULT_BASE_DELAY_S,
     retry_on: Tuple[Type[BaseException], ...] = (OSError,),
 ) -> T:
     """Call ``fn`` until it succeeds, up to ``attempts`` times.
@@ -43,7 +42,7 @@ def with_retries(
     """
     if attempts < 1:
         raise ValueError("with_retries needs attempts >= 1")
-    delay = base_delay_s
+    delay = DEFAULT_BASE_DELAY_S
     for attempt in range(attempts):
         try:
             return fn()

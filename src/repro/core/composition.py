@@ -316,7 +316,8 @@ class Composition(MutexSystem):
 class FlatMutex(MutexSystem):
     """The paper's baseline: one algorithm instance spanning every
     application node, blind to the cluster structure ("original
-    algorithm" in Fig 4).
+    algorithm" in Fig 4).  The token starts at the first application
+    node of cluster 0.
 
     ``peer_factory`` overrides registry-based construction — it is
     called as ``factory(sim, net, node, peers, port, initial_holder=h)``
@@ -330,7 +331,6 @@ class FlatMutex(MutexSystem):
         net: Network,
         topology: GridTopology,
         algorithm: str = "naimi",
-        initial_cluster: int = 0,
         peer_factory=None,
         name: Optional[str] = None,
     ) -> None:
@@ -352,7 +352,7 @@ class FlatMutex(MutexSystem):
         # One shared tuple: every flat peer interns the same peer table
         # (an O(N) copy per peer would make construction O(N^2)).
         app_nodes = tuple(app_list)
-        holder = topology.cluster_nodes(initial_cluster)[1]
+        holder = app_nodes[0]
         self._app_peers: Dict[int, MutexPeer] = {
             node: peer_factory(
                 sim, net, node, app_nodes, "flat", initial_holder=holder

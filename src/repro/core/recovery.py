@@ -322,7 +322,6 @@ class InstanceRecovery(Process):
         self,
         reason: str,
         prefer: Optional[int] = None,
-        membership: Optional[Sequence[int]] = None,
         replay: bool = True,
         detected_at: Optional[float] = None,
         kind: str = "token_regeneration",
@@ -331,18 +330,15 @@ class InstanceRecovery(Process):
         """Fence the old epoch, elect a holder, reset and (optionally)
         replay.  Returns the elected peer.
 
-        ``membership`` defaults to the canonical membership minus the
+        The new membership is the canonical one minus the
         currently-down nodes.  ``replay=False`` defers
         :meth:`replay_pending` to the caller — failover needs the
         requests of an orphaned cluster withheld until its replacement
         coordinator owns the inter CS.
         """
         down = self.crashes.down
-        if membership is None:
-            members = [n for n in self._canonical if n not in down]
-        else:
-            members = list(membership)
-        member_set = set(members)
+        order = [n for n in self._canonical if n not in down]
+        member_set = set(order)
         live = sorted(
             (p for p in self.peers if p.node in member_set),
             key=lambda p: p.node,
@@ -351,9 +347,7 @@ class InstanceRecovery(Process):
             raise RecoveryError(f"{self.name}: no live peer left to recover")
         elected = elect_holder(live, prefer=prefer)
         # Canonical order survives into the new epoch (Martin's ring
-        # keeps its orientation); genuinely new nodes go to the back.
-        order = [n for n in self._canonical if n in member_set]
-        order += [n for n in members if n not in self._canonical]
+        # keeps its orientation).
         anchor = prefer if prefer in member_set else elected.node
         self.net.fence(self.port)
         peers = tuple(order)

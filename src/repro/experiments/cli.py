@@ -158,21 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def multilevel_fields(system: str, intra: str, inter: str, clusters: int) -> dict:
-    """``algorithms``/``hierarchy`` of a two-level multilevel system built
-    from the ``--intra``/``--inter`` flags, as every other system is;
-    nothing for the other systems.  Shared with ``python -m repro.obs``."""
-    if system != "multilevel":
-        return {}
-    return {"algorithms": (intra, inter), "hierarchy": tuple(range(clusters))}
-
-
 def _cmd_run(args) -> int:
     n_apps = args.clusters * args.apps
     config = ExperimentConfig(
         system=args.system,
         intra=args.intra,
-        inter=args.inter,
+        # a flat system runs --intra alone
+        inter=ExperimentConfig.inter if args.system == "flat" else args.inter,
         n_clusters=args.clusters,
         apps_per_cluster=args.apps,
         n_cs=args.n_cs,
@@ -181,7 +173,6 @@ def _cmd_run(args) -> int:
         platform=args.platform,
         seed=args.seed,
         jitter=args.jitter,
-        **multilevel_fields(args.system, args.intra, args.inter, args.clusters),
     )
     cache = _cache_from_args(args)
     result = run_experiment(config, cache=cache)

@@ -15,13 +15,14 @@ from ..cache.keys import canonical_json
 from ..core.composition import hierarchy_depth
 from ..errors import CompositionError, ConfigurationError
 from ..mutex.registry import get_algorithm
+from ..obs.layer import OBS_LEVELS
 
 __all__ = [
     "ExperimentConfig", "SYSTEMS", "PLATFORMS", "OBS_LEVELS", "BACKENDS",
     "QUEUES",
 ]
 
-SYSTEMS = ("composition", "flat", "adaptive", "multilevel")
+SYSTEMS = ("composition", "flat", "adaptive")
 PLATFORMS = ("grid5000", "two-tier", "random-wan")
 #: Legal values of the retired ``backend`` field (see
 #: :class:`ExperimentConfig`); nothing reads the field, and every value
@@ -30,12 +31,6 @@ BACKENDS = ("interpreted", "compiled")
 #: Legal values of the retired ``queue`` field (see
 #: :class:`ExperimentConfig`); the kernel has one event queue, a heap.
 QUEUES = ("heap", "calendar")
-#: Observability verbosity (see :mod:`repro.obs`): ``off`` attaches
-#: nothing (the hot path stays bare), ``counters`` adds cheap event
-#: counters, ``paths`` adds vector clocks + critical-path breakdown,
-#: ``trace`` additionally keeps per-CS rows and enables Chrome trace
-#: export.  Mirrored by :data:`repro.obs.OBS_LEVELS`.
-OBS_LEVELS = ("off", "counters", "paths", "trace")
 
 
 _REAL = (int, float)
@@ -50,9 +45,9 @@ class ExperimentConfig:
     system: str = "composition"
     intra: str = "naimi"
     inter: str = "naimi"
-    #: multilevel only: one algorithm per level (bottom-up) ...
-    algorithms: Tuple[str, ...] = ()
-    #: ... and the hierarchy spec as nested tuples of cluster indices.
+    #: composition only: the levels between, bottom-up (see Composition) ...
+    middle: Tuple[str, ...] = ()
+    #: ... and the tree as nested tuples of cluster indices (None: two levels).
     hierarchy: object = None
 
     # --- platform -------------------------------------------------------
@@ -117,9 +112,7 @@ class ExperimentConfig:
     def reserved_slots(self) -> int:
         """Coordinator slots reserved per cluster (flat runs reserve one
         too, so the application populations are identical)."""
-        if self.system == "multilevel":
-            return max(1, len(self.algorithms) - 1)
-        return 1
+        return 1 + len(self.middle)
 
     @property
     def nodes_per_cluster(self) -> int:
@@ -232,37 +225,38 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown platform {self.platform!r}; choose from {PLATFORMS}"
             )
-        if self.system != "multilevel":
-            # Only a multilevel build reads these (yet they split the key).
-            if self.algorithms != ():
-                raise ConfigurationError("algorithms: multilevel systems only")
+        if self.system != "composition":
+            # Only a composition reads these (yet they split the key).
+            if self.middle != ():
+                raise ConfigurationError("middle: composition systems only")
             if self.hierarchy is not None:
-                raise ConfigurationError("hierarchy: multilevel systems only")
-            get_algorithm(self.intra)
-            if self.system != "flat":
-                inter = get_algorithm(self.inter)
-                if self.system == "adaptive" and not inter.token_based:
-                    raise ConfigurationError(
-                        f"inter: adaptive switching needs a token algorithm, "
-                        f"got {self.inter!r}"
-                    )
-        else:
-            if (not isinstance(self.algorithms, tuple)
-                    or len(self.algorithms) < 2):
+                raise ConfigurationError("hierarchy: composition systems only")
+        get_algorithm(self.intra)
+        if self.system == "flat":
+            if self.inter != "naimi":  # FlatMutex runs intra alone
                 raise ConfigurationError(
-                    "algorithms of a multilevel system must be a tuple of "
-                    f">= 2 algorithm names (bottom-up), got {self.algorithms!r}"
+                    f"inter: flat systems run intra alone, got {self.inter!r}"
                 )
-            for name in self.algorithms:
+        else:
+            inter = get_algorithm(self.inter)
+            if self.system == "adaptive" and not inter.token_based:
+                raise ConfigurationError(
+                    f"inter: adaptive switching needs a token algorithm, "
+                    f"got {self.inter!r}"
+                )
+        if self.hierarchy is not None or self.middle != ():
+            if not isinstance(self.middle, tuple):
+                raise ConfigurationError(f"middle must be a tuple, got {self.middle!r}")
+            for name in self.middle:
                 get_algorithm(name)
-            try:
+            try:  # None, under a middle, is refused here too
                 depth = hierarchy_depth(self.hierarchy, self.n_clusters)
             except CompositionError as exc:
                 raise ConfigurationError(f"hierarchy: {exc}") from None
-            if len(self.algorithms) != depth + 1:
+            if len(self.middle) != depth - 1:
                 raise ConfigurationError(
-                    f"algorithms: a depth-{depth} hierarchy takes {depth + 1} "
-                    f"algorithms (bottom-up), got {len(self.algorithms)}"
+                    f"middle: a depth-{depth} hierarchy takes {depth - 1} "
+                    f"middle algorithms (bottom-up), got {len(self.middle)}"
                 )
         if self.platform == "grid5000" and self.n_clusters > 9:
             raise ConfigurationError(
@@ -292,12 +286,12 @@ class ExperimentConfig:
             return self.label
         if self.system == "flat":
             algo = f"{self.intra} (flat)"
-        elif self.system == "multilevel":
-            algo = "/".join(self.algorithms)
         elif self.system == "adaptive":
             algo = f"{self.intra}-adaptive"
         else:
-            algo = f"{self.intra}-{self.inter}"
+            algo = "-".join((self.intra, *self.middle, self.inter))
+            if self.hierarchy is not None:
+                algo += ":h" + repr(self.hierarchy).replace(" ", "")
         return (
             f"{algo} on {self.platform} {self.n_clusters}x"
             f"{self.apps_per_cluster}, rho/N={self.rho_over_n:.2f}"

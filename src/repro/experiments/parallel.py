@@ -159,7 +159,6 @@ def _stream_cached_exec(
     put_mask: Sequence[bool],
     cache: Optional[ExperimentCache],
     max_workers: Optional[int],
-    chunksize: Optional[int],
     reuse_pool: bool,
 ) -> Iterator[Tuple[int, ExperimentResult, bool]]:
     """The execution loop: yields ``(index, result, stored_by_worker)``
@@ -181,7 +180,7 @@ def _stream_cached_exec(
                 max_workers=max_workers
             )
             try:
-                size = chunksize or compute_chunksize(
+                size = compute_chunksize(
                     len(configs), max_workers or os.cpu_count() or 1
                 )
                 futures = {}
@@ -227,7 +226,6 @@ def stream_configs_cached(
     configs: Sequence[ExperimentConfig],
     cache: Optional[ExperimentCache],
     max_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     reuse_pool: bool = False,
 ) -> Iterator[Tuple[int, ExperimentResult]]:
     """The incremental sweep scheduler: hits stream first, misses run.
@@ -275,7 +273,7 @@ def stream_configs_cached(
         cache is not None and expected is None for _, expected in to_run
     ]
     for j, result, stored_by_worker in _stream_cached_exec(
-        queued, put_mask, cache, max_workers, chunksize, reuse_pool,
+        queued, put_mask, cache, max_workers, reuse_pool,
     ):
         i, expected = to_run[j]
         if cache is None or stored_by_worker:
@@ -290,15 +288,13 @@ def run_configs_cached(
     configs: Sequence[ExperimentConfig],
     cache: Optional[ExperimentCache],
     max_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     reuse_pool: bool = False,
 ) -> List[ExperimentResult]:
     """Ordered-list front door over :func:`stream_configs_cached`:
     results come back in the order of ``configs``."""
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     for i, result in stream_configs_cached(
-        configs, cache, max_workers=max_workers, chunksize=chunksize,
-        reuse_pool=reuse_pool,
+        configs, cache, max_workers=max_workers, reuse_pool=reuse_pool,
     ):
         results[i] = result
     assert all(r is not None for r in results)

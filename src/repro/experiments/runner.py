@@ -153,15 +153,11 @@ def build_system(
         raise ConfigurationError(
             f"peer_factory: a {config.system!r} system takes registry peers"
         )
-    if config.system not in ("composition", "multilevel", "adaptive"):
+    if config.system not in ("composition", "adaptive"):
         raise ConfigurationError(f"unknown system {config.system!r}")
-    # A "multilevel" config names its tree and every level's algorithm;
-    # the others are the paper's two levels.
-    deep = config.system == "multilevel"
-    intra, *middle, inter = config.algorithms if deep else (config.intra, config.inter)
     system = Composition(
-        sim, net, topology, intra, inter,
-        hierarchy=config.hierarchy if deep else None, middle=middle,
+        sim, net, topology, config.intra, config.inter,
+        hierarchy=config.hierarchy, middle=config.middle,
     )
     if config.system == "adaptive":
         AdaptiveController(system)  # reachable as system.controller

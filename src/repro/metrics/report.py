@@ -61,7 +61,6 @@ def format_series_table(
 def format_breakdown(
     parts: Sequence[tuple],
     total: float,
-    value_label: str = "ms",
 ) -> str:
     """Render ``(name, value)`` parts as a table with a share column.
 
@@ -74,7 +73,7 @@ def format_breakdown(
         share = value / total if total else 0.0
         rows.append([name, value, f"{share:.1%}"])
     rows.append(["total", total, "100.0%" if total else "-"])
-    return format_table(["segment", value_label, "share"], rows)
+    return format_table(["segment", "ms", "share"], rows)
 
 
 def format_matrix(

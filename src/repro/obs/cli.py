@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from ..experiments.cli import multilevel_fields, require_parent_dir
+from ..experiments.cli import require_parent_dir
 from ..experiments.config import OBS_LEVELS, PLATFORMS, SYSTEMS, ExperimentConfig
 from ..experiments.runner import ExperimentRun
 from .report import format_obs_report
@@ -98,7 +98,6 @@ def _run(args: argparse.Namespace) -> int:
         rho=rho,
         seed=args.seed,
         obs=level,
-        **multilevel_fields(args.system, args.intra, args.inter, args.clusters),
     )
     with ExperimentRun(config) as run:
         report = run.execute().obs_report

@@ -31,7 +31,11 @@ from .report import ObsReport, build_report
 
 __all__ = ["OBS_LEVELS", "ObservabilityLayer"]
 
-#: Verbosity levels of the ``obs`` experiment knob, in increasing order.
+#: Verbosity levels of the ``obs`` experiment knob, in increasing order:
+#: ``off`` attaches nothing (the hot path stays bare), ``counters`` adds
+#: cheap event counters, ``paths`` adds vector clocks + critical-path
+#: breakdown, ``trace`` additionally keeps per-CS rows and enables
+#: Chrome trace export.
 OBS_LEVELS: Tuple[str, ...] = ("off", "counters", "paths", "trace")
 
 

@@ -29,16 +29,14 @@ class LivenessChecker:
     def __init__(
         self,
         tracer: Tracer,
-        request_kind: str = "cs_request",
-        enter_kind: str = "cs_enter",
         include: Optional[Callable[[TraceRecord], bool]] = None,
     ) -> None:
         self._include = include
         self.outstanding: Dict[Key, float] = {}
         #: (node, port, requested_at, granted_at) for each satisfied request
         self.satisfied: List[Tuple[int, str, float, float]] = []
-        tracer.subscribe(request_kind, self._on_request)
-        tracer.subscribe(enter_kind, self._on_enter)
+        tracer.subscribe("cs_request", self._on_request)
+        tracer.subscribe("cs_enter", self._on_enter)
 
     def _on_request(self, rec: TraceRecord) -> None:
         if self._include is not None and not self._include(rec):

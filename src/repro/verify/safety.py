@@ -70,11 +70,9 @@ class MutualExclusionChecker:
     Parameters
     ----------
     tracer:
-        The simulator's tracer, for the trace feed; ``None`` builds a
-        checker fed only through :meth:`watch`.
-    enter_kind, exit_kind:
-        Trace kinds to watch (defaults match :class:`MutexPeer`; the
-        workload layer emits ``app_cs_enter`` / ``app_cs_exit``).
+        The simulator's tracer, for the trace feed (its ``cs_enter`` /
+        ``cs_exit`` records); ``None`` builds a checker fed only through
+        :meth:`watch`.
     include:
         Optional predicate on the trace record selecting which events are
         subject to the mutual exclusion invariant — e.g. restrict to one
@@ -88,8 +86,6 @@ class MutualExclusionChecker:
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
-        enter_kind: str = "cs_enter",
-        exit_kind: str = "cs_exit",
         include: Optional[Callable[[TraceRecord], bool]] = None,
     ) -> None:
         self._include = include
@@ -100,8 +96,8 @@ class MutualExclusionChecker:
         self._inside: Set[Union[Key, _Watcher]] = set()
         self.total_entries = 0
         if tracer is not None:
-            tracer.subscribe(enter_kind, self._on_enter)
-            tracer.subscribe(exit_kind, self._on_exit)
+            tracer.subscribe("cs_enter", self._on_enter)
+            tracer.subscribe("cs_exit", self._on_exit)
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -38,6 +38,7 @@ from repro.analysis.explore import (
     run_matrix,
     write_counterexample,
 )
+from repro.core.recovery import InstanceRecovery
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import ExperimentConfig, ExperimentRun
 
@@ -66,7 +67,7 @@ def _cell(n_cs=1, *, requesters=None, crash_node=None, peer_factory=None,
 # --------------------------------------------------------------------- #
 #: ``cell -> (states, transitions, state_fingerprint)``, recorded at the
 #: last commit that explored every fault-free cell under two backends
-#: and required them to agree (the multilevel row since that cell was
+#: and required them to agree (the three-level row since that cell was
 #: added, as a config only; its 2 300 states reduce 44.6x).  The fingerprint hashes sorted state
 #: digests of plain ints/strings/tuples, so it is the same in every
 #: process (checked under PYTHONHASHSEED=1 and =2).  A protocol or
@@ -78,7 +79,7 @@ EXPLORED = {
     "composition:naimi-naimi:2x3:r2:q1,2,4": (2948, 3756, "45dab3aae1d3f652"),
     "composition:suzuki-suzuki:2x3:r1:q1,2,4": (3249, 4441, "a5b578080abacf52"),
     "composition:martin-martin:2x3:r1:q1,2,4": (695, 820, "5fec159e05b375f2"),
-    "multilevel:naimi-suzuki-martin:3x3:r1:h((0,1),(2,))":
+    "composition:naimi-suzuki-martin:3x3:r1:h((0,1),(2,))":
         (2300, 2865, "3bf8f835cbbb531c"),
     "flat:naimi:2x2:r1:crash1": (57, 83, "d5832a6a3805968a"),
 }
@@ -98,7 +99,7 @@ class TestDefaultMatrix:
         for algo in ("naimi", "suzuki", "martin"):
             assert any(n.startswith(f"flat:{algo}:") for n in names)
             assert any(f"composition:{algo}-{algo}:" in n for n in names)
-        assert any(n.startswith("multilevel:naimi-suzuki-martin:") for n in names)
+        assert any(n.startswith("composition:naimi-suzuki-martin:") for n in names)
         assert any("crash" in n for n in names)
 
     def test_explorations_are_exhaustive(self, matrix):
@@ -123,6 +124,16 @@ class TestDefaultMatrix:
         crash = [c for c in matrix.cells if c.scope.crash_node is not None]
         assert len(crash) == 1
         assert crash[0].ok
+
+    def test_crash_cell_runs_the_product_recovery(self, monkeypatch):
+        # The cell's recover action is InstanceRecovery.recover itself:
+        # with its replay made a no-op, a survivor whose request died
+        # with the crashed node waits forever.
+        monkeypatch.setattr(InstanceRecovery, "replay_pending", lambda self: None)
+        scope = next(c for c in default_cells() if c.crash_node is not None)
+        report = explore(scope, stop_on_violation=False)
+        assert report.complete
+        assert "deadlock" in {v.property for v in report.violations}
 
 
 # --------------------------------------------------------------------- #
@@ -247,7 +258,7 @@ class TestScheduleRoundTrip:
         # The tree's nested tuples survive JSON's arrays, and every field
         # a run reads is the cell's own: no best-effort mapping.
         scope = default_cells()[6]
-        assert scope.config.system == "multilevel"
+        assert scope.config.middle == ("suzuki",)
         doc = counterexample_to_dict(
             scope, Violation(property="deadlock", message="m", schedule=())
         )

@@ -30,11 +30,11 @@ TINY = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
 #: Exact canonical rendering of ``TINY`` — update deliberately (and bump
 #: CACHE_SCHEMA_VERSION) when ExperimentConfig gains or renames a field.
 GOLDEN = (
-    '{"algorithms":[],"alpha_ms":10.0,"apps_per_cluster":2,'
+    '{"alpha_ms":10.0,"apps_per_cluster":2,'
     '"check_safety":true,"deadline_ms":null,'
     '"distribution":"exponential","fifo":false,"hierarchy":null,'
     '"inter":"naimi","intra":"naimi","jitter":0.0,"label":"",'
-    '"lan_ms":0.05,"n_clusters":2,"n_cs":3,"obs":"off",'
+    '"lan_ms":0.05,"middle":[],"n_clusters":2,"n_cs":3,"obs":"off",'
     '"platform":"two-tier","rho":4.0,"seed":7,"system":"composition",'
     '"tie_seed":null,"wan_ms":10.0}'
 )
@@ -111,12 +111,11 @@ class TestCanonicalJson:
 
     def test_nested_hierarchy_tuples_become_arrays(self):
         cfg = TINY.with_(
-            system="multilevel",
-            algorithms=("naimi", "suzuki", "martin"),
+            middle=("suzuki", "martin"),
             hierarchy=((0, 1), (2, (3, 4))),
         )
         text = cfg.cache_key()
-        assert '"algorithms":["naimi","suzuki","martin"]' in text
+        assert '"middle":["suzuki","martin"]' in text
         assert '"hierarchy":[[0,1],[2,[3,4]]]' in text
 
     def test_strings_are_ascii_escaped(self):
@@ -264,8 +263,8 @@ _label = st.one_of(
 @st.composite
 def _configs(draw):
     return ExperimentConfig(
-        system=draw(st.sampled_from(("composition", "flat", "multilevel"))),
-        algorithms=draw(st.lists(st.text(max_size=6), max_size=3).map(tuple)),
+        system=draw(st.sampled_from(("composition", "flat", "adaptive"))),
+        middle=draw(st.lists(st.text(max_size=6), max_size=3).map(tuple)),
         hierarchy=draw(st.one_of(st.none(), _hierarchy)),
         n_clusters=draw(st.integers(1, 9)),
         jitter=draw(_number),

@@ -15,6 +15,7 @@ from repro.experiments import (
     run_many,
     stream_configs_cached,
 )
+from repro.experiments.parallel import compute_chunksize
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
@@ -247,7 +248,8 @@ class TestPoolPathWorkerStats:
 
         monkeypatch.setattr(ExperimentCache, "entries", counted)
         configs = [CFG.with_(seed=s) for s in range(8)]
-        got = run_configs_cached(configs, cache, max_workers=2, chunksize=1)
+        assert compute_chunksize(len(configs), 2) == 1  # 8 chunks
+        got = run_configs_cached(configs, cache, max_workers=2)
         assert got == [run_experiment(c) for c in configs]
         walks = len(log.read_text().splitlines())
         assert 1 <= walks <= 2  # one per worker process, not one per chunk (8)

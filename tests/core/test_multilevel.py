@@ -1,8 +1,6 @@
 """Unit tests for hierarchies deeper than two levels (paper §6 extension):
 the same :class:`Composition` over a deeper ``hierarchy`` spec."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import Composition, hierarchy_depth
@@ -13,8 +11,6 @@ from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.sim import Simulator
 from repro.verify import MutualExclusionChecker, RunDigest
 from repro.workload import deploy_workload
-
-ALGOS = ("naimi", "suzuki", "martin")
 
 #: The three Grid'5000 zones of ``examples/multilevel_hierarchy.py``.
 ZONES = ((0, 3, 4), (1, 2, 6, 7, 8), (5,))
@@ -197,30 +193,13 @@ def run_digested(config):
     return digest.hexdigest, result
 
 
-@pytest.mark.parametrize("intra", ALGOS)
-@pytest.mark.parametrize("inter", ALGOS)
-def test_one_deep_multilevel_config_is_the_composition(intra, inter):
-    composition = ExperimentConfig(
-        intra=intra, inter=inter, n_clusters=4, apps_per_cluster=3,
-        n_cs=5, rho=12.0, seed=1,
-    )
-    multilevel = composition.with_(
-        system="multilevel", algorithms=(intra, inter),
-        hierarchy=tuple(range(4)),
-    )
-    digest, result = run_digested(composition)
-    ml_digest, ml_result = run_digested(multilevel)
-    assert ml_digest == digest
-    assert dataclasses.replace(ml_result, config=composition) == result
-
-
 #: (cs_count, total_messages, inter_cluster_messages,
 #: intra_cluster_messages, total_bytes, sim_time_ms, obtaining.mean) of
 #: deeper trees, recorded when they had a builder of their own.
 DEEP_PINS = {
     "two-tier zones": (
         ExperimentConfig(
-            system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+            intra="naimi", middle=("suzuki",), inter="martin",
             hierarchy=((0, 1), (2, 3)), platform="two-tier", n_clusters=4,
             apps_per_cluster=3, n_cs=6, rho=12, seed=1,
         ),
@@ -228,7 +207,7 @@ DEEP_PINS = {
     ),
     "grid5000 zones": (
         ExperimentConfig(
-            system="multilevel", algorithms=("naimi", "naimi", "naimi"),
+            intra="naimi", middle=("naimi",), inter="naimi",
             hierarchy=ZONES, platform="grid5000", n_clusters=9,
             apps_per_cluster=4, n_cs=10, rho=18, seed=0,
         ),
@@ -244,5 +223,5 @@ def test_deeper_trees_keep_their_numbers(case):
     assert (r.cs_count, r.total_messages, r.inter_cluster_messages,
             r.intra_cluster_messages, r.total_bytes, r.sim_time_ms,
             r.obtaining.mean) == pinned
-    assert r.name == "-".join(config.algorithms)
-    assert r.inter_algorithm_final == config.algorithms[-1]
+    assert r.name == "-".join((config.intra, *config.middle, config.inter))
+    assert r.inter_algorithm_final == config.inter

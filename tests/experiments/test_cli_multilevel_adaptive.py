@@ -1,4 +1,5 @@
-"""CLI coverage for the multilevel and adaptive system paths."""
+"""CLI coverage for the two-level tree (once ``--system multilevel``) and
+the adaptive system paths."""
 
 import pytest
 
@@ -6,14 +7,18 @@ from repro.experiments.cli import main
 
 
 def test_cli_run_multilevel(capsys):
-    code = main([
-        "run", "--system", "multilevel", "--clusters", "3", "--apps", "2",
-        "--n-cs", "3", "--platform", "two-tier",
-    ])
-    assert code == 0
+    # The two-level tree --system multilevel built is the composition,
+    # the default system; no alias is kept.
+    args = ["--clusters", "3", "--apps", "2", "--n-cs", "3",
+            "--platform", "two-tier"]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--system", "multilevel", *args])
+    assert exc.value.code == 2
+    assert "invalid choice: 'multilevel'" in capsys.readouterr().err
+    assert main(["run", *args]) == 0
     out = capsys.readouterr().out
     assert "system            : naimi-naimi\n" in out
-    assert "workload          : naimi/naimi on" in out
+    assert "workload          : naimi-naimi on" in out
     assert "critical sections : 18" in out
 
 
@@ -21,21 +26,21 @@ def test_cli_run_multilevel_honours_intra_inter_flags(capsys):
     # Regression: --system multilevel used to hard-code naimi/naimi,
     # silently ignoring --intra and --inter.
     code = main([
-        "run", "--system", "multilevel", "--intra", "suzuki",
+        "run", "--system", "composition", "--intra", "suzuki",
         "--inter", "martin", "--clusters", "3", "--apps", "2",
         "--n-cs", "3", "--platform", "two-tier",
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "system            : suzuki-martin\n" in out
-    assert "workload          : suzuki/martin on" in out
+    assert "workload          : suzuki-martin on" in out
     assert "naimi" not in out
 
 
 def test_cli_run_rejects_unregistered_algorithm(capsys):
     with pytest.raises(SystemExit) as exc:
         main([
-            "run", "--system", "multilevel", "--intra", "nope",
+            "run", "--intra", "nope",
             "--clusters", "2", "--apps", "2", "--n-cs", "1",
         ])
     assert exc.value.code == 2

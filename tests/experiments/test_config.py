@@ -32,8 +32,7 @@ def test_reserved_slots():
     assert ExperimentConfig(system="flat").reserved_slots == 1
     assert ExperimentConfig(system="composition").reserved_slots == 1
     ml = ExperimentConfig(
-        system="multilevel",
-        algorithms=("naimi", "naimi", "martin"),
+        intra="naimi", middle=("naimi",), inter="martin",
         hierarchy=((0, 1), (2, 3)),
         n_clusters=4,
     )
@@ -54,8 +53,8 @@ def test_default_deadline_scales_with_workload():
         {"platform": "ethernet"},
         {"intra": "unknown-algo"},
         {"inter": "unknown-algo"},
-        {"system": "multilevel", "algorithms": ("naimi",)},
-        {"system": "multilevel", "algorithms": ("naimi", "naimi")},  # no hierarchy
+        {"middle": ("naimi",)},  # no hierarchy
+        {"hierarchy": ((0, 1), (2, 3)), "n_clusters": 4},  # no middle
         {"platform": "grid5000", "n_clusters": 10},
         {"n_clusters": 0},
         {"apps_per_cluster": 0},
@@ -104,10 +103,10 @@ def test_invalid_value_is_refused_by_field_name_before_anything_runs(field, valu
         ("hierarchy", {"hierarchy": (0, 0, 1, 2)}),
         ("hierarchy", {"hierarchy": (True, 1, 2)}),
         ("hierarchy", {"hierarchy": (0, (1, 2))}),
-        ("hierarchy", {"hierarchy": None}),
-        ("algorithms", {"algorithms": ("naimi", "naimi", "naimi")}),
-        ("algorithms", {"hierarchy": ((0, 1), (2,))}),
-        ("algorithms", {"algorithms": ["naimi", "naimi"]}),
+        ("hierarchy", {"hierarchy": None, "middle": ("naimi",)}),
+        ("middle", {"middle": ("naimi",)}),
+        ("middle", {"hierarchy": ((0, 1), (2,))}),
+        ("middle", {"hierarchy": ((0, 1), (2,)), "middle": ["naimi"]}),
     ],
     ids=["string", "list", "missing", "repeated", "bool", "mixed-depth",
          "none", "too-many-algorithms", "too-few-algorithms",
@@ -115,9 +114,11 @@ def test_invalid_value_is_refused_by_field_name_before_anything_runs(field, valu
 )
 def test_multilevel_tree_is_refused_by_field_name(field, changes):
     config = ExperimentConfig(
-        system="multilevel", algorithms=("naimi", "naimi"),
+        intra="naimi", inter="naimi",
         hierarchy=(0, 1, 2), n_clusters=3, apps_per_cluster=2, n_cs=2,
-    ).with_(**changes)
+    )
+    config.validate()
+    config = config.with_(**changes)
     with pytest.raises(ConfigurationError, match=field):
         config.validate()
 
@@ -130,10 +131,10 @@ def test_adaptive_with_a_permission_inter_is_refused_by_validate(inter):
         config.validate()
 
 
-@pytest.mark.parametrize("system", ["composition", "flat", "adaptive"])
+@pytest.mark.parametrize("system", ["flat", "adaptive"])
 @pytest.mark.parametrize(
     "field,value,default",
-    [("hierarchy", (2, 0, 1), None), ("algorithms", ("naimi", "martin"), ())],
+    [("hierarchy", (2, 0, 1), None), ("middle", ("naimi",), ())],
 )
 def test_multilevel_fields_are_refused_elsewhere(system, field, value, default):
     # Such a config ran as the default one but cached under its own key.
@@ -143,9 +144,19 @@ def test_multilevel_fields_are_refused_elsewhere(system, field, value, default):
         config.validate()
 
 
+def test_flat_refuses_an_inter_it_never_reads():
+    # FlatMutex runs intra alone: such a config ran as the default one
+    # but cached under its own key.
+    config = ExperimentConfig(system="flat", inter="martin")
+    assert config.cache_key() != config.with_(inter="naimi").cache_key()
+    with pytest.raises(ConfigurationError, match="inter"):
+        config.validate()
+    config.with_(inter="naimi").validate()
+
+
 def test_valid_multilevel_config_is_hashable():
     config = ExperimentConfig(
-        system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+        intra="naimi", middle=("suzuki",), inter="martin",
         hierarchy=((0, 2), (1,)), n_clusters=3,
     )
     config.validate()
@@ -156,10 +167,11 @@ def test_describe():
     assert "naimi-martin" in ExperimentConfig(inter="martin").describe()
     assert "(flat)" in ExperimentConfig(system="flat").describe()
     assert ExperimentConfig(label="custom").describe() == "custom"
-    ml = ExperimentConfig(
-        system="multilevel",
-        algorithms=("naimi", "martin"),
-        hierarchy=(0,),
-        n_clusters=1,
+    two = ExperimentConfig(
+        intra="naimi", inter="martin", hierarchy=(0,), n_clusters=1,
     )
-    assert "naimi/martin" in ml.describe()
+    assert two.describe().startswith("naimi-martin:h(0,) on ")
+    three = two.with_(
+        middle=("suzuki",), hierarchy=((0, 1), (2,)), n_clusters=3,
+    )
+    assert three.describe().startswith("naimi-suzuki-martin:h((0,1),(2,)) on ")

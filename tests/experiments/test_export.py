@@ -37,11 +37,7 @@ def test_result_to_dict_roundtrips_through_json():
 
 
 def test_result_dict_handles_hierarchy_tuples():
-    cfg = CFG.with_(
-        system="multilevel",
-        algorithms=("naimi", "naimi"),
-        hierarchy=(0, 1),
-    )
+    cfg = CFG.with_(hierarchy=(0, 1))
     doc = result_to_dict(run_experiment(cfg))
     assert doc["config"]["hierarchy"] == [0, 1]
     json.dumps(doc)  # must be serialisable

@@ -142,9 +142,8 @@ def test_broken_pool_mid_batch_redoes_only_missing(monkeypatch):
 
     monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", HalfBrokenPool)
     monkeypatch.setattr(parallel_mod, "run_experiment", counting_run)
-    results = run_configs_cached(
-        configs, cache=None, max_workers=2, chunksize=1
-    )
+    assert compute_chunksize(len(configs), 2) == 1  # one chunk per config
+    results = run_configs_cached(configs, cache=None, max_workers=2)
     assert redone == [1, 2, 3]  # seed 0 came from the pool and was kept
     assert [r.config.seed for r in results] == list(SEEDS)
     assert [r.total_messages for r in results] == \

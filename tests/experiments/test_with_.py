@@ -40,7 +40,7 @@ FIELDS = {
     "system": st.sampled_from(SYSTEMS),
     "intra": _algorithm,
     "inter": _algorithm,
-    "algorithms": st.lists(_algorithm, max_size=3).map(tuple),
+    "middle": st.lists(_algorithm, max_size=3).map(tuple),
     "hierarchy": st.one_of(st.none(), _hierarchy),
     "platform": st.sampled_from(PLATFORMS),
     "n_clusters": st.integers(1, 9),

@@ -83,7 +83,7 @@ def hopping(digest_cls):
 # (a) the route is invisible
 # --------------------------------------------------------------------- #
 MULTILEVEL = ExperimentConfig(
-    system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+    intra="naimi", middle=("suzuki",), inter="martin",
     hierarchy=((0, 1), (2, 3)), n_clusters=4, apps_per_cluster=2,
     n_cs=3, rho=8.0, jitter=0.05, seed=4,
 )

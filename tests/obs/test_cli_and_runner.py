@@ -59,9 +59,10 @@ class TestCLI:
         assert out == ""  # refused before the run, not after it
 
     def test_multilevel_is_built_from_intra_and_inter(self, capsys):
-        assert main([*SMALL, "--system", "multilevel", "--inter", "martin",
+        # The two-level tree --system multilevel built is the composition.
+        assert main([*SMALL, "--system", "composition", "--inter", "martin",
                      "--platform", "two-tier", "--level", "counters"]) == 0
-        assert "naimi/martin" in capsys.readouterr().out
+        assert "naimi-martin on" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
         """`python -m repro.obs` resolves and runs end to end."""

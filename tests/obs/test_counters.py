@@ -131,7 +131,7 @@ CONFIGS = {
         apps_per_cluster=3, n_cs=8, rho=1.0, seed=5,
     ),
     "multilevel": ExperimentConfig(
-        system="multilevel", algorithms=("naimi", "suzuki", "martin"),
+        intra="naimi", middle=("suzuki",), inter="martin",
         hierarchy=((0, 1), (2, 3)), platform="two-tier", n_clusters=4,
         apps_per_cluster=2, n_cs=3, rho=8.0, seed=3,
     ),

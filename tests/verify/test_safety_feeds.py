@@ -157,7 +157,7 @@ RUNNER_CONFIGS = {
         apps_per_cluster=2, n_cs=2, rho=6.0, seed=1,
     ),
     "multilevel": ExperimentConfig(
-        system="multilevel", algorithms=("suzuki", "naimi"),
+        intra="suzuki", inter="naimi",
         hierarchy=tuple(range(4)), platform="two-tier", n_clusters=4,
         apps_per_cluster=2, n_cs=2, rho=8.0, seed=5,
     ),
