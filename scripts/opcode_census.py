@@ -4,6 +4,7 @@ cache hit) of one smoke-size benchmark run, and its calendar operations.
 
     python scripts/opcode_census.py --workload fig4_single
     python scripts/opcode_census.py --workload reproduce_warm
+    python scripts/opcode_census.py --workload suzuki_flat --profile
     python scripts/opcode_census.py --workload twotier_5k --memory
 
 Runs one of the three single-run workloads of ``benchmarks/system`` (the
@@ -42,6 +43,16 @@ hot path before timing it with ``scripts/paired_bench.py``; quote the
 interpreter version with the numbers, they differ between CPython
 releases.
 
+``--profile`` adds time beside the count: it runs the workload
+``PROFILE_RUNS`` more times under ``cProfile`` and prints, next to each
+package's instruction share, its share of the own time (``tottime``)
+as the median and the min–max of those runs.  The own time of a C
+function is charged to the package of the Python function that called
+it, so a package's share includes the C calls it makes -- the work the
+instruction count misses.  It is a time, so it spreads from run to run
+(hence the range) and carries the profiler's own per-call overhead; use
+it to see where instructions and time disagree, not to size a gain.
+
 ``--memory`` is the same census for state instead of work: it builds
 the workload's smoke config with ``ExperimentRun.build()`` under
 ``tracemalloc`` and prints the bytes still allocated once the build
@@ -55,7 +66,10 @@ allocator is asked for, not pages, so it sizes a per-node saving before
 from __future__ import annotations
 
 import argparse
+import cProfile
 import gc
+import pstats
+import statistics
 import sys
 import tempfile
 import tracemalloc
@@ -95,10 +109,14 @@ TOP_SITES = 10
 OTHER = "(other)"
 #: untraced builds before ``--memory`` traces one
 WARM_BUILDS = 32
+#: profiled runs behind each ``--profile`` median and range
+PROFILE_RUNS = 3
 PACKAGE = ROOT / "src" / "repro"
 
 #: ``{(file, function): instructions}``
 Table = Dict[Tuple[str, str], int]
+#: ``{package: (median, min, max)}`` of the own-time share, ``--profile``
+Shares = Dict[str, Tuple[float, float, float]]
 #: A census row's name: ``(file, function)``, or ``file:line``
 Row = TypeVar("Row", Tuple[str, str], str)
 #: The calendar operations, by name: counted apart as well, and always
@@ -253,6 +271,42 @@ def warm_census(seed: int = 1) -> RunCensus:
     return RunCensus(hits, 0, table, heap, packages, built, calls)
 
 
+def own_time(stats: Dict[Any, Any]) -> Dict[str, float]:
+    """Seconds of own time per package in ``pstats.Stats(...).stats``,
+    a C function's (file ``~``) charged to the package of each caller,
+    by the time it spent called from there."""
+    own: Dict[str, float] = {}
+    for (filename, _, _), (_, _, tottime, _, callers) in stats.items():
+        if filename != "~" or not callers:
+            package = OTHER if filename == "~" else _package(filename)
+            own[package] = own.get(package, 0.0) + tottime
+            continue
+        for (caller, _, _), edge in callers.items():
+            package = OTHER if caller == "~" else _package(caller)
+            own[package] = own.get(package, 0.0) + edge[2]
+    return own
+
+
+def profile_packages(config: ExperimentConfig) -> Shares:
+    """Each package's share of the own time of ``run_experiment(config)``
+    under ``cProfile`` (:func:`own_time`): median, min and max over
+    ``PROFILE_RUNS`` runs, a package absent from a run counting 0 there."""
+    run_experiment(config, cache=None)  # imports, memos: not the run's cost
+    shares: List[Dict[str, float]] = []
+    for _ in range(PROFILE_RUNS):
+        profiler = cProfile.Profile()
+        gc.collect()
+        profiler.runcall(run_experiment, config, cache=None)
+        own = own_time(pstats.Stats(profiler).stats)  # type: ignore[attr-defined]
+        total = sum(own.values())
+        shares.append({package: t / total for package, t in own.items()})
+    result: Shares = {}
+    for package in {package for run in shares for package in run}:
+        values = [run.get(package, 0.0) for run in shares]
+        result[package] = (statistics.median(values), min(values), max(values))
+    return result
+
+
 def memory_census(config: ExperimentConfig) -> Dict[Tuple[str, str], int]:
     """Bytes that ``ExperimentRun(config).build()`` leaves allocated, by
     ``(package, file:line)`` of the line that allocated them: a
@@ -333,13 +387,16 @@ def render(
     cs: Optional[int] = None,
     built: Optional[int] = None,
     calls: Optional[Dict[str, int]] = None,
+    profile: Optional[Shares] = None,
 ) -> str:
     """The census table; ``units`` are cache hits for ``reproduce_warm``,
     sent messages otherwise.  ``cs``, the critical sections completed,
     adds a line of instructions per CS; ``built``, a line of ``Message``
     objects per message.  The package block follows, then the top
     ``(file, function)`` rows; ``calls``, the C calls by callee, adds
-    their block last (:func:`call_rows`)."""
+    their block last (:func:`call_rows`).  ``profile``, the own-time
+    shares of :func:`profile_packages`, adds a ``time`` column (median)
+    and a ``min-max`` one to the package block."""
     total = sum(table.values())
     unit, per = (
         ("cache hits", "hit") if workload == "reproduce_warm" else ("messages", "msg")
@@ -356,9 +413,19 @@ def render(
         lines.append(
             f"{built / units:>10.2f} {'':>6}  Message objects per message ({built})"
         )
-    lines.append(f"{'instr/' + per:>10} {'share':>6}  package")
+    if profile is None:
+        lines.append(f"{'instr/' + per:>10} {'share':>6}  package")
+    else:
+        lines.append(
+            f"{'instr/' + per:>10} {'share':>6} {'time':>6} {'min-max':>11}  package")
     for package, n in ranked(packages):
-        lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {package}")
+        if profile is None:
+            lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {package}")
+            continue
+        mid, low, high = profile.get(package, (0.0, 0.0, 0.0))
+        span = f"{low:.1%}-{high:.1%}"
+        lines.append(
+            f"{n / units:>10.1f} {n / total:>6.1%} {mid:>6.1%} {span:>11}  {package}")
     lines.append(f"{'instr/' + per:>10} {'share':>6}  file:function")
     for (name, function), n in ranked(table)[:TOP]:
         lines.append(f"{n / units:>10.1f} {n / total:>6.1%}  {name}:{function}")
@@ -388,7 +455,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--memory", action="store_true",
         help="bytes retained per app node after build(), not instructions",
     )
+    parser.add_argument(
+        "--profile", action="store_true",
+        help=f"add each package's cProfile own-time share (median, min-max "
+             f"of {PROFILE_RUNS} runs) beside its instruction share",
+    )
     args = parser.parse_args(argv)
+    if args.profile and (args.memory or args.workload == "reproduce_warm"):
+        parser.error("--profile times one simulation run: pick a single-run "
+                     "workload, without --memory")
     if args.memory:
         if args.workload == "reproduce_warm":
             parser.error("--memory builds one run: pick a single-run workload")
@@ -401,9 +476,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render(args.workload, run.units, run.table, run.packages,
                      calls=run.calls))
         return 0
-    run = census(smoke_config(args.workload, args.seed))
+    config = smoke_config(args.workload, args.seed)
+    run = census(config)
+    profile = profile_packages(config) if args.profile else None
     print(render(args.workload, run.units, run.table, run.packages,
-                 run.cs, run.built, run.calls))
+                 run.cs, run.built, run.calls, profile))
     return 0
 
 

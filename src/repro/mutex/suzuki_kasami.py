@@ -123,13 +123,14 @@ class SuzukiKasamiPeer(MutexPeer):
     # releasing
     # ------------------------------------------------------------------ #
     def _do_release(self) -> None:
-        assert self.ln is not None and self.queue is not None
-        self.ln[self.node] = self.rn[self.node]
+        rn, ln, queue, node = self.rn, self.ln, self.queue, self.node
+        assert ln is not None and queue is not None
+        ln[node] = rn[node]
         for j in self.peers:
-            if j != self.node and self.rn[j] == self.ln[j] + 1 and j not in self.queue:
-                self.queue.append(j)
-        if self.queue:
-            self._send_token(self.queue.popleft())
+            if j != node and rn[j] == ln[j] + 1 and j not in queue:
+                queue.append(j)
+        if queue:
+            self._send_token(queue.popleft())
 
     # ------------------------------------------------------------------ #
     # message handlers
@@ -137,13 +138,15 @@ class SuzukiKasamiPeer(MutexPeer):
     def _on_request(self, src: int, payload: Any) -> None:
         origin = payload["origin"]
         seq = payload["seq"]
-        if seq <= self.rn[origin]:
+        rn = self.rn
+        if seq <= rn[origin]:
             return  # outdated or duplicated request
-        self.rn[origin] = seq
+        rn[origin] = seq
         if not self._holds_token:
             return
-        assert self.ln is not None
-        if self.rn[origin] == self.ln[origin] + 1:
+        ln = self.ln
+        assert ln is not None
+        if seq == ln[origin] + 1:
             if self.state is PeerState.NO_REQ:
                 # Idle holder grants immediately.
                 self._send_token(origin)

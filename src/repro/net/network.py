@@ -69,15 +69,16 @@ flight still loses it.
 A fused :meth:`Network.multicast` goes further: it builds **one**
 message per broadcast, with one private copy of the payload, and
 consecutive destinations with the same due time share one bare entry,
-a *group* ``(due, seq, _fan, (dsts, seq, shared, first))`` holding
-destinations, not messages, keyed by its first member.  The kernel
-``seq`` and the message ``seq`` still advance once per destination, so
-the members' keys ``seq, seq + 1, …`` and message numbers ``first,
-first + 1, …`` are what per-message entries would have had, and nothing
-else can sort between them.  :meth:`Network._fan` hands the members
-over in send order and routes each one *on arrival*, as ``_deliver``
-does, so a group needs no rewriting when any of the above changes in
-flight:
+a *group* ``(due, seq, _fan, (dsts, seq, shared, first, pairs, gen))``
+holding destinations, not messages, keyed by its first member.  The
+kernel ``seq`` and the message ``seq`` still advance once per
+destination, so the members' keys ``seq, seq + 1, …`` and message
+numbers ``first, first + 1, …`` are what per-message entries would have
+had, and nothing else can sort between them.  :meth:`Network._fan`
+hands the members over in send order, each through the handler the
+group carries for it (``pairs``, below) or routed *on arrival* as
+``_deliver`` does, so a group needs no rewriting when any of the above
+changes in flight:
 
 * on the direct route it calls ``table[kind](owner, src, payload)``
   with the broadcast's one payload, which a handler only reads;
@@ -102,15 +103,26 @@ pushes one group per run, merging neighbours whose due times are equal.
 Only a tuple of distinct, routed nodes is planned
 (:attr:`~repro.mutex.base.MutexPeer.peers` always is); any other input
 — a list, a ``range``, a generator, a tuple with a repeat or an unrouted
-member — is the loop of sends.  A plan holds no route (``_fan`` routes
-on arrival), so ``register``, ``fence`` and a path flip leave it
-valid; ``unregister`` and ``close`` drop every plan.  Each destination
-tuple has at most one plan per cluster, each holding every member once:
-O(C·N) members per tuple for C clusters and N destinations, never one
-plan per sender.  The bound is per tuple object: the plans of a tuple
-no longer broadcast to (a peer's ``peers`` before a ``reform``) stay
-until ``unregister`` or ``close``, so a caller keeps one long-lived
-tuple rather than building one per broadcast.
+member — is the loop of sends.  Each destination tuple has at most one
+plan per cluster, each holding every member once: O(C·N) members per
+tuple for C clusters and N destinations, never one plan per sender.  The
+bound is per tuple object: the plans of a tuple no longer broadcast to
+(a peer's ``peers`` before a ``reform``) stay until ``unregister`` or
+``close``, so a caller keeps one long-lived tuple rather than building
+one per broadcast.
+
+A plan also holds, per kind, its members' ``(handler, owner)`` pairs,
+made on the kind's first broadcast on the direct route.  The network
+keeps a *route generation*, bumped by ``unregister``, ``close`` and
+every change of the direct route (a feature, a fence, a ``deliver``
+subscriber): nothing else can alter a planned member's route
+(``register`` cannot reach a routed address).  A group carries its
+pairs and the generation it was pushed at, and ``_fan`` calls
+``handler(owner, src, payload)`` per member while that generation
+holds.  The rest go through :meth:`Network._route`: the members reached
+after a bump, and every member of a group pushed off the direct route
+or for a kind some member cannot take directly (a plain callable, or a
+table without the kind).
 """
 
 from __future__ import annotations
@@ -146,16 +158,24 @@ _NO_ROUTES: Dict[int, Route] = {}  # likewise: an unknown port's nodes
 #: The route of a group member that must take the ``_deliver`` hop: its
 #: empty table sends every kind there (the handler is never called).
 _HOP: Route = (lambda _msg: None, None, _NO_TABLE)
-#: A broadcast plan (see :meth:`Network.multicast`): the runs ``(delay,
-#: members)`` of consecutive destinations that share a delay, the member
-#: count per destination cluster, ``{member of the sender's cluster:
-#: (run, position)}``, and the destination tuple itself (held, so that
-#: its ``id`` in the plan's key stays its own).
+#: Group members' resolved ``(handler, owner)`` pairs, in member order.
+Pairs = Tuple[Tuple[Callable[..., Any], Any], ...]
+#: One run of a broadcast plan: its delay, its members, and their pairs
+#: for one kind (``()``: unresolved).
+Run = Tuple[float, Tuple[int, ...], Pairs]
+#: A broadcast plan (see :meth:`Network.multicast`): the unresolved runs
+#: of consecutive destinations that share a delay, the member count per
+#: destination cluster, ``{member of the sender's cluster: (run,
+#: position)}``, the destination tuple itself (held, so that its ``id``
+#: in the plan's key stays its own), and ``{kind: runs}`` with the pairs
+#: resolved (the unresolved runs for a kind some member cannot take
+#: directly).
 Plan = Tuple[
-    Tuple[Tuple[float, Tuple[int, ...]], ...],
+    Tuple[Run, ...],
     Tuple[Tuple[int, int], ...],
     Dict[int, Tuple[int, int]],
     Iterable[int],
+    Dict[str, Tuple[Run, ...]],
 ]
 
 
@@ -246,7 +266,11 @@ class Network:
         self._plans: Dict[Tuple[int, str, int], Plan] = {}
         # The members of the group `_fan` is handing over that it has
         # not reached yet (an iterator; see `delivered`).
-        self._fanning: Optional[Iterator[int]] = None
+        self._fanning: Optional[Iterator[Any]] = None
+        # Bumped by every change that can alter a planned member's route:
+        # a group pushed at another generation routes its members on
+        # arrival (see `_fan`).
+        self._route_gen = 0
         # Gates of the fused path, kept as plain attributes: `_resolve`
         # and the tracer's change hook re-derive them.
         self._direct = False
@@ -270,8 +294,10 @@ class Network:
         active = self.sim.trace.active_kinds
         self._trace_send = "send" in active
         direct = self._plain and "deliver" not in active
-        if self._direct and not direct:
-            self._undirect()  # what is in flight arrives through _deliver
+        if self._direct != direct:
+            self._route_gen += 1
+            if not direct:
+                self._undirect()  # what is in flight arrives through _deliver
         self._direct = direct
 
     def _direct_entries(self, owner: Any = None) -> Iterator[int]:
@@ -393,6 +419,7 @@ class Network:
             raise NetworkError(f"no handler at {(node, port)}")
         owner = nodes.pop(node)[1]
         self._plans.clear()  # a plan's members were all routed
+        self._route_gen += 1
         if owner is not None:
             self._undirect(owner)
 
@@ -402,6 +429,7 @@ class Network:
         its agents into cycles.  Nothing can be sent afterwards."""
         self._routes.clear()
         self._plans.clear()
+        self._route_gen += 1
         self.sim.trace.remove_change_hook(self._resolve)
         self._deliver_cb = self._fan_cb = None
 
@@ -581,7 +609,10 @@ class Network:
         The runs come from a plan (:meth:`_plan`): a tuple of distinct
         routed nodes is walked once per ``(source cluster, port)`` and
         replayed by every broadcast from that cluster, in O(runs) —
-        counts added to the row, the sender dropped from its run.
+        counts added to the row, the sender dropped from its run.  On
+        the direct route a group also carries its members' handlers for
+        ``kind``, resolved once per plan (:meth:`_resolve_plan`), and
+        the route generation they hold for.
         ``unregister`` and ``close`` drop the plans, and nothing else
         does: pass a long-lived tuple (as
         :attr:`~repro.mutex.base.MutexPeer.peers` is), not one built per
@@ -611,16 +642,23 @@ class Network:
         st = self.stats
         key = (port, kind, size, ci)
         row = st._rows.get(key) or st._row(key)  # see MessageStats.reset
-        runs, counts, own, _ = plan
+        runs, counts, own, _, by_kind = plan
+        gen = -1  # no generation: _fan routes every member on arrival
+        if self._direct:
+            resolved = by_kind.get(kind) or self._resolve_plan(plan, kind, port)
+            if resolved is not runs:
+                runs, gen = resolved, self._route_gen
         for cj, n in counts:
             row[cj] += n
         at = own.get(src)
         if at is not None:  # src is a member, not a receiver
             row[ci] -= 1
             k, i = at
-            delay, members = runs[k]
+            delay, members, pairs = runs[k]
             members = members[:i] + members[i + 1:]
-            runs = runs[:k] + (((delay, members),) if members else ()) + runs[k + 1:]
+            pairs = pairs[:i] + pairs[i + 1:]
+            runs = (runs[:k] + (((delay, members, pairs),) if members else ())
+                    + runs[k + 1:])
         # The one message of the broadcast: _fan reads its fields.
         shared = Message(src, src, port, kind,
                          dict(payload) if payload else {}, size)
@@ -630,20 +668,23 @@ class Network:
         base = seq = sim._seq
         first = self._seq - base  # a member's message seq, less its key
         group: Tuple[int, ...] = ()
+        handlers: Pairs = ()
         group_due, group_seq = nan, seq  # nan: equal to no due time
-        for delay, members in runs:
+        for delay, members, pairs in runs:
             due = now + delay
             if due == group_due:  # rounding met the previous due: one group
                 group += members
+                handlers += pairs
             else:
                 if group:
-                    heappush(heap, (group_due, group_seq, fan,
-                                    (group, group_seq, shared, first + group_seq)))
-                group, group_due, group_seq = members, due, seq
+                    heappush(heap, (group_due, group_seq, fan, (
+                        group, group_seq, shared, first + group_seq,
+                        handlers, gen)))
+                group, handlers, group_due, group_seq = members, pairs, due, seq
             seq += len(members)
         if group:
-            heappush(heap, (group_due, group_seq, fan,
-                            (group, group_seq, shared, first + group_seq)))
+            heappush(heap, (group_due, group_seq, fan, (
+                group, group_seq, shared, first + group_seq, handlers, gen)))
         self._seq += seq - base
         sim._seq = seq
 
@@ -678,12 +719,30 @@ class Network:
             if cj == ci:
                 own[dst] = (len(runs) - 1, len(members))
             members.append(dst)
-        plan = (
-            tuple((delay, tuple(members)) for delay, members in runs),
-            tuple(counts.items()), own, dsts,
+        plan: Plan = (
+            tuple((delay, tuple(members), ()) for delay, members in runs),
+            tuple(counts.items()), own, dsts, {},
         )
         self._plans[(ci, port, id(dsts))] = plan
         return plan
+
+    def _resolve_plan(self, plan: Plan, kind: str, port: str) -> Tuple[Run, ...]:
+        """The runs of ``plan`` with every member's ``(handler, owner)``
+        for ``kind``, kept in the plan; its unresolved runs when some
+        member's table lacks ``kind`` (a plain-callable handler has an
+        empty one).  A plan's members are routed: ``unregister`` drops
+        every plan."""
+        routes = self._routes[port]
+        try:
+            resolved = tuple(
+                (delay, members, tuple(
+                    (routes[dst][2][kind], routes[dst][1]) for dst in members))
+                for delay, members, _ in plan[0]
+            )
+        except KeyError:
+            resolved = plan[0]
+        plan[4][kind] = resolved
+        return resolved
 
     # ------------------------------------------------------------------ #
     # delivery
@@ -715,34 +774,38 @@ class Network:
         sim.post_at(due, self._deliver_cb, (msg,))
 
     def _fan(
-        self, dsts: Tuple[int, ...], seq: int, shared: Message, first: int
+        self, dsts: Tuple[int, ...], seq: int, shared: Message, first: int,
+        pairs: Pairs, gen: int,
     ) -> None:
         """Hand a group's members over in send order (see the module
         docstring); ``seq`` is the first member's kernel key and
         ``first`` its message ``seq``.
 
-        Each member is routed as ``_deliver`` would route it now, so
-        anything changed in flight applies to the members not reached
-        yet: a direct handler gets ``(owner, src, payload)``, the
-        ``_deliver`` hop a message of its own (:func:`materialise`).
-        If the run is stopped, or a handler raises, the rest go back on
-        the calendar under the next member's key."""
+        While the route generation is ``gen``, member ``i`` is handed to
+        ``pairs[i]`` as ``handler(owner, src, payload)``.  From the
+        first member reached at another generation on (every member, if
+        the group was pushed unresolved), each one goes through
+        :meth:`_route`.  If the run is stopped, or a handler raises, the
+        rest go back on the calendar under the next member's key."""
         sim = self.sim
-        src, port, kind, payload = shared.src, shared.port, shared.kind, shared.payload
-        nodes = self._routes.get(port, _NO_ROUTES)
-        rest = iter(dsts)
+        resolved = gen == self._route_gen
+        rest: Iterator[Any] = iter(pairs if resolved else dsts)
         outer, self._fanning = self._fanning, rest
         try:
-            for msg_seq, dst in enumerate(rest, first):
-                route = nodes.get(dst, _HOP) if self._direct else _HOP
-                fn = route[2].get(kind)
-                if fn is None:
-                    self._deliver(materialise(src, dict(payload), dst, port, kind,
-                                              msg_seq, shared.sent_at, shared.size))
+            start = 0
+            if resolved:
+                src, payload = shared.src, shared.payload
+                for fn, owner in rest:
+                    fn(owner, src, payload)
+                    if sim._stopped or self._route_gen != gen:
+                        break
                 else:
-                    fn(route[1], src, payload)
+                    return
                 if sim._stopped:
-                    break
+                    return
+                start = len(dsts) - length_hint(rest)  # the generation moved
+                rest = self._fanning = iter(dsts[start:])
+            self._route(rest, first + start, shared)
         finally:
             self._fanning = outer
             left = length_hint(rest)
@@ -752,8 +815,29 @@ class Network:
                 seq += done
                 heappush(sim._heap, (
                     sim._now, seq, self._fan_cb,
-                    (dsts[done:], seq, shared, first + done),
+                    (dsts[done:], seq, shared, first + done, pairs[done:], gen),
                 ))
+
+    def _route(self, rest: Iterator[int], first: int, shared: Message) -> None:
+        """Hand each member of ``rest`` in turn its message of the
+        broadcast ``shared``, numbered from ``first``, routed as
+        ``_deliver`` would route it now: a direct handler gets ``(owner,
+        src, payload)``, the ``_deliver`` hop a message of its own
+        (:func:`materialise`).  Stops after the member that stops the
+        run."""
+        sim = self.sim
+        src, port, kind, payload = shared.src, shared.port, shared.kind, shared.payload
+        nodes = self._routes.get(port, _NO_ROUTES)
+        for msg_seq, dst in enumerate(rest, first):
+            route = nodes.get(dst, _HOP) if self._direct else _HOP
+            fn = route[2].get(kind)
+            if fn is None:
+                self._deliver(materialise(src, dict(payload), dst, port, kind,
+                                          msg_seq, shared.sent_at, shared.size))
+            else:
+                fn(route[1], src, payload)
+            if sim._stopped:
+                break
 
     def _deliver(self, msg: Message) -> None:
         crashes = self._crashes

@@ -51,15 +51,16 @@ def heap_entries(sim: Simulator) -> List[CalendarEntry]:
 def in_flight(sim: Simulator) -> List[Tuple[float, int, Any]]:
     """Every message delivery the calendar holds, in firing order, as
     ``(due, key, message)``.  A group entry (``Network.multicast``'s
-    ``(due, seq, _fan, (dsts, seq, shared, first))``) yields one row per
-    member under the key the member's own entry would have had; a direct
+    ``(due, seq, _fan, (dsts, seq, shared, first, pairs, gen))``) yields
+    one row per member under the key the member's own entry would have
+    had, whether its handlers are resolved or not; a direct
     entry (``(due, seq, fn, (owner, src, payload), fields)``) yields one
     row; both with the message ``materialise`` builds for it.  A
     ``_deliver`` entry yields its message.  Other entries are left out."""
     rows = []
     for entry in heap_entries(sim):
         if getattr(entry.callback, "__name__", "") == "_fan":
-            dsts, key, shared, first = entry.args
+            dsts, key, shared, first, _pairs, _gen = entry.args
             rows.extend(
                 (entry.time, key + i, materialise(
                     shared.src, dict(shared.payload), dst, shared.port,

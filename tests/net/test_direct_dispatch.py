@@ -219,11 +219,16 @@ def test_unregistered_in_flight_is_dropped_not_delivered_to_the_dead_peer():
     # otherwise make it send the token away.
     sim, net, peers = _peers("suzuki")
     peers[1].request_cs()  # broadcast to 0 and 2: one due time, one group
-    assert _in_flight(sim) == [("_fan", 4)]
+    assert _in_flight(sim) == [("_fan", 6)]
     assert [msg.dst for _due, _key, msg in in_flight(sim)] == [0, 2]
+    (group,) = heap_entries(sim)
+    assert group.args[4] == ((type(peers[0])._on_request, peers[0]),
+                             (type(peers[2])._on_request, peers[2]))
+    assert group.args[5] == net._route_gen  # resolved
     peers[0].shutdown()
-    # Nothing to rewrite: each member is routed when it arrives.
-    assert _in_flight(sim) == [("_fan", 4)]
+    # Nothing to rewrite: the shutdown moved the route generation, so
+    # each member is routed when it arrives.
+    assert _in_flight(sim) == [("_fan", 6)] and group.args[5] != net._route_gen
     sim.run()
     assert peers[0].holds_token and not peers[1].in_cs
     assert net.stats.by_kind["token"] == 0
@@ -328,8 +333,10 @@ def test_other_peers_direct_entries_survive_a_rewrite():
     # shut-down peer's member alone takes the hop, on arrival.
     sim, net, peers = _peers("suzuki", n=4)
     peers[1].request_cs()
+    gen = net._route_gen
     peers[3].shutdown()
-    assert _in_flight(sim) == [("_fan", 4)]
+    assert _in_flight(sim) == [("_fan", 6)]
+    assert heap_entries(sim)[0].args[5] == gen != net._route_gen
     sim.run()
     assert peers[1].in_cs and net.hops == 1
 

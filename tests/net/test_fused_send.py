@@ -44,7 +44,7 @@ from repro.net.network import materialise
 from repro.sim import Simulator
 from repro.verify import RunDigest
 
-from ..helpers import in_flight
+from ..helpers import heap_entries, in_flight
 from ..properties import digest_scenarios
 from ..properties.digest_scenarios import ALGOS, FAULTS, SYSTEMS
 
@@ -242,26 +242,63 @@ def test_multicast_after_an_unregister_raises_with_the_loops_partial_state(
 
 
 def test_a_kept_plan_survives_what_routes_on_arrival():
-    # A plan holds no route: a handler swapped after it was made gets
-    # what is in flight and the next broadcast, whose plan is the same.
+    # A plan's runs hold no route: a handler swapped after it was made
+    # gets what is in flight and the next broadcast, whose runs are the
+    # same.
     sim, net, got = _twin()
     dsts = tuple(net.topology.nodes)
     net.multicast(0, dsts, "p", "a")
-    plans = dict(net._plans)
+    plans = {key: plan[:4] for key, plan in net._plans.items()}
     net.register(1, "q", lambda m: None)
-    assert net._plans == plans and len(plans) == 1
+    assert {key: plan[:4] for key, plan in net._plans.items()} == plans
+    assert len(plans) == 1
     swapped = []
     net.unregister(5, "p")
     net.register(5, "p", lambda m: swapped.append(m.kind))
     assert not net._plans  # unregister drops every plan ...
     net.multicast(1, dsts, "p", "b")
-    assert net._plans == plans  # ... and the broadcast makes the same one
+    # ... and the broadcast makes the same one
+    assert {key: plan[:4] for key, plan in net._plans.items()} == plans
     sim.run()
     assert swapped == ["a", "b"]
     assert sorted(m.dst for m, _ in got if m.kind == "b") == [
         n for n in dsts if n not in (1, 5)]
     net.close()
     assert not net._plans
+
+
+def test_a_plan_keeps_one_handler_tuple_per_kind_until_unregister_or_close():
+    log = []
+    sim, net, attach = _grid([[1.0, 6.0], [6.0, 1.0]], [True] * 8, log)
+    dsts = tuple(range(8))
+    for src in (0, 1, 4):  # two sender clusters: two plans
+        for kind in ("a", "b", "a"):
+            net.multicast(src, dsts, "p", kind)
+    assert len(net._plans) == 2
+    kept = {}
+    for key, (runs, _, _, _, by_kind) in net._plans.items():
+        assert sorted(by_kind) == ["a", "b"]  # one tuple per kind ...
+        for kind, resolved in by_kind.items():
+            assert [run[:2] for run in resolved] == [run[:2] for run in runs]
+            assert [pairs for _, _, pairs in runs] == [()] * len(runs)
+            assert [len(pairs) for _, _, pairs in resolved] == [
+                len(members) for _, members, _ in runs]
+            kept[key, kind] = resolved
+    net.multicast(0, dsts, "p", "a")  # ... made once
+    assert all(net._plans[key][4][kind] is resolved
+               for (key, kind), resolved in kept.items())
+    # A kind outside a member's table keeps the unresolved runs, once.
+    net.multicast(0, dsts, "p", "c")
+    plan = net._plans[0, "p", id(dsts)]
+    assert plan[4]["c"] is plan[0] and len(plan[4]) == 3
+    net.unregister(7, "p")
+    assert not net._plans  # unregister drops the tuples with the plans
+    attach(7, True)
+    net.multicast(0, dsts, "p", "a")
+    assert [sorted(plan[4]) for plan in net._plans.values()] == [["a"]]
+    sim.run()
+    net.close()
+    assert not net._plans  # and so does close
 
 
 def test_multicast_to_nobody_leaves_no_trace():
@@ -314,34 +351,58 @@ class _Owner:
         self.node = node
 
 
-def _grid(rtt, direct, log):
+class Routing(Network):
+    """Records the group members ``_fan`` routes on arrival, not through
+    the handlers the group carries."""
+
+    def __init__(self, *args, **kw):
+        self.routed = []
+        super().__init__(*args, **kw)
+
+    def _route(self, rest, first, shared):
+        def seen():
+            for dst in rest:
+                self.routed.append(dst)
+                yield dst
+
+        super()._route(seen(), first, shared)
+
+
+def _grid(rtt, direct, log, cls=Network):
     """A network over ``len(rtt)`` clusters of ``len(direct) // len(rtt)``
     nodes; node ``i`` takes the direct route (owner + table for kinds
     ``a`` and ``b``) when ``direct[i]``, a plain callable otherwise.  Both
-    log ``(now, node, src, kind, payload, seq, sent_at, delivered)``; a
-    direct handler is handed no message, so it logs ``seq`` and
-    ``sent_at`` as ``None``."""
+    log ``(now, node, src, kind, payload, seq, sent_at, delivered,
+    tag)``; a direct handler is handed no message, so it logs ``seq``
+    and ``sent_at`` as ``None``.  Also returns ``attach(node, direct,
+    tag)``, which registers such a handler logging ``tag`` (0 for the
+    first ones)."""
     sim = Simulator(seed=11)
     topo = uniform_topology(len(rtt), len(direct) // len(rtt))
-    net = Network(sim, topo, MatrixLatency(topo, rtt))
+    net = cls(sim, topo, MatrixLatency(topo, rtt))
 
-    def arrived(node, src, kind, payload, seq=None, sent_at=None):
+    def arrived(node, src, kind, payload, seq=None, sent_at=None, tag=0):
         log.append((sim.now, node, src, kind, payload, seq, sent_at,
-                    net.delivered))
+                    net.delivered, tag))
 
-    def on(kind):
-        return lambda owner, src, payload: arrived(owner.node, src, kind, payload)
+    def on(kind, tag):
+        return lambda owner, src, payload: arrived(
+            owner.node, src, kind, payload, tag=tag)
 
-    table = {"a": on("a"), "b": on("b")}
-    for node in topo.nodes:
-        def hop(msg, node=node):
-            arrived(node, msg.src, msg.kind, msg.payload, msg.seq, msg.sent_at)
+    def attach(node, direct, tag=0):
+        def hop(msg):
+            arrived(node, msg.src, msg.kind, msg.payload, msg.seq, msg.sent_at,
+                    tag)
 
-        if direct[node]:
+        if direct:
+            table = {"a": on("a", tag), "b": on("b", tag)}
             net.register(node, "p", hop, owner=_Owner(node), table=table)
         else:
             net.register(node, "p", hop)
-    return sim, net
+
+    for node in topo.nodes:
+        attach(node, direct[node])
+    return sim, net, attach
 
 
 def _counts(sim, net):
@@ -379,12 +440,16 @@ def _traffic(draw):
     ), max_size=3))
     ops += [(at, True, src, dsts, *rest)
             for (_, _, _, dsts, *rest), at, src in again]
-    return rtt, direct, ops
+    # A node leaves and is at once replaced by a plain callable, while
+    # groups (resolved or not) to it are in flight.
+    rejoins = draw(st.lists(st.tuples(
+        st.sampled_from([0.5, 1.0, 2.0, 3.5]), node), max_size=2))
+    return rtt, direct, ops, rejoins
 
 
-def _run_traffic(fan_out, rtt, direct, ops):
+def _run_traffic(fan_out, rtt, direct, ops, rejoins):
     log = []
-    sim, net = _grid(rtt, direct, log)
+    sim, net, attach = _grid(rtt, direct, log)
 
     def do(cast, src, dsts, kind, payload):
         if cast:
@@ -392,8 +457,14 @@ def _run_traffic(fan_out, rtt, direct, ops):
         else:
             net.send(src, dsts[0], "p", kind, dict(payload) if payload else {})
 
+    def rejoin(node, tag):
+        net.unregister(node, "p")
+        attach(node, False, tag)
+
     for at, *op in ops:
         sim.schedule_at(at, do, *op)
+    for tag, (at, node) in enumerate(rejoins, 1):
+        sim.schedule_at(at, rejoin, node, tag)
     before = _counts(sim, net)
     sim.run(until=1.5)  # mid-traffic: groups and entries still queued
     middle = (_counts(sim, net), _deliveries(sim))
@@ -409,13 +480,26 @@ def test_grouped_multicast_delivers_as_the_loop_of_sends(traffic):
     assert grouped[2][5] == len(grouped[3])  # delivered counts every member
 
 
-def _mid_group(fan_out, act):
-    """A broadcast from node 0 to nodes 1..9 of a 2 x 5 grid: a LAN group
-    (1..4) and a WAN group (5..9); even nodes are on the direct route.
-    Node 2's handler does ``act`` on its first delivery, with nodes 3
-    and 4 of its group still to come."""
+#: ``_mid_group``'s routes: every node direct, or even nodes only.
+ALL_DIRECT, MIXED = [True] * 10, [True, False] * 5
+
+
+def _fan_groups(sim, net):
+    """``(members, resolved)`` of each group on the calendar: resolved
+    when it carries a handler per member at the current generation."""
+    return [(e.args[0], e.args[5] == net._route_gen and len(e.args[4]) == len(e.args[0]))
+            for e in heap_entries(sim) if e.callback.__name__ == "_fan"]
+
+
+def _mid_group(fan_out, act, direct):
+    """A broadcast of a kept tuple from node 0 to nodes 1..9 of a 2 x 5
+    grid: a LAN group (1..4) and a WAN group (5..9), on the routes of
+    ``direct``.  Node 2's handler does ``act`` on its first delivery,
+    with nodes 3 and 4 of its group still to come.  Returns what the run
+    shows, and apart, the groups pushed, those resumed after the first
+    ``run()`` and the members routed on arrival (``Routing``)."""
     log = []
-    sim, net = _grid([[1.0, 6.0], [6.0, 1.0]], [True, False] * 5, log)
+    sim, net, _attach = _grid([[1.0, 6.0], [6.0, 1.0]], direct, log, Routing)
     crashes = CrashController(sim)
     records, acted = [], []
     route = net._routes["p"][2]
@@ -443,33 +527,51 @@ def _mid_group(fan_out, act):
             sim.trace.subscribe("deliver", lambda r: records.append(r.seq))
 
     net._routes["p"][2] = (route[0], route[1], {"a": acting})
-    fan_out(net, 0, range(10), "p", "a")
-    states = []
+    fan_out(net, 0, tuple(range(10)), "p", "a")
+    pushed = _fan_groups(sim, net)
+    states, resumed = [], None
     for _ in range(2):  # a stopped or failed run is resumed
         try:
             sim.run()
         except RuntimeError:
             pass
         states.append((_counts(sim, net), _deliveries(sim), list(log)))
-    return states, records, net._lost, net._unrouted
+        resumed = _fan_groups(sim, net) if resumed is None else resumed
+    return (states, records, net._lost, net._unrouted), (pushed, resumed, net.routed)
 
 
-@pytest.mark.parametrize("act", [
-    "stop", "raise", "unregister", "reregister", "fence", "crash", "subscribe",
+#: The acts of ``_mid_group``.
+ACTS = ("stop", "raise", "unregister", "reregister", "fence", "crash", "subscribe")
+
+
+@pytest.mark.parametrize("act, direct", [
+    *(pytest.param(act, MIXED, id=act) for act in ACTS),
+    *(pytest.param(act, ALL_DIRECT, id=f"direct-{act}") for act in ACTS),
 ])
-def test_what_changes_mid_group_applies_to_the_members_not_reached(act):
-    grouped = _mid_group(Network.multicast, act)
-    assert grouped == _mid_group(_loop, act)
+def test_what_changes_mid_group_applies_to_the_members_not_reached(act, direct):
+    grouped, (pushed, resumed, routed) = _mid_group(Network.multicast, act, direct)
+    looped, (no_groups, _, _) = _mid_group(_loop, act, direct)
+    assert grouped == looped and no_groups == []
+    # The kept tuple is two groups; every member has a handler to carry
+    # only when every route is direct.
+    resolved = direct is ALL_DIRECT
+    assert pushed == [((1, 2, 3, 4), resolved), ((5, 6, 7, 8, 9), resolved)]
     (first, second), records, lost, unrouted = grouped
     assert second[0][5] + lost + unrouted == 9 and second[1] == []
     if act in ("stop", "raise"):
-        # Handed over up to node 2; 3 and 4 went back under their keys.
+        # Handed over up to node 2; 3 and 4 went back under their keys,
+        # with their handlers: nothing moved the route generation.
         assert [row[1] for row in first[2]] == [1, 2]
         assert [row[2] for row in first[1][:2]] == [3, 4]
         assert first[1][0][1] == first[1][1][1] - 1 == 2
         assert first[0][5] == 2  # delivered
+        assert resumed == [((3, 4), resolved), ((5, 6, 7, 8, 9), resolved)]
     else:
-        assert first == second
+        assert first == second and resumed == []
+    if resolved:  # the act broke the resolved loop, or did not touch routes
+        assert routed == ([] if act in ("stop", "raise") else [3, 4, 5, 6, 7, 8, 9])
+    else:
+        assert routed == list(range(1, 10))
     assert len(records) == {"reregister": 1, "subscribe": 7}.get(act, 0)
     if act == "fence":  # delivered, but only nodes 1 and 2 before it ran
         assert [row[1] for row in second[2]] == [1, 2]
@@ -507,15 +609,19 @@ def test_flat_lamport_counts_the_members_of_groups_still_in_flight():
 # exactness rules of the fused send
 # --------------------------------------------------------------------- #
 def test_handler_is_looked_up_at_delivery_time():
-    sim, net, got = _twin()
-    swapped = []
-    net.send(0, 5, "p", "a")
-    net.multicast(0, [5, 6], "p", "b")
-    net.unregister(5, "p")
-    net.register(5, "p", swapped.append)
-    net.unregister(6, "p")
-    sim.run()
-    assert [m.kind for m in swapped] == ["a", "b"] and got == []
+    for direct in (False, True):
+        log = []
+        sim, net, _attach = _grid([[1.0, 6.0], [6.0, 1.0]], [direct] * 8, log)
+        swapped = []
+        net.send(0, 5, "p", "a")
+        net.multicast(0, (5, 6), "p", "b")  # kept: one group, resolved if direct
+        assert _fan_groups(sim, net) == [((5, 6), direct)]
+        net.unregister(5, "p")
+        net.register(5, "p", swapped.append)
+        net.unregister(6, "p")
+        assert _fan_groups(sim, net) == [((5, 6), False)]
+        sim.run()
+        assert [m.kind for m in swapped] == ["a", "b"] and log == []
 
 
 def test_fused_send_errors_are_the_general_ones():
@@ -850,11 +956,17 @@ def test_broadcast_plans_are_one_per_sender_cluster():
         net = run.net
         plans = net._plans
         members = sum(
-            len(run_members) for runs, _, _, _ in plans.values()
-            for _, run_members in runs
+            len(run_members) for runs, _, _, _, _ in plans.values()
+            for _, run_members, _ in runs
         )
         assert 0 < len(plans) <= 9 and members <= 9 * 72
         assert {key[0] for key in plans} <= set(range(9))
+        # One handler per member for the one kind broadcast, no more.
+        assert all(list(plan[4]) == ["request"] for plan in plans.values())
+        assert sum(
+            len(pairs) for plan in plans.values()
+            for _, _, pairs in plan[4]["request"]
+        ) == members
     assert not net._plans  # close() drops them
 
 

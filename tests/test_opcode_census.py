@@ -15,7 +15,9 @@ derived config built without ``dataclasses.replace`` and each blob
 addressed without pathlib, and prints the same C-call block.
 ``--memory`` sizes state the same way: what a build retains repeats
 exactly, and a watched peer costs the safety checker one slotted object
-and its two bound callbacks."""
+and its two bound callbacks.  ``--profile`` prints each package's
+cProfile own-time share beside its instruction share, a C function's
+time charged to its callers' packages."""
 
 import importlib.util
 import sys
@@ -194,3 +196,36 @@ def test_memory_census_repeats_exactly_and_adds_up():
     assert float(lines[2].split()[0]) == round(
         sum(sites.values()) / config.n_apps, 1
     )
+
+
+def test_own_time_charges_a_c_function_to_its_callers_packages():
+    net = str(opcode_census.PACKAGE / "net" / "network.py")
+    stats = {
+        (net, 10, "_fan"): (1, 1, 1.0, 2.0, {}),
+        ("~", 0, "<method 'get' of 'dict' objects>"): (3, 3, 0.5, 0.5, {
+            (net, 10, "_fan"): (2, 2, 0.3, 0.3),
+            ("heapq.py", 1, "f"): (1, 1, 0.2, 0.2),
+        }),
+        ("~", 0, "<built-in method builtins.len>"): (1, 1, 0.25, 0.25, {}),
+    }
+    assert opcode_census.own_time(stats) == pytest.approx(
+        {"net": 1.3, opcode_census.OTHER: 0.45})
+
+
+def test_profile_prints_a_time_share_beside_each_package(capsys):
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    assert opcode_census.main(["--workload", "suzuki_flat", "--profile"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(
+        f"{'instr/msg':>10} {'share':>6} {'time':>6} {'min-max':>11}  package") + 1
+    rows = [line.split() for line in lines[start:start + 4]]
+    assert {row[4] for row in rows} >= {"net", "mutex", "sim"}
+    for instr, share, time, span, package in rows:
+        low, high = (float(x.rstrip("%")) for x in span.split("-"))
+        assert float(instr) > 0 and 0 <= low <= float(time.rstrip("%")) <= high < 100
+        # The hot layers take time on any host; a smaller package's share
+        # may print as 0.0 %.
+        assert low > 0 or package not in ("net", "mutex", "sim")
+    with pytest.raises(SystemExit):
+        opcode_census.main(["--workload", "reproduce_warm", "--profile"])
