@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .rules import self_call_graph
+
 __all__ = [
     "AlgorithmEffects",
     "ConformanceFinding",
@@ -272,26 +274,10 @@ def extract_algorithm_effects(path: Path, cls: ast.ClassDef) -> AlgorithmEffects
     handlers are not followed — they are accounted through the message
     graph itself, not the call graph.
     """
-    methods: Dict[str, ast.FunctionDef] = {
-        n.name: n
-        for n in cls.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+    methods, calls = self_call_graph(cls)
     direct: Dict[str, List[SendSite]] = {
         name: _direct_sends(fn) for name, fn in methods.items()
     }
-    calls: Dict[str, Set[str]] = {}
-    for name, fn in methods.items():
-        called: Set[str] = set()
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                called.add(node.func.attr)
-        calls[name] = called
 
     def closure(seed: str) -> Tuple[Tuple[SendSite, ...], bool]:
         sites: List[SendSite] = []

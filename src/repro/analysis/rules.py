@@ -255,6 +255,30 @@ _HANDLER_SEEDS = ("_on_", "on_message")
 _HANDLER_EXACT = {"_do_request", "_do_release", "_on_message"}
 
 
+def self_call_graph(
+    cls: ast.ClassDef,
+) -> Tuple[Dict[str, ast.FunctionDef], Dict[str, Set[str]]]:
+    """A class's methods by name, and the names each calls as
+    ``self.<name>()`` (shared by the reachability and effect analyses)."""
+    methods: Dict[str, ast.FunctionDef] = {
+        n.name: n
+        for n in cls.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls: Dict[str, Set[str]] = {
+        name: {
+            node.func.attr
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"
+        }
+        for name, fn in methods.items()
+    }
+    return methods, calls
+
+
 def handler_reachable_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     """Methods reachable from message handlers via ``self.<m>()`` calls.
 
@@ -263,23 +287,7 @@ def handler_reachable_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     ``_try_enter`` (Lamport) or ``_arbiter_request`` (Maekawa) are
     covered without annotating anything.
     """
-    methods: Dict[str, ast.FunctionDef] = {
-        n.name: n
-        for n in cls.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    calls: Dict[str, Set[str]] = {}
-    for name, fn in methods.items():
-        called: Set[str] = set()
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                called.add(node.func.attr)
-        calls[name] = called
+    methods, calls = self_call_graph(cls)
     seeds = [
         name
         for name in methods

@@ -3,7 +3,8 @@
 Subcommands
 -----------
 ``run``
-    One experiment; prints the paper's three metrics.
+    One experiment; prints the paper's three metrics and, with
+    ``--obs`` / ``--trace``, where its waits went (:mod:`repro.obs`).
 ``figure``
     Regenerate one of the paper's figures (fig4a/fig4b/fig5a/fig5b/
     fig6a/fig6b) as a text table.
@@ -27,9 +28,10 @@ from ..errors import ConfigurationError
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
 from ..mutex.registry import available_algorithms
-from .config import PLATFORMS, SYSTEMS, ExperimentConfig
+from ..obs.report import format_obs_report
+from .config import OBS_LEVELS, PLATFORMS, SYSTEMS, ExperimentConfig
 from .figures import ALL_FIGURES, PAPER_SCALE, QUICK_SCALE, FigureScale
-from .runner import run_experiment
+from .runner import ExperimentRun, run_experiment
 from .scalability import scalability_study
 
 __all__ = ["main", "build_parser"]
@@ -107,6 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jitter", type=float, default=0.0)
     run_p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of text")
+    run_p.add_argument("--obs", choices=OBS_LEVELS, default="off",
+                       help="observe the run and report where its waits "
+                       "went (default: off); the report is cached with "
+                       "the result")
+    run_p.add_argument("--trace", metavar="FILE", default=None,
+                       help="write the run as Chrome trace-event JSON "
+                       "(implies --obs trace; the run is live, so it reads "
+                       "and writes no cache)")
     _add_cache_flags(run_p)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -159,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.trace:
+        require_parent_dir("--trace", args.trace)
     n_apps = args.clusters * args.apps
     config = ExperimentConfig(
         system=args.system,
@@ -173,10 +185,19 @@ def _cmd_run(args) -> int:
         platform=args.platform,
         seed=args.seed,
         jitter=args.jitter,
+        obs="trace" if args.trace else args.obs,
     )
-    cache = _cache_from_args(args)
-    result = run_experiment(config, cache=cache)
-    _print_cache_stats(cache)
+    if args.trace:
+        # Only the live run holds the recorder a trace is written from.
+        with ExperimentRun(config) as run:
+            result = run.execute()
+            assert run.obs is not None
+            run.obs.write_chrome_trace(args.trace)
+        print(f"chrome trace written to {args.trace}", file=sys.stderr)
+    else:
+        cache = _cache_from_args(args)
+        result = run_experiment(config, cache=cache)
+        _print_cache_stats(cache)
     if args.json:
         from .export import results_to_json
 
@@ -190,6 +211,9 @@ def _cmd_run(args) -> int:
           f"inter-cluster={result.inter_cluster_messages} "
           f"({result.inter_messages_per_cs:.2f}/CS)")
     print(f"simulated time    : {result.sim_time_ms:.1f} ms")
+    if result.obs_report is not None:
+        print()
+        print(format_obs_report(result.obs_report, title=config.describe()))
     return 0
 
 

@@ -41,9 +41,25 @@ _RESULT_FIELDS = (
     "sim_time_ms",
 )
 
+#: What a run's observability report exports: everything but the
+#: per-CS rows of the ``trace`` level.
+_OBS_FIELDS = (
+    "level",
+    "counters",
+    "n_paths",
+    "exact",
+    "obtaining_total_ms",
+    "category_ms",
+    "lan_ms",
+    "wan_ms",
+    "wan_dominated",
+)
+
 
 def result_to_dict(result: Union[ExperimentResult, AggregateResult]) -> dict:
-    """A JSON-ready dict for one run or one seed-aggregate."""
+    """A JSON-ready dict for one run or one seed-aggregate; a run that
+    was observed (``config.obs != "off"``) carries its report under
+    ``"obs"``."""
     if isinstance(result, AggregateResult):
         return {
             "name": result.name,
@@ -69,6 +85,8 @@ def result_to_dict(result: Union[ExperimentResult, AggregateResult]) -> dict:
             for ci, stats in result.per_cluster.items()
         },
     )
+    if result.obs_report is not None:
+        out["obs"] = {f: getattr(result.obs_report, f) for f in _OBS_FIELDS}
     # The hierarchy spec may be nested tuples; JSON wants lists.
     if out["config"].get("hierarchy") is not None:
         out["config"]["hierarchy"] = json.loads(

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cache.store import ExperimentCache, resolve_cache
+from ..cache.store import CacheSpec, ExperimentCache, resolve_cache
 from ..workload.behavior import PAPER_RHO_OVER_N_GRID
 from .config import ExperimentConfig
 from .runner import AggregateResult, _aggregate
@@ -94,7 +94,7 @@ class FigureData:
 
 
 # --------------------------------------------------------------------- #
-# sweeps (memoized per scale, backed by the experiment cache)
+# sweeps (memoized per scale and cache, backed by the experiment cache)
 # --------------------------------------------------------------------- #
 SweepKey = Tuple[str, float]  # (curve label, rho_over_n)
 Sweep = Dict[SweepKey, AggregateResult]
@@ -103,8 +103,11 @@ Sweep = Dict[SweepKey, AggregateResult]
 #: Fig 4/5 generators share one sweep per scale, but a long-lived
 #: process sweeping many scales no longer pins every result set in
 #: memory forever — persistence is the job of the on-disk
-#: :class:`~repro.cache.ExperimentCache`, not of this dict.
-_SWEEP_MEMO: "Dict[Tuple[str, FigureScale], Sweep]" = {}
+#: :class:`~repro.cache.ExperimentCache`, not of this dict.  The key
+#: holds the store's :class:`~repro.cache.CacheSpec` (``None`` when
+#: uncached): an uncached sweep handed to a cached call would leave that
+#: cache unfilled and its counters at zero.
+_SWEEP_MEMO: "Dict[Tuple[str, FigureScale, Optional[CacheSpec]], Sweep]" = {}
 _SWEEP_MEMO_MAX = 4
 
 
@@ -177,7 +180,8 @@ def _run_sweep(
 ) -> Sweep:
     """Run the ``kind`` cells × seeds through the incremental scheduler
     and pool the per-cell aggregates."""
-    memo_key = (kind, scale)
+    store = resolve_cache(cache)
+    memo_key = (kind, scale, store.spec if store is not None else None)
     memo = _SWEEP_MEMO.get(memo_key)
     if memo is not None:
         return memo
@@ -185,7 +189,7 @@ def _run_sweep(
 
     cells = _cells(kind, scale)  # built once: for the configs and the sweep keys
     results = run_configs_cached(
-        _seeded(cells, scale.seeds), cache=resolve_cache(cache), reuse_pool=True
+        _seeded(cells, scale.seeds), cache=store, reuse_pool=True
     )
     n_seeds = len(scale.seeds)
     out: Sweep = {

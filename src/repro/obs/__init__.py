@@ -14,8 +14,9 @@ Entry points
 * ``ExperimentConfig(obs="paths")`` — per-run reports on
   ``ExperimentResult.obs_report``;
 * :class:`ObservabilityLayer` — manual attachment for custom setups;
-* ``python -m repro.obs`` — run a scenario, print the breakdown,
-  optionally export a Perfetto-loadable Chrome trace.
+* ``python -m repro run --obs paths`` — run a scenario, print the
+  breakdown; ``--trace FILE`` also exports a Perfetto-loadable Chrome
+  trace.
 
 See ``docs/observability.md`` for a worked example.
 """

@@ -115,7 +115,7 @@ def build_report(
 
 
 def format_obs_report(report: ObsReport, title: str = "") -> str:
-    """Compact text rendering (the ``python -m repro.obs`` output)."""
+    """Compact text rendering (what ``repro run --obs`` prints)."""
     lines = []
     if title:
         lines.append(title)

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from repro.experiments import FigureScale
+from repro.cache import ExperimentCache
+from repro.experiments import FigureScale, clear_sweep_memo
+from repro.experiments.figures import intra_sweep
 from repro.experiments.suites import reproduce_all
 
 TINY = FigureScale(apps_per_cluster=1, n_cs=2, seeds=(0,),
@@ -100,3 +102,24 @@ def test_repeated_reproduction_never_rewrites_a_file_in_place(
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [p.name for p in artefacts] + ["summary.json"]
     )
+
+
+def test_a_cached_reproduction_after_an_uncached_one_fills_its_cache(tmp_path):
+    """The sweep memo is per cache: the uncached call's sweep is not
+    handed to the cached one, which runs, stores and counts its cells —
+    and a second sweep on that cache is the memo again."""
+    scale = FigureScale(apps_per_cluster=1, n_cs=1, seeds=(0,),
+                        rho_over_n=(1.0,), n_clusters=2)
+    cache = ExperimentCache(cache_dir=tmp_path / "c")
+    clear_sweep_memo()
+    try:
+        reproduce_all(tmp_path / "a", scale, figures=["fig6a"], cache=None)
+        reproduce_all(tmp_path / "b", scale, figures=["fig6a"], cache=cache)
+        intra_sweep(scale, cache=cache)
+    finally:
+        clear_sweep_memo()
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    counts = {k: summary["cache"][k] for k in ("hits", "misses", "stores")}
+    assert counts == {"hits": 0, "misses": 3, "stores": 3}
+    assert (cache.stats.misses, cache.stats.stores) == (3, 3)  # memo hit
+    assert len(list((tmp_path / "c").rglob("*.pkl"))) == 3

@@ -183,6 +183,16 @@ def test_cluster_affinity_streak_bound():
     assert third == 4  # streak exhausted -> remote served
 
 
+def test_cluster_affinity_remote_grant_resets_the_streak():
+    topo = uniform_topology(2, 4)  # clusters {0,1,2,3} {4,5,6,7}
+    policy = ClusterAffinityPolicy(topo, max_streak=2)
+    queue = [QueueEntry(o, float(ts)) for ts, o in enumerate((1, 2, 3, 5, 6))]
+    served = [policy.pick(queue, holder=0).origin for _ in range(4)]
+    # Two local grants exhaust the streak, one remote grant ends it, and
+    # the local side may be served again: 3, not the next remote 6.
+    assert served == [1, 2, 5, 3]
+
+
 def test_cluster_affinity_validation():
     topo = uniform_topology(2, 2)
     with pytest.raises(ProtocolError):

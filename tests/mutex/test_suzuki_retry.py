@@ -63,6 +63,22 @@ def test_retry_recovers_from_total_first_loss():
     assert done[0] >= 20.0  # had to wait for the retry timer
 
 
+def test_every_retry_rearms_until_the_network_heals():
+    # Requests are lost until t = 7: the broadcast at 0 and the retry at
+    # 5 both vanish, the retry at 10 reaches the holder at 11 and the
+    # token arrives at 12.  Each broadcast must arm the next retry.
+    sim, net, peers = build(retry_ms=5.0, n=3)
+    net.faults = FaultInjector(drop=1.0, only_kinds={"request"})
+    done = []
+    peers[1].on_granted.append(lambda: done.append(sim.now))
+    peers[1].request_cs()
+    sim.run(until=7.0)
+    net.faults = None
+    sim.run(until=100.0)
+    assert done == [12.0]
+    assert peers[1].retries == 2
+
+
 def test_retry_under_probabilistic_loss_preserves_liveness_and_safety():
     sim, net, peers = build(retry_ms=10.0, drop=0.4, n=5, seed=7)
     safety = MutualExclusionChecker.for_port(sim.trace, "mutex")

@@ -1,4 +1,4 @@
-"""The ``python -m repro.obs`` CLI and the runner's obs wiring."""
+"""``repro run --obs`` / ``--trace`` and the runner's obs wiring."""
 
 import json
 import subprocess
@@ -9,23 +9,27 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.obs.cli import main
+from repro.experiments.cli import main
 
 SMALL = [
-    "--clusters", "2", "--apps", "2", "--n-cs", "3", "--rho-over-n", "2",
+    "run", "--clusters", "2", "--apps", "2", "--n-cs", "3",
+    "--rho-over-n", "2", "--no-cache",
 ]
 
 
 class TestCLI:
     def test_text_report(self, capsys):
-        assert main(SMALL) == 0
+        assert main([*SMALL, "--obs", "paths"]) == 0
         out = capsys.readouterr().out
+        assert out.index("simulated time") < out.index("obs level: paths")
         assert "exact decomposition" in out
         assert "counters:" in out
 
     def test_json_report(self, capsys):
-        assert main([*SMALL, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main([*SMALL, "--obs", "paths", "--json"]) == 0
+        [run] = json.loads(capsys.readouterr().out)
+        payload = run["obs"]
+        assert payload["level"] == "paths"
         assert payload["exact"] is True
         assert payload["n_paths"] > 0
         assert set(payload["category_ms"]) == {
@@ -33,16 +37,28 @@ class TestCLI:
             "holding", "local",
         }
 
+    def test_json_without_obs_has_no_report(self, capsys):
+        assert main([*SMALL, "--json"]) == 0
+        [run] = json.loads(capsys.readouterr().out)
+        assert "obs" not in run
+
     def test_trace_export_implies_trace_level(self, tmp_path, capsys):
         target = tmp_path / "run.trace.json"
         assert main([*SMALL, "--trace", str(target)]) == 0
         trace = json.loads(target.read_text())
         assert trace["traceEvents"]
-        assert "obs level: trace" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "obs level: trace" in out
+        assert str(target) in err
 
-    def test_rho_flags_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main([*SMALL, "--rho", "5"])
+    def test_obs_report_is_cached_with_the_result(self, tmp_path, capsys):
+        argv = [*SMALL[:-1], "--obs", "paths", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "1 store(s)" in cold.err and "1 hit(s)" in warm.err
+        assert warm.out == cold.out and "exact decomposition" in warm.out
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -51,7 +67,7 @@ class TestCLI:
     )
     def test_refused_config_is_one_line_and_status_2(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([*SMALL, *argv])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert named in err and "Traceback" not in err
@@ -61,19 +77,19 @@ class TestCLI:
     def test_multilevel_is_built_from_intra_and_inter(self, capsys):
         # The two-level tree --system multilevel built is the composition.
         assert main([*SMALL, "--system", "composition", "--inter", "martin",
-                     "--platform", "two-tier", "--level", "counters"]) == 0
+                     "--platform", "two-tier", "--obs", "counters"]) == 0
         assert "naimi-martin on" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
-        """`python -m repro.obs` resolves and runs end to end."""
+        """`python -m repro run --obs` resolves and runs end to end."""
         repo = Path(__file__).resolve().parents[2]
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.obs", *SMALL, "--json"],
+            [sys.executable, "-m", "repro", *SMALL, "--obs", "paths", "--json"],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["exact"] is True
+        assert json.loads(proc.stdout)[0]["obs"]["exact"] is True
 
 
 class TestRunnerWiring:
