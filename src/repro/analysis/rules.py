@@ -485,7 +485,7 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "so nothing but the runs that wire a composition knows the "
         "coordinator internals (a config checks its hierarchy with the "
         "builder's own hierarchy_depth; the explorer's world imports only "
-        "elect_holder, for its recover action)",
+        "InstanceRecovery, for its recover action)",
     ),
     Invariant(
         "build_system",
@@ -524,6 +524,13 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "an epoch change re-seats a token through the algorithm's own "
         "initial state; recovery and the explorer's recover action are its "
         "only two callers",
+    ),
+    Invariant(
+        "post_at",
+        ("net/network.py",),
+        "post_at pushes a bare delivery that nothing can cancel: a timer "
+        "armed through it would outlive halt() and teardown; timers go "
+        "through schedule_at",
     ),
     Invariant(
         "SeedSequence",

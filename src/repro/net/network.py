@@ -29,9 +29,12 @@ events in the same order, so which one ran is invisible to a
 the broadcast primitive on top: one call, one delivery per destination,
 the per-broadcast work hoisted out of the loop.
 
-The fused path pushes *bare* calendar entries
-(:data:`~repro.sim.kernel.HeapEntry`): one tuple per message (per
-group of same-due messages, for ``multicast``: below), no ``Event``.
+Every delivery is a *bare* calendar entry
+(:data:`~repro.sim.kernel.HeapEntry`), which nothing cancels: no
+``Event``.  The general path pushes one per message through
+:meth:`~repro.sim.kernel.Simulator.post_at`; the fused path inlines
+that push, one tuple per message (per group of same-due messages, for
+``multicast``: below).
 **Direct dispatch** builds no :class:`Message`: when the destination
 registered an owner and a kind table (``register(..., owner=,
 table=)``, as every :class:`~repro.mutex.base.MutexPeer` does) holding
@@ -345,13 +348,10 @@ class Network:
         deliver, fan = self._deliver_cb, self._fan_cb
         pending = sum(1 for _ in self._direct_entries())
         for entry in self.sim._heap:
-            args = entry[3]
-            if args is None:  # an Event entry: the general path's
-                pending += entry[2].callback is deliver
-            elif entry[2] is deliver:
+            if entry[2] is deliver:
                 pending += 1
             elif entry[2] is fan:
-                pending += len(args[0])
+                pending += len(entry[3][0])
         if self._fanning is not None:
             pending += length_hint(self._fanning)
         return self._seq - pending - self._lost - self._unrouted
@@ -769,8 +769,7 @@ class Network:
                 self._flow_clock[flow] = due
         msg.seq = self._seq
         self._seq += 1
-        # Handle-free scheduling: deliveries are never cancelled, and one
-        # is created per message — the dominant event source by far.
+        # A delivery is a bare entry: nothing cancels it.
         sim.post_at(due, self._deliver_cb, (msg,))
 
     def _fan(

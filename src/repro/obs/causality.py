@@ -44,8 +44,11 @@ __all__ = ["DeliveryRecord", "CSWait", "CausalityRecorder", "is_app_cs_port"]
 
 def is_app_cs_port(port: str) -> bool:
     """Whether ``port`` carries application-facing critical sections
-    (the intra level of a composition, or a flat instance) — the same
-    scoping rule the safety checker and the experiment runner use."""
+    (the intra level of a composition, or a flat instance) — the port
+    rule :class:`~repro.metrics.timeline.TimelineRecorder` also applies.
+    The runner's safety checker has none: it is scoped by the peers it
+    watches (``MutualExclusionChecker().watch(...)`` over the
+    applications' peers)."""
     return port.startswith("intra") or port == "flat"
 
 

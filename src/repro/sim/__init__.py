@@ -13,7 +13,7 @@ Public surface:
 * :class:`~repro.sim.trace.Tracer` — zero-cost-when-idle structured tracing.
 """
 
-from .event import Event, EventHandle
+from .event import Event
 from .kernel import Simulator
 from .process import Process
 from .rng import RngRegistry, stable_hash
@@ -21,7 +21,6 @@ from .trace import Tracer, TraceRecord
 
 __all__ = [
     "Event",
-    "EventHandle",
     "Simulator",
     "Process",
     "RngRegistry",

@@ -1,36 +1,45 @@
-"""Event objects used by the discrete-event kernel.
+"""Timer events of the discrete-event kernel.
 
-An :class:`Event` pairs a simulated timestamp with a callback.  The
-kernel orders events by ``(time, seq)`` where ``seq`` is a kernel-assigned
-monotonically increasing sequence number; this makes simulation runs fully
-deterministic: two events scheduled for the same instant fire in the order
-they were scheduled.  Calendar entries are tuples led by that unique
-``(time, seq)`` pair, so an event itself is never compared.
+An :class:`Event` is a cancellable timer: a simulated timestamp, a
+callback and its arguments, and a cancellation flag.  It is its own
+handle — :meth:`repro.sim.kernel.Simulator.schedule`/``schedule_at``
+and :meth:`repro.sim.process.Process.set_timer` return it, and
+:meth:`Event.cancel` reports the cancellation to the simulator that
+queued it.  The kernel orders its calendar by ``(time, seq)`` where
+``seq`` is a kernel-assigned monotonically increasing sequence number;
+this makes simulation runs fully deterministic: two events scheduled
+for the same instant fire in the order they were scheduled.  Calendar
+entries are tuples led by that unique ``(time, seq)`` pair, so an event
+itself is never compared.
 
-The allocation path is deliberately slim: events live on the kernel's hot
-path (one per message delivery, timer, and workload step), so the class
-keeps ``__slots__`` and a trivial ``__init__``.  The :class:`EventHandle` wrapper — which exists so user code
-can cancel without reaching into kernel internals — is only allocated by
-the public ``schedule``/``schedule_at`` API; internal callers that never
-cancel use :meth:`repro.sim.kernel.Simulator.post_at` and skip it.
+Deliveries, which nothing cancels, are not events: they are bare
+calendar entries (:data:`repro.sim.kernel.HeapEntry`), pushed by
+:meth:`~repro.sim.kernel.Simulator.post_at` or by the network inline.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-__all__ = ["Event", "EventHandle"]
+if TYPE_CHECKING:
+    from .kernel import Simulator
+
+__all__ = ["Event"]
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback.
 
-    Instances are created by :meth:`repro.sim.kernel.Simulator.schedule`;
-    user code normally only sees the :class:`EventHandle` wrapper used for
-    cancellation.
+    After the event fires (or is cancelled) :attr:`active` turns
+    ``False``.  ``_sim`` is the simulator whose live-event accounting a
+    cancellation is reported to (exact
+    :attr:`~repro.sim.kernel.Simulator.pending` counts and the
+    lazy-deletion compaction heuristic); an event built without one —
+    the inert event a halted :class:`~repro.sim.process.Process` returns
+    — just flips the flag.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -38,58 +47,30 @@ class Event:
         seq: int,
         callback: Callable[..., Any],
         args: tuple,
+        sim: Optional[Simulator] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", "?")
-        return f"<Event t={self.time:.6f} seq={self.seq} {name} [{state}]>"
-
-
-class EventHandle:
-    """Opaque handle returned by the scheduler, used to cancel an event.
-
-    Holding a handle does not keep the event alive past its firing; after
-    the event fires (or is cancelled) :attr:`active` turns ``False``.
-
-    The handle carries the owning simulator so a cancellation can be
-    reported back to the kernel's live-event accounting (exact
-    :attr:`~repro.sim.kernel.Simulator.pending` counts and the lazy-deletion
-    compaction heuristic).  Handles built without a simulator — e.g. the
-    inert handles a halted :class:`~repro.sim.process.Process` returns —
-    just flip the flag.
-    """
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: Event, sim: Optional[object] = None) -> None:
-        self._event = event
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event is (or was) due."""
-        return self._event.time
 
     @property
     def active(self) -> bool:
         """``True`` while the event is still pending and not cancelled."""
-        return not self._event.cancelled
+        return not self.cancelled
 
     def cancel(self) -> None:
         """Cancel the event.  Idempotent; cancelling a fired event is a no-op
         at the kernel level (the kernel marks events as cancelled when they
         fire, so a late ``cancel()`` never raises)."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
             if self._sim is not None:
                 self._sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EventHandle {self._event!r}>"
+        state = "cancelled" if self.cancelled else "pending"
+        name = getattr(self.callback, "__qualname__", "?")
+        return f"<Event t={self.time:.6f} seq={self.seq} {name} [{state}]>"

@@ -20,28 +20,24 @@ per-event work minimal (see ``docs/performance.md``):
 * heap entries are tuples keyed ``(time, seq)``, so ``heappush``/
   ``heappop`` compare keys entirely in C (``seq`` is unique: the
   comparison never reaches the third field);
-* an entry comes in two shapes (:data:`HeapEntry`).  A *bare* entry
-  ``(due, seq, callback, args)`` is the whole event: one tuple, no
-  :class:`~repro.sim.event.Event`, never cancelled — what the network
-  pushes for message deliveries, the dominant source of events.  One
-  bare entry may stand for several deliveries: a broadcast's
-  same-due messages share one (see ``Network.multicast``), and its
-  callback adds the members beyond the first to the fired count.  A
-  bare entry may carry a fifth field, which no loop reads (the
-  network keeps the rest of a directly dispatched message there).
-  An *event* entry ``(time, seq, event, None)`` carries the
-  :class:`~repro.sim.event.Event` that
-  :meth:`Simulator.schedule`/``schedule_at``/``post_at`` return, with
-  its cancellation flag.  The loops tell them apart with one
-  ``is None`` test on the fourth field;
+* an entry comes in two shapes (:data:`HeapEntry`), one per role.  A
+  *bare* entry ``(due, seq, callback, args)`` is a delivery: one tuple,
+  no :class:`~repro.sim.event.Event`, never cancelled — what
+  :meth:`Simulator.post_at` pushes, and what the network pushes inline
+  for every message, the dominant source of events.  One bare entry
+  may stand for several deliveries: a broadcast's same-due messages
+  share one (see ``Network.multicast``), and its callback adds the
+  members beyond the first to the fired count.  A bare entry may carry
+  a fifth field, which no loop reads (the network keeps the rest of a
+  directly dispatched message there).  An *event* entry ``(time, seq,
+  event, None)`` is a timer: it carries the
+  :class:`~repro.sim.event.Event` that :meth:`Simulator.schedule`/
+  ``schedule_at`` return, which cancels itself.  The loops tell them
+  apart with one ``is None`` test on the fourth field;
 * :meth:`Simulator.run` keeps the ``max_events`` check out of the loop
   every experiment runs: one tight pop/fire loop bounded by ``until``
   (infinity when none is given); anything with ``max_events`` is
   ``_peek()`` + :meth:`Simulator.step`;
-* :meth:`Simulator.post_at` schedules without allocating an
-  :class:`~repro.sim.event.EventHandle` for internal callers that
-  rarely cancel (the workload's two timers per critical section, the
-  network's crash/fault/FIFO path);
 * cancelled events are removed *lazily* (tombstones popped on
   encounter), but the kernel counts them and compacts the heap in place
   once tombstones outnumber live events — heavy cancellers such as the
@@ -61,19 +57,20 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .event import Event, EventHandle
+from .event import Event
 from .rng import RngRegistry
 from .trace import Tracer
 
 __all__ = ["Simulator", "HeapEntry"]
 
 #: One calendar entry, ordered by its first two fields.  Either *bare*,
-#: ``(due, seq, callback, args)`` with ``args`` a tuple — fires
-#: ``callback(*args)`` — or ``(time, seq, event, None)`` carrying a
-#: cancellable :class:`~repro.sim.event.Event`.  A bare entry may have a
-#: fifth field for its pusher, which the kernel never reads.  The module
-#: that pushes entries itself (``net/network.py``) pushes bare ones and
-#: must consume ``seq`` exactly as :meth:`Simulator.post_at` does, once
+#: ``(due, seq, callback, args)`` with ``args`` a tuple — a delivery,
+#: which fires ``callback(*args)`` and is never cancelled — or ``(time,
+#: seq, event, None)`` carrying a timer, a cancellable
+#: :class:`~repro.sim.event.Event`.  A bare entry may have a fifth field
+#: for its pusher, which the kernel never reads.  The module that pushes
+#: entries itself (``net/network.py``) pushes bare ones and must consume
+#: ``seq`` exactly as :meth:`Simulator.post_at` does, once
 #: per message — also for a group entry, which is keyed by its first
 #: member's ``seq``; its other members own the next ones, which no
 #: entry is keyed by.
@@ -195,8 +192,9 @@ class Simulator:
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to fire ``delay`` ms from now.
+    ) -> Event:
+        """Schedule ``callback(*args)`` to fire ``delay`` ms from now and
+        return its cancellable :class:`Event`.
 
         ``delay`` must be non-negative; zero-delay events fire after all
         events already scheduled for the current instant (FIFO within a
@@ -211,39 +209,15 @@ class Simulator:
         time: float,
         callback: Callable[..., Any],
         *args: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute simulated time ``time``
+        and return its cancellable :class:`Event`."""
         if not time >= self._now:  # NaN too
             raise _time_error(time, self._now)
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
         seq = self._seq
-        event = Event(time, seq, callback, args)
-        if self._tie_salt is not None:
-            seq = _mix64(seq ^ self._tie_salt)
-        heappush(self._heap, (time, seq, event, None))
-        self._seq += 1
-        return EventHandle(event, self)
-
-    def post_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-    ) -> Event:
-        """Handle-free scheduling at absolute time ``time`` (hot path).
-
-        Identical ordering semantics to :meth:`schedule_at` but skips the
-        :class:`EventHandle` allocation and the callable check — for
-        internal callers (message delivery, workload stepping) that
-        schedule in bulk.  Returns the raw
-        :class:`Event`; a caller that must cancel it wraps it in an
-        ``EventHandle(event, sim)`` so :attr:`pending` stays exact.
-        """
-        if not time >= self._now:  # NaN too
-            raise _time_error(time, self._now)
-        seq = self._seq
-        event = Event(time, seq, callback, args)
+        event = Event(time, seq, callback, args, self)
         if self._tie_salt is not None:
             # Sanitizer mode: permute the tie-break key (bijective, so
             # still unique — comparisons never reach the Event object).
@@ -251,6 +225,26 @@ class Simulator:
         heappush(self._heap, (time, seq, event, None))
         self._seq += 1
         return event
+
+    def post_at(
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple = (),
+    ) -> None:
+        """Push a delivery: ``callback(*args)`` at absolute time ``time``,
+        one bare entry that nothing can cancel.  The key, the tie-salt
+        mixing and the refusal of a past or NaN time are
+        :meth:`schedule_at`'s; no :class:`Event`, no callable check.
+        ``Network.send``/``multicast`` inline this push; timers go
+        through :meth:`schedule_at`."""
+        if not time >= self._now:  # NaN too
+            raise _time_error(time, self._now)
+        seq = self._seq
+        if self._tie_salt is not None:
+            seq = _mix64(seq ^ self._tie_salt)
+        heappush(self._heap, (time, seq, callback, args))
+        self._seq += 1
 
     # ------------------------------------------------------------------ #
     # execution
@@ -388,8 +382,8 @@ class Simulator:
 
         A calendar that still holds events ties the kernel to its agents
         (event -> callback -> agent -> kernel); emptied, a finished run's
-        object graph can be freed by reference count alone.  Handles of
-        the forgotten events read inactive."""
+        object graph can be freed by reference count alone.  The
+        forgotten events read inactive."""
         heap = self._heap
         for entry in heap:
             if entry[3] is None:
@@ -433,7 +427,7 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def _note_cancelled(self) -> None:
         """Record one cancellation of a still-queued event (called by
-        :meth:`EventHandle.cancel`) and compact when tombstones dominate."""
+        :meth:`Event.cancel`) and compact when tombstones dominate."""
         self._cancelled += 1
         if (
             self._cancelled > _COMPACT_MIN_CANCELLED

@@ -12,14 +12,14 @@ from typing import Any, Callable, List, Tuple, Union
 
 import numpy as np
 
-from .event import Event, EventHandle
+from .event import Event
 from .kernel import Simulator
 
 __all__ = ["Process", "stream_label"]
 
 #: The timer list of every process that has armed no managed timer:
 #: shared, and a tuple, so nothing can be appended to it.
-_NO_TIMERS: Tuple[EventHandle, ...] = ()
+_NO_TIMERS: Tuple[Event, ...] = ()
 
 
 def stream_label(name: str, purpose: str) -> str:
@@ -41,7 +41,7 @@ class Process:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._timers: Union[List[EventHandle], Tuple[EventHandle, ...]] = (
+        self._timers: Union[List[Event], Tuple[Event, ...]] = (
             _NO_TIMERS
         )
         self._halted = False
@@ -56,35 +56,35 @@ class Process:
 
     def set_timer(
         self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``fn(*args)`` to fire ``delay`` ms from now.
 
-        The handle is tracked so :meth:`cancel_timers` can sweep every
+        The event is tracked so :meth:`cancel_timers` can sweep every
         outstanding timer of the process (used at teardown).
 
         On a halted process (see :meth:`halt`) nothing is scheduled and
-        an inert, already-cancelled handle is returned: a crashed node
+        an inert, already-cancelled event is returned: a crashed node
         cannot arm timers, and callers need not special-case it."""
         if self._halted:
             dead = Event(self.sim.now, -1, fn, args)
             dead.cancelled = True
-            return EventHandle(dead)
-        handle = self.sim.schedule(delay, fn, *args)
+            return dead
+        event = self.sim.schedule(delay, fn, *args)
         timers = self._timers
         if not isinstance(timers, list):  # none armed, or all cancelled
-            self._timers = [handle]
-            return handle
-        timers.append(handle)
+            self._timers = [event]
+            return event
+        timers.append(event)
         # Opportunistically compact the tracking list so long-lived
-        # processes do not accumulate dead handles.
+        # processes do not accumulate dead events.
         if len(timers) > 64:
-            self._timers = [h for h in timers if h.active]
-        return handle
+            self._timers = [e for e in timers if e.active]
+        return event
 
     def cancel_timers(self) -> None:
         """Cancel every outstanding timer of this process."""
-        for handle in self._timers:
-            handle.cancel()
+        for event in self._timers:
+            event.cancel()
         self._timers = _NO_TIMERS
 
     # ------------------------------------------------------------------ #

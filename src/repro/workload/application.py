@@ -21,7 +21,7 @@ from typing import List, Optional
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
 from ..mutex.base import MutexPeer
-from ..sim.event import Event, EventHandle
+from ..sim.event import Event
 from ..sim.process import Process, stream_label
 from .behavior import require_positive
 
@@ -130,7 +130,7 @@ class ApplicationProcess(Process):
         if self.n_cs == 0 and on_done is not None:
             on_done(self)
         if self.n_cs > 0:
-            self._timer = sim.post_at(start + self._next_think(), self._request)
+            self._timer = sim.schedule_at(start + self._next_think(), self._request)
 
     @staticmethod
     def think_label(node: int) -> str:
@@ -159,12 +159,12 @@ class ApplicationProcess(Process):
         """Cancel the outstanding timer (and anything ``set_timer`` armed)."""
         super().cancel_timers()
         if self._timer is not None:
-            EventHandle(self._timer, self.sim).cancel()
+            self._timer.cancel()
             self._timer = None
 
     # ------------------------------------------------------------------ #
-    # The two per-CS timers go through the handle-free ``post_at`` at
-    # absolute times; like ``set_timer``, a halted process arms nothing.
+    # The two per-CS timers are armed with ``schedule_at`` at absolute
+    # times; like ``set_timer``, a halted process arms nothing.
     def _request(self) -> None:
         sim = self.sim
         self._requested_at = sim._now
@@ -188,7 +188,7 @@ class ApplicationProcess(Process):
         sim = self.sim
         self._granted_at = now = sim._now
         if not self._halted:
-            self._timer = sim.post_at(now + self.alpha, self._release)
+            self._timer = sim.schedule_at(now + self.alpha, self._release)
 
     def _release(self) -> None:
         assert self._requested_at is not None and self._granted_at is not None
@@ -204,7 +204,7 @@ class ApplicationProcess(Process):
         if self.completed < self.n_cs:
             think = self._next_think()
             if not self._halted:
-                self._timer = sim.post_at(sim._now + think, self._request)
+                self._timer = sim.schedule_at(sim._now + think, self._request)
         else:
             self._timer = None  # the fired event points back at us
             if self.on_done is not None:

@@ -77,17 +77,18 @@ def in_flight(sim: Simulator) -> List[Tuple[float, int, Any]]:
 
 def post_bare(sim: Simulator, time: float, callback: Callable[..., Any], *args: Any,
               fields: Optional[Tuple[Any, ...]] = None) -> None:
-    """Push a bare ``(due, seq, callback, args)`` entry exactly as
+    """Push a bare ``(due, seq, callback, args)`` entry: ``Simulator.post_at``
+    itself.  With ``fields``, the entry is the five-field ``(due, seq,
+    callback, args, fields)`` of a direct dispatch, pushed exactly as
     ``Network.send`` does: the kernel's seq consumed and tie-salted the
-    way ``Simulator.post_at`` would.  With ``fields``, the entry is the
-    five-field ``(due, seq, callback, args, fields)`` of a direct
-    dispatch."""
+    way ``post_at`` would."""
+    if fields is None:
+        sim.post_at(time, callback, args)
+        return
     seq = sim._seq
     if sim._tie_salt is not None:
         seq = _mix64(seq ^ sim._tie_salt)
-    entry = (time, seq, callback, args) if fields is None else (
-        time, seq, callback, args, fields)
-    heappush(sim._heap, entry)
+    heappush(sim._heap, (time, seq, callback, args, fields))
     sim._seq += 1
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net import (
+    CrashController,
     FaultInjector,
     Network,
     TwoTierLatency,
@@ -278,6 +279,38 @@ def test_a_fenced_message_is_traced_and_delivered():
     sim.run()
     assert got == [] and [r.fields["seq"] for r in delivers] == [0]
     assert net.delivered == 1 and (net._lost, net._unrouted) == (0, 0)
+
+
+@pytest.mark.parametrize("feature", ["fifo", "faults", "crashes", "fence"])
+def test_general_path_deliveries_are_bare_entries(feature):
+    # Each feature takes sends off the fused path; the deliveries they
+    # push are still bare entries, never an Event with its cancel flag,
+    # and `delivered` reads them off the calendar exactly mid-run.
+    sim = Simulator(seed=5)
+    topo = uniform_topology(2, 2)
+    latency = TwoTierLatency(topo, lan_ms=0.1, wan_ms=10.0, jitter=0.3)
+    net = Network(sim, topo, latency, **{
+        "fifo": {"fifo": True},
+        "faults": {"faults": FaultInjector(duplicate=0.5)},
+        "crashes": {"crashes": CrashController(sim)},
+    }.get(feature, {}))
+    if feature == "fence":
+        net.fence("app")
+    assert not net.fused
+    got = []
+    for node in range(4):
+        net.register(node, "app", got.append)
+    for i in range(12):
+        net.send(i % 4, (i + 1) % 4, "app", "ping")
+    assert sim.pending >= 12
+    assert [e for e in sim.pending_events() if e.callback == net._deliver] == []
+    sim.run(until=5.0)  # the LAN deliveries, not the WAN ones
+    assert 0 < net.delivered < 12 <= net._seq
+    assert net.delivered == sim.events_fired
+    if feature != "fence":  # a fenced delivery reaches no handler
+        assert net.delivered == len(got)
+    sim.run()
+    assert net.delivered == sim.events_fired == net._seq
 
 
 def test_fencing_takes_the_network_off_the_fused_path():

@@ -377,32 +377,34 @@ def test_post_at_rejects_past():
 
 @pytest.mark.parametrize("tie_seed", [None, 3])
 def test_post_at_queues_the_same_keys_as_schedule_at(tie_seed):
-    # Same (time, seq) per event and the same tie-salt mixing: a timer
-    # moved from set_timer/schedule onto post_at cannot reorder a run.
+    # Same (time, seq) per entry and the same tie-salt mixing: a delivery
+    # pushed through post_at sorts exactly where a timer would.
     def keys(post):
         sim = Simulator(seed=0, tie_seed=tie_seed)
         sim.schedule(2.0, lambda: None)  # someone else's event in between
         for i, t in enumerate((5.0, 5.0, 1.5, 5.0)):
             post(sim, t, f"timer{i}")
-        return [
-            (e.time, e.key, e.event.seq, e.event.args)
-            for e in heap_entries(sim)
-        ]
+        return [(e.time, e.key, e.args) for e in heap_entries(sim)]
 
     via_schedule = keys(lambda sim, t, name: sim.schedule_at(t, print, name))
     via_post = keys(lambda sim, t, name: sim.post_at(t, print, (name,)))
     assert via_post == via_schedule
 
 
-def test_post_at_event_cancelled_through_a_handle_keeps_pending_exact():
-    from repro.sim.event import EventHandle
+def test_post_at_pushes_one_bare_entry_and_returns_nothing():
+    sim = Simulator(seed=0)
+    assert sim.post_at(1.0, print, ("x",)) is None
+    assert sim._heap == [(1.0, 0, print, ("x",))]
+    assert list(sim.pending_events()) == [] and sim.pending == 1
 
+
+def test_double_cancel_keeps_pending_exact():
     sim = Simulator(seed=0)
     fired = []
-    event = sim.post_at(1.0, fired.append, ("x",))
-    sim.post_at(2.0, fired.append, ("y",))
-    EventHandle(event, sim).cancel()
-    EventHandle(event, sim).cancel()  # idempotent
+    event = sim.schedule_at(1.0, fired.append, "x")
+    sim.schedule_at(2.0, fired.append, "y")
+    event.cancel()
+    event.cancel()  # idempotent
     assert (sim.pending, sim.cancelled_pending) == (1, 1)
     sim.run()
     assert fired == ["y"]
@@ -438,7 +440,7 @@ def _mixed(tie_seed=None):
     sim.schedule_at(2.0, fired.append, "event2")
     dead = sim.schedule_at(3.0, fired.append, "dead3")
     post_bare(sim, 4.0, fired.append, "bare4", fields=("unread",))
-    sim.post_at(5.0, fired.append, ("event5",))
+    sim.schedule_at(5.0, fired.append, "event5")
     post_bare(sim, 6.0, fired.append, "bare6")
     tail = sim.schedule_at(7.0, fired.append, "dead7")
     dead.cancel()

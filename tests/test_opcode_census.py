@@ -32,14 +32,33 @@ spec = importlib.util.spec_from_file_location("opcode_census", SCRIPT)
 opcode_census = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(opcode_census)
 
+#: one census per workload, shared by the tests that read it (each run
+#: takes about a second); ``test_census_repeats_exactly`` compares it with
+#: one independent second run
+_CENSUS = {}
 
-def test_census_repeats_exactly_and_send_is_the_top_row():
+
+def _census(workload):
+    if workload not in _CENSUS:
+        _CENSUS[workload] = opcode_census.census(
+            opcode_census.smoke_config(workload))
+    return _CENSUS[workload]
+
+
+@pytest.mark.parametrize("workload", ["fig4_single", "suzuki_flat"])
+def test_census_repeats_exactly(workload):
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
-    config = opcode_census.smoke_config("fig4_single")
-    run = opcode_census.census(config)
-    assert run == opcode_census.census(config)
-    messages, cs, table, heap, packages, built, calls = run
+    # Every field: instruction table, calendar counters, packages,
+    # messages built and C calls.
+    assert _census(workload) == opcode_census.census(
+        opcode_census.smoke_config(workload))
+
+
+def test_census_send_is_the_top_row():
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    messages, cs, table, heap, packages, built, calls = _census("fig4_single")
     assert messages > 0 and cs > 0 and all(table.values())
     # Unicast only: every message is one calendar entry, and so is each
     # workload timer.
@@ -78,9 +97,7 @@ def test_census_repeats_exactly_and_send_is_the_top_row():
 def test_census_package_block_adds_up_to_the_run():
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
-    config = opcode_census.smoke_config("suzuki_flat")
-    run = opcode_census.census(config)
-    assert run.packages == opcode_census.census(config).packages
+    run = _census("suzuki_flat")
     total = sum(run.table.values())
     assert sum(run.packages.values()) == total
     assert sum(n / total for n in run.packages.values()) == pytest.approx(1.0)
@@ -100,9 +117,7 @@ def test_census_package_block_adds_up_to_the_run():
 def test_census_counts_one_calendar_entry_per_broadcast_due_time():
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
-    config = opcode_census.smoke_config("suzuki_flat")
-    messages, cs, table, heap, _packages, built, _calls = opcode_census.census(
-        config)
+    messages, cs, table, heap, _packages, built, _calls = _census("suzuki_flat")
     # 26 requests per CS, on at most 9 due times (one per cluster); the
     # token and the workload's timers are one entry each.
     assert messages / cs > 26
@@ -117,10 +132,7 @@ def test_census_counts_one_calendar_entry_per_broadcast_due_time():
 def test_census_counts_every_c_call_by_callee(workload):
     if sys.gettrace() is not None or sys.getprofile() is not None:
         pytest.skip("a tracer or profiler already owns the hooks")
-    config = opcode_census.smoke_config(workload)
-    run = opcode_census.census(config)
-    again = opcode_census.census(config)
-    assert run.calls == again.calls and run.heap == again.heap
+    run = _census(workload)
     # The heap's rows are the calendar counters, counted by identity.
     for name in opcode_census.HEAP_CALLS:
         assert run.calls[name] == run.heap[name] > 0
