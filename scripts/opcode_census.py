@@ -3,7 +3,7 @@
 cache hit) of one smoke-size benchmark run, and its calendar operations.
 
     python scripts/opcode_census.py --workload fig4_single
-    python scripts/opcode_census.py --workload reproduce_warm
+    python scripts/opcode_census.py --workload reproduce_warm --profile
     python scripts/opcode_census.py --workload suzuki_flat --profile
     python scripts/opcode_census.py --workload twotier_5k --memory
 
@@ -43,15 +43,18 @@ hot path before timing it with ``scripts/paired_bench.py``; quote the
 interpreter version with the numbers, they differ between CPython
 releases.
 
-``--profile`` adds time beside the count: it runs the workload
-``PROFILE_RUNS`` more times under ``cProfile`` and prints, next to each
-package's instruction share, its share of the own time (``tottime``)
-as the median and the min–max of those runs.  The own time of a C
-function is charged to the package of the Python function that called
-it, so a package's share includes the C calls it makes -- the work the
-instruction count misses.  It is a time, so it spreads from run to run
-(hence the range) and carries the profiler's own per-call overhead; use
-it to see where instructions and time disagree, not to size a gain.
+``--profile`` adds time beside the count: it runs the workload (for
+``reproduce_warm``, the same warm ``reproduce_all`` call, on the same
+cache) ``PROFILE_RUNS`` more times under ``cProfile`` and prints, next
+to each package's instruction share, its share of the own time
+(``tottime``) as the median and the min–max of those runs.  The own
+time of a C function is charged to the package of the Python function
+that called it, so a package's share includes the C calls it makes --
+the work the instruction count misses: a cache hit's ``pickle.loads``
+is one instruction in ``cache``, and most of that package's time.  It
+is a time, so it spreads from run to run (hence the range) and carries
+the profiler's own per-call overhead; use it to see where instructions
+and time disagree, not to size a gain.
 
 ``--memory`` is the same census for state instead of work: it builds
 the workload's smoke config with ``ExperimentRun.build()`` under
@@ -241,9 +244,13 @@ def census(config: ExperimentConfig) -> RunCensus:
     )
 
 
-def warm_census(seed: int = 1) -> RunCensus:
+def warm_census(
+    seed: int = 1, profile: bool = False
+) -> Tuple[RunCensus, Optional[Shares]]:
     """The census of one smoke-size warm ``reproduce_all``, per cache
-    hit: the fields of :func:`census`, with no CS completed."""
+    hit: the fields of :func:`census`, with no CS completed; and, with
+    ``profile``, each package's own-time share of the same call
+    (:func:`profile_calls`), else ``None``."""
     scale = reproduce_scale(seed, True)
     with tempfile.TemporaryDirectory(prefix="repro-census-") as tmp:
         # Built untraced, and reused by every call, as the benchmark's
@@ -265,10 +272,11 @@ def warm_census(seed: int = 1) -> RunCensus:
         call()  # imports, memos: not the pass's cost
         try:
             hits, counts, heap, built, calls = count_opcodes(call)
+            shares = profile_calls(call) if profile else None
         finally:
             clear_sweep_memo()
     table, packages = _tables(counts)
-    return RunCensus(hits, 0, table, heap, packages, built, calls)
+    return RunCensus(hits, 0, table, heap, packages, built, calls), shares
 
 
 def own_time(stats: Dict[Any, Any]) -> Dict[str, float]:
@@ -288,15 +296,21 @@ def own_time(stats: Dict[Any, Any]) -> Dict[str, float]:
 
 
 def profile_packages(config: ExperimentConfig) -> Shares:
-    """Each package's share of the own time of ``run_experiment(config)``
-    under ``cProfile`` (:func:`own_time`): median, min and max over
-    ``PROFILE_RUNS`` runs, a package absent from a run counting 0 there."""
+    """:func:`profile_calls` of ``run_experiment(config)``."""
     run_experiment(config, cache=None)  # imports, memos: not the run's cost
+    return profile_calls(run_experiment, config, cache=None)
+
+
+def profile_calls(call: Callable[..., Any], *args: Any, **kwargs: Any) -> Shares:
+    """Each package's share of the own time of ``call(*args, **kwargs)``
+    under ``cProfile`` (:func:`own_time`): median, min and max over
+    ``PROFILE_RUNS`` calls, a package absent from a call counting 0
+    there."""
     shares: List[Dict[str, float]] = []
     for _ in range(PROFILE_RUNS):
         profiler = cProfile.Profile()
         gc.collect()
-        profiler.runcall(run_experiment, config, cache=None)
+        profiler.runcall(call, *args, **kwargs)
         own = own_time(pstats.Stats(profiler).stats)  # type: ignore[attr-defined]
         total = sum(own.values())
         shares.append({package: t / total for package, t in own.items()})
@@ -461,9 +475,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              f"of {PROFILE_RUNS} runs) beside its instruction share",
     )
     args = parser.parse_args(argv)
-    if args.profile and (args.memory or args.workload == "reproduce_warm"):
-        parser.error("--profile times one simulation run: pick a single-run "
-                     "workload, without --memory")
+    if args.profile and args.memory:
+        parser.error("--profile times the counted call: drop --memory")
     if args.memory:
         if args.workload == "reproduce_warm":
             parser.error("--memory builds one run: pick a single-run workload")
@@ -472,9 +485,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_memory(args.workload, config.n_apps, sites))
         return 0
     if args.workload == "reproduce_warm":  # no messages: no Message line
-        run = warm_census(args.seed)
+        run, profile = warm_census(args.seed, args.profile)
         print(render(args.workload, run.units, run.table, run.packages,
-                     calls=run.calls))
+                     calls=run.calls, profile=profile))
         return 0
     config = smoke_config(args.workload, args.seed)
     run = census(config)

@@ -42,8 +42,13 @@ __all__ = [
 
 #: Bumped whenever the pickled payload layout changes (e.g. a new field
 #: on ``ExperimentResult``); participates in the fingerprint so stale
-#: payload shapes can never be unpickled into current code.
-CACHE_SCHEMA_VERSION = 3
+#: payload shapes can never be unpickled into current code.  4: a blob's
+#: result holds ``config=None`` (``get`` binds the caller's config), and
+#: ``SummaryStats`` is slotted and pickles by position.  A version-3
+#: blob's stats are a by-name state dict, which the slotted class's
+#: ``__setstate__`` reads without error as its field *names*
+#: (``count='count'``), so it must never be decoded here.
+CACHE_SCHEMA_VERSION = 4
 
 #: Packages whose source text determines simulated behaviour — the same
 #: closure the golden-digest equivalence matrix certifies.  The

@@ -5,12 +5,16 @@ digest-relevant module simply starts a fresh subtree and the old one
 ages out through the LRU sweep)::
 
     .repro-cache/
+      .ledger
       <fingerprint>/<key[:2]>/<key>.pkl
 
 Each blob is a pickled ``{"key": <canonical config json>, "result":
-ExperimentResult}`` pair; ``get`` re-checks the stored canonical key
-against the requested configuration so a hash collision (or a
-canonicalization bug) degrades to a miss, never to a wrong result.
+ExperimentResult}`` pair whose result has ``config=None``: the key text
+already spells the configuration, so no blob carries a pickled
+``ExperimentConfig``.  ``get`` re-checks the stored canonical key
+against the requested configuration, so a hash collision (or a
+canonicalization bug) degrades to a miss, never to a wrong result, and
+only then hands the caller's own config to the decoded result.
 
 Concurrency contract
 --------------------
@@ -25,7 +29,12 @@ share one cache directory:
   miss, so corruption costs a recomputation, not an exception;
 * **eviction is advisory** — racing deletes are tolerated
   (``FileNotFoundError`` is ignored); recency comes from file mtimes,
-  which ``get`` refreshes on every hit.
+  which ``get`` refreshes on every hit;
+* **the size cap is shared** — every put appends its blob's size to
+  ``.ledger`` (one fixed-width line, ``O_APPEND``), and each handle adds
+  the lines written since it last looked to its size estimate, so one
+  handle sees every handle's puts without walking the tree.  The walk
+  before an eviction stays the authority (see :class:`ExperimentCache`).
 
 Verification
 ------------
@@ -73,6 +82,14 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 #: Eviction drains to this fraction of the cap so every put near the
 #: cap does not trigger a fresh directory scan.
 _EVICT_TO = 0.8
+
+#: The size ledger, a file in the store's root: a header line (a random
+#: nonce naming this ledger), then one line per published blob, its size.
+_LEDGER = ".ledger"
+#: Bytes per ledger line, the header's included.
+_RECORD = 16
+#: A rescan starts a new ledger once the old one is longer than this.
+_LEDGER_MAX = 64 * 1024
 
 #: Path components accepted by the raw blob API (fingerprints and
 #: SHA-256 config keys are hex, but stay permissive for test doubles).
@@ -143,6 +160,13 @@ def write_atomic(
                 os.unlink(tmp_name)
             except OSError:
                 pass
+
+
+def _read_at(fd: int, offset: int, size: int) -> bytes:
+    """``size`` bytes of ``fd`` from ``offset`` (an ``O_APPEND`` write
+    still goes to the end wherever a read left the offset)."""
+    os.lseek(fd, offset, os.SEEK_SET)
+    return os.read(fd, size)
 
 
 def _blob_file(fingerprint_dir: str, key: str) -> str:
@@ -255,6 +279,15 @@ class ExperimentCache:
     sampling and :attr:`spec` — for every tier.  The blobs are files
     under :attr:`root`; :class:`~repro.cache.http.HttpCache` keeps them
     behind a farm server by overriding only the ``_*_blob`` byte hooks.
+
+    The size cap is one promise to every handle sharing :attr:`root`:
+    once a put returns, the blobs under :attr:`root` (every fingerprint)
+    total at most :attr:`max_bytes` plus the puts other handles still
+    have in flight.  A handle's estimate is the last walk of the tree
+    plus every size appended to the ledger since; it can only
+    over-count (a replaced or evicted blob stays in it), so a put walks
+    the tree only once the estimate passes the cap, and the walk then
+    evicts, oldest first, down to 80 % of it.
     """
 
     def __init__(
@@ -276,9 +309,13 @@ class ExperimentCache:
         self._fingerprint_dir = os.path.join(str(self.root), self.fingerprint)
         #: Running size estimate so every put does not rescan the tree;
         #: None until the first put pays for one full scan.  Advisory
-        #: only (concurrent writers each keep their own): the authority
-        #: is the rescan inside :meth:`_evict_if_needed`.
+        #: only: the authority is the rescan inside
+        #: :meth:`_evict_if_needed`.
         self._approx_bytes: Optional[int] = None
+        self._ledger = os.path.join(str(self.root), _LEDGER)
+        #: The header of the ledger the estimate reads, and how far.
+        self._ledger_head = b""
+        self._ledger_at = 0
 
     def _init_shared(
         self, root: Any, verify_every: int, fingerprint: Optional[str]
@@ -320,6 +357,15 @@ class ExperimentCache:
         a canonical-key mismatch — drops the entry and reports a miss,
         so callers recompute instead of failing.  The canonical key is
         derived once: it addresses the entry and checks the stored one.
+
+        A hit's ``config`` *is* ``config``: the blob holds none, and
+        ``get`` binds the caller's (``object.__setattr__``, as
+        ``ExperimentConfig.with_`` builds a frozen copy).  That is safe
+        because it happens only once the stored key equals the requested
+        one: the two configs agree on every field the key renders, and
+        the fields it leaves out (the retired ``backend``, ``queue``,
+        ``batch_delivery`` and ``horizon``) are read by nothing, so a
+        fresh ``run_experiment(config)`` returns an equal result.
         """
         text = config.cache_key()
         key = key_digest(text)
@@ -329,25 +375,27 @@ class ExperimentCache:
             return None
         try:
             payload = pickle.loads(blob)
-            stored_key = payload["key"]
             result = payload["result"]
+            if payload["key"] == text:
+                object.__setattr__(result, "config", config)
+                self.stats.hits += 1
+                return result
         except Exception:
-            stored_key = None
-        if stored_key != text:
-            # Unreadable, a hash collision or serialization drift:
-            # never trust it.
-            self._drop_blob(key)
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+            pass
+        # Unreadable, a hash collision or serialization drift: never
+        # trust it.
+        self._drop_blob(key)
+        self.stats.corrupt += 1
+        self.stats.misses += 1
+        return None
 
     def put(self, config: Any, result: Any) -> None:
-        """Store ``result`` under ``config``'s key."""
+        """Store ``result`` under ``config``'s key, without its config
+        (the stored key text spells it; :meth:`get` binds the caller's)."""
         text = config.cache_key()
+        bare = replace(result, config=None)
         self._write_blob(
-            key_digest(text), canonical_dumps({"key": text, "result": result})
+            key_digest(text), canonical_dumps({"key": text, "result": bare})
         )
 
     # -- the byte hooks, keyed by the config key's digest ---------------- #
@@ -406,12 +454,39 @@ class ExperimentCache:
         write_atomic(path, blob)
         self.stats.stores += 1
         if self.max_bytes > 0:
-            if self._approx_bytes is None:
-                self._approx_bytes = self.total_bytes()
-            else:
-                self._approx_bytes += len(blob)
-            if self._approx_bytes > self.max_bytes:
-                self._evict_if_needed()
+            self._account(len(blob))
+
+    def _account(self, size: int) -> None:
+        """Append a put's ``size`` to the ledger and add to the estimate
+        every size appended since this handle last read it, its own
+        included; walk the tree (:meth:`_evict_if_needed`) once the
+        estimate passes the cap, or when there is no estimate to add to:
+        the first put, or a ledger other than the one last read."""
+        fd = self._open_ledger()
+        try:
+            os.write(fd, b"%15d\n" % size)
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if (self._approx_bytes is not None
+                    and _read_at(fd, 0, _RECORD) == self._ledger_head):
+                # Appends do not interleave, so [at, end) is whole lines.
+                lines = _read_at(fd, self._ledger_at, end - self._ledger_at)
+                self._approx_bytes += sum(map(int, lines.split()))
+                self._ledger_at = end
+                if self._approx_bytes <= self.max_bytes:
+                    return
+        finally:
+            os.close(fd)
+        self._evict_if_needed()
+
+    def _open_ledger(self) -> int:
+        """A descriptor of the ledger, started with a new random header
+        if there is none (the first writer's header wins)."""
+        while True:
+            try:
+                return os.open(self._ledger, os.O_RDWR | os.O_APPEND)
+            except FileNotFoundError:
+                head = os.urandom(8).hex()[1:].encode() + b"\n"
+                write_atomic(self._ledger, head, exclusive=True)
 
     # ------------------------------------------------------------------ #
     def should_verify(self) -> bool:
@@ -480,9 +555,26 @@ class ExperimentCache:
         are always the first to drain once the cap is under pressure.
         Rescans the tree (the running estimate only decides *when* to
         come here), so racing writers converge on the true size.
+
+        The ledger is marked *before* the walk: a blob the walk misses
+        was published after it began, so its size is appended after the
+        mark, where the next put reads it.  A ledger longer than
+        ``_LEDGER_MAX`` is dropped first, and the next open starts a new
+        one; every handle then finds a header it did not mark, and
+        walks the tree once.
         """
         if self.max_bytes <= 0:
             return
+        fd = self._open_ledger()
+        if os.lseek(fd, 0, os.SEEK_END) > _LEDGER_MAX:
+            os.close(fd)
+            self._discard(self._ledger)
+            fd = self._open_ledger()
+        try:
+            self._ledger_head = _read_at(fd, 0, _RECORD)
+            self._ledger_at = os.lseek(fd, 0, os.SEEK_END)
+        finally:
+            os.close(fd)
         listing: List[Tuple[float, Path, int]] = [
             (mtime, path, size) for path, size, mtime in self.entries()
         ]

@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["SummaryStats", "summarize", "pooled", "jain_index"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryStats:
-    """Moments of a sample of obtaining times (ms)."""
+    """Moments of a sample of obtaining times (ms).
+
+    Slotted, and pickled by position: a result carries one per cluster
+    and one overall, and each is decoded on every cache hit, so an
+    instance holds no ``__dict__`` and its pickle no field names.
+    """
 
     count: int
     mean: float
@@ -29,6 +34,12 @@ class SummaryStats:
     maximum: float
     p50: float
     p95: float
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return (self.__class__, (
+            self.count, self.mean, self.std, self.minimum, self.maximum,
+            self.p50, self.p95,
+        ))
 
     @property
     def relative_std(self) -> float:

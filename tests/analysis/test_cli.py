@@ -15,14 +15,37 @@ import pytest
 
 import repro
 from repro.analysis.cli import main
+from repro.analysis.engine import Engine
 from repro.analysis.rules import DEFAULT_RULES
 
 REPO_SRC = Path(repro.__file__).resolve().parent  # .../src/repro
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+@pytest.fixture(scope="session")
+def shipped_report():
+    """The lint of the shipped tree, as ``main`` runs it (from the working
+    directory), once per session: about a second each time."""
+    return Engine().check_paths([REPO_SRC], root=Path.cwd())
+
+
+@pytest.fixture
+def lint_once(monkeypatch, shipped_report):
+    """``main`` lints the shipped tree through :func:`shipped_report`;
+    any other tree, or another working directory, is linted afresh."""
+    check_paths = Engine.check_paths
+    cwd = Path.cwd()
+
+    def shared(self, paths, root=None):
+        if list(paths) == [REPO_SRC] and root == cwd:
+            return shipped_report
+        return check_paths(self, paths, root=root)
+
+    monkeypatch.setattr(Engine, "check_paths", shared)
+
+
 class TestExitCodes:
-    def test_shipped_tree_is_clean(self, capsys):
+    def test_shipped_tree_is_clean(self, capsys, lint_once):
         assert main([str(REPO_SRC)]) == 0
         out = capsys.readouterr().out
         assert "0 violation(s)" in out
@@ -65,7 +88,7 @@ class TestModes:
         assert main(["--conformance"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_check_combines_lint_and_conformance(self, capsys):
+    def test_check_combines_lint_and_conformance(self, capsys, lint_once):
         assert main([str(REPO_SRC), "--check"]) == 0
         out = capsys.readouterr().out
         assert "violation(s)" in out
@@ -84,7 +107,7 @@ EXPLORE_REPORT_KEYS = {
 
 
 class TestJsonOutput:
-    def test_check_json_schema(self, capsys):
+    def test_check_json_schema(self, capsys, lint_once):
         assert main([str(REPO_SRC), "--check", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro.analysis"

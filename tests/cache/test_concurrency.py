@@ -3,9 +3,11 @@
 Four processes sweep the same config batch against one undersized store
 directory, so puts, verification re-runs, and eviction passes interleave
 freely.  The store must come out of the race with zero corrupt entries
-— a reader sees a complete blob or a miss, never a torn one — and each
+— a reader sees a complete blob or a miss, never a torn one — each
 process's ledger must conserve lookups (``hits + misses`` equals the
-configs it swept, eviction or not).
+configs it swept, eviction or not), and the store must end within its
+cap.  The cap is a promise across handles: two handles in one process,
+putting in turn, keep the store within it after every put.
 """
 
 from __future__ import annotations
@@ -15,16 +17,22 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.cache import store
 from repro.cache.store import CacheSpec, ExperimentCache
-from repro.experiments import ExperimentConfig, run_configs_cached
+from repro.experiments import (
+    ExperimentConfig,
+    run_configs_cached,
+    run_experiment,
+)
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
 CONFIGS = [CFG.with_(seed=s) for s in range(8)]
 
 #: Small enough that the batch overflows the cap and every process
-#: triggers eviction passes mid-race (quick-scale blobs are ~2 KiB).
-TINY_CAP = 8 * 1024
+#: triggers eviction passes mid-race: about four and a half of these
+#: configs' blobs (910 bytes each).
+TINY_CAP = 4 * 1024
 
 ROUNDS = 2
 
@@ -90,3 +98,32 @@ def test_eviction_verify_put_race_leaves_no_corruption(tmp_path):
     post = run_configs_cached(CONFIGS, fresh, max_workers=1)
     assert [r.total_messages for r in post] == expected
     assert fresh.stats.corrupt == 0
+
+
+@pytest.mark.parametrize("ledger_max", [None, 3 * 16],
+                         ids=["ledger", "short-ledger"])
+def test_the_cap_holds_across_handles_after_every_put(
+    tmp_path, monkeypatch, ledger_max
+):
+    if ledger_max is not None:
+        # Every eviction's walk starts a new ledger under the handles.
+        monkeypatch.setattr(store, "_LEDGER_MAX", ledger_max)
+    results = [run_experiment(c) for c in CONFIGS]
+    sizer = ExperimentCache(cache_dir=tmp_path / "sizer", max_bytes=0)
+    sizer.put(CONFIGS[0], results[0])
+    cap = 5 * sizer.total_bytes() + sizer.total_bytes() // 2  # 5.5 blobs
+    shared = tmp_path / "shared"
+    handles = [ExperimentCache(cache_dir=shared, max_bytes=cap)
+               for _ in range(2)]
+    # One put each, then in turn: each handle's own puts alone never
+    # reach the cap, only the two together do.
+    heads = set()
+    for i, (config, result) in enumerate(zip(CONFIGS, results)):
+        handles[i % 2].put(config, result)
+        assert handles[0].total_bytes() <= cap, f"after put {i + 1}"
+        heads.add((shared / ".ledger").read_bytes()[:16])
+    assert sum(h.stats.evictions for h in handles) > 0
+    assert len(heads) == (1 if ledger_max is None else 2)
+    for config, result in zip(CONFIGS, results):
+        got = handles[0].get(config)
+        assert got is None or got == result

@@ -4,6 +4,7 @@ tests for the content-addressed result store."""
 from __future__ import annotations
 
 import pickle
+import pickletools
 
 import pytest
 
@@ -57,6 +58,30 @@ class TestRoundTrip:
         assert clone == result
         assert clone.obtaining == result.obtaining
         assert clone.obs_report == result.obs_report
+
+    @pytest.mark.parametrize("retired", [
+        {}, {"backend": "compiled"}, {"queue": "calendar"},
+        {"batch_delivery": True}, {"horizon": True},
+    ], ids=lambda r: next(iter(r), "same"))
+    def test_a_hit_carries_the_requesting_config(self, cache, retired):
+        # The stored config differs from the request only in a field
+        # the key leaves out, so the request hits and is its own answer.
+        cache.put(CFG, run_experiment(CFG))
+        request = CFG.with_(**retired)
+        cached = cache.get(request)
+        assert cached.config is request
+        assert cached == run_experiment(request)
+
+    def test_a_blob_holds_no_config(self, cache):
+        cache.put(CFG, run_experiment(CFG))
+        blob = cache.path_for(CFG).read_bytes()
+        payload = pickle.loads(blob)
+        assert payload["key"] == CFG.cache_key()
+        assert payload["result"].config is None
+        names = {arg for op, arg, _ in pickletools.genops(blob)
+                 if isinstance(arg, str)}
+        assert "ExperimentResult" in names
+        assert "ExperimentConfig" not in names
 
     def test_distinct_configs_do_not_alias(self, cache):
         a = run_experiment(CFG)

@@ -1,12 +1,17 @@
 """Unit tests for metric records, summaries and pooling."""
 
+import copy
+import pickle
+import pickletools
 
 import numpy as np
 import pytest
 
+from repro.cache.store import canonical_dumps
 from repro.metrics import (
     CSRecord,
     MetricsCollector,
+    SummaryStats,
     jain_index,
     pooled,
     summarize,
@@ -138,3 +143,18 @@ def test_summary_str_renders():
     s = summarize([1.0, 2.0])
     text = str(s)
     assert "mean=1.500ms" in text and "σ_r" in text
+
+
+def test_summary_stats_is_slotted_and_pickles_by_position():
+    s = summarize([1.0, 2.0, 4.5])
+    assert not hasattr(s, "__dict__")
+    for blob in (pickle.dumps(s), canonical_dumps(s)):
+        strings = {arg for op, arg, _ in pickletools.genops(blob)
+                   if isinstance(arg, str)}
+        # The class is named; its seven fields are not.
+        assert strings == {"repro.metrics.analysis", "SummaryStats"}
+        clone = pickle.loads(blob)
+        assert type(clone) is SummaryStats and clone == s
+    for clone in (copy.copy(s), copy.deepcopy(s)):
+        assert type(clone) is SummaryStats and clone == s
+        assert clone.relative_std == s.relative_std

@@ -17,7 +17,8 @@ addressed without pathlib, and prints the same C-call block.
 exactly, and a watched peer costs the safety checker one slotted object
 and its two bound callbacks.  ``--profile`` prints each package's
 cProfile own-time share beside its instruction share, a C function's
-time charged to its callers' packages."""
+time charged to its callers' packages: on the warm census, a hit's
+``pickle.loads`` is ``cache`` time."""
 
 import importlib.util
 import sys
@@ -33,15 +34,19 @@ opcode_census = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(opcode_census)
 
 #: one census per workload, shared by the tests that read it (each run
-#: takes about a second); ``test_census_repeats_exactly`` compares it with
-#: one independent second run
+#: takes about a second); ``test_census_repeats_exactly`` and the warm
+#: test compare it with one independent second run.  The warm census is
+#: ``(census, own-time shares)``, profiled on the call it counts.
 _CENSUS = {}
 
 
 def _census(workload):
     if workload not in _CENSUS:
-        _CENSUS[workload] = opcode_census.census(
-            opcode_census.smoke_config(workload))
+        if workload == "reproduce_warm":
+            _CENSUS[workload] = opcode_census.warm_census(profile=True)
+        else:
+            _CENSUS[workload] = opcode_census.census(
+                opcode_census.smoke_config(workload))
     return _CENSUS[workload]
 
 
@@ -152,10 +157,10 @@ def test_census_counts_every_c_call_by_callee(workload):
 
 
 def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
-    if sys.gettrace() is not None:
-        pytest.skip("a tracer (coverage, a debugger) already owns sys.settrace")
-    run = opcode_census.warm_census()
-    assert run == opcode_census.warm_census()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    run, _shares = _census("reproduce_warm")
+    assert run == opcode_census.warm_census()[0]
     hits, cs, table, heap, packages, built, calls = run
     assert sum(packages.values()) == sum(table.values())
     assert hits == 84 and cs == 0 and all(table.values())
@@ -240,4 +245,22 @@ def test_profile_prints_a_time_share_beside_each_package(capsys):
         # may print as 0.0 %.
         assert low > 0 or package not in ("net", "mutex", "sim")
     with pytest.raises(SystemExit):
-        opcode_census.main(["--workload", "reproduce_warm", "--profile"])
+        opcode_census.main(["--workload", "suzuki_flat", "--profile",
+                            "--memory"])
+
+
+def test_warm_profile_charges_the_decode_to_cache():
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler already owns the hooks")
+    run, shares = _census("reproduce_warm")
+    for median, low, high in shares.values():
+        assert 0 <= low <= median <= high <= 1
+    # pickle.loads is one C call, charged to store.get's package.
+    assert shares["cache"][1] > 0
+    lines = opcode_census.render(
+        "reproduce_warm", run.units, run.table, run.packages,
+        calls=run.calls, profile=shares).splitlines()
+    assert f"{'instr/hit':>10} {'share':>6} {'time':>6} {'min-max':>11}  package" \
+        in lines
+    cache = next(line.split() for line in lines if line.endswith("  cache"))
+    assert cache[2] == f"{shares['cache'][0]:.1%}"
