@@ -72,12 +72,18 @@ def _wait(predicate, timeout_s, poll_s=0.05, what="condition"):
     raise TimeoutError(f"timed out waiting for {what}")
 
 
+#: A CLI child's environment: the source root leads the inherited
+#: ``PYTHONPATH`` (kept, as ``Fleet`` keeps it for its workers).
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def _farm_cli(*args: str) -> "subprocess.CompletedProcess[str]":
     """``python -m repro.farm <args>`` as a user runs it."""
     return subprocess.run(
         [sys.executable, "-m", "repro.farm", *args],
         capture_output=True, text=True, timeout=600,
-        env={**os.environ, "PYTHONPATH": SRC},
+        env=CHILD_ENV,
     )
 
 
@@ -210,7 +216,7 @@ def main(argv=None) -> int:
                 [sys.executable, "-m", "repro", "figure", FIGURE,
                  "--format", "csv", "--cache-url", server.url],
                 capture_output=True, text=True, timeout=600,
-                env={**os.environ, "PYTHONPATH": SRC},
+                env=CHILD_ENV,
             )
             stats_line = cli.stderr.strip().splitlines()[-1:] or [""]
             print(f"figure via the CLI: {stats_line[0]}")

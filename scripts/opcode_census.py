@@ -127,6 +127,11 @@ Row = TypeVar("Row", Tuple[str, str], str)
 HEAP_CALLS = ("heappush", "heappop")
 #: The constructor whose entries count the ``Message`` objects built.
 MESSAGE_INIT = Message.__init__.__code__
+#: Code compiled from a string (file ``<string>``: the methods a
+#: dataclass or a named tuple generates) -> ``(file, Class.method)`` of
+#: the class that owns it, found on the first call :func:`count_opcodes`
+#: traces; the census books the code there, not to ``(other)``.
+GENERATED: Dict[CodeType, Tuple[str, str]] = {}
 
 
 class RunCensus(NamedTuple):
@@ -177,8 +182,11 @@ def count_opcodes(
 
     def on_call(frame: FrameType, event: str, arg: Any) -> Any:
         nonlocal built
-        if frame.f_code is MESSAGE_INIT:
+        code = frame.f_code
+        if code is MESSAGE_INIT:
             built += 1
+        elif code.co_filename == "<string>" and code not in GENERATED:
+            GENERATED[code] = _owner(frame)
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -196,6 +204,22 @@ def count_opcodes(
         sys.setprofile(previous_profile)
         sys.settrace(previous)
     return result, counts, heap, built, calls
+
+
+def _owner(frame: FrameType) -> Tuple[str, str]:
+    """``(file, Class.method)`` of the generated method running in
+    ``frame``: its first argument is an instance of the class (or the
+    class), whose MRO holds the function with this code."""
+    code = frame.f_code
+    if code.co_argcount:
+        first = frame.f_locals.get(code.co_varnames[0])
+        for cls in (first if isinstance(first, type) else type(first)).__mro__:
+            if any(getattr(value, "__code__", None) is code
+                   for value in vars(cls).values()):
+                module = sys.modules.get(cls.__module__)
+                filename = getattr(module, "__file__", None) or code.co_filename
+                return filename, f"{cls.__qualname__}.{code.co_name}"
+    return code.co_filename, code.co_name
 
 
 def _where_file(filename: str) -> str:
@@ -216,17 +240,19 @@ def _package(filename: str) -> str:
 
 
 def _where(code: CodeType) -> Tuple[str, str]:
-    return _where_file(code.co_filename), code.co_name
+    filename, name = GENERATED.get(code, (code.co_filename, code.co_name))
+    return _where_file(filename), name
 
 
 def _tables(counts: Dict[CodeType, int]) -> Tuple[Table, Dict[str, int]]:
-    """Instructions per ``(file, function)`` and per package."""
+    """Instructions per ``(file, function)`` and per package; a
+    generated method counts in its class's."""
     table: Table = {}
     packages: Dict[str, int] = {}
     for code, n in counts.items():
         where = _where(code)
         table[where] = table.get(where, 0) + n
-        package = _package(code.co_filename)
+        package = _package(GENERATED.get(code, (code.co_filename,))[0])
         packages[package] = packages.get(package, 0) + n
     return table, packages
 

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .keys import code_fingerprint, config_key, key_digest
+from .keys import code_fingerprint, key_digest
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -194,10 +194,6 @@ class CacheStats:
     corrupt: int = 0
     verified: int = 0
     verify_failures: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
@@ -342,12 +338,6 @@ class ExperimentCache:
             verify_every=self.verify_every,
             fingerprint=self.fingerprint,
         )
-
-    def key_for(self, config: Any) -> str:
-        return config_key(config)
-
-    def path_for(self, config: Any) -> Path:
-        return self.blob_path(self.fingerprint, self.key_for(config))
 
     # ------------------------------------------------------------------ #
     def get(self, config: Any) -> Optional[Any]:
@@ -532,14 +522,6 @@ class ExperimentCache:
 
     def total_bytes(self) -> int:
         return sum(size for _, size, _ in self.entries())
-
-    def clear(self) -> int:
-        """Remove every entry (all fingerprints); returns entries removed."""
-        removed = 0
-        for path, _, _ in list(self.entries()):
-            if self._discard(path):
-                removed += 1
-        return removed
 
     def _discard(self, path: "str | Path") -> bool:
         try:

@@ -62,11 +62,6 @@ class CoordinatorState(enum.Enum):
         ``OUT`` coordinator may still *store* an idle inter token."""
         return self in (CoordinatorState.IN, CoordinatorState.WAIT_FOR_OUT)
 
-    @property
-    def holds_intra_token(self) -> bool:
-        """Whether a coordinator in this state is inside its intra CS."""
-        return self in (CoordinatorState.OUT, CoordinatorState.WAIT_FOR_IN)
-
 
 for _i, _member in enumerate(CoordinatorState):
     _member.index = _i

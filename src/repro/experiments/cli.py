@@ -97,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--system", default="composition", choices=SYSTEMS)
     run_p.add_argument("--intra", default="naimi")
-    run_p.add_argument("--inter", default="naimi")
+    run_p.add_argument("--inter", default=None,
+                       help="top-level algorithm (default: naimi; a flat "
+                       "system refuses one)")
     run_p.add_argument("--clusters", type=int, default=9)
     run_p.add_argument("--apps", type=int, default=4,
                        help="application processes per cluster")
@@ -172,11 +174,12 @@ def _cmd_run(args) -> int:
     if args.trace:
         require_parent_dir("--trace", args.trace)
     n_apps = args.clusters * args.apps
+    # Only a given --inter is passed: a flat config refuses one.
+    inter = {} if args.inter is None else {"inter": args.inter}
     config = ExperimentConfig(
         system=args.system,
         intra=args.intra,
-        # a flat system runs --intra alone
-        inter=ExperimentConfig.inter if args.system == "flat" else args.inter,
+        **inter,
         n_clusters=args.clusters,
         apps_per_cluster=args.apps,
         n_cs=args.n_cs,

@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 SYSTEMS = ("composition", "flat", "adaptive")
-PLATFORMS = ("grid5000", "two-tier", "random-wan")
+PLATFORMS = ("grid5000", "two-tier")
 #: Legal values of the retired ``backend`` field (see
 #: :class:`ExperimentConfig`); nothing reads the field, and every value
 #: runs the algorithms exactly as written.

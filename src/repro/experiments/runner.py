@@ -17,7 +17,7 @@ from ..cache.store import ExperimentCache
 from ..core.adaptive import AdaptiveController
 from ..core.composition import Composition, FlatMutex, MutexSystem
 from ..errors import ConfigurationError, LivenessViolation, SimulationError
-from ..grid.builders import random_wan_grid, two_tier_grid
+from ..grid.builders import two_tier_grid
 from ..grid.grid5000 import grid5000_latency, grid5000_topology
 from ..metrics.analysis import SummaryStats, pooled
 from ..metrics.collector import BoundedMetricsCollector, MetricsCollector
@@ -121,13 +121,6 @@ def build_platform(config: ExperimentConfig):
             config.nodes_per_cluster,
             lan_ms=config.lan_ms,
             wan_ms=config.wan_ms,
-            jitter=config.jitter,
-        )
-    if config.platform == "random-wan":
-        return random_wan_grid(
-            config.n_clusters,
-            config.nodes_per_cluster,
-            seed=config.seed,
             jitter=config.jitter,
         )
     raise ConfigurationError(f"unknown platform {config.platform!r}")

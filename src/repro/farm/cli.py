@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import pickle
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -139,10 +140,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Machine-parseable first line: scripts read the bound URL from it.
     print(f"repro-farm serving on {server.url} "
           f"(farm={args.farm_dir}, workers={args.workers})", flush=True)
+    # SIGTERM stops the server as Ctrl-C does: serve_forever's shutdown
+    # then closes the fleet, so no resident worker outlives the server.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        server.shutdown()
+    except KeyboardInterrupt:
+        pass
     return 0
 
 

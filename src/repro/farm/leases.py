@@ -446,11 +446,5 @@ class JobStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.drain_path.touch()
 
-    def clear_drain(self) -> None:
-        try:
-            os.unlink(self.drain_path)
-        except OSError:
-            pass
-
     def draining(self) -> bool:
         return self.drain_path.exists()

@@ -1,6 +1,6 @@
 """Platform models: the measured Grid'5000 testbed and synthetic grids."""
 
-from .builders import random_wan_grid, two_tier_grid
+from .builders import two_tier_grid
 from .grid5000 import (
     GRID5000_RTT_MS,
     GRID5000_SITES,
@@ -18,5 +18,4 @@ __all__ = [
     "grid5000_topology",
     "grid5000_latency",
     "two_tier_grid",
-    "random_wan_grid",
 ]

@@ -2,20 +2,17 @@
 
 Besides the measured Grid'5000 matrix, the scalability and ablation
 studies need platforms of arbitrary size with controlled latency
-structure.  These builders produce (topology, latency-model) pairs.
+structure.  The builder produces a (topology, latency-model) pair.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from ..errors import TopologyError
-from ..net.latency import MatrixLatency, TwoTierLatency
+from ..net.latency import TwoTierLatency
 from ..net.topology import GridTopology, uniform_topology
 
-__all__ = ["two_tier_grid", "random_wan_grid"]
+__all__ = ["two_tier_grid"]
 
 
 def two_tier_grid(
@@ -34,29 +31,3 @@ def two_tier_grid(
     topo = uniform_topology(n_clusters, nodes_per_cluster)
     return topo, TwoTierLatency(topo, lan_ms=lan_ms, wan_ms=wan_ms, jitter=jitter)
 
-
-def random_wan_grid(
-    n_clusters: int,
-    nodes_per_cluster: int,
-    lan_rtt_ms: float = 0.05,
-    wan_rtt_range_ms: Tuple[float, float] = (3.0, 20.0),
-    seed: Optional[int] = 0,
-    jitter: float = 0.0,
-    symmetric: bool = True,
-) -> Tuple[GridTopology, MatrixLatency]:
-    """A grid with heterogeneous WAN RTTs drawn uniformly from a range.
-
-    Mimics the spread of the Grid'5000 matrix (most links 3-20 ms) at any
-    scale.  ``symmetric=False`` additionally perturbs the two directions
-    of each link independently, as the measured matrix does.
-    """
-    lo, hi = wan_rtt_range_ms
-    if lo <= 0 or hi < lo:
-        raise TopologyError(f"invalid WAN RTT range {wan_rtt_range_ms}")
-    topo = uniform_topology(n_clusters, nodes_per_cluster)
-    rng = np.random.default_rng(seed)
-    rtt = rng.uniform(lo, hi, size=(n_clusters, n_clusters))
-    if symmetric:
-        rtt = (rtt + rtt.T) / 2.0
-    np.fill_diagonal(rtt, lan_rtt_ms)
-    return topo, MatrixLatency(topo, rtt, jitter=jitter)

@@ -18,14 +18,20 @@ import numpy as np
 __all__ = ["SummaryStats", "summarize", "pooled", "jain_index"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SummaryStats:
     """Moments of a sample of obtaining times (ms).
 
     Slotted, and pickled by position: a result carries one per cluster
     and one overall, and each is decoded on every cache hit, so an
-    instance holds no ``__dict__`` and its pickle no field names.
+    instance holds no ``__dict__`` and its pickle no field names.  The
+    slots are spelled out: ``slots=True`` rebuilds the class, and the
+    frozen ``__setattr__`` it generated names the replaced class, so
+    setting an unknown name raises ``TypeError``, not
+    ``FrozenInstanceError``.
     """
+
+    __slots__ = ("count", "mean", "std", "minimum", "maximum", "p50", "p95")
 
     count: int
     mean: float

@@ -160,10 +160,6 @@ class MetricsCollector:
     def recovery_times(self) -> List[float]:
         return [r.recovery_time for r in self.recoveries]
 
-    def recovery_stats(self) -> SummaryStats:
-        """Detection-to-completion time over all recoveries of the run."""
-        return summarize(self.recovery_times())
-
     def fairness(self) -> Dict[str, float]:
         """Fairness indicators across application processes.
 

@@ -227,10 +227,6 @@ class PriorityNaimiPeer(MutexPeer):
     def has_pending_request(self) -> bool:
         return bool(self.token_queue) or bool(self.local_buffer)
 
-    @property
-    def is_root(self) -> bool:
-        return self.last == self.node
-
     # ------------------------------------------------------------------ #
     def _do_request(self) -> None:
         if self._holds_token:

@@ -85,10 +85,6 @@ class LatencyModel(ABC):
     def one_way(self, src: int, dst: int, rng: np.random.Generator) -> float:
         """One-way delay in milliseconds for a message ``src -> dst``."""
 
-    def rtt(self, src: int, dst: int, rng: np.random.Generator) -> float:
-        """Round-trip estimate (two one-way samples)."""
-        return self.one_way(src, dst, rng) + self.one_way(dst, src, rng)
-
 
 class ConstantLatency(LatencyModel):
     """Uniform delay between distinct nodes; local delivery for self-sends.

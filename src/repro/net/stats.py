@@ -151,11 +151,5 @@ class MessageStats:
             "bytes_inter_cluster": self.bytes_inter_cluster,
         }
 
-    def inter_cluster_for_ports(self, prefix: str) -> int:
-        """Inter-cluster sends whose port name starts with ``prefix``
-        (e.g. ``"inter"`` to isolate the inter-algorithm traffic)."""
-        inter = self.inter_by_port
-        return sum(inter[port] for port in inter if port.startswith(prefix))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MessageStats {self.snapshot()}>"

@@ -136,10 +136,6 @@ class Tracer:
         for fn in star:
             fn(record)
 
-    def record_into(self, kind: str, sink: List[TraceRecord]) -> None:
-        """Convenience: append every record of ``kind`` to ``sink``."""
-        self.subscribe(kind, sink.append)
-
     def attach(
         self, handlers: Dict[str, Callable[[TraceRecord], None]]
     ) -> Callable[[], None]:

@@ -18,14 +18,12 @@ from .invariants import (
 )
 from .digest import RunDigest
 from .liveness import LivenessChecker
-from .progress import ProgressWatchdog
 from .safety import MutualExclusionChecker
 
 __all__ = [
     "MutualExclusionChecker",
     "LivenessChecker",
     "CrashSafetyChecker",
-    "ProgressWatchdog",
     "RunDigest",
     "token_holders",
     "live_peers",

@@ -62,11 +62,6 @@ class LivenessChecker:
         self.satisfied.append((key[0], key[1], requested_at, rec.time))
 
     # ------------------------------------------------------------------ #
-    @property
-    def waiting_times(self) -> List[float]:
-        """Obtaining time of every satisfied request, in arrival order."""
-        return [granted - asked for _, _, asked, granted in self.satisfied]
-
     def forgive(self, node: int) -> None:
         """Discard ``node``'s outstanding requests.
 

@@ -129,13 +129,6 @@ class MutualExclusionChecker:
             for entry in self._inside
         }
 
-    @property
-    def max_concurrency(self) -> int:
-        """Most tracked processes seen inside the CS at once: 1 from the
-        first entry on, because a second concurrent entry raises before
-        it is recorded."""
-        return min(self.total_entries, 1)
-
     # ------------------------------------------------------------------ #
     # The violations are built in one place, so a run fails with the
     # same text whichever feed saw it.

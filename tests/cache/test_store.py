@@ -17,9 +17,16 @@ from repro.cache.store import (
     cache_from_env,
     resolve_cache,
 )
+from repro.cache.keys import config_key
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.cli import main
+
+
+def _blob(cache, config):
+    """The file ``cache`` stores ``config``'s result in."""
+    return cache.blob_path(cache.fingerprint, config_key(config))
+
 
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
@@ -74,7 +81,7 @@ class TestRoundTrip:
 
     def test_a_blob_holds_no_config(self, cache):
         cache.put(CFG, run_experiment(CFG))
-        blob = cache.path_for(CFG).read_bytes()
+        blob = _blob(cache, CFG).read_bytes()
         payload = pickle.loads(blob)
         assert payload["key"] == CFG.cache_key()
         assert payload["result"].config is None
@@ -122,7 +129,7 @@ class TestAddressing:
         cache = ExperimentCache(cache_dir=root, fingerprint="f00d")
         result = run_experiment(CFG)
         cache.put(CFG, result)
-        path = cache.path_for(CFG)
+        path = _blob(cache, CFG)
         assert path.is_file()
         assert cache.get_blob("f00d", path.stem) == path.read_bytes()
         assert cache.get(CFG) == result
@@ -149,7 +156,7 @@ class TestCorruption:
     def test_truncated_blob_is_a_miss_not_an_exception(self, cache):
         result = run_experiment(CFG)
         cache.put(CFG, result)
-        path = cache.path_for(CFG)
+        path = _blob(cache, CFG)
         path.write_bytes(path.read_bytes()[:10])  # truncate
 
         assert cache.get(CFG) is None
@@ -161,14 +168,14 @@ class TestCorruption:
 
     def test_garbage_bytes_are_a_miss(self, cache):
         cache.put(CFG, run_experiment(CFG))
-        cache.path_for(CFG).write_bytes(b"not a pickle")
+        _blob(cache, CFG).write_bytes(b"not a pickle")
         assert cache.get(CFG) is None
         assert cache.stats.corrupt == 1
 
     def test_stored_key_mismatch_is_a_miss(self, cache):
         """A hash collision (forged here) must never return a wrong result."""
         result = run_experiment(CFG)
-        path = cache.path_for(CFG)
+        path = _blob(cache, CFG)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps({"key": "someone-else", "result": result}))
         assert cache.get(CFG) is None
@@ -187,7 +194,7 @@ class TestEviction:
             results.append(cfg)
         # age the first two entries so they are the LRU victims
         for cfg in results[:2]:
-            os.utime(cache.path_for(cfg), (1.0, 1.0))
+            os.utime(_blob(cache, cfg), (1.0, 1.0))
 
         total = cache.total_bytes()
         small = ExperimentCache(cache_dir=tmp_path / "cache",
@@ -204,7 +211,7 @@ class TestEviction:
 
         cache = ExperimentCache(cache_dir=tmp_path / "cache")
         cache.put(CFG, run_experiment(CFG))
-        path = cache.path_for(CFG)
+        path = _blob(cache, CFG)
         os.utime(path, (1.0, 1.0))
         cache.get(CFG)
         assert path.stat().st_mtime > 1.0
@@ -254,7 +261,7 @@ class TestStats:
         a.merge(b)
         assert (a.hits, a.misses, a.evictions, a.corrupt) == (3, 1, 3, 1)
         assert snap.hits == 2  # snapshot is independent
-        assert a.lookups == 4
+        assert a.hits + a.misses == 4
 
     def test_format_is_the_cli_line(self):
         s = CacheStats(hits=3, misses=1, stores=1)
@@ -341,9 +348,9 @@ class TestSpecAndEnv:
     def test_run_experiment_without_cache_always_executes(self, cache):
         """Tier-1 safety paths never consult the cache implicitly."""
         result = run_experiment(CFG, cache=cache)
-        assert cache.stats.lookups == 1
+        assert cache.stats.hits + cache.stats.misses == 1
         run_experiment(CFG)  # no cache argument -> no cache traffic
-        assert cache.stats.lookups == 1
+        assert cache.stats.hits + cache.stats.misses == 1
         assert cache.get(CFG) == result
 
 
@@ -352,5 +359,5 @@ def test_the_http_tier_overrides_only_byte_io():
     stored-key check, the counters, verification sampling, the spec — and
     the HTTP tier supplies only byte I/O."""
     contract = {"get", "put", "should_verify", "record_verification",
-                "with_verify", "spec", "key_for"}
+                "with_verify", "spec"}
     assert contract.isdisjoint(vars(HttpCache))

@@ -49,15 +49,22 @@ def test_cli_run_rejects_unregistered_algorithm(capsys):
     assert "naimi" in msg  # the registered list is spelled out
 
 
-def test_cli_run_flat_ignores_inter_algorithm(capsys):
-    # A flat system never builds the inter level, so a bogus --inter
-    # must not block it.
-    code = main([
-        "run", "--system", "flat", "--intra", "naimi", "--inter", "nope",
-        "--clusters", "2", "--apps", "2", "--n-cs", "2",
-        "--platform", "two-tier",
-    ])
-    assert code == 0
+@pytest.mark.parametrize("inter", ["martin", "nope"])
+def test_cli_run_flat_refuses_an_inter_algorithm(capsys, inter):
+    # A flat system never builds the inter level: a given --inter is
+    # refused as the config refuses it, never silently replaced.
+    args = ["run", "--system", "flat", "--intra", "naimi",
+            "--clusters", "2", "--apps", "2", "--n-cs", "2",
+            "--platform", "two-tier"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--inter", inter])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "inter" in err[0] and repr(inter) in err[0]
+    assert main(args) == 0
+    assert "naimi (flat)" in capsys.readouterr().out
 
 
 def test_cli_run_adaptive(capsys):

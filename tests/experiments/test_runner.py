@@ -115,11 +115,10 @@ def test_importing_experiments_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_two_tier_and_random_platforms():
-    for platform in ("two-tier", "random-wan"):
-        cfg = ExperimentConfig(platform=platform, rho=6.0, **QUICK)
-        r = run_experiment(cfg)
-        assert r.cs_count == 24
+def test_two_tier_platform_runs():
+    cfg = ExperimentConfig(platform="two-tier", rho=6.0, **QUICK)
+    r = run_experiment(cfg)
+    assert r.cs_count == 24
 
 
 def test_fifo_and_jitter_options_run():
@@ -186,7 +185,7 @@ def test_the_kernel_exists_before_anything_is_built():
     cfg = ExperimentConfig(rho=6.0, **QUICK)
     with ExperimentRun(cfg) as run:
         entered = []
-        run.sim.trace.record_into("cs_enter", entered)
+        run.sim.trace.subscribe("cs_enter", entered.append)
         assert run.net is None and run.system is None and not entered
         run.build()
         assert [(rec.node, rec.time) for rec in entered] == [

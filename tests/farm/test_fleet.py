@@ -67,7 +67,7 @@ def test_a_resident_fleet_heals_unless_the_farm_drains(tmp_path):
         assert fleet.pids() == [] and fleet.respawns == 1
 
         # a resident fleet keeps its size: the drain lifted, it refills
-        store.clear_drain()
+        store.drain_path.unlink()
         fleet.heal()
         assert len(fleet.pids()) == 1 and fleet.respawns == 2
 

@@ -219,5 +219,5 @@ class TestDrain:
         assert not store.draining()
         store.request_drain()
         assert store.draining()
-        store.clear_drain()
+        store.drain_path.unlink()
         assert not store.draining()

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cache.keys import config_key
 from repro.cache.store import CacheSpec, ExperimentCache, canonical_dumps
 from repro.errors import FarmError
 from repro.experiments import ExperimentConfig, run_configs_cached, run_experiment
@@ -20,6 +26,7 @@ from repro.farm.worker import work_loop
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
 CONFIGS = [CFG.with_(seed=s) for s in range(4)]
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture
@@ -152,7 +159,7 @@ class TestCacheProxy:
         assert canonical_dumps(fs_view) == canonical_dumps(result)
         local = ExperimentCache(cache_dir=tmp_path / "local")
         local.put(config, result)
-        key = cache.key_for(config)
+        key = config_key(config)
         assert server.cache.get_blob(cache.fingerprint, key) == \
             local.get_blob(local.fingerprint, key)
 
@@ -165,7 +172,7 @@ class TestCacheProxy:
             {"key": CONFIGS[0].cache_key(), "result": result}
         )
         server.cache.put_blob(
-            cache.fingerprint, cache.key_for(CONFIGS[1]), blob
+            cache.fingerprint, config_key(CONFIGS[1]), blob
         )
         assert cache.get(CONFIGS[1]) is None
         assert cache.stats.corrupt == 1
@@ -283,3 +290,40 @@ class TestFarmCli:
         assert err.count("\n") == 1 and err.startswith("repro-farm: error: ")
         assert self.DEAD_URL in err
         assert list(tmp_path.iterdir()) == []
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_serve_stops_its_workers_on_sigterm(tmp_path):
+    # `python -m repro.farm serve` as an operator runs it: SIGTERM must
+    # close the resident fleet too, not leave its workers polling.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.farm", "serve", "--port", "0",
+         "--workers", "1", "--farm-dir", str(tmp_path / "farm")],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    pids = []
+    try:
+        url = proc.stdout.readline().split()[3]
+        client = FarmClient(url, timeout_s=10.0)
+        deadline = time.monotonic() + 10.0
+        while not (pids := client.workers()):
+            assert time.monotonic() < deadline, "no resident worker started"
+            time.sleep(0.05)
+        assert all(_alive(pid) for pid in pids)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        assert not [pid for pid in pids if _alive(pid)]
+    finally:
+        for pid in [proc.pid, *pids]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait()

@@ -10,7 +10,6 @@ from repro.grid import (
     PAPER_N_PROCESSES,
     grid5000_latency,
     grid5000_topology,
-    random_wan_grid,
     two_tier_grid,
 )
 
@@ -93,28 +92,3 @@ def test_two_tier_grid_builder():
     assert topo.n_nodes == 12
     assert model.one_way(0, 3, RNG) == 7.0
     assert model.one_way(0, 1, RNG) == 0.1
-
-
-def test_random_wan_grid_builder():
-    topo, model = random_wan_grid(5, 2, seed=3)
-    assert topo.n_clusters == 5
-    rtt = model.rtt_ms
-    off = rtt[~np.eye(5, dtype=bool)]
-    assert off.min() >= 3.0 and off.max() <= 20.0
-    assert np.allclose(rtt, rtt.T)  # symmetric by default
-    # Same seed -> same matrix.
-    _, model2 = random_wan_grid(5, 2, seed=3)
-    assert np.allclose(rtt, model2.rtt_ms)
-
-
-def test_random_wan_grid_asymmetric_option():
-    _, model = random_wan_grid(4, 1, seed=1, symmetric=False)
-    m = model.rtt_ms
-    assert not np.allclose(m, m.T)
-
-
-def test_random_wan_grid_validation():
-    with pytest.raises(TopologyError):
-        random_wan_grid(3, 2, wan_rtt_range_ms=(5.0, 1.0))
-    with pytest.raises(TopologyError):
-        random_wan_grid(3, 2, wan_rtt_range_ms=(0.0, 1.0))

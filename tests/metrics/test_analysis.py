@@ -1,6 +1,7 @@
 """Unit tests for metric records, summaries and pooling."""
 
 import copy
+import dataclasses
 import pickle
 import pickletools
 
@@ -158,3 +159,16 @@ def test_summary_stats_is_slotted_and_pickles_by_position():
     for clone in (copy.copy(s), copy.deepcopy(s)):
         assert type(clone) is SummaryStats and clone == s
         assert clone.relative_std == s.relative_std
+
+
+@pytest.mark.parametrize("name", ["mean", "bogus"])
+def test_summary_stats_refuses_any_attribute_as_frozen(name):
+    # A field and an unknown name alike: FrozenInstanceError, never the
+    # TypeError a slots=True rebuild raised for the unknown one.
+    s = summarize([1.0, 2.0, 3.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(s, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(s, name)
+    assert not hasattr(s, "__dict__")
+    assert pickle.loads(pickle.dumps(s)) == s

@@ -3,7 +3,7 @@ indirectly through the report/timeline suites)."""
 
 import pytest
 
-from repro.metrics import CSRecord, MetricsCollector, RecoveryRecord
+from repro.metrics import CSRecord, MetricsCollector, RecoveryRecord, summarize
 
 
 def cs(node, cluster, req, wait, hold=1.0):
@@ -91,7 +91,7 @@ class TestRecoveryTracking:
             detected_at=100.0, completed_at=150.0, elected=7,
         ))
         assert c.recovery_times() == [30.0, 50.0]
-        stats = c.recovery_stats()
+        stats = summarize(c.recovery_times())
         assert stats.count == 2 and stats.mean == 40.0
 
     def test_retry_counter_accumulates_per_kind(self):
@@ -104,4 +104,4 @@ class TestRecoveryTracking:
     def test_fault_free_run_has_empty_recovery_state(self):
         c = MetricsCollector()
         assert c.recoveries == [] and c.recovery_times() == []
-        assert c.recovery_stats().count == 0
+        assert summarize(c.recovery_times()).count == 0

@@ -88,7 +88,7 @@ def test_faulted_run_statistics_still_account_sends():
     faults = FaultInjector(drop=0.5, only_kinds={"request"})
     d = PeerDriver(algorithm="suzuki", n=6, faults=faults, seed=9)
     deliveries = []
-    d.sim.trace.record_into("deliver", deliveries)
+    d.sim.trace.subscribe("deliver", deliveries.append)
     d.request(1, at=0.0)
     d.request(2, at=0.0)
     d.sim.run(until=1000.0)

@@ -124,8 +124,8 @@ def test_callbacks_fire():
 def test_trace_emits_crash_and_restart():
     sim, net, crashes = make_net()
     records = []
-    sim.trace.record_into("node_crash", records)
-    sim.trace.record_into("node_restart", records)
+    sim.trace.subscribe("node_crash", records.append)
+    sim.trace.subscribe("node_restart", records.append)
     crashes.schedule_crash(1.0, 1)
     crashes.schedule_restart(2.0, 1)
     sim.run()

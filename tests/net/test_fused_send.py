@@ -1034,8 +1034,8 @@ def _recorded(feature):
     latency = TwoTierLatency(topo, lan_ms=0.5, wan_ms=10.0, jitter=0.1)
     net = Network(sim, topo, latency, **kw)
     sends, delivers, got, captured = [], [], [], []
-    sim.trace.record_into("send", sends)
-    sim.trace.record_into("deliver", delivers)
+    sim.trace.subscribe("send", sends.append)
+    sim.trace.subscribe("deliver", delivers.append)
     for node in topo.nodes:
         net.register(node, "p", got.append)
     if feature == "intercept":

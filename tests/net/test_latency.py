@@ -20,7 +20,6 @@ def test_constant_latency():
     assert model.one_way(0, 1, RNG) == 5.0
     assert model.one_way(1, 0, RNG) == 5.0
     assert model.one_way(2, 2, RNG) == LOCAL_DELIVERY_MS
-    assert model.rtt(0, 1, RNG) == 10.0
 
 
 def test_constant_latency_negative_rejected():

@@ -126,10 +126,10 @@ def test_stats_per_port_and_reset():
     net.register(2, "intra/0", lambda m: None)
     net.send(0, 2, "inter/0", "req")
     net.send(0, 2, "intra/0", "req")
-    assert net.stats.inter_cluster_for_ports("inter") == 1
+    assert net.stats.inter_by_port["inter/0"] == 1
     net.stats.reset()
     assert net.stats.total == 0
-    assert net.stats.inter_cluster_for_ports("inter") == 0
+    assert net.stats.inter_by_port["inter/0"] == 0
 
 
 def test_fifo_ordering_with_jitter():
@@ -273,7 +273,7 @@ def test_a_fenced_message_is_traced_and_delivered():
     sim, topo, net = make_net()
     got, delivers = [], []
     net.register(1, "app", got.append)
-    sim.trace.record_into("deliver", delivers)
+    sim.trace.subscribe("deliver", delivers.append)
     net.send(0, 1, "app", "stale")
     net.fence("app")
     sim.run()
@@ -332,8 +332,8 @@ def test_fault_validation():
 def test_trace_send_and_deliver():
     sim, topo, net = make_net()
     sends, delivers = [], []
-    sim.trace.record_into("send", sends)
-    sim.trace.record_into("deliver", delivers)
+    sim.trace.subscribe("send", sends.append)
+    sim.trace.subscribe("deliver", delivers.append)
     net.register(1, "app", lambda m: None)
     net.send(0, 1, "app", "ping")
     sim.run()

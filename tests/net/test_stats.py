@@ -89,9 +89,6 @@ class StoredTally:
         for name in BREAKDOWNS:
             out[name] = dict(getattr(self, name))
         out["cluster_matrix"] = self._matrix
-        out["inter_ports"] = sum(
-            n for port, n in self.inter_by_port.items() if port.startswith("inter")
-        )
         return out
 
 
@@ -104,7 +101,6 @@ def readings(stats):
         assert counter is not getattr(stats, name)  # a snapshot per read
         out[name] = dict(counter)
     out["cluster_matrix"] = stats.cluster_matrix.tolist()
-    out["inter_ports"] = stats.inter_cluster_for_ports("inter")
     return out
 
 

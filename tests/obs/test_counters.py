@@ -40,7 +40,7 @@ class TraceCounters:
         self.net = net
         self.records = {kind: [] for kind in (*KINDS, "inter_switch")}
         for kind, sink in self.records.items():
-            sim.trace.record_into(kind, sink)
+            sim.trace.subscribe(kind, sink.append)
 
     def counters(self):
         sends = self.records["send"]

@@ -54,7 +54,7 @@ def record_failover(algo: str):
     def attach(sim, net):
         seen["recorder"] = CausalityRecorder(sim, net)
         for kind in ("deliver", "failover"):
-            sim.trace.record_into(kind, seen.setdefault(kind, []))
+            sim.trace.subscribe(kind, seen.setdefault(kind, []).append)
 
     run_crash(algo, "composition", obs=attach)
     return seen["recorder"], seen["deliver"], seen["failover"]

@@ -96,7 +96,7 @@ def test_tracer_unsubscribe_deactivates():
 def test_trace_record_attribute_error():
     tracer = Tracer()
     sink = []
-    tracer.record_into("k", sink)
+    tracer.subscribe("k", sink.append)
     tracer.emit("k", a=1)
     rec = sink[0]
     assert rec.a == 1

@@ -178,6 +178,11 @@ def test_warm_census_repeats_exactly_and_renders_no_key_recursively():
     # string.  What pathlib is left runs once per call (the summary names
     # the store's root), so no pathlib row reaches one instruction per hit.
     assert ("dataclasses.py", "replace") not in table
+    # A dataclass's generated methods count in its class's package: the
+    # slotted SummaryStats is rebuilt through its __init__ on every hit.
+    assert not [row for row in table if row[0] == "<string>"]
+    init = table[("metrics/analysis.py", "SummaryStats.__init__")]
+    assert init >= hits and packages["metrics"] >= init
     per_hit = {row: n / hits for row, n in table.items() if row[0] == "pathlib.py"}
     assert all(n < 1 for n in per_hit.values()), per_hit
     report = opcode_census.render("reproduce_warm", hits, table, packages,

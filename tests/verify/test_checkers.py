@@ -18,7 +18,6 @@ def test_safety_checker_accepts_serial_entries():
     tracer.emit("cs_exit", time=4.0, node=1, port="m")
     checker.assert_quiescent()
     assert checker.total_entries == 2
-    assert checker.max_concurrency == 1
 
 
 def test_safety_checker_catches_overlap():
@@ -59,7 +58,7 @@ def test_liveness_checker_pairs_requests():
     tracer.emit("cs_request", time=1.0, node=0, port="m")
     tracer.emit("cs_enter", time=5.0, node=0, port="m")
     checker.assert_all_satisfied()
-    assert checker.waiting_times == [4.0]
+    assert checker.satisfied == [(0, "m", 1.0, 5.0)]
 
 
 def test_liveness_checker_flags_starvation():
