@@ -266,10 +266,11 @@ REPLAY = "counterexample replay, runs when a cell fails"
 FAULTS = "fault model in docs/faults.md; item 1 wires it"
 ITEM3 = "item 3 decides"
 ORACLE = "oracle the tests compare against"
-FLIP = ("in-flight path flip: `Composition.switch_inter` can leave a "
-        "request copy in flight to a shut peer; item 1(c) decides")
+FLIP = ("in-flight path flip: `Composition.switch_inter` leaves a message "
+        "in flight to a retired peer (`tests/core/test_adaptive.py::"
+        "test_a_switch_drops_the_message_in_flight_to_the_retired_epoch`); "
+        "item 1(c) decides")
 JSON = "`python -m repro.analysis --json` (docs/analysis.md)"
-MEASURED = "its counter sits on a measured path: dropping both is a perf change"
 BREAKDOWN = "per-port, per-kind and per-cluster message counts (docs/performance.md)"
 PUBLIC = "public API of"
 
@@ -311,14 +312,12 @@ CONSUMERS: Dict[str, str] = {
         "re-runs chunks whose results were evicted before the fetch",
     # core
     "core/composition.py::MutexSystem.*": ABSTRACT,
-    "core/coordinator.py::Coordinator.transitions": MEASURED,
     "core/recovery.py::InstanceRecovery._note_restart": FAULTS,
     "core/recovery.py::InstanceRecovery.deadline_ms": FAULTS,
     "core/states.py::CoordinatorState.holds_inter_token": ORACLE,
     "experiments/runner.py::AggregateResult.cs_count":
         "JSON export of a seed aggregate (`experiments/export.py`)",
     # metrics
-    "metrics/collector.py::*MetricsCollector.completion_time": MEASURED,
     "metrics/collector.py::MetricsCollector.records": ORACLE,
     "metrics/records.py::CSRecord.*": ORACLE,
     "metrics/records.py::inconsistent_timestamps": REFUSES,

@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..cli import exit_status
 from .engine import Engine
 
 __all__ = ["main"]
@@ -337,7 +338,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _refuse_bad_outputs(parser, args)
+    return exit_status(lambda: _run(args))
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.list_rules:
         from .rules import DEFAULT_RULES
 

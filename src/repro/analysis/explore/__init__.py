@@ -29,7 +29,6 @@ from .cells import MatrixReport, default_cells, run_matrix
 from .explorer import ExploreReport, Violation, explore
 from .schedule import (
     ReplayStep,
-    chrome_trace,
     counterexample_to_dict,
     load_counterexample,
     replay,
@@ -46,7 +45,6 @@ __all__ = [
     "ReplayStep",
     "Violation",
     "World",
-    "chrome_trace",
     "counterexample_to_dict",
     "default_cells",
     "explore",

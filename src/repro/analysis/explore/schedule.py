@@ -14,27 +14,26 @@ recipe into one JSON document:
   for starvation, the loop the system can cycle in forever).
 
 :func:`replay` re-executes the schedule step by step against a fresh
-world and returns the per-step snapshots; :func:`chrome_trace` renders
-the replay as a Chrome ``traceEvents`` document (the same format as
-:mod:`repro.obs.export`, loadable in https://ui.perfetto.dev) with one
-process per node and one complete span per action, so a counterexample
-can be scrubbed through visually.
+world and returns the per-step snapshots; :func:`write_chrome_trace`
+writes the replay through the trace-event writer of
+:mod:`repro.obs.export` (loadable in https://ui.perfetto.dev), one span
+per action, so a counterexample can be scrubbed through visually.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import IO, Any, Dict, List, Optional, Set, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ...errors import ReproError
 from ...experiments.config import ExperimentConfig
+from ...obs.export import Mark, Span, write_json, write_trace
 from .explorer import Violation
 from .world import Action, ExploreScope, World
 
 __all__ = [
     "ReplayStep",
-    "chrome_trace",
     "counterexample_to_dict",
     "load_counterexample",
     "replay",
@@ -62,23 +61,14 @@ def counterexample_to_dict(
         "version": SCHEMA_VERSION,
         "cell": scope.describe(),
         "scope": scope.to_dict(),
-        "property": violation.property,
-        "message": violation.message,
-        "schedule": [list(a) for a in violation.schedule],
-        "loop": [list(a) for a in violation.loop],
+        **violation.to_dict(),
     }
 
 
 def write_counterexample(
     out: Union[str, IO[str]], scope: ExploreScope, violation: Violation
 ) -> None:
-    doc = counterexample_to_dict(scope, violation)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(doc, out, indent=2)
+    write_json(out, counterexample_to_dict(scope, violation), indent=2)
 
 
 def _parse_action(raw: List[Any]) -> Action:
@@ -211,80 +201,36 @@ def replay(
 # ---------------------------------------------------------------------------
 # Chrome trace export
 
-#: Synthetic per-step duration (µs).  The explorer is untimed — spacing
-#: the actions evenly keeps the trace scrubber readable.
-_STEP_US = 1000.0
 
-
-def _action_span(action: Action) -> Tuple[int, str, Dict[str, Any]]:
-    """(pid, name, args) for one schedule action."""
+def _action_span(i: int, action: Action, loop: bool) -> Span:
+    """One schedule action as a span on thread 0.  The explorer is
+    untimed: step ``i`` is drawn at ``i`` ms, 0.9 ms long, so the trace
+    scrubber shows the steps evenly spaced."""
     kind = action[0]
+    args: Dict[str, Any]
     if kind == "deliver":
         src, dst, port = action[1], action[2], action[3]
-        return dst, f"deliver {src}->{dst} [{port}]", {
-            "src": src, "dst": dst, "port": port,
-        }
-    if kind in ("request", "release", "crash"):
-        return action[1], f"{kind} @{action[1]}", {"node": action[1]}
-    return 0, kind, {}
+        pid, name = dst, f"deliver {src}->{dst} [{port}]"
+        args = {"src": src, "dst": dst, "port": port}
+    elif kind in ("request", "release", "crash"):
+        pid, name, args = action[1], f"{kind} @{action[1]}", {"node": action[1]}
+    else:
+        pid, name, args = 0, kind, {}
+    args["step"] = i
+    if loop:
+        args["loop"] = True
+    return pid, 0, name, i, 0.9, args
 
 
-def chrome_trace(
-    scope: ExploreScope,
-    violation: Violation,
-    *,
-    steps: Optional[List[ReplayStep]] = None,
-) -> Dict[str, Any]:
-    """Render a counterexample as a Chrome ``traceEvents`` document.
-
-    One process per node (named with its explorer role), thread 0 for
-    the schedule actions, thread 1 marking CS occupancy after each step.
-    The format matches :mod:`repro.obs.export` so both kinds of trace
-    load into the same viewer.
-    """
-    if steps is None:
-        steps = replay(scope, violation.schedule)
-    world = World(scope)
-    events: List[Dict[str, Any]] = []
-    coordinators = world.coordinator_nodes
-    for node in sorted(world.topology.nodes):
-        role = " [coordinator]" if node in coordinators else ""
-        events.append({
-            "ph": "M", "pid": node, "tid": 0, "name": "process_name",
-            "args": {"name": f"node {node}{role}"},
-        })
-        events.append({
-            "ph": "M", "pid": node, "tid": 0, "name": "thread_name",
-            "args": {"name": "schedule"},
-        })
-        events.append({
-            "ph": "M", "pid": node, "tid": 1, "name": "thread_name",
-            "args": {"name": "critical section"},
-        })
-    full = tuple(violation.schedule) + tuple(violation.loop)
-    for i, action in enumerate(full):
-        pid, name, args = _action_span(action)
-        args["step"] = i
-        if i >= len(violation.schedule):
-            args["loop"] = True
-        events.append({
-            "ph": "X", "pid": pid, "tid": 0, "name": name,
-            "ts": i * _STEP_US, "dur": _STEP_US * 0.9, "args": args,
-        })
+def _spans(violation: Violation, steps: List[ReplayStep]) -> Iterator[Span]:
+    """One span per action (the loop's flagged), then the CS occupancy
+    after each step on thread 1."""
+    prefix = len(violation.schedule)
+    for i, action in enumerate(violation.schedule + violation.loop):
+        yield _action_span(i, action, i >= prefix)
     for step in steps[1:]:
         for node in step.cs_nodes:
-            events.append({
-                "ph": "X", "pid": node, "tid": 1, "name": "in CS",
-                "ts": (step.index - 1) * _STEP_US, "dur": _STEP_US,
-                "args": {"step": step.index - 1},
-            })
-    events.append({
-        "ph": "i", "pid": 0, "tid": 0, "s": "g",
-        "name": f"VIOLATION: {violation.property}",
-        "ts": len(violation.schedule) * _STEP_US,
-        "args": {"message": violation.message},
-    })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+            yield node, 1, "in CS", step.index - 1, 1, {"step": step.index - 1}
 
 
 def write_chrome_trace(
@@ -294,10 +240,22 @@ def write_chrome_trace(
     *,
     steps: Optional[List[ReplayStep]] = None,
 ) -> None:
-    doc = chrome_trace(scope, violation, steps=steps)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-    else:
-        json.dump(doc, out)
+    """Write a counterexample as a Chrome trace-event document: one
+    process per node (coordinators marked), the schedule's actions on
+    thread 0, CS occupancy on thread 1, and an instant marking the
+    violation."""
+    if steps is None:
+        steps = replay(scope, violation.schedule)
+    world = World(scope)
+    mark: Mark = (
+        0, f"VIOLATION: {violation.property}", len(violation.schedule),
+        {"message": violation.message},
+    )
+    write_trace(
+        out,
+        [(node, f"node {node}") for node in sorted(world.topology.nodes)],
+        world.coordinator_nodes,
+        ("schedule", "critical section"),
+        _spans(violation, steps),
+        (mark,),
+    )

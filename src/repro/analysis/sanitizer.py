@@ -32,6 +32,7 @@ from ..errors import LivenessViolation
 from ..experiments.config import ExperimentConfig
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord
+from ..verify.digest import DIGEST_KINDS, RunDigest
 
 __all__ = [
     "CanonicalDigest",
@@ -45,16 +46,13 @@ __all__ = [
 #: tie seeds used when the caller does not choose
 DEFAULT_TIE_SEEDS: Tuple[int, ...] = (1, 2, 3)
 
-#: trace kinds covered by the digest (same set as RunDigest)
-_KINDS = ("send", "cs_enter", "cs_exit")
-
 
 class CanonicalDigest:
     """SHA-256 over a run's observable events, canonicalised per instant.
 
-    Same coverage as :class:`~repro.verify.digest.RunDigest` (``send``,
-    ``cs_enter``, ``cs_exit``) but records sharing a timestamp are
-    buffered and hashed in sorted serialised order, making the digest
+    Same coverage as :class:`~repro.verify.digest.RunDigest`
+    (:data:`~repro.verify.digest.DIGEST_KINDS`), but records sharing a
+    timestamp are buffered and hashed in sorted serialised order, making the digest
     invariant under same-instant reordering — exactly the equivalence
     the schedule-race sanitizer needs.  A ``send`` record's ``seq`` is
     left out: it numbers sends in scheduling order, which is the very
@@ -66,7 +64,7 @@ class CanonicalDigest:
         self.events = 0
         self._pending_time: Optional[float] = None
         self._pending: List[bytes] = []
-        for kind in _KINDS:
+        for kind in DIGEST_KINDS:
             sim.trace.subscribe(kind, self._on_record)
 
     def _serialise(self, rec: TraceRecord) -> bytes:
@@ -110,11 +108,10 @@ class CanonicalDigest:
 # --------------------------------------------------------------------- #
 def _run_with_digests(config: ExperimentConfig) -> Tuple[str, str]:
     """Run ``config`` with both digests attached; returns ``(canonical,
-    raw)`` hex digests.  Imports stay local so importing
+    raw)`` hex digests.  The runner import stays local so importing
     :mod:`repro.analysis` for pure linting does not pull the whole
     experiment stack."""
     from ..experiments.runner import ExperimentRun
-    from ..verify.digest import RunDigest
 
     with ExperimentRun(config) as run:
         canonical = CanonicalDigest(run.sim)

@@ -87,10 +87,6 @@ class Coordinator(Process):
         #: Returning True defers the request — the gate owner must later
         #: call :meth:`resume_upper_request`.
         self.upper_request_gate = None
-        # State-transition counters, list-indexed by CoordinatorState.index
-        # (dict-of-enum pays two Python-level Enum.__hash__ calls per
-        # increment); read through the `transitions` property.
-        self._transitions = [0] * len(CoordinatorState)
         if lower.initial_holder != lower.node:
             raise CompositionError(
                 f"{self.name}: the coordinator must be the lower "
@@ -125,18 +121,11 @@ class Coordinator(Process):
         return self._state
 
     @property
-    def transitions(self) -> dict:
-        """State-transition counters, exposed for tests and metrics."""
-        counts = self._transitions
-        return {s: counts[s.index] for s in CoordinatorState}
-
-    @property
     def node(self) -> int:
         return self.lower.node
 
     def _enter(self, state: CoordinatorState) -> None:
         self._state = state
-        self._transitions[state.index] += 1
         # Per-kind gate: `active` is coarse (any subscriber at all, e.g.
         # the safety checker), which had every benchmarked run paying for
         # ~2 state-change records per CS that nobody consumed.

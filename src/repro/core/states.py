@@ -37,11 +37,6 @@ class CoordinatorState(enum.Enum):
     request outranks every application request.
     """
 
-    #: Dense counter slot used by the coordinator's transition counters
-    #: (``Enum.__hash__`` is a Python-level call; a list index is not).
-    #: Assigned right after the class body.
-    index: int
-
     #: Initial acquisition of the intra CS is in flight.
     STARTING = "STARTING"
     #: Holds the intra token, no local demand: the cluster is out of the CS.
@@ -61,7 +56,3 @@ class CoordinatorState(enum.Enum):
         *as critical-section right* (``IN``/``WAIT_FOR_OUT``).  Note an
         ``OUT`` coordinator may still *store* an idle inter token."""
         return self in (CoordinatorState.IN, CoordinatorState.WAIT_FOR_OUT)
-
-
-for _i, _member in enumerate(CoordinatorState):
-    _member.index = _i

@@ -24,6 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..cache.store import CacheSpec, ExperimentCache, cache_from_env
+from ..cli import exit_status
 from ..errors import ConfigurationError
 from ..grid.grid5000 import GRID5000_RTT_MS, GRID5000_SITES
 from ..metrics.report import format_matrix, format_table
@@ -372,20 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return status
+        return exit_status(lambda: _COMMANDS[args.command](args))
     except ConfigurationError as exc:
         # A refused config is a usage error: one line, status 2.
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except BrokenPipeError:
-        # The reader closed stdout early (`repro run ... | head`): point
-        # stdout at devnull so the flush at exit cannot raise again, and
-        # fail with status 1, as Python's own EPIPE exit does.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,6 +28,7 @@ import signal
 import sys
 from typing import Optional, Sequence
 
+from ..cli import exit_status
 from ..errors import FarmError
 from ..experiments.figures import (
     ALL_FIGURES,
@@ -242,7 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return exit_status(lambda: _COMMANDS[args.command](args))
     except FarmError as exc:
         # A farm that cannot run the command says why: one line, status 1.
         parser.exit(1, f"{parser.prog}: error: {exc}\n")

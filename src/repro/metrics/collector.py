@@ -153,10 +153,6 @@ class MetricsCollector:
             for node, v in _grouped(self._columns(), 0).items()
         }
 
-    def completion_time(self) -> float:
-        """Simulated time of the last CS release (0 when empty)."""
-        return max(self._columns()[4], default=0.0)
-
     def recovery_times(self) -> List[float]:
         return [r.recovery_time for r in self.recoveries]
 
@@ -218,8 +214,8 @@ class _Moments:
 class BoundedMetricsCollector(MetricsCollector):
     """O(cap) drop-in for :class:`MetricsCollector` on large grids.
 
-    Count, mean, std, min, max and completion time — overall and per
-    cluster — are **exact** (streaming moments; population std like
+    Count, mean, std, min and max — overall and per cluster — are
+    **exact** (streaming moments; population std like
     :func:`~repro.metrics.analysis.summarize`).  Percentiles and the
     per-node views (``by_node``, ``fairness``, ``obtaining_times``) are
     computed over a uniform reservoir sample of ``max_records`` rows
@@ -242,7 +238,6 @@ class BoundedMetricsCollector(MetricsCollector):
         self._slots: List[int] = []
         self._all = _Moments()
         self._clusters: Dict[int, _Moments] = {}
-        self._last_release = 0.0
 
     def add_cs(
         self,
@@ -260,8 +255,6 @@ class BoundedMetricsCollector(MetricsCollector):
         if moments is None:
             moments = self._clusters[cluster] = _Moments()
         moments.add(t)
-        if released_at > self._last_release:
-            self._last_release = released_at
         seen = self._all.n - 1  # rows seen before this one
         if seen < self.max_records:
             self._node.append(node)
@@ -303,6 +296,3 @@ class BoundedMetricsCollector(MetricsCollector):
                 p50 = p95 = moments.total / moments.n
             out[ci] = moments.stats(p50=p50, p95=p95)
         return out
-
-    def completion_time(self) -> float:
-        return self._last_release

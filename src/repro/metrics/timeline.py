@@ -16,7 +16,16 @@ from typing import List, Tuple
 from ..net.topology import GridTopology
 from ..sim.trace import TraceRecord, Tracer
 
-__all__ = ["TimelineRecorder"]
+__all__ = ["TimelineRecorder", "is_app_cs_port"]
+
+
+def is_app_cs_port(port: str) -> bool:
+    """Whether ``port`` carries application-facing critical sections:
+    the intra level of a composition, or a flat instance.  The runner's
+    safety checker needs no port rule: it is scoped by the peers it
+    watches (``MutualExclusionChecker().watch(...)`` over the
+    applications' peers)."""
+    return port.startswith("intra") or port == "flat"
 
 
 class TimelineRecorder:
@@ -49,9 +58,7 @@ class TimelineRecorder:
 
     # ------------------------------------------------------------------ #
     def _relevant(self, rec: TraceRecord) -> bool:
-        return rec.node in self._apps and (
-            rec.port.startswith("intra") or rec.port == "flat"
-        )
+        return rec.node in self._apps and is_app_cs_port(rec.port)
 
     def _on_enter(self, rec: TraceRecord) -> None:
         if self._relevant(rec):

@@ -22,7 +22,7 @@ See ``docs/observability.md`` for a worked example.
 """
 
 from .causality import CausalityRecorder, CSWait, DeliveryRecord
-from .export import chrome_trace, chrome_trace_events, write_chrome_trace
+from .export import write_trace
 from .layer import OBS_LEVELS, ObservabilityLayer
 from .path import (
     CATEGORIES,
@@ -58,7 +58,5 @@ __all__ = [
     "PathDetail",
     "build_report",
     "format_obs_report",
-    "chrome_trace",
-    "chrome_trace_events",
-    "write_chrome_trace",
+    "write_trace",
 ]

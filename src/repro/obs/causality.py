@@ -35,21 +35,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..metrics.timeline import is_app_cs_port
 from ..net.network import Network
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord
 
-__all__ = ["DeliveryRecord", "CSWait", "CausalityRecorder", "is_app_cs_port"]
-
-
-def is_app_cs_port(port: str) -> bool:
-    """Whether ``port`` carries application-facing critical sections
-    (the intra level of a composition, or a flat instance) — the port
-    rule :class:`~repro.metrics.timeline.TimelineRecorder` also applies.
-    The runner's safety checker has none: it is scoped by the peers it
-    watches (``MutualExclusionChecker().watch(...)`` over the
-    applications' peers)."""
-    return port.startswith("intra") or port == "flat"
+__all__ = ["DeliveryRecord", "CSWait", "CausalityRecorder"]
 
 
 class DeliveryRecord:

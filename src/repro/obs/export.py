@@ -1,129 +1,83 @@
-"""Chrome trace-event JSON export (Perfetto / ``chrome://tracing``).
+"""Chrome trace-event JSON (Perfetto / ``chrome://tracing``): the one writer.
 
-The trace maps the simulation onto the trace-event model as:
+Both kinds of recorded run are written here: an observed simulator run
+(:meth:`~repro.obs.layer.ObservabilityLayer.write_chrome_trace`) and a
+replayed counterexample
+(:func:`repro.analysis.explore.schedule.write_chrome_trace`).  A source
+supplies its processes, its thread names and its spans in simulated
+milliseconds; :func:`write_trace` owns the document:
 
-* one *process* (``pid``) per simulated node, named after its cluster
-  (coordinator nodes are marked);
-* three *threads* (``tid``) per node: ``0`` critical sections and CS
-  waits, ``1`` inbound messages (one complete ``X`` span per delivery,
-  from send to delivery), ``2`` critical-path segments;
-* timestamps in microseconds (simulated milliseconds × 1000), as the
-  format requires.
+* one *process* (``pid``) per node, with one ``process_name`` record
+  (coordinators marked) and one ``thread_name`` record per thread;
+* one complete ``X`` event per span and one global ``i`` instant per
+  mark, timestamps in microseconds (milliseconds × 1000), as the format
+  requires;
+* ``displayTimeUnit`` ``"ms"``.
 
 The output is plain ``traceEvents`` JSON — load it straight into
-https://ui.perfetto.dev to scrub through token journeys visually.
+https://ui.perfetto.dev to scrub through a run visually.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Sequence, Union
+from typing import (
+    IO, Any, Collection, Dict, Iterable, Optional, Sequence, Tuple, Union,
+)
 
-from ..net.topology import GridTopology
-from .causality import CausalityRecorder
-from .path import CriticalPath
+__all__ = ["write_json", "write_trace"]
 
-__all__ = ["chrome_trace_events", "chrome_trace", "write_chrome_trace"]
-
-_TID_CS = 0
-_TID_NET = 1
-_TID_PATH = 2
-
-_THREAD_NAMES = {
-    _TID_CS: "critical sections",
-    _TID_NET: "inbound messages",
-    _TID_PATH: "critical path",
-}
+#: ``(pid, tid, name, start_ms, duration_ms, args)``
+Span = Tuple[int, int, str, float, float, Dict[str, Any]]
+#: ``(pid, name, at_ms, args)``
+Mark = Tuple[int, str, float, Dict[str, Any]]
 
 
-def _us(t_ms: float) -> float:
-    return t_ms * 1000.0
-
-
-def chrome_trace_events(
-    recorder: CausalityRecorder,
-    topology: GridTopology,
-    paths: Sequence[CriticalPath] = (),
-) -> List[Dict[str, Any]]:
-    """Build the ``traceEvents`` list from recorded causality data."""
-    events: List[Dict[str, Any]] = []
-    coordinators = set(topology.coordinator_nodes())
-    for node in topology.nodes:
-        role = " [coordinator]" if node in coordinators else ""
-        events.append({
-            "ph": "M", "pid": node, "tid": 0, "name": "process_name",
-            "args": {
-                "name": f"node {node} / {topology.cluster_name(node)}{role}"
-            },
-        })
-        for tid, tname in _THREAD_NAMES.items():
-            events.append({
-                "ph": "M", "pid": node, "tid": tid, "name": "thread_name",
-                "args": {"name": tname},
-            })
-
-    for node, entered, exited in recorder.occupancy:
-        events.append({
-            "ph": "X", "pid": node, "tid": _TID_CS, "name": "cs",
-            "ts": _us(entered), "dur": _us(exited - entered),
-            "args": {"node": node},
-        })
-    for wait in recorder.waits:
-        events.append({
-            "ph": "X", "pid": wait.node, "tid": _TID_CS, "name": "wait",
-            "ts": _us(wait.requested_at), "dur": _us(wait.obtaining_time),
-            "args": {"port": wait.port},
-        })
-
-    for rec in recorder.all_deliveries():
-        events.append({
-            "ph": "X", "pid": rec.dst, "tid": _TID_NET, "name": rec.kind,
-            "ts": _us(rec.sent_at), "dur": _us(rec.latency),
-            "args": {
-                "src": rec.src, "dst": rec.dst,
-                "port": rec.port, "seq": rec.seq,
-            },
-        })
-
-    for path in paths:
-        for seg in path.segments:
-            args: Dict[str, Any] = {
-                "for_node": path.node, "lan": seg.lan,
-            }
-            if seg.is_hop:
-                args["src"] = seg.src
-                args["kind"] = seg.kind
-            events.append({
-                "ph": "X", "pid": seg.node, "tid": _TID_PATH,
-                "name": seg.category,
-                "ts": _us(seg.start), "dur": _us(seg.duration),
-                "args": args,
-            })
-    return events
-
-
-def chrome_trace(
-    recorder: CausalityRecorder,
-    topology: GridTopology,
-    paths: Sequence[CriticalPath] = (),
-) -> Dict[str, Any]:
-    """Complete trace object (``traceEvents`` + display unit)."""
-    return {
-        "traceEvents": chrome_trace_events(recorder, topology, paths),
-        "displayTimeUnit": "ms",
-    }
-
-
-def write_chrome_trace(
-    out: Union[str, IO[str]],
-    recorder: CausalityRecorder,
-    topology: GridTopology,
-    paths: Sequence[CriticalPath] = (),
+def write_json(
+    out: Union[str, IO[str]], doc: Any, *, indent: Optional[int] = None
 ) -> None:
-    """Serialise the trace to a path or an open text stream."""
-    trace = chrome_trace(recorder, topology, paths)
+    """Serialise ``doc`` to an open text stream, or to a path as a file
+    that ends in a newline."""
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh)
+            json.dump(doc, fh, indent=indent)
+            fh.write("\n")
     else:
-        json.dump(trace, out)
+        json.dump(doc, out, indent=indent)
+
+
+def write_trace(
+    out: Union[str, IO[str]],
+    processes: Iterable[Tuple[int, str]],
+    coordinators: Collection[int],
+    threads: Sequence[str],
+    spans: Iterable[Span],
+    marks: Iterable[Mark] = (),
+) -> None:
+    """Write a trace-event document: ``processes`` are ``(pid, name)``,
+    a pid in ``coordinators`` is marked ``[coordinator]``, and
+    ``threads`` name each ``tid`` on every process."""
+    events = []
+    for pid, label in processes:
+        if pid in coordinators:
+            label += " [coordinator]"
+        events.append({
+            "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+            "args": {"name": label},
+        })
+        for tid, thread in enumerate(threads):
+            events.append({
+                "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+                "args": {"name": thread},
+            })
+    for pid, tid, name, start, duration, args in spans:
+        events.append({
+            "ph": "X", "pid": pid, "tid": tid, "name": name,
+            "ts": start * 1000.0, "dur": duration * 1000.0, "args": args,
+        })
+    for pid, name, at, args in marks:
+        events.append({
+            "ph": "i", "pid": pid, "tid": 0, "s": "g", "name": name,
+            "ts": at * 1000.0, "args": args,
+        })
+    write_json(out, {"traceEvents": events, "displayTimeUnit": "ms"})

@@ -18,14 +18,14 @@ knob, matching ``ExperimentConfig.obs``:
 
 from __future__ import annotations
 
-from typing import IO, Dict, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..net.network import Network
 from ..net.topology import GridTopology
 from ..sim.kernel import Simulator
 from .causality import CausalityRecorder
-from .export import write_chrome_trace
+from .export import Span, write_trace
 from .path import CriticalPath, extract_paths
 from .report import ObsReport, build_report
 
@@ -37,6 +37,11 @@ __all__ = ["OBS_LEVELS", "ObservabilityLayer"]
 #: breakdown, ``trace`` additionally keeps per-CS rows and enables
 #: Chrome trace export.
 OBS_LEVELS: Tuple[str, ...] = ("off", "counters", "paths", "trace")
+
+#: Trace threads of every node: critical sections and CS waits, inbound
+#: messages (one span per delivery, from send to delivery), and
+#: critical-path segments.
+_THREADS = ("critical sections", "inbound messages", "critical path")
 
 
 class ObservabilityLayer:
@@ -131,14 +136,48 @@ class ObservabilityLayer:
         )
 
     def write_chrome_trace(self, out: Union[str, IO[str]]) -> None:
-        """Export the run as Chrome trace-event JSON (Perfetto-loadable).
+        """Export the run as Chrome trace-event JSON (Perfetto-loadable):
+        one process per node, named after its cluster (coordinators
+        marked).
 
         Requires a causality-recording level (``paths`` or ``trace``)."""
         if self.recorder is None:
             raise ConfigurationError(
                 "chrome trace export needs obs level 'paths' or 'trace'"
             )
-        write_chrome_trace(out, self.recorder, self.topology, self.paths())
+        topology = self.topology
+        write_trace(
+            out,
+            [(node, f"node {node} / {topology.cluster_name(node)}")
+             for node in topology.nodes],
+            set(topology.coordinator_nodes()),
+            _THREADS,
+            _spans(self.recorder, self.paths()),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ObservabilityLayer level={self.level}>"
+
+
+def _spans(
+    recorder: CausalityRecorder, paths: Sequence[CriticalPath]
+) -> Iterator[Span]:
+    """The run's spans: CS occupancy and waits on thread 0, deliveries
+    on thread 1, critical-path segments on thread 2."""
+    for node, entered, exited in recorder.occupancy:
+        yield node, 0, "cs", entered, exited - entered, {"node": node}
+    for wait in recorder.waits:
+        yield (wait.node, 0, "wait", wait.requested_at,
+               wait.obtaining_time, {"port": wait.port})
+    for rec in recorder.all_deliveries():
+        yield rec.dst, 1, rec.kind, rec.sent_at, rec.latency, {
+            "src": rec.src, "dst": rec.dst,
+            "port": rec.port, "seq": rec.seq,
+        }
+    for path in paths:
+        for seg in path.segments:
+            args: Dict[str, Any] = {"for_node": path.node, "lan": seg.lan}
+            if seg.is_hop:
+                args["src"] = seg.src
+                args["kind"] = seg.kind
+            yield seg.node, 2, seg.category, seg.start, seg.duration, args

@@ -17,27 +17,32 @@ processes and Python versions that preserve float repr (CPython ≥ 3.1).
 from __future__ import annotations
 
 import hashlib
+
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecord
 
-__all__ = ["RunDigest"]
+__all__ = ["DIGEST_KINDS", "RunDigest"]
+
+#: The trace kinds a digest observes.  Deliveries are implied by sends
+#: in a deterministic network, and hashing both would double the
+#: tracing cost.
+DIGEST_KINDS = ("send", "cs_enter", "cs_exit")
 
 
 class RunDigest:
     """Accumulates a SHA-256 over a run's observable events.
 
     Attach before running; read :attr:`hexdigest` after.  Subscribes to
-    ``send``, ``cs_enter`` and ``cs_exit`` (deliveries are implied by
-    sends in a deterministic network, and hashing both would double the
-    tracing cost).
+    :data:`DIGEST_KINDS`.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self._hash = hashlib.sha256()
         self.events = 0
-        sim.trace.subscribe("send", self._on_send)
-        sim.trace.subscribe("cs_enter", self._on_cs)
-        sim.trace.subscribe("cs_exit", self._on_cs)
+        for kind in DIGEST_KINDS:
+            sim.trace.subscribe(
+                kind, self._on_send if kind == "send" else self._on_cs
+            )
 
     def _feed(self, *parts: object) -> None:
         self.events += 1

@@ -18,6 +18,8 @@ from repro.analysis.cli import main
 from repro.analysis.engine import Engine
 from repro.analysis.rules import DEFAULT_RULES
 
+from ..helpers import close_stdout
+
 REPO_SRC = Path(repro.__file__).resolve().parent  # .../src/repro
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -231,3 +233,13 @@ def test_module_entry_point_nonzero_on_fixture():
     )
     assert proc.returncode == 1
     assert "RPR" in proc.stdout
+
+
+def test_cli_ends_quietly_when_stdout_closes_early(tmp_path, monkeypatch):
+    # `python -m repro.analysis --list-rules | head`: status 1, no
+    # BrokenPipeError traceback, stdout's descriptor left on devnull.
+    target = close_stdout(monkeypatch, tmp_path / "out")
+    assert main(["--list-rules"]) == 1
+    target.write("after the reader left")
+    target.close()
+    assert (tmp_path / "out").read_text() == ""

@@ -29,13 +29,13 @@ from repro.analysis.explore import (
     ExploreScope,
     Violation,
     World,
-    chrome_trace,
     counterexample_to_dict,
     default_cells,
     explore,
     load_counterexample,
     replay,
     run_matrix,
+    write_chrome_trace,
     write_counterexample,
 )
 from repro.core.recovery import InstanceRecovery
@@ -343,17 +343,23 @@ class TestScheduleRoundTrip:
         with pytest.raises(ReproError, match=r"missing keys: \['intra'\]"):
             self._load(doc)
 
-    def test_chrome_trace_shape(self):
+    def test_chrome_trace_marks_the_violation(self):
+        # The invariants every trace shares are
+        # tests/obs/test_trace_writer.py's; a counterexample adds one
+        # global instant at the step after its schedule.
         scope = _cell(system="flat", intra="naimi", requesters=(1,))
         violation = Violation(
             property="safety", message="synthetic",
             schedule=self._valid_schedule(scope),
         )
-        trace = chrome_trace(scope, violation)
-        assert set(trace) == {"traceEvents", "displayTimeUnit"}
-        phases = {e["ph"] for e in trace["traceEvents"]}
-        assert phases == {"M", "X", "i"}  # metadata, spans, the marker
-        json.dumps(trace)  # must be serializable as-is
+        buf = io.StringIO()
+        write_chrome_trace(buf, scope, violation)
+        events = json.loads(buf.getvalue())["traceEvents"]
+        assert {e["ph"] for e in events} == {"M", "X", "i"}
+        (mark,) = [e for e in events if e["ph"] == "i"]
+        assert mark["name"] == "VIOLATION: safety"
+        assert mark["args"] == {"message": "synthetic"}
+        assert mark["ts"] == len(violation.schedule) * 1000.0
 
 
 # --------------------------------------------------------------------- #

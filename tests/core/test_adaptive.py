@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import AdaptiveController, AdaptivePolicy, Composition, CoordinatorState
 from repro.errors import CompositionError, NetworkError
+from repro.experiments import ExperimentConfig, ExperimentRun
 from repro.mutex.base import PeerState
 from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.sim import Process, Simulator
@@ -180,6 +181,36 @@ def test_a_switch_unregisters_the_retired_epoch():
     for peer in system.inter_peers:  # the live epoch is routed
         assert peer.port == f"inter/{ac.epoch}"
         net.unregister(peer.node, peer.port)
+
+
+def test_a_switch_drops_the_message_in_flight_to_the_retired_epoch(
+    monkeypatch,
+):
+    # The in-flight path flips carry real traffic.  This run switches
+    # from Martin to Naimi at t = 17 050 ms while one Martin message is
+    # still in flight to a retired inter peer: `Network.unregister`
+    # rewrites its direct entry into a `_deliver` entry (`_undirect`),
+    # and `_deliver` drops it unrouted.  Martin's stale-request fix
+    # (ROADMAP item 9(b)) may move this count.
+    rewritten = []
+    undirect = Network._undirect
+
+    def counting_undirect(net, owner=None):
+        rewritten.extend(net._direct_entries(owner))
+        undirect(net, owner)
+
+    monkeypatch.setattr(Network, "_undirect", counting_undirect)
+    config = ExperimentConfig(
+        system="adaptive", intra="naimi", inter="martin", n_clusters=9,
+        apps_per_cluster=4, n_cs=40, rho=18.0, seed=1,
+    )
+    assert config.check_safety
+    with ExperimentRun(config) as run:
+        result = run.execute()
+        assert run.system.controller.switches == [(17050.0, "martin", "naimi")]
+        assert len(rewritten) == 1
+        assert run.net._unrouted == 1
+    assert result.cs_count == 9 * 4 * 40
 
 
 def _every_clause_quiescent(coordinators, inter_peers):

@@ -14,8 +14,16 @@ from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.sim import Simulator
 
 
-def build(intra="naimi", inter="naimi", n_clusters=2, apps=2, seed=0):
+def build(intra="naimi", inter="naimi", n_clusters=2, apps=2, seed=0,
+          transitions=None):
+    """A composition; ``transitions``, a list, collects every
+    coordinator's ``(node, state)`` trace records from construction on."""
     sim = Simulator(seed=seed)
+    if transitions is not None:
+        sim.trace.subscribe(
+            "coordinator_state",
+            lambda rec: transitions.append((rec.node, rec.state)),
+        )
     topo = uniform_topology(n_clusters, apps + 1)
     net = Network(sim, topo, TwoTierLatency(topo, lan_ms=0.1, wan_ms=5.0))
     comp = Composition(sim, net, topo, intra=intra, inter=inter)
@@ -146,11 +154,13 @@ def test_coordinator_requires_initial_holdership():
 
 
 def test_transition_counters():
-    sim, topo, net, comp = build()
+    transitions = []
+    sim, topo, net, comp = build(transitions=transitions)
     app = comp.peer_for(topo.cluster_nodes(1)[1])
     app.request_cs()
     sim.run()
-    coord = comp.coordinator_for(1)
-    assert coord.transitions[CoordinatorState.OUT] == 1
-    assert coord.transitions[CoordinatorState.WAIT_FOR_IN] == 1
-    assert coord.transitions[CoordinatorState.IN] == 1
+    node = comp.coordinator_for(1).node
+    entered = [state for n, state in transitions if n == node]
+    assert entered.count(CoordinatorState.OUT.value) == 1
+    assert entered.count(CoordinatorState.WAIT_FOR_IN.value) == 1
+    assert entered.count(CoordinatorState.IN.value) == 1

@@ -1,11 +1,11 @@
 """Unit tests for the CLI and the scalability study."""
 
-import sys
-
 import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.scalability import scalability_study
+
+from ..helpers import close_stdout
 
 
 def test_cli_algorithms(capsys):
@@ -19,19 +19,7 @@ def test_cli_ends_quietly_when_stdout_closes_early(tmp_path, monkeypatch):
     # `repro ... | head`: the reader is gone.  main fails with status 1
     # instead of a BrokenPipeError traceback, and leaves stdout's file
     # descriptor on devnull so the flush at exit cannot raise again.
-    target = open(tmp_path / "out", "w")
-
-    class ClosedPipe:
-        def write(self, _text):
-            raise BrokenPipeError
-
-        def flush(self):
-            raise BrokenPipeError
-
-        def fileno(self):
-            return target.fileno()
-
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    target = close_stdout(monkeypatch, tmp_path / "out")
     assert main(["algorithms"]) == 1
     target.write("after the reader left")
     target.close()

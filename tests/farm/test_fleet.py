@@ -18,6 +18,8 @@ from repro.farm.distribute import Fleet
 from repro.farm.leases import JobStore
 from repro.farm.worker import SLOW_MS_ENV
 
+from ..helpers import close_stdout
+
 CFG = ExperimentConfig(n_clusters=2, apps_per_cluster=2, n_cs=3, rho=4.0,
                        platform="two-tier")
 CONFIGS = [CFG.with_(seed=s) for s in range(4)]
@@ -128,3 +130,13 @@ class TestADrainingFarmIsRefused:
         [line] = err.splitlines()
         assert line.startswith("repro-farm: error: ")
         assert str(JobStore(farm_dir).drain_path) in line
+
+
+def test_cli_ends_quietly_when_stdout_closes_early(tmp_path, monkeypatch):
+    # `python -m repro.farm drain ... | head`: status 1, no
+    # BrokenPipeError traceback, stdout's descriptor left on devnull.
+    target = close_stdout(monkeypatch, tmp_path / "out")
+    assert main(["drain", "--farm-dir", str(tmp_path / "farm")]) == 1
+    target.write("after the reader left")
+    target.close()
+    assert (tmp_path / "out").read_text() == ""

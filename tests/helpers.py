@@ -1,12 +1,14 @@
 """Shared test harness: drives a set of mutex peers through scripted
 critical-section cycles on a simulated network, with safety and liveness
 checkers attached — and, for the white-box tests, the one reader of the
-kernel's calendar entry shape and of what deliveries it holds."""
+kernel's calendar entry shape and of what deliveries it holds; plus the
+closed pipe the command-line tests print into."""
 
 from __future__ import annotations
 
+import sys
 from heapq import heappush
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mutex import get_algorithm
 from repro.net import ConstantLatency, Message, Network, uniform_topology
@@ -218,3 +220,26 @@ class PeerDriver:
     @property
     def messages(self) -> int:
         return self.net.stats.total
+
+
+def close_stdout(monkeypatch: Any, path: Any) -> IO[str]:
+    """Stand a closed pipe in for ``sys.stdout`` (``... | head``, the
+    reader gone): every write and flush raises ``BrokenPipeError``, and
+    its descriptor is that of ``path``, opened here and returned.  A
+    command line that ends quietly leaves the descriptor on devnull, so
+    what is written to the returned file afterwards never reaches
+    ``path``."""
+    target = open(path, "w")
+
+    class ClosedPipe:
+        def write(self, _text: str) -> None:
+            raise BrokenPipeError
+
+        def flush(self) -> None:
+            raise BrokenPipeError
+
+        def fileno(self) -> int:
+            return target.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    return target

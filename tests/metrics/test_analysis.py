@@ -130,13 +130,11 @@ def test_collector_aggregations():
     assert by_cluster[0].mean == 3.0
     by_node = c.by_node()
     assert by_node[1].count == 2
-    assert c.completion_time() == 15.0
 
 
 def test_collector_empty():
     c = MetricsCollector()
     assert c.cs_count == 0
-    assert c.completion_time() == 0.0
     assert c.obtaining_stats().count == 0
 
 

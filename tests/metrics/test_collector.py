@@ -30,7 +30,6 @@ class TestCSAggregation:
         assert c.obtaining_stats().count == 0
         assert c.by_cluster() == {}
         assert c.by_node() == {}
-        assert c.completion_time() == 0.0
 
     def test_counts_and_times(self, loaded):
         assert loaded.cs_count == 4
@@ -47,10 +46,6 @@ class TestCSAggregation:
         per = loaded.by_node()
         assert {n: s.count for n, s in per.items()} == {0: 2, 1: 1, 2: 1}
         assert per[0].mean == 3.0
-
-    def test_completion_time_is_last_release(self, loaded):
-        # Last release: node 2 requested at 3.0, waited 12, held 2.
-        assert loaded.completion_time() == 17.0
 
 
 class TestFairness:

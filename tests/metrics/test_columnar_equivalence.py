@@ -69,9 +69,6 @@ class OracleCollector:
             groups[r.node].append(r.obtaining_time)
         return {node: oracle_summarize(v) for node, v in sorted(groups.items())}
 
-    def completion_time(self):
-        return max((r.released_at for r in self.records), default=0.0)
-
     def fairness(self):
         per_node = [s.mean for s in self.by_node().values()]
         if not per_node:
@@ -93,7 +90,6 @@ class OracleBounded(OracleCollector):
         self._slots = []
         self._all = _Moments()
         self._clusters = {}
-        self._last_release = 0.0
 
     def add(self, record):
         t = record.obtaining_time
@@ -102,8 +98,6 @@ class OracleBounded(OracleCollector):
         if cluster is None:
             cluster = self._clusters[record.cluster] = _Moments()
         cluster.add(t)
-        if record.released_at > self._last_release:
-            self._last_release = record.released_at
         records = self.records
         seen = self._all.n - 1
         if seen < self.max_records:
@@ -148,9 +142,6 @@ class OracleBounded(OracleCollector):
             out[ci] = moments.stats(p50=p50, p95=p95)
         return out
 
-    def completion_time(self):
-        return self._last_release
-
 
 def view(collector):
     """Every summary a caller can read, as one ``repr``."""
@@ -160,7 +151,6 @@ def view(collector):
         collector.by_cluster(),
         collector.by_node(),
         collector.fairness(),
-        collector.completion_time(),
         collector.obtaining_times(),
         collector.records,
     ))

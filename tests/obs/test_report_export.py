@@ -6,14 +6,7 @@ import pickle
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.net import Network, TwoTierLatency, uniform_topology
-from repro.obs import (
-    CausalityRecorder,
-    ObservabilityLayer,
-    build_report,
-    chrome_trace,
-    format_obs_report,
-    write_chrome_trace,
-)
+from repro.obs import ObservabilityLayer, build_report, format_obs_report
 from repro.sim import Simulator
 
 
@@ -78,6 +71,9 @@ class TestReport:
 
 
 class TestChromeExport:
+    """What only an observed run's trace carries; the invariants every
+    trace shares are ``tests/obs/test_trace_writer.py``'s."""
+
     def run_recorded(self):
         sim = Simulator(seed=2)
         topo = uniform_topology(2, 2)
@@ -85,40 +81,30 @@ class TestChromeExport:
                                                 jitter=0.0))
         for node in topo.nodes:
             net.register(node, "flat", lambda m: None)
-        rec = CausalityRecorder(sim, net)
+        layer = ObservabilityLayer(sim, net, level="paths")
         sim.trace.emit("cs_request", time=0.0, node=1, port="flat")
         net.send(1, 0, "flat", "req")
         sim.run()
         sim.trace.emit("cs_enter", time=sim.now, node=1, port="flat")
         sim.trace.emit("cs_exit", time=sim.now + 1.0, node=1, port="flat")
-        return rec, topo
+        return layer
 
-    def test_trace_structure(self):
-        rec, topo = self.run_recorded()
-        trace = chrome_trace(rec, topo)
-        events = trace["traceEvents"]
-        assert trace["displayTimeUnit"] == "ms"
-        names = {e["name"] for e in events if e["ph"] == "M"}
-        assert names == {"process_name", "thread_name"}
-        spans = [e for e in events if e["ph"] == "X"]
-        assert spans, "expected complete-event spans"
-        for span in spans:
-            assert span["dur"] >= 0.0
-            assert {"pid", "tid", "ts", "name"} <= set(span)
-        # Coordinator nodes are labelled in their process metadata.
+    def test_trace_labels_coordinator_processes(self):
+        buf = io.StringIO()
+        self.run_recorded().write_chrome_trace(buf)
         labels = [
-            e["args"]["name"] for e in events
+            e["args"]["name"] for e in json.loads(buf.getvalue())["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
         ]
         assert sum("[coordinator]" in lab for lab in labels) == 2
 
     def test_json_round_trip_via_stream_and_path(self, tmp_path):
-        rec, topo = self.run_recorded()
+        layer = self.run_recorded()
         buf = io.StringIO()
-        write_chrome_trace(buf, rec, topo)
+        layer.write_chrome_trace(buf)
         from_stream = json.loads(buf.getvalue())
         target = tmp_path / "out.json"
-        write_chrome_trace(str(target), rec, topo)
+        layer.write_chrome_trace(str(target))
         from_file = json.loads(target.read_text())
         assert from_stream == from_file
         assert from_file["traceEvents"]
