@@ -29,7 +29,6 @@ class DirectHandoffPeer(MutexPeer):
     """
 
     algorithm_name = "direct-handoff"
-    topology = "star + direct token hops"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -272,7 +272,6 @@ FLIP = ("in-flight path flip: `Composition.switch_inter` leaves a message "
         "item 1(c) decides")
 JSON = "`python -m repro.analysis --json` (docs/analysis.md)"
 BREAKDOWN = "per-port, per-kind and per-cluster message counts (docs/performance.md)"
-PUBLIC = "public API of"
 
 #: Why a name the product never reaches stays.  A key is an ``fnmatch``
 #: pattern over ``<module path>::<qualified name>``; the first key that
@@ -330,7 +329,6 @@ CONSUMERS: Dict[str, str] = {
         "refuses to re-form an algorithm without it (recovery)",
     "mutex/centralized.py::CentralizedPeer._fingerprint_state": ITEM3,
     "mutex/centralized.py::CentralizedPeer.holds_token": ITEM3,
-    "mutex/lamport.py::*": ITEM3,
     "mutex/maekawa.py::MaekawaPeer.holds_token": ITEM3,
     "mutex/ricart_agrawala.py::RicartAgrawalaPeer.holds_token": ITEM3,
     "mutex/priority_naimi.py::SchedulingPolicy.select": ABSTRACT,
@@ -347,11 +345,8 @@ CONSUMERS: Dict[str, str] = {
     "net/stats.py::MessageStats.inter_by_*": BREAKDOWN,
     "net/stats.py::MessageStats.cluster_matrix": BREAKDOWN,
     "net/stats.py::MessageStats.snapshot": BREAKDOWN,
-    "net/topology.py::Cluster.__iter__": PUBLIC + " `repro.net`: a cluster reads as its nodes",
-    "net/topology.py::Cluster.__len__": PUBLIC + " `repro.net`: a cluster reads as its nodes",
     # obs
     "obs/causality.py::CausalityRecorder.stamp_less": ORACLE,
-    "obs/report.py::ObsReport.category_share": PUBLIC + " `repro.obs`: a report's share per category",
     # sim
     "sim/kernel.py::Simulator._compact":
         "bounds the calendar once cancelled timers pile up",
@@ -361,7 +356,6 @@ CONSUMERS: Dict[str, str] = {
     "sim/kernel.py::_time_error": REFUSES,
     "sim/process.py::Process.halted": FAULTS,
     "sim/process.py::Process.resume": FAULTS,
-    "sim/process.py::Process.rng": PUBLIC + " `repro.sim`: a user-written Process's random streams",
     "sim/rng.py::RngRegistry.fresh": ORACLE,
     "sim/rng.py::RngRegistry.seed": "the drawn seed that replays an unseeded run",
     "sim/trace.py::_AllKinds.__contains__":

@@ -280,12 +280,13 @@ def _run_replay(
 
     try:
         scope, violation = load_counterexample(str(args.replay))
-        steps = replay(scope, violation.schedule)
+        if args.trace_out is None:
+            steps = replay(scope, violation.schedule)
+        else:
+            steps = write_chrome_trace(str(args.trace_out), scope, violation)
     except (OSError, ReproError, KeyError, ValueError, TypeError) as exc:
         print(f"replay failed: {exc}")
         return 1
-    if args.trace_out is not None:
-        write_chrome_trace(str(args.trace_out), scope, violation, steps=steps)
     if json_out is not None:
         json_out["replay"] = {
             "ok": True,

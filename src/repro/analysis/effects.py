@@ -342,9 +342,6 @@ STATIC_BOUNDS: Dict[str, Tuple[str, object]] = {
     # request broadcast + a reply per receiver (immediate branch) + the
     # deferred replies flushed at release; true cost is 2(n-1)
     "ricart-agrawala": ("3(n-1)", lambda n: 3 * (n - 1)),
-    # request broadcast + ack per receiver + release broadcast — the
-    # over-approximation is exact here
-    "lamport": ("3(n-1)", lambda n: 3 * (n - 1)),
     # every arbiter helper branch of every handler counted, the
     # locked/relinquish ping-pong cycle-capped; true cost is O(sqrt n)
     # (quorum size is a runtime construct the AST cannot see)
@@ -354,9 +351,6 @@ STATIC_BOUNDS: Dict[str, Tuple[str, object]] = {
     # naimi-shaped; the priority queue rides inside the token payload
     "priority-naimi": ("2n - 1", lambda n: 2 * n - 1),
 }
-
-#: theory.py names -> registry names used by the extractor
-_THEORY_NAMES = {"martin": "martin", "naimi": "naimi", "suzuki": "suzuki"}
 
 _CHECK_SIZES = (2, 3, 5, 9, 17)
 
@@ -442,11 +436,10 @@ def _check_one(name: str, effects: AlgorithmEffects) -> Iterator[ConformanceFind
             )
             break
     # 4. theory consistency (average <= static worst case)
-    theory_name = _THEORY_NAMES.get(name)
-    if theory_name is not None:
-        from ..experiments.theory import ALGORITHM_MODELS
+    from ..experiments.theory import ALGORITHM_MODELS
 
-        model = ALGORITHM_MODELS[theory_name]
+    model = ALGORITHM_MODELS.get(name)
+    if model is not None:
         for n in _CHECK_SIZES:
             avg = float(model.messages(n))
             w = effects.worst_case_messages(n)

@@ -37,7 +37,7 @@ class Violation:
     line: int
     col: int
     message: str
-    #: dotted enclosing scope, e.g. ``"LamportPeer._try_enter"``
+    #: dotted enclosing scope, e.g. ``"MaekawaPeer._arbiter_request"``
     context: str = ""
 
     def format(self) -> str:

@@ -15,9 +15,10 @@ recipe into one JSON document:
 
 :func:`replay` re-executes the schedule step by step against a fresh
 world and returns the per-step snapshots; :func:`write_chrome_trace`
-writes the replay through the trace-event writer of
-:mod:`repro.obs.export` (loadable in https://ui.perfetto.dev), one span
-per action, so a counterexample can be scrubbed through visually.
+replays it the same way and writes the replay through the trace-event
+writer of :mod:`repro.obs.export` (loadable in https://ui.perfetto.dev),
+one span per action, so a counterexample can be scrubbed through
+visually.
 """
 
 from __future__ import annotations
@@ -234,19 +235,14 @@ def _spans(violation: Violation, steps: List[ReplayStep]) -> Iterator[Span]:
 
 
 def write_chrome_trace(
-    out: Union[str, IO[str]],
-    scope: ExploreScope,
-    violation: Violation,
-    *,
-    steps: Optional[List[ReplayStep]] = None,
-) -> None:
-    """Write a counterexample as a Chrome trace-event document: one
-    process per node (coordinators marked), the schedule's actions on
-    thread 0, CS occupancy on thread 1, and an instant marking the
-    violation."""
-    if steps is None:
-        steps = replay(scope, violation.schedule)
+    out: Union[str, IO[str]], scope: ExploreScope, violation: Violation
+) -> List[ReplayStep]:
+    """Replay a counterexample and write it as a Chrome trace-event
+    document: one process per node (coordinators marked), the schedule's
+    actions on thread 0, CS occupancy on thread 1, and an instant
+    marking the violation.  Returns the replay's steps."""
     world = World(scope)
+    steps = replay(scope, violation.schedule, world=world)
     mark: Mark = (
         0, f"VIOLATION: {violation.property}", len(violation.schedule),
         {"message": violation.message},
@@ -259,3 +255,4 @@ def write_chrome_trace(
         _spans(violation, steps),
         (mark,),
     )
+    return steps

@@ -284,7 +284,7 @@ def handler_reachable_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
 
     Seeds are ``_on_*`` handlers plus the request/release entry points;
     the closure follows direct ``self.method()`` calls so helpers like
-    ``_try_enter`` (Lamport) or ``_arbiter_request`` (Maekawa) are
+    ``_enter`` (Ricart-Agrawala) or ``_arbiter_request`` (Maekawa) are
     covered without annotating anything.
     """
     methods, calls = self_call_graph(cls)

@@ -2,14 +2,14 @@
 
 The paper's evaluated trio — Martin's ring (§2.1), Naimi-Tréhel's tree
 (§2.2) and Suzuki-Kasami's broadcast (§2.3) — plus extension/baseline
-algorithms (Raymond, Ricart-Agrawala, Lamport, centralized server).  All
-share the :class:`~repro.mutex.base.MutexPeer` interface, which is what
-lets the composition layer plug any of them in at either level.
+algorithms (Raymond, Ricart-Agrawala, Maekawa, a centralized server,
+prioritized Naimi-Tréhel).  All share the
+:class:`~repro.mutex.base.MutexPeer` interface, which is what lets the
+composition layer plug any of them in at either level.
 """
 
 from .base import MutexPeer, PeerState
 from .centralized import CentralizedPeer
-from .lamport import LamportPeer
 from .maekawa import MaekawaPeer, grid_quorums
 from .martin import MartinPeer
 from .naimi_trehel import NaimiTrehelPeer
@@ -40,7 +40,6 @@ __all__ = [
     "RaymondPeer",
     "balanced_tree_parents",
     "RicartAgrawalaPeer",
-    "LamportPeer",
     "MaekawaPeer",
     "grid_quorums",
     "CentralizedPeer",

@@ -32,7 +32,6 @@ class CentralizedPeer(MutexPeer):
     """
 
     algorithm_name = "centralized"
-    topology = "star"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -48,6 +47,10 @@ class CentralizedPeer(MutexPeer):
 
     @property
     def holds_token(self) -> bool:
+        # The server's grant is the token: the server keeps it until it
+        # grants a client, who holds it while in the CS.
+        if self.is_server:
+            return self._busy_with is None or self._busy_with == self.node
         return self.state is PeerState.CS
 
     @property

@@ -67,7 +67,6 @@ class MaekawaPeer(MutexPeer):
     """
 
     algorithm_name = "maekawa"
-    topology = "sqrt-N grid quorums"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

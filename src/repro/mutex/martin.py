@@ -36,7 +36,6 @@ class MartinPeer(MutexPeer):
 
     #: registry name
     algorithm_name = "martin"
-    topology = "ring"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

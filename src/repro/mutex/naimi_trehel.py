@@ -32,7 +32,6 @@ class NaimiTrehelPeer(MutexPeer):
     """
 
     algorithm_name = "naimi"
-    topology = "tree"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

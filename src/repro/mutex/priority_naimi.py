@@ -196,7 +196,6 @@ class PriorityNaimiPeer(MutexPeer):
     """
 
     algorithm_name = "priority-naimi"
-    topology = "dynamic tree + token queue"
 
     def __init__(
         self,

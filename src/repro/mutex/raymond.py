@@ -49,7 +49,6 @@ class RaymondPeer(MutexPeer):
     """
 
     algorithm_name = "raymond"
-    topology = "static-tree"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

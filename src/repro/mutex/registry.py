@@ -18,7 +18,6 @@ from typing import Dict, Type
 from ..errors import ConfigurationError
 from .base import MutexPeer
 from .centralized import CentralizedPeer
-from .lamport import LamportPeer
 from .maekawa import MaekawaPeer
 from .martin import MartinPeer
 from .naimi_trehel import NaimiTrehelPeer
@@ -101,7 +100,6 @@ for _info in (
         "ricart-agrawala", RicartAgrawalaPeer, False, "complete graph",
         "2(N-1)", "ref [15]",
     ),
-    AlgorithmInfo("lamport", LamportPeer, False, "complete graph", "3(N-1)", "ref [7]"),
     AlgorithmInfo(
         "maekawa", MaekawaPeer, False, "sqrt-N grid quorums",
         "3*sqrt(N) to 5*sqrt(N)", "ref [9]",

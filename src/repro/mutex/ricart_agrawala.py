@@ -32,7 +32,6 @@ class RicartAgrawalaPeer(MutexPeer):
     """
 
     algorithm_name = "ricart-agrawala"
-    topology = "complete-graph"
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

@@ -42,7 +42,6 @@ class SuzukiKasamiPeer(MutexPeer):
     """
 
     algorithm_name = "suzuki"
-    topology = "complete-graph"
 
     def __init__(self, *args: Any, retry_ms: Optional[float] = None, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)

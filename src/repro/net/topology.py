@@ -11,7 +11,7 @@ cluster, which keeps cluster lookup a single array index.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import TopologyError
 
@@ -33,12 +33,6 @@ class Cluster:
             raise TopologyError(f"cluster {name!r} has no nodes")
         self.name = name
         self.nodes = tuple(int(n) for n in nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster {self.name} nodes={self.nodes[0]}..{self.nodes[-1]}>"

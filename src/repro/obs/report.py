@@ -53,12 +53,6 @@ class ObsReport:
         """Whether time outside the requesters' clusters dominates."""
         return self.wan_ms > self.lan_ms
 
-    def category_share(self, category: str) -> float:
-        """Fraction of total explained time spent in ``category``."""
-        if self.obtaining_total_ms <= 0.0:
-            return 0.0
-        return self.category_ms.get(category, 0.0) / self.obtaining_total_ms
-
 
 def build_report(
     level: str,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Tuple, Union
 
-import numpy as np
-
 from .event import Event
 from .kernel import Simulator
 
@@ -106,10 +104,6 @@ class Process:
         protocol state is whatever it was at the crash — rejoining a
         distributed structure is the recovery layer's job, not ours."""
         self._halted = False
-
-    def rng(self, purpose: str = "default") -> "np.random.Generator":
-        """Return this process's named random stream for ``purpose``."""
-        return self.sim.rng.stream(stream_label(self.name, purpose))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

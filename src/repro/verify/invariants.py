@@ -11,6 +11,7 @@ from typing import Iterable, List, Sequence
 
 from ..errors import ProtocolError
 from ..mutex.base import MutexPeer, PeerState
+from ..mutex.registry import get_algorithm
 from ..net.faults import CrashController
 
 __all__ = [
@@ -45,18 +46,16 @@ def live_peers(
 def assert_single_token(peers: Sequence[MutexPeer]) -> None:
     """Token-based algorithms must have **exactly one** token in the
     system when no message is in flight (for permission-based peers the
-    bound is *at most* one, since idle systems hold no permission)."""
+    bound is *at most* one, since idle systems hold no permission).
+    Which of the two an algorithm is, its registry entry says."""
     holders = token_holders(peers)
     if len(holders) > 1:
         raise ProtocolError(
             f"{len(holders)} token holders: "
             + ", ".join(p.name for p in holders)
         )
-    token_based = getattr(type(peers[0]), "algorithm_name", "") not in (
-        "ricart-agrawala",
-        "lamport",
-    )
-    if token_based and not holders:
+    info = get_algorithm(type(peers[0]).algorithm_name)
+    if info.token_based and not holders:
         raise ProtocolError("the token vanished (no holder, no message in flight)")
 
 

@@ -186,7 +186,10 @@ class TestExploreCli:
         assert err.startswith("python -m repro.analysis: error: --explore-budget ")
         assert err.count("\n") == 1 and out == ""
 
-    def test_replay_workflow(self, tmp_path, capsys):
+    @staticmethod
+    def _synthetic_counterexample(path):
+        """A flat Naimi counterexample document at ``path``: the first
+        enabled action, step after step, until none is left."""
         from repro.analysis.explore import (
             ExploreScope, Violation, World, write_counterexample,
         )
@@ -204,17 +207,37 @@ class TestExploreCli:
         while world.enabled():
             schedule.append(world.enabled()[0])
             world.apply(schedule[-1])
-        ce = tmp_path / "ce.json"
-        trace = tmp_path / "trace.json"
         write_counterexample(
-            str(ce), scope,
+            str(path), scope,
             Violation(property="safety", message="synthetic",
                       schedule=tuple(schedule)),
         )
+
+    def test_replay_workflow(self, tmp_path, capsys):
+        ce = tmp_path / "ce.json"
+        trace = tmp_path / "trace.json"
+        self._synthetic_counterexample(ce)
         assert main(["--replay", str(ce), "--trace-out", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "replay:" in out and "(initial)" in out
         assert json.loads(trace.read_text())["traceEvents"]
+
+    def test_traced_replay_builds_one_world(self, tmp_path, monkeypatch):
+        from repro.analysis.explore import World
+
+        ce = tmp_path / "ce.json"
+        self._synthetic_counterexample(ce)
+        built = []
+        init = World.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(World, "__init__", counting)
+        trace = tmp_path / "trace.json"
+        assert main(["--replay", str(ce), "--trace-out", str(trace)]) == 0
+        assert len(built) == 1 and json.loads(trace.read_text())["traceEvents"]
 
     def test_replay_mismatched_document_fails(self, tmp_path, capsys):
         ce = tmp_path / "bogus.json"

@@ -54,15 +54,6 @@ class TestExtraction:
         assert martin.cyclic_kinds() == {"request", "token"}
         assert martin.dynamic_sites == ()
 
-    def test_lamport_send_graph(self, effects_by_name):
-        lamport = effects_by_name["lamport"]
-        assert lamport.handled_kinds == {"request", "ack", "release"}
-        # permission-based: nothing forwards, no cycles
-        assert lamport.cyclic_kinds() == set()
-        # the request phase broadcasts
-        request_emissions = lamport.emissions("_do_request")
-        assert request_emissions["request"] == (0, 1)
-
     def test_suzuki_broadcast_multiplicity(self, effects_by_name):
         suzuki = effects_by_name["suzuki"]
         flat, per_n = suzuki.emissions("_do_request")["request"]
@@ -73,7 +64,6 @@ class TestExtraction:
             "martin": lambda n: 2 * (n - 1),
             "naimi": lambda n: 2 * n - 1,
             "suzuki": lambda n: 2 * n - 1,
-            "lamport": lambda n: 3 * (n - 1),
             "ricart-agrawala": lambda n: 3 * (n - 1),
         }
         for name, form in expected.items():

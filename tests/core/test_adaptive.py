@@ -143,7 +143,7 @@ def test_a_second_controller_or_a_deeper_tree_is_refused():
 
 def test_adaptive_rejects_permission_based_initial_inter():
     with pytest.raises(CompositionError):
-        build(initial="lamport")
+        build(initial="ricart-agrawala")
 
 
 def test_adaptive_rejects_bad_controller_params():

@@ -28,7 +28,7 @@ from repro.verify import (
 
 ALGOS = ["naimi", "suzuki", "martin", "raymond", "priority-naimi"]
 #: no token to re-seat (docs/faults.md says why for each)
-REFUSED = ["centralized", "ricart-agrawala", "lamport", "maekawa"]
+REFUSED = ["centralized", "ricart-agrawala", "maekawa"]
 
 #: fast-reacting knobs so tests stay short
 FAST = RecoveryConfig(

@@ -123,7 +123,7 @@ def test_multilevel_tree_is_refused_by_field_name(field, changes):
         config.validate()
 
 
-@pytest.mark.parametrize("inter", ["lamport", "ricart-agrawala", "maekawa"])
+@pytest.mark.parametrize("inter", ["ricart-agrawala", "maekawa"])
 def test_adaptive_with_a_permission_inter_is_refused_by_validate(inter):
     # Used to validate, then raise a CompositionError inside build().
     config = ExperimentConfig(system="adaptive", inter=inter)

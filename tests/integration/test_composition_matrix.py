@@ -15,7 +15,7 @@ import pytest
 from repro.experiments import ExperimentConfig, run_experiment
 
 PAPER_ALGOS = ["naimi", "martin", "suzuki"]
-EXTENSION_ALGOS = ["raymond", "centralized", "ricart-agrawala", "lamport", "maekawa"]
+EXTENSION_ALGOS = ["raymond", "centralized", "ricart-agrawala", "maekawa"]
 
 QUICK = dict(n_clusters=3, apps_per_cluster=3, n_cs=6, rho=4.5)  # rho/N = 0.5
 

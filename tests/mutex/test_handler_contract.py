@@ -120,7 +120,7 @@ def contract_breaches(fn: Callable) -> List[str]:
 
 
 def test_every_handler_of_every_registered_peer_class_is_checked():
-    assert len(HANDLERS) == 26
+    assert len(HANDLERS) == 23
     for fn in HANDLERS.values():
         assert fn.__name__.startswith("_on_")
         assert list(inspect.signature(fn).parameters) == SIGNATURE

@@ -64,15 +64,6 @@ def test_ricart_agrawala_defers_are_flushed_in_one_release():
     assert d.entry_order[0] == 0
 
 
-def test_lamport_release_cleans_replicated_queues():
-    d = PeerDriver(algorithm="lamport", n=4, cs_time=1.0)
-    for node in range(4):
-        d.cycle(node, 3, think=0.5)
-    d.run().check()
-    for p in d.peers:
-        assert p._queue == []  # all requests released everywhere
-
-
 def test_maekawa_relinquish_then_win_again():
     # Node 3 requests first but a *later* pair of requests with smaller
     # ids triggers inquire traffic; everyone still gets in exactly once.

@@ -19,7 +19,7 @@ def test_builtins_present():
     algos = available_algorithms()
     for name in (
         "martin", "naimi", "suzuki", "raymond",
-        "ricart-agrawala", "lamport", "centralized",
+        "ricart-agrawala", "maekawa", "centralized", "priority-naimi",
     ):
         assert name in algos
 

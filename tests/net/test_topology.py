@@ -69,9 +69,3 @@ def test_bad_uniform_params_rejected():
         uniform_topology(2, 0)
     with pytest.raises(TopologyError):
         uniform_topology(2, 2, names=["only-one"])
-
-
-def test_cluster_iteration_and_len():
-    c = Cluster("c", [3, 4, 5])
-    assert len(c) == 3
-    assert list(c) == [3, 4, 5]

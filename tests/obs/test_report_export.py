@@ -64,10 +64,8 @@ class TestReport:
         clone = pickle.loads(pickle.dumps(result))
         assert clone.obs_report == result.obs_report
 
-    def test_category_share_of_empty_report_is_zero(self):
-        report = build_report("paths", {})
-        assert report.category_share("holding") == 0.0
-        assert not report.wan_dominated
+    def test_empty_report_is_not_wan_dominated(self):
+        assert not build_report("paths", {}).wan_dominated
 
 
 class TestChromeExport:

@@ -11,7 +11,7 @@ from ..helpers import PeerDriver
 
 ALL_ALGOS = [
     "martin", "naimi", "suzuki", "raymond",
-    "ricart-agrawala", "lamport", "centralized", "maekawa",
+    "ricart-agrawala", "centralized", "maekawa",
 ]
 
 # A schedule: per node, (start time, number of cycles, think gap).

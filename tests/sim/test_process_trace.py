@@ -58,14 +58,6 @@ def test_timer_list_compaction():
     assert len(proc._timers) <= 65
 
 
-def test_process_rng_is_per_process_and_purpose():
-    sim = Simulator(seed=9)
-    p0 = Process(sim, "p0")
-    p1 = Process(sim, "p1")
-    assert p0.rng().random(3).tolist() != p1.rng().random(3).tolist()
-    assert p0.rng("think") is not p0.rng("other")
-
-
 def test_tracer_inactive_by_default():
     tracer = Tracer()
     assert not tracer.active

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import LivenessViolation, ProtocolError, SafetyViolation
+from repro.mutex import available_algorithms
 from repro.sim import Tracer
-from repro.verify import LivenessChecker, MutualExclusionChecker
+from repro.verify import LivenessChecker, MutualExclusionChecker, assert_single_token
 
 from ..helpers import PeerDriver
 
@@ -96,3 +97,22 @@ def test_checkers_on_live_run_detect_forged_token_violation():
     with pytest.raises((SafetyViolation, ProtocolError)):
         d.sim.run()
         d.check()
+
+
+@pytest.mark.parametrize("algorithm", sorted(available_algorithms()))
+def test_single_token_clause_follows_the_registry(algorithm):
+    # Idle at quiescence, a token algorithm has its one holder and a
+    # permission one has none: the registry's ``token_based`` says which.
+    assert_single_token(PeerDriver(algorithm=algorithm, n=4).run().peers)
+    # Node 1 in the CS of one instance, node 2 in the CS of another:
+    # two holders, whichever kind the algorithm is.
+    in_cs = []
+    for node in (1, 2):
+        d = PeerDriver(algorithm=algorithm, n=4, cs_time=1_000.0)
+        d.request(node)
+        d.sim.run(until=500.0)
+        assert d.peers[node].in_cs
+        in_cs.append(d.peers)
+    peers = in_cs[0][:2] + in_cs[1][2:3] + in_cs[0][3:]
+    with pytest.raises(ProtocolError, match="2 token holders"):
+        assert_single_token(peers)
