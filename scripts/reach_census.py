@@ -293,7 +293,6 @@ CONSUMERS: Dict[str, str] = {
     "analysis/explore/explorer.py::_Replayer.invalidate": REPORTS,
     "analysis/explore/explorer.py::_cycle_within": REPLAY,
     "analysis/explore/explorer.py::_shortest_path": REPLAY,
-    "analysis/explore/explorer.py::_replay_to_state": REPLAY,
     "analysis/explore/schedule.py::*": REPLAY,
     "analysis/rules.py::Rule.*": ABSTRACT,
     "analysis/rules.py::_mentions_sim":
@@ -358,8 +357,6 @@ CONSUMERS: Dict[str, str] = {
     "sim/process.py::Process.resume": FAULTS,
     "sim/rng.py::RngRegistry.fresh": ORACLE,
     "sim/rng.py::RngRegistry.seed": "the drawn seed that replays an unseeded run",
-    "sim/trace.py::_AllKinds.__contains__":
-        "a `*` subscriber's answer to the hot emitters' guard",
     # verify
     "verify/crash.py::CrashSafetyChecker.*": FAULTS,
     "verify/invariants.py::assert_*": ORACLE,

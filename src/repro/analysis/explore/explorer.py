@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ...errors import ReproError
 from .reduction import build_envelopes, independent, visibility_oracle
@@ -130,14 +130,22 @@ class _Replayer:
     Stateless replay keeps memory flat (fingerprints + DFS stack only);
     ``deepcopy``-snapshot checkpointing was measured 2.4x *slower* than
     rebuild-and-replay at this scope, so the world graph is never
-    copied.
+    copied.  The send envelopes are the scope's, so the first world
+    derives them and every rebuild reuses them.
     """
 
     def __init__(self, scope: ExploreScope) -> None:
         self.scope = scope
-        self.world: Optional[World] = None
+        first = World(scope)
+        self.envelopes = build_envelopes(first)
+        self._install(first)
+
+    def _install(self, world: World) -> None:
+        """Make ``world``, at its initial state, the live one."""
+        if self.envelopes is not None:
+            world.set_envelopes(self.envelopes)
+        self.world: Optional[World] = world
         self.path: Tuple[Action, ...] = ()
-        self.rebuilds = 0
 
     def world_at(self, prefix: Tuple[Action, ...]) -> World:
         if self.world is not None:
@@ -151,13 +159,8 @@ class _Replayer:
                     self.world.apply(action)
                 self.path = prefix
                 return self.world
-        self.rebuilds += 1
         world = World(self.scope)
-        envelopes = build_envelopes(world)
-        if envelopes is not None:
-            world.set_envelopes(envelopes)
-        self.world = world
-        self.path = ()
+        self._install(world)
         for action in prefix:
             world.apply(action)
         self.path = prefix
@@ -208,6 +211,7 @@ def explore(
     started_at = time.monotonic()  # repro: allow[RPR001] wall budget for the search, outside any simulation
     replayer = _Replayer(scope)
     world = replayer.world_at(())
+    visible = visibility_oracle(world)
 
     state_ids: Dict[str, int] = {}
     sleep_store: List[Set[Action]] = []
@@ -216,6 +220,8 @@ def explore(
     req_sets: List[Tuple[int, ...]] = []
     edges: List[List[Tuple[Action, int]]] = []
     violations: List[Violation] = []
+    #: violation index -> the state register() found it at
+    found_at: Dict[int, int] = {}
     transitions = 0
     enabled_total = 0
     sleep_pruned = 0
@@ -223,11 +229,9 @@ def explore(
     complete = True
 
     def order_enabled(w: World) -> Tuple[Action, ...]:
-        acts = w.enabled()
-        visible = visibility_oracle(w)
         # Possibly-granting actions first: counterexamples stay short
         # and the DFS reaches CS states early.  Stable within classes.
-        return tuple(sorted(acts, key=lambda a: (not visible(a), a)))
+        return tuple(sorted(w.enabled(), key=lambda a: (not visible(w, a), a)))
 
     def register(w: World, prefix: Tuple[Action, ...]) -> Tuple[int, bool]:
         """Intern the live world's state; returns (id, is_new)."""
@@ -248,6 +252,7 @@ def explore(
         edges.append([])
         cs = w.cs_nodes()
         if len(cs) > 1:
+            found_at[len(violations)] = sid
             violations.append(
                 Violation(
                     "safety",
@@ -257,6 +262,7 @@ def explore(
                 )
             )
         elif not enabled and req:
+            found_at[len(violations)] = sid
             violations.append(
                 Violation(
                     "deadlock",
@@ -374,10 +380,9 @@ def explore(
     # ---------------------------------------------------------------- #
     # post-hoc analyses on the explored graph
     # ---------------------------------------------------------------- #
-    n_states = len(enabled_lists)
+    condensation = _tarjan_sccs(edges)
     if complete and not (violations and stop_on_violation):
-        starving = _starvation_sccs(edges, req_sets, enabled_lists)
-        for scc_states, node in starving:
+        for scc_states, node in _starvation_sccs(edges, condensation, req_sets):
             prefix = _shortest_path(edges, 0, scc_states[0])
             loop = _cycle_within(edges, set(scc_states), scc_states[0])
             violations.append(
@@ -389,13 +394,17 @@ def explore(
                     tuple(loop),
                 )
             )
+    # Shorten each safety/deadlock witness to the BFS-shortest schedule
+    # to the state it was found at.
+    for i, sid in found_at.items():
+        short = _shortest_path(edges, 0, sid)
+        if len(short) < len(violations[i].schedule):
+            violations[i] = dataclasses.replace(violations[i], schedule=tuple(short))
 
-    schedules, visits = _path_counts(edges, enabled_lists)
-    fingerprint = _set_fingerprint(state_ids)
-    violations = _minimised(violations, edges, state_ids, scope)
+    schedules, visits = _path_counts(edges, condensation, enabled_lists)
     return ExploreReport(
         scope=scope,
-        states=n_states,
+        states=len(enabled_lists),
         transitions=transitions,
         enabled_total=enabled_total,
         sleep_pruned=sleep_pruned,
@@ -404,7 +413,7 @@ def explore(
         max_depth=max_depth,
         complete=complete,
         violations=violations,
-        state_fingerprint=fingerprint,
+        state_fingerprint=_set_fingerprint(state_ids),
         elapsed_s=time.monotonic() - started_at,  # repro: allow[RPR001] report timing only
     )
 
@@ -476,9 +485,19 @@ def _cycle_within(
     return []
 
 
-def _tarjan_sccs(
-    edges: Sequence[Sequence[Tuple[Action, int]]]
-) -> List[List[int]]:
+class _Condensation(NamedTuple):
+    """The explored graph's strongly connected components."""
+
+    #: member states of each component, in reverse topological order
+    components: List[List[int]]
+    #: component index of each state
+    comp_of: List[int]
+    #: whether each component holds a cycle (two or more states, or a
+    #: self-loop)
+    cyclic: List[bool]
+
+
+def _tarjan_sccs(edges: Sequence[Sequence[Tuple[Action, int]]]) -> _Condensation:
     """Iterative Tarjan; components are emitted in reverse topological
     order of the condensation."""
     n = len(edges)
@@ -488,6 +507,8 @@ def _tarjan_sccs(
     visited = [False] * n
     scc_stack: List[int] = []
     components: List[List[int]] = []
+    comp_of = [0] * n
+    cyclic: List[bool] = []
     counter = [1]
 
     for root in range(n):
@@ -519,33 +540,30 @@ def _tarjan_sccs(
                 while True:
                     member = scc_stack.pop()
                     on_stack[member] = False
+                    comp_of[member] = len(components)
                     component.append(member)
                     if member == state:
                         break
                 components.append(component)
+                cyclic.append(len(component) > 1 or any(
+                    child == state for _a, child in edges[state]
+                ))
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[state])
-    return components
+    return _Condensation(components, comp_of, cyclic)
 
 
 def _starvation_sccs(
     edges: Sequence[Sequence[Tuple[Action, int]]],
+    condensation: _Condensation,
     req_sets: Sequence[Tuple[int, ...]],
-    enabled_lists: Sequence[Tuple[Action, ...]],
 ) -> List[Tuple[List[int], int]]:
     """Bottom, nontrivial SCCs in which some node requests forever."""
-    components = _tarjan_sccs(edges)
-    comp_of: Dict[int, int] = {}
-    for ci, members in enumerate(components):
-        for state in members:
-            comp_of[state] = ci
+    components, comp_of, cyclic = condensation
     out: List[Tuple[List[int], int]] = []
     for ci, members in enumerate(components):
-        nontrivial = len(members) > 1 or any(
-            child == members[0] for _a, child in edges[members[0]]
-        )
-        if not nontrivial:
+        if not cyclic[ci]:
             continue
         bottom = all(
             comp_of[child] == ci
@@ -564,6 +582,7 @@ def _starvation_sccs(
 
 def _path_counts(
     edges: Sequence[Sequence[Tuple[Action, int]]],
+    condensation: _Condensation,
     enabled_lists: Sequence[Tuple[Action, ...]],
 ) -> Tuple[int, int]:
     """(distinct maximal schedules, naive state visits), saturating.
@@ -574,24 +593,14 @@ def _path_counts(
     condensation (cycles saturate — a naive enumerator would never
     terminate on them).
     """
-    components = _tarjan_sccs(edges)
-    comp_of: Dict[int, int] = {}
-    for ci, members in enumerate(components):
-        for state in members:
-            comp_of[state] = ci
-    # reverse topological -> process in topological order
-    order = list(reversed(range(len(components))))
+    components, comp_of, cyclic = condensation
     paths = [0] * len(components)
-    cyclic = [len(c) > 1 for c in components]
-    for ci, members in enumerate(components):
-        if not cyclic[ci]:
-            state = members[0]
-            cyclic[ci] = any(child == state for _a, child in edges[state])
     if edges:
         paths[comp_of[0]] = 1
     schedules = 0
     visits = 0
-    for ci in order:
+    # reverse topological -> process in topological order
+    for ci in reversed(range(len(components))):
         members = components[ci]
         if paths[ci] == 0:
             continue
@@ -609,46 +618,3 @@ def _path_counts(
                 if cj != ci:
                     paths[cj] = min(_SATURATE, paths[cj] + paths[ci])
     return schedules, visits
-
-
-def _minimised(
-    violations: List[Violation],
-    edges: Sequence[Sequence[Tuple[Action, int]]],
-    state_ids: Dict[str, int],
-    scope: ExploreScope,
-) -> List[Violation]:
-    """Shorten each counterexample to the BFS-shortest schedule."""
-    if not violations:
-        return violations
-    # Map each violation's witness prefix back to a state by replaying
-    # only when the witness ends in a state (safety/deadlock/starvation);
-    # protocol errors keep their witness (the failing action is last).
-    out: List[Violation] = []
-    for violation in violations:
-        if violation.property == "protocol-error" or not violation.schedule:
-            out.append(violation)
-            continue
-        try:
-            target = _replay_to_state(violation.schedule, scope, state_ids)
-        except ReproError:
-            out.append(violation)
-            continue
-        if target is None:
-            out.append(violation)
-            continue
-        short = _shortest_path(edges, 0, target)
-        if len(short) < len(violation.schedule):
-            violation = dataclasses.replace(violation, schedule=tuple(short))
-        out.append(violation)
-    return out
-
-
-def _replay_to_state(
-    schedule: Tuple[Action, ...],
-    scope: ExploreScope,
-    state_ids: Dict[str, int],
-) -> Optional[int]:
-    world = World(scope)
-    for action in schedule:
-        world.apply(action)
-    return state_ids.get(world.digest())

@@ -95,22 +95,25 @@ def build_envelopes(world: World) -> Optional[Dict[str, frozenset]]:
     return envelopes
 
 
-def visibility_oracle(world: World) -> Callable[[Action], bool]:
-    """A predicate: may this action enter a critical section (or drive a
-    coordinator automaton)?  Used to order exploration, not to prune."""
+def visibility_oracle(world: World) -> Callable[[World, Action], bool]:
+    """A predicate on ``(world, action)``: may this action enter a
+    critical section (or drive a coordinator automaton)?  Used to order
+    exploration, not to prune.  Built once per scope from any of its
+    worlds; the predicate reads the pending queues of the world it is
+    given."""
     effects = _effects_by_algorithm()
     grants_by_port: Dict[str, Dict[str, bool]] = {}
     for port, algorithm in world.port_algorithms.items():
         eff = effects.get(algorithm)
         if eff is None:
-            return lambda action: True
+            return lambda _world, _action: True
         grants_by_port[port] = {
             kind: bool(eff.grants.get(handler, True))
             for kind, handler in eff.handlers.items()
         }
     coordinator_nodes = world.coordinator_nodes
 
-    def visible(action: Action) -> bool:
+    def visible(world: World, action: Action) -> bool:
         kind = action[0]
         if kind != "deliver":
             return True

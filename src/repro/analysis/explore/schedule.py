@@ -161,15 +161,6 @@ class ReplayStep:
         self.req_nodes = world.req_nodes()
         self.enabled = world.enabled()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "action": None if self.action is None else list(self.action),
-            "cs_nodes": sorted(self.cs_nodes),
-            "req_nodes": sorted(self.req_nodes),
-            "enabled": [list(a) for a in self.enabled],
-        }
-
 
 def replay(
     scope: ExploreScope,

@@ -370,8 +370,10 @@ class World:
     # canonical state fingerprint
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> Tuple:
+        # A peer's fingerprint is canonical by contract (a flat tuple of
+        # hashable values, dicts in ``peers`` order): used as is.
         parts: List[Tuple] = [
-            (peer.port, _canon(peer.fingerprint())) for peer in self.peers
+            (peer.port, peer.fingerprint()) for peer in self.peers
         ]
         parts.extend(
             ("coordinator", c.lower.node, c.state.name)
@@ -395,11 +397,11 @@ class World:
 
 
 def _canon(value):
-    """Canonicalise a payload/fingerprint value into hashable, ordered
-    form: containers become tuples, sorted where unordered."""
-    # Exact-type fast paths first: fingerprints are overwhelmingly
-    # plain ints/bools/strings/tuples and this function is the hottest
-    # spot of the whole exploration.
+    """Canonicalise a message payload into hashable, ordered form:
+    containers become tuples, sorted where unordered.  Runs once per
+    captured message."""
+    # Exact-type fast paths first: payloads are overwhelmingly plain
+    # ints/bools/strings and small dicts of them.
     kind = type(value)
     if kind is int or kind is bool or kind is str or value is None:
         return value

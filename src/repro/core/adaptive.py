@@ -218,7 +218,7 @@ class AdaptiveController(Process):
         gated, self._gated = self._gated, []
         for coordinator in gated:
             coordinator.resume_upper_request()
-        if self.sim.trace.active:
+        if "inter_switch" in self.sim.trace.active_kinds:
             self.sim.trace.emit(
                 "inter_switch", time=self.now, algorithm=algorithm,
                 epoch=self.epoch,

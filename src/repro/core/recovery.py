@@ -358,7 +358,7 @@ class InstanceRecovery(Process):
         self._req_since.clear()
         self._crashed_since_epoch.clear()
         self.recoveries += 1
-        if self.sim.trace.active:
+        if "recovery" in self.sim.trace.active_kinds:
             self.sim.trace.emit(
                 "recovery",
                 time=self.now,
@@ -680,7 +680,7 @@ class CompositionRecovery:
             if comp.standby_nodes[ci]:
                 self._watch(ci, standby)
             self.failovers.append((self.sim.now, ci, standby))
-            if self.sim.trace.active:
+            if "failover" in self.sim.trace.active_kinds:
                 self.sim.trace.emit(
                     "failover",
                     time=self.sim.now,

@@ -165,7 +165,7 @@ class CrashController:
         self.events.append((self.sim.now, "crash", node))
         for proc in self._bound[node]:
             proc.halt()
-        if self.sim.trace.active:
+        if "node_crash" in self.sim.trace.active_kinds:
             self.sim.trace.emit("node_crash", time=self.sim.now, node=node)
         for fn in tuple(self.on_crash):
             fn(node)
@@ -180,7 +180,7 @@ class CrashController:
         self.events.append((self.sim.now, "restart", node))
         for proc in self._bound[node]:
             proc.resume()
-        if self.sim.trace.active:
+        if "node_restart" in self.sim.trace.active_kinds:
             self.sim.trace.emit("node_restart", time=self.sim.now, node=node)
         for fn in tuple(self.on_restart):
             fn(node)

@@ -101,16 +101,6 @@ class GridTopology:
         """Node ids of the cluster at ``cluster_index``."""
         return self.clusters[cluster_index].nodes
 
-    def coordinator_node(self, cluster_index: int) -> int:
-        """The node conventionally hosting the cluster's coordinator
-        (the first node of the cluster; the coordinator is a separate
-        *agent* co-located on that node, not a separate machine)."""
-        return self.clusters[cluster_index].nodes[0]
-
-    def coordinator_nodes(self) -> Tuple[int, ...]:
-        """Coordinator node of every cluster, in cluster order."""
-        return tuple(self.coordinator_node(ci) for ci in range(self.n_clusters))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<GridTopology {self.n_clusters} clusters, {self.n_nodes} nodes>"

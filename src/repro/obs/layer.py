@@ -150,7 +150,7 @@ class ObservabilityLayer:
             out,
             [(node, f"node {node} / {topology.cluster_name(node)}")
              for node in topology.nodes],
-            set(topology.coordinator_nodes()),
+            set(self.coordinator_nodes),
             _THREADS,
             _spans(self.recorder, self.paths()),
         )

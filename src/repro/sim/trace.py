@@ -10,21 +10,19 @@ Per-kind gating
 ---------------
 Subscribing to one kind must not tax emitters of every other kind: a run
 with only a ``cs_enter`` checker attached fires millions of ``send`` and
-``deliver`` records' worth of *emitter* work if emitters gate on the global
-:attr:`Tracer.active` flag alone.  The tracer therefore maintains
+``deliver`` records' worth of *emitter* work if emitters gate on "any
+subscriber at all".  The tracer therefore maintains
 :attr:`Tracer.active_kinds` — the set of kinds with at least one
-subscriber (a match-everything sentinel when a ``"*"`` subscriber exists)
-— and hot emitters guard with ``if "send" in trace.active_kinds:`` so the
-keyword-argument packing and record construction are skipped entirely for
-unobserved kinds.  :meth:`emit` applies the same gate internally, so
-emitters that still check the coarse :attr:`active` flag stay correct,
-just marginally slower.
+subscriber — and emitters guard with ``if "send" in trace.active_kinds:``
+so the keyword-argument packing and record construction are skipped
+entirely for unobserved kinds.  :meth:`emit` applies the same gate
+internally.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple
 
 __all__ = ["Tracer", "TraceRecord"]
 
@@ -49,38 +47,18 @@ class TraceRecord:
         return f"<{self.kind} {inner}>"
 
 
-class _AllKinds:
-    """Sentinel for :attr:`Tracer.active_kinds` when a ``"*"`` subscriber
-    exists: membership is true for every kind."""
-
-    __slots__ = ()
-
-    def __contains__(self, kind: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<all kinds>"
-
-
-_ALL_KINDS = _AllKinds()
-
-
 class Tracer:
     """Pub/sub hub for trace records.
 
-    Subscribers register for a specific kind or for ``"*"`` (all kinds).
-    :attr:`active` (any subscriber at all) and :attr:`active_kinds` (the
-    per-kind active set) are maintained so emitters can skip building the
-    record dict entirely when nobody is listening for that kind.
+    Subscribers register for one kind each.  :attr:`active_kinds` (the
+    kinds with a subscriber) is maintained so emitters can skip building
+    the record dict entirely when nobody is listening for that kind.
     """
 
     def __init__(self) -> None:
         self._subs: Dict[str, List[Callable[[TraceRecord], None]]] = defaultdict(list)
-        self.active = False
         #: Kinds with >= 1 subscriber; supports ``kind in active_kinds``.
-        self.active_kinds: Any = frozenset()
-        #: snapshot of the ``"*"`` subscriber list, hoisted out of emit
-        self._star: tuple = ()
+        self.active_kinds: FrozenSet[str] = frozenset()
         #: called (no arguments) after every subscription change
         self._change_hooks: Tuple[Callable[[], None], ...] = ()
 
@@ -99,16 +77,12 @@ class Tracer:
         self._change_hooks = tuple(h for h in self._change_hooks if h != hook)
 
     def _refresh(self) -> None:
-        kinds = {k for k, subs in self._subs.items() if subs}
-        self.active = bool(kinds)
-        self.active_kinds = _ALL_KINDS if "*" in kinds else frozenset(kinds)
-        self._star = tuple(self._subs.get("*", ()))
+        self.active_kinds = frozenset(k for k, subs in self._subs.items() if subs)
         for hook in self._change_hooks:
             hook()
 
     def subscribe(self, kind: str, fn: Callable[[TraceRecord], None]) -> None:
-        """Register ``fn`` to receive every record of ``kind`` (or all
-        records when ``kind == "*"``)."""
+        """Register ``fn`` to receive every record of ``kind``."""
         self._subs[kind].append(fn)
         self._refresh()
 
@@ -126,14 +100,10 @@ class Tracer:
         same name is reachable via ``record.fields["kind"]``).
         """
         subs = self._subs.get(kind)
-        star = self._star
-        if not subs and not star:
+        if not subs:
             return
         record = TraceRecord(kind, fields)
-        if subs:
-            for fn in subs:
-                fn(record)
-        for fn in star:
+        for fn in subs:
             fn(record)
 
     def attach(

@@ -43,8 +43,8 @@ def test_composition_inter_initial_cluster():
     comp = Composition(sim, net, topo, hierarchy=(2, 0, 1))
     holders = [p for p in comp.inter_peers if p.holds_token]
     assert len(holders) == 1
-    assert holders[0].node == topo.coordinator_node(2)
-    assert comp.coordinator_for(2).node == topo.coordinator_node(2)
+    assert holders[0].node == topo.cluster_nodes(2)[0]
+    assert comp.coordinator_for(2).node == topo.cluster_nodes(2)[0]
     with pytest.raises(CompositionError):
         Composition(sim, net, env(3, 3, seed=1)[1], hierarchy=(9, 0, 1))
 
@@ -112,8 +112,8 @@ def test_rewire_upper_rejects_wrong_node():
     sim, topo, net, comp = build_running_composition()
     coord = comp.coordinator_for(0)
     naimi = get_algorithm("naimi").peer_class
-    other = naimi(sim, net, topo.coordinator_node(1),
-                  [topo.coordinator_node(1)], "inter/x")
+    other = naimi(sim, net, comp.coordinator_for(1).node,
+                  [comp.coordinator_for(1).node], "inter/x")
     with pytest.raises(CompositionError):
         coord.rewire_upper(other)
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core import Composition
 from repro.errors import TopologyError
-from repro.net import Cluster, GridTopology, uniform_topology
+from repro.net import Cluster, GridTopology, Network, TwoTierLatency, uniform_topology
+from repro.sim import Simulator
 
 
 def test_uniform_topology_shape():
@@ -30,10 +32,14 @@ def test_cluster_names():
 
 
 def test_coordinator_nodes_are_first_of_cluster():
+    # The topology knows no coordinators: a composition seats each one on
+    # the first node of its cluster.
     topo = uniform_topology(3, 5)
-    assert topo.coordinator_node(0) == 0
-    assert topo.coordinator_node(1) == 5
-    assert topo.coordinator_nodes() == (0, 5, 10)
+    sim = Simulator(seed=0)
+    comp = Composition(sim, Network(sim, topo, TwoTierLatency(topo)), topo)
+    firsts = [topo.cluster_nodes(ci)[0] for ci in range(3)]
+    assert firsts == [0, 5, 10]
+    assert [comp.coordinator_for(ci).node for ci in range(3)] == firsts
 
 
 def test_unknown_node_raises():

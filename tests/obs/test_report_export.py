@@ -4,7 +4,9 @@ import io
 import json
 import pickle
 
-from repro.experiments import ExperimentConfig, run_experiment
+import pytest
+
+from repro.experiments import ExperimentConfig, ExperimentRun, run_experiment
 from repro.net import Network, TwoTierLatency, uniform_topology
 from repro.obs import ObservabilityLayer, build_report, format_obs_report
 from repro.sim import Simulator
@@ -72,14 +74,15 @@ class TestChromeExport:
     """What only an observed run's trace carries; the invariants every
     trace shares are ``tests/obs/test_trace_writer.py``'s."""
 
-    def run_recorded(self):
+    def run_recorded(self, coordinator_nodes=()):
         sim = Simulator(seed=2)
         topo = uniform_topology(2, 2)
         net = Network(sim, topo, TwoTierLatency(topo, lan_ms=0.5, wan_ms=8.0,
                                                 jitter=0.0))
         for node in topo.nodes:
             net.register(node, "flat", lambda m: None)
-        layer = ObservabilityLayer(sim, net, level="paths")
+        layer = ObservabilityLayer(sim, net, level="paths",
+                                   coordinator_nodes=coordinator_nodes)
         sim.trace.emit("cs_request", time=0.0, node=1, port="flat")
         net.send(1, 0, "flat", "req")
         sim.run()
@@ -87,14 +90,39 @@ class TestChromeExport:
         sim.trace.emit("cs_exit", time=sim.now + 1.0, node=1, port="flat")
         return layer
 
-    def test_trace_labels_coordinator_processes(self):
+    @staticmethod
+    def labelled_coordinators(layer):
         buf = io.StringIO()
-        self.run_recorded().write_chrome_trace(buf)
-        labels = [
-            e["args"]["name"] for e in json.loads(buf.getvalue())["traceEvents"]
+        layer.write_chrome_trace(buf)
+        return {
+            e["pid"] for e in json.loads(buf.getvalue())["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
-        ]
-        assert sum("[coordinator]" in lab for lab in labels) == 2
+            and "[coordinator]" in e["args"]["name"]
+        }
+
+    def test_trace_labels_coordinator_processes(self):
+        layer = self.run_recorded(coordinator_nodes=(0, 2))
+        assert self.labelled_coordinators(layer) == {0, 2}
+
+    @pytest.mark.parametrize("system", [
+        dict(system="flat", intra="naimi"),
+        dict(system="composition"),
+        # two coordinators share a cluster at the middle level
+        dict(middle=("naimi",), hierarchy=((0, 1), (2,)), n_clusters=3),
+    ], ids=["flat", "two-level", "three-level"])
+    def test_trace_labels_exactly_the_runs_coordinators(self, system):
+        config = ExperimentConfig(**{
+            **dict(platform="two-tier", n_clusters=2, apps_per_cluster=2,
+                   n_cs=2, obs="paths"),
+            **system,
+        })
+        with ExperimentRun(config) as run:
+            run.execute()
+            expected = {c.node for c in run.system.coordinators}
+            assert self.labelled_coordinators(run.obs) == expected
+        if "middle" in system:
+            # more coordinators than clusters: not one per cluster
+            assert len(expected) > config.n_clusters
 
     def test_json_round_trip_via_stream_and_path(self, tmp_path):
         layer = self.run_recorded()
@@ -108,8 +136,6 @@ class TestChromeExport:
         assert from_file["traceEvents"]
 
     def test_export_through_layer_requires_causality(self):
-        import pytest
-
         from repro.errors import ConfigurationError
 
         sim = Simulator(seed=2)

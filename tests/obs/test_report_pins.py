@@ -231,7 +231,7 @@ PINS = {
             '1894.4326987342683', 'local': '0.0'},
         'lan_ms': '538.846392255268',
         'wan_ms': '2119.109306479',
-        'trace_sha': '6eae0f2e58a7853b',
+        'trace_sha': '7e4722958c98cf5b',
     },
     ('suzuki-flat', 2): {
         'counters': {'sends': 405, 'delivers': 405, 'intra_sends': 105, 'inter_sends': 300,
@@ -243,7 +243,7 @@ PINS = {
             'coordinator_queue': '0.0', 'holding': '1924.0547251797764', 'local': '0.0'},
         'lan_ms': '581.2473323415837',
         'wan_ms': '2028.8483928381922',
-        'trace_sha': 'c43c1249ac50c588',
+        'trace_sha': '5819a8ab7bc89a42',
     },
     ('suzuki-flat', 3): {
         'counters': {'sends': 405, 'delivers': 405, 'intra_sends': 107, 'inter_sends': 298,
@@ -256,7 +256,7 @@ PINS = {
             '1352.7948448073844', 'local': '0.0'},
         'lan_ms': '555.9936742067367',
         'wan_ms': '1350.0041706006473',
-        'trace_sha': '1393b3edc8c68c8a',
+        'trace_sha': 'e928969bab884a03',
     },
     ('suzuki-flat', 4): {
         'counters': {'sends': 405, 'delivers': 405, 'intra_sends': 98, 'inter_sends': 307,
@@ -269,7 +269,7 @@ PINS = {
             '1545.2860544514906', 'local': '0.0'},
         'lan_ms': '481.57933584329396',
         'wan_ms': '1791.4987186081967',
-        'trace_sha': '6b42c090e182b5b6',
+        'trace_sha': '94dd7f9b2422afcb',
     },
 }
 
