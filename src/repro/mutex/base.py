@@ -250,7 +250,10 @@ class MutexPeer(Process):
         Subclasses return a flat tuple of hashable values covering every
         protocol variable that influences future behaviour (token
         position, queues, sequence counters ...), with dict contents
-        listed in ``self.peers`` order.
+        listed in ``self.peers`` order.  The explorer hashes it as is and
+        does not check this at run time: a dict, a set or an object in it
+        makes equal states hash apart.  ``tests/analysis/test_explore.py``
+        checks the registered algorithms.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the state-"

@@ -187,7 +187,7 @@ class TestExploreCli:
         assert err.count("\n") == 1 and out == ""
 
     @staticmethod
-    def _synthetic_counterexample(path):
+    def _synthetic_counterexample(path, requesters=(1,)):
         """A flat Naimi counterexample document at ``path``: the first
         enabled action, step after step, until none is left."""
         from repro.analysis.explore import (
@@ -200,7 +200,7 @@ class TestExploreCli:
                 system="flat", intra="naimi", platform="two-tier",
                 n_clusters=2, apps_per_cluster=1, n_cs=1,
             ),
-            requesters=(1,),
+            requesters=requesters,
         )
         world = World(scope)
         schedule = []
@@ -221,6 +221,26 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "replay:" in out and "(initial)" in out
         assert json.loads(trace.read_text())["traceEvents"]
+
+    def test_replay_json_lists_every_step(self, tmp_path, capsys):
+        # node 3 asks the root (node 1) for the token, gets it, releases
+        ce = tmp_path / "ce.json"
+        self._synthetic_counterexample(ce, requesters=(3,))
+        assert main(["--replay", str(ce), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] and doc["replay"]["cell"] == "flat:naimi:2x2:r1:q3"
+        assert doc["replay"]["steps"] == [
+            {"index": 0, "action": None, "cs_nodes": [], "req_nodes": [],
+             "enabled": [["request", 3]]},
+            {"index": 1, "action": ["request", 3], "cs_nodes": [],
+             "req_nodes": [3], "enabled": [["deliver", 3, 1, "flat"]]},
+            {"index": 2, "action": ["deliver", 3, 1, "flat"], "cs_nodes": [],
+             "req_nodes": [3], "enabled": [["deliver", 1, 3, "flat"]]},
+            {"index": 3, "action": ["deliver", 1, 3, "flat"],
+             "cs_nodes": [3], "req_nodes": [], "enabled": [["release", 3]]},
+            {"index": 4, "action": ["release", 3], "cs_nodes": [],
+             "req_nodes": [], "enabled": []},
+        ]
 
     def test_traced_replay_builds_one_world(self, tmp_path, monkeypatch):
         from repro.analysis.explore import World
